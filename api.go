@@ -9,10 +9,9 @@
 // [0, 1]. A query returns the k best tuples under a monotone
 // aggregation of per-predicate scores.
 //
-// The pipeline has four stages, all executed on an in-process
-// Map-Reduce substrate, and is built for multi-query serving: stages 1
-// and 2 run once per dataset, stages 3 and 4 once per query, and one
-// engine safely serves concurrent queries from many goroutines.
+// The pipeline has four stages and is built for multi-query serving:
+// stages 1 and 2 run once per dataset, stages 3 and 4 once per query,
+// and one engine safely serves concurrent queries from many goroutines.
 //
 //  1. Offline, query-independent statistics: time is partitioned into
 //     granules and each collection summarized by a bucket matrix
@@ -28,10 +27,10 @@
 //  4. Distributed join: DistributeTopBuckets (DTB) assigns combinations
 //     to reducers — spreading high-scoring results to enable early
 //     termination, capping worst-case load, minimizing replication —
-//     then the join job routes bucket *references* (never raw
-//     intervals) to reducers, each reducer evaluates the query locally
-//     over the store's memoized R-trees while sharing a global top-k
-//     threshold with every other reducer, and a merge job produces the
+//     then each reducer evaluates the query on its combinations,
+//     reading the resident buckets and their memoized R-trees in place
+//     (no interval moves at query time) while sharing a global top-k
+//     threshold with every other reducer, and one merge produces the
 //     final top-k.
 //
 // Stages 3 and 4's planning halves (bound solving, pruning, reducer

@@ -133,18 +133,15 @@ func servingEngine(b *testing.B, q *Query) *Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if cold.Join.RawIntervalsShuffled != 0 {
-		b.Fatalf("cold run shuffled %d raw intervals; the store makes them resident", cold.Join.RawIntervalsShuffled)
-	}
 	b.Logf("cold run: join %v, total %v, %d trees built", cold.JoinTime, cold.Total, cold.TreesBuilt)
 	return engine
 }
 
 // BenchmarkRepeatedQuery measures the warm serving path: after one cold
 // execution primes the store, every further execution of the same query
-// must shuffle zero raw intervals and rebuild zero R-trees — the join
-// routes bucket references into memoized trees. Compare ns/op here with
-// the cold-run join time logged at startup.
+// must rebuild zero R-trees — the reducers read the resident buckets
+// and their memoized trees in place. Compare ns/op here with the
+// cold-run join time logged at startup.
 func BenchmarkRepeatedQuery(b *testing.B) {
 	q, err := QueryByName("Qo,m", QueryEnv{Params: P1})
 	if err != nil {
@@ -152,21 +149,17 @@ func BenchmarkRepeatedQuery(b *testing.B) {
 	}
 	engine := servingEngine(b, q)
 	b.ResetTimer()
-	var rebuilt, raw int64
+	var rebuilt int64
 	for i := 0; i < b.N; i++ {
 		report, err := engine.Execute(context.Background(), q)
 		if err != nil {
 			b.Fatal(err)
 		}
 		rebuilt += report.TreesBuilt
-		raw += report.Join.RawIntervalsShuffled
 	}
 	b.StopTimer()
 	if rebuilt != 0 {
 		b.Fatalf("warm executions rebuilt %d R-trees", rebuilt)
-	}
-	if raw != 0 {
-		b.Fatalf("warm executions shuffled %d raw intervals", raw)
 	}
 }
 

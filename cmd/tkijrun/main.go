@@ -7,7 +7,7 @@
 //
 // The engine is dataset-scoped: statistics and the resident bucket
 // store are built once, then every -repeat execution of the query runs
-// against the warm store (zero raw-interval shuffle, memoized R-trees).
+// against the warm store (resident buckets read in place, memoized R-trees).
 //
 // Usage:
 //
@@ -121,7 +121,6 @@ type jsonRun struct {
 	TreesReused         int64   `json:"trees_reused"`
 	RoutedBucketEntries int     `json:"routed_bucket_entries"`
 	RoutedIntervals     float64 `json:"routed_interval_records"`
-	RawShuffled         int64   `json:"raw_intervals_shuffled"`
 	SharedFloor         float64 `json:"shared_floor"`
 	// Batch is the number of queries in the batch this run rode through
 	// the admission layer (0 for direct, unbatched execution); QueueMillis
@@ -465,7 +464,6 @@ func main() {
 				TreesReused:         report.TreesReused,
 				RoutedBucketEntries: report.Join.RoutedBucketEntries,
 				RoutedIntervals:     report.Join.RoutedIntervalRecords,
-				RawShuffled:         report.Join.RawIntervalsShuffled,
 				SharedFloor:         report.Join.SharedFloor,
 				MinKthScore:         minKth(report),
 				Batch:               report.BatchSize,
@@ -518,7 +516,7 @@ func main() {
 		fmt.Printf("  distribute: %v  (%s, %.0f records replicated, result imbalance %.2f)\n",
 			report.DistributeTime, report.Assignment.Algorithm,
 			report.Assignment.ReplicatedRecords, report.Assignment.ResultImbalance())
-		fmt.Printf("  join:       %v  (%d bucket refs routed, 0 raw intervals shuffled, shared floor %.3f, reducer imbalance %.2f)\n",
+		fmt.Printf("  join:       %v  (%d bucket refs routed, shared floor %.3f, reducer imbalance %.2f)\n",
 			report.JoinTime, report.Join.RoutedBucketEntries, report.Join.SharedFloor, report.Imbalance())
 		fmt.Printf("  store:      %d trees built, %d reused this query\n", report.TreesBuilt, report.TreesReused)
 		if report.ShardCount > 0 {

@@ -47,7 +47,7 @@ type Options struct {
 	MaxInflight int
 	// Parallel is the number of batch members executing concurrently
 	// within one batch (<= 0 means DefaultParallel). Each member runs
-	// its own join Map-Reduce job; this bounds the multiplication.
+	// its own reducer goroutines; this bounds the multiplication.
 	Parallel int
 	// PrivateFloors disables cross-query score-floor sharing: members
 	// still share the pinned epoch, the single-flighted plans and the
@@ -425,7 +425,7 @@ func (b *Batcher) runBatch(batch []*member) {
 	keys := make(map[*member]string, len(batch))
 	live := batch[:0:0]
 	for _, m := range batch {
-		key, err := pin.PlanKey(m.q, m.mapping)
+		key, err := pin.PlanKey(m.q, m.mapping, b.e.Options().K)
 		if err != nil {
 			m.done <- outcome{err: err}
 			b.bumpCompleted(1)
@@ -516,7 +516,7 @@ func (b *Batcher) runBatch(batch []*member) {
 			if mspan != nil {
 				mspan.SetInt("queue_wait_us", wait.Microseconds())
 			}
-			rep, err := b.e.ExecutePinned(obs.WithSpan(m.ctx, mspan), m.q, m.mapping, pin, share, floorKey)
+			rep, err := b.e.ExecutePinned(obs.WithSpan(m.ctx, mspan), m.q, m.mapping, pin, b.e.Options().K, share, floorKey)
 			mspan.Finish()
 			if rep != nil {
 				rep.Batched = true

@@ -79,7 +79,7 @@ func TestExecutePinnedSharesPlan(t *testing.T) {
 	defer pin.Release()
 	mapping := []int{0, 1, 2}
 
-	key, err := pin.PlanKey(q, mapping)
+	key, err := pin.PlanKey(q, mapping, e.Options().K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestExecutePinnedSharesPlan(t *testing.T) {
 	if _, err := e.Append(0, []interval.Interval{{ID: 99, Start: 5, End: 25}}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.ExecutePinned(context.Background(), q, mapping, pin, nil, "")
+	rep, err := e.ExecutePinned(context.Background(), q, mapping, pin, e.Options().K, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,11 @@
 //   - Ω_k,S and its pruning certificate (Definitions 1–2, Algorithms
 //     1–2) — internal/topbuckets, reached through the plan cache.
 //   - DistributeTopBuckets / DTB (Algorithms 3–4) — internal/distribute.
-//   - The join and merge Map-Reduce jobs (Figure 5c–e) — internal/join
-//     on the internal/mapreduce substrate.
+//   - The join and merge phases (Figure 5c–e) — internal/join: a
+//     reducer loop over the assignment plus one merge, run locally or
+//     scattered to shard workers (internal/shard). internal/mapreduce
+//     is the paper-baseline substrate only; on the Engine it runs just
+//     the offline statistics job.
 //
 // The Engine is dataset-scoped: statistics and the bucket store are
 // prepared once per dataset (the paper's query-independent

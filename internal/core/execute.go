@@ -1,0 +1,545 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync/atomic"
+	"time"
+
+	"tkij/internal/distribute"
+	"tkij/internal/join"
+	"tkij/internal/obs"
+	"tkij/internal/plancache"
+	"tkij/internal/query"
+	"tkij/internal/shard"
+	"tkij/internal/stats"
+	"tkij/internal/store"
+	"tkij/internal/topbuckets"
+)
+
+// ErrCanceled marks an execution aborted — between phases or mid-join —
+// because its context was canceled or its deadline expired. Errors
+// returned for such executions satisfy errors.Is for both ErrCanceled
+// and the context's own error (context.Canceled /
+// context.DeadlineExceeded).
+var ErrCanceled = errors.New("execution canceled")
+
+// checkCtx translates a done context into the engine's distinct
+// cancellation error; nil while the context is live.
+func checkCtx(ctx context.Context, phase string) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("core: %w before %s: %w", ErrCanceled, phase, err)
+	}
+	return nil
+}
+
+// Pin is one pinned execution context: the bucket matrices and the
+// epoch-pinned store view captured as a single consistent unit. The
+// engine pins one per Execute; the admission layer pins one per batch,
+// so every batch member shares one epoch (and the store's live-view
+// count grows with in-flight batches, not with in-flight queries).
+// Release it when the executions using it have completed; Release is
+// idempotent.
+type Pin struct {
+	e        *Engine
+	matrices []*stats.Matrix
+	store    *store.Store
+	view     *store.View
+	// runner is the shard cluster the pin's executions scatter to; nil
+	// runs the local in-process runner. gated marks that the pin holds
+	// the engine's scatter gate (read side) and must give it back on
+	// Release.
+	runner   join.Runner
+	gated    bool
+	gen      int64
+	released atomic.Bool
+}
+
+// Pin captures (matrices, store view) at the current epoch, running
+// the offline preparation first if needed. When a shard cluster is
+// active the pin also holds the scatter gate until Release, so worker
+// replicas stay at the pinned epoch for the pin's whole lifetime.
+func (e *Engine) Pin() (*Pin, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.prepareLocked(); err != nil {
+		return nil, err
+	}
+	p := &Pin{e: e, matrices: e.matrices, store: e.store, gen: e.gen}
+	if e.cluster != nil {
+		e.shardGate.RLock()
+		p.runner = e.cluster
+		p.gated = true
+	}
+	view := e.store.View()
+	p.view = view
+	return p, nil
+}
+
+// Epoch returns the store epoch the pin captured.
+func (p *Pin) Epoch() int64 { return p.view.Epoch() }
+
+// Generation returns the store generation the pin captured (see
+// Engine.StoreGeneration); the pin's epoch is meaningful only within
+// it.
+func (p *Pin) Generation() int64 { return p.gen }
+
+// Matrices returns the collection-indexed bucket matrices captured at
+// pin time. They are shared with every execution on this pin — treat
+// them as read-only.
+func (p *Pin) Matrices() []*stats.Matrix { return p.matrices }
+
+// Release retires the pin's store view from the live-view accounting
+// and, on a sharded engine, reopens the scatter gate for appends.
+func (p *Pin) Release() {
+	if p != nil && !p.released.Swap(true) {
+		p.view.Release()
+		if p.gated {
+			p.e.shardGate.RUnlock()
+		}
+	}
+}
+
+// PlanKey returns the canonical plan-identity key of (q, mapping)
+// planned for k results under the pin's granulation — the key the plan
+// cache files the shape under, and the key the admission layer groups
+// batch members by: members sharing it share one TopBuckets solve and
+// one cross-reducer floor. k is part of plan identity (the admission
+// layer passes Options.K, standing subscriptions their own k).
+func (p *Pin) PlanKey(q *query.Query, mapping []int, k int) (string, error) {
+	if err := p.e.validateMapping(q, mapping); err != nil {
+		return "", err
+	}
+	grans := make([]stats.Granulation, q.NumVertices)
+	for v, ci := range mapping {
+		grans[v] = p.matrices[ci].Gran
+	}
+	return plancache.Key(q, mapping, k, grans), nil
+}
+
+// validateMapping checks q and its vertex-to-collection mapping against
+// the engine's dataset — the single source of the input contract every
+// execution entry point (Execute, PlanKey, pinned execution) enforces.
+func (e *Engine) validateMapping(q *query.Query, mapping []int) error {
+	if err := q.Validate(); err != nil {
+		return err
+	}
+	if len(mapping) != q.NumVertices {
+		return fmt.Errorf("core: mapping has %d entries for %d vertices", len(mapping), q.NumVertices)
+	}
+	for v, ci := range mapping {
+		if ci < 0 || ci >= len(e.cols) {
+			return fmt.Errorf("core: vertex %d mapped to collection %d of %d", v, ci, len(e.cols))
+		}
+	}
+	return nil
+}
+
+// Report describes one query execution end to end. The four phase
+// durations are measured as disjoint sub-windows of Total — each phase
+// is timed around exactly one thing, nothing is counted twice — so
+// TopBucketsTime + DistributeTime + JoinTime + MergeTime never exceeds
+// Total (the remainder is per-query setup: validation, epoch pinning,
+// report assembly).
+type Report struct {
+	// Query is the executed query.
+	Query *query.Query
+	// Results is the final top-k, sorted by descending score; never nil
+	// (an execution with no results yields an empty slice).
+	Results []join.Result
+
+	// TopBuckets is the pruning phase's outcome: Ω_k,S with its score
+	// bounds and the certified kthResLB floor. On a plan-cache hit it is
+	// the shared cached result — treat it as read-only.
+	TopBuckets *topbuckets.Result
+	// Assignment maps Ω_k,S onto reducers. Shared and read-only on a
+	// plan-cache hit, like TopBuckets.
+	Assignment *distribute.Assignment
+	// Join is the join + merge phases' full output (per-reducer local
+	// statistics, routed-reference accounting, the final shared floor).
+	Join *join.Output
+
+	// TreesBuilt and TreesReused attribute bucket-store R-tree activity
+	// to this execution (store counter deltas; under concurrent Execute
+	// calls activity is attributed to whichever query observed it).
+	// A warm engine re-running a query reports TreesBuilt == 0.
+	// TreesBuilt counts sealed-tree builds only; small delta trees over
+	// freshly appended intervals are counted in DeltaTreesBuilt.
+	TreesBuilt      int64
+	TreesReused     int64
+	DeltaTreesBuilt int64
+
+	// Epoch is the store epoch the query was pinned at on admission:
+	// exactly the append batches with epoch <= Epoch were visible, no
+	// matter how many landed while the query ran.
+	Epoch int64
+
+	// Standing reports the execution served a standing subscription (the
+	// initial snapshot at Subscribe, or a revalidation-fallback resync)
+	// rather than a one-shot caller query. Filled by internal/standing.
+	Standing bool
+
+	// Batched reports the execution went through the admission layer's
+	// batching path (a Server/Batcher Submit) rather than a direct
+	// Execute. The three fields below are filled by that layer.
+	Batched bool
+	// BatchSize is the number of queries admitted into this execution's
+	// batch (including this one); they all shared one pinned epoch.
+	BatchSize int
+	// QueueWait is the time between admission (Submit) and the start of
+	// this query's execution: the batching window plus any queueing
+	// behind earlier batches.
+	QueueWait time.Duration
+
+	// ShardCount is the number of shard workers the join scattered to
+	// (0 for a local, single-process execution). The three fields below
+	// are meaningful only when it is non-zero.
+	ShardCount int
+	// ShardShippedBuckets and ShardShippedRecords count foreign bucket
+	// payloads the coordinator shipped to shards that needed buckets
+	// they do not own (the distributed replication cost DTB minimizes).
+	ShardShippedBuckets int
+	ShardShippedRecords float64
+	// ShardFloorFrames counts floor-broadcast frames exchanged with the
+	// workers in both directions (0 under ShardNoFloorBroadcast).
+	ShardFloorFrames int64
+
+	// PlanCacheHit reports that the planning phases were skipped
+	// entirely: a cached plan for this query shape at this exact epoch
+	// was served, and TopBucketsTime is just the cache lookup.
+	PlanCacheHit bool
+	// PlanRevalidated reports that a cached plan from an earlier epoch
+	// was carried forward across Append epoch bumps — promoted verbatim
+	// when no bucket the plan depends on changed shape, or patched by
+	// re-bounding only the affected combinations. TopBucketsTime is the
+	// revalidation cost.
+	PlanRevalidated bool
+	// PlanSavedTime is the wall time the original full plan cost when it
+	// was first computed — the planning work a Hit or Revalidated
+	// execution did not repeat. Zero when the plan was computed cold.
+	PlanSavedTime time.Duration
+
+	// TopBucketsTime is the wall time of phase 1 (TopBuckets pruning),
+	// or of the plan-cache lookup / revalidation that replaced it.
+	TopBucketsTime time.Duration
+	// DistributeTime is the wall time of phase 2 (reducer assignment);
+	// zero when a cached assignment was reused.
+	DistributeTime time.Duration
+	// JoinTime is the wall time of the join phase, measured around
+	// exactly that phase (see join.Output.JoinDuration).
+	JoinTime time.Duration
+	// MergeTime is the wall time of the merge, measured the same way.
+	MergeTime time.Duration
+	// Total is the end-to-end wall time of Execute after admission
+	// (query-time only; the offline statistics phase is reported on the
+	// Engine as StatsDuration).
+	Total time.Duration
+}
+
+// PlanOutcome renders how the planning phases were served — "hit",
+// "revalidated", or "miss" — in the plan cache's own terminology
+// (plancache.Outcome).
+func (r *Report) PlanOutcome() string {
+	switch {
+	case r.PlanCacheHit:
+		return plancache.Hit.String()
+	case r.PlanRevalidated:
+		return plancache.Revalidated.String()
+	}
+	return plancache.Miss.String()
+}
+
+// Imbalance returns the join phase's reducer imbalance (max/avg
+// reducer wall time, Figure 10b), for local and sharded runs alike.
+func (r *Report) Imbalance() float64 {
+	if r.Join == nil {
+		return 0
+	}
+	return r.Join.JoinMetrics.Imbalance()
+}
+
+// Execute evaluates q with vertex i reading collection i. It is safe to
+// call concurrently with other Execute calls on the same engine. ctx
+// cancellation (or deadline expiry) aborts the execution — after
+// planning, mid-combination inside the reducers, or between join and
+// merge — with an error satisfying errors.Is(err, ErrCanceled).
+func (e *Engine) Execute(ctx context.Context, q *query.Query) (*Report, error) {
+	mapping := make([]int, q.NumVertices)
+	for i := range mapping {
+		mapping[i] = i
+	}
+	return e.ExecuteMapped(ctx, q, mapping)
+}
+
+// ExecuteMapped evaluates q with vertex i reading collection
+// mapping[i], planning for the engine's Options.K on an epoch it pins
+// itself. Several vertices may share one collection — the paper's
+// network-traffic experiments copy one connection list three times and
+// run 3-way queries over it (§4.3.1).
+func (e *Engine) ExecuteMapped(ctx context.Context, q *query.Query, mapping []int) (*Report, error) {
+	// Reject invalid input before paying for the offline preparation a
+	// Pin may trigger on a cold engine.
+	if err := e.validateMapping(q, mapping); err != nil {
+		return nil, err
+	}
+	pin, err := e.Pin()
+	if err != nil {
+		return nil, err
+	}
+	defer pin.Release()
+	return e.execute(ctx, q, mapping, pin, e.opts.K, nil, "")
+}
+
+// pinnedInputs assembles, from a pin, the per-vertex planning matrices
+// and the join request every execution on that pin starts from: query,
+// mapping, per-vertex sources and grids, k, and the engine's ablation
+// switches. Callers add the combinations and their assignment.
+func (e *Engine) pinnedInputs(q *query.Query, mapping []int, pin *Pin, k int) ([]*stats.Matrix, *join.ReduceRequest) {
+	vertexMs := make([]*stats.Matrix, q.NumVertices)
+	req := &join.ReduceRequest{
+		Query:   q,
+		Mapping: mapping,
+		Srcs:    make([]join.Source, q.NumVertices),
+		Grans:   make([]stats.Grid, q.NumVertices),
+		K:       k,
+		Opts:    e.opts.Local,
+	}
+	for v, ci := range mapping {
+		vertexMs[v] = pin.matrices[ci].WithCol(v)
+		req.Srcs[v] = pin.view.Col(ci)
+		req.Grans[v] = pin.matrices[ci].Grid()
+	}
+	return vertexMs, req
+}
+
+// plan is the planning half of an execution: TopBuckets + workload
+// distribution for (q, mapping, k) at the pin's epoch, through the plan
+// cache. The plan is a pure function of (query shape, k, granulation,
+// matrices epoch) — a repeated shape at an unchanged epoch skips both
+// phases, and an epoch bump revalidates the cached plan incrementally
+// instead of replanning from scratch.
+func (e *Engine) plan(ctx context.Context, q *query.Query, mapping []int, vertexMs []*stats.Matrix,
+	pin *Pin, k int) (*plancache.Planned, error) {
+	if err := checkCtx(ctx, "planning"); err != nil {
+		return nil, err
+	}
+	tbOpts := e.opts.TopBuckets
+	tbOpts.Strategy = e.opts.Strategy
+	return e.plans.Plan(plancache.Request{
+		Query:        q,
+		Matrices:     vertexMs,
+		VertexCols:   mapping,
+		K:            k,
+		Epoch:        pin.Epoch(),
+		TopBuckets:   tbOpts,
+		Distribution: e.opts.Distribution,
+		Reducers:     e.opts.Reducers,
+	})
+}
+
+// joinMerge is the execution half, shared by full executions and
+// standing probes: it raises the request's score floor to the certified
+// floor, runs join + merge through the pin's runner under a span named
+// phase, and translates a cancellation abort. The span rides the
+// context into the runner, so a shard cluster hangs its scatter/gather
+// children under it.
+func (e *Engine) joinMerge(ctx context.Context, phase string, pin *Pin, req *join.ReduceRequest, floor float64) (*join.Output, error) {
+	if err := checkCtx(ctx, phase); err != nil {
+		return nil, err
+	}
+	if req.Opts.Floor < floor {
+		req.Opts.Floor = floor
+	}
+	span := obs.SpanFrom(ctx).Child(phase)
+	if span != nil {
+		span.SetInt("combos", int64(len(req.Combos)))
+	}
+	out, err := join.Run(obs.WithSpan(ctx, span), req, pin.runner)
+	span.Finish()
+	if err != nil {
+		// Translate only genuine cancellation aborts; a real join
+		// failure that merely races a deadline must surface as itself.
+		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+			return nil, fmt.Errorf("core: %w during %s: %w", ErrCanceled, phase, cerr)
+		}
+		return nil, err
+	}
+	return out, nil
+}
+
+// PlanPinned runs (or revalidates, or simply looks up) the planning
+// phases for (q, mapping) at the pin's epoch under the engine's
+// Options.K, warming the plan cache without running the join. The
+// admission layer calls it once per distinct plan key in a batch, so N
+// concurrent misses on one shape pay for one TopBuckets solve and every
+// other batch member's ExecutePinned is a pure cache hit.
+func (e *Engine) PlanPinned(ctx context.Context, q *query.Query, mapping []int, pin *Pin) error {
+	if err := e.validateMapping(q, mapping); err != nil {
+		return err
+	}
+	vertexMs, _ := e.pinnedInputs(q, mapping, pin, e.opts.K)
+	_, err := e.plan(ctx, q, mapping, vertexMs, pin, e.opts.K)
+	return err
+}
+
+// ExecutePinned evaluates q for its top k against a pre-pinned epoch
+// instead of pinning its own: the admission layer executes every member
+// of one batch against a single Pin (at Options.K), the standing layer
+// serves each subscription at its own k. k is part of plan-cache
+// identity, so plans at different k never alias. share, when non-nil,
+// is the batch-scoped sharing registry (see join.BatchShare); floorKey,
+// when additionally non-empty, shares the cross-reducer score floor
+// with sibling executions under the same plan-identity key — callers
+// must pass the pin's PlanKey (or empty to keep the floor private). The
+// pin stays valid after the call; releasing it is the caller's
+// responsibility.
+func (e *Engine) ExecutePinned(ctx context.Context, q *query.Query, mapping []int, pin *Pin, k int,
+	share *join.BatchShare, floorKey string) (*Report, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
+	}
+	if err := e.validateMapping(q, mapping); err != nil {
+		return nil, err
+	}
+	return e.execute(ctx, q, mapping, pin, k, share, floorKey)
+}
+
+// execute is ExecutePinned on validated input: plan, then join + merge.
+func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin *Pin, k int,
+	share *join.BatchShare, floorKey string) (report *Report, err error) {
+
+	// Span selection: under admission each member's context carries its
+	// member span, so the execution nests there; a direct call roots a
+	// fresh query span on the engine tracer. Both are nil (free) when no
+	// tracer is attached.
+	span := obs.SpanFrom(ctx)
+	if span != nil {
+		span = span.Child("execute")
+	} else {
+		span = e.opts.Tracer.Root("query")
+	}
+	ctx = obs.WithSpan(ctx, span)
+	defer func() {
+		if err != nil {
+			mQueryErrors.Inc()
+			if span != nil {
+				span.SetStr("error", err.Error())
+			}
+		} else {
+			mQueries.Inc()
+			mQuerySeconds.ObserveDuration(report.Total)
+			mPhaseTopBuckets.ObserveDuration(report.TopBucketsTime)
+			mPhaseDistribute.ObserveDuration(report.DistributeTime)
+			mPhaseJoin.ObserveDuration(report.JoinTime)
+			mPhaseMerge.ObserveDuration(report.MergeTime)
+			if span != nil {
+				span.SetInt("epoch", report.Epoch)
+				span.SetInt("k", int64(k))
+				span.SetInt("results", int64(len(report.Results)))
+			}
+		}
+		span.Finish()
+	}()
+
+	total := time.Now()
+	vertexMs, req := e.pinnedInputs(q, mapping, pin, k)
+
+	// Phases 1+2 (online). Batched executions usually hit the plan cache
+	// outright: their batch's plan leader already warmed the entry at
+	// this exact epoch (PlanPinned).
+	planSpan := span.Child("plan")
+	planned, err := e.plan(ctx, q, mapping, vertexMs, pin, k)
+	if err != nil {
+		planSpan.Finish()
+		return nil, err
+	}
+	switch planned.Outcome {
+	case plancache.Hit:
+		mPlanHit.Inc()
+	case plancache.Revalidated:
+		mPlanRevalidated.Inc()
+	default:
+		mPlanMiss.Inc()
+	}
+	if planSpan != nil {
+		planSpan.SetStr("outcome", planned.Outcome.String())
+		planSpan.Finish()
+	}
+	tb := planned.TopBuckets
+
+	// Phases 3+4: distributed join and merge over the resident store.
+	// TopBuckets' kthResLB seeds the shared cross-reducer threshold as a
+	// certified score floor; under batching the floor (and the per-edge
+	// bound memo) is shared through the batch registry instead.
+	req.Combos, req.Assign = tb.Selected, planned.Assignment
+	req.Opts.Share, req.Opts.FloorKey = share, floorKey
+	storeBefore := pin.store.Snapshot()
+	out, err := e.joinMerge(ctx, "join", pin, req, tb.KthResLB)
+	if err != nil {
+		return nil, err
+	}
+	storeAfter := pin.store.Snapshot()
+
+	report = &Report{
+		Query:           q,
+		Results:         out.Results,
+		TopBuckets:      tb,
+		Assignment:      planned.Assignment,
+		Join:            out,
+		TreesBuilt:      storeAfter.TreesBuilt - storeBefore.TreesBuilt,
+		TreesReused:     storeAfter.TreeHits - storeBefore.TreeHits,
+		DeltaTreesBuilt: storeAfter.DeltaTreesBuilt - storeBefore.DeltaTreesBuilt,
+		Epoch:           pin.Epoch(),
+		PlanCacheHit:    planned.Outcome == plancache.Hit,
+		PlanRevalidated: planned.Outcome == plancache.Revalidated,
+		PlanSavedTime:   planned.SavedPlanTime,
+		TopBucketsTime:  planned.TopBucketsTime,
+		DistributeTime:  planned.DistributeTime,
+		JoinTime:        out.JoinDuration,
+		MergeTime:       out.MergeDuration,
+	}
+	if c, ok := pin.runner.(*shard.Cluster); ok {
+		report.ShardCount = c.Shards()
+		report.ShardShippedBuckets = out.ShippedBuckets
+		report.ShardShippedRecords = out.ShippedRecords
+		report.ShardFloorFrames = out.FloorFrames
+	}
+	report.Total = time.Since(total)
+	return report, nil
+}
+
+// ProbePinned runs the join + merge phases over an explicit combination
+// list at a pre-pinned epoch, bypassing the planning phases entirely:
+// the standing layer re-probes exactly the bucket combinations an epoch
+// bump affected, instead of re-planning and re-joining the full
+// selection. combos must carry sound LB/UB bounds over the pin's
+// matrices (topbuckets.TightenBounds); floor seeds the cross-reducer
+// score threshold — pass a certified lower bound on the k-th result
+// score, or 0 to disable seeding. The probe runs through the pin's
+// runner, so on a sharded engine it scatters to the same shard workers
+// (with the same floor broadcast) a fresh execution would use.
+func (e *Engine) ProbePinned(ctx context.Context, q *query.Query, mapping []int, pin *Pin,
+	combos []topbuckets.Combo, k int, floor float64) (*join.Output, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
+	}
+	if err := e.validateMapping(q, mapping); err != nil {
+		return nil, err
+	}
+	if len(combos) == 0 {
+		return &join.Output{Results: []join.Result{}}, nil
+	}
+	assign, err := distribute.Assign(e.opts.Distribution, combos, e.opts.Reducers)
+	if err != nil {
+		return nil, err
+	}
+	_, req := e.pinnedInputs(q, mapping, pin, k)
+	req.Combos, req.Assign = combos, assign
+	out, err := e.joinMerge(ctx, "probe", pin, req, floor)
+	if err != nil {
+		return nil, err
+	}
+	mProbes.Inc()
+	return out, nil
+}

@@ -12,9 +12,8 @@ import (
 	"tkij/internal/stats"
 )
 
-// Warm-engine regression: the second execution of a query must shuffle
-// no raw intervals and reuse the store's memoized R-trees instead of
-// rebuilding them.
+// Warm-engine regression: the second execution of a query must reuse
+// the store's memoized R-trees instead of rebuilding them.
 func TestWarmEngineReusesStore(t *testing.T) {
 	cols := synthCols(3, 120, 17)
 	env := query.Env{Params: scoring.P1}
@@ -35,9 +34,6 @@ func TestWarmEngineReusesStore(t *testing.T) {
 		t.Fatal("warm run changed the answer")
 	}
 	for name, r := range map[string]*Report{"cold": cold, "warm": warm} {
-		if r.Join.RawIntervalsShuffled != 0 {
-			t.Fatalf("%s run shuffled %d raw intervals; the store makes them resident", name, r.Join.RawIntervalsShuffled)
-		}
 		if r.Join.RoutedBucketEntries <= 0 {
 			t.Fatalf("%s run routed no bucket references", name)
 		}
@@ -51,7 +47,7 @@ func TestWarmEngineReusesStore(t *testing.T) {
 	if warm.TreesReused == 0 {
 		t.Fatal("warm run reports no memoized R-tree reuse")
 	}
-	// The replication metric survives the reference shuffle.
+	// Routed references weigh exactly DTB's replication metric.
 	if warm.Join.RoutedIntervalRecords != warm.Assignment.ReplicatedRecords {
 		t.Fatalf("routed interval records %g != assignment's replication metric %g",
 			warm.Join.RoutedIntervalRecords, warm.Assignment.ReplicatedRecords)
@@ -138,9 +134,6 @@ func TestExecuteEmptySelectionPath(t *testing.T) {
 	}
 	if len(report.Results) != 0 {
 		t.Fatalf("floor 1.1 returned %d results", len(report.Results))
-	}
-	if report.Join.MergeMetrics == nil {
-		t.Fatal("MergeMetrics missing on the empty path")
 	}
 	for _, l := range report.Join.Locals {
 		if l.CombosProcessed != 0 {

@@ -166,6 +166,62 @@ func TestShardedEngineTornFrame(t *testing.T) {
 	}
 }
 
+// The paper's cost metrics are runner-independent: routed-reference
+// accounting is derived from the assignment and per-reducer wall time
+// from LocalStats.Duration (which travels on the wire), so a sharded
+// run reports the same routing as a local one, a populated imbalance
+// and critical path (Fig. 8b/10b), and — for a reducer DTB assigned
+// nothing — the same index-only Locals entry.
+func TestShardedReportMetrics(t *testing.T) {
+	cols := shardTestCols(25)
+	q := shardTestQuery(cols)
+	var local *Report
+	for _, shards := range []int{0, 2, 3, 5} {
+		// More reducers than TopBuckets selects combinations, so some
+		// reducer is certainly assigned none.
+		e, err := NewEngine(cols, Options{Granules: 5, K: 6, Reducers: 200, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shards > 1 && rep.ShardCount != shards {
+			t.Fatalf("report says %d shards, want %d", rep.ShardCount, shards)
+		}
+		if rep.Imbalance() <= 0 || rep.Join.JoinMetrics.MaxReduceDuration() <= 0 {
+			t.Fatalf("%d shards: imbalance %g, max reduce duration %v; want both > 0",
+				shards, rep.Imbalance(), rep.Join.JoinMetrics.MaxReduceDuration())
+		}
+		if local == nil {
+			local = rep
+			e.Close()
+			continue
+		}
+		if rep.Join.RoutedBucketEntries != local.Join.RoutedBucketEntries ||
+			rep.Join.RoutedIntervalRecords != local.Join.RoutedIntervalRecords {
+			t.Fatalf("%d shards routed %d refs / %g records, local %d / %g", shards,
+				rep.Join.RoutedBucketEntries, rep.Join.RoutedIntervalRecords,
+				local.Join.RoutedBucketEntries, local.Join.RoutedIntervalRecords)
+		}
+		idle := 0
+		for rj, l := range local.Join.Locals {
+			if l.CombosAssigned > 0 {
+				continue
+			}
+			idle++
+			if got := rep.Join.Locals[rj]; got != l {
+				t.Fatalf("%d shards: idle reducer %d reports %+v, local %+v", shards, rj, got, l)
+			}
+		}
+		if idle == 0 {
+			t.Fatal("every reducer was assigned combinations — the idle-reducer case went unexercised")
+		}
+		e.Close()
+	}
+}
+
 // The -race exercise: concurrent sharded executions (floor broadcasts
 // rising and fanning out to remote reducers, which early-terminate and
 // uplink their own raises) interleaved with coordinator-side appends.

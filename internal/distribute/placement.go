@@ -21,8 +21,6 @@ type Placement struct {
 	Shards int
 	// ReducerShard[rj] is the shard executing reducer rj.
 	ReducerShard []int
-	// ShardReducers[s] lists the reducers placed on shard s, ascending.
-	ShardReducers [][]int
 	// Shipped[s] lists the collection-scoped bucket keys shard s's
 	// reducers touch but the shard does not own, in canonical
 	// (col, startG, endG) order. Resident buckets are read in place on
@@ -48,15 +46,12 @@ func Place(assign *Assignment, shards int, mapping []int,
 	owner func(stats.BucketKey) int, size func(stats.BucketKey) int) *Placement {
 
 	p := &Placement{
-		Shards:        shards,
-		ReducerShard:  make([]int, assign.Reducers),
-		ShardReducers: make([][]int, shards),
-		Shipped:       make([][]stats.BucketKey, shards),
+		Shards:       shards,
+		ReducerShard: make([]int, assign.Reducers),
+		Shipped:      make([][]stats.BucketKey, shards),
 	}
 	for rj := 0; rj < assign.Reducers; rj++ {
-		s := rj % shards
-		p.ReducerShard[rj] = s
-		p.ShardReducers[s] = append(p.ShardReducers[s], rj)
+		p.ReducerShard[rj] = rj % shards
 	}
 
 	ship := make([]map[stats.BucketKey]bool, shards)

@@ -42,9 +42,6 @@ func TestPlaceShipsOnlyForeignBuckets(t *testing.T) {
 	if got, want := p.ReducerShard, []int{0, 1, 0, 1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("ReducerShard = %v, want %v", got, want)
 	}
-	if got, want := p.ShardReducers, [][]int{{0, 2}, {1, 3}}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("ShardReducers = %v, want %v", got, want)
-	}
 	// Reducer 0 (shard 0) needs collection-2 bucket (0,1): owned -> local.
 	// Reducer 1 (shard 1) needs it too: foreign -> shipped to shard 1.
 	// Reducer 1 and 3 (shard 1) need collection-1 buckets: owned -> local.

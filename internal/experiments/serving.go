@@ -46,7 +46,7 @@ func Serving(ctx context.Context, cfg Config) ([]*Table, error) {
 	t := &Table{
 		ID:      "serving",
 		Title:   fmt.Sprintf("Multi-query serving on one warm engine (|Ci|=%d, k=%d, offline prep %s ms)", n, k, ms(prep)),
-		Columns: []string{"query", "run", "join(ms)", "total(ms)", "trees-built", "trees-reused", "routed-refs", "raw-shuffled"},
+		Columns: []string{"query", "run", "join(ms)", "total(ms)", "trees-built", "trees-reused", "routed-refs"},
 		Note:    "cold pays lazy R-tree builds; warm runs reuse the dataset-resident store end to end",
 	}
 	for _, q := range queries {
@@ -64,7 +64,6 @@ func Serving(ctx context.Context, cfg Config) ([]*Table, error) {
 				ms(report.JoinTime), ms(report.Total),
 				fmt.Sprintf("%d", report.TreesBuilt), fmt.Sprintf("%d", report.TreesReused),
 				fmt.Sprintf("%d", report.Join.RoutedBucketEntries),
-				fmt.Sprintf("%d", report.Join.RawIntervalsShuffled),
 			})
 		}
 		cfg.logf("  serving %s done", q.Name)

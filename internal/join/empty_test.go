@@ -1,21 +1,19 @@
 package join
 
 import (
-	"context"
 	"testing"
 
 	"tkij/internal/distribute"
 	"tkij/internal/interval"
-	"tkij/internal/mapreduce"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
 	"tkij/internal/stats"
 )
 
-// Regression: an assignment routing nothing gives the merge job zero
-// inputs; Run must still return a non-nil (empty) result slice with
-// both jobs' metrics populated — not a nil slice that breaks callers
-// ranging or JSON-encoding the output.
+// Regression: an assignment routing nothing gives the merge zero
+// inputs; Run must still return a non-nil (empty) result slice — not a
+// nil slice that breaks callers ranging or JSON-encoding the output —
+// and one index-carrying Locals entry per reducer.
 func TestRunEmptyAssignment(t *testing.T) {
 	q := query.MustNew("empty", 2, []query.Edge{
 		{From: 0, To: 1, Pred: scoring.Meets(scoring.P1)},
@@ -32,7 +30,7 @@ func TestRunEmptyAssignment(t *testing.T) {
 		BucketReducers: map[stats.BucketKey][]int{},
 		ReducerResults: make([]float64, 3),
 	}
-	out, err := Run(context.Background(), q, srcs, grans, nil, assign, 5, mapreduce.Config{}, LocalOptions{})
+	out, err := runJoin(q, srcs, grans, nil, assign, 5, LocalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +40,14 @@ func TestRunEmptyAssignment(t *testing.T) {
 	if len(out.Results) != 0 {
 		t.Fatalf("got %d results from an empty assignment", len(out.Results))
 	}
-	if out.MergeMetrics == nil || out.JoinMetrics == nil {
-		t.Fatal("job metrics missing on the empty path")
+	for rj, l := range out.Locals {
+		if l != (LocalStats{Reducer: rj}) {
+			t.Fatalf("Locals[%d] = %+v for a reducer that never ran, want only its index", rj, l)
+		}
+	}
+	if len(out.Locals) != 3 || out.JoinMetrics.MaxReduceDuration() != 0 || out.JoinMetrics.Imbalance() != 0 {
+		t.Fatalf("empty run reports %d reducers, max %v, imbalance %g",
+			len(out.Locals), out.JoinMetrics.MaxReduceDuration(), out.JoinMetrics.Imbalance())
 	}
 	if out.JoinDuration < 0 || out.MergeDuration < 0 {
 		t.Fatalf("negative phase durations: join %v, merge %v", out.JoinDuration, out.MergeDuration)

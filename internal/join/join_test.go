@@ -8,13 +8,52 @@ import (
 
 	"tkij/internal/distribute"
 	"tkij/internal/interval"
-	"tkij/internal/mapreduce"
 	"tkij/internal/query"
+	"tkij/internal/rtree"
 	"tkij/internal/scoring"
 	"tkij/internal/stats"
 	"tkij/internal/store"
 	"tkij/internal/topbuckets"
 )
+
+// mapSource is a test-local Source over an explicit vertex-scoped
+// bucket map, building private R-trees lazily. It is NOT safe for
+// concurrent use: tests hand it to single-reducer assignments only.
+type mapSource struct {
+	col  int
+	data map[stats.BucketKey][]interval.Interval
+	tree map[stats.BucketKey]*rtree.Tree
+}
+
+func newMapSource(col int, data map[stats.BucketKey][]interval.Interval) *mapSource {
+	return &mapSource{col: col, data: data, tree: make(map[stats.BucketKey]*rtree.Tree)}
+}
+
+func (ms *mapSource) BucketItems(startG, endG int) []interval.Interval {
+	return ms.data[stats.BucketKey{Col: ms.col, StartG: startG, EndG: endG}]
+}
+
+func (ms *mapSource) SearchBucket(startG, endG int, box rtree.Rect, fn func(ref int32) bool) {
+	key := stats.BucketKey{Col: ms.col, StartG: startG, EndG: endG}
+	t, ok := ms.tree[key]
+	if !ok {
+		items := ms.data[key]
+		if len(items) == 0 {
+			return
+		}
+		t = store.TreeOf(items)
+		ms.tree[key] = t
+	}
+	t.Search(box, func(pt rtree.Point) bool { return fn(pt.Ref) })
+}
+
+// runJoin is Run over the local runner with the request spelled out.
+func runJoin(q *query.Query, srcs []Source, grans []stats.Grid, combos []topbuckets.Combo,
+	assign *distribute.Assignment, k int, opts LocalOptions) (*Output, error) {
+	return Run(context.Background(), &ReduceRequest{
+		Query: q, Srcs: srcs, Grans: grans, Combos: combos, Assign: assign, K: k, Opts: opts,
+	}, nil)
+}
 
 func TestTopKCollector(t *testing.T) {
 	tk := NewTopK(3)
@@ -86,6 +125,25 @@ func synthCols(n, perCol int, seed int64) []*interval.Collection {
 	return cols
 }
 
+// collect builds one bucket matrix per collection under g granules —
+// what the offline statistics job produces, without running it.
+func collect(t *testing.T, cols []*interval.Collection, g int) []*stats.Matrix {
+	t.Helper()
+	ms := make([]*stats.Matrix, len(cols))
+	for i, c := range cols {
+		s := c.ComputeStats()
+		gran, err := stats.NewGranulation(s.MinStart, s.MaxEnd, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[i] = stats.NewMatrix(i, gran)
+		for _, iv := range c.Items {
+			ms[i].Add(iv)
+		}
+	}
+	return ms
+}
+
 // storeSources builds the dataset-resident store and the per-vertex
 // sources/granulations vertex i reading collection i.
 func storeSources(t *testing.T, cols []*interval.Collection, ms []*stats.Matrix) ([]Source, []stats.Grid) {
@@ -107,10 +165,7 @@ func storeSources(t *testing.T, cols []*interval.Collection, ms []*stats.Matrix)
 func pipeline(t *testing.T, q *query.Query, cols []*interval.Collection, g, k int,
 	strat topbuckets.Strategy, alg distribute.Algorithm, opts LocalOptions) *Output {
 	t.Helper()
-	ms, _, err := stats.Collect(cols, g, mapreduce.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := collect(t, cols, g)
 	tb, err := topbuckets.Run(q, ms, k, topbuckets.Options{Strategy: strat})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +175,7 @@ func pipeline(t *testing.T, q *query.Query, cols []*interval.Collection, g, k in
 		t.Fatal(err)
 	}
 	srcs, grans := storeSources(t, cols, ms)
-	out, err := Run(context.Background(), q, srcs, grans, tb.Selected, assign, k, mapreduce.Config{Mappers: 3}, opts)
+	out, err := runJoin(q, srcs, grans, tb.Selected, assign, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +333,11 @@ func TestProbeLadderCutsWork(t *testing.T) {
 	}
 }
 
-func TestRunLocalDirect(t *testing.T) {
+// One reducer handed all data (through a plain bucket map rather than
+// the store) and all combinations computes the exact answer.
+func TestSingleReducerOverBucketMap(t *testing.T) {
 	cols := synthCols(2, 40, 2)
-	ms, _, err := stats.Collect(cols, 4, mapreduce.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := collect(t, cols, 4)
 	q := query.MustNew("pair", 2, []query.Edge{{From: 0, To: 1, Pred: scoring.Meets(scoring.P1)}}, scoring.Avg{})
 	const k = 8
 	tb, err := topbuckets.Run(q, ms, k, topbuckets.Options{})
@@ -300,7 +354,12 @@ func TestRunLocalDirect(t *testing.T) {
 		}
 	}
 	grans := []stats.Grid{ms[0].Grid(), ms[1].Grid()}
-	results, st, err := RunLocal(q, k, tb.Selected, data, grans, LocalOptions{})
+	srcs := []Source{newMapSource(0, data), newMapSource(1, data)}
+	assign, err := distribute.DTB(tb.Selected, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := runJoin(q, srcs, grans, tb.Selected, assign, k, LocalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,9 +367,10 @@ func TestRunLocalDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ScoreMultisetEqual(results, exact, 1e-9) {
-		t.Fatalf("RunLocal != exhaustive: %v vs %v", scoresOf(results), scoresOf(exact))
+	if !ScoreMultisetEqual(out.Results, exact, 1e-9) {
+		t.Fatalf("single reducer != exhaustive: %v vs %v", scoresOf(out.Results), scoresOf(exact))
 	}
+	st := out.Locals[0]
 	if st.CombosAssigned != len(tb.Selected) {
 		t.Errorf("CombosAssigned = %d, want %d", st.CombosAssigned, len(tb.Selected))
 	}
@@ -319,19 +379,9 @@ func TestRunLocalDirect(t *testing.T) {
 	}
 }
 
-func TestRunLocalErrors(t *testing.T) {
-	q := query.MustNew("pair", 2, []query.Edge{{From: 0, To: 1, Pred: scoring.Before(scoring.P1)}}, scoring.Avg{})
-	if _, _, err := RunLocal(q, 0, nil, nil, nil, LocalOptions{}); err == nil {
-		t.Error("k=0 accepted")
-	}
-}
-
 func TestRunArgErrors(t *testing.T) {
 	cols := synthCols(2, 10, 1)
-	ms, _, err := stats.Collect(cols, 3, mapreduce.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := collect(t, cols, 3)
 	q := query.MustNew("pair", 2, []query.Edge{{From: 0, To: 1, Pred: scoring.Before(scoring.P1)}}, scoring.Avg{})
 	tb, err := topbuckets.Run(q, ms, 5, topbuckets.Options{})
 	if err != nil {
@@ -342,10 +392,10 @@ func TestRunArgErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	srcs, grans := storeSources(t, cols, ms)
-	if _, err := Run(context.Background(), q, srcs[:1], grans[:1], tb.Selected, assign, 5, mapreduce.Config{}, LocalOptions{}); err == nil {
+	if _, err := runJoin(q, srcs[:1], grans[:1], tb.Selected, assign, 5, LocalOptions{}); err == nil {
 		t.Error("source count mismatch accepted")
 	}
-	if _, err := Run(context.Background(), q, srcs, grans, tb.Selected, assign, 0, mapreduce.Config{}, LocalOptions{}); err == nil {
+	if _, err := runJoin(q, srcs, grans, tb.Selected, assign, 0, LocalOptions{}); err == nil {
 		t.Error("k=0 accepted")
 	}
 }

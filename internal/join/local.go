@@ -1,7 +1,7 @@
 package join
 
 import (
-	"fmt"
+	"cmp"
 	"math"
 	"slices"
 	"time"
@@ -13,7 +13,6 @@ import (
 	"tkij/internal/rtree"
 	"tkij/internal/scoring"
 	"tkij/internal/stats"
-	"tkij/internal/store"
 	"tkij/internal/topbuckets"
 )
 
@@ -23,7 +22,6 @@ import (
 // dataset-resident serving path — a bucket there may be covered by a
 // sealed base tree plus a small delta tree over appended intervals,
 // which is why the interface exposes a search rather than one tree.
-// mapSource adapts explicit bucket maps for RunLocal and tests.
 // Implementations shared across reduce tasks must be safe for
 // concurrent use.
 type Source interface {
@@ -34,37 +32,6 @@ type Source interface {
 	// inside box, invoking fn with indexes into BucketItems. fn
 	// returning false stops the probe.
 	SearchBucket(startG, endG int, box rtree.Rect, fn func(ref int32) bool)
-}
-
-// mapSource adapts a vertex-scoped bucket map to Source, building
-// private R-trees lazily. It serves the single-goroutine RunLocal path
-// and is NOT safe for concurrent use.
-type mapSource struct {
-	col  int
-	data map[stats.BucketKey][]interval.Interval
-	tree map[stats.BucketKey]*rtree.Tree
-}
-
-func newMapSource(col int, data map[stats.BucketKey][]interval.Interval) *mapSource {
-	return &mapSource{col: col, data: data, tree: make(map[stats.BucketKey]*rtree.Tree)}
-}
-
-func (ms *mapSource) BucketItems(startG, endG int) []interval.Interval {
-	return ms.data[stats.BucketKey{Col: ms.col, StartG: startG, EndG: endG}]
-}
-
-func (ms *mapSource) SearchBucket(startG, endG int, box rtree.Rect, fn func(ref int32) bool) {
-	key := stats.BucketKey{Col: ms.col, StartG: startG, EndG: endG}
-	t, ok := ms.tree[key]
-	if !ok {
-		items := ms.data[key]
-		if len(items) == 0 {
-			return
-		}
-		t = store.TreeOf(items)
-		ms.tree[key] = t
-	}
-	t.Search(box, func(pt rtree.Point) bool { return fn(pt.Ref) })
 }
 
 // LocalOptions tunes the per-reducer join. The zero value is the paper's
@@ -94,15 +61,6 @@ type LocalOptions struct {
 	// that. Empty keeps the floor private to this execution (bound
 	// memoization still applies).
 	FloorKey string
-	// Cancel, when non-nil, is polled periodically during candidate
-	// enumeration (every few thousand visits, so the hot loop stays
-	// branch-cheap); once it reports true the join abandons its
-	// remaining work and the runner returns an error instead of
-	// results. The local runner installs the request context's Err here
-	// so an abandoned caller — a standing subscription closed while a
-	// push executes on its behalf — stops burning reducer time on a
-	// result nobody will read.
-	Cancel func() bool
 }
 
 // floorEps is subtracted from score floors before strict comparisons so
@@ -142,9 +100,10 @@ type LocalStats struct {
 	// survive encoding/json, which rejects NaN; check ResultsReturned
 	// before reading it.
 	MinScore float64
-	// BucketRefsRouted is the number of bucket references shuffled to
-	// this reducer by the join job (the store-backed pipeline ships
-	// references, not raw intervals).
+	// BucketRefsRouted is the number of bucket references the assignment
+	// routes to this reducer: the distinct buckets its combinations
+	// touch (intervals stay resident; only references are routed). Filled
+	// by Run, like RoutedIntervals.
 	BucketRefsRouted int
 	// RoutedIntervals is the resident-interval weight of those
 	// references (Σ|b|) — this reducer's share of the replication cost
@@ -252,12 +211,21 @@ type localJoiner struct {
 	plan *plan
 	k    int
 	opts LocalOptions
+	// combos is the request's Ω_k,S, read in place; a reducer's
+	// combination list indexes into it.
+	combos []topbuckets.Combo
 	// srcs supplies each query vertex's bucket data (shared,
 	// concurrency-safe on the store-backed path).
 	srcs []Source
-	// shared is the cross-reducer threshold; nil disables sharing (the
-	// RunLocal path and pruning-disabled ablations).
+	// shared is the cross-reducer threshold; nil when pruning is
+	// disabled.
 	shared *SharedFloor
+	// done is the request context's Done channel, polled every few
+	// thousand candidate visits (so the hot loop stays branch-cheap) to
+	// stop burning reducer time on a result nobody will read — a standing
+	// subscription closed mid-push, a shard link that dropped. nil (a
+	// background-like context) keeps the polling branch out entirely.
+	done <-chan struct{}
 
 	topk     *TopK
 	tuple    []interval.Interval
@@ -273,9 +241,9 @@ type localJoiner struct {
 	probing    bool
 	probeCount int
 	stop       bool
-	// canceled latches once opts.Cancel reports true: every recursion
-	// level, probe round and combination loop unwinds, and the caller
-	// must discard the (truncated) output.
+	// canceled latches once done is closed: every recursion level, probe
+	// round and combination loop unwinds, and the caller must discard the
+	// (truncated) output.
 	canceled bool
 
 	// grans maps each query vertex to its collection's granulation plus
@@ -318,10 +286,14 @@ func (l *probeLevel) visit(iv interval.Interval) {
 	p := lj.plan
 	lj.tuple[p.order[l.pos]] = iv
 	lj.stats.TuplesExamined++
-	if lj.opts.Cancel != nil && lj.stats.TuplesExamined%4096 == 0 && lj.opts.Cancel() {
-		lj.canceled = true
-		lj.stop = true
-		return
+	if lj.done != nil && lj.stats.TuplesExamined%4096 == 0 {
+		select {
+		case <-lj.done:
+			lj.canceled = true
+			lj.stop = true
+			return
+		default:
+		}
 	}
 	for _, ei := range p.bindEdges[l.pos] {
 		e := p.q.Edges[ei]
@@ -337,15 +309,17 @@ func (l *probeLevel) visit(iv interval.Interval) {
 	}
 }
 
-func newLocalJoiner(p *plan, k int, opts LocalOptions, srcs []Source, grans []stats.Grid, shared *SharedFloor) *localJoiner {
+func newLocalJoiner(done <-chan struct{}, p *plan, req *ReduceRequest) *localJoiner {
 	lj := &localJoiner{
 		plan:     p,
-		k:        k,
-		opts:     opts,
-		srcs:     srcs,
-		grans:    grans,
-		shared:   shared,
-		topk:     NewTopK(k),
+		k:        req.K,
+		opts:     req.Opts,
+		combos:   req.Combos,
+		srcs:     req.Srcs,
+		grans:    req.Grans,
+		shared:   req.Shared,
+		done:     done,
+		topk:     NewTopK(req.K),
 		tuple:    make([]interval.Interval, p.q.NumVertices),
 		partials: make([]float64, len(p.q.Edges)),
 		scratch:  make([]float64, len(p.q.Edges)),
@@ -406,13 +380,13 @@ func (lj *localJoiner) prepareCombo(combo topbuckets.Combo) {
 	}
 }
 
-// Run processes the reducer's combinations (§3.4: accessed by descending
-// score upper bound) and returns the local top-k.
-func (lj *localJoiner) Run(combos []topbuckets.Combo) []Result {
+// run processes the reducer's combinations — idxs index lj.combos —
+// (§3.4: accessed by descending score upper bound) and returns the
+// local top-k.
+func (lj *localJoiner) run(idxs []int) []Result {
 	start := time.Now()
-	lj.stats.CombosAssigned = len(combos)
-	ordered := append([]topbuckets.Combo(nil), combos...)
-	sortCombosByUB(ordered)
+	lj.stats.CombosAssigned = len(idxs)
+	ordered := lj.sortedByUB(idxs)
 
 	if !lj.opts.DisablePruning {
 		lj.floor = lj.opts.Floor
@@ -444,10 +418,11 @@ func (lj *localJoiner) Run(combos []topbuckets.Combo) []Result {
 	}
 	lj.stats.FloorUsed = lj.floor
 
-	for i, c := range ordered {
+	for i, ci := range ordered {
 		if lj.canceled {
 			break
 		}
+		c := lj.combos[ci]
 		if !lj.opts.DisablePruning && c.UB <= lj.pruneThreshold() {
 			// Sorted by descending UB: every remaining combination is
 			// also dominated. This is the early-termination payoff of
@@ -471,33 +446,28 @@ func (lj *localJoiner) Run(combos []topbuckets.Combo) []Result {
 	return results
 }
 
-// sortCombosByUB orders combinations by descending UB, stably, so ties
-// keep the assignment order. One store now serves many queries, and
-// reducer combination lists grow with dataset size — hence a real
-// O(n log n) sort rather than the seed's insertion sort.
-func sortCombosByUB(cs []topbuckets.Combo) {
-	slices.SortStableFunc(cs, func(a, b topbuckets.Combo) int {
-		switch {
-		case a.UB > b.UB:
-			return -1
-		case a.UB < b.UB:
-			return 1
-		default:
-			return 0
-		}
+// sortedByUB returns a copy of idxs ordered by descending combination
+// UB, stably, so ties keep the assignment order (idxs itself belongs to
+// the possibly cached, shared assignment and is never reordered).
+func (lj *localJoiner) sortedByUB(idxs []int) []int {
+	ordered := slices.Clone(idxs)
+	slices.SortStableFunc(ordered, func(a, b int) int {
+		return cmp.Compare(lj.combos[b].UB, lj.combos[a].UB)
 	})
+	return ordered
 }
 
 // probe runs one probe-ladder round at floor v: count (up to k) results
 // scoring at least v, with tight index boxes derived from v. Reports
 // whether k were found.
-func (lj *localJoiner) probe(ordered []topbuckets.Combo, v float64) bool {
+func (lj *localJoiner) probe(ordered []int, v float64) bool {
 	saved := lj.floor
 	lj.floor = v
 	lj.probing = true
 	lj.probeCount = 0
 	lj.stop = false
-	for _, c := range ordered {
+	for _, ci := range ordered {
+		c := lj.combos[ci]
 		if c.UB <= v-floorEps {
 			break // sorted by descending UB
 		}
@@ -735,52 +705,4 @@ func (lj *localJoiner) partialUpperBound() float64 {
 		}
 	}
 	return lj.plan.q.Agg.Aggregate(lj.scratch)
-}
-
-// RunReducer evaluates one reducer's combination list against srcs with
-// a live shared floor — the per-reducer entry the remote execution path
-// (internal/shard workers) runs for each reducer scattered to it.
-// Unlike RunLocal's static floor, shared is consulted and raised
-// throughout the run, so floor broadcasts arriving mid-query
-// early-terminate the reducer exactly as an in-process sibling would.
-// shared may be nil (pruning disabled); opts.Share must be nil — the
-// batch-sharing registry does not cross the wire.
-func RunReducer(q *query.Query, k int, combos []topbuckets.Combo, srcs []Source,
-	grans []stats.Grid, opts LocalOptions, shared *SharedFloor) ([]Result, LocalStats, error) {
-	if err := q.Validate(); err != nil {
-		return nil, LocalStats{}, err
-	}
-	if k < 1 {
-		return nil, LocalStats{}, fmt.Errorf("join: k must be >= 1, got %d", k)
-	}
-	if len(srcs) != q.NumVertices {
-		return nil, LocalStats{}, fmt.Errorf("join: query %s has %d vertices but %d sources", q.Name, q.NumVertices, len(srcs))
-	}
-	if opts.Share != nil {
-		return nil, LocalStats{}, fmt.Errorf("join: RunReducer cannot carry a batch-sharing registry")
-	}
-	lj := newLocalJoiner(newPlan(q), k, opts, srcs, grans, shared)
-	results := lj.Run(combos)
-	return results, lj.stats, nil
-}
-
-// RunLocal evaluates the query over explicit bucket data (keys scoped
-// by query vertex) — usable directly for single-process execution and
-// tests. grans (one granulation + extent grid per query vertex)
-// enables in-combination per-edge bounds; nil is allowed and falls
-// back to trivial bounds.
-func RunLocal(q *query.Query, k int, combos []topbuckets.Combo, data map[stats.BucketKey][]interval.Interval, grans []stats.Grid, opts LocalOptions) ([]Result, LocalStats, error) {
-	if err := q.Validate(); err != nil {
-		return nil, LocalStats{}, err
-	}
-	if k < 1 {
-		return nil, LocalStats{}, fmt.Errorf("join: k must be >= 1, got %d", k)
-	}
-	srcs := make([]Source, q.NumVertices)
-	for v := range srcs {
-		srcs[v] = newMapSource(v, data)
-	}
-	lj := newLocalJoiner(newPlan(q), k, opts, srcs, grans, nil)
-	results := lj.Run(combos)
-	return results, lj.stats, nil
 }

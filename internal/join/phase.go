@@ -6,50 +6,36 @@ import (
 	"sort"
 	"time"
 
-	"tkij/internal/distribute"
 	"tkij/internal/interval"
-	"tkij/internal/mapreduce"
 	"tkij/internal/query"
-	"tkij/internal/stats"
-	"tkij/internal/topbuckets"
 )
 
 // Output is the outcome of the distributed join + merge phases.
 type Output struct {
 	// Results is the final top-k, sorted by descending score. It is
 	// never nil: a run that produces no results (every combination
-	// pruned, or an empty assignment giving the merge job zero inputs)
+	// pruned, or an empty assignment giving the merge zero inputs)
 	// yields an empty slice, so callers can range/encode it without a
 	// nil check.
 	Results []Result
-	// JoinMetrics covers the join Map-Reduce job. Its ShuffleRecords
-	// counts routed bucket references — the store-backed pipeline never
-	// ships raw intervals through the shuffle.
-	JoinMetrics *mapreduce.Metrics
-	// MergeMetrics covers the final merge job.
-	MergeMetrics *mapreduce.Metrics
+	// JoinMetrics is the join phase's per-reducer wall time (the paper's
+	// Fig. 8b critical path and Fig. 10b imbalance), built from
+	// Locals[i].Duration — so it is populated for every runner, local or
+	// sharded.
+	JoinMetrics ReduceTimes
 	// Locals reports each reducer's local join statistics, indexed by
-	// reducer.
+	// reducer. A reducer with no combinations assigned is never run and
+	// carries only its index.
 	Locals []LocalStats
 	// RoutedBucketEntries is the number of (bucket → reducer) references
-	// shuffled by the join job: Σ over buckets of the number of reducers
-	// holding them.
+	// the assignment routes: Σ over buckets of the number of reducers
+	// holding them. Reducers read interval slices and memoized indexes
+	// in place, so references are all that is ever routed.
 	RoutedBucketEntries int
 	// RoutedIntervalRecords is the resident-interval weight of those
 	// references, Σ|b| × |reducers(b)| — the replication cost DTB
-	// minimizes (Assignment.ReplicatedRecords, preserved under the
-	// reference shuffle).
+	// minimizes (Assignment.ReplicatedRecords).
 	RoutedIntervalRecords float64
-	// RawIntervalsShuffled counts join-shuffle records beyond the routed
-	// bucket references: with the dataset-resident bucket store every
-	// shuffled record is a reference, so this is zero — reducers read
-	// interval slices and memoized R-trees in place. It is derived from
-	// the job's actual shuffle accounting, so a future path that ships
-	// per-interval records again shows up here (and in the regression
-	// tests) immediately. Remote runners have no in-process shuffle;
-	// their shipping cost is reported in ShippedBuckets/ShippedRecords
-	// instead and this stays zero.
-	RawIntervalsShuffled int64
 	// ShippedBuckets and ShippedRecords count bucket payloads a remote
 	// runner shipped to shard workers that did not own them — the
 	// network sibling of the replication cost DTB minimizes. Zero for
@@ -63,73 +49,75 @@ type Output struct {
 	// was disabled).
 	SharedFloor float64
 	// JoinDuration and MergeDuration are the wall times of the two
-	// Map-Reduce jobs, measured independently around each job. Use these
-	// for phase attribution rather than subtracting the jobs' internal
-	// Metrics.Total values from an outer window — under scheduler
-	// contention an inner Total can exceed the outer measurement and the
-	// subtraction would go negative.
+	// phases, each measured around exactly its own work, so their sum
+	// never exceeds an enclosing window.
 	JoinDuration  time.Duration
 	MergeDuration time.Duration
 }
 
-// bucketRoute is one map input of the join job: a bucket reference plus
-// the reducers that need it (from the workload assignment).
-type bucketRoute struct {
-	key      stats.BucketKey // vertex-scoped
-	count    int             // resident |b|, the replication weight
-	reducers []int
+// ReduceTimes is the wall time of each reducer's local join, indexed by
+// reducer (zero for a reducer that had nothing to run).
+type ReduceTimes []time.Duration
+
+// MaxReduceDuration returns the wall time of the slowest reducer — the
+// join phase's critical path, which the paper plots in Figure 8b.
+func (rt ReduceTimes) MaxReduceDuration() time.Duration {
+	var max time.Duration
+	for _, d := range rt {
+		if d > max {
+			max = d
+		}
+	}
+	return max
 }
 
-// routedRef is one shuffled record: a bucket reference bound for one
-// reducer, reduced to exactly what the reducer consumes — the bucket's
-// replication weight. No interval data travels with it.
-type routedRef struct {
-	count int
+// Imbalance returns max/avg reducer wall time over all reducers
+// (Figure 10b's metric), or 0 when no reducer did measurable work.
+func (rt ReduceTimes) Imbalance() float64 {
+	var sum time.Duration
+	for _, d := range rt {
+		sum += d
+	}
+	if sum == 0 {
+		return 0
+	}
+	return float64(rt.MaxReduceDuration()) * float64(len(rt)) / float64(sum)
 }
 
-// Run executes steps (c)-(e) of Figure 5: the join Map-Reduce job using
-// the given workload assignment, followed by the merge job. srcs[i]
-// serves query vertex i's resident bucket data (see Source); grans[i]
-// is the granulation (with observed endpoint extent) vertex i's
-// buckets live under. The job shuffles
-// bucket references — raw intervals stay resident in the store — and
-// reducers prune against a shared cross-reducer threshold seeded from
-// opts.Floor.
+// Run executes steps (c)-(e) of Figure 5 for one request: every reducer
+// evaluates its share of Ω_k,S against a shared floor, then one merge
+// keeps the global top-k. req.Srcs[i] serves query vertex i's resident
+// bucket data (see Source); req.Grans[i] is the granulation (with
+// observed endpoint extent) vertex i's buckets live under. Raw
+// intervals stay resident in the store — reducers are handed
+// combination indexes and prune against a shared cross-reducer
+// threshold seeded from req.Opts.Floor. req.Shared is set by Run; the
+// caller's request is not modified.
 //
-// srcs implementations must be safe for concurrent use; store.ColView
-// (an epoch-pinned view) is, and is what the engine passes. A raw
-// store.ColStore tracks the latest epoch per call, so under concurrent
-// Append its BucketItems and SearchBucket can observe different
-// epochs — pin a Store.View instead whenever appends may run.
+// runner evaluates the reducers: nil selects the in-process local
+// runner, internal/shard's coordinator scatters them to workers.
+// Routed-reference accounting, reducer-index ordering and the merge
+// happen here, identically for every runner.
 //
-// ctx is consulted between the two Map-Reduce jobs (and before the
-// first): a canceled context aborts with ctx.Err() before the next job
-// starts. Individual local reduce tasks are not interrupted mid-flight.
-func Run(ctx context.Context, q *query.Query, srcs []Source, grans []stats.Grid,
-	combos []topbuckets.Combo, assign *distribute.Assignment, k int,
-	cfg mapreduce.Config, opts LocalOptions) (*Output, error) {
-	return RunWith(ctx, q, srcs, grans, combos, assign, k, cfg, opts, nil, nil)
-}
-
-// RunWith is Run with the reduce execution pluggable: runner evaluates
-// the reducers (nil selects the in-process local runner) and mapping
-// carries the vertex-to-collection mapping remote runners need (nil =
-// identity; ignored by the local runner). A runner that aborts on a
-// canceled context returns an error wrapping ctx.Err(), which callers
-// translate exactly like the between-phase checks here.
-func RunWith(ctx context.Context, q *query.Query, srcs []Source, grans []stats.Grid,
-	combos []topbuckets.Combo, assign *distribute.Assignment, k int,
-	cfg mapreduce.Config, opts LocalOptions, mapping []int, runner Runner) (*Output, error) {
-
+// req.Srcs implementations must be safe for concurrent use;
+// store.ColView (an epoch-pinned view) is, and is what the engine
+// passes. A raw store.ColStore tracks the latest epoch per call, so
+// under concurrent Append its BucketItems and SearchBucket can observe
+// different epochs — pin a Store.View instead whenever appends may run.
+//
+// A canceled ctx aborts with an error wrapping ctx.Err(): before the
+// join, mid-combination inside the reducers, or between join and merge.
+func Run(ctx context.Context, req *ReduceRequest, runner Runner) (*Output, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("join: canceled before join phase: %w", err)
 	}
-	if len(srcs) != q.NumVertices || len(grans) != q.NumVertices {
+	q, assign := req.Query, req.Assign
+	if len(req.Srcs) != q.NumVertices || len(req.Grans) != q.NumVertices {
 		return nil, fmt.Errorf("join: query %s has %d vertices but %d sources / %d granulations",
-			q.Name, q.NumVertices, len(srcs), len(grans))
+			q.Name, q.NumVertices, len(req.Srcs), len(req.Grans))
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("join: k must be >= 1, got %d", k)
+	if req.K < 1 {
+		return nil, fmt.Errorf("join: k must be >= 1, got %d", req.K)
 	}
 
 	// The shared global threshold (§3.4's early-termination payoff):
@@ -138,100 +126,90 @@ func RunWith(ctx context.Context, q *query.Query, srcs []Source, grans []stats.G
 	// instead, so sibling executions with the same plan-identity key
 	// raise and consult one floor together. Remote runners broadcast
 	// its raises to their workers and fold worker raises back in.
-	var shared *SharedFloor
-	if !opts.DisablePruning {
+	r := *req
+	if opts := r.Opts; !opts.DisablePruning {
 		if opts.Share != nil && opts.FloorKey != "" {
-			shared = opts.Share.Floor(opts.FloorKey, opts.Floor)
+			r.Shared = opts.Share.Floor(opts.FloorKey, opts.Floor)
 		} else {
-			shared = NewSharedFloor(opts.Floor)
+			r.Shared = NewSharedFloor(opts.Floor)
 		}
 	}
 
 	if runner == nil {
 		runner = localRunner{}
 	}
-	req := &ReduceRequest{
-		Query:   q,
-		Mapping: mapping,
-		Srcs:    srcs,
-		Grans:   grans,
-		Combos:  combos,
-		Assign:  assign,
-		K:       k,
-		Config:  cfg,
-		Opts:    opts,
-		Shared:  shared,
-	}
 	joinStart := time.Now()
-	rout, err := runner.RunReducers(ctx, req)
+	rout, err := runner.RunReducers(ctx, &r)
 	if err != nil {
 		return nil, fmt.Errorf("join: join phase: %w", err)
 	}
-	joinWall := time.Since(joinStart)
 
+	// Reducer-index order is established here and nowhere else: runners
+	// return outputs in whatever order they gathered them, and both the
+	// per-reducer statistics and the merge below read them by index.
 	out := &Output{
-		JoinMetrics:    rout.Metrics,
+		JoinMetrics:    make(ReduceTimes, assign.Reducers),
 		Locals:         make([]LocalStats, assign.Reducers),
 		ShippedBuckets: rout.ShippedBuckets,
 		ShippedRecords: rout.ShippedRecords,
 		FloorFrames:    rout.FloorFrames,
 	}
+	lists := make([][]Result, assign.Reducers)
+	for rj := range out.Locals {
+		out.Locals[rj].Reducer = rj
+	}
 	for _, ro := range rout.Reducers {
 		out.Locals[ro.Reducer] = ro.Stats
-		out.RoutedBucketEntries += ro.Stats.BucketRefsRouted
-		out.RoutedIntervalRecords += ro.Stats.RoutedIntervals
+		out.JoinMetrics[ro.Reducer] = ro.Stats.Duration
+		lists[ro.Reducer] = ro.Results
 	}
-	// Everything the join job shuffled beyond the counted references
-	// would be raw per-interval records; with the resident store there
-	// are none. (Remote runners have no in-process shuffle to account.)
-	if rout.Metrics != nil {
-		out.RawIntervalsShuffled = int64(rout.Metrics.ShuffleRecords - out.RoutedBucketEntries)
+	// Routed-reference accounting, from the assignment alone: reducer rj
+	// is routed one reference to every bucket its combinations touch,
+	// weighted by the bucket's resident size at the pinned epoch.
+	weights := make([]int, assign.Reducers)
+	for key, reducers := range assign.BucketReducers {
+		n := len(r.Srcs[key.Col].BucketItems(key.StartG, key.EndG))
+		for _, rj := range reducers {
+			out.Locals[rj].BucketRefsRouted++
+			weights[rj] += n
+		}
 	}
-	if shared != nil {
-		out.SharedFloor = shared.Load()
+	for rj := range out.Locals {
+		l := &out.Locals[rj]
+		l.RoutedIntervals = float64(weights[rj])
+		out.RoutedBucketEntries += l.BucketRefsRouted
+		out.RoutedIntervalRecords += l.RoutedIntervals
 	}
+	if r.Shared != nil {
+		out.SharedFloor = r.Shared.Load()
+	}
+	out.JoinDuration = time.Since(joinStart)
 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("join: canceled between join and merge phases: %w", err)
 	}
 
-	// Merge phase (Figure 5e): a single-reducer Map-Reduce job combining
-	// local lists into the global top-k.
-	mergeJob := mapreduce.Job[ReducerOutput, int, []Result, []Result]{
-		Name: "rtj-merge",
-		Map: func(in ReducerOutput, emit func(int, []Result)) error {
-			emit(0, in.Results)
-			return nil
-		},
-		Partition: mapreduce.IdentityPartition,
-		Reduce: func(_ int, lists [][]Result, emit func([]Result)) error {
-			topk := NewTopK(k)
-			for _, list := range lists {
-				for _, r := range list {
-					topk.Add(r)
-				}
-			}
-			emit(topk.Results())
-			return nil
-		},
-	}
+	// Merge phase (Figure 5e): the local lists combine into the global
+	// top-k.
 	mergeStart := time.Now()
-	mergeOut, mergeMetrics, err := mapreduce.Run(mergeJob, rout.Reducers, mapreduce.Config{Mappers: cfg.Mappers, Reducers: 1})
-	if err != nil {
-		return nil, fmt.Errorf("join: merge phase: %w", err)
-	}
-	out.MergeMetrics = mergeMetrics
-	out.JoinDuration = joinWall
+	out.Results = merge(lists, r.K)
 	out.MergeDuration = time.Since(mergeStart)
-	if len(mergeOut) == 1 {
-		out.Results = mergeOut[0]
-	}
-	if out.Results == nil {
-		// Zero merge inputs (empty assignment) or an empty merged list:
-		// keep the no-results contract — an empty slice, never nil.
-		out.Results = []Result{}
-	}
 	return out, nil
+}
+
+// merge combines per-reducer top-k lists, taken in reducer-index order,
+// into the global top-k. The result is never nil.
+func merge(lists [][]Result, k int) []Result {
+	topk := NewTopK(k)
+	for _, list := range lists {
+		for _, r := range list {
+			topk.Add(r)
+		}
+	}
+	if topk.Len() == 0 {
+		return []Result{}
+	}
+	return topk.Results()
 }
 
 // Exhaustive computes the exact top-k by enumerating the full cross

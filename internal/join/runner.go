@@ -2,23 +2,20 @@ package join
 
 import (
 	"context"
-	"errors"
-	"slices"
-	"sort"
+	"sync"
 
 	"tkij/internal/distribute"
-	"tkij/internal/mapreduce"
 	"tkij/internal/query"
 	"tkij/internal/stats"
 	"tkij/internal/topbuckets"
 )
 
-// ReduceRequest is one query's reduce workload, handed to a Runner: the
-// query, its per-vertex sources and granulation grids, the selected
-// combinations, and the workload assignment mapping them onto reducers.
-// The request is runner-agnostic — the local runner evaluates it as one
-// in-process Map-Reduce job; the shard coordinator scatters it to
-// remote workers over the wire.
+// ReduceRequest is one query's reduce workload: the query, its
+// per-vertex sources and granulation grids, the selected combinations,
+// and the workload assignment mapping them onto reducers. The request
+// is runner-agnostic — the local runner evaluates every reducer
+// in-process; the shard coordinator scatters them to remote workers
+// over the wire.
 type ReduceRequest struct {
 	Query *query.Query
 	// Mapping maps query vertices to collections (vertex v reads
@@ -34,13 +31,33 @@ type ReduceRequest struct {
 	Combos []topbuckets.Combo
 	Assign *distribute.Assignment
 	K      int
-	Config mapreduce.Config
 	Opts   LocalOptions
 	// Shared is the query's cross-reducer score floor; nil when pruning
-	// is disabled. Every reducer — local or remote — must consult and
-	// raise it (remote runners mirror it over their floor-broadcast
-	// channel).
+	// is disabled. Run installs it; every reducer — local or remote —
+	// consults and raises it (remote runners mirror it over their
+	// floor-broadcast channel).
 	Shared *SharedFloor
+}
+
+// ReducerTask is one reducer's share of a request: the reducer index
+// and the indexes (into ReduceRequest.Combos) of the combinations
+// assigned to it.
+type ReducerTask struct {
+	Reducer int
+	Combos  []int
+}
+
+// Tasks lists the assignment's reducers that received at least one
+// combination, ascending. A reducer with nothing assigned is never run
+// by any runner; its Output.Locals entry carries only its index.
+func (req *ReduceRequest) Tasks() []ReducerTask {
+	tasks := make([]ReducerTask, 0, len(req.Assign.ReducerCombos))
+	for rj, idxs := range req.Assign.ReducerCombos {
+		if len(idxs) > 0 {
+			tasks = append(tasks, ReducerTask{Reducer: rj, Combos: idxs})
+		}
+	}
+	return tasks
 }
 
 // ReducerOutput is one reducer's complete output.
@@ -50,14 +67,11 @@ type ReducerOutput struct {
 	Stats   LocalStats
 }
 
-// RunnerOutput is a Runner's gathered result: every reducer's output
-// plus runner-specific accounting.
+// RunnerOutput is a Runner's gathered result: every executed reducer's
+// output (in any order — Run places them by reducer index) plus
+// runner-specific accounting.
 type RunnerOutput struct {
 	Reducers []ReducerOutput
-	// Metrics is the join Map-Reduce job's accounting when the runner
-	// executed one (the local runner); nil for remote execution, whose
-	// shuffle happens over the wire instead.
-	Metrics *mapreduce.Metrics
 	// ShippedBuckets / ShippedRecords count bucket payloads a remote
 	// runner had to ship to workers that did not own them (zero for the
 	// local runner, where every bucket is resident).
@@ -71,119 +85,63 @@ type RunnerOutput struct {
 
 // Runner executes a query's reduce workload. The local implementation
 // runs every reducer in-process; internal/shard's coordinator scatters
-// reducers to shard workers and gathers their outputs. Run's merge
-// phase is runner-independent, so any Runner that returns each
-// reducer's exact local top-k yields byte-identical final results.
+// reducers to shard workers, which run them through the same RunTasks.
+// Run's accounting and merge are runner-independent, so any Runner that
+// returns each reducer's exact local top-k yields byte-identical final
+// results.
 type Runner interface {
 	RunReducers(ctx context.Context, req *ReduceRequest) (*RunnerOutput, error)
 }
 
-// errJoinCanceled reports a reducer abandoned by LocalOptions.Cancel
-// when the request context itself carries no error (a caller-supplied
-// Cancel hook fired).
-var errJoinCanceled = errors.New("join: local reducer canceled")
-
-// localRunner is the default Runner: the in-process join Map-Reduce job
-// of Figure 5 (c)-(d), shuffling bucket references to reduce tasks that
-// each evaluate their combination share against the resident store.
+// localRunner is the default Runner: every task of the assignment on
+// this process.
 type localRunner struct{}
 
 func (localRunner) RunReducers(ctx context.Context, req *ReduceRequest) (*RunnerOutput, error) {
-	// A cancelable context makes reducers poll it mid-combination (see
-	// LocalOptions.Cancel): abandoned callers stop burning reducer time.
-	// Background-like contexts (Done() == nil) keep the hot loop free of
-	// the polling branch entirely.
-	opts := req.Opts
-	if opts.Cancel == nil && ctx.Done() != nil {
-		opts.Cancel = func() bool { return ctx.Err() != nil }
+	outs, err := RunTasks(ctx, req, req.Tasks())
+	if err != nil {
+		return nil, err
 	}
-	assign := req.Assign
-	cfg := req.Config
-	cfg.Reducers = assign.Reducers
+	return &RunnerOutput{Reducers: outs}, nil
+}
 
-	// Per-reducer combination lists, in the assignment's order.
-	reducerCombos := make([][]topbuckets.Combo, assign.Reducers)
-	for rj, idxs := range assign.ReducerCombos {
-		for _, ci := range idxs {
-			reducerCombos[rj] = append(reducerCombos[rj], req.Combos[ci])
-		}
-	}
-
-	// One input per routed bucket, in deterministic key order. Buckets
-	// outside the assignment (pruned by TopBuckets) are never routed —
-	// the same I/O saving as before, now measured in references.
-	inputs := make([]bucketRoute, 0, len(assign.BucketReducers))
-	for _, key := range sortedBucketKeys(assign.BucketReducers) {
-		inputs = append(inputs, bucketRoute{
-			key:      key,
-			count:    len(req.Srcs[key.Col].BucketItems(key.StartG, key.EndG)),
-			reducers: assign.BucketReducers[key],
-		})
-	}
-
+// RunTasks is the reducer executor — the one place a local joiner is
+// built and a reducer's combination list is run, shared by the local
+// runner and the shard worker. Each task gets its own goroutine and
+// evaluates its combinations against req.Srcs in place (task.Combos
+// index req.Combos; nothing is copied per reducer), consulting and
+// raising req.Shared throughout. Outputs are returned in task order.
+//
+// req must carry Query, Srcs, Grans, Combos, K, Opts and Shared; Assign
+// and Mapping are not consulted. The caller vouches for the inputs: a
+// valid query, K >= 1, one source per vertex, task indexes within
+// req.Combos (Run and the wire decoder check these).
+//
+// A cancelable ctx is polled mid-combination: once it is done every
+// reducer abandons its remaining work and RunTasks returns ctx.Err()
+// instead of truncated outputs.
+func RunTasks(ctx context.Context, req *ReduceRequest, tasks []ReducerTask) ([]ReducerOutput, error) {
 	plan := newPlan(req.Query)
 	if req.Opts.Share != nil {
 		plan.computeEdgeSigs()
 	}
-	joinJob := mapreduce.Job[bucketRoute, int, routedRef, ReducerOutput]{
-		Name: "rtj-join",
-		Map: func(in bucketRoute, emit func(int, routedRef)) error {
-			for _, rj := range in.reducers {
-				emit(rj, routedRef{count: in.count})
-			}
-			return nil
-		},
-		Partition: mapreduce.IdentityPartition,
-		Reduce: func(rj int, refs []routedRef, emit func(ReducerOutput)) error {
-			lj := newLocalJoiner(plan, req.K, opts, req.Srcs, req.Grans, req.Shared)
-			results := lj.Run(reducerCombos[rj])
-			if lj.canceled {
-				// Truncated output must never reach the merge.
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				return errJoinCanceled
-			}
-			lj.stats.Reducer = rj
-			lj.stats.BucketRefsRouted = len(refs)
-			for _, ref := range refs {
-				lj.stats.RoutedIntervals += float64(ref.count)
-			}
-			emit(ReducerOutput{Reducer: rj, Results: results, Stats: lj.stats})
-			return nil
-		},
+	outs := make([]ReducerOutput, len(tasks))
+	var wg sync.WaitGroup
+	for i, t := range tasks {
+		wg.Add(1)
+		go func(i int, t ReducerTask) {
+			defer wg.Done()
+			lj := newLocalJoiner(ctx.Done(), plan, req)
+			results := lj.run(t.Combos)
+			lj.stats.Reducer = t.Reducer
+			outs[i] = ReducerOutput{Reducer: t.Reducer, Results: results, Stats: lj.stats}
+		}(i, t)
 	}
-	out, metrics, err := mapreduce.Run(joinJob, inputs, cfg)
-	if err != nil {
+	wg.Wait()
+	// A reducer only stops early because ctx is done, so checking ctx
+	// once here rejects every truncated output.
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Reducer-index order, the same order every runner hands the merge:
-	// the merge's top-k admits the first arrival among equal-score
-	// results, so the reducer list order is part of the byte-identity
-	// contract between the local and the sharded runner. The shuffle's
-	// first-seen order depends on which bucket routed to a reducer
-	// first — deterministic, but not index order.
-	sort.Slice(out, func(i, j int) bool { return out[i].Reducer < out[j].Reducer })
-	return &RunnerOutput{Reducers: out, Metrics: metrics}, nil
-}
-
-// sortedBucketKeys returns an assignment's routed bucket keys in
-// deterministic (col, startG, endG) order — the snapshot section order,
-// shared by the local runner's shuffle inputs and the shard
-// coordinator's shipping plans.
-func sortedBucketKeys(m map[stats.BucketKey][]int) []stats.BucketKey {
-	keys := make([]stats.BucketKey, 0, len(m))
-	for key := range m {
-		keys = append(keys, key)
-	}
-	slices.SortFunc(keys, func(a, b stats.BucketKey) int {
-		if a.Col != b.Col {
-			return a.Col - b.Col
-		}
-		if a.StartG != b.StartG {
-			return a.StartG - b.StartG
-		}
-		return a.EndG - b.EndG
-	})
-	return keys
+	return outs, nil
 }

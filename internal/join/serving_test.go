@@ -1,14 +1,13 @@
 package join
 
 import (
-	"context"
 	"encoding/json"
 	"math"
 	"sync"
 	"testing"
 
 	"tkij/internal/distribute"
-	"tkij/internal/mapreduce"
+	"tkij/internal/interval"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
 	"tkij/internal/stats"
@@ -54,14 +53,12 @@ func TestSharedFloorConcurrentRaise(t *testing.T) {
 	}
 }
 
-// The join job must shuffle bucket references, never raw intervals, and
-// its replication accounting must agree with the assignment's metric.
+// The routed-reference accounting must agree with the assignment: one
+// reference per (bucket, reducer) pair, weighted to DTB's replication
+// metric, and split per reducer consistently.
 func TestRoutedReferenceAccounting(t *testing.T) {
 	cols := synthCols(3, 60, 41)
-	ms, _, err := stats.Collect(cols, 5, mapreduce.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := collect(t, cols, 5)
 	env := query.Env{Params: scoring.P1}
 	q := query.Qom(env)
 	const k = 10
@@ -74,16 +71,16 @@ func TestRoutedReferenceAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	srcs, grans := storeSources(t, cols, ms)
-	out, err := Run(context.Background(), q, srcs, grans, tb.Selected, assign, k, mapreduce.Config{Mappers: 3}, LocalOptions{})
+	out, err := runJoin(q, srcs, grans, tb.Selected, assign, k, LocalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.RawIntervalsShuffled != 0 {
-		t.Fatalf("store-backed join shuffled %d raw intervals", out.RawIntervalsShuffled)
+	perReducer := 0
+	for _, l := range out.Locals {
+		perReducer += l.BucketRefsRouted
 	}
-	if out.RoutedBucketEntries != out.JoinMetrics.ShuffleRecords {
-		t.Fatalf("RoutedBucketEntries %d != join ShuffleRecords %d",
-			out.RoutedBucketEntries, out.JoinMetrics.ShuffleRecords)
+	if out.RoutedBucketEntries != perReducer {
+		t.Fatalf("RoutedBucketEntries %d != Σ Locals.BucketRefsRouted %d", out.RoutedBucketEntries, perReducer)
 	}
 	wantEntries := 0
 	for _, rs := range assign.BucketReducers {
@@ -135,13 +132,25 @@ func TestSharedThresholdSoundness(t *testing.T) {
 // reports survive encoding/json.
 func TestLocalStatsJSONSafe(t *testing.T) {
 	q := query.MustNew("pair", 2, []query.Edge{{From: 0, To: 1, Pred: scoring.Before(scoring.P1)}}, scoring.Avg{})
-	// No data at all: the local join returns zero results.
-	results, st, err := RunLocal(q, 3, nil, nil, nil, LocalOptions{})
+	// One combination over buckets holding no data at all: the reducer
+	// runs and returns zero results.
+	empty := map[stats.BucketKey][]interval.Interval{}
+	srcs := []Source{newMapSource(0, empty), newMapSource(1, empty)}
+	combos := []topbuckets.Combo{{Buckets: []stats.Bucket{{Col: 0}, {Col: 1}}, UB: 1}}
+	assign, err := distribute.DTB(combos, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 0 {
-		t.Fatalf("expected no results, got %d", len(results))
+	out, err := runJoin(q, srcs, make([]stats.Grid, 2), combos, assign, 3, LocalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 0 {
+		t.Fatalf("expected no results, got %d", len(out.Results))
+	}
+	st := out.Locals[0]
+	if st.CombosAssigned != 1 {
+		t.Fatalf("the reducer did not run: %+v", st)
 	}
 	if st.ResultsReturned != 0 || st.MinScore != 0 {
 		t.Fatalf("zero-result stats = %+v, want MinScore 0", st)

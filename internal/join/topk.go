@@ -1,10 +1,12 @@
 // Package join implements TKIJ's distributed join phase (§3.4, steps
-// (c)-(e) of Figure 5): routing each interval to the reducers that own
-// its bucket, evaluating the full RTJ query locally on every reducer —
-// combinations visited in descending score-upper-bound order, candidate
-// intervals fetched through per-bucket R-trees with score-threshold
-// boxes, partial tuples pruned against the current k-th score — and a
-// final Map-Reduce job merging local top-k lists into the query answer.
+// (c)-(e) of Figure 5): each reducer evaluates the full RTJ query on its
+// share of Ω_k,S against the dataset-resident buckets — combinations
+// visited in descending score-upper-bound order, candidate intervals
+// fetched through per-bucket R-trees with score-threshold boxes,
+// partial tuples pruned against the current k-th score and a floor
+// shared by all reducers — and one merge keeps the global top-k. Run is
+// the entry point; RunTasks is the one reducer executor, shared by the
+// in-process runner and internal/shard's workers.
 package join
 
 import (

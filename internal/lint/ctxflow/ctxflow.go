@@ -1,8 +1,9 @@
 // Package ctxflow enforces the engine's cancellation contract:
-// library packages must thread the caller's context, because
-// ExecutePinned's cooperative cancellation (core.ErrCanceled surfacing
-// mid-probe) and the admission batcher's deadline propagation both die
-// silently the moment a layer manufactures its own root context. Three
+// library packages must thread the caller's context, because the
+// reducers' cooperative cancellation (join.RunTasks polls the request
+// context mid-combination; core surfaces it as ErrCanceled) and the
+// admission batcher's deadline propagation both die silently the
+// moment a layer manufactures its own root context. Three
 // rules, applied only inside the configured scope (the serving-path
 // packages — main packages and tests may build roots freely):
 //

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -389,9 +388,9 @@ func (c *Cluster) Append(col int, ivs []interval.Interval) error {
 }
 
 // RunReducers implements join.Runner: place reducers on shards, ship
-// foreign buckets, scatter, stream floors both ways, gather. The merge
-// phase stays with the caller (join.RunWith), so results are
-// byte-identical to local execution.
+// foreign buckets, scatter, stream floors both ways, gather. Routed
+// accounting, reducer ordering and the merge stay with the caller
+// (join.Run), so results are byte-identical to local execution.
 func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*join.RunnerOutput, error) {
 	if !c.loaded {
 		return nil, fmt.Errorf("shard: query before LoadStore")
@@ -419,6 +418,12 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 		return len(src.BucketItems(k.StartG, k.EndG))
 	}
 	pl := distribute.Place(req.Assign, len(c.links), mapping, c.manifest.Owner, size)
+	// The same task list the local runner executes, split by placement.
+	shardTasks := make([][]join.ReducerTask, len(c.links))
+	for _, t := range req.Tasks() {
+		s := pl.ReducerShard[t.Reducer]
+		shardTasks[s] = append(shardTasks[s], t)
+	}
 
 	id := c.nextID.Add(1)
 	epoch := c.replicaEpoch.Load()
@@ -494,7 +499,7 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 			Mapping:        mapping,
 			Grids:          req.Grans,
 			Combos:         req.Combos,
-			Tasks:          shardTasks(req, pl.ShardReducers[i]),
+			Tasks:          shardTasks[i],
 			Shipped:        shipBuckets(pl.Shipped[i], colSrc),
 		}
 		if master != nil {
@@ -538,17 +543,6 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 	}
 	mFloorFrames.Add(floorFrames)
 
-	// Per-reducer routed-reference accounting, mirroring the local
-	// runner's (the shuffle happened over the wire instead).
-	refs := make([]int, req.Assign.Reducers)
-	weights := make([]float64, req.Assign.Reducers)
-	for key, reducers := range req.Assign.BucketReducers {
-		n := len(req.Srcs[key.Col].BucketItems(key.StartG, key.EndG))
-		for _, rj := range reducers {
-			refs[rj]++
-			weights[rj] += float64(n)
-		}
-	}
 	shippedBuckets := countShipped(pl.Shipped)
 	mShippedBuckets.Add(int64(shippedBuckets))
 	mShippedRecords.Add(int64(pl.ShippedRecords))
@@ -558,22 +552,16 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 		FloorFrames:    floorFrames,
 	}
 	for _, f := range frames {
-		for _, rr := range f.Reducers {
-			st := rr.Stats
-			st.BucketRefsRouted = refs[rr.Reducer]
-			st.RoutedIntervals = weights[rr.Reducer]
-			if master != nil {
+		if master != nil {
+			for _, ro := range f.Reducers {
 				// Fold each worker's final floor into the master so
 				// Output.SharedFloor reports the true cluster-wide
 				// threshold even if the last uplink raced completion.
-				master.Raise(st.SharedFloorFinal)
+				master.Raise(ro.Stats.SharedFloorFinal)
 			}
-			out.Reducers = append(out.Reducers, join.ReducerOutput{
-				Reducer: rr.Reducer, Results: rr.Results, Stats: st,
-			})
 		}
+		out.Reducers = append(out.Reducers, f.Reducers...)
 	}
-	sort.Slice(out.Reducers, func(i, j int) bool { return out.Reducers[i].Reducer < out.Reducers[j].Reducer })
 	return out, nil
 }
 
@@ -594,15 +582,6 @@ func (c *Cluster) rebroadcast(pq *pendingQuery) {
 			_ = l.send(&FloorFrame{QueryID: pq.id, Floor: v})
 		}
 	}
-}
-
-// shardTasks builds one shard's reducer tasks from the assignment.
-func shardTasks(req *join.ReduceRequest, reducers []int) []ReducerTask {
-	tasks := make([]ReducerTask, 0, len(reducers))
-	for _, rj := range reducers {
-		tasks = append(tasks, ReducerTask{Reducer: rj, Combos: req.Assign.ReducerCombos[rj]})
-	}
-	return tasks
 }
 
 // shipBuckets materializes one shard's shipping list from the

@@ -13,7 +13,6 @@ import (
 	"tkij/internal/distribute"
 	"tkij/internal/interval"
 	"tkij/internal/join"
-	"tkij/internal/mapreduce"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
 	"tkij/internal/stats"
@@ -35,6 +34,25 @@ func synthCols(n, perCol int, seed int64) []*interval.Collection {
 	return cols
 }
 
+// collect builds one bucket matrix per collection under g granules —
+// what the offline statistics job produces, without running it.
+func collect(t *testing.T, cols []*interval.Collection, g int) []*stats.Matrix {
+	t.Helper()
+	ms := make([]*stats.Matrix, len(cols))
+	for i, c := range cols {
+		s := c.ComputeStats()
+		gran, err := stats.NewGranulation(s.MinStart, s.MaxEnd, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[i] = stats.NewMatrix(i, gran)
+		for _, iv := range c.Items {
+			ms[i].Add(iv)
+		}
+	}
+	return ms
+}
+
 // pipelineEnv is everything up to the join phase: the store, per-vertex
 // sources/grids, selected combinations and the DTB assignment.
 type pipelineEnv struct {
@@ -49,10 +67,7 @@ type pipelineEnv struct {
 
 func buildPipeline(t *testing.T, q *query.Query, cols []*interval.Collection, g, k, reducers int) *pipelineEnv {
 	t.Helper()
-	ms, _, err := stats.Collect(cols, g, mapreduce.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := collect(t, cols, g)
 	tb, err := topbuckets.Run(q, ms, k, topbuckets.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -77,16 +92,16 @@ func buildPipeline(t *testing.T, q *query.Query, cols []*interval.Collection, g,
 
 func (env *pipelineEnv) run(t *testing.T, runner join.Runner, opts join.LocalOptions) *join.Output {
 	t.Helper()
-	out, err := join.RunWith(context.Background(), env.q, env.srcs, env.grans,
-		env.combos, env.assign, env.k, mapreduce.Config{Mappers: 3}, opts, nil, runner)
+	out, err := join.Run(context.Background(), env.request(opts), runner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
 
-// request builds the ReduceRequest RunWith would issue — used by fault
-// tests that call Cluster.RunReducers directly.
+// request builds the ReduceRequest for join.Run — or, with the shared
+// floor Run would install, for fault tests that call
+// Cluster.RunReducers directly.
 func (env *pipelineEnv) request(opts join.LocalOptions) *join.ReduceRequest {
 	var shared *join.SharedFloor
 	if !opts.DisablePruning {
@@ -94,7 +109,7 @@ func (env *pipelineEnv) request(opts join.LocalOptions) *join.ReduceRequest {
 	}
 	return &join.ReduceRequest{
 		Query: env.q, Srcs: env.srcs, Grans: env.grans, Combos: env.combos,
-		Assign: env.assign, K: env.k, Config: mapreduce.Config{}, Opts: opts, Shared: shared,
+		Assign: env.assign, K: env.k, Opts: opts, Shared: shared,
 	}
 }
 
@@ -210,10 +225,7 @@ func TestClusterAppendLockstep(t *testing.T) {
 func buildPipelineFromStore(t *testing.T, q *query.Query, cols []*interval.Collection,
 	st *store.Store, g, k, reducers int) *pipelineEnv {
 	t.Helper()
-	ms, _, err := stats.Collect(cols, g, mapreduce.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := collect(t, cols, g)
 	tb, err := topbuckets.Run(q, ms, k, topbuckets.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -433,6 +445,77 @@ func TestWorkerRejectsFloorReplay(t *testing.T) {
 	}
 	if err := <-served; !errors.Is(err, ErrFloorReplay) {
 		t.Fatalf("Serve returned %v, want ErrFloorReplay", err)
+	}
+}
+
+// A dropped link must stop the worker's in-flight reducers
+// mid-combination: Serve cancels its per-link context on return, so the
+// executors unwind, release the pinned view and Quiesce returns —
+// without finishing a reducer list that (pruning and index off, a 6-way
+// star over one 150-interval bucket, ~10^13 candidate visits) would
+// otherwise burn a core for hours holding the view.
+func TestWorkerAbandonsReducersWhenLinkDrops(t *testing.T) {
+	const n, vertices = 150, 6
+	items := make([]interval.Interval, n)
+	for i := range items {
+		items[i] = interval.Interval{ID: int64(i), Start: int64(i), End: int64(i) + 10}
+	}
+	gran, _ := stats.NewGranulation(0, 200, 1)
+	q := query.QbStar(query.Env{Params: scoring.P1}, vertices)
+	combo := topbuckets.Combo{UB: 1}
+	grids := make([]stats.Grid, vertices)
+	for v := range grids {
+		grids[v] = stats.Grid{Gran: gran, Lo: 0, Hi: 200}
+		combo.Buckets = append(combo.Buckets, stats.Bucket{Col: v, Count: n})
+	}
+
+	workerEnd, testEnd := net.Pipe()
+	w := NewWorker()
+	served := make(chan error, 1)
+	go func() { served <- w.Serve(workerEnd) }()
+	send := func(f Frame) {
+		b, err := EncodeFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := testEnd.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(&LoadFrame{ShardID: 0, Shards: 1, Cols: []store.PartitionCol{
+		{Col: 0, Gran: gran, Buckets: []store.BucketSlice{{Items: items}}},
+	}})
+	send(&QueryFrame{
+		QueryID: 1, K: 5, DisableIndex: true, DisablePruning: true,
+		Query: q, Mapping: make([]int, vertices), Grids: grids,
+		Combos: []topbuckets.Combo{combo},
+		Tasks:  []join.ReducerTask{{Reducer: 0, Combos: []int{0}}},
+	})
+	// Barrier: a net.Pipe write returns once the reader consumed it, and
+	// the worker reads the next frame only after handling the previous
+	// one — so once this frame is accepted the query has been admitted,
+	// its view pinned and its executor started.
+	send(&FloorFrame{QueryID: 1, Floor: 0.5})
+	if live := w.Store().ViewStats().Live; live != 1 {
+		t.Fatalf("worker holds %d live views mid-query, want 1", live)
+	}
+
+	_ = testEnd.Close()
+	quiesced := make(chan struct{})
+	go func() {
+		w.Quiesce()
+		close(quiesced)
+	}()
+	select {
+	case <-quiesced:
+	case <-time.After(30 * time.Second):
+		t.Fatal("reducers still running 30s after their link dropped")
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve returned %v on a clean close", err)
+	}
+	if live := w.Store().ViewStats().Live; live != 0 {
+		t.Fatalf("worker holds %d live views after its link dropped", live)
 	}
 }
 

@@ -416,14 +416,6 @@ func decodeAppend(r *interval.BinaryReader) (*AppendFrame, error) {
 
 // --- QueryFrame -----------------------------------------------------
 
-// ReducerTask is one reducer's share of a query on one shard: the
-// reducer index and the indexes (into QueryFrame.Combos) of the
-// combinations DTB assigned to it.
-type ReducerTask struct {
-	Reducer int
-	Combos  []int
-}
-
 // ShippedBucket carries one collection-scoped bucket a shard's reducers
 // need but the shard does not own, resident items included.
 type ShippedBucket struct {
@@ -450,7 +442,7 @@ type QueryFrame struct {
 	Mapping        []int
 	Grids          []stats.Grid
 	Combos         []topbuckets.Combo
-	Tasks          []ReducerTask
+	Tasks          []join.ReducerTask // Combos index QueryFrame.Combos
 	Shipped        []ShippedBucket
 }
 
@@ -588,7 +580,7 @@ func decodeQuery(r *interval.BinaryReader) (*QueryFrame, error) {
 	if nTasks > uint64(r.Len()/16) {
 		return nil, errf("query declares %d tasks, payload holds at most %d", nTasks, r.Len()/16)
 	}
-	f.Tasks = make([]ReducerTask, nTasks)
+	f.Tasks = make([]join.ReducerTask, nTasks)
 	for i := range f.Tasks {
 		rj := r.I64()
 		if err := r.Err(); err != nil {
@@ -606,7 +598,7 @@ func decodeQuery(r *interval.BinaryReader) (*QueryFrame, error) {
 				return nil, errf("task %d references combo %d of %d", i, ci, len(f.Combos))
 			}
 		}
-		f.Tasks[i] = ReducerTask{Reducer: int(rj), Combos: combos}
+		f.Tasks[i] = join.ReducerTask{Reducer: int(rj), Combos: combos}
 	}
 	nShipped := r.U64()
 	if err := r.Err(); err != nil {
@@ -824,21 +816,13 @@ func decodeFloor(r *interval.BinaryReader) (*FloorFrame, error) {
 
 // --- ResultFrame ----------------------------------------------------
 
-// ReducerResult is one reducer's gathered output: its local top-k list
-// and local statistics.
-type ReducerResult struct {
-	Reducer int
-	Stats   join.LocalStats
-	Results []join.Result
-}
-
 // ResultFrame gathers one shard's completed query: every reducer task's
 // output, plus the epoch the worker actually served — the coordinator
 // cross-checks it against the scatter epoch.
 type ResultFrame struct {
 	QueryID  uint64
 	Epoch    int64
-	Reducers []ReducerResult
+	Reducers []join.ReducerOutput
 }
 
 func (*ResultFrame) kind() uint64 { return kindResult }
@@ -869,7 +853,7 @@ func decodeResult(r *interval.BinaryReader) (*ResultFrame, error) {
 	if n > uint64(r.Len()/128) {
 		return nil, errf("result declares %d reducers, payload holds at most %d", n, r.Len()/128)
 	}
-	f.Reducers = make([]ReducerResult, n)
+	f.Reducers = make([]join.ReducerOutput, n)
 	for i := range f.Reducers {
 		rj := r.I64()
 		if err := r.Err(); err != nil {
@@ -912,7 +896,7 @@ func decodeResult(r *interval.BinaryReader) (*ResultFrame, error) {
 		if err := r.Err(); err != nil {
 			return nil, errf("reading reducer %d results: %v", rj, err)
 		}
-		f.Reducers[i] = ReducerResult{Reducer: int(rj), Stats: st, Results: results}
+		f.Reducers[i] = join.ReducerOutput{Reducer: int(rj), Stats: st, Results: results}
 	}
 	return f, nil
 }

@@ -58,11 +58,11 @@ func sampleFrames(t testing.TB) []Frame {
 				},
 				LB: 0.25, UB: 0.75, NbRes: 2,
 			}},
-			Tasks:   []ReducerTask{{Reducer: 2, Combos: []int{0}}},
+			Tasks:   []join.ReducerTask{{Reducer: 2, Combos: []int{0}}},
 			Shipped: []ShippedBucket{{Col: 1, StartG: 0, EndG: 1, Items: ivs}},
 		},
 		&FloorFrame{QueryID: 9, Floor: 0.625},
-		&ResultFrame{QueryID: 9, Epoch: 4, Reducers: []ReducerResult{{
+		&ResultFrame{QueryID: 9, Epoch: 4, Reducers: []join.ReducerOutput{{
 			Reducer: 2,
 			Stats: join.LocalStats{
 				Reducer: 2, CombosAssigned: 1, CombosProcessed: 1, CombosSkipped: 0,

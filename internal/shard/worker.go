@@ -2,24 +2,25 @@ package shard
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"tkij/internal/interval"
 	"tkij/internal/join"
 	"tkij/internal/rtree"
 	"tkij/internal/store"
-	"tkij/internal/topbuckets"
 )
 
 // Worker is one shard: a replica store holding its owned slice of the
 // bucket partition, serving reducer tasks scattered by a coordinator.
-// Workers are deliberately context-free — a worker's lifetime is its
-// connection's: Serve runs until the link closes or turns hostile, and
-// query aborts arrive as the link dying, not as context cancellation.
+// A worker's lifetime is its connection's: Serve runs until the link
+// closes or turns hostile, and query aborts arrive as the link dying —
+// Serve cancels a per-link context on return, so reducers still running
+// for that link abandon mid-combination instead of finishing lists
+// nobody will read.
 //
 // Pin discipline: a query's view is pinned synchronously in the read
 // loop (frames on one link are ordered, so the pin happens before any
@@ -103,6 +104,10 @@ func (fw *frameWriter) send(f Frame) error {
 // failures send a best-effort error frame before the link drops.
 func (w *Worker) Serve(conn io.ReadWriteCloser) error {
 	defer conn.Close()
+	// The link owns its queries' lifetime: once the read loop exits no
+	// result can be delivered, so in-flight reducers are told to stop.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	fw := &frameWriter{w: conn}
 	br := bufio.NewReaderSize(conn, 1<<16)
 	for {
@@ -119,7 +124,7 @@ func (w *Worker) Serve(conn io.ReadWriteCloser) error {
 		case *AppendFrame:
 			err = w.handleAppend(f, fw)
 		case *QueryFrame:
-			err = w.handleQuery(f, fw)
+			err = w.handleQuery(ctx, f, fw)
 		case *FloorFrame:
 			err = w.handleFloor(f, fw)
 		default:
@@ -180,7 +185,7 @@ func (w *Worker) handleAppend(f *AppendFrame, fw *frameWriter) error {
 	return nil
 }
 
-func (w *Worker) handleQuery(f *QueryFrame, fw *frameWriter) error {
+func (w *Worker) handleQuery(ctx context.Context, f *QueryFrame, fw *frameWriter) error {
 	w.mu.Lock()
 	st := w.st
 	w.mu.Unlock()
@@ -237,7 +242,7 @@ func (w *Worker) handleQuery(f *QueryFrame, fw *frameWriter) error {
 	w.inflight++
 	w.mu.Unlock()
 
-	go w.execute(f, wq, view, fw)
+	go w.execute(ctx, f, wq, view, fw)
 	return nil
 }
 
@@ -271,7 +276,7 @@ func (w *Worker) handleFloor(f *FloorFrame, fw *frameWriter) error {
 
 // execute runs one query's reducer tasks and writes the result (or
 // error) frame. It owns the view and releases it on every path.
-func (w *Worker) execute(f *QueryFrame, wq *workerQuery, view *store.View, fw *frameWriter) {
+func (w *Worker) execute(ctx context.Context, f *QueryFrame, wq *workerQuery, view *store.View, fw *frameWriter) {
 	// Declared first so it runs last: by the time Quiesce unblocks, the
 	// view is already released and the query deregistered.
 	defer func() {
@@ -324,7 +329,7 @@ func (w *Worker) execute(f *QueryFrame, wq *workerQuery, view *store.View, fw *f
 		}()
 	}
 
-	reducers, err := w.runTasks(f, wq, view)
+	reducers, err := runTasks(ctx, f, wq, view)
 	if err != nil {
 		_ = fw.send(&ErrorFrame{QueryID: f.QueryID, Code: CodeExec, Msg: err.Error()})
 		return
@@ -332,7 +337,7 @@ func (w *Worker) execute(f *QueryFrame, wq *workerQuery, view *store.View, fw *f
 	_ = fw.send(&ResultFrame{QueryID: f.QueryID, Epoch: f.Epoch, Reducers: reducers})
 }
 
-func (w *Worker) runTasks(f *QueryFrame, wq *workerQuery, view *store.View) ([]ReducerResult, error) {
+func runTasks(ctx context.Context, f *QueryFrame, wq *workerQuery, view *store.View) ([]join.ReducerOutput, error) {
 	q := f.Query
 
 	// Foreign buckets shipped with the query, collection-scoped. They
@@ -376,40 +381,19 @@ func (w *Worker) runTasks(f *QueryFrame, wq *workerQuery, view *store.View) ([]R
 		}
 	}
 
-	opts := join.LocalOptions{
-		DisableIndex:   f.DisableIndex,
-		DisablePruning: f.DisablePruning,
-		Floor:          f.Floor,
-	}
-	reducers := make([]ReducerResult, len(f.Tasks))
-	errs := make([]error, len(f.Tasks))
-	var tg sync.WaitGroup
-	for i := range f.Tasks {
-		tg.Add(1)
-		go func(i int) {
-			defer tg.Done()
-			t := f.Tasks[i]
-			combos := make([]topbuckets.Combo, len(t.Combos))
-			for j, ci := range t.Combos {
-				combos[j] = f.Combos[ci]
-			}
-			results, st, err := join.RunReducer(q, f.K, combos, srcs, f.Grids, opts, wq.floor)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			st.Reducer = t.Reducer
-			reducers[i] = ReducerResult{Reducer: t.Reducer, Stats: st, Results: results}
-		}(i)
-	}
-	tg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Slice(reducers, func(i, j int) bool { return reducers[i].Reducer < reducers[j].Reducer })
-	return reducers, nil
+	return join.RunTasks(ctx, &join.ReduceRequest{
+		Query:  q,
+		Srcs:   srcs,
+		Grans:  f.Grids,
+		Combos: f.Combos,
+		K:      f.K,
+		Opts: join.LocalOptions{
+			DisableIndex:   f.DisableIndex,
+			DisablePruning: f.DisablePruning,
+			Floor:          f.Floor,
+		},
+		Shared: wq.floor,
+	}, f.Tasks)
 }
 
 // shippedBucket is one foreign bucket's payload with a lazily memoized

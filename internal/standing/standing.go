@@ -354,7 +354,7 @@ func (m *Manager) resync(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 	s.bounder.Reset()
 	mRouteResync.Inc()
 	rsSpan := cycleSpan.Child("resync")
-	rep, err := m.e.ExecutePinnedK(obs.WithSpan(s.ctx, rsSpan), s.q, s.mapping, pin, s.k)
+	rep, err := m.e.ExecutePinned(obs.WithSpan(s.ctx, rsSpan), s.q, s.mapping, pin, s.k, nil, "")
 	rsSpan.Finish()
 	if err != nil {
 		if s.ctx.Err() != nil {
@@ -410,11 +410,11 @@ func (m *Manager) Subscribe(ctx context.Context, q *query.Query, k int, opts Sub
 		return nil, fmt.Errorf("standing: subscribe: %w", err)
 	}
 	defer pin.Release()
-	key, err := pin.PlanKeyK(q, mapping, k)
+	key, err := pin.PlanKey(q, mapping, k)
 	if err != nil {
 		return nil, fmt.Errorf("standing: subscribe: %w", err)
 	}
-	rep, err := m.e.ExecutePinnedK(ctx, q, mapping, pin, k)
+	rep, err := m.e.ExecutePinned(ctx, q, mapping, pin, k, nil, "")
 	if err != nil {
 		return nil, fmt.Errorf("standing: subscribe: %w", err)
 	}

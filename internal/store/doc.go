@@ -12,8 +12,8 @@
 // dataset preparation: each collection's intervals are partitioned by
 // bucket exactly once, and each bucket's R-tree is bulk-built lazily on
 // first use and memoized — shared across queries and across concurrent
-// reducers. The join job then shuffles bucket *references* instead of
-// interval records.
+// reducers. The join phase moves no interval at all: reducers are
+// handed bucket-combination indexes and read the buckets in place.
 //
 // # Epochs
 //
