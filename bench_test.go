@@ -3,8 +3,7 @@ package tkij
 // One benchmark per paper table/figure (§4), wrapping the drivers in
 // internal/experiments at a reduced scale so the full -bench=. sweep
 // completes in minutes on one machine. cmd/tkij-bench runs the same
-// drivers at full scale and prints the reproduced tables; EXPERIMENTS.md
-// records paper-vs-measured shapes.
+// drivers at full scale and prints the reproduced tables.
 
 import (
 	"context"
@@ -100,20 +99,6 @@ func BenchmarkFig14TrafficEffectOfK(b *testing.B) {
 // round-robin distribution.
 func BenchmarkAblations(b *testing.B) {
 	runExperiment(b, experiments.Ablations)
-}
-
-// BenchmarkServing drives the multi-query serving experiment: repeated
-// and concurrent executions on one warm engine with the dataset-resident
-// bucket store.
-func BenchmarkServing(b *testing.B) {
-	runExperiment(b, experiments.Serving)
-}
-
-// BenchmarkPlanCache drives the plan-cache experiment: cold-miss vs
-// warm-hit plan latency on repeated shapes, revalidation across append
-// epoch bumps, and the outcome mix under concurrent ingest.
-func BenchmarkPlanCache(b *testing.B) {
-	runExperiment(b, experiments.PlanCache)
 }
 
 // --- serving-path benchmarks on one warm engine ---
@@ -252,20 +237,6 @@ func BenchmarkSolverPairBounds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		solver.PredicateBounds(pred, x, y, solver.Options{MaxNodes: 512, Eps: 1e-3})
 	}
-}
-
-// BenchmarkIngest wraps the streaming-ingest experiment (append
-// latency, delta-tree accounting, queries under concurrent ingest).
-func BenchmarkIngest(b *testing.B) {
-	runExperiment(b, experiments.Ingest)
-}
-
-// BenchmarkStanding wraps the standing-subscription experiment:
-// push-per-append latency vs a sequential re-execute across append
-// localities, with the affected/probed combination counts that drive
-// the gap.
-func BenchmarkStanding(b *testing.B) {
-	runExperiment(b, experiments.Standing)
 }
 
 // BenchmarkAppendThenQuery measures the streaming serving loop — one

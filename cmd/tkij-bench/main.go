@@ -1,50 +1,17 @@
 // Command tkij-bench regenerates the paper's evaluation tables and
 // figures (§4). Each experiment prints the same rows/series the paper
-// plots; EXPERIMENTS.md records the paper-vs-measured comparison.
+// plots. Serving-layer numbers are not measured here: they come from
+// `bash benchmark/run.sh` (see benchmark/README.md and docs/PERF.md).
 //
 // Usage:
 //
 //	tkij-bench -exp all            # every experiment at default scale
 //	tkij-bench -exp fig11          # one experiment
 //	tkij-bench -exp fig8 -scale 2  # larger datasets
-//	tkij-bench -exp serving        # warm-engine repeated/concurrent serving
-//	tkij-bench -exp restart        # snapshot save/restore vs. cold build
-//	tkij-bench -exp ingest         # streaming appends via epoch-based bucket deltas
-//	tkij-bench -exp plancache      # plan cache: hit/revalidate/miss latency
-//	tkij-bench -exp admission      # admission batching: QPS vs unbatched, bounded epochs
-//	tkij-bench -exp mmap           # zero-copy mmap restore vs heap restore
-//	tkij-bench -exp standing       # standing top-k subscriptions vs re-execute
-//	tkij-bench -exp mmap -json     # same, as a JSON array of tables
+//	tkij-bench -exp fig8 -json     # same, as a JSON array of tables
 //
-// Experiments: stats fig7 fig8 fig9 fig10 fig11 sec4.2.6 fig12 fig13
-// fig14 ablation serving restart ingest plancache admission mmap shards
-// standing obs all.
-// The serving, restart, ingest, plancache, admission and mmap
-// experiments go beyond the paper: serving measures the dataset-resident
-// bucket store's repeated-query and concurrent-query paths on one warm
-// engine; restart measures restoring the offline phase from a snapshot
-// file instead of recomputing it; ingest measures streaming appends
-// (per-batch latency, delta-tree accounting, compaction cost, queries
-// under concurrent ingest); plancache measures the query-plan cache
-// (cold-miss vs warm-hit plan latency, revalidation across append epoch
-// bumps, and the outcome mix under concurrent ingest); admission
-// measures the batching layer (aggregate throughput and queue wait vs
-// unbatched execution at varying concurrency and window sizes, shared
-// vs private cross-query floors, and the bounded live-epoch-view count
-// under continuous ingest); mmap measures the zero-copy restore path
-// (restore wall time vs dataset size against the heap decoder,
-// allocations on the warm probe and query paths, and latency
-// percentiles under admission load — BENCH_mmap.json holds a committed
-// run); standing measures continuous top-k subscriptions (per-append
-// push latency vs the sequential re-execute a non-standing client pays,
-// across append localities, with the affected/probed bucket-combination
-// counts that explain the gap); obs measures the observability layer
-// (span-tracing overhead attached vs detached on the plan-cache-hit and
-// standing-push hot paths, and the zero-allocation detachment contract
-// — BENCH_obs.json holds a committed run).
-//
-// -json emits the tables as a JSON array instead of aligned text, for
-// committing benchmark runs or diffing them across changes.
+// `tkij-bench -h` lists the experiment ids; they are registered once,
+// in internal/experiments.
 package main
 
 import (
@@ -55,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"tkij/internal/experiments"
@@ -63,7 +31,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (fig7..fig14, stats, sec4.2.6, ablation, serving, restart, ingest, plancache, admission, mmap, shards, standing, obs, all)")
+		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(experiments.IDs(), ", ")+", all)")
 		scale    = flag.Float64("scale", 1, "dataset scale multiplier")
 		reducers = flag.Int("reducers", 24, "reduce tasks")
 		quiet    = flag.Bool("q", false, "suppress progress logging")
@@ -92,15 +60,7 @@ func main() {
 	// the context flows through every engine Execute below.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var (
-		tables []*experiments.Table
-		err    error
-	)
-	if *exp == "all" {
-		tables, err = experiments.All(ctx, cfg)
-	} else {
-		tables, err = experiments.ByID(ctx, *exp, cfg)
-	}
+	tables, err := experiments.ByID(ctx, *exp, cfg)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "tkij-bench: interrupted")

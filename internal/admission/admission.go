@@ -52,7 +52,7 @@ type Options struct {
 	// PrivateFloors disables cross-query score-floor sharing: members
 	// still share the pinned epoch, the single-flighted plans and the
 	// bound memo, but each keeps a private cross-reducer floor. Exists
-	// for the shared-vs-private ablation (tkij-bench -exp admission).
+	// for the shared-vs-private ablation.
 	PrivateFloors bool
 }
 

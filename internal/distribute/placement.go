@@ -26,11 +26,6 @@ type Placement struct {
 	// (col, startG, endG) order. Resident buckets are read in place on
 	// the worker and never appear here.
 	Shipped [][]stats.BucketKey
-	// LocalRefs and RemoteRefs split the assignment's routed
-	// (bucket → reducer) references by whether the reducer's shard owns
-	// the bucket: LocalRefs resolve against the worker's resident
-	// partition, RemoteRefs against a shipped payload.
-	LocalRefs, RemoteRefs int
 	// ShippedRecords is the total interval weight of Shipped — each
 	// shipped bucket's resident size summed over shards (a bucket two
 	// shards need is counted twice; it travels twice).
@@ -65,11 +60,7 @@ func Place(assign *Assignment, shards int, mapping []int,
 		}
 		own := owner(ckey)
 		for _, rj := range reducers {
-			s := p.ReducerShard[rj]
-			if s == own {
-				p.LocalRefs++
-			} else {
-				p.RemoteRefs++
+			if s := p.ReducerShard[rj]; s != own {
 				ship[s][ckey] = true
 			}
 		}

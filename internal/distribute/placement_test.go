@@ -46,9 +46,6 @@ func TestPlaceShipsOnlyForeignBuckets(t *testing.T) {
 	// Reducer 1 (shard 1) needs it too: foreign -> shipped to shard 1.
 	// Reducer 1 and 3 (shard 1) need collection-1 buckets: owned -> local.
 	// Reducer 2 (shard 0) needs (1,2,3): foreign -> shipped to shard 0.
-	if p.LocalRefs != 3 || p.RemoteRefs != 2 {
-		t.Fatalf("LocalRefs/RemoteRefs = %d/%d, want 3/2", p.LocalRefs, p.RemoteRefs)
-	}
 	if got, want := p.Shipped[0], []stats.BucketKey{b(1, 2, 3)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Shipped[0] = %v, want %v", got, want)
 	}
@@ -74,9 +71,6 @@ func TestPlaceDedupesPerShard(t *testing.T) {
 	// force every reference remote).
 	p := Place(assign, 2, nil, func(stats.BucketKey) int { return 9 },
 		func(stats.BucketKey) int { return 5 })
-	if p.RemoteRefs != 4 || p.LocalRefs != 0 {
-		t.Fatalf("refs = %d local / %d remote, want 0/4", p.LocalRefs, p.RemoteRefs)
-	}
 	if len(p.Shipped[0]) != 1 || len(p.Shipped[1]) != 1 {
 		t.Fatalf("Shipped = %v, want one copy per shard", p.Shipped)
 	}

@@ -27,8 +27,7 @@ import (
 
 // Config controls experiment scale and parallelism.
 type Config struct {
-	// Scale multiplies dataset sizes (1 = default bench scale). The
-	// paper-to-bench size mapping is recorded in EXPERIMENTS.md.
+	// Scale multiplies dataset sizes (1 = default bench scale).
 	Scale float64
 	// Reducers is r (paper: 24). Default 24.
 	Reducers int
@@ -149,15 +148,6 @@ func engineFor(cols []*interval.Collection, g, k int, strat topbuckets.Strategy,
 	})
 }
 
-// identityMapping returns [0, 1, ..., n-1].
-func identityMapping(n int) []int {
-	m := make([]int, n)
-	for i := range m {
-		m[i] = i
-	}
-	return m
-}
-
 // selfMapping returns [0, 0, ..., 0] for self-join experiments.
 func selfMapping(n int) []int { return make([]int, n) }
 
@@ -174,81 +164,62 @@ func queriesByName(env query.Env, names ...string) []*query.Query {
 	return qs
 }
 
+// registry lists every driver in paper order. It is the only place an
+// experiment id is written: All, ByID, IDs, the tkij-bench flag help
+// and the smoke test all derive from it.
+var registry = []struct {
+	ID  string
+	Run func(context.Context, Config) ([]*Table, error)
+}{
+	{"stats", StatsCollection},
+	{"fig7", Fig7ScoreDistribution},
+	{"fig8", Fig8Workload},
+	{"fig9", Fig9Strategies},
+	{"fig10", Fig10Granules},
+	{"fig11", Fig11Scalability},
+	{"sec4.2.6", EffectOfKSynthetic},
+	{"fig12", Fig12DataDistribution},
+	{"fig13", Fig13TrafficScalability},
+	{"fig14", Fig14TrafficEffectOfK},
+	{"ablation", Ablations},
+}
+
+// IDs returns the experiment ids in paper order.
+func IDs() []string {
+	ids := make([]string, len(registry))
+	for i, d := range registry {
+		ids[i] = d.ID
+	}
+	return ids
+}
+
 // All runs every experiment and returns the tables in paper order.
 func All(ctx context.Context, cfg Config) ([]*Table, error) {
-	type runner struct {
-		name string
-		fn   func(context.Context, Config) ([]*Table, error)
-	}
-	runners := []runner{
-		{"stats-collection", StatsCollection},
-		{"fig7", Fig7ScoreDistribution},
-		{"fig8", Fig8Workload},
-		{"fig9", Fig9Strategies},
-		{"fig10", Fig10Granules},
-		{"fig11", Fig11Scalability},
-		{"sec4.2.6", EffectOfKSynthetic},
-		{"fig12", Fig12DataDistribution},
-		{"fig13", Fig13TrafficScalability},
-		{"fig14", Fig14TrafficEffectOfK},
-		{"ablation", Ablations},
-		{"serving", Serving},
-		{"restart", Restart},
-		{"ingest", Ingest},
-		{"plancache", PlanCache},
-		{"admission", Admission},
-		{"mmap", Mmap},
-		{"shards", Shards},
-		{"standing", Standing},
-		{"obs", Obs},
-	}
 	var all []*Table
-	for _, r := range runners {
+	for _, d := range registry {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.name, err)
+			return nil, fmt.Errorf("experiments: %s: %w", d.ID, err)
 		}
-		cfg.logf("running %s ...", r.name)
-		ts, err := r.fn(ctx, cfg)
+		cfg.logf("running %s ...", d.ID)
+		ts, err := d.Run(ctx, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.name, err)
+			return nil, fmt.Errorf("experiments: %s: %w", d.ID, err)
 		}
 		all = append(all, ts...)
 	}
 	return all, nil
 }
 
-// ByID runs the experiment producing the given table ID prefix
-// ("fig8" matches fig8a/b/c).
+// ByID runs the experiment registered under id, or every experiment
+// for "all".
 func ByID(ctx context.Context, id string, cfg Config) ([]*Table, error) {
-	drivers := map[string]func(context.Context, Config) ([]*Table, error){
-		"stats":     StatsCollection,
-		"fig7":      Fig7ScoreDistribution,
-		"fig8":      Fig8Workload,
-		"fig9":      Fig9Strategies,
-		"fig10":     Fig10Granules,
-		"fig11":     Fig11Scalability,
-		"sec4.2.6":  EffectOfKSynthetic,
-		"fig12":     Fig12DataDistribution,
-		"fig13":     Fig13TrafficScalability,
-		"fig14":     Fig14TrafficEffectOfK,
-		"ablation":  Ablations,
-		"serving":   Serving,
-		"restart":   Restart,
-		"ingest":    Ingest,
-		"plancache": PlanCache,
-		"admission": Admission,
-		"mmap":      Mmap,
-		"shards":    Shards,
-		"standing":  Standing,
-		"obs":       Obs,
+	if id == "all" {
+		return All(ctx, cfg)
 	}
-	fn, ok := drivers[id]
-	if !ok {
-		keys := make([]string, 0, len(drivers))
-		for k := range drivers {
-			keys = append(keys, k)
+	for _, d := range registry {
+		if d.ID == id {
+			return d.Run(ctx, cfg)
 		}
-		return nil, fmt.Errorf("experiments: unknown experiment %q (want one of %s or all)", id, strings.Join(keys, ", "))
 	}
-	return fn(ctx, cfg)
+	return nil, fmt.Errorf("experiments: unknown experiment %q (want one of %s or all)", id, strings.Join(IDs(), ", "))
 }

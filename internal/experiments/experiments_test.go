@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,36 +17,16 @@ func TestAllDriversAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test skipped in -short mode")
 	}
-	drivers := []struct {
-		name string
-		fn   func(context.Context, Config) ([]*Table, error)
-		want int // number of tables
-	}{
-		{"stats", StatsCollection, 1},
-		{"fig7", Fig7ScoreDistribution, 1},
-		{"fig8", Fig8Workload, 3},
-		{"fig9", Fig9Strategies, 1},
-		{"fig10", Fig10Granules, 3},
-		{"fig11", Fig11Scalability, 3},
-		{"sec4.2.6", EffectOfKSynthetic, 1},
-		{"fig12", Fig12DataDistribution, 3},
-		{"fig13", Fig13TrafficScalability, 1},
-		{"fig14", Fig14TrafficEffectOfK, 1},
-		{"ablation", Ablations, 1},
-		{"plancache", PlanCache, 3},
-		{"mmap", Mmap, 3},
-		{"standing", Standing, 1},
-	}
-	for _, d := range drivers {
+	for _, d := range registry {
 		d := d
-		t.Run(d.name, func(t *testing.T) {
+		t.Run(d.ID, func(t *testing.T) {
 			start := time.Now()
-			tables, err := d.fn(context.Background(), tiny())
+			tables, err := d.Run(context.Background(), tiny())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(tables) != d.want {
-				t.Fatalf("%s returned %d tables, want %d", d.name, len(tables), d.want)
+			if len(tables) == 0 {
+				t.Fatal("no tables produced")
 			}
 			for _, tb := range tables {
 				if len(tb.Rows) == 0 {
@@ -57,7 +38,7 @@ func TestAllDriversAtTinyScale(t *testing.T) {
 					t.Errorf("rendered table missing ID %s", tb.ID)
 				}
 			}
-			t.Logf("%s: %d tables in %v", d.name, len(tables), time.Since(start))
+			t.Logf("%d tables in %v", len(tables), time.Since(start))
 		})
 	}
 }
@@ -69,8 +50,8 @@ func TestAllDriversAtTinyScale(t *testing.T) {
 func TestCanceledContextAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Serving(ctx, tiny()); err == nil {
-		t.Fatal("Serving ran to completion on a canceled context")
+	if _, err := Fig8Workload(ctx, tiny()); err == nil {
+		t.Fatal("Fig8Workload ran to completion on a canceled context")
 	} else if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled in error chain, got %v", err)
 	}
@@ -90,7 +71,34 @@ func TestByID(t *testing.T) {
 	if len(tables) != 3 {
 		t.Fatalf("fig12 tables = %d", len(tables))
 	}
-	if _, err := ByID(context.Background(), "nope", tiny()); err == nil {
-		t.Error("unknown id accepted")
+
+	// The unknown-id error names exactly the registry's ids, in order.
+	_, err = ByID(context.Background(), "nope", tiny())
+	if err == nil {
+		t.Fatal("unknown id accepted")
+	}
+	if want := "(want one of " + strings.Join(IDs(), ", ") + " or all)"; !strings.Contains(err.Error(), want) {
+		t.Errorf("unknown-id error = %q, want it to contain %q", err, want)
+	}
+
+	// "all" runs every registered driver exactly once, in order. Stub
+	// drivers keep this a check of the dispatch, not a second sweep.
+	saved := registry
+	defer func() { registry = saved }()
+	registry = slices.Clone(saved)
+	var ran []string
+	for i := range registry {
+		id := registry[i].ID
+		registry[i].Run = func(context.Context, Config) ([]*Table, error) {
+			ran = append(ran, id)
+			return []*Table{{ID: id}}, nil
+		}
+	}
+	tables, err = ByID(context.Background(), "all", tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ran, IDs()) || len(tables) != len(ran) {
+		t.Errorf("all ran %v and returned %d tables, want one run each of %v", ran, len(tables), IDs())
 	}
 }

@@ -26,7 +26,7 @@ type ClusterOptions struct {
 	// directions: workers keep their floors local and the coordinator
 	// never rebroadcasts. Results are identical (the floor only prunes
 	// work certified unable to reach the top-k); remote reducers just
-	// prune less. This is the -exp shards ablation knob.
+	// prune less. This is the shard ablation knob.
 	NoFloorBroadcast bool
 }
 

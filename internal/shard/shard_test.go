@@ -519,6 +519,81 @@ func TestWorkerAbandonsReducersWhenLinkDrops(t *testing.T) {
 	}
 }
 
+// A combination narrower than its query must die at the decoder: past
+// it, the joiner indexes combo.Buckets by vertex on a reducer goroutine,
+// and that panic would take down the whole tkij-worker process, which
+// serves one Worker per connection. The hostile link ends with
+// ErrProtocol and a sibling link in the same process still answers.
+func TestWorkerSurvivesShortComboFrame(t *testing.T) {
+	const n, vertices = 12, 3
+	items := make([]interval.Interval, n)
+	for i := range items {
+		items[i] = interval.Interval{ID: int64(i), Start: int64(10 * i), End: int64(10*i) + 5}
+	}
+	gran, _ := stats.NewGranulation(0, 200, 1)
+	combo := topbuckets.Combo{UB: 1}
+	grids := make([]stats.Grid, vertices)
+	for v := range grids {
+		grids[v] = stats.Grid{Gran: gran, Lo: 0, Hi: 200}
+		combo.Buckets = append(combo.Buckets, stats.Bucket{Col: v, Count: n})
+	}
+	good := &QueryFrame{
+		QueryID: 1, K: 5, NoFloorUplink: true, // the only frame back is the result
+		Query:   query.Qbb(query.Env{Params: scoring.P1}),
+		Mapping: make([]int, vertices), Grids: grids,
+		Combos: []topbuckets.Combo{combo},
+		Tasks:  []join.ReducerTask{{Reducer: 0, Combos: []int{0}}},
+	}
+	hostile := *good
+	hostile.Combos = []topbuckets.Combo{{Buckets: combo.Buckets[:vertices-1], UB: 1}}
+
+	type link struct {
+		conn   net.Conn
+		served chan error
+	}
+	open := func() link {
+		workerEnd, testEnd := net.Pipe()
+		l := link{conn: testEnd, served: make(chan error, 1)}
+		go func() { l.served <- NewWorker().Serve(workerEnd) }()
+		return l
+	}
+	send := func(l link, f Frame) {
+		t.Helper()
+		b, err := EncodeFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load := &LoadFrame{ShardID: 0, Shards: 1, Cols: []store.PartitionCol{
+		{Col: 0, Gran: gran, Buckets: []store.BucketSlice{{Items: items}}},
+	}}
+	bad, sibling := open(), open()
+	send(bad, load)
+	send(sibling, load)
+
+	send(bad, &hostile)
+	if err := <-bad.served; !errors.Is(err, ErrProtocol) {
+		t.Fatalf("hostile link: Serve returned %v, want ErrProtocol", err)
+	}
+
+	send(sibling, good)
+	f, err := ReadFrame(sibling.conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, ok := f.(*ResultFrame)
+	if !ok || rf.QueryID != good.QueryID || len(rf.Reducers) != 1 || len(rf.Reducers[0].Results) != good.K {
+		t.Fatalf("sibling link answered %#v, want query %d's top-%d", f, good.QueryID, good.K)
+	}
+	_ = sibling.conn.Close()
+	if err := <-sibling.served; err != nil {
+		t.Fatalf("sibling link: Serve returned %v on a clean close", err)
+	}
+}
+
 // A worker whose replica lands on the wrong epoch after an append
 // reports CodeEpoch and the cluster poisons itself with
 // ErrEpochMismatch.

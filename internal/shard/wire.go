@@ -556,6 +556,9 @@ func decodeQuery(r *interval.BinaryReader) (*QueryFrame, error) {
 		if nb > uint64(r.Len()/32) {
 			return nil, errf("combo %d declares %d buckets, payload holds at most %d", i, nb, r.Len()/32)
 		}
+		if nb != uint64(f.Query.NumVertices) {
+			return nil, errf("combo %d has %d buckets, query %s has %d vertices", i, nb, f.Query.Name, f.Query.NumVertices)
+		}
 		c := topbuckets.Combo{Buckets: make([]stats.Bucket, nb)}
 		for j := range c.Buckets {
 			c.Buckets[j] = stats.Bucket{

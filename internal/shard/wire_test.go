@@ -80,6 +80,26 @@ func sampleFrames(t testing.TB) []Frame {
 	}
 }
 
+// shortComboFrame encodes the sample query frame with its combination
+// one bucket narrower than the query's vertex count — every length
+// prefix is honest, only the cross-field relation is broken.
+func shortComboFrame(t testing.TB) []byte {
+	t.Helper()
+	for _, f := range sampleFrames(t) {
+		if qf, ok := f.(*QueryFrame); ok {
+			c := &qf.Combos[0]
+			c.Buckets = c.Buckets[:qf.Query.NumVertices-1]
+			b, err := EncodeFrame(qf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+	}
+	t.Fatal("sampleFrames holds no query frame")
+	return nil
+}
+
 // Every frame kind survives encode→decode→re-encode with byte identity
 // and structural equality.
 func TestWireRoundTrip(t *testing.T) {
@@ -174,13 +194,14 @@ func TestDecodeRejects(t *testing.T) {
 			b, _ := EncodeFrame(&ErrorFrame{QueryID: 1, Code: 7, Msg: "x"})
 			return b
 		}(),
+		"combo narrower than its query": shortComboFrame(t),
 	}
 	for name, b := range cases {
 		if b == nil {
 			continue
 		}
-		if _, _, err := DecodeFrame(b); err == nil {
-			t.Fatalf("%s: decoded without error", name)
+		if _, _, err := DecodeFrame(b); !errors.Is(err, ErrProtocol) {
+			t.Fatalf("%s: decode returned %v, want ErrProtocol", name, err)
 		}
 	}
 }
@@ -199,6 +220,7 @@ func FuzzShardWire(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(interval.AppendU64(nil, 16))
+	f.Add(shortComboFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := DecodeFrame(data)
 		if err != nil {

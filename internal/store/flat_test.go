@@ -233,26 +233,44 @@ func TestBuildMappedSearchMatchesTreePath(t *testing.T) {
 	}
 }
 
-// The warm sealed-bucket probe path must be allocation-free: after the
-// flat index is memoized, a SearchBucket probe performs zero heap
-// allocations.
-func TestMappedProbeAllocFree(t *testing.T) {
-	s, _, mcols := mappedFixture(t, nil)
-	view := s.View()
-	defer view.Release()
+// The warm sealed-bucket probe path must be allocation-free with the
+// instrumentation compiled in: once the bucket's index is memoized — the
+// flat kernel on a mapped store, the R-tree on a heap-built one — a
+// SearchBucket probe performs zero heap allocations.
+func TestWarmProbeAllocFree(t *testing.T) {
+	mapped, _, mcols := mappedFixture(t, nil)
 	mb := mcols[0].Buckets[0] // largest bucket
-	box := rtree.Everything()
-	visited := 0
-	fn := func(ref int32) bool { visited++; return true }
-	view.Col(0).SearchBucket(mb.StartG, mb.EndG, box, fn) // warm: builds the index
-	if visited == 0 {
-		t.Fatal("probe visited nothing")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		view.Col(0).SearchBucket(mb.StartG, mb.EndG, box, fn)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm mapped probe allocates %v objects per run, want 0", allocs)
+	heap, ms := buildStore(t, synthCols(1, 400, 21), 4)
+	hb := ms[0].Buckets()[0]
+	for _, c := range []struct {
+		index        string
+		s            *Store
+		startG, endG int
+		built        func(Stats) int64 // builds of the index under test
+	}{
+		{"flat", mapped, mb.StartG, mb.EndG, func(st Stats) int64 { return st.FlatIndexesBuilt }},
+		{"rtree", heap, hb.StartG, hb.EndG, func(st Stats) int64 { return st.TreesBuilt }},
+	} {
+		t.Run(c.index, func(t *testing.T) {
+			view := c.s.View()
+			defer view.Release()
+			box := rtree.Everything()
+			visited := 0
+			fn := func(ref int32) bool { visited++; return true }
+			view.Col(0).SearchBucket(c.startG, c.endG, box, fn) // warm: builds the index
+			if visited == 0 {
+				t.Fatal("probe visited nothing")
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				view.Col(0).SearchBucket(c.startG, c.endG, box, fn)
+			})
+			if allocs != 0 {
+				t.Fatalf("warm %s probe allocates %v objects per run, want 0", c.index, allocs)
+			}
+			if snap := c.s.Snapshot(); c.built(snap) != 1 {
+				t.Fatalf("probes built %d %s indexes, want the one memoized build (%+v)", c.built(snap), c.index, snap)
+			}
+		})
 	}
 }
 
