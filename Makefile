@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt check
+.PHONY: build test vet fmt check bench-pairs
 
 build:
 	$(GO) build ./...
@@ -25,3 +25,13 @@ fmt:
 # check is the pre-push gate: everything a PR must pass locally.
 check: fmt build vet test
 	@echo "check: OK"
+
+# bench-pairs runs one benchmark workload on REF and on the working tree
+# in alternating pairs and prints medians, wins and REF's quartile
+# distance — the evidence docs/PERF.md asks of any performance claim.
+REF ?= HEAD~1
+WORKLOAD ?= warm_hit
+PAIRS ?= 10
+SECONDS ?= 10
+bench-pairs:
+	bash scripts/bench_pairs.sh $(REF) $(WORKLOAD) $(PAIRS) $(SECONDS)

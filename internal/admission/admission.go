@@ -49,11 +49,6 @@ type Options struct {
 	// within one batch (<= 0 means DefaultParallel). Each member runs
 	// its own reducer goroutines; this bounds the multiplication.
 	Parallel int
-	// PrivateFloors disables cross-query score-floor sharing: members
-	// still share the pinned epoch, the single-flighted plans and the
-	// bound memo, but each keeps a private cross-reducer floor. Exists
-	// for the shared-vs-private ablation.
-	PrivateFloors bool
 }
 
 func (o Options) withDefaults() Options {
@@ -102,8 +97,9 @@ type Stats struct {
 	// plan instead of solving their own.
 	PlanLeaders   int64
 	PlanFollowers int64
-	// BoundSolves / BoundReuses aggregate the batch registries' per-edge
-	// bound memo activity (see join.BatchShareStats).
+	// BoundSolves / BoundReuses sum, over every member execution, the
+	// per-edge bound solver calls the reducers ran and the ones the
+	// plan's memo answered (join.Output.BoundSolves / BoundReuses).
 	BoundSolves int64
 	BoundReuses int64
 }
@@ -131,7 +127,7 @@ type outcome struct {
 // public API and the engine, coalescing concurrent Submit calls into
 // short batching windows. Each batch executes against a single pinned
 // epoch view, single-flights the planning of identical plan keys, and
-// shares score floors and bound memos across members (join.BatchShare).
+// shares score floors across members (join.BatchShare).
 // Safe for concurrent use; create with New, stop with Close.
 type Batcher struct {
 	e    *core.Engine
@@ -500,10 +496,6 @@ func (b *Batcher) runBatch(batch []*member) {
 
 	// Execute every member against the shared pin and registry.
 	for _, m := range live {
-		floorKey := keys[m]
-		if b.opts.PrivateFloors {
-			floorKey = ""
-		}
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(m *member, floorKey string) {
@@ -522,18 +514,16 @@ func (b *Batcher) runBatch(batch []*member) {
 				rep.Batched = true
 				rep.BatchSize = len(live)
 				rep.QueueWait = wait
+				b.mu.Lock()
+				b.stats.BoundSolves += rep.Join.BoundSolves
+				b.stats.BoundReuses += rep.Join.BoundReuses
+				b.mu.Unlock()
 			}
 			m.done <- outcome{report: rep, err: err}
 			b.bumpCompleted(1)
-		}(m, floorKey)
+		}(m, keys[m])
 	}
 	wg.Wait()
-
-	ss := share.Stats()
-	b.mu.Lock()
-	b.stats.BoundSolves += ss.BoundSolves
-	b.stats.BoundReuses += ss.BoundReuses
-	b.mu.Unlock()
 }
 
 func (b *Batcher) bumpCompleted(n int) {

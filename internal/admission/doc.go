@@ -30,14 +30,12 @@
 //     pay for one TopBuckets solve and the other N-1 members execute as
 //     pure cache hits.
 //
-//   - Shared floors and bound memos. All members execute under one
-//     join.BatchShare: members with the same plan key share one
-//     cross-reducer score floor (identical result-score multisets make
-//     one member's certified k-th-score bound a sound floor for its
-//     siblings), and every member's reducers memoize per-edge
-//     combination bounds keyed by (predicate signature, granule boxes),
-//     de-duplicating solver work wherever surviving combination sets
-//     overlap.
+//   - Shared floors. All members execute under one join.BatchShare:
+//     members with the same plan key share one cross-reducer score floor
+//     (identical result-score multisets make one member's certified
+//     k-th-score bound a sound floor for its siblings). Their per-edge
+//     combination bounds are memoized with the cached plan they all hit
+//     (join.BoundMemo), so siblings — and later batches — solve none.
 //
 // Batched execution is result-identical to sequential execution at the
 // same epoch: everything shared is either a pure function of its key

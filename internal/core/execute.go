@@ -166,6 +166,8 @@ type Report struct {
 	// A warm engine re-running a query reports TreesBuilt == 0.
 	// TreesBuilt counts sealed-tree builds only; small delta trees over
 	// freshly appended intervals are counted in DeltaTreesBuilt.
+	// TreesReused counts memoized indexes found built when a bucket was
+	// resolved (once per combination per reducer), not individual probes.
 	TreesBuilt      int64
 	TreesReused     int64
 	DeltaTreesBuilt int64
@@ -388,7 +390,7 @@ func (e *Engine) PlanPinned(ctx context.Context, q *query.Query, mapping []int, 
 // of one batch against a single Pin (at Options.K), the standing layer
 // serves each subscription at its own k. k is part of plan-cache
 // identity, so plans at different k never alias. share, when non-nil,
-// is the batch-scoped sharing registry (see join.BatchShare); floorKey,
+// is the batch-scoped floor registry (see join.BatchShare); floorKey,
 // when additionally non-empty, shares the cross-reducer score floor
 // with sibling executions under the same plan-identity key — callers
 // must pass the pin's PlanKey (or empty to keep the floor private). The
@@ -470,9 +472,10 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 
 	// Phases 3+4: distributed join and merge over the resident store.
 	// TopBuckets' kthResLB seeds the shared cross-reducer threshold as a
-	// certified score floor; under batching the floor (and the per-edge
-	// bound memo) is shared through the batch registry instead.
-	req.Combos, req.Assign = tb.Selected, planned.Assignment
+	// certified score floor; under batching the floor is shared through
+	// the batch registry instead. The per-edge bound memo comes with the
+	// plan, so only the plan's first execution solves any bound.
+	req.Combos, req.Assign, req.Bounds = tb.Selected, planned.Assignment, planned.Bounds
 	req.Opts.Share, req.Opts.FloorKey = share, floorKey
 	storeBefore := pin.store.Snapshot()
 	out, err := e.joinMerge(ctx, "join", pin, req, tb.KthResLB)

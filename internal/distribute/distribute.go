@@ -1,7 +1,9 @@
 package distribute
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"tkij/internal/stats"
@@ -18,7 +20,9 @@ type Assignment struct {
 	// to its reducer.
 	ComboReducer []int
 	// ReducerCombos lists, per reducer, the combination indexes it was
-	// assigned, in assignment order (descending UB for DTB).
+	// assigned, by descending UB with ties in assignment order — the
+	// order a reducer processes them in (§3.4), so that it can stop at
+	// the first combination its threshold dominates.
 	ReducerCombos [][]int
 	// BucketReducers maps each distinct bucket to the sorted set of
 	// reducers that need a copy of its intervals. This drives the join
@@ -97,8 +101,14 @@ func (s *assignmentState) assign(comboIdx int, c topbuckets.Combo, rj int) {
 	}
 }
 
-// finalize freezes the bucket→reducer sets in sorted order.
-func (s *assignmentState) finalize() *Assignment {
+// finalize puts every reducer's list in descending-UB order (stable, so
+// ties keep the assignment order; DTB and RoundRobin assign in that
+// order already, LPT does not) and freezes the bucket→reducer sets in
+// sorted order.
+func (s *assignmentState) finalize(combos []topbuckets.Combo) *Assignment {
+	for _, idxs := range s.a.ReducerCombos {
+		slices.SortStableFunc(idxs, func(a, b int) int { return cmp.Compare(combos[b].UB, combos[a].UB) })
+	}
 	for key, on := range s.bucketOn {
 		rs := make([]int, 0, len(on))
 		for rj := range on {
@@ -159,7 +169,7 @@ func DTB(combos []topbuckets.Combo, r int) (*Assignment, error) {
 		rj := s.getReducer(combos[ci], avgRes)
 		s.assign(ci, combos[ci], rj)
 	}
-	return s.finalize(), nil
+	return s.finalize(combos), nil
 }
 
 // getReducer implements Algorithm 4: among reducers under the 2×avgRes
@@ -215,7 +225,7 @@ func LPT(combos []topbuckets.Combo, r int) (*Assignment, error) {
 		}
 		s.assign(ci, combos[ci], best)
 	}
-	return s.finalize(), nil
+	return s.finalize(combos), nil
 }
 
 // RoundRobin is an ablation: descending-UB order, reducer i%r. It shares
@@ -229,7 +239,7 @@ func RoundRobin(combos []topbuckets.Combo, r int) (*Assignment, error) {
 	for pos, ci := range order {
 		s.assign(ci, combos[ci], pos%r)
 	}
-	return s.finalize(), nil
+	return s.finalize(combos), nil
 }
 
 func checkArgs(combos []topbuckets.Combo, r int) error {

@@ -55,6 +55,17 @@ func checkAssignmentInvariants(t *testing.T, a *Assignment, combos []topbuckets.
 			}
 		}
 	}
+	// Every reducer's list is in the order it will be processed:
+	// descending UB, so early termination may stop at the first
+	// dominated combination.
+	for rj, idxs := range a.ReducerCombos {
+		for i := 1; i < len(idxs); i++ {
+			if combos[idxs[i-1]].UB < combos[idxs[i]].UB {
+				t.Fatalf("%s: reducer %d lists combo %d (UB %g) before combo %d (UB %g)", a.Algorithm, rj,
+					idxs[i-1], combos[idxs[i-1]].UB, idxs[i], combos[idxs[i]].UB)
+			}
+		}
+	}
 	// Result loads must sum to the total.
 	var want, got float64
 	for _, c := range combos {

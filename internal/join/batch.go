@@ -1,44 +1,22 @@
 package join
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// BatchShare is the batch-scoped sharing registry of the admission
+// BatchShare is the batch-scoped score-floor registry of the admission
 // layer: every query admitted into one batch executes against the same
-// pinned store view, and hands its reducers one BatchShare so
-// overlapping work is paid once per batch instead of once per query.
-// It shares two things, each sound on its own terms:
-//
-//   - Cross-query score floors (Floor): queries whose plan-identity
-//     keys match have identical top-k score multisets (the canonical
-//     plan key fixes the query shape up to vertex relabeling, k, the
-//     collections read and their granulation — and the batch fixes the
-//     epoch), so one query's certified k-th-score lower bound is a
-//     certified floor for every sibling under the same key. N identical
-//     queries in a batch prune like one query running N times warmer.
-//
-//   - Per-edge combination bounds (edgeUB): the in-combination score
-//     upper bound of an edge depends only on the predicate's scoring
-//     semantics and the two granule boxes, so the memo is keyed by
-//     exactly those inputs (predicate signature + the 8 box bounds) and
-//     any batch member — or any two reducers of one member — whose
-//     surviving combination sets overlap reuses the solver call instead
-//     of re-running it.
+// pinned store view, and queries whose plan-identity keys match have
+// identical top-k score multisets (the canonical plan key fixes the
+// query shape up to vertex relabeling, k, the collections read and
+// their granulation — and the batch fixes the epoch), so one query's
+// certified k-th-score lower bound is a certified floor for every
+// sibling under the same key. N identical queries in a batch prune like
+// one query running N times warmer.
 //
 // A BatchShare is safe for concurrent use by every reducer of every
 // batch member. The zero value is not usable; call NewBatchShare.
 type BatchShare struct {
 	mu     sync.Mutex
 	floors map[string]*SharedFloor
-
-	// bounds memoizes solver-derived per-edge upper bounds, keyed by
-	// the full solver input (see edgeBoundKey).
-	bounds sync.Map // edgeBoundKey -> float64
-
-	solves atomic.Int64 // solver calls actually run
-	reuses atomic.Int64 // solver calls answered from the memo
 }
 
 // NewBatchShare returns an empty registry for one batch.
@@ -61,50 +39,4 @@ func (bs *BatchShare) Floor(key string, seed float64) *SharedFloor {
 		f.Raise(seed)
 	}
 	return f
-}
-
-// edgeBoundKey is the complete input of one per-edge bound computation:
-// the predicate's scoring signature and the two vertex boxes (from-side
-// start/end granule bounds, then to-side). Equal keys imply equal
-// bounds, which is what makes the memo sound across queries.
-type edgeBoundKey struct {
-	sig string
-	box [8]float64
-}
-
-// edgeUB returns the memoized upper bound for k, computing and storing
-// it on first request. Concurrent first requests may both compute (the
-// computation is deterministic, so either result is the result).
-func (bs *BatchShare) edgeUB(k edgeBoundKey, compute func() float64) float64 {
-	if v, ok := bs.bounds.Load(k); ok {
-		bs.reuses.Add(1)
-		return v.(float64)
-	}
-	v := compute()
-	bs.solves.Add(1)
-	bs.bounds.Store(k, v)
-	return v
-}
-
-// BatchShareStats reports how much bound work the registry absorbed.
-type BatchShareStats struct {
-	// BoundSolves is the number of per-edge bound solver calls that ran.
-	BoundSolves int64
-	// BoundReuses is the number answered from the memo — work the batch
-	// members (and reducers) did not repeat.
-	BoundReuses int64
-	// Floors is the number of distinct shared-floor groups.
-	Floors int
-}
-
-// Stats returns a snapshot of the registry's activity.
-func (bs *BatchShare) Stats() BatchShareStats {
-	bs.mu.Lock()
-	floors := len(bs.floors)
-	bs.mu.Unlock()
-	return BatchShareStats{
-		BoundSolves: bs.solves.Load(),
-		BoundReuses: bs.reuses.Load(),
-		Floors:      floors,
-	}
 }

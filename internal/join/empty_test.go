@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"testing"
 
 	"tkij/internal/distribute"
@@ -8,6 +9,7 @@ import (
 	"tkij/internal/query"
 	"tkij/internal/scoring"
 	"tkij/internal/stats"
+	"tkij/internal/topbuckets"
 )
 
 // Regression: an assignment routing nothing gives the merge zero
@@ -51,5 +53,34 @@ func TestRunEmptyAssignment(t *testing.T) {
 	}
 	if out.JoinDuration < 0 || out.MergeDuration < 0 {
 		t.Fatalf("negative phase durations: join %v, merge %v", out.JoinDuration, out.MergeDuration)
+	}
+}
+
+// A reducer stops at the first combination its threshold dominates, so
+// a task listing combinations out of descending-UB order could skip live
+// ones: RunTasks refuses it instead of re-sorting or running it.
+func TestRunTasksRejectsUnsortedTask(t *testing.T) {
+	q := query.MustNew("unsorted", 2, []query.Edge{
+		{From: 0, To: 1, Pred: scoring.Meets(scoring.P1)},
+	}, scoring.Avg{})
+	bucket := func(col int) stats.Bucket { return stats.Bucket{Col: col, Count: 1} }
+	combos := []topbuckets.Combo{
+		{Buckets: []stats.Bucket{bucket(0), bucket(1)}, UB: 0.2, NbRes: 1},
+		{Buckets: []stats.Bucket{bucket(0), bucket(1)}, UB: 0.9, NbRes: 1},
+	}
+	req := &ReduceRequest{
+		Query: q,
+		Srcs: []Source{
+			newMapSource(0, map[stats.BucketKey][]interval.Interval{}),
+			newMapSource(1, map[stats.BucketKey][]interval.Interval{}),
+		},
+		Combos: combos,
+		K:      1,
+	}
+	if _, err := RunTasks(context.Background(), req, []ReducerTask{{Reducer: 0, Combos: []int{0, 1}}}); err == nil {
+		t.Fatal("RunTasks ran a task whose combinations are in ascending-UB order")
+	}
+	if _, err := RunTasks(context.Background(), req, []ReducerTask{{Reducer: 0, Combos: []int{1, 0}}}); err != nil {
+		t.Fatalf("RunTasks refused a descending-UB task: %v", err)
 	}
 }

@@ -20,31 +20,42 @@ import (
 // bucket map, building private R-trees lazily. It is NOT safe for
 // concurrent use: tests hand it to single-reducer assignments only.
 type mapSource struct {
-	col  int
-	data map[stats.BucketKey][]interval.Interval
-	tree map[stats.BucketKey]*rtree.Tree
+	col     int
+	data    map[stats.BucketKey][]interval.Interval
+	buckets map[stats.BucketKey]*mapBucket
+}
+
+// mapBucket is mapSource's bucket handle.
+type mapBucket struct {
+	items []interval.Interval
+	tree  *rtree.Tree
 }
 
 func newMapSource(col int, data map[stats.BucketKey][]interval.Interval) *mapSource {
-	return &mapSource{col: col, data: data, tree: make(map[stats.BucketKey]*rtree.Tree)}
+	return &mapSource{col: col, data: data, buckets: make(map[stats.BucketKey]*mapBucket)}
 }
 
-func (ms *mapSource) BucketItems(startG, endG int) []interval.Interval {
-	return ms.data[stats.BucketKey{Col: ms.col, StartG: startG, EndG: endG}]
-}
-
-func (ms *mapSource) SearchBucket(startG, endG int, box rtree.Rect, fn func(ref int32) bool) {
+func (ms *mapSource) Bucket(startG, endG int) Bucket {
 	key := stats.BucketKey{Col: ms.col, StartG: startG, EndG: endG}
-	t, ok := ms.tree[key]
+	b, ok := ms.buckets[key]
 	if !ok {
 		items := ms.data[key]
 		if len(items) == 0 {
-			return
+			return nil
 		}
-		t = store.TreeOf(items)
-		ms.tree[key] = t
+		b = &mapBucket{items: items}
+		ms.buckets[key] = b
 	}
-	t.Search(box, func(pt rtree.Point) bool { return fn(pt.Ref) })
+	return b
+}
+
+func (b *mapBucket) Items() []interval.Interval { return b.items }
+
+func (b *mapBucket) Search(box rtree.Rect, fn func(ref int32) bool) {
+	if b.tree == nil {
+		b.tree = store.TreeOf(b.items)
+	}
+	b.tree.Search(box, func(pt rtree.Point) bool { return fn(pt.Ref) })
 }
 
 // runJoin is Run over the local runner with the request spelled out.

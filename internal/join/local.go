@@ -1,12 +1,8 @@
 package join
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"time"
-
-	"tkij/internal/solver"
 
 	"tkij/internal/interval"
 	"tkij/internal/query"
@@ -16,22 +12,43 @@ import (
 	"tkij/internal/topbuckets"
 )
 
-// Source supplies one query vertex's bucket data to the local join:
-// interval slices and memoized R-tree probes looked up by granule
-// pair. store.ColView (an epoch-pinned view) implements it for the
-// dataset-resident serving path — a bucket there may be covered by a
-// sealed base tree plus a small delta tree over appended intervals,
-// which is why the interface exposes a search rather than one tree.
-// Implementations shared across reduce tasks must be safe for
-// concurrent use.
+// Source supplies one query vertex's bucket data to the local join.
+// store.ColView (an epoch-pinned view) implements it for the
+// dataset-resident serving path. Implementations shared across reduce
+// tasks must be safe for concurrent use.
 type Source interface {
-	// BucketItems returns bucket (startG, endG)'s intervals (nil when
-	// empty). The slice is read-only and must stay stable across calls.
-	BucketItems(startG, endG int) []interval.Interval
-	// SearchBucket probes bucket (startG, endG) for (start, end) points
-	// inside box, invoking fn with indexes into BucketItems. fn
-	// returning false stops the probe.
-	SearchBucket(startG, endG int, box rtree.Rect, fn func(ref int32) bool)
+	// Bucket resolves bucket (startG, endG) to a handle, or nil when the
+	// bucket is absent. The reducer resolves each bucket of a
+	// combination once and then probes the handle per partial tuple, so
+	// whatever a lookup costs is paid per combination.
+	Bucket(startG, endG int) Bucket
+}
+
+// Bucket is a resolved bucket: its intervals and an index probe over
+// exactly those intervals. A bucket of the store may be covered by a
+// sealed index plus a small delta tree over appended intervals, which is
+// why the handle exposes a search rather than one tree. It is the same
+// type as store.Bucket, declared here as well so that neither package
+// imports the other; the compiler holds the two in step wherever a
+// store.ColView is used as a Source. A handle is valid only while the
+// store.View (core.Pin) its Source was taken from is held.
+type Bucket = interface {
+	// Items returns the bucket's intervals. The slice is read-only and
+	// stable for the handle's lifetime.
+	Items() []interval.Interval
+	// Search invokes fn with the index (into Items) of every interval
+	// whose (start, end) point lies inside box. fn returning false stops
+	// the probe.
+	Search(box rtree.Rect, fn func(ref int32) bool)
+}
+
+// ItemsOf returns the intervals of src's bucket (startG, endG), nil when
+// the bucket is absent.
+func ItemsOf(src Source, startG, endG int) []interval.Interval {
+	if b := src.Bucket(startG, endG); b != nil {
+		return b.Items()
+	}
+	return nil
 }
 
 // LocalOptions tunes the per-reducer join. The zero value is the paper's
@@ -50,16 +67,15 @@ type LocalOptions struct {
 	// is always safe.
 	Floor float64
 	// Share, when non-nil, connects this execution to a batch-scoped
-	// sharing registry (admission batching): per-edge combination
-	// bounds are memoized across every reducer of every batch member.
+	// registry of score floors (admission batching). It shares nothing
+	// else: per-edge bounds are memoized per plan (ReduceRequest.Bounds).
 	Share *BatchShare
 	// FloorKey, when non-empty alongside Share, is the plan-identity
 	// key under which the cross-reducer score floor is shared with
 	// other batch members. Soundness requires that every execution
 	// using one key has an identical result-score multiset — the
 	// admission layer keys it by canonical plan key, which guarantees
-	// that. Empty keeps the floor private to this execution (bound
-	// memoization still applies).
+	// that. Empty keeps the floor private to this execution.
 	FloorKey string
 }
 
@@ -112,7 +128,12 @@ type LocalStats struct {
 	// SharedFloorFinal is the cross-reducer threshold when this reducer
 	// finished (0 when pruning is disabled or no floor was established).
 	SharedFloorFinal float64
-	Duration         time.Duration
+	// BoundSolves counts the per-edge bound solver calls this reducer
+	// ran; BoundReuses those the request's memo answered instead (see
+	// BoundMemo). A warm plan reports BoundSolves == 0.
+	BoundSolves int64
+	BoundReuses int64
+	Duration    time.Duration
 }
 
 // plan precomputes the vertex binding order and per-level edge sets for
@@ -134,17 +155,71 @@ type plan struct {
 	// avgAgg is set when the aggregator is the normalized sum, enabling
 	// threshold inversion for index boxes.
 	avgAgg bool
-	// edgeSigs are the per-edge predicate scoring signatures, computed
-	// once per Run when a BatchShare is attached (they key the shared
-	// bound memo); nil otherwise.
+	// edgeSigs are the per-edge predicate scoring signatures; they key
+	// the bound memo.
 	edgeSigs []string
+	// boxes[pos] is the compiled probe-box derivation of the primary edge
+	// at pos (see candidateBox); unused at position 0.
+	boxes []boxLevel
 }
 
-// computeEdgeSigs fills edgeSigs for bound-memo keying.
-func (p *plan) computeEdgeSigs() {
-	p.edgeSigs = make([]string, len(p.q.Edges))
-	for i, e := range p.q.Edges {
-		p.edgeSigs[i] = e.Pred.Signature()
+// boxLevel is what candidateBox needs of one plan position, derived once
+// per query from the primary edge's predicate instead of once per probe.
+type boxLevel struct {
+	// fixed is the already-bound vertex at the primary edge's other end.
+	fixed int
+	// unsat marks a predicate with a term of unknown kind: no difference
+	// is known to reach any positive score, so the box is empty.
+	unsat bool
+	// terms are the predicate's terms that constrain exactly one endpoint
+	// of the free vertex, in predicate order. Terms touching both or
+	// neither endpoint narrow nothing and are dropped here; the exact
+	// filter handles them.
+	terms []boxTerm
+}
+
+// boxTerm is one box-narrowing term: kind(d) with d = c·f + rest, where f
+// is the free vertex's constrained endpoint and rest = fs·start + fe·end
+// + k over the fixed interval.
+type boxTerm struct {
+	kind      scoring.CompKind
+	p         scoring.Params
+	onEnd     bool // f is the free vertex's end (box Y axis), else its start
+	c         float64
+	fs, fe, k float64
+}
+
+// compileBoxes fills p.boxes.
+func (p *plan) compileBoxes() {
+	p.boxes = make([]boxLevel, len(p.order))
+	for pos := 1; pos < len(p.order); pos++ {
+		e := p.q.Edges[p.primary[pos]]
+		lv := &p.boxes[pos]
+		// The free vertex is the one being bound at pos; which side of
+		// the edge it sits on picks the coefficient columns.
+		free, fixed := [2]scoring.Endpoint{scoring.XStart, scoring.XEnd}, [2]scoring.Endpoint{scoring.YStart, scoring.YEnd}
+		lv.fixed = e.To
+		if e.To == p.order[pos] {
+			free, fixed = fixed, free
+			lv.fixed = e.From
+		}
+		for i := range e.Pred.Terms {
+			t := &e.Pred.Terms[i]
+			if t.Kind != scoring.CompEquals && t.Kind != scoring.CompGreater {
+				lv.unsat = true
+			}
+			cs, ce := t.Diff.Coef[free[0]], t.Diff.Coef[free[1]]
+			bt := boxTerm{kind: t.Kind, p: t.P, fs: t.Diff.Coef[fixed[0]], fe: t.Diff.Coef[fixed[1]], k: t.Diff.Const}
+			switch {
+			case cs != 0 && ce == 0:
+				bt.c = cs
+			case ce != 0 && cs == 0:
+				bt.c, bt.onEnd = ce, true
+			default:
+				continue
+			}
+			lv.terms = append(lv.terms, bt)
+		}
 	}
 }
 
@@ -203,6 +278,11 @@ func newPlan(q *query.Query) *plan {
 		reBound[v] = true
 	}
 	_, p.avgAgg = p.q.Agg.(scoring.Avg)
+	p.edgeSigs = make([]string, len(q.Edges))
+	for i, e := range q.Edges {
+		p.edgeSigs[i] = e.Pred.Signature()
+	}
+	p.compileBoxes()
 	return p
 }
 
@@ -257,8 +337,18 @@ type localJoiner struct {
 	// combination.
 	edgeUB []float64
 
+	// bounds memoizes the per-edge bound solves behind edgeUB (never
+	// nil: RunTasks supplies one when the request carries none).
+	bounds *BoundMemo
+	// buckets[v] and items[v] are vertex v's bucket of the combination
+	// being processed, resolved once by prepareCombo so that recurse —
+	// which runs per partial tuple — does no lookup. buckets[v] is nil
+	// when the bucket is absent.
+	buckets []Bucket
+	items   [][]interval.Interval
+
 	// levels is per-plan-position probe scratch: the visit closure handed
-	// to SearchBucket is built once per level here and reused across
+	// to Bucket.Search is built once per level here and reused across
 	// every combination, probe round and bucket, so a warm probe
 	// allocates nothing (a fresh closure per recurse call escaped to the
 	// heap on every single bucket probe).
@@ -273,7 +363,6 @@ type localJoiner struct {
 type probeLevel struct {
 	lj      *localJoiner
 	pos     int
-	combo   topbuckets.Combo
 	items   []interval.Interval
 	thr     float64
 	pruning bool
@@ -302,7 +391,7 @@ func (l *probeLevel) visit(iv interval.Interval) {
 	if l.pruning && lj.partialUpperBound() <= l.thr {
 		lj.stats.PartialsPruned++
 	} else {
-		lj.recurse(l.pos+1, l.combo)
+		lj.recurse(l.pos + 1)
 	}
 	for _, ei := range p.bindEdges[l.pos] {
 		lj.partials[ei] = -1
@@ -318,12 +407,15 @@ func newLocalJoiner(done <-chan struct{}, p *plan, req *ReduceRequest) *localJoi
 		srcs:     req.Srcs,
 		grans:    req.Grans,
 		shared:   req.Shared,
+		bounds:   req.Bounds,
 		done:     done,
 		topk:     NewTopK(req.K),
 		tuple:    make([]interval.Interval, p.q.NumVertices),
 		partials: make([]float64, len(p.q.Edges)),
 		scratch:  make([]float64, len(p.q.Edges)),
 		edgeUB:   make([]float64, len(p.q.Edges)),
+		buckets:  make([]Bucket, p.q.NumVertices),
+		items:    make([][]interval.Interval, p.q.NumVertices),
 	}
 	for i := range lj.partials {
 		lj.partials[i] = -1
@@ -344,15 +436,21 @@ func newLocalJoiner(done <-chan struct{}, p *plan, req *ReduceRequest) *localJoi
 	return lj
 }
 
-// prepareCombo refreshes the per-edge upper bounds for the given
-// combination: the analytic bound of each edge's predicate over the
-// combination's bucket boxes. Without granulations (grans == nil) the
-// bounds stay at the trivial 1.0. With a BatchShare attached the solve
-// is memoized batch-wide, keyed by exactly its inputs (predicate
-// signature + the box bounds), so overlapping combination sets across
-// batch members — and across this query's own reducers and probe
-// rounds — pay for each bound once.
+// prepareCombo makes combo the combination being processed: it resolves
+// each vertex's bucket handle, and refreshes the per-edge upper bounds —
+// the analytic bound of each edge's predicate over the combination's
+// bucket boxes. Without granulations (grans == nil) the bounds stay at
+// the trivial 1.0. Each bound is a pure function of the predicate and
+// the two boxes, so it is solved once per memo (see BoundMemo), not once
+// per query, reducer or probe round.
 func (lj *localJoiner) prepareCombo(combo topbuckets.Combo) {
+	for v, b := range combo.Buckets {
+		h := lj.srcs[v].Bucket(b.StartG, b.EndG)
+		lj.buckets[v], lj.items[v] = h, nil
+		if h != nil {
+			lj.items[v] = h.Items()
+		}
+	}
 	if lj.grans == nil {
 		return
 	}
@@ -363,30 +461,25 @@ func (lj *localJoiner) prepareCombo(combo topbuckets.Combo) {
 		feLo, feHi := lj.grans[e.From].Bounds(fb.EndG)
 		tsLo, tsHi := lj.grans[e.To].Bounds(tb.StartG)
 		teLo, teHi := lj.grans[e.To].Bounds(tb.EndG)
-		fBox := solver.VertexBox{StartLo: fsLo, StartHi: fsHi, EndLo: feLo, EndHi: feHi}
-		tBox := solver.VertexBox{StartLo: tsLo, StartHi: tsHi, EndLo: teLo, EndHi: teHi}
-		solve := func() float64 {
-			_, ub := solver.PredicateBounds(e.Pred, fBox, tBox, solver.Options{MaxNodes: 64, Eps: 0.01})
-			return ub
-		}
-		if lj.opts.Share != nil && lj.plan.edgeSigs != nil {
-			lj.edgeUB[ei] = lj.opts.Share.edgeUB(edgeBoundKey{
-				sig: lj.plan.edgeSigs[ei],
-				box: [8]float64{fsLo, fsHi, feLo, feHi, tsLo, tsHi, teLo, teHi},
-			}, solve)
+		ub, solved := lj.bounds.edgeUB(e.Pred, edgeBoundKey{
+			sig: lj.plan.edgeSigs[ei],
+			box: [8]float64{fsLo, fsHi, feLo, feHi, tsLo, tsHi, teLo, teHi},
+		})
+		lj.edgeUB[ei] = ub
+		if solved {
+			lj.stats.BoundSolves++
 		} else {
-			lj.edgeUB[ei] = solve()
+			lj.stats.BoundReuses++
 		}
 	}
 }
 
-// run processes the reducer's combinations — idxs index lj.combos —
-// (§3.4: accessed by descending score upper bound) and returns the
-// local top-k.
+// run processes the reducer's combinations — idxs index lj.combos, by
+// descending score upper bound (§3.4; RunTasks checked the order) — and
+// returns the local top-k.
 func (lj *localJoiner) run(idxs []int) []Result {
 	start := time.Now()
 	lj.stats.CombosAssigned = len(idxs)
-	ordered := lj.sortedByUB(idxs)
 
 	if !lj.opts.DisablePruning {
 		lj.floor = lj.opts.Floor
@@ -405,7 +498,7 @@ func (lj *localJoiner) run(idxs []int) []Result {
 				break
 			}
 			lj.stats.ProbeRounds++
-			if lj.probe(ordered, v) {
+			if lj.probe(idxs, v) {
 				lj.floor = v
 				// A successful probe certifies k results scoring >= v
 				// locally, which lower-bounds the global k-th score.
@@ -418,7 +511,7 @@ func (lj *localJoiner) run(idxs []int) []Result {
 	}
 	lj.stats.FloorUsed = lj.floor
 
-	for i, ci := range ordered {
+	for i, ci := range idxs {
 		if lj.canceled {
 			break
 		}
@@ -427,12 +520,12 @@ func (lj *localJoiner) run(idxs []int) []Result {
 			// Sorted by descending UB: every remaining combination is
 			// also dominated. This is the early-termination payoff of
 			// DTB handing each reducer high-scoring results first.
-			lj.stats.CombosSkipped = len(ordered) - i
+			lj.stats.CombosSkipped = len(idxs) - i
 			break
 		}
 		lj.stats.CombosProcessed++
 		lj.prepareCombo(c)
-		lj.recurse(0, c)
+		lj.recurse(0)
 	}
 	results := lj.topk.Results()
 	lj.stats.ResultsReturned = len(results)
@@ -444,17 +537,6 @@ func (lj *localJoiner) run(idxs []int) []Result {
 	}
 	lj.stats.Duration = time.Since(start)
 	return results
-}
-
-// sortedByUB returns a copy of idxs ordered by descending combination
-// UB, stably, so ties keep the assignment order (idxs itself belongs to
-// the possibly cached, shared assignment and is never reordered).
-func (lj *localJoiner) sortedByUB(idxs []int) []int {
-	ordered := slices.Clone(idxs)
-	slices.SortStableFunc(ordered, func(a, b int) int {
-		return cmp.Compare(lj.combos[b].UB, lj.combos[a].UB)
-	})
-	return ordered
 }
 
 // probe runs one probe-ladder round at floor v: count (up to k) results
@@ -472,7 +554,7 @@ func (lj *localJoiner) probe(ordered []int, v float64) bool {
 			break // sorted by descending UB
 		}
 		lj.prepareCombo(c)
-		lj.recurse(0, c)
+		lj.recurse(0)
 		if lj.stop {
 			break
 		}
@@ -514,8 +596,9 @@ func (lj *localJoiner) pruneThreshold() float64 {
 	return thr
 }
 
-// recurse binds the vertex at position pos of the plan order.
-func (lj *localJoiner) recurse(pos int, combo topbuckets.Combo) {
+// recurse binds the vertex at position pos of the plan order, drawing
+// candidates from the buckets prepareCombo resolved.
+func (lj *localJoiner) recurse(pos int) {
 	p := lj.plan
 	if pos == len(p.order) {
 		score := p.q.Agg.Aggregate(lj.partials)
@@ -540,15 +623,14 @@ func (lj *localJoiner) recurse(pos int, combo topbuckets.Combo) {
 		return
 	}
 	v := p.order[pos]
-	b := combo.Buckets[v]
-	items := lj.srcs[v].BucketItems(b.StartG, b.EndG)
+	items := lj.items[v]
 	if len(items) == 0 {
 		return
 	}
 	if pos == 0 {
 		for _, iv := range items {
 			lj.tuple[v] = iv
-			lj.recurse(1, combo)
+			lj.recurse(1)
 			if lj.stop {
 				return
 			}
@@ -569,7 +651,6 @@ func (lj *localJoiner) recurse(pos int, combo topbuckets.Combo) {
 	}
 
 	l := &lj.levels[pos]
-	l.combo = combo
 	l.items = items
 	l.thr = thr
 	l.pruning = pruning
@@ -583,8 +664,7 @@ func (lj *localJoiner) recurse(pos int, combo topbuckets.Combo) {
 		}
 		return
 	}
-	box := lj.candidateBox(pos, vmin)
-	lj.srcs[v].SearchBucket(b.StartG, b.EndG, box, l.fn)
+	lj.buckets[v].Search(lj.candidateBox(pos, vmin), l.fn)
 }
 
 // requiredEdgeScore inverts the aggregate threshold into the minimum
@@ -612,76 +692,57 @@ func (lj *localJoiner) requiredEdgeScore(pos int, thr float64, pruning bool) flo
 	return thr*float64(len(p.q.Edges)) - otherSum
 }
 
-// candidateBox derives the R-tree query box for the free vertex at pos:
+// candidateBox derives the index query box for the free vertex at pos:
 // every term of the primary edge's predicate must score at least vmin,
 // and terms touching exactly one free endpoint translate into an
 // interval constraint on that endpoint. Terms touching both free
 // endpoints (e.g. the length term of sparks) contribute no box
-// constraint and are handled by the exact filter.
+// constraint and are handled by the exact filter. What depends only on
+// the query is compiled into plan.boxes; per probe only the fixed
+// interval and vmin enter. The builtin min/max narrow exactly as
+// math.Max/Min would for every non-NaN bound (signed zeros included),
+// and finite predicate parameters produce no NaN.
 func (lj *localJoiner) candidateBox(pos int, vmin float64) rtree.Rect {
-	p := lj.plan
 	box := rtree.Everything()
 	if vmin <= 0 {
 		return box
 	}
-	ei := p.primary[pos]
-	e := p.q.Edges[ei]
-	v := p.order[pos]
-	// Identify which side of the edge is free and the fixed interval.
-	freeIsY := e.To == v
-	var fixed interval.Interval
-	if freeIsY {
-		fixed = lj.tuple[e.From]
-	} else {
-		fixed = lj.tuple[e.To]
+	lv := &lj.plan.boxes[pos]
+	if lv.unsat {
+		// vmin unreachable: empty box.
+		return rtree.Rect{MinX: 1, MaxX: 0}
 	}
-	for _, t := range e.Pred.Terms {
-		dLo, dHi, ok := requiredDiffRange(t, vmin)
-		if !ok {
-			// vmin unreachable for this term: empty box.
-			return rtree.Rect{MinX: 1, MaxX: 0}
-		}
-		var cs, ce float64 // coefficients of the free start/end endpoints
-		var rest float64
-		if freeIsY {
-			cs, ce = t.Diff.Coef[scoring.YStart], t.Diff.Coef[scoring.YEnd]
-			rest = t.Diff.Coef[scoring.XStart]*float64(fixed.Start) + t.Diff.Coef[scoring.XEnd]*float64(fixed.End) + t.Diff.Const
+	fixed := lj.tuple[lv.fixed]
+	fs, fe := float64(fixed.Start), float64(fixed.End)
+	for i := range lv.terms {
+		t := &lv.terms[i]
+		dLo, dHi := requiredDiffRange(t.kind, t.p, vmin)
+		lo, hi := solveLinear(t.c, t.fs*fs+t.fe*fe+t.k, dLo, dHi)
+		if t.onEnd {
+			box.MinY, box.MaxY = max(box.MinY, lo), min(box.MaxY, hi)
 		} else {
-			cs, ce = t.Diff.Coef[scoring.XStart], t.Diff.Coef[scoring.XEnd]
-			rest = t.Diff.Coef[scoring.YStart]*float64(fixed.Start) + t.Diff.Coef[scoring.YEnd]*float64(fixed.End) + t.Diff.Const
+			box.MinX, box.MaxX = max(box.MinX, lo), min(box.MaxX, hi)
 		}
-		switch {
-		case cs != 0 && ce == 0:
-			lo, hi := solveLinear(cs, rest, dLo, dHi)
-			box = box.Intersect(rtree.Rect{MinX: lo, MaxX: hi, MinY: math.Inf(-1), MaxY: math.Inf(1)})
-		case ce != 0 && cs == 0:
-			lo, hi := solveLinear(ce, rest, dLo, dHi)
-			box = box.Intersect(rtree.Rect{MinX: math.Inf(-1), MaxX: math.Inf(1), MinY: lo, MaxY: hi})
-		}
-		// Terms involving both or neither free endpoint: no narrowing.
 	}
 	return box
 }
 
-// requiredDiffRange returns the difference interval where the term
-// scores at least vmin (0 < vmin <= 1). ok is false when no difference
-// achieves vmin.
-func requiredDiffRange(t scoring.Term, vmin float64) (dLo, dHi float64, ok bool) {
-	switch t.Kind {
-	case scoring.CompEquals:
-		m := t.P.Lambda
-		if t.P.Rho > 0 {
-			m = t.P.Lambda + t.P.Rho*(1-vmin)
+// requiredDiffRange returns the difference interval where a term of the
+// given kind (CompEquals or CompGreater) scores at least vmin
+// (0 < vmin <= 1).
+func requiredDiffRange(kind scoring.CompKind, p scoring.Params, vmin float64) (dLo, dHi float64) {
+	if kind == scoring.CompEquals {
+		m := p.Lambda
+		if p.Rho > 0 {
+			m = p.Lambda + p.Rho*(1-vmin)
 		}
-		return -m, m, true
-	case scoring.CompGreater:
-		lo := t.P.Lambda
-		if t.P.Rho > 0 {
-			lo = t.P.Lambda + t.P.Rho*vmin
-		}
-		return lo, math.Inf(1), true
+		return -m, m
 	}
-	return 0, 0, false
+	lo := p.Lambda
+	if p.Rho > 0 {
+		lo = p.Lambda + p.Rho*vmin
+	}
+	return lo, math.Inf(1)
 }
 
 // solveLinear returns the f range satisfying dLo <= c·f + rest <= dHi.

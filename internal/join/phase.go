@@ -48,6 +48,11 @@ type Output struct {
 	// SharedFloor is the final cross-reducer threshold (0 when pruning
 	// was disabled).
 	SharedFloor float64
+	// BoundSolves and BoundReuses sum the reducers' per-edge bound
+	// solver calls and memo answers (LocalStats). An execution of a
+	// cached plan after its first reports BoundSolves == 0.
+	BoundSolves int64
+	BoundReuses int64
 	// JoinDuration and MergeDuration are the wall times of the two
 	// phases, each measured around exactly its own work, so their sum
 	// never exceeds an enclosing window.
@@ -101,9 +106,10 @@ func (rt ReduceTimes) Imbalance() float64 {
 //
 // req.Srcs implementations must be safe for concurrent use;
 // store.ColView (an epoch-pinned view) is, and is what the engine
-// passes. A raw store.ColStore tracks the latest epoch per call, so
-// under concurrent Append its BucketItems and SearchBucket can observe
-// different epochs — pin a Store.View instead whenever appends may run.
+// passes. A raw store.ColStore resolves each bucket at the epoch latest
+// when it is asked, so under concurrent Append the buckets of one
+// combination can come from different epochs — pin a Store.View instead
+// whenever appends may run.
 //
 // A canceled ctx aborts with an error wrapping ctx.Err(): before the
 // join, mid-combination inside the reducers, or between join and merge.
@@ -160,6 +166,8 @@ func Run(ctx context.Context, req *ReduceRequest, runner Runner) (*Output, error
 	}
 	for _, ro := range rout.Reducers {
 		out.Locals[ro.Reducer] = ro.Stats
+		out.BoundSolves += ro.Stats.BoundSolves
+		out.BoundReuses += ro.Stats.BoundReuses
 		out.JoinMetrics[ro.Reducer] = ro.Stats.Duration
 		lists[ro.Reducer] = ro.Results
 	}
@@ -168,7 +176,7 @@ func Run(ctx context.Context, req *ReduceRequest, runner Runner) (*Output, error
 	// weighted by the bucket's resident size at the pinned epoch.
 	weights := make([]int, assign.Reducers)
 	for key, reducers := range assign.BucketReducers {
-		n := len(r.Srcs[key.Col].BucketItems(key.StartG, key.EndG))
+		n := len(ItemsOf(r.Srcs[key.Col], key.StartG, key.EndG))
 		for _, rj := range reducers {
 			out.Locals[rj].BucketRefsRouted++
 			weights[rj] += n

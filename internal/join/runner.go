@@ -2,6 +2,7 @@ package join
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"tkij/internal/distribute"
@@ -37,11 +38,16 @@ type ReduceRequest struct {
 	// consults and raises it (remote runners mirror it over their
 	// floor-broadcast channel).
 	Shared *SharedFloor
+	// Bounds memoizes the per-edge combination bounds. The engine passes
+	// the cached plan's memo, so a warm plan solves none; nil gets a memo
+	// of the request's own from RunTasks. It does not travel to shard
+	// workers, which therefore memoize per request.
+	Bounds *BoundMemo
 }
 
 // ReducerTask is one reducer's share of a request: the reducer index
 // and the indexes (into ReduceRequest.Combos) of the combinations
-// assigned to it.
+// assigned to it, by descending UB (see DescendingUB).
 type ReducerTask struct {
 	Reducer int
 	Combos  []int
@@ -105,6 +111,18 @@ func (localRunner) RunReducers(ctx context.Context, req *ReduceRequest) (*Runner
 	return &RunnerOutput{Reducers: outs}, nil
 }
 
+// DescendingUB reports whether idxs lists combinations (indexes into
+// combos) by non-increasing UB — the order the reducers' early
+// termination relies on.
+func DescendingUB(combos []topbuckets.Combo, idxs []int) bool {
+	for i := 1; i < len(idxs); i++ {
+		if !(combos[idxs[i-1]].UB >= combos[idxs[i]].UB) {
+			return false
+		}
+	}
+	return true
+}
+
 // RunTasks is the reducer executor — the one place a local joiner is
 // built and a reducer's combination list is run, shared by the local
 // runner and the shard worker. Each task gets its own goroutine and
@@ -115,16 +133,26 @@ func (localRunner) RunReducers(ctx context.Context, req *ReduceRequest) (*Runner
 // req must carry Query, Srcs, Grans, Combos, K, Opts and Shared; Assign
 // and Mapping are not consulted. The caller vouches for the inputs: a
 // valid query, K >= 1, one source per vertex, task indexes within
-// req.Combos (Run and the wire decoder check these).
+// req.Combos (Run and the wire decoder check these). Each task's list
+// must be in descending-UB order, as distribute.Assign leaves it: a
+// reducer stops at the first combination its threshold dominates, which
+// is only sound on a sorted list, so an unsorted one is an error.
 //
 // A cancelable ctx is polled mid-combination: once it is done every
 // reducer abandons its remaining work and RunTasks returns ctx.Err()
 // instead of truncated outputs.
 func RunTasks(ctx context.Context, req *ReduceRequest, tasks []ReducerTask) ([]ReducerOutput, error) {
-	plan := newPlan(req.Query)
-	if req.Opts.Share != nil {
-		plan.computeEdgeSigs()
+	for _, t := range tasks {
+		if !DescendingUB(req.Combos, t.Combos) {
+			return nil, fmt.Errorf("join: reducer %d's combinations are not in descending-UB order", t.Reducer)
+		}
 	}
+	if req.Bounds == nil {
+		r := *req
+		r.Bounds = NewBoundMemo()
+		req = &r
+	}
+	plan := newPlan(req.Query)
 	outs := make([]ReducerOutput, len(tasks))
 	var wg sync.WaitGroup
 	for i, t := range tasks {

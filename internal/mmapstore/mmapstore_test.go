@@ -149,8 +149,8 @@ func TestOpenBytesMatchesHeapDecode(t *testing.T) {
 			for _, b := range m.Buckets() {
 				for _, box := range boxes {
 					var hv, mv []int32
-					hview.Col(i).SearchBucket(b.StartG, b.EndG, box, func(r int32) bool { hv = append(hv, r); return true })
-					mview.Col(i).SearchBucket(b.StartG, b.EndG, box, func(r int32) bool { mv = append(mv, r); return true })
+					hview.Col(i).Bucket(b.StartG, b.EndG).Search(box, func(r int32) bool { hv = append(hv, r); return true })
+					mview.Col(i).Bucket(b.StartG, b.EndG).Search(box, func(r int32) bool { mv = append(mv, r); return true })
 					slices.Sort(hv)
 					slices.Sort(mv)
 					if !slices.Equal(hv, mv) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tkij/internal/distribute"
+	"tkij/internal/join"
 	"tkij/internal/query"
 	"tkij/internal/stats"
 	"tkij/internal/topbuckets"
@@ -104,7 +105,12 @@ type Request struct {
 type Planned struct {
 	TopBuckets *topbuckets.Result
 	Assignment *distribute.Assignment
-	Outcome    Outcome
+	// Bounds is the plan's per-edge bound memo for the join
+	// (join.ReduceRequest.Bounds). It lives with the cache entry, so
+	// every execution of the plan after the first finds its bounds
+	// solved; an uncached plan gets an empty one.
+	Bounds  *join.BoundMemo
+	Outcome Outcome
 	// TopBucketsTime and DistributeTime are the wall time this call
 	// actually spent in each planning phase: the full phase cost on a
 	// Miss, the lookup / revalidation cost on a Hit / Revalidated. They
@@ -143,6 +149,14 @@ type entry struct {
 	labeling []int
 	tb       *topbuckets.Result
 	assign   *distribute.Assignment
+	// bounds is the join's per-edge bound memo for this plan: created
+	// with the plan, carried verbatim by hits and pure promotions,
+	// succeeded (join.BoundMemo.Next) when a revalidation re-selects.
+	// Its keys are the solver's full input, so it needs no translation
+	// between isomorphic labelings and no invalidation; it holds at
+	// most one entry per (edge, selected combination), which cost
+	// charges up front (memoCost), and it is evicted with the entry.
+	bounds   *join.BoundMemo
 	planTime time.Duration // original full-plan wall time
 	cost     float64
 	// state is the matrix fingerprint the plan was computed against
@@ -199,6 +213,7 @@ func (c *Cache) Plan(req Request) (*Planned, error) {
 		return &Planned{
 			TopBuckets:     tb,
 			Assignment:     assign,
+			Bounds:         e.bounds,
 			Outcome:        Hit,
 			TopBucketsTime: time.Since(lookupStart),
 			SavedPlanTime:  e.planTime,
@@ -319,13 +334,15 @@ func fullPlan(req Request) (*Planned, *entry, error) {
 		epoch:    req.Epoch,
 		tb:       tb,
 		assign:   assign,
+		bounds:   join.NewBoundMemo(),
 		planTime: tbTime + dTime,
-		cost:     planCost(tb),
+		cost:     planCost(tb) + memoCost(req.Query, tb),
 		state:    CaptureEpochState(req.Matrices),
 	}
 	return &Planned{
 		TopBuckets:     tb,
 		Assignment:     assign,
+		Bounds:         e.bounds,
 		Outcome:        Miss,
 		TopBucketsTime: tbTime,
 		DistributeTime: dTime,
@@ -341,6 +358,12 @@ func planCost(tb *topbuckets.Result) float64 {
 		cost = 1
 	}
 	return cost
+}
+
+// memoCost is the size bound of a plan's bound memo in the same
+// currency: one retained solve per (edge, selected combination).
+func memoCost(q *query.Query, tb *topbuckets.Result) float64 {
+	return float64(len(q.Edges) * len(tb.Selected))
 }
 
 // granulations projects the per-vertex granulation signatures.

@@ -62,6 +62,9 @@ func TestCacheHitAndEpochSeparation(t *testing.T) {
 	if p2.TopBuckets != p1.TopBuckets || p2.Assignment != p1.Assignment {
 		t.Fatal("hit did not reuse the cached plan")
 	}
+	if p1.Bounds == nil || p2.Bounds != p1.Bounds {
+		t.Fatal("hit did not carry the plan's bound memo")
+	}
 	if p2.SavedPlanTime <= 0 {
 		t.Fatal("hit reported no saved planning time")
 	}
@@ -84,6 +87,9 @@ func TestCacheHitAndEpochSeparation(t *testing.T) {
 		t.Fatalf("revalidated floor %g regressed below original %g",
 			p3.TopBuckets.KthResLB, p1.TopBuckets.KthResLB)
 	}
+	if p3.Bounds != p1.Bounds {
+		t.Fatal("pure promotion did not carry the plan's bound memo verbatim")
+	}
 
 	// A query still pinned at the old epoch must not be served the
 	// promoted entry (its floor may be certified by data the old view
@@ -94,6 +100,9 @@ func TestCacheHitAndEpochSeparation(t *testing.T) {
 	}
 	if p4.Outcome != Miss {
 		t.Fatalf("older-epoch query: outcome %v, want miss", p4.Outcome)
+	}
+	if p4.Bounds == nil || p4.Bounds == p1.Bounds {
+		t.Fatal("a cold plan must come with a bound memo of its own")
 	}
 
 	st := c.Stats()
@@ -124,6 +133,9 @@ func TestRevalidateWidenedBoundary(t *testing.T) {
 	}
 	if p2.Outcome == Hit {
 		t.Fatal("widened boundary served as a plain hit")
+	}
+	if p2.Bounds == nil || p2.Bounds == p1.Bounds {
+		t.Fatal("a re-selected (or re-planned) entry must not keep growing its predecessor's bound memo")
 	}
 	if p2.Outcome == Revalidated && p2.TopBuckets.KthResLB < p1.TopBuckets.KthResLB {
 		t.Fatalf("revalidated floor %g below promoted-from floor %g — promotion condition violated",

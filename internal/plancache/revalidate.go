@@ -64,13 +64,14 @@ func (c *Cache) revalidate(e *entry, req Request, reqLabeling []int) (*entry, *P
 		// own labeling, the caller gets the plan translated into its.
 		ne := &entry{
 			key: e.key, epoch: req.Epoch, labeling: e.labeling,
-			tb: e.tb, assign: e.assign,
+			tb: e.tb, assign: e.assign, bounds: e.bounds,
 			planTime: e.planTime, cost: e.cost, state: e.state,
 		}
 		tb, assign := translatePlan(e.tb, e.assign, sigma)
 		return ne, &Planned{
 			TopBuckets:     tb,
 			Assignment:     assign,
+			Bounds:         e.bounds,
 			Outcome:        Revalidated,
 			TopBucketsTime: time.Since(start),
 			SavedPlanTime:  e.planTime,
@@ -170,16 +171,21 @@ func (c *Cache) revalidate(e *entry, req Request, reqLabeling []int) (*entry, *P
 	}
 	tb.Total = tbTime
 
+	// The re-selected plan reads mostly the same bucket pairs: its memo
+	// succeeds the old one, so only bounds whose box changed are solved
+	// again, while keys the new selection never asks for are let go.
 	ne := &entry{
 		key: e.key, epoch: req.Epoch, labeling: reqLabeling,
-		tb: tb, assign: assign,
+		tb: tb, assign: assign, bounds: e.bounds.Next(),
 		planTime: e.planTime,
-		cost:     e.cost + float64(len(dirty)+len(fresh)),
-		state:    CaptureEpochState(req.Matrices),
+		cost: e.cost + float64(len(dirty)+len(fresh)) +
+			memoCost(req.Query, tb) - memoCost(req.Query, e.tb),
+		state: CaptureEpochState(req.Matrices),
 	}
 	return ne, &Planned{
 		TopBuckets:     tb,
 		Assignment:     assign,
+		Bounds:         ne.bounds,
 		Outcome:        Revalidated,
 		TopBucketsTime: tbTime,
 		DistributeTime: time.Since(dStart),

@@ -109,8 +109,17 @@ type Predicate struct {
 // Score returns s-p(x, y) in [0, 1].
 func (p *Predicate) Score(x, y interval.Interval) float64 {
 	s := 1.0
-	for _, t := range p.Terms {
-		v := t.Score(x, y)
+	for i := range p.Terms {
+		// By pointer: ranging by value copies the 144-byte Term per
+		// term on the join's per-candidate path.
+		t := &p.Terms[i]
+		d := t.Diff.Eval(x, y)
+		var v float64
+		if t.Kind == CompEquals {
+			v = EqualsScore(d, t.P)
+		} else {
+			v = GreaterScore(d, t.P)
+		}
 		if v < s {
 			s = v
 			if s == 0 {

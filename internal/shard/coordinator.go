@@ -337,7 +337,7 @@ func (c *Cluster) LoadStore(st *store.Store) error {
 			for _, k := range part[col] {
 				pc.Buckets = append(pc.Buckets, store.BucketSlice{
 					StartG: k.StartG, EndG: k.EndG,
-					Items: view.Col(col).BucketItems(k.StartG, k.EndG),
+					Items: join.ItemsOf(view.Col(col), k.StartG, k.EndG),
 				})
 			}
 			cols[col] = pc
@@ -415,7 +415,7 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 		if src == nil {
 			return 0
 		}
-		return len(src.BucketItems(k.StartG, k.EndG))
+		return len(join.ItemsOf(src, k.StartG, k.EndG))
 	}
 	pl := distribute.Place(req.Assign, len(c.links), mapping, c.manifest.Owner, size)
 	// The same task list the local runner executes, split by placement.
@@ -592,7 +592,7 @@ func shipBuckets(keys []stats.BucketKey, colSrc map[int]join.Source) []ShippedBu
 		src := colSrc[k.Col]
 		var items []interval.Interval
 		if src != nil {
-			items = src.BucketItems(k.StartG, k.EndG)
+			items = join.ItemsOf(src, k.StartG, k.EndG)
 		}
 		out = append(out, ShippedBucket{Col: k.Col, StartG: k.StartG, EndG: k.EndG, Items: items})
 	}

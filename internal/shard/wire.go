@@ -601,6 +601,11 @@ func decodeQuery(r *interval.BinaryReader) (*QueryFrame, error) {
 				return nil, errf("task %d references combo %d of %d", i, ci, len(f.Combos))
 			}
 		}
+		// A reducer stops at the first combination its threshold
+		// dominates; on an unsorted list that would skip live ones.
+		if !join.DescendingUB(f.Combos, combos) {
+			return nil, errf("task %d lists its combos out of descending-UB order", i)
+		}
 		f.Tasks[i] = join.ReducerTask{Reducer: int(rj), Combos: combos}
 	}
 	nShipped := r.U64()
@@ -853,8 +858,8 @@ func decodeResult(r *interval.BinaryReader) (*ResultFrame, error) {
 	if err := r.Err(); err != nil {
 		return nil, errf("reading result header: %v", err)
 	}
-	if n > uint64(r.Len()/128) {
-		return nil, errf("result declares %d reducers, payload holds at most %d", n, r.Len()/128)
+	if n > uint64(r.Len()/144) {
+		return nil, errf("result declares %d reducers, payload holds at most %d", n, r.Len()/144)
 	}
 	f.Reducers = make([]join.ReducerOutput, n)
 	for i := range f.Reducers {
@@ -918,6 +923,8 @@ func appendLocalStats(dst []byte, s join.LocalStats) []byte {
 	dst = interval.AppendI64(dst, int64(s.BucketRefsRouted))
 	dst = appendF64(dst, s.RoutedIntervals)
 	dst = appendF64(dst, s.SharedFloorFinal)
+	dst = interval.AppendI64(dst, s.BoundSolves)
+	dst = interval.AppendI64(dst, s.BoundReuses)
 	dst = interval.AppendI64(dst, int64(s.Duration))
 	return dst
 }
@@ -938,6 +945,8 @@ func readLocalStats(r *interval.BinaryReader) (join.LocalStats, error) {
 	s.BucketRefsRouted = int(r.I64())
 	s.RoutedIntervals = readF64(r)
 	s.SharedFloorFinal = readF64(r)
+	s.BoundSolves = r.I64()
+	s.BoundReuses = r.I64()
 	s.Duration = time.Duration(r.I64())
 	if err := r.Err(); err != nil {
 		return join.LocalStats{}, errf("reading reducer stats: %v", err)

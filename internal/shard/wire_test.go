@@ -69,7 +69,8 @@ func sampleFrames(t testing.TB) []Frame {
 				TuplesExamined: 12, PartialsPruned: 3, ResultsReturned: 1,
 				ProbeRounds: 1, FloorUsed: 0.25, MinScore: 0.5,
 				BucketRefsRouted: 2, RoutedIntervals: 3,
-				SharedFloorFinal: 0.625, Duration: 42 * time.Microsecond,
+				SharedFloorFinal: 0.625, BoundSolves: 4, BoundReuses: 7,
+				Duration: 42 * time.Microsecond,
 			},
 			Results: []join.Result{{
 				Tuple: []interval.Interval{{ID: 1, Start: 3, End: 17}, {ID: 2, Start: 14, End: 30}, {ID: 1, Start: 3, End: 17}},
@@ -89,6 +90,29 @@ func shortComboFrame(t testing.TB) []byte {
 		if qf, ok := f.(*QueryFrame); ok {
 			c := &qf.Combos[0]
 			c.Buckets = c.Buckets[:qf.Query.NumVertices-1]
+			b, err := EncodeFrame(qf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+	}
+	t.Fatal("sampleFrames holds no query frame")
+	return nil
+}
+
+// unsortedTaskFrame encodes the sample query frame with a second,
+// higher-UB combination appended and its task listing the two in
+// ascending-UB order — every index is in range, only the order the
+// reducers' early termination relies on is broken.
+func unsortedTaskFrame(t testing.TB) []byte {
+	t.Helper()
+	for _, f := range sampleFrames(t) {
+		if qf, ok := f.(*QueryFrame); ok {
+			hot := qf.Combos[0]
+			hot.UB = 0.9
+			qf.Combos = append(qf.Combos, hot)
+			qf.Tasks[0].Combos = []int{0, 1}
 			b, err := EncodeFrame(qf)
 			if err != nil {
 				t.Fatal(err)
@@ -194,7 +218,8 @@ func TestDecodeRejects(t *testing.T) {
 			b, _ := EncodeFrame(&ErrorFrame{QueryID: 1, Code: 7, Msg: "x"})
 			return b
 		}(),
-		"combo narrower than its query": shortComboFrame(t),
+		"combo narrower than its query":   shortComboFrame(t),
+		"task not in descending-UB order": unsortedTaskFrame(t),
 	}
 	for name, b := range cases {
 		if b == nil {
@@ -221,6 +246,7 @@ func FuzzShardWire(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(interval.AppendU64(nil, 16))
 	f.Add(shortComboFrame(f))
+	f.Add(unsortedTaskFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := DecodeFrame(data)
 		if err != nil {

@@ -374,7 +374,7 @@ func runTasks(ctx context.Context, f *QueryFrame, wq *workerQuery, view *store.V
 				if b.Col < 0 || b.Col >= len(srcs) {
 					return nil, fmt.Errorf("combo bucket %v names vertex %d of %d", b, b.Col, len(srcs))
 				}
-				if b.Count > 0 && len(srcs[b.Col].BucketItems(b.StartG, b.EndG)) == 0 {
+				if b.Count > 0 && len(join.ItemsOf(srcs[b.Col], b.StartG, b.EndG)) == 0 {
 					return nil, fmt.Errorf("combo bucket %v neither resident nor shipped", b)
 				}
 			}
@@ -397,11 +397,19 @@ func runTasks(ctx context.Context, f *QueryFrame, wq *workerQuery, view *store.V
 }
 
 // shippedBucket is one foreign bucket's payload with a lazily memoized
-// R-tree (shared safely across the worker's parallel reducer tasks).
+// R-tree (shared safely across the worker's parallel reducer tasks). It
+// is the join's bucket handle for a shipped bucket.
 type shippedBucket struct {
 	items []interval.Interval
 	once  sync.Once
 	tree  *rtree.Tree
+}
+
+func (b *shippedBucket) Items() []interval.Interval { return b.items }
+
+func (b *shippedBucket) Search(box rtree.Rect, fn func(ref int32) bool) {
+	b.once.Do(func() { b.tree = store.TreeOf(b.items) })
+	b.tree.Search(box, func(p rtree.Point) bool { return fn(p.Ref) })
 }
 
 // overlaySource layers shipped foreign buckets over the shard's
@@ -411,18 +419,9 @@ type overlaySource struct {
 	extra map[[2]int]*shippedBucket
 }
 
-func (o *overlaySource) BucketItems(startG, endG int) []interval.Interval {
+func (o *overlaySource) Bucket(startG, endG int) join.Bucket {
 	if b := o.extra[[2]int{startG, endG}]; b != nil {
-		return b.items
+		return b
 	}
-	return o.res.BucketItems(startG, endG)
-}
-
-func (o *overlaySource) SearchBucket(startG, endG int, box rtree.Rect, fn func(ref int32) bool) {
-	if b := o.extra[[2]int{startG, endG}]; b != nil {
-		b.once.Do(func() { b.tree = store.TreeOf(b.items) })
-		b.tree.Search(box, func(p rtree.Point) bool { return fn(p.Ref) })
-		return
-	}
-	o.res.SearchBucket(startG, endG, box, fn)
+	return o.res.Bucket(startG, endG)
 }

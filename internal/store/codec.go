@@ -129,7 +129,7 @@ func ReadColStore(r *interval.BinaryReader) (*ColStore, error) {
 		if buckets[k] != nil {
 			return nil, fmt.Errorf("store: collection %d bucket (%d,%d) appears twice", col, startG, endG)
 		}
-		buckets[k] = &bucket{}
+		buckets[k] = &bucket{cs: cs}
 		dir[i] = dirEntry{key: k, count: int(count)}
 	}
 	for _, d := range dir {

@@ -2,8 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"tkij/internal/interval"
 	"tkij/internal/rtree"
@@ -222,27 +220,6 @@ func (idx *flatIndex) search(box rtree.Rect, items []interval.Interval, fn func(
 	return true
 }
 
-// flatMemo lazily builds and memoizes one flatIndex over a fixed
-// interval slice, the flat-kernel sibling of treeMemo. Safe for
-// concurrent use.
-type flatMemo struct {
-	once sync.Once
-	idx  *flatIndex
-}
-
-func (m *flatMemo) get(items []interval.Interval, built, hits *atomic.Int64) *flatIndex {
-	hit := true
-	m.once.Do(func() {
-		hit = false
-		m.idx = buildFlatIndex(items)
-		built.Add(1)
-	})
-	if hit {
-		hits.Add(1)
-	}
-	return m.idx
-}
-
 // Region is a refcounted resource backing a store's sealed bucket
 // memory — in practice the mmapstore reader whose mapping the zero-copy
 // bucket slices point into. The store retains it once per pinned View
@@ -305,7 +282,7 @@ func BuildMapped(cols []MappedCol, region Region) (*Store, error) {
 			// Clip so a later Append relocates to the heap instead of
 			// writing past len into the read-only mapping.
 			items := mb.Items[:len(mb.Items):len(mb.Items)]
-			buckets[k] = &bucket{items: items, sealed: len(items), flat: &flatMemo{}}
+			buckets[k] = &bucket{cs: cs, items: items, sealed: len(items), flat: &flatMemo{}}
 			n += len(mb.Items)
 		}
 		cs.cur.Store(&colView{buckets: buckets, n: n})

@@ -205,7 +205,8 @@ func TestBuildMappedSearchMatchesTreePath(t *testing.T) {
 	defer view.Release()
 	rng := rand.New(rand.NewSource(5))
 	for _, mb := range mcols[0].Buckets {
-		items := view.Col(0).BucketItems(mb.StartG, mb.EndG)
+		h := view.Col(0).Bucket(mb.StartG, mb.EndG)
+		items := h.Items()
 		if len(items) != len(mb.Items) {
 			t.Fatalf("bucket (%d,%d): %d items served, %d mapped", mb.StartG, mb.EndG, len(items), len(mb.Items))
 		}
@@ -214,7 +215,7 @@ func TestBuildMappedSearchMatchesTreePath(t *testing.T) {
 			box := rtree.Rect{MinX: lo, MaxX: lo + float64(rng.Int63n(300)),
 				MinY: float64(rng.Int63n(500)), MaxY: float64(rng.Int63n(500) + 600)}
 			var got []int32
-			view.Col(0).SearchBucket(mb.StartG, mb.EndG, box, func(ref int32) bool {
+			h.Search(box, func(ref int32) bool {
 				got = append(got, ref)
 				return true
 			})
@@ -233,15 +234,23 @@ func TestBuildMappedSearchMatchesTreePath(t *testing.T) {
 	}
 }
 
-// The warm sealed-bucket probe path must be allocation-free with the
-// instrumentation compiled in: once the bucket's index is memoized — the
-// flat kernel on a mapped store, the R-tree on a heap-built one — a
-// SearchBucket probe performs zero heap allocations.
+// The warm probe path must be allocation-free with the instrumentation
+// compiled in: once a bucket's index is memoized — the flat kernel on a
+// mapped store, the R-tree on a heap-built one, the delta tree over an
+// appended suffix — neither resolving the bucket to a handle (the handle
+// is the epoch's bucket itself, not an adapter) nor probing a resolved
+// handle allocates, and no probe builds a second index.
 func TestWarmProbeAllocFree(t *testing.T) {
 	mapped, _, mcols := mappedFixture(t, nil)
 	mb := mcols[0].Buckets[0] // largest bucket
 	heap, ms := buildStore(t, synthCols(1, 400, 21), 4)
 	hb := ms[0].Buckets()[0]
+	grown, gms := buildStore(t, synthCols(1, 400, 21), 4)
+	gb := gms[0].Buckets()[0]
+	first := grown.Col(0).BucketItems(gb.StartG, gb.EndG)[0]
+	if _, err := grown.Append(0, []interval.Interval{{ID: 990001, Start: first.Start, End: first.End}}); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		index        string
 		s            *Store
@@ -250,6 +259,7 @@ func TestWarmProbeAllocFree(t *testing.T) {
 	}{
 		{"flat", mapped, mb.StartG, mb.EndG, func(st Stats) int64 { return st.FlatIndexesBuilt }},
 		{"rtree", heap, hb.StartG, hb.EndG, func(st Stats) int64 { return st.TreesBuilt }},
+		{"delta", grown, gb.StartG, gb.EndG, func(st Stats) int64 { return st.DeltaTreesBuilt }},
 	} {
 		t.Run(c.index, func(t *testing.T) {
 			view := c.s.View()
@@ -257,20 +267,42 @@ func TestWarmProbeAllocFree(t *testing.T) {
 			box := rtree.Everything()
 			visited := 0
 			fn := func(ref int32) bool { visited++; return true }
-			view.Col(0).SearchBucket(c.startG, c.endG, box, fn) // warm: builds the index
-			if visited == 0 {
-				t.Fatal("probe visited nothing")
+			h := view.Col(0).Bucket(c.startG, c.endG)
+			h.Search(box, fn) // warm: builds the index
+			if visited != len(h.Items()) {
+				t.Fatalf("probe visited %d of %d items", visited, len(h.Items()))
 			}
-			allocs := testing.AllocsPerRun(100, func() {
-				view.Col(0).SearchBucket(c.startG, c.endG, box, fn)
-			})
-			if allocs != 0 {
-				t.Fatalf("warm %s probe allocates %v objects per run, want 0", c.index, allocs)
+			hitsBefore := c.s.Snapshot().TreeHits
+			if allocs := testing.AllocsPerRun(100, func() { h.Search(box, fn) }); allocs != 0 {
+				t.Fatalf("warm %s probe of a resolved handle allocates %v objects per run, want 0", c.index, allocs)
+			}
+			if hits := c.s.Snapshot().TreeHits; hits != hitsBefore {
+				t.Fatalf("probing a resolved handle moved TreeHits %d -> %d; reuses are counted per resolution", hitsBefore, hits)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { view.Col(0).Bucket(c.startG, c.endG).Search(box, fn) }); allocs != 0 {
+				t.Fatalf("warm %s resolve-and-probe allocates %v objects per run, want 0", c.index, allocs)
+			}
+			if hits := c.s.Snapshot().TreeHits; hits == hitsBefore {
+				t.Fatal("resolving a bucket with a memoized index counted no TreeHits")
 			}
 			if snap := c.s.Snapshot(); c.built(snap) != 1 {
 				t.Fatalf("probes built %d %s indexes, want the one memoized build (%+v)", c.built(snap), c.index, snap)
 			}
 		})
+	}
+}
+
+// An absent bucket resolves to a nil interface — not a typed nil, which
+// would pass the join's h == nil test and crash on the first method call.
+func TestBucketMissingIsNilInterface(t *testing.T) {
+	s, _ := buildStore(t, synthCols(1, 50, 3), 4)
+	view := s.View()
+	defer view.Release()
+	if h := view.Col(0).Bucket(-1, -1); h != nil {
+		t.Fatalf("ColView.Bucket on a missing bucket = %#v, want a nil interface", h)
+	}
+	if h := s.Col(0).Bucket(-1, -1); h != nil {
+		t.Fatalf("ColStore.Bucket on a missing bucket = %#v, want a nil interface", h)
 	}
 }
 
@@ -343,7 +375,7 @@ func TestMappedRegionLifecycle(t *testing.T) {
 		t.Fatalf("after store Close with a live view: refs=%d dead=%t, want the view's ref alive", region.refs, region.dead)
 	}
 	// The pinned view still serves — its bucket memory is pinned.
-	if items := v2.Col(0).BucketItems(0, 0); len(items) == 0 {
+	if h := v2.Col(0).Bucket(0, 0); h == nil || len(h.Items()) == 0 {
 		t.Fatal("pinned view lost its buckets after store Close")
 	}
 	v2.Release()
@@ -385,12 +417,13 @@ func TestMappedAppendCopiesAndServes(t *testing.T) {
 	}
 	view := s.View()
 	defer view.Release()
-	items := view.Col(0).BucketItems(target.StartG, target.EndG)
+	h := view.Col(0).Bucket(target.StartG, target.EndG)
+	items := h.Items()
 	if len(items) != len(before)+len(added) {
 		t.Fatalf("bucket serves %d items, want %d", len(items), len(before)+len(added))
 	}
 	var got []int32
-	view.Col(0).SearchBucket(target.StartG, target.EndG, rtree.Everything(), func(ref int32) bool {
+	h.Search(rtree.Everything(), func(ref int32) bool {
 		got = append(got, ref)
 		return true
 	})

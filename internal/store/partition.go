@@ -59,7 +59,7 @@ func BuildBuckets(cols []PartitionCol) (*Store, error) {
 						i, iv, l, lp, bs.StartG, bs.EndG)
 				}
 			}
-			buckets[k] = &bucket{items: bs.Items, sealed: len(bs.Items), base: &treeMemo{}}
+			buckets[k] = &bucket{cs: cs, items: bs.Items, sealed: len(bs.Items), base: &treeMemo{}}
 			n += len(bs.Items)
 		}
 		cs.cur.Store(&colView{buckets: buckets, n: n})

@@ -26,27 +26,52 @@ type gkey struct {
 	startG, endG int
 }
 
-// treeMemo lazily bulk-builds and memoizes one R-tree over a fixed
-// interval slice. Safe for concurrent use.
-type treeMemo struct {
-	once sync.Once
-	tree *rtree.Tree
+// Bucket is one bucket of one collection as resolved at one epoch: its
+// intervals and an index probe over exactly those intervals. It is the
+// handle the join resolves once per combination (join.Bucket is the
+// same type) so that its per-tuple probes do no lookup at all. Items and
+// Search come from one immutable epoch state, so refs handed to fn
+// always index Items(). A handle is valid only while the View (or
+// core.Pin) it was resolved from is held; one resolved from a ColStore
+// directly is valid until the store is closed. Safe for concurrent use.
+type Bucket = interface {
+	// Items returns the bucket's intervals in insertion order. The
+	// slice is read-only.
+	Items() []interval.Interval
+	// Search invokes fn with the index (into Items) of every interval
+	// whose (start, end) point lies inside box; fn returning false
+	// stops the probe.
+	Search(box rtree.Rect, fn func(ref int32) bool)
 }
 
-// get returns the memoized tree, building it on first call. built is
-// incremented on a build, hits on a reuse.
-func (m *treeMemo) get(items []interval.Interval, built, hits *atomic.Int64) *rtree.Tree {
-	hit := true
+// indexMemo lazily builds and memoizes one index (an R-tree or a flat
+// sorted-endpoint index) over a fixed interval slice. Safe for
+// concurrent use; the warm path is one atomic load.
+type indexMemo[T any] struct {
+	once sync.Once
+	idx  atomic.Pointer[T]
+}
+
+type (
+	treeMemo = indexMemo[rtree.Tree]
+	flatMemo = indexMemo[flatIndex]
+)
+
+// get returns the memoized index, building it on first call; built is
+// incremented exactly once, by the build.
+func (m *indexMemo[T]) get(items []interval.Interval, build func([]interval.Interval) *T, built *atomic.Int64) *T {
+	if idx := m.idx.Load(); idx != nil {
+		return idx
+	}
 	m.once.Do(func() {
-		hit = false
-		m.tree = TreeOf(items)
+		m.idx.Store(build(items))
 		built.Add(1)
 	})
-	if hit {
-		hits.Add(1)
-	}
-	return m.tree
+	return m.idx.Load()
 }
+
+// ready reports whether the index has been built.
+func (m *indexMemo[T]) ready() bool { return m != nil && m.idx.Load() != nil }
 
 // bucket is one bucket as visible at one epoch. It is immutable after
 // publication: items[:sealed] is the sealed prefix covered by either
@@ -62,6 +87,7 @@ func (m *treeMemo) get(items []interval.Interval, built, hits *atomic.Int64) *rt
 // may alias a read-only snapshot mapping, which is why the append path
 // copies such a bucket before extending it.
 type bucket struct {
+	cs     *ColStore // owner; index builds and reuses are counted there
 	items  []interval.Interval
 	sealed int
 	base   *treeMemo // R-tree over items[:sealed]; see invariant above
@@ -69,18 +95,21 @@ type bucket struct {
 	delta  *treeMemo // over items[sealed:]; nil iff sealed == len(items)
 }
 
-// search probes the bucket's sealed index (flat kernel or base R-tree)
-// and delta tree with box, invoking fn with indexes into items. fn
-// returning false stops the probe.
-func (b *bucket) search(cs *ColStore, box rtree.Rect, fn func(ref int32) bool) {
+// Items implements Bucket.
+func (b *bucket) Items() []interval.Interval { return b.items }
+
+// Search implements Bucket: it probes the sealed index (flat kernel or
+// base R-tree) and then the delta tree. It is the one probe
+// implementation; every accessor below resolves a bucket and calls it.
+func (b *bucket) Search(box rtree.Rect, fn func(ref int32) bool) {
 	if b.sealed > 0 {
 		if b.flat != nil {
-			idx := b.flat.get(b.items[:b.sealed], &cs.flatBuilt, &cs.treeHits)
+			idx := b.flat.get(b.items[:b.sealed], buildFlatIndex, &b.cs.flatBuilt)
 			if !idx.search(box, b.items[:b.sealed], fn) {
 				return
 			}
 		} else {
-			t := b.base.get(b.items[:b.sealed], &cs.treesBuilt, &cs.treeHits)
+			t := b.base.get(b.items[:b.sealed], TreeOf, &b.cs.treesBuilt)
 			if !t.Search(box, func(pt rtree.Point) bool { return fn(pt.Ref) }) {
 				return
 			}
@@ -88,7 +117,7 @@ func (b *bucket) search(cs *ColStore, box rtree.Rect, fn func(ref int32) bool) {
 	}
 	if b.sealed < len(b.items) {
 		off := int32(b.sealed)
-		t := b.delta.get(b.items[b.sealed:], &cs.deltaTreesBuilt, &cs.treeHits)
+		t := b.delta.get(b.items[b.sealed:], TreeOf, &b.cs.deltaTreesBuilt)
 		t.Search(box, func(pt rtree.Point) bool { return fn(off + pt.Ref) })
 	}
 }
@@ -99,14 +128,39 @@ type colView struct {
 	n       int // intervals visible at this epoch
 }
 
+// resolve returns bucket (startG, endG) as a handle — a nil interface,
+// not a typed nil, when the bucket is absent — and counts one TreeHits
+// per index of the bucket that is already memoized. Reuses are counted
+// here, once per resolution, because the probe itself must not write to
+// a cache line every reducer goroutine shares.
+func (v *colView) resolve(startG, endG int) Bucket {
+	b := v.buckets[gkey{startG, endG}]
+	if b == nil {
+		return nil
+	}
+	var hits int64
+	if b.base.ready() || b.flat.ready() {
+		hits++
+	}
+	if b.delta.ready() {
+		hits++
+	}
+	if hits > 0 {
+		b.cs.treeHits.Add(hits)
+	}
+	return b
+}
+
 // ColStore holds one collection's bucket partition. Its accessors
-// always serve the latest published epoch, each loading the current
-// view independently — fine for tests, diagnostics and append-free
-// use, but under concurrent Append two successive calls can observe
-// different epochs (e.g. BucketItems at epoch N, SearchBucket at N+1,
-// whose delta refs then exceed the older items slice). Query paths
-// must pin a Store.View, which serves every call from one epoch; the
-// engine does.
+// serve the latest published epoch, each call loading the current view
+// on its own. Bucket is the accessor to use under concurrent Append: the
+// handle it returns is one immutable epoch's bucket, so its Items and
+// every ref its Search yields agree by construction, however many
+// epochs are published meanwhile. BucketItems and SearchBucket are the
+// legacy two-call form kept for tests and diagnostics: two calls can
+// land on two epochs, so never index one's slice with the other's refs.
+// Successive Bucket calls can also observe different epochs — a query,
+// which must see every bucket at one epoch, pins a Store.View instead.
 type ColStore struct {
 	col  int
 	gran stats.Granulation
@@ -130,6 +184,12 @@ func (cs *ColStore) Granulation() stats.Granulation { return cs.gran }
 // NumBuckets returns the number of non-empty buckets.
 func (cs *ColStore) NumBuckets() int { return len(cs.cur.Load().buckets) }
 
+// Bucket resolves bucket (startG, endG) at the latest epoch; nil for an
+// empty bucket.
+func (cs *ColStore) Bucket(startG, endG int) Bucket {
+	return cs.cur.Load().resolve(startG, endG)
+}
+
 // BucketItems returns the intervals of bucket (startG, endG) at the
 // latest epoch, in insertion order; nil for an empty bucket.
 func (cs *ColStore) BucketItems(startG, endG int) []interval.Interval {
@@ -140,21 +200,19 @@ func (cs *ColStore) BucketItems(startG, endG int) []interval.Interval {
 	return b.items
 }
 
-// SearchBucket probes bucket (startG, endG) at the latest epoch for
-// points inside box, invoking fn with indexes into BucketItems. fn
-// returning false stops the probe. Safe for concurrent use.
+// SearchBucket is Bucket(startG, endG).Search(box, fn), a no-op for an
+// empty bucket. fn's refs index the probed epoch's items, which a
+// separate BucketItems call may not return (see ColStore).
 func (cs *ColStore) SearchBucket(startG, endG int, box rtree.Rect, fn func(ref int32) bool) {
-	b := cs.cur.Load().buckets[gkey{startG, endG}]
-	if b == nil {
-		return
+	if b := cs.Bucket(startG, endG); b != nil {
+		b.Search(box, fn)
 	}
-	b.search(cs, box, fn)
 }
 
 // BucketTree returns the memoized R-tree over the *sealed* prefix of
 // bucket (startG, endG), bulk-building it on first request, or nil for
 // an empty bucket. A bucket carrying unsealed delta intervals is not
-// fully covered by this tree — query paths must use SearchBucket, which
+// fully covered by this tree — query paths must use Bucket, whose Search
 // also probes the delta; BucketTree exists for tests and diagnostics.
 func (cs *ColStore) BucketTree(startG, endG int) *rtree.Tree {
 	b := cs.cur.Load().buckets[gkey{startG, endG}]
@@ -163,7 +221,10 @@ func (cs *ColStore) BucketTree(startG, endG int) *rtree.Tree {
 		// prefix is probed through the flat kernel, there is no R-tree.
 		return nil
 	}
-	return b.base.get(b.items[:b.sealed], &cs.treesBuilt, &cs.treeHits)
+	if b.base.ready() {
+		cs.treeHits.Add(1)
+	}
+	return b.base.get(b.items[:b.sealed], TreeOf, &cs.treesBuilt)
 }
 
 // TreeOf bulk-builds the R-tree over a bucket's (start, end) points,
@@ -240,7 +301,7 @@ func Build(cols []*interval.Collection, matrices []*stats.Matrix) (*Store, error
 				k := gkey{l, lp}
 				b := buckets[k]
 				if b == nil {
-					b = &bucket{}
+					b = &bucket{cs: cs}
 					buckets[k] = b
 				}
 				b.items = append(b.items, iv)
@@ -329,7 +390,7 @@ func (s *Store) append(col int, ivs []interval.Interval, forceEpoch bool) (int64
 
 	buckets := maps.Clone(old.buckets)
 	for k, add := range grouped {
-		nb := &bucket{}
+		nb := &bucket{cs: cs}
 		if ob := old.buckets[k]; ob != nil {
 			// Extending the latest epoch's slice is safe: earlier epochs
 			// hold shorter prefixes of the same array and the visible
@@ -483,25 +544,12 @@ func (cv *ColView) Col() int { return cv.cs.col }
 // Intervals returns the number of intervals visible in the pinned view.
 func (cv *ColView) Intervals() int { return cv.v.n }
 
-// BucketItems returns the intervals of bucket (startG, endG) as of the
-// pinned epoch; nil for an empty bucket.
-func (cv *ColView) BucketItems(startG, endG int) []interval.Interval {
-	b := cv.v.buckets[gkey{startG, endG}]
-	if b == nil {
-		return nil
-	}
-	return b.items
-}
-
-// SearchBucket probes bucket (startG, endG) as of the pinned epoch for
-// points inside box, invoking fn with indexes into BucketItems. fn
-// returning false stops the probe. Safe for concurrent use.
-func (cv *ColView) SearchBucket(startG, endG int, box rtree.Rect, fn func(ref int32) bool) {
-	b := cv.v.buckets[gkey{startG, endG}]
-	if b == nil {
-		return
-	}
-	b.search(cv.cs, box, fn)
+// Bucket resolves bucket (startG, endG) as of the pinned epoch; nil for
+// an empty bucket. It implements the join's Source. The handle must not
+// be used after the View is released (a mapped bucket's items alias the
+// mapping the View pins).
+func (cv *ColView) Bucket(startG, endG int) Bucket {
+	return cv.v.resolve(startG, endG)
 }
 
 // Stats is a snapshot of the store's cumulative activity.
@@ -525,8 +573,10 @@ type Stats struct {
 	// mapped sealed buckets (the zero-copy path's sibling of
 	// TreesBuilt, including rebuilds forced by compaction).
 	FlatIndexesBuilt int64
-	// TreeHits counts memoized sealed-index lookups (R-tree, flat
-	// index, or delta tree) that reused an existing structure.
+	// TreeHits counts memoized-index reuses, once per bucket
+	// resolution (Bucket, SearchBucket, BucketTree): each index of the
+	// resolved bucket — sealed R-tree or flat index, delta tree — that
+	// was already built counts one, however many probes follow.
 	TreeHits int64
 	// Compactions counts bucket reseals triggered by the compaction
 	// threshold.

@@ -140,15 +140,18 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-// searchAll collects every item of a bucket through SearchBucket with
-// an everything box — the probe path queries actually use.
+// searchAll collects every item of a bucket through its resolved handle
+// with an everything box — the probe path queries actually use.
 func searchAll(src interface {
-	BucketItems(startG, endG int) []interval.Interval
-	SearchBucket(startG, endG int, box rtree.Rect, fn func(ref int32) bool)
+	Bucket(startG, endG int) Bucket
 }, startG, endG int) map[int64]bool {
-	items := src.BucketItems(startG, endG)
 	got := map[int64]bool{}
-	src.SearchBucket(startG, endG, rtree.Everything(), func(ref int32) bool {
+	h := src.Bucket(startG, endG)
+	if h == nil {
+		return got
+	}
+	items := h.Items()
+	h.Search(rtree.Everything(), func(ref int32) bool {
 		got[items[ref].ID] = true
 		return true
 	})
@@ -236,7 +239,7 @@ func TestViewPinsEpoch(t *testing.T) {
 	if got := searchAll(pinned.Col(0), b.StartG, b.EndG); got[888001] {
 		t.Fatal("pinned view observed an interval from a later epoch")
 	}
-	if n := len(pinned.Col(0).BucketItems(b.StartG, b.EndG)); n != b.Count {
+	if n := len(pinned.Col(0).Bucket(b.StartG, b.EndG).Items()); n != b.Count {
 		t.Fatalf("pinned view bucket holds %d items, want %d", n, b.Count)
 	}
 	fresh := s.View()
@@ -349,11 +352,12 @@ func TestConcurrentAppendAndSearch(t *testing.T) {
 				total := 0
 				for _, b := range buckets {
 					cnt := 0
-					v.Col(0).SearchBucket(b.StartG, b.EndG, rtree.Everything(), func(ref int32) bool {
+					h := v.Col(0).Bucket(b.StartG, b.EndG)
+					h.Search(rtree.Everything(), func(ref int32) bool {
 						cnt++
 						return true
 					})
-					if n := len(v.Col(0).BucketItems(b.StartG, b.EndG)); cnt != n {
+					if n := len(h.Items()); cnt != n {
 						t.Errorf("search visited %d of %d items", cnt, n)
 						return
 					}
@@ -409,5 +413,118 @@ func TestViewStatsAccounting(t *testing.T) {
 	// accounting, not the snapshot.
 	if v1.Epoch() != 0 {
 		t.Fatalf("released view epoch = %d", v1.Epoch())
+	}
+}
+
+// An unpinned reader must be able to index a bucket's items with the
+// refs its search yields while appends publish new epochs: ColStore.Bucket
+// hands out one immutable epoch's bucket, so items and refs agree by
+// construction. (Written against BucketItems + SearchBucket — two calls,
+// possibly two epochs — the same loop reads past the older slice.) Run
+// under -race.
+func TestColStoreBucketNeverMixesEpochs(t *testing.T) {
+	cols := synthCols(1, 300, 41)
+	s, ms := buildStore(t, cols, 4)
+	s.SetCompactLimit(8) // mix delta epochs with reseals
+	b := ms[0].Buckets()[0]
+	first := s.Col(0).BucketItems(b.StartG, b.EndG)[0]
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(0); i < 400; i++ {
+			iv := interval.Interval{ID: 7000000 + i, Start: first.Start, End: first.End}
+			if _, err := s.Append(0, []interval.Interval{iv}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	cs := s.Col(0)
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false // one more pass, over the final epoch
+		default:
+		}
+		h := cs.Bucket(b.StartG, b.EndG)
+		items := h.Items()
+		seen := 0
+		h.Search(rtree.Everything(), func(ref int32) bool {
+			if l, lp := ms[0].Gran.BucketOf(items[ref]); l != b.StartG || lp != b.EndG {
+				t.Errorf("ref %d resolves to %v of bucket (%d,%d)", ref, items[ref], l, lp)
+			}
+			seen++
+			return true
+		})
+		if seen != len(items) {
+			t.Fatalf("search yielded %d refs over %d items", seen, len(items))
+		}
+	}
+	if n := len(cs.Bucket(b.StartG, b.EndG).Items()); n != b.Count+400 {
+		t.Fatalf("final epoch holds %d items, want %d", n, b.Count+400)
+	}
+}
+
+// A handle resolved from a pinned View is that epoch's bucket: it keeps
+// serving exactly the items it was resolved with while appends publish
+// later epochs of the same bucket — delta epochs and a compaction alike.
+// Run under -race.
+func TestResolvedHandleKeepsItsEpoch(t *testing.T) {
+	cols := synthCols(1, 200, 43)
+	s, ms := buildStore(t, cols, 4)
+	s.SetCompactLimit(2)
+	b := ms[0].Buckets()[0]
+	view := s.View()
+	defer view.Release()
+	h := view.Col(0).Bucket(b.StartG, b.EndG)
+	want := append([]interval.Interval(nil), h.Items()...)
+	if len(want) != b.Count {
+		t.Fatalf("handle resolved %d items, matrix says %d", len(want), b.Count)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(0); i < 3; i++ { // delta, compaction (delta reaches the limit), delta
+			iv := interval.Interval{ID: 8000000 + i, Start: want[0].Start, End: want[0].End}
+			if _, err := s.Append(0, []interval.Interval{iv}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	check := func() {
+		t.Helper()
+		items := h.Items()
+		if len(items) != len(want) {
+			t.Fatalf("pinned handle serves %d items, resolved with %d", len(items), len(want))
+		}
+		seen := make(map[int32]bool)
+		h.Search(rtree.Everything(), func(ref int32) bool {
+			if items[ref] != want[ref] {
+				t.Fatalf("ref %d serves %v, resolved as %v", ref, items[ref], want[ref])
+			}
+			seen[ref] = true
+			return true
+		})
+		if len(seen) != len(want) {
+			t.Fatalf("pinned handle's search yielded %d distinct refs over %d items", len(seen), len(want))
+		}
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		check()
+	}
+	if st := s.Snapshot(); st.Epoch != 3 || st.Compactions != 1 {
+		t.Fatalf("appends published epoch %d with %d compactions, want 3 and 1", st.Epoch, st.Compactions)
+	}
+	fresh := s.View()
+	defer fresh.Release()
+	if n := len(fresh.Col(0).Bucket(b.StartG, b.EndG).Items()); n != len(want)+3 {
+		t.Fatalf("fresh view serves %d items, want %d", n, len(want)+3)
 	}
 }
