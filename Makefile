@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt check bench-pairs
+.PHONY: build test vet fmt check loc bench-pairs
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,12 @@ fmt:
 # check is the pre-push gate: everything a PR must pass locally.
 check: fmt build vet test
 	@echo "check: OK"
+
+# loc prints the figure ROADMAP.md and CHANGES.md quote for the size of
+# the engine: lines of non-test Go outside the benchmark module and its
+# build directory.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # bench-pairs runs one benchmark workload on REF and on the working tree
 # in alternating pairs and prints medians, wins and REF's quartile

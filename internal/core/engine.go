@@ -260,60 +260,25 @@ func adoptChecks(cols []*interval.Collection, snapshotPath string, ms []*stats.M
 
 // openMapped is the zero-copy restore: the snapshot is mapped
 // read-only and structurally validated (O(buckets), not O(intervals)),
-// the sealed partition is assembled over the mapping with the flat
-// sorted-endpoint kernel instead of R-trees, delta sections are
-// replayed through the ordinary append path (copying just the deltas to
-// the heap, exactly as live ingest would have), and the O(dataset)
-// content verification is left running in the background — prepareLocked
+// the store is assembled over the mapping with its delta sections
+// replayed (mmapstore.Reader.Store), and the O(dataset) content
+// verification is left running in the background — prepareLocked
 // surfaces its failure at the next query admission.
 func (e *Engine) openMapped(path string) (*store.Store, []*stats.Matrix, error) {
 	rd, err := mmapstore.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	cols := rd.Cols()
-	mcols := make([]store.MappedCol, len(cols))
-	for i, c := range cols {
-		mb := make([]store.MappedBucket, len(c.Buckets))
-		for j, b := range c.Buckets {
-			mb[j] = store.MappedBucket{StartG: b.StartG, EndG: b.EndG, Items: b.Items}
-		}
-		mcols[i] = store.MappedCol{Col: c.Col, Gran: c.Gran, Buckets: mb}
-	}
-	st, err := store.BuildMapped(mcols, rd)
+	// Drop the opener reference on every path: once assembled, the store
+	// (plus any pinned views and the background verifier) carries the
+	// mapping.
+	defer rd.Close()
+	st, ms, err := rd.Store()
 	if err != nil {
-		rd.Close()
-		return nil, nil, err
-	}
-	ms := rd.Matrices()
-	for _, d := range rd.Deltas() {
-		// Mirror the heap decoder's replay: matrices incrementally, the
-		// store through Append (which validates each record — delta
-		// payloads are the one content slice checked on the open path,
-		// and they are O(batch), not O(dataset)).
-		if _, err := st.Append(d.Col, d.Items); err != nil {
-			st.Close()
-			rd.Close()
-			return nil, nil, fmt.Errorf("core: snapshot %s: replaying delta epoch %d: %w", path, d.Epoch, err)
-		}
-		for _, iv := range d.Items {
-			ms[d.Col].Add(iv)
-		}
-	}
-	if len(rd.Deltas()) > 0 {
-		for i, m := range ms {
-			if err := m.Validate(); err != nil {
-				st.Close()
-				rd.Close()
-				return nil, nil, fmt.Errorf("core: snapshot %s: matrix %d after delta replay: %w", path, i, err)
-			}
-		}
+		return nil, nil, fmt.Errorf("%w (file %s)", err, path)
 	}
 	rd.VerifyAsync()
 	e.mapped = rd
-	// Drop the opener reference: the store (plus any pinned views and
-	// the background verifier) now carries the mapping.
-	rd.Close()
 	return st, ms, nil
 }
 

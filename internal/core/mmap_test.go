@@ -275,6 +275,23 @@ func TestOpenEngineMmapVerifyFailureGates(t *testing.T) {
 	if err := mm.PrepareStats(); err == nil {
 		t.Fatal("PrepareStats succeeded after verification failed")
 	}
+
+	// Structural damage, unlike a stale checksum, is refused at open on
+	// both paths — by the one walker, so `tkijrun -load-stats` prints
+	// the same rule text with and without -mmap.
+	img[32] ^= 0xFF // the checksum is good again
+	img[8] ^= 0xFF  // format version
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, heapErr := OpenEngine(cols, path, opts)
+	_, mmErr := OpenEngine(cols, path, mmOpts)
+	if heapErr == nil || mmErr == nil || heapErr.Error() != mmErr.Error() {
+		t.Fatalf("structural damage must be refused in the same words:\n  heap:   %v\n  mapped: %v", heapErr, mmErr)
+	}
+	if !strings.HasPrefix(heapErr.Error(), "snapshot: format version") || !strings.Contains(heapErr.Error(), path) {
+		t.Fatalf("refusal does not name the rule and the file once: %v", heapErr)
+	}
 }
 
 // Refcounted unmap under fire: queries execute on a mapped engine while

@@ -8,14 +8,16 @@ import (
 	"tkij/internal/snapshot"
 )
 
-// FuzzMmapRead drives arbitrary bytes through the mapped reader and
-// holds it to the heap decoder's contract:
+// FuzzMmapRead drives arbitrary bytes through both consumers of the
+// shared walker — the production mapped pipeline (OpenBytes, Verify,
+// Reader.Store: view in place, flat kernel, replay) and the heap one
+// (snapshot.Decode: copy, R-trees, replay) — and holds them to one
+// contract:
 //
 //   - no input may panic or fault — truncated, corrupted, misaligned,
 //     or hostile section bytes all return errors;
-//   - the acceptance sets must match exactly: the full mapped pipeline
-//     (structural open + content Verify + store assembly + delta
-//     replay) succeeds if and only if snapshot.Decode succeeds;
+//   - the acceptance sets must match exactly: the mapped pipeline
+//     succeeds if and only if snapshot.Decode succeeds;
 //   - on accepted inputs, every restored bucket must serve byte-for-byte
 //     the same intervals from the mapping as the heap decode built on
 //     the heap, after replaying the same delta sections.
@@ -44,7 +46,7 @@ func FuzzMmapRead(f *testing.F) {
 		if mapErr == nil {
 			mapErr = rd.Verify()
 			if mapErr == nil {
-				mapSt, _, err := mappedStore(rd)
+				mapSt, _, err := rd.Store()
 				mapErr = err
 				if err == nil {
 					if heapErr != nil {

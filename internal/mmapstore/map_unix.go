@@ -24,21 +24,20 @@ func Open(path string) (*Reader, error) {
 		return nil, fmt.Errorf("mmapstore: %w", err)
 	}
 	size := fi.Size()
-	if size < headerSize {
-		return nil, fmt.Errorf("mmapstore: %s: %d bytes is shorter than the %d-byte header", path, size, headerSize)
-	}
 	if size != int64(int(size)) {
 		return nil, fmt.Errorf("mmapstore: %s: %d bytes exceeds the address space", path, size)
 	}
-	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		return nil, fmt.Errorf("mmapstore: mapping %s: %w", path, err)
+	var data []byte
+	if size > 0 { // an empty file cannot be mapped; the walker refuses it as a short header
+		data, err = syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+		if err != nil {
+			return nil, fmt.Errorf("mmapstore: mapping %s: %w", path, err)
+		}
 	}
-	r := &Reader{data: data, unmap: syscall.Munmap}
-	if err := r.parse(); err != nil {
-		_ = syscall.Munmap(data)
+	r, err := newReader(data, syscall.Munmap)
+	if err != nil {
+		_ = syscall.Munmap(data) // a no-op error for the empty file
 		return nil, fmt.Errorf("%w (file %s)", err, path)
 	}
-	r.refs.Store(1)
 	return r, nil
 }

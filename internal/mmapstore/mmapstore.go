@@ -1,27 +1,21 @@
-// Package mmapstore is the zero-copy read path over snapshot files:
-// it maps a snapshot read-only and serves the sealed bucket partition
-// directly from the mapping — no interval is decoded into a heap
-// object, a bucket's records are the mapped bytes viewed in place as
-// an []interval.Interval (the snapshot's 24-byte fixed-width, 8-byte
-// aligned record layout is exactly the struct's memory layout on
-// little-endian hosts; see docs/SNAPSHOT_FORMAT.md).
-//
-// Open splits the snapshot's validation in two so restore cost is
-// governed by the number of buckets, not the number of intervals:
-//
-//   - Structural validation runs eagerly: header, section framing,
-//     the (small) matrices section decoded in full, every bucket
-//     directory bounds-checked against its payload, duplicate keys,
-//     granulation/count coherence against the matrices, delta epoch
-//     sequencing. After Open succeeds, every byte range a probe will
-//     touch is known to lie inside the mapping — probes cannot fault.
-//   - Content validation — the payload CRC and the per-record checks
-//     (start <= end, each record re-bucketed under the granulation) —
-//     is O(dataset) and deferred to Verify. core.OpenEngine runs it
-//     in the background and fails the next query admission if the
-//     file turns out damaged; tests and the fuzz target call it
-//     synchronously. Verify accepts exactly the files snapshot.Decode
-//     accepts.
+// Package mmapstore is the zero-copy consumer of the snapshot format:
+// it maps a snapshot file read-only, has snapshot.Parse walk the
+// mapping, and serves the sealed bucket partition directly from it — no
+// interval is decoded into a heap object, a bucket's records are the
+// mapped bytes viewed in place as an []interval.Interval (the
+// snapshot's 24-byte fixed-width, 8-byte aligned record layout is
+// exactly the struct's memory layout on little-endian hosts; see
+// docs/SNAPSHOT_FORMAT.md). What this package adds to the shared walker
+// is the mapping's lifetime, the in-place cast (the repo's only unsafe,
+// fenced here by the mmapescape analyzer), and when validation runs:
+// Open runs the structural stage (snapshot.Parse, O(buckets)), after
+// which every byte range a probe will touch is known to lie inside the
+// mapping — probes cannot fault; Verify runs the content stage
+// ((*snapshot.Image).VerifyContent, O(dataset)), which core.OpenEngine
+// leaves to the background, failing the next query admission if the
+// file turns out damaged. They are the two functions snapshot.Decode
+// runs back to back, so Open + Verify accept exactly the files Decode
+// accepts.
 //
 // The Reader's mapping is refcounted: Open hands the caller one
 // reference (drop it with Close), and the bucket store retains one per
@@ -30,33 +24,15 @@
 package mmapstore
 
 import (
-	"fmt"
-	"hash/crc64"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"tkij/internal/interval"
+	"tkij/internal/snapshot"
 	"tkij/internal/stats"
+	"tkij/internal/store"
 )
-
-// Format constants, mirrored from docs/SNAPSHOT_FORMAT.md (the byte
-// contract shared with internal/snapshot; this package deliberately
-// re-implements the walk against the document rather than importing
-// the heap decoder, which sits above the store this package feeds).
-const (
-	version    = 1
-	headerSize = 48
-	magic      = "TKIJSNAP"
-
-	sectionMatrices = 1
-	sectionStore    = 2
-	sectionDelta    = 3
-
-	recordSize = interval.BinaryIntervalSize
-)
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // hostLittleEndian reports whether the in-place record cast is
 // byte-exact on this host; big-endian hosts fall back to a decoded
@@ -72,39 +48,10 @@ func init() {
 	// offsets 0/8/16. Fail loudly at process start if the struct ever
 	// drifts.
 	var iv interval.Interval
-	if unsafe.Sizeof(iv) != recordSize ||
+	if unsafe.Sizeof(iv) != interval.BinaryIntervalSize ||
 		unsafe.Offsetof(iv.ID) != 0 || unsafe.Offsetof(iv.Start) != 8 || unsafe.Offsetof(iv.End) != 16 {
 		panic("mmapstore: interval.Interval layout diverged from the snapshot record layout")
 	}
-}
-
-// Bucket is one sealed bucket served from the mapping.
-type Bucket struct {
-	StartG, EndG int
-	// Items views the bucket's records in place (or a decoded copy on
-	// hosts where the cast is impossible). Read-only: it may alias the
-	// read-only mapping, and writing through it would fault.
-	Items []interval.Interval
-	// raw is the record byte range inside the mapping, kept for
-	// Verify's content pass.
-	raw []byte
-}
-
-// Col is one collection's sealed partition.
-type Col struct {
-	Col     int
-	Gran    stats.Granulation
-	Buckets []Bucket
-}
-
-// Delta is one appended ingest batch, viewed from the mapping like a
-// bucket. Replaying it through the live append path copies the values
-// out, so a Delta never outlives the Reader it came from.
-type Delta struct {
-	Epoch uint64
-	Col   int
-	Items []interval.Interval
-	raw   []byte
 }
 
 // Reader is an open, structurally validated snapshot mapping.
@@ -115,15 +62,12 @@ type Reader struct {
 	refs   atomic.Int64
 	closed atomic.Bool
 
-	payload  []byte // data[headerSize : headerSize+payloadLen]
-	wantCRC  uint64
-	matrices []*stats.Matrix
-	cols     []Col
-	deltas   []Delta
+	// img is the parsed image; its buckets' and deltas' Items view the
+	// mapping in place. Read-only: writing through them would fault.
+	img *snapshot.Image
 
 	verifyOnce sync.Once
 	verifyErr  error
-	verified   atomic.Bool
 	// asyncErr publishes a background Verify failure to Err.
 	asyncErr atomic.Pointer[error]
 }
@@ -133,27 +77,44 @@ type Reader struct {
 // entry point; Open is the mmap-backed sibling). The returned Reader
 // starts with one reference.
 func OpenBytes(img []byte) (*Reader, error) {
-	r := &Reader{data: img}
-	if err := r.parse(); err != nil {
+	return newReader(img, nil)
+}
+
+func newReader(data []byte, unmap func([]byte) error) (*Reader, error) {
+	img, err := snapshot.Parse(data)
+	if err != nil {
 		return nil, err
 	}
+	img.View(viewRecords)
+	r := &Reader{data: data, unmap: unmap, img: img}
 	r.refs.Store(1)
 	return r, nil
 }
 
-// Matrices returns the decoded bucket matrices. They are ordinary heap
-// objects (the statistics half is small) and remain valid after the
-// Reader is released.
-func (r *Reader) Matrices() []*stats.Matrix { return r.matrices }
+// Cols returns the mapped sealed partitions, one per collection, as
+// Store serves them. Production code goes through Store; this is the
+// window the tests check the views' aliasing through.
+func (r *Reader) Cols() []store.MappedCol { return r.img.Cols }
 
-// Cols returns the mapped sealed partitions, one per collection.
-func (r *Reader) Cols() []Col { return r.cols }
-
-// Deltas returns the appended ingest batches in epoch order.
-func (r *Reader) Deltas() []Delta { return r.deltas }
-
-// Size returns the mapped image size in bytes.
-func (r *Reader) Size() int { return len(r.data) }
+// Store assembles the restored engine state over the mapping: the
+// sealed partition served in place through the flat sorted-endpoint
+// kernel (store.BuildMapped, which retains the Reader for the store
+// and for every view it pins), the delta sections replayed on top
+// through the ordinary append path — copying just the deltas to the
+// heap, exactly as live ingest would have. The matrices are ordinary
+// heap objects and stay valid after the Reader is released. Call it
+// once per Reader: replay mutates the parsed matrices.
+func (r *Reader) Store() (*store.Store, []*stats.Matrix, error) {
+	st, err := store.BuildMapped(r.img.Cols, r)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := snapshot.Replay(st, r.img.Matrices, r.img.Deltas); err != nil {
+		st.Close()
+		return nil, nil, err
+	}
+	return st, r.img.Matrices, nil
+}
 
 // Retain adds one reference to the mapping. It must pair with a later
 // Release and must not be called once the count has reached zero —
@@ -223,65 +184,12 @@ func (r *Reader) VerifyAsync() {
 	}()
 }
 
-// Verify runs the deferred O(dataset) content validation: the payload
-// CRC, every record's start <= end, every record re-bucketed under its
-// collection's granulation against the bucket that declared it, and
-// the same checks for delta payloads. Together with Open's structural
-// pass it accepts exactly the snapshots the heap decoder
-// (snapshot.Decode) accepts. Memoized; safe for concurrent use.
+// Verify runs the deferred O(dataset) content validation,
+// (*snapshot.Image).VerifyContent, straight off the mapping. Memoized;
+// safe for concurrent use.
 func (r *Reader) Verify() error {
-	r.verifyOnce.Do(func() {
-		r.verifyErr = r.verifyContent()
-		r.verified.Store(true)
-	})
+	r.verifyOnce.Do(func() { r.verifyErr = r.img.VerifyContent() })
 	return r.verifyErr
-}
-
-func (r *Reader) verifyContent() error {
-	if got := crc64.Checksum(r.payload, crcTable); got != r.wantCRC {
-		return fmt.Errorf("mmapstore: checksum mismatch (want %016x, got %016x): file is corrupted", r.wantCRC, got)
-	}
-	for _, c := range r.cols {
-		for _, b := range c.Buckets {
-			if err := checkRecords(b.raw, c.Gran, b.StartG, b.EndG, true); err != nil {
-				return fmt.Errorf("mmapstore: collection %d bucket (%d,%d): %w", c.Col, b.StartG, b.EndG, err)
-			}
-		}
-	}
-	for _, d := range r.deltas {
-		if err := checkRecords(d.raw, stats.Granulation{}, 0, 0, false); err != nil {
-			return fmt.Errorf("mmapstore: delta epoch %d: %w", d.Epoch, err)
-		}
-	}
-	return nil
-}
-
-// checkRecords validates a contiguous record range straight off the
-// mapping — no allocation, no decode. With rebucket set, each record
-// must also land in bucket (startG, endG) under gran.
-func checkRecords(raw []byte, gran stats.Granulation, startG, endG int, rebucket bool) error {
-	for off, i := 0, 0; off < len(raw); off, i = off+recordSize, i+1 {
-		iv := interval.Interval{
-			ID:    int64(le64(raw[off:])),
-			Start: int64(le64(raw[off+8:])),
-			End:   int64(le64(raw[off+16:])),
-		}
-		if !iv.Valid() {
-			return fmt.Errorf("record %d: start %d > end %d", i, iv.Start, iv.End)
-		}
-		if rebucket {
-			if l, lp := gran.BucketOf(iv); l != startG || lp != endG {
-				return fmt.Errorf("record %d %v belongs in bucket (%d,%d)", i, iv, l, lp)
-			}
-		}
-	}
-	return nil
-}
-
-func le64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
 // viewRecords views a record byte range as an interval slice: the
@@ -290,267 +198,11 @@ func le64(b []byte) uint64 {
 // misaligned — possible for in-memory images, never for a mapping,
 // which is page-aligned with all sections 8-aligned by format).
 func viewRecords(raw []byte) []interval.Interval {
-	n := len(raw) / recordSize
-	if n == 0 {
+	if len(raw) == 0 {
 		return nil
 	}
 	if hostLittleEndian && uintptr(unsafe.Pointer(&raw[0]))%8 == 0 {
-		return unsafe.Slice((*interval.Interval)(unsafe.Pointer(&raw[0])), n)
+		return unsafe.Slice((*interval.Interval)(unsafe.Pointer(&raw[0])), len(raw)/interval.BinaryIntervalSize)
 	}
-	out := make([]interval.Interval, n)
-	for i := range out {
-		off := i * recordSize
-		out[i] = interval.Interval{
-			ID:    int64(le64(raw[off:])),
-			Start: int64(le64(raw[off+8:])),
-			End:   int64(le64(raw[off+16:])),
-		}
-	}
-	return out
-}
-
-// parse runs the eager structural pass. Its acceptance conditions
-// mirror snapshot.Decode line for line, except that the CRC and the
-// per-record content checks are deferred to Verify.
-func (r *Reader) parse() error {
-	img := r.data
-	if len(img) < headerSize {
-		return fmt.Errorf("mmapstore: %d bytes is shorter than the %d-byte header", len(img), headerSize)
-	}
-	hdr := interval.NewBinaryReader(img[:headerSize])
-	if got := string(hdr.Bytes(8)); got != magic {
-		return fmt.Errorf("mmapstore: bad magic %q (not a snapshot file)", got)
-	}
-	if v := hdr.U64(); v != version {
-		return fmt.Errorf("mmapstore: format version %d, this build reads version %d", v, version)
-	}
-	nSections := hdr.U64()
-	payloadLen := hdr.U64()
-	r.wantCRC = hdr.U64()
-	if payloadLen > uint64(len(img)-headerSize) {
-		return fmt.Errorf("mmapstore: header declares %d payload bytes, file has %d (truncated?)", payloadLen, len(img)-headerSize)
-	}
-	// Trailing bytes beyond the declared payload are tolerated, exactly
-	// as in the heap decoder: an interrupted AppendDelta leaves them.
-	r.payload = img[headerSize : headerSize+int(payloadLen)]
-
-	br := interval.NewBinaryReader(r.payload)
-	var lastDeltaEpoch uint64
-	for s := uint64(0); s < nSections; s++ {
-		kind := br.U64()
-		bodyLen := int(br.U64())
-		body := br.Bytes(bodyLen)
-		if pad := (8 - bodyLen%8) % 8; pad > 0 {
-			br.Bytes(pad)
-		}
-		if err := br.Err(); err != nil {
-			return fmt.Errorf("mmapstore: section %d: %w", s, err)
-		}
-		sr := interval.NewBinaryReader(body)
-		switch kind {
-		case sectionMatrices:
-			n := sr.U64()
-			if err := sr.Err(); err != nil {
-				return err
-			}
-			if n == 0 || n > uint64(len(body))/40 {
-				return fmt.Errorf("mmapstore: matrices section of %d bytes declares %d matrices", len(body), n)
-			}
-			ms := make([]*stats.Matrix, n)
-			for i := range ms {
-				m, err := stats.ReadMatrix(sr)
-				if err != nil {
-					return fmt.Errorf("mmapstore: matrix %d: %w", i, err)
-				}
-				ms[i] = m
-			}
-			if sr.Len() != 0 {
-				return fmt.Errorf("mmapstore: matrices section has %d trailing bytes", sr.Len())
-			}
-			r.matrices = ms
-		case sectionStore:
-			cols, err := parseStore(sr)
-			if err != nil {
-				return err
-			}
-			if sr.Len() != 0 {
-				return fmt.Errorf("mmapstore: store section has %d trailing bytes", sr.Len())
-			}
-			r.cols = cols
-		case sectionDelta:
-			if r.matrices == nil || r.cols == nil {
-				return fmt.Errorf("mmapstore: delta section %d precedes the base matrices/store sections", s)
-			}
-			d, err := parseDelta(sr)
-			if err != nil {
-				return fmt.Errorf("mmapstore: delta section %d: %w", s, err)
-			}
-			if d.Epoch != lastDeltaEpoch+1 {
-				return fmt.Errorf("mmapstore: delta epoch %d out of order (expected %d)", d.Epoch, lastDeltaEpoch+1)
-			}
-			if d.Col < 0 || d.Col >= len(r.matrices) {
-				return fmt.Errorf("mmapstore: delta epoch %d targets collection %d of %d", d.Epoch, d.Col, len(r.matrices))
-			}
-			lastDeltaEpoch = d.Epoch
-			r.deltas = append(r.deltas, d)
-		default:
-			return fmt.Errorf("mmapstore: unknown section kind %d", kind)
-		}
-	}
-	if br.Len() != 0 {
-		return fmt.Errorf("mmapstore: payload has %d bytes beyond the declared sections", br.Len())
-	}
-	if r.matrices == nil || r.cols == nil {
-		return fmt.Errorf("mmapstore: incomplete file (matrices present: %t, store present: %t)", r.matrices != nil, r.cols != nil)
-	}
-	return r.checkCoherence()
-}
-
-// parseStore walks the store section: per collection, a length-prefixed
-// partition whose directory is fully validated and whose bucket
-// payloads are bounds-checked and viewed in place.
-func parseStore(r *interval.BinaryReader) ([]Col, error) {
-	nCols := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if nCols == 0 || nCols > uint64(r.Len()/8+1) {
-		return nil, fmt.Errorf("mmapstore: snapshot declares %d collections", nCols)
-	}
-	cols := make([]Col, nCols)
-	for i := range cols {
-		bodyLen := r.U64()
-		body := r.Bytes(int(bodyLen))
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("mmapstore: decoding collection %d: %w", i, err)
-		}
-		c, err := parseColStore(interval.NewBinaryReader(body))
-		if err != nil {
-			return nil, err
-		}
-		if c.Col != i {
-			return nil, fmt.Errorf("mmapstore: partition %d encodes collection %d", i, c.Col)
-		}
-		cols[i] = c
-	}
-	return cols, nil
-}
-
-// parseColStore mirrors store.ReadColStore's structural half: the
-// directory is validated entry by entry (bounds, duplicates, payload
-// budget) and each bucket's record range is sliced off the mapping
-// without touching its contents.
-func parseColStore(r *interval.BinaryReader) (Col, error) {
-	col := r.I64()
-	if err := r.Err(); err != nil {
-		return Col{}, err
-	}
-	if col < 0 {
-		return Col{}, fmt.Errorf("mmapstore: decoding partition: negative collection index %d", col)
-	}
-	gran, err := stats.ReadGranulation(r)
-	if err != nil {
-		return Col{}, fmt.Errorf("mmapstore: decoding partition of collection %d: %w", col, err)
-	}
-	nBuckets := r.U64()
-	if err := r.Err(); err != nil {
-		return Col{}, err
-	}
-	if int64(nBuckets) < 0 || nBuckets > uint64(r.Len()/24) {
-		return Col{}, fmt.Errorf("mmapstore: collection %d declares %d buckets, payload holds at most %d", col, nBuckets, r.Len()/24)
-	}
-	c := Col{Col: int(col), Gran: gran, Buckets: make([]Bucket, nBuckets)}
-	counts := make([]int, nBuckets)
-	seen := make(map[[2]int]bool, nBuckets)
-	for i := range c.Buckets {
-		startG, endG := int(r.I64()), int(r.I64())
-		count := r.U64()
-		if err := r.Err(); err != nil {
-			return Col{}, fmt.Errorf("mmapstore: decoding partition of collection %d: %w", col, err)
-		}
-		if startG < 0 || startG >= gran.G || endG < startG || endG >= gran.G {
-			return Col{}, fmt.Errorf("mmapstore: collection %d bucket (%d,%d) outside granulation g=%d", col, startG, endG, gran.G)
-		}
-		if count == 0 || count > uint64(r.Len()/recordSize) {
-			return Col{}, fmt.Errorf("mmapstore: collection %d bucket (%d,%d) declares %d intervals, payload holds at most %d",
-				col, startG, endG, count, r.Len()/recordSize)
-		}
-		if seen[[2]int{startG, endG}] {
-			return Col{}, fmt.Errorf("mmapstore: collection %d bucket (%d,%d) appears twice", col, startG, endG)
-		}
-		seen[[2]int{startG, endG}] = true
-		c.Buckets[i] = Bucket{StartG: startG, EndG: endG}
-		counts[i] = int(count)
-	}
-	for i := range c.Buckets {
-		raw := r.Bytes(counts[i] * recordSize)
-		if err := r.Err(); err != nil {
-			return Col{}, fmt.Errorf("mmapstore: collection %d bucket (%d,%d): %w", col, c.Buckets[i].StartG, c.Buckets[i].EndG, err)
-		}
-		c.Buckets[i].raw = raw
-		c.Buckets[i].Items = viewRecords(raw)
-	}
-	if r.Len() != 0 {
-		return Col{}, fmt.Errorf("mmapstore: collection %d partition has %d trailing bytes", col, r.Len())
-	}
-	return c, nil
-}
-
-// parseDelta mirrors snapshot's delta framing: epoch, collection,
-// count, then the record payload viewed in place.
-func parseDelta(r *interval.BinaryReader) (Delta, error) {
-	epoch := r.U64()
-	col := r.I64()
-	count := r.U64()
-	if err := r.Err(); err != nil {
-		return Delta{}, err
-	}
-	if count == 0 || count > uint64(r.Len())/recordSize {
-		return Delta{}, fmt.Errorf("body of %d bytes declares %d intervals", r.Len(), count)
-	}
-	raw := r.Bytes(int(count) * recordSize)
-	if err := r.Err(); err != nil {
-		return Delta{}, err
-	}
-	if r.Len() != 0 {
-		return Delta{}, fmt.Errorf("%d trailing bytes", r.Len())
-	}
-	return Delta{Epoch: epoch, Col: int(col), Items: viewRecords(raw), raw: raw}, nil
-}
-
-// checkCoherence mirrors the heap decoder's cross-section check: the
-// matrices must describe exactly the partitions the store section
-// holds — aligned collections, identical granulations, per-bucket
-// counts equal to the mapped record counts, matching totals. O(buckets).
-func (r *Reader) checkCoherence() error {
-	if len(r.cols) != len(r.matrices) {
-		return fmt.Errorf("mmapstore: %d matrices for %d store collections", len(r.matrices), len(r.cols))
-	}
-	for i, m := range r.matrices {
-		if m.Col != i {
-			return fmt.Errorf("mmapstore: matrix %d encodes collection %d", i, m.Col)
-		}
-		if m.Gran != r.cols[i].Gran {
-			return fmt.Errorf("mmapstore: collection %d: matrix granulation %+v != store granulation %+v", i, m.Gran, r.cols[i].Gran)
-		}
-		byKey := make(map[[2]int]int, len(r.cols[i].Buckets))
-		colTotal := 0
-		for _, b := range r.cols[i].Buckets {
-			byKey[[2]int{b.StartG, b.EndG}] = len(b.Items)
-			colTotal += len(b.Items)
-		}
-		matrixTotal := 0
-		for _, mb := range m.Buckets() {
-			n := byKey[[2]int{mb.StartG, mb.EndG}]
-			if n != mb.Count {
-				return fmt.Errorf("mmapstore: collection %d bucket (%d,%d): matrix counts %d intervals, store holds %d",
-					i, mb.StartG, mb.EndG, mb.Count, n)
-			}
-			matrixTotal += n
-		}
-		if matrixTotal != m.Total() || colTotal != m.Total() {
-			return fmt.Errorf("mmapstore: collection %d: store holds %d intervals, matrix total is %d", i, colTotal, m.Total())
-		}
-	}
-	return nil
+	return snapshot.CopyRecords(raw)
 }

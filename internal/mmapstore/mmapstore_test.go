@@ -20,6 +20,13 @@ import (
 // optionally extended with delta sections (via a temp file, the only
 // delta writer).
 func makeImage(t testing.TB, deltas int) []byte {
+	return makeScaledImage(t, deltas, 1)
+}
+
+// makeScaledImage is makeImage with every interval present copies
+// times (under distinct IDs): the same granulation and the same bucket
+// directory, copies times the records.
+func makeScaledImage(t testing.TB, deltas, copies int) []byte {
 	t.Helper()
 	cols := []*interval.Collection{{Name: "A"}, {Name: "B"}}
 	seeds := []int64{3, 17}
@@ -27,7 +34,9 @@ func makeImage(t testing.TB, deltas int) []byte {
 		s := seeds[i]
 		for j := 0; j < 80; j++ {
 			s = (s*48271 + 11) % 1800
-			c.Add(interval.Interval{ID: int64(i*1000 + j), Start: s, End: s + 40 + s%60})
+			for k := 0; k < copies; k++ {
+				c.Add(interval.Interval{ID: int64(k*100000 + i*1000 + j), Start: s, End: s + 40 + s%60})
+			}
 		}
 	}
 	ms, _, err := stats.Collect(cols, 5, mapreduce.Config{})
@@ -65,36 +74,6 @@ func makeImage(t testing.TB, deltas int) []byte {
 	return img
 }
 
-// mappedStore assembles the zero-copy store pipeline from a reader the
-// way core does: BuildMapped over the mapped partitions, deltas
-// replayed through Append onto both store and matrices.
-func mappedStore(rd *mmapstore.Reader) (*store.Store, []*stats.Matrix, error) {
-	rcols := rd.Cols()
-	mcols := make([]store.MappedCol, len(rcols))
-	for i, c := range rcols {
-		mb := make([]store.MappedBucket, len(c.Buckets))
-		for j, b := range c.Buckets {
-			mb[j] = store.MappedBucket{StartG: b.StartG, EndG: b.EndG, Items: b.Items}
-		}
-		mcols[i] = store.MappedCol{Col: c.Col, Gran: c.Gran, Buckets: mb}
-	}
-	st, err := store.BuildMapped(mcols, rd)
-	if err != nil {
-		return nil, nil, err
-	}
-	ms := rd.Matrices()
-	for _, d := range rd.Deltas() {
-		if _, err := st.Append(d.Col, d.Items); err != nil {
-			st.Close()
-			return nil, nil, err
-		}
-		for _, iv := range d.Items {
-			ms[d.Col].Add(iv)
-		}
-	}
-	return st, ms, nil
-}
-
 // diffStores compares every bucket of the two restored stores
 // element-wise (the bucket key universe comes from the replayed
 // matrices, which coherence ties to both stores).
@@ -128,12 +107,12 @@ func TestOpenBytesMatchesHeapDecode(t *testing.T) {
 		if err := rd.Verify(); err != nil {
 			t.Fatalf("deltas=%d: Verify rejected a valid snapshot: %v", deltas, err)
 		}
-		if len(rd.Deltas()) != deltas {
-			t.Fatalf("parsed %d delta sections, want %d", len(rd.Deltas()), deltas)
-		}
-		mapSt, _, err := mappedStore(rd)
+		mapSt, _, err := rd.Store()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if mapSt.Epoch() != int64(deltas) {
+			t.Fatalf("replayed to epoch %d, want %d delta sections", mapSt.Epoch(), deltas)
 		}
 		diffStores(t, heapSt, mapSt, heapMs)
 
@@ -297,6 +276,29 @@ func TestValidationSplit(t *testing.T) {
 	}
 }
 
+// Restore cost is governed by the bucket directory, not the dataset:
+// opening an image with ten times the records behind the same directory
+// allocates the same number of objects (no interval is decoded or
+// copied on the open path).
+func TestOpenAllocsIndependentOfIntervals(t *testing.T) {
+	small, large := makeScaledImage(t, 0, 1), makeScaledImage(t, 0, 10)
+	if len(large) < 5*len(small) {
+		t.Fatalf("images of %d and %d bytes: the large one is not ~10x the records", len(small), len(large))
+	}
+	allocs := func(img []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			rd, err := mmapstore.OpenBytes(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd.Close()
+		})
+	}
+	if a, b := allocs(small), allocs(large); a-b > 2 || b-a > 2 {
+		t.Fatalf("OpenBytes allocates %v objects at 1x the intervals and %v at 10x; want the same (±2)", a, b)
+	}
+}
+
 // Open (the file-backed entry point) must serve the same data as
 // OpenBytes, and release its mapping with the last reference.
 func TestOpenFile(t *testing.T) {
@@ -311,9 +313,6 @@ func TestOpenFile(t *testing.T) {
 	}
 	if err := rd.Verify(); err != nil {
 		t.Fatal(err)
-	}
-	if rd.Size() != len(img) {
-		t.Fatalf("mapped %d bytes, file has %d", rd.Size(), len(img))
 	}
 	ref, err := mmapstore.OpenBytes(img)
 	if err != nil {

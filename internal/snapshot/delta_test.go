@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"hash/crc64"
 	"os"
 	"path/filepath"
@@ -196,5 +197,52 @@ func TestDeltaSectionDamage(t *testing.T) {
 	interval.PutU64(lead[32:], crc64.Checksum(lead[headerSize:], crcTable))
 	if _, _, err := Decode(lead); err == nil {
 		t.Error("delta section ahead of the base sections accepted")
+	}
+}
+
+// AppendDelta runs the same structural walk as Load, so a file Load
+// refuses is refused before a byte of it is written — not extended,
+// and not re-committed under a fresh header.
+func TestAppendDeltaRefusesWhatLoadRefuses(t *testing.T) {
+	st, ms, _ := offlinePhase(t, 2, 60, 4, 83)
+	base, err := Encode(st, ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ivs := []interval.Interval{{ID: 5, Start: 30, End: 60}}
+	storeAt := headerSize + 16 + int(interval.NewBinaryReader(base[headerSize+8:]).U64())
+
+	// matrices, delta, store: a delta ahead of the store section.
+	var body []byte
+	body = interval.AppendU64(body, 1)
+	body = interval.AppendI64(body, 0)
+	body = interval.AppendU64(body, uint64(len(ivs)))
+	body = interval.AppendIntervals(body, ivs)
+	misplaced := appendSection(append([]byte(nil), base[:storeAt]...), sectionDelta, body)
+	misplaced = append(misplaced, base[storeAt:]...)
+	interval.PutU64(misplaced[16:], 3)
+
+	// A matrices section declaring more matrices than its body holds.
+	overcount := append([]byte(nil), base...)
+	interval.PutU64(overcount[headerSize+16:], 1<<40)
+
+	for name, img := range map[string][]byte{"delta-before-store": reseal(misplaced), "matrix-overcount": reseal(overcount)} {
+		path := filepath.Join(t.TempDir(), name+".tkij")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Load(path); err == nil {
+			t.Fatalf("%s: Load accepted the image", name)
+		}
+		if _, err := AppendDelta(path, 0, ivs); err == nil {
+			t.Errorf("%s: AppendDelta extended a file Load refuses", name)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, img) {
+			t.Errorf("%s: the refused AppendDelta changed the file", name)
+		}
 	}
 }

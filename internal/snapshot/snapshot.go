@@ -3,30 +3,27 @@
 // partition serialize to one versioned, checksummed file, and restoring
 // it gives an engine whose first query runs zero statistics work.
 //
-// File layout (all words fixed-width little-endian, 8-byte aligned):
-//
-//	header (48 bytes):
-//	  [0:8)   magic "TKIJSNAP"
-//	  [8:16)  format version (currently 1)
-//	  [16:24) section count
-//	  [24:32) payload length (bytes following the header)
-//	  [32:40) CRC64-ECMA of the payload
-//	  [40:48) reserved (zero)
-//	payload: sections, each
-//	  kind u64 · body length u64 · body (padded to a multiple of 8)
-//
-// Section bodies reuse the per-package binary codecs (internal/interval,
-// internal/stats, internal/store); interval slices inside the store
-// section are contiguous per bucket in an mmap-friendly layout. Loading
-// is all-or-nothing: any structural damage — bad magic, version
-// mismatch, truncation, checksum failure, or a section that fails its
-// package's validation — returns an error and never a partial store.
+// The package owns the container format (docs/SNAPSHOT_FORMAT.md is the
+// byte-level contract): its constants are declared here and nowhere
+// else, Encode and AppendDelta are its writers, and Parse is the only
+// code that walks an image. Validation has two stages — Parse, the
+// O(buckets) structural walk that reduces the store and delta sections
+// to byte ranges, and (*Image).VerifyContent, the O(dataset) pass over
+// the checksum and the records — shared by three consumers: Decode (the
+// heap restore) runs both and copies every range to the heap,
+// AppendDelta runs Parse and the checksum, internal/mmapstore runs Parse
+// over a mapping, views the ranges in place and defers VerifyContent.
+// Loading is all-or-nothing: any damage — bad magic, version mismatch,
+// truncation, checksum failure, a repeated or misplaced section, or a
+// section that fails its package's validation (internal/interval,
+// internal/stats, internal/store own the section bodies) — returns an
+// error and never a partial store.
 //
 // Streaming ingest extends a snapshot without a format break: each
 // appended batch becomes one delta section (AppendDelta) after the base
 // matrices/store sections, in epoch order, using the same framing; only
 // the fixed-offset header (section count, payload length, CRC) is
-// rewritten. Decode replays delta sections onto both the store (one
+// rewritten. Replay applies delta sections to both the store (one
 // Append per section, re-establishing the epoch sequence) and the
 // matrices (incremental count maintenance), then re-verifies coherence
 // on the merged state — so a restored engine is indistinguishable from
@@ -49,6 +46,8 @@ import (
 // other version rather than guessing at a layout.
 const Version = 1
 
+// The header is 48 bytes: magic, version, section count, payload
+// length, CRC64-ECMA of the payload, one reserved zero word.
 const (
 	headerSize = 48
 	magic      = "TKIJSNAP"
@@ -75,46 +74,6 @@ func appendSection(dst []byte, kind uint64, body []byte) []byte {
 	return dst
 }
 
-// checkCoherence verifies that the matrices describe exactly the
-// partitions the store holds: aligned collections, identical
-// granulations, and per-bucket counts matching the resident items. It
-// gates both ends of the codec — Encode, so a save from a stale store
-// (e.g. stats.ApplyUpdate without core.Engine.InvalidateStore) fails
-// fast instead of writing a file only restore can reject, and Decode,
-// so a damaged file never yields a partial store.
-func checkCoherence(st *store.Store, matrices []*stats.Matrix) error {
-	if st.NumCols() != len(matrices) {
-		return fmt.Errorf("snapshot: %d matrices for %d store collections", len(matrices), st.NumCols())
-	}
-	total := 0
-	for i, m := range matrices {
-		if m.Col != i {
-			return fmt.Errorf("snapshot: matrix %d encodes collection %d", i, m.Col)
-		}
-		if m.Gran != st.Col(i).Granulation() {
-			return fmt.Errorf("snapshot: collection %d: matrix granulation %+v != store granulation %+v",
-				i, m.Gran, st.Col(i).Granulation())
-		}
-		colTotal := 0
-		for _, b := range m.Buckets() {
-			n := len(st.Col(i).BucketItems(b.StartG, b.EndG))
-			if n != b.Count {
-				return fmt.Errorf("snapshot: collection %d bucket (%d,%d): matrix counts %d intervals, store holds %d",
-					i, b.StartG, b.EndG, b.Count, n)
-			}
-			colTotal += n
-		}
-		if colTotal != m.Total() {
-			return fmt.Errorf("snapshot: collection %d: store holds %d intervals, matrix total is %d", i, colTotal, m.Total())
-		}
-		total += colTotal
-	}
-	if total != st.Intervals() {
-		return fmt.Errorf("snapshot: store interval count %d != matrices total %d", st.Intervals(), total)
-	}
-	return nil
-}
-
 // Encode serializes the offline phase to a snapshot image. The store
 // and matrices must be aligned per collection (same count, same
 // granulations, matching per-bucket counts) — Encode verifies this so
@@ -132,7 +91,7 @@ func Encode(st *store.Store, matrices []*stats.Matrix) ([]byte, error) {
 			return nil, fmt.Errorf("snapshot: refusing to encode: %w", err)
 		}
 	}
-	if err := checkCoherence(st, matrices); err != nil {
+	if err := checkCoherence(storeShape(st), matrices); err != nil {
 		return nil, err
 	}
 	var mbody []byte
@@ -171,171 +130,54 @@ func Encode(st *store.Store, matrices []*stats.Matrix) ([]byte, error) {
 	return img, nil
 }
 
-// Decode parses a snapshot image, verifying the header, checksum and
-// every section before returning the restored store and matrices.
+// Decode is the heap restore: Parse and VerifyContent accept the image
+// in full before anything is built, every record range is copied to the
+// heap, and the delta sections are replayed on top.
 func Decode(img []byte) (*store.Store, []*stats.Matrix, error) {
-	if len(img) < headerSize {
-		return nil, nil, fmt.Errorf("snapshot: %d bytes is shorter than the %d-byte header", len(img), headerSize)
+	p, err := Parse(img)
+	if err == nil {
+		err = p.VerifyContent()
 	}
-	hdr := interval.NewBinaryReader(img[:headerSize])
-	if got := string(hdr.Bytes(8)); got != magic {
-		return nil, nil, fmt.Errorf("snapshot: bad magic %q (not a snapshot file)", got)
-	}
-	if v := hdr.U64(); v != Version {
-		return nil, nil, fmt.Errorf("snapshot: format version %d, this build reads version %d", v, Version)
-	}
-	nSections := hdr.U64()
-	payloadLen := hdr.U64()
-	wantCRC := hdr.U64()
-	if payloadLen > uint64(len(img)-headerSize) {
-		return nil, nil, fmt.Errorf("snapshot: header declares %d payload bytes, file has %d (truncated?)", payloadLen, len(img)-headerSize)
-	}
-	// Bytes beyond the declared payload are tolerated (not an error):
-	// AppendDelta writes the new section before committing the header,
-	// so a crash between the two leaves exactly this shape — a fully
-	// valid snapshot followed by uncommitted bytes the header (and the
-	// checksum) does not cover.
-	payload := img[headerSize : headerSize+int(payloadLen)]
-	if got := crc64.Checksum(payload, crcTable); got != wantCRC {
-		return nil, nil, fmt.Errorf("snapshot: checksum mismatch (want %016x, got %016x): file is corrupted", wantCRC, got)
-	}
-
-	var (
-		matrices []*stats.Matrix
-		st       *store.Store
-		deltas   []pendingDelta
-	)
-	r := interval.NewBinaryReader(payload)
-	for s := uint64(0); s < nSections; s++ {
-		kind := r.U64()
-		bodyLen := int(r.U64())
-		body := r.Bytes(bodyLen)
-		if pad := (8 - bodyLen%8) % 8; pad > 0 {
-			r.Bytes(pad)
-		}
-		if err := r.Err(); err != nil {
-			return nil, nil, fmt.Errorf("snapshot: section %d: %w", s, err)
-		}
-		br := interval.NewBinaryReader(body)
-		switch kind {
-		case sectionMatrices:
-			n := br.U64()
-			if err := br.Err(); err != nil {
-				return nil, nil, err
-			}
-			// Each encoded matrix is at least 40 bytes (col + granulation
-			// + total); bounding the count by that floor keeps a crafted
-			// section from amplifying its size 8x into pointer slabs.
-			if n == 0 || n > uint64(len(body))/40 {
-				return nil, nil, fmt.Errorf("snapshot: matrices section of %d bytes declares %d matrices", len(body), n)
-			}
-			matrices = make([]*stats.Matrix, n)
-			for i := range matrices {
-				m, err := stats.ReadMatrix(br)
-				if err != nil {
-					return nil, nil, fmt.Errorf("snapshot: matrix %d: %w", i, err)
-				}
-				matrices[i] = m
-			}
-			if br.Len() != 0 {
-				return nil, nil, fmt.Errorf("snapshot: matrices section has %d trailing bytes", br.Len())
-			}
-		case sectionStore:
-			var err error
-			st, err = store.ReadStore(br)
-			if err != nil {
-				return nil, nil, fmt.Errorf("snapshot: %w", err)
-			}
-			if br.Len() != 0 {
-				return nil, nil, fmt.Errorf("snapshot: store section has %d trailing bytes", br.Len())
-			}
-		case sectionDelta:
-			if matrices == nil || st == nil {
-				return nil, nil, fmt.Errorf("snapshot: delta section %d precedes the base matrices/store sections", s)
-			}
-			d, err := readDelta(br)
-			if err != nil {
-				return nil, nil, fmt.Errorf("snapshot: delta section %d: %w", s, err)
-			}
-			deltas = append(deltas, d)
-		default:
-			// Unknown sections are an error, not skippable: within one
-			// version the section set is fixed, so this is corruption.
-			return nil, nil, fmt.Errorf("snapshot: unknown section kind %d", kind)
-		}
-	}
-	if r.Len() != 0 {
-		return nil, nil, fmt.Errorf("snapshot: payload has %d bytes beyond the declared sections", r.Len())
-	}
-	if matrices == nil || st == nil {
-		return nil, nil, fmt.Errorf("snapshot: incomplete file (matrices present: %t, store present: %t)", matrices != nil, st != nil)
-	}
-
-	// Cross-section coherence: the matrices must describe exactly the
-	// partitions the base store section holds, before any delta replays
-	// on top.
-	if err := checkCoherence(st, matrices); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
-
-	// Replay the ingest deltas in epoch order onto both the store (which
-	// re-establishes the epoch sequence exactly as the live engine
-	// published it) and the matrices (incremental count maintenance),
-	// then re-verify coherence on the merged state.
-	for i, d := range deltas {
-		if d.epoch != uint64(i+1) {
-			return nil, nil, fmt.Errorf("snapshot: delta epoch %d out of order (expected %d)", d.epoch, i+1)
-		}
-		if d.col < 0 || d.col >= int64(len(matrices)) {
-			return nil, nil, fmt.Errorf("snapshot: delta epoch %d targets collection %d of %d", d.epoch, d.col, len(matrices))
-		}
-		for _, iv := range d.ivs {
-			matrices[d.col].Add(iv)
-		}
-		if _, err := st.Append(int(d.col), d.ivs); err != nil {
-			return nil, nil, fmt.Errorf("snapshot: replaying delta epoch %d: %w", d.epoch, err)
-		}
-	}
-	if len(deltas) > 0 {
-		for i, m := range matrices {
-			if err := m.Validate(); err != nil {
-				return nil, nil, fmt.Errorf("snapshot: matrix %d after delta replay: %w", i, err)
-			}
-		}
-		if err := checkCoherence(st, matrices); err != nil {
-			return nil, nil, err
-		}
-	}
-	return st, matrices, nil
-}
-
-// pendingDelta is one decoded-but-unapplied delta section.
-type pendingDelta struct {
-	epoch uint64
-	col   int64
-	ivs   []interval.Interval
-}
-
-// readDelta consumes one delta section body: epoch, collection index,
-// interval count, contiguous interval payload.
-func readDelta(br *interval.BinaryReader) (pendingDelta, error) {
-	epoch := br.U64()
-	col := br.I64()
-	count := br.U64()
-	if err := br.Err(); err != nil {
-		return pendingDelta{}, err
-	}
-	if count == 0 || count > uint64(br.Len())/interval.BinaryIntervalSize {
-		return pendingDelta{}, fmt.Errorf("body of %d bytes declares %d intervals", br.Len(), count)
-	}
-	ivs, err := interval.DecodeIntervals(br.Bytes(int(count) * interval.BinaryIntervalSize))
+	p.View(CopyRecords)
+	st, err := store.BuildSealed(p.Cols)
 	if err != nil {
-		return pendingDelta{}, err
+		return nil, nil, fmt.Errorf("snapshot: %w", err)
 	}
-	if br.Len() != 0 {
-		return pendingDelta{}, fmt.Errorf("%d trailing bytes", br.Len())
+	if err := Replay(st, p.Matrices, p.Deltas); err != nil {
+		return nil, nil, err
 	}
-	return pendingDelta{epoch: epoch, col: col, ivs: ivs}, nil
+	return st, p.Matrices, nil
+}
+
+// Replay applies a parsed image's delta sections, in epoch order, to
+// the store and matrices built from its base sections — the one replay
+// both restore paths run. Each section goes through the live append
+// path (one Store.Append, re-establishing the epoch sequence exactly as
+// the live engine published it, then Matrix.Add per interval); the
+// merged matrices are validated and their coherence with the merged
+// store re-checked. Append copies the values out, so Items may alias a
+// mapping.
+func Replay(st *store.Store, matrices []*stats.Matrix, deltas []Delta) error {
+	for _, d := range deltas {
+		if _, err := st.Append(d.Col, d.Items); err != nil {
+			return fmt.Errorf("snapshot: replaying delta epoch %d: %w", d.Epoch, err)
+		}
+		for _, iv := range d.Items {
+			matrices[d.Col].Add(iv)
+		}
+	}
+	if len(deltas) == 0 {
+		return nil
+	}
+	for i, m := range matrices {
+		if err := m.Validate(); err != nil {
+			return fmt.Errorf("snapshot: matrix %d after delta replay: %w", i, err)
+		}
+	}
+	return checkCoherence(storeShape(st), matrices)
 }
 
 // Save atomically writes a snapshot file: the image is written to a
@@ -351,12 +193,13 @@ func Save(path string, st *store.Store, matrices []*stats.Matrix) error {
 
 // AppendDelta extends an existing snapshot file with one ingest batch
 // as a delta section, in O(batch) work beyond one sequential read of
-// the file: the base sections are verified (checksum + structural
-// section walk — deep per-section validation stays where it always
-// runs, at Load) but never decoded, re-encoded or rewritten; the new
-// section's bytes are appended in place; and the checksum is extended
-// incrementally (crc64.Update over just the new bytes). The recorded
-// epoch continues the file's existing delta sequence.
+// the file: the file is verified (Parse and the checksum, so a file
+// Load would refuse structurally is never extended; the per-record
+// content pass stays where it always runs, at Load) but no record is
+// decoded, re-encoded or rewritten; the new section's bytes are appended
+// in place; and the checksum is extended incrementally (crc64.Update
+// over just the new bytes). The recorded epoch continues the file's
+// existing delta sequence.
 //
 // Commit order: the section is written and synced beyond the committed
 // payload first, and only then is the fixed-offset header (section
@@ -390,14 +233,17 @@ func AppendDelta(path string, col int, ivs []interval.Interval) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("snapshot: reading %s: %w", path, err)
 	}
-	nCols, lastEpoch, payloadLen, oldCRC, err := scanImage(img)
+	p, err := Parse(img)
+	if err == nil {
+		err = p.checksum()
+	}
 	if err != nil {
-		return 0, fmt.Errorf("snapshot: refusing to extend %s: %w", path, err)
+		return 0, fmt.Errorf("%w (refusing to extend %s)", err, path)
 	}
-	if col < 0 || uint64(col) >= nCols {
-		return 0, fmt.Errorf("snapshot: delta targets collection %d, %s holds %d", col, path, nCols)
+	if col < 0 || col >= len(p.Matrices) {
+		return 0, fmt.Errorf("snapshot: delta targets collection %d, %s holds %d", col, path, len(p.Matrices))
 	}
-	epoch := lastEpoch + 1
+	epoch := uint64(len(p.Deltas)) + 1
 
 	var body []byte
 	body = interval.AppendU64(body, epoch)
@@ -409,7 +255,7 @@ func AppendDelta(path string, col int, ivs []interval.Interval) (int64, error) {
 	// Write the section past the committed payload, drop any trailing
 	// bytes from an earlier interrupted append, and sync before the
 	// header commit can make the new section visible.
-	end := int64(headerSize) + int64(payloadLen)
+	end := int64(headerSize + len(p.payload))
 	if _, err := f.WriteAt(sec, end); err != nil {
 		return 0, fmt.Errorf("snapshot: extending %s: %w", path, err)
 	}
@@ -424,8 +270,8 @@ func AppendDelta(path string, col int, ivs []interval.Interval) (int64, error) {
 	copy(hdr, img[:headerSize])
 	r := interval.NewBinaryReader(img[16:24])
 	interval.PutU64(hdr[16:], r.U64()+1) // section count
-	interval.PutU64(hdr[24:], payloadLen+uint64(len(sec)))
-	interval.PutU64(hdr[32:], crc64.Update(oldCRC, crcTable, sec))
+	interval.PutU64(hdr[24:], uint64(len(p.payload)+len(sec)))
+	interval.PutU64(hdr[32:], crc64.Update(p.crc, crcTable, sec))
 	if _, err := f.WriteAt(hdr, 0); err != nil {
 		return 0, fmt.Errorf("snapshot: committing %s: %w", path, err)
 	}
@@ -433,72 +279,6 @@ func AppendDelta(path string, col int, ivs []interval.Interval) (int64, error) {
 		return 0, fmt.Errorf("snapshot: committing %s: %w", path, err)
 	}
 	return int64(epoch), nil
-}
-
-// scanImage verifies a snapshot image's header, checksum and section
-// framing without decoding section bodies: every section kind must be
-// known and well-framed, the base matrices/store sections present, and
-// delta epochs sequential. It returns the collection count (from the
-// matrices section header), the last delta epoch (0 when none), the
-// committed payload length, and the committed checksum.
-func scanImage(img []byte) (nCols, lastEpoch, payloadLen, crc uint64, err error) {
-	if len(img) < headerSize {
-		return 0, 0, 0, 0, fmt.Errorf("%d bytes is shorter than the %d-byte header", len(img), headerSize)
-	}
-	hdr := interval.NewBinaryReader(img[:headerSize])
-	if got := string(hdr.Bytes(8)); got != magic {
-		return 0, 0, 0, 0, fmt.Errorf("bad magic %q (not a snapshot file)", got)
-	}
-	if v := hdr.U64(); v != Version {
-		return 0, 0, 0, 0, fmt.Errorf("format version %d, this build reads version %d", v, Version)
-	}
-	nSections := hdr.U64()
-	payloadLen = hdr.U64()
-	crc = hdr.U64()
-	if payloadLen > uint64(len(img)-headerSize) {
-		return 0, 0, 0, 0, fmt.Errorf("header declares %d payload bytes, file has %d (truncated?)", payloadLen, len(img)-headerSize)
-	}
-	payload := img[headerSize : headerSize+int(payloadLen)]
-	if got := crc64.Checksum(payload, crcTable); got != crc {
-		return 0, 0, 0, 0, fmt.Errorf("checksum mismatch (want %016x, got %016x): file is corrupted", crc, got)
-	}
-	r := interval.NewBinaryReader(payload)
-	var sawStore bool
-	for s := uint64(0); s < nSections; s++ {
-		kind := r.U64()
-		bodyLen := int(r.U64())
-		body := r.Bytes(bodyLen)
-		if pad := (8 - bodyLen%8) % 8; pad > 0 {
-			r.Bytes(pad)
-		}
-		if err := r.Err(); err != nil {
-			return 0, 0, 0, 0, fmt.Errorf("section %d: %w", s, err)
-		}
-		br := interval.NewBinaryReader(body)
-		switch kind {
-		case sectionMatrices:
-			if nCols = br.U64(); br.Err() != nil || nCols == 0 {
-				return 0, 0, 0, 0, fmt.Errorf("section %d: malformed matrices header", s)
-			}
-		case sectionStore:
-			sawStore = true
-		case sectionDelta:
-			epoch := br.U64()
-			if br.Err() != nil || epoch != lastEpoch+1 {
-				return 0, 0, 0, 0, fmt.Errorf("section %d: delta epoch %d out of order (expected %d)", s, epoch, lastEpoch+1)
-			}
-			lastEpoch = epoch
-		default:
-			return 0, 0, 0, 0, fmt.Errorf("unknown section kind %d", kind)
-		}
-	}
-	if r.Len() != 0 {
-		return 0, 0, 0, 0, fmt.Errorf("payload has %d bytes beyond the declared sections", r.Len())
-	}
-	if nCols == 0 || !sawStore {
-		return 0, 0, 0, 0, fmt.Errorf("incomplete file (matrices present: %t, store present: %t)", nCols != 0, sawStore)
-	}
-	return nCols, lastEpoch, payloadLen, crc, nil
 }
 
 // WriteImage atomically writes an encoded snapshot image to path via a

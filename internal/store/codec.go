@@ -8,18 +8,22 @@ import (
 	"tkij/internal/stats"
 )
 
-// Binary codec for the bucket partition — the storage half of a
-// snapshot. Per collection, a fixed-width bucket directory (start
-// granule, end granule, count) precedes the interval payloads, which
-// are written contiguously per bucket in directory order. Every word is
-// 8-byte aligned and intervals use the 24-byte fixed layout, so a
-// future reader can mmap the snapshot and serve BucketItems straight
-// from the mapping.
+// Binary codec for the bucket partition — the store section of a
+// snapshot (docs/SNAPSHOT_FORMAT.md). Per collection, a fixed-width
+// bucket directory (start granule, end granule, count) precedes the
+// interval payloads, which are written contiguously per bucket in
+// directory order. Every word is 8-byte aligned and intervals use the
+// 24-byte fixed layout, so ReadDirectory hands out byte ranges that
+// internal/mmapstore serves in place and snapshot.Decode copies.
 //
 // Item order within each bucket is preserved exactly: the memoized
-// R-trees index buckets by position (rtree.Point.Ref), so a restored
-// store must present every bucket slice in its original order for tree
-// Refs to keep resolving to the same intervals.
+// indexes reference a bucket's intervals by position, so a restored
+// store must present every bucket slice in its original order for
+// refs to keep resolving to the same intervals.
+
+// dirEntrySize is the encoded size of one bucket directory entry:
+// start granule, end granule, count.
+const dirEntrySize = 24
 
 // sortedKeys returns a partition's bucket keys in deterministic
 // (startG, endG) order.
@@ -77,85 +81,6 @@ func (cs *ColStore) AppendColStore(dst []byte) []byte {
 	return dst
 }
 
-// ReadColStore consumes one encoded collection partition, rebuilding
-// the bucket map with fresh (unmemoized) R-tree slots. Every interval
-// is re-bucketed under the decoded granulation and checked against the
-// bucket it was stored in, so a corrupted payload cannot produce a
-// store that silently serves wrong buckets.
-func ReadColStore(r *interval.BinaryReader) (*ColStore, error) {
-	col := r.I64()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if col < 0 {
-		return nil, fmt.Errorf("store: decoding partition: negative collection index %d", col)
-	}
-	gran, err := stats.ReadGranulation(r)
-	if err != nil {
-		return nil, fmt.Errorf("store: decoding partition of collection %d: %w", col, err)
-	}
-	nBuckets := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if int64(nBuckets) < 0 || nBuckets > uint64(r.Len()/24) {
-		return nil, fmt.Errorf("store: collection %d declares %d buckets, payload holds at most %d", col, nBuckets, r.Len()/24)
-	}
-	type dirEntry struct {
-		key   gkey
-		count int
-	}
-	dir := make([]dirEntry, nBuckets)
-	cs := &ColStore{col: int(col), gran: gran}
-	buckets := make(map[gkey]*bucket, nBuckets)
-	total := 0
-	for i := range dir {
-		startG, endG := int(r.I64()), int(r.I64())
-		count := r.U64()
-		if err := r.Err(); err != nil {
-			// Unreachable while the nBuckets bound above guarantees the
-			// 24-byte entries fit, but a break here would leave
-			// zero-valued entries for the payload loop to dereference.
-			return nil, fmt.Errorf("store: decoding partition of collection %d: %w", col, err)
-		}
-		if startG < 0 || startG >= gran.G || endG < startG || endG >= gran.G {
-			return nil, fmt.Errorf("store: collection %d bucket (%d,%d) outside granulation g=%d", col, startG, endG, gran.G)
-		}
-		if count == 0 || count > uint64(r.Len()/interval.BinaryIntervalSize) {
-			return nil, fmt.Errorf("store: collection %d bucket (%d,%d) declares %d intervals, payload holds at most %d",
-				col, startG, endG, count, r.Len()/interval.BinaryIntervalSize)
-		}
-		k := gkey{startG, endG}
-		if buckets[k] != nil {
-			return nil, fmt.Errorf("store: collection %d bucket (%d,%d) appears twice", col, startG, endG)
-		}
-		buckets[k] = &bucket{cs: cs}
-		dir[i] = dirEntry{key: k, count: int(count)}
-	}
-	for _, d := range dir {
-		items, err := interval.DecodeIntervals(r.Bytes(d.count * interval.BinaryIntervalSize))
-		if err != nil {
-			return nil, fmt.Errorf("store: collection %d bucket (%d,%d): %w", col, d.key.startG, d.key.endG, err)
-		}
-		for i, iv := range items {
-			if l, lp := gran.BucketOf(iv); l != d.key.startG || lp != d.key.endG {
-				return nil, fmt.Errorf("store: collection %d bucket (%d,%d) item %d %v belongs in bucket (%d,%d)",
-					col, d.key.startG, d.key.endG, i, iv, l, lp)
-			}
-		}
-		b := buckets[d.key]
-		b.items = items
-		b.sealed = len(items)
-		b.base = &treeMemo{}
-		total += len(items)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("store: decoding partition of collection %d: %w", col, err)
-	}
-	cs.cur.Store(&colView{buckets: buckets, n: total})
-	return cs, nil
-}
-
 // AppendStore appends the whole dataset partition: the collection
 // count, then each collection's length-prefixed partition. Each
 // partition is appended in place with its length prefix backfilled —
@@ -173,10 +98,15 @@ func (s *Store) AppendStore(dst []byte) []byte {
 	return dst
 }
 
-// ReadStore decodes a dataset partition previously written by
-// AppendStore. Collections must appear in index order with no gaps; it
-// never returns a partially decoded store.
-func ReadStore(r *interval.BinaryReader) (*Store, error) {
+// ReadDirectory walks a dataset partition written by AppendStore down
+// to its bucket directories. It is the only reader of this layout, and
+// it decodes and copies no interval: each returned bucket carries its
+// record byte range (Records, a subslice of r's buffer) and no Items —
+// the caller copies the records to the heap or views them in place, and
+// owns their content checks (snapshot.VerifyContent). Collections must
+// appear in index order with no gaps, and every declared count is
+// bounded by the bytes that remain before anything is allocated.
+func ReadDirectory(r *interval.BinaryReader) ([]MappedCol, error) {
 	nCols := r.U64()
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -184,26 +114,69 @@ func ReadStore(r *interval.BinaryReader) (*Store, error) {
 	if nCols == 0 || nCols > uint64(r.Len()/8+1) {
 		return nil, fmt.Errorf("store: snapshot declares %d collections", nCols)
 	}
-	s := &Store{cols: make([]*ColStore, nCols), compactLimit: DefaultCompactLimit}
-	for i := range s.cols {
+	cols := make([]MappedCol, nCols)
+	for i := range cols {
 		bodyLen := r.U64()
 		body := r.Bytes(int(bodyLen))
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("store: decoding collection %d: %w", i, err)
 		}
 		br := interval.NewBinaryReader(body)
-		cs, err := ReadColStore(br)
+		c, err := readColDirectory(br)
 		if err != nil {
 			return nil, err
 		}
 		if br.Len() != 0 {
 			return nil, fmt.Errorf("store: collection %d partition has %d trailing bytes", i, br.Len())
 		}
-		if cs.col != i {
-			return nil, fmt.Errorf("store: partition %d encodes collection %d", i, cs.col)
+		if c.Col != i {
+			return nil, fmt.Errorf("store: partition %d encodes collection %d", i, c.Col)
 		}
-		s.intervals += cs.cur.Load().n
-		s.cols[i] = cs
+		cols[i] = c
 	}
-	return s, nil
+	return cols, nil
+}
+
+// readColDirectory consumes one collection's partition: the fixed-width
+// directory is validated entry by entry (granule bounds, duplicate keys,
+// count against the unread payload) while each bucket's record range is
+// sliced off the payload that follows it, in directory order.
+func readColDirectory(r *interval.BinaryReader) (MappedCol, error) {
+	col := r.I64()
+	if err := r.Err(); err != nil {
+		return MappedCol{}, err
+	}
+	if col < 0 {
+		return MappedCol{}, fmt.Errorf("store: decoding partition: negative collection index %d", col)
+	}
+	gran, err := stats.ReadGranulation(r)
+	if err != nil {
+		return MappedCol{}, fmt.Errorf("store: decoding partition of collection %d: %w", col, err)
+	}
+	nBuckets := r.U64()
+	if err := r.Err(); err != nil {
+		return MappedCol{}, err
+	}
+	if int64(nBuckets) < 0 || nBuckets > uint64(r.Len()/dirEntrySize) {
+		return MappedCol{}, fmt.Errorf("store: collection %d declares %d buckets, payload holds at most %d", col, nBuckets, r.Len()/dirEntrySize)
+	}
+	c := MappedCol{Col: int(col), Gran: gran, Buckets: make([]MappedBucket, nBuckets)}
+	dir := interval.NewBinaryReader(r.Bytes(int(nBuckets) * dirEntrySize))
+	seen := make(map[gkey]bool, nBuckets)
+	for i := range c.Buckets {
+		startG, endG, count := int(dir.I64()), int(dir.I64()), dir.U64()
+		if startG < 0 || startG >= gran.G || endG < startG || endG >= gran.G {
+			return MappedCol{}, fmt.Errorf("store: collection %d bucket (%d,%d) outside granulation g=%d", col, startG, endG, gran.G)
+		}
+		if count == 0 || count > uint64(r.Len()/interval.BinaryIntervalSize) {
+			return MappedCol{}, fmt.Errorf("store: collection %d bucket (%d,%d) declares %d intervals, payload holds at most %d",
+				col, startG, endG, count, r.Len()/interval.BinaryIntervalSize)
+		}
+		if seen[gkey{startG, endG}] {
+			return MappedCol{}, fmt.Errorf("store: collection %d bucket (%d,%d) appears twice", col, startG, endG)
+		}
+		seen[gkey{startG, endG}] = true
+		c.Buckets[i] = MappedBucket{StartG: startG, EndG: endG, Records: r.Bytes(int(count) * interval.BinaryIntervalSize)}
+	}
+	return c, nil
 }

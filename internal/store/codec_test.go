@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tkij/internal/interval"
@@ -33,11 +35,40 @@ func codecStore(t *testing.T, nCols, perCol int, seed int64) (*Store, []*stats.M
 	return st, ms, cols
 }
 
+// readStore restores an encoded partition the way snapshot.Decode does:
+// the one directory walk, each record range copied to the heap, then
+// BuildSealed.
+func readStore(r *interval.BinaryReader) (*Store, error) {
+	cols, err := ReadDirectory(r)
+	if err != nil {
+		return nil, err
+	}
+	return BuildSealed(heapItems(cols))
+}
+
+// heapItems fills every bucket's Items with a plain copy of its Records.
+// It judges nothing: what a record says (start <= end, the bucket it
+// belongs in) is snapshot.VerifyContent's rule, and is tested where it
+// runs — TestSnapshotRejectsDamage in internal/snapshot.
+func heapItems(cols []MappedCol) []MappedCol {
+	for _, c := range cols {
+		for i, b := range c.Buckets {
+			r := interval.NewBinaryReader(b.Records)
+			items := make([]interval.Interval, len(b.Records)/interval.BinaryIntervalSize)
+			for j := range items {
+				items[j] = interval.Interval{ID: r.I64(), Start: r.I64(), End: r.I64()}
+			}
+			c.Buckets[i].Items = items
+		}
+	}
+	return cols
+}
+
 func TestStoreCodecRoundTrip(t *testing.T) {
 	st, ms, _ := codecStore(t, 3, 400, 3)
 	buf := st.AppendStore(nil)
 	r := interval.NewBinaryReader(buf)
-	got, err := ReadStore(r)
+	got, err := readStore(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +106,7 @@ func TestStoreCodecRoundTrip(t *testing.T) {
 func TestStoreCodecRefStability(t *testing.T) {
 	st, ms, _ := codecStore(t, 1, 600, 9)
 	r := interval.NewBinaryReader(st.AppendStore(nil))
-	got, err := ReadStore(r)
+	got, err := readStore(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +142,63 @@ func TestStoreCodecRejectsCorruption(t *testing.T) {
 	buf := st.AppendStore(nil)
 
 	for _, cut := range []int{0, 8, len(buf) / 3, len(buf) - 8} {
-		if _, err := ReadStore(interval.NewBinaryReader(buf[:cut])); err == nil {
+		if _, err := readStore(interval.NewBinaryReader(buf[:cut])); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 	}
 
-	// Corrupt the last interval's Start (its most significant byte sits
-	// 9 bytes from the end of the payload): Start > End must be caught
-	// by the payload validation, never served.
+	// A directory that lies about its payload: the last entry's count,
+	// the word just before the last collection's first record, raised by
+	// one reaches past the partition's end. (What the records themselves
+	// say is not this walker's rule; the start > end and wrong-bucket
+	// cases are in internal/snapshot's TestSnapshotRejectsDamage, against
+	// the code that checks them.)
+	cols, err := ReadDirectory(interval.NewBinaryReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := cols[len(cols)-1].Buckets
+	payload := 0
+	for _, b := range last {
+		payload += len(b.Records)
+	}
 	bad := append([]byte(nil), buf...)
-	bad[len(bad)-9] = 0x7f
-	if _, err := ReadStore(interval.NewBinaryReader(bad)); err == nil {
-		t.Fatal("corrupted interval payload accepted")
+	interval.PutU64(bad[len(bad)-payload-8:], uint64(len(last[len(last)-1].Records)/interval.BinaryIntervalSize+1))
+	if _, err := readStore(interval.NewBinaryReader(bad)); err == nil {
+		t.Fatal("bucket count beyond the partition's payload accepted")
+	}
+}
+
+// The writer sorts each bucket directory by (startG, endG), but the
+// reader has never required it: a directory in another order, with its
+// payloads in that same order, restores to the same buckets and
+// re-encodes to the writer's order. (FuzzReadStore's byte-identity
+// assertion is therefore conditional on the input's order.)
+func TestReadDirectoryTakesAnyOrder(t *testing.T) {
+	seed := fuzzStoreSeed()
+	// Collection 0 of the seed: two directory entries from dir, bucket
+	// (0,0) with two records, then bucket (1,2) with one.
+	const dir = 8 + 8 + 8 + 24 + 8
+	const rec = dir + 2*dirEntrySize
+	const sz = interval.BinaryIntervalSize
+	swapped := slices.Concat(seed[:dir],
+		seed[dir+dirEntrySize:rec], seed[dir:dir+dirEntrySize],
+		seed[rec+2*sz:rec+3*sz], seed[rec:rec+2*sz],
+		seed[rec+3*sz:])
+	want, err := readStore(interval.NewBinaryReader(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := readStore(interval.NewBinaryReader(swapped))
+	if err != nil {
+		t.Fatalf("directory in (1,2), (0,0) order refused: %v", err)
+	}
+	for _, k := range [][2]int{{0, 0}, {1, 2}} {
+		if !slices.Equal(got.Col(0).BucketItems(k[0], k[1]), want.Col(0).BucketItems(k[0], k[1])) {
+			t.Fatalf("bucket (%d,%d) differs after the swap", k[0], k[1])
+		}
+	}
+	if !bytes.Equal(got.AppendStore(nil), seed) {
+		t.Fatal("the swapped directory does not re-encode to the writer's order")
 	}
 }

@@ -234,16 +234,22 @@ type Region interface {
 	Release()
 }
 
-// MappedBucket is one sealed bucket handed to BuildMapped: its granule
-// key and its interval slice, typically aliasing a read-only snapshot
-// mapping (never written, never appended in place — the store copies
-// on first append).
+// MappedBucket is one sealed bucket of a restored partition: its
+// granule key, the interval slice the store will serve, and the byte
+// range those intervals were read from.
 type MappedBucket struct {
 	StartG, EndG int
-	Items        []interval.Interval
+	// Items is served as-is and never written or appended in place (the
+	// store copies on first append), so it may alias a read-only
+	// snapshot mapping.
+	Items []interval.Interval
+	// Records is the bucket's record byte range in the image
+	// ReadDirectory walked; the constructors below do not look at it.
+	Records []byte
 }
 
-// MappedCol is one collection's sealed partition handed to BuildMapped.
+// MappedCol is one collection's sealed partition: what ReadDirectory
+// returns and BuildMapped/BuildSealed take.
 type MappedCol struct {
 	Col     int
 	Gran    stats.Granulation
@@ -258,12 +264,33 @@ type MappedCol struct {
 // once for the store itself plus once per pinned View; Close releases
 // the store's reference.
 //
-// The caller (core.OpenEngine via internal/mmapstore) is responsible
-// for the slices being structurally valid for their declared buckets;
-// BuildMapped checks only the cheap shape invariants so construction
-// stays O(buckets), not O(intervals).
+// The caller (internal/mmapstore) is responsible for the slices being
+// structurally valid for their declared buckets; only the cheap shape
+// invariants are checked here, so construction stays O(buckets), not
+// O(intervals).
 func BuildMapped(cols []MappedCol, region Region) (*Store, error) {
-	s := &Store{cols: make([]*ColStore, len(cols)), compactLimit: DefaultCompactLimit, region: region}
+	s, err := assemble(cols, true)
+	if err != nil {
+		return nil, err
+	}
+	if region != nil {
+		s.region = region
+		region.Retain()
+	}
+	return s, nil
+}
+
+// BuildSealed is BuildMapped for buckets decoded onto the heap (the
+// snapshot.Decode restore path): same assembly, but sealed prefixes are
+// indexed by lazily memoized R-trees, exactly as Build leaves them.
+func BuildSealed(cols []MappedCol) (*Store, error) {
+	return assemble(cols, false)
+}
+
+// assemble builds the epoch-0 store over cols; flat selects the sealed
+// index kind (see bucket).
+func assemble(cols []MappedCol, flat bool) (*Store, error) {
+	s := &Store{cols: make([]*ColStore, len(cols)), compactLimit: DefaultCompactLimit}
 	for i, mc := range cols {
 		if mc.Col != i {
 			return nil, fmt.Errorf("store: mapped partition %d encodes collection %d", i, mc.Col)
@@ -281,16 +308,18 @@ func BuildMapped(cols []MappedCol, region Region) (*Store, error) {
 			}
 			// Clip so a later Append relocates to the heap instead of
 			// writing past len into the read-only mapping.
-			items := mb.Items[:len(mb.Items):len(mb.Items)]
-			buckets[k] = &bucket{cs: cs, items: items, sealed: len(items), flat: &flatMemo{}}
+			b := &bucket{cs: cs, items: mb.Items[:len(mb.Items):len(mb.Items)], sealed: len(mb.Items)}
+			if flat {
+				b.flat = &flatMemo{}
+			} else {
+				b.base = &treeMemo{}
+			}
+			buckets[k] = b
 			n += len(mb.Items)
 		}
 		cs.cur.Store(&colView{buckets: buckets, n: n})
 		s.cols[i] = cs
 		s.intervals += n
-	}
-	if region != nil {
-		region.Retain()
 	}
 	return s, nil
 }

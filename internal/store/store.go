@@ -82,7 +82,7 @@ func (m *indexMemo[T]) ready() bool { return m != nil && m.idx.Load() != nil }
 // prefix is never rewritten.
 //
 // Exactly one of base/flat is non-nil when sealed > 0: heap-built
-// partitions (Build, ReadColStore) index sealed prefixes with R-trees,
+// partitions (Build, BuildSealed) index sealed prefixes with R-trees,
 // mapped partitions (BuildMapped) with the flat kernel — whose items
 // may alias a read-only snapshot mapping, which is why the append path
 // copies such a bucket before extending it.
