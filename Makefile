@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt check loc bench-pairs
+.PHONY: build test vet fmt check loc knobs bench-pairs
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,18 @@ check: fmt build vet test
 # build directory.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
+
+# knobs prints the number of exported fields across the engine's
+# option structs (every `type …Options struct` in non-test Go outside
+# the benchmark module) — the count of independently named settings a
+# simplicity PR quotes before and after. A field of struct type counts
+# once, whatever it holds.
+knobs:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 awk ' \
+		/^type [A-Za-z]*Options struct \{/ { open = 1; next } \
+		open && /^\}/ { open = 0 } \
+		open && match($$0, /^\t[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* /) { n += split(substr($$0, RSTART, RLENGTH), f, ",") } \
+		END { print n }'
 
 # bench-pairs runs one benchmark workload on REF and on the working tree
 # in alternating pairs and prints medians, wins and REF's quartile

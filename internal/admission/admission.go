@@ -231,7 +231,7 @@ func (b *Batcher) Subscribe(ctx context.Context, q *query.Query, k int, opts sta
 		return nil, ErrClosed
 	}
 	if b.standing == nil {
-		b.standing = standing.NewManager(b.e, standing.Options{})
+		b.standing = standing.NewManager(b.e)
 	}
 	m := b.standing
 	b.mu.Unlock()

@@ -35,7 +35,7 @@
 //     (identical result-score multisets make one member's certified
 //     k-th-score bound a sound floor for its siblings). Their per-edge
 //     combination bounds are memoized with the cached plan they all hit
-//     (join.BoundMemo), so siblings — and later batches — solve none.
+//     (solver.PairMemo), so siblings — and later batches — solve none.
 //
 // Batched execution is result-identical to sequential execution at the
 // same epoch: everything shared is either a pure function of its key

@@ -13,6 +13,7 @@ import (
 	"tkij/internal/plancache"
 	"tkij/internal/query"
 	"tkij/internal/shard"
+	"tkij/internal/solver"
 	"tkij/internal/stats"
 	"tkij/internal/store"
 	"tkij/internal/topbuckets"
@@ -519,11 +520,14 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 // selection. combos must carry sound LB/UB bounds over the pin's
 // matrices (topbuckets.TightenBounds); floor seeds the cross-reducer
 // score threshold — pass a certified lower bound on the k-th result
-// score, or 0 to disable seeding. The probe runs through the pin's
-// runner, so on a sharded engine it scatters to the same shard workers
-// (with the same floor broadcast) a fresh execution would use.
+// score, or 0 to disable seeding. bounds is the caller's pair-bound
+// memo for the join (nil for none): the standing layer passes the one
+// its loose phase just filled, so the probe solves nothing. The probe
+// runs through the pin's runner, so on a sharded engine it scatters to
+// the same shard workers (with the same floor broadcast) a fresh
+// execution would use.
 func (e *Engine) ProbePinned(ctx context.Context, q *query.Query, mapping []int, pin *Pin,
-	combos []topbuckets.Combo, k int, floor float64) (*join.Output, error) {
+	combos []topbuckets.Combo, k int, floor float64, bounds *solver.PairMemo) (*join.Output, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
@@ -538,7 +542,7 @@ func (e *Engine) ProbePinned(ctx context.Context, q *query.Query, mapping []int,
 		return nil, err
 	}
 	_, req := e.pinnedInputs(q, mapping, pin, k)
-	req.Combos, req.Assign = combos, assign
+	req.Combos, req.Assign, req.Bounds = combos, assign, bounds
 	out, err := e.joinMerge(ctx, "probe", pin, req, floor)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"tkij/internal/query"
 	"tkij/internal/rtree"
 	"tkij/internal/scoring"
+	"tkij/internal/solver"
 	"tkij/internal/stats"
 	"tkij/internal/topbuckets"
 )
@@ -130,7 +131,7 @@ type LocalStats struct {
 	SharedFloorFinal float64
 	// BoundSolves counts the per-edge bound solver calls this reducer
 	// ran; BoundReuses those the request's memo answered instead (see
-	// BoundMemo). A warm plan reports BoundSolves == 0.
+	// solver.PairMemo). A warm plan reports BoundSolves == 0.
 	BoundSolves int64
 	BoundReuses int64
 	Duration    time.Duration
@@ -339,7 +340,7 @@ type localJoiner struct {
 
 	// bounds memoizes the per-edge bound solves behind edgeUB (never
 	// nil: RunTasks supplies one when the request carries none).
-	bounds *BoundMemo
+	bounds *solver.PairMemo
 	// buckets[v] and items[v] are vertex v's bucket of the combination
 	// being processed, resolved once by prepareCombo so that recurse —
 	// which runs per partial tuple — does no lookup. buckets[v] is nil
@@ -441,8 +442,8 @@ func newLocalJoiner(done <-chan struct{}, p *plan, req *ReduceRequest) *localJoi
 // the analytic bound of each edge's predicate over the combination's
 // bucket boxes. Without granulations (grans == nil) the bounds stay at
 // the trivial 1.0. Each bound is a pure function of the predicate and
-// the two boxes, so it is solved once per memo (see BoundMemo), not once
-// per query, reducer or probe round.
+// the two boxes, so it is solved once per memo (see solver.PairMemo), not
+// once per query, reducer or probe round.
 func (lj *localJoiner) prepareCombo(combo topbuckets.Combo) {
 	for v, b := range combo.Buckets {
 		h := lj.srcs[v].Bucket(b.StartG, b.EndG)
@@ -455,16 +456,9 @@ func (lj *localJoiner) prepareCombo(combo topbuckets.Combo) {
 		return
 	}
 	for ei, e := range lj.plan.q.Edges {
-		fb := combo.Buckets[e.From]
-		tb := combo.Buckets[e.To]
-		fsLo, fsHi := lj.grans[e.From].Bounds(fb.StartG)
-		feLo, feHi := lj.grans[e.From].Bounds(fb.EndG)
-		tsLo, tsHi := lj.grans[e.To].Bounds(tb.StartG)
-		teLo, teHi := lj.grans[e.To].Bounds(tb.EndG)
-		ub, solved := lj.bounds.edgeUB(e.Pred, edgeBoundKey{
-			sig: lj.plan.edgeSigs[ei],
-			box: [8]float64{fsLo, fsHi, feLo, feHi, tsLo, tsHi, teLo, teHi},
-		})
+		_, ub, solved := lj.bounds.Bounds(e.Pred, lj.plan.edgeSigs[ei],
+			topbuckets.BoxOf(lj.grans[e.From], combo.Buckets[e.From]),
+			topbuckets.BoxOf(lj.grans[e.To], combo.Buckets[e.To]))
 		lj.edgeUB[ei] = ub
 		if solved {
 			lj.stats.BoundSolves++

@@ -7,6 +7,7 @@ import (
 
 	"tkij/internal/distribute"
 	"tkij/internal/query"
+	"tkij/internal/solver"
 	"tkij/internal/stats"
 	"tkij/internal/topbuckets"
 )
@@ -39,10 +40,11 @@ type ReduceRequest struct {
 	// floor-broadcast channel).
 	Shared *SharedFloor
 	// Bounds memoizes the per-edge combination bounds. The engine passes
-	// the cached plan's memo, so a warm plan solves none; nil gets a memo
-	// of the request's own from RunTasks. It does not travel to shard
-	// workers, which therefore memoize per request.
-	Bounds *BoundMemo
+	// the cached plan's memo (a standing probe its subscription's), so a
+	// warm plan solves none; nil gets a memo of the request's own from
+	// RunTasks. It does not travel to shard workers, which therefore
+	// memoize per request.
+	Bounds *solver.PairMemo
 }
 
 // ReducerTask is one reducer's share of a request: the reducer index
@@ -149,7 +151,7 @@ func RunTasks(ctx context.Context, req *ReduceRequest, tasks []ReducerTask) ([]R
 	}
 	if req.Bounds == nil {
 		r := *req
-		r.Bounds = NewBoundMemo()
+		r.Bounds = solver.NewPairMemo()
 		req = &r
 	}
 	plan := newPlan(req.Query)

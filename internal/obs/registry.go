@@ -213,9 +213,6 @@ func NewCounterL(name, help string, labels Labels) *Counter {
 	return Default.NewCounter(name, help, labels)
 }
 
-// NewGauge registers a gauge in the Default registry.
-func NewGauge(name, help string) *Gauge { return Default.NewGauge(name, help, nil) }
-
 // NewHistogram registers a latency histogram in the Default registry
 // (nil bounds means LatencyBuckets).
 func NewHistogram(name, help string, bounds []float64) *Histogram {

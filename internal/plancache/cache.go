@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"tkij/internal/distribute"
-	"tkij/internal/join"
 	"tkij/internal/query"
+	"tkij/internal/solver"
 	"tkij/internal/stats"
 	"tkij/internal/topbuckets"
 )
@@ -20,11 +20,12 @@ import (
 // (or thousands of small ones) before LRU eviction starts.
 const DefaultMaxCost = 16 << 20
 
-// DefaultMaxAffected is the default bound on the affected-combination
-// region revalidation will patch incrementally; a bigger region means
-// the appends reshaped the combination space enough that a full re-plan
-// is both safer and usually cheaper.
-const DefaultMaxAffected = 1 << 16
+// MaxAffected bounds the affected-combination region an epoch bump may
+// be patched over incrementally — by revalidation here, by a standing
+// push in internal/standing; a bigger region means the appends reshaped
+// the combination space enough that a full re-plan is both safer and
+// usually cheaper.
+const MaxAffected = 1 << 16
 
 // Options configures a Cache. The zero value is an enabled cache with
 // the default bounds.
@@ -38,18 +39,11 @@ type Options struct {
 	// inserted entry is never evicted, so a single plan larger than
 	// MaxCost still caches (alone).
 	MaxCost float64
-	// MaxAffected bounds how many affected combinations an epoch
-	// revalidation will re-bound incrementally before falling back to a
-	// full re-plan (<= 0 means DefaultMaxAffected).
-	MaxAffected float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxCost <= 0 {
 		o.MaxCost = DefaultMaxCost
-	}
-	if o.MaxAffected <= 0 {
-		o.MaxAffected = DefaultMaxAffected
 	}
 	return o
 }
@@ -109,7 +103,7 @@ type Planned struct {
 	// (join.ReduceRequest.Bounds). It lives with the cache entry, so
 	// every execution of the plan after the first finds its bounds
 	// solved; an uncached plan gets an empty one.
-	Bounds  *join.BoundMemo
+	Bounds  *solver.PairMemo
 	Outcome Outcome
 	// TopBucketsTime and DistributeTime are the wall time this call
 	// actually spent in each planning phase: the full phase cost on a
@@ -151,12 +145,12 @@ type entry struct {
 	assign   *distribute.Assignment
 	// bounds is the join's per-edge bound memo for this plan: created
 	// with the plan, carried verbatim by hits and pure promotions,
-	// succeeded (join.BoundMemo.Next) when a revalidation re-selects.
+	// succeeded (solver.PairMemo.Next) when a revalidation re-selects.
 	// Its keys are the solver's full input, so it needs no translation
 	// between isomorphic labelings and no invalidation; it holds at
 	// most one entry per (edge, selected combination), which cost
 	// charges up front (memoCost), and it is evicted with the entry.
-	bounds   *join.BoundMemo
+	bounds   *solver.PairMemo
 	planTime time.Duration // original full-plan wall time
 	cost     float64
 	// state is the matrix fingerprint the plan was computed against
@@ -334,7 +328,7 @@ func fullPlan(req Request) (*Planned, *entry, error) {
 		epoch:    req.Epoch,
 		tb:       tb,
 		assign:   assign,
-		bounds:   join.NewBoundMemo(),
+		bounds:   solver.NewPairMemo(),
 		planTime: tbTime + dTime,
 		cost:     planCost(tb) + memoCost(req.Query, tb),
 		state:    CaptureEpochState(req.Matrices),

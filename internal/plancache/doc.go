@@ -39,7 +39,7 @@
 //     new kthResLB still dominates the old one — that inequality is
 //     what keeps every never-enumerated pruned combination certifiably
 //     below the floor. Otherwise (or when the affected region exceeds
-//     Options.MaxAffected) the cache falls back to a full re-plan.
+//     MaxAffected) the cache falls back to a full re-plan.
 //
 // Retention is bounded by solver-work cost, not entry count: each
 // entry's cost is the bound-solving work it embodies (pair and tight

@@ -79,7 +79,8 @@ func (c *Cache) revalidate(e *entry, req Request, reqLabeling []int) (*entry, *P
 	}
 
 	affected := diff.ShapeAffected
-	if topbuckets.CountAffected(lists, affected) > c.opts.MaxAffected {
+	region, ok := topbuckets.AffectedCombos(lists, affected, MaxAffected)
+	if !ok {
 		return nil, nil
 	}
 
@@ -110,17 +111,12 @@ func (c *Cache) revalidate(e *entry, req Request, reqLabeling []int) (*entry, *P
 	// ... plus the previously pruned combinations inside the affected
 	// region (anything with at least one new or boundary-widened
 	// bucket; their old UB <= t_old no longer binds).
-	var fresh []topbuckets.Combo
-	_ = topbuckets.EnumerateAffected(lists, affected, func(buckets []stats.Bucket) error {
-		cb := topbuckets.Combo{Buckets: append([]stats.Bucket(nil), buckets...), NbRes: 1}
-		for _, b := range cb.Buckets {
-			cb.NbRes *= float64(b.Count)
-		}
+	fresh := region[:0]
+	for _, cb := range region {
 		if !seen[cb.Key()] {
 			fresh = append(fresh, cb)
 		}
-		return nil
-	})
+	}
 
 	// Re-bound everything the epoch transition touched with the tight
 	// solver over current (widened) boxes. Tight bounds are valid for

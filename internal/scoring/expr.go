@@ -105,13 +105,6 @@ func VarPlus(ep Endpoint, c float64) LinearExpr {
 	return e
 }
 
-// Scaled returns c·endpoint.
-func Scaled(ep Endpoint, c float64) LinearExpr {
-	var e LinearExpr
-	e.Coef[ep] = c
-	return e
-}
-
 // Length returns the length expression of one side: ȳ - y̲ when y is
 // true, else x̄ - x̲.
 func Length(ofY bool) LinearExpr {

@@ -112,50 +112,64 @@ func TestQueryBoundsBracketSamples(t *testing.T) {
 // exhaustive grid over small boxes (tightness, not just safety). The
 // 4-dimensional optimum sits at comparator-curve crossings that random
 // sampling misses, so a dense grid on narrow boxes is used instead.
-func TestPredicateBoundsTightness(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	preds := []*scoring.Predicate{
+// tightnessPreds are the predicates the tightness and memo tests bound.
+func tightnessPreds() []*scoring.Predicate {
+	return []*scoring.Predicate{
 		scoring.Before(scoring.P1), scoring.Meets(scoring.P1),
 		scoring.Overlaps(scoring.P1), scoring.Starts(scoring.P1),
 		scoring.FinishedBy(scoring.P2), scoring.Contains(scoring.P3),
 	}
-	smallBox := func() VertexBox {
-		sLo := float64(rng.Intn(40))
-		eLo := sLo + float64(rng.Intn(12))
-		return VertexBox{
-			StartLo: sLo, StartHi: sLo + float64(rng.Intn(8)+1),
-			EndLo: eLo, EndHi: eLo + float64(rng.Intn(8)+1),
-		}
+}
+
+// smallBox draws a vertex box a few ramp widths across.
+func smallBox(rng *rand.Rand) VertexBox {
+	sLo := float64(rng.Intn(40))
+	eLo := sLo + float64(rng.Intn(12))
+	return VertexBox{
+		StartLo: sLo, StartHi: sLo + float64(rng.Intn(8)+1),
+		EndLo: eLo, EndHi: eLo + float64(rng.Intn(8)+1),
 	}
-	const gridN = 16
-	for trial := 0; trial < 30; trial++ {
-		p := preds[trial%len(preds)]
-		x, y := smallBox(), smallBox()
-		lb, ub := PredicateBounds(p, x, y, Options{MaxNodes: 20000})
-		lo4 := [4]float64{x.StartLo, x.EndLo, y.StartLo, y.EndLo}
-		hi4 := [4]float64{x.StartHi, x.EndHi, y.StartHi, y.EndHi}
-		sawLo, sawHi := 1.0, 0.0
-		var idx [4]int
-		for idx[0] = 0; idx[0] <= gridN; idx[0]++ {
-			for idx[1] = 0; idx[1] <= gridN; idx[1]++ {
-				for idx[2] = 0; idx[2] <= gridN; idx[2]++ {
-					for idx[3] = 0; idx[3] <= gridN; idx[3]++ {
-						var v [4]float64
-						for d := 0; d < 4; d++ {
-							v[d] = lo4[d] + (hi4[d]-lo4[d])*float64(idx[d])/gridN
-						}
-						score := 1.0
-						for _, term := range p.Terms {
-							ts := term.ScoreOfDiff(term.Diff.EvalVars(v))
-							if ts < score {
-								score = ts
-							}
-						}
-						sawLo, sawHi = math.Min(sawLo, score), math.Max(sawHi, score)
+}
+
+// gridScoreRange scores p on a (gridN+1)^4 lattice over the (x, y) box
+// pair and returns the lowest and highest score seen.
+func gridScoreRange(p *scoring.Predicate, x, y VertexBox, gridN int) (sawLo, sawHi float64) {
+	lo4 := [4]float64{x.StartLo, x.EndLo, y.StartLo, y.EndLo}
+	hi4 := [4]float64{x.StartHi, x.EndHi, y.StartHi, y.EndHi}
+	sawLo, sawHi = 1.0, 0.0
+	var idx [4]int
+	for idx[0] = 0; idx[0] <= gridN; idx[0]++ {
+		for idx[1] = 0; idx[1] <= gridN; idx[1]++ {
+			for idx[2] = 0; idx[2] <= gridN; idx[2]++ {
+				for idx[3] = 0; idx[3] <= gridN; idx[3]++ {
+					var v [4]float64
+					for d := 0; d < 4; d++ {
+						v[d] = lo4[d] + (hi4[d]-lo4[d])*float64(idx[d])/float64(gridN)
 					}
+					score := 1.0
+					for _, term := range p.Terms {
+						ts := term.ScoreOfDiff(term.Diff.EvalVars(v))
+						if ts < score {
+							score = ts
+						}
+					}
+					sawLo, sawHi = math.Min(sawLo, score), math.Max(sawHi, score)
 				}
 			}
 		}
+	}
+	return sawLo, sawHi
+}
+
+func TestPredicateBoundsTightness(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	preds := tightnessPreds()
+	const gridN = 16
+	for trial := 0; trial < 30; trial++ {
+		p := preds[trial%len(preds)]
+		x, y := smallBox(rng), smallBox(rng)
+		lb, ub := PredicateBounds(p, x, y, Options{MaxNodes: 20000})
+		sawLo, sawHi := gridScoreRange(p, x, y, gridN)
 		if sawHi > ub+1e-9 || sawLo < lb-1e-9 {
 			t.Fatalf("%s: samples [%g,%g] escape bounds [%g,%g]", p.Name, sawLo, sawHi, lb, ub)
 		}

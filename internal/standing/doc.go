@@ -16,14 +16,16 @@
 //   - promote — nothing grew in the subscription's matrices: the
 //     snapshot carries over verbatim, the delta just advances Epoch.
 //   - incremental probe — enumerate the grown combinations
-//     (topbuckets.EnumerateAffected), bound them
-//     (topbuckets.TightenBounds), prune those whose score upper bound
+//     (topbuckets.AffectedCombos), bound them (topbuckets.LooseBounds
+//     over the subscription's solver.PairMemo, then
+//     topbuckets.TightenBounds), prune those whose score upper bound
 //     falls strictly below the snapshot's exact k-th score, probe the
 //     survivors through core.Engine.ProbePinned (the same join runner a
-//     fresh execution uses — local or sharded, with floor broadcast),
-//     merge, and push the membership difference.
+//     fresh execution uses — local or sharded, with floor broadcast —
+//     reading the same memo, so it solves no bound again), merge, and
+//     push the membership difference.
 //   - resync — the diff base is void (store rebuild, granulation swap)
-//     or the affected region exceeds Options.MaxAffected: re-execute
+//     or the affected region exceeds plancache.MaxAffected: re-execute
 //     fresh and push the full state.
 //
 // The invariant gating all of it: a consumer materializing deltas

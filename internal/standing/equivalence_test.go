@@ -112,7 +112,7 @@ func TestStandingEquivalenceRandomized(t *testing.T) {
 				K:        k,
 				Reducers: 2 + rng.Intn(5),
 			})
-			m := NewManager(e, Options{})
+			m := NewManager(e)
 			defer m.Close()
 
 			type subscriber struct {

@@ -40,7 +40,7 @@ func FuzzStandingDelta(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewManager(e, Options{})
+		m := NewManager(e)
 		defer m.Close()
 
 		sub, err := m.Subscribe(context.Background(), q, k, SubOptions{Buffer: 64})

@@ -23,7 +23,7 @@ import (
 
 func TestStandingConcurrentChurn(t *testing.T) {
 	e := newTestEngine(t, testCols(3, 120, 31), core.Options{Granules: 5, K: 6, Reducers: 2})
-	m := NewManager(e, Options{})
+	m := NewManager(e)
 	q := query.Qbb(query.Env{Params: scoring.P1})
 
 	stop := make(chan struct{})
@@ -159,7 +159,7 @@ func TestStandingConcurrentChurn(t *testing.T) {
 // ErrClosed.
 func TestStandingCloseRaces(t *testing.T) {
 	e := newTestEngine(t, testCols(3, 100, 32), core.Options{Granules: 5, K: 5, Reducers: 2})
-	m := NewManager(e, Options{})
+	m := NewManager(e)
 	q := query.Qbb(query.Env{Params: scoring.P1})
 
 	var wg sync.WaitGroup
@@ -219,7 +219,7 @@ func TestStandingCloseRaces(t *testing.T) {
 // mid-stream leaves a healthy subscriber tracking fresh executes.
 func TestCanceledSubscriberDoesNotPoison(t *testing.T) {
 	e := newTestEngine(t, testCols(3, 200, 33), core.Options{Granules: 6, K: 8, Reducers: 3})
-	m := NewManager(e, Options{})
+	m := NewManager(e)
 	defer m.Close()
 	q := query.Qbb(query.Env{Params: scoring.P1})
 

@@ -62,7 +62,7 @@ func TestStandingShardedDeltasMatchLocal(t *testing.T) {
 	legs := make([]*leg, len(variants))
 	for i, v := range variants {
 		e := newTestEngine(t, cloneCols(base), v.opts)
-		m := NewManager(e, Options{})
+		m := NewManager(e)
 		t.Cleanup(m.Close)
 		sub, err := m.Subscribe(context.Background(), q, k, SubOptions{Buffer: 64})
 		if err != nil {

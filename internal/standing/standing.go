@@ -12,6 +12,7 @@ import (
 	"tkij/internal/obs"
 	"tkij/internal/plancache"
 	"tkij/internal/query"
+	"tkij/internal/solver"
 	"tkij/internal/stats"
 	"tkij/internal/topbuckets"
 )
@@ -22,37 +23,14 @@ var ErrClosed = errors.New("standing: manager closed")
 // DefaultBuffer is the default per-subscription delta-queue capacity.
 const DefaultBuffer = 16
 
-// Options tunes a Manager.
-type Options struct {
-	// MaxAffected bounds how many grown bucket combinations one push
-	// cycle is willing to re-probe incrementally; past it the
-	// subscription falls back to a full re-execute (<= 0 means
-	// plancache.DefaultMaxAffected, the same default the plan cache
-	// uses for its revalidation bound).
-	MaxAffected float64
-	// Buffer is the default per-subscription delta-queue capacity
-	// before the slow-subscriber policy coalesces pending deltas into a
-	// resync (<= 0 means DefaultBuffer).
-	Buffer int
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxAffected <= 0 {
-		o.MaxAffected = plancache.DefaultMaxAffected
-	}
-	if o.Buffer <= 0 {
-		o.Buffer = DefaultBuffer
-	}
-	return o
-}
-
 // SubOptions tunes one subscription.
 type SubOptions struct {
 	// Mapping maps query vertices to collection indices (nil =
 	// identity, like Engine.Execute).
 	Mapping []int
-	// Buffer overrides the manager's per-subscription delta-queue
-	// capacity (<= 0 keeps the manager default).
+	// Buffer is the subscription's delta-queue capacity before the
+	// slow-subscriber policy coalesces pending deltas into a resync
+	// (<= 0 means DefaultBuffer).
 	Buffer int
 }
 
@@ -81,6 +59,11 @@ type Stats struct {
 	AffectedCombos int64
 	ProbedCombos   int64
 	PrunedCombos   int64
+	// ProbeBoundSolves sums the pair bounds the probes' joins had to
+	// solve themselves. On an unsharded engine it stays 0: a probe reads
+	// the memo its push's loose phase just filled (shard workers memoize
+	// per request, so a sharded probe's reducers solve their own).
+	ProbeBoundSolves int64
 	// DroppedDeltas counts incremental deltas coalesced away by the
 	// slow-subscriber policy (each followed by a resync).
 	DroppedDeltas int64
@@ -93,8 +76,7 @@ type Stats struct {
 // subscription's certified floor) when it can, by full re-execute when
 // it cannot. Safe for concurrent use.
 type Manager struct {
-	e    *core.Engine
-	opts Options
+	e *core.Engine
 
 	mu     sync.Mutex
 	cond   *sync.Cond // broadcast after every cycle and every removal
@@ -111,10 +93,9 @@ type Manager struct {
 // NewManager returns a manager serving standing queries over e and
 // installs itself as e's ingest hook. Close detaches it; an engine
 // carries at most one manager at a time.
-func NewManager(e *core.Engine, opts Options) *Manager {
+func NewManager(e *core.Engine) *Manager {
 	m := &Manager{
 		e:    e,
-		opts: opts.withDefaults(),
 		subs: make(map[uint64]*Subscription),
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
@@ -258,38 +239,33 @@ func (m *Manager) push(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 	for v, vm := range vms {
 		lists[v] = vm.Buckets()
 	}
-	affected := topbuckets.CountAffected(lists, diff.Grown)
-	if affected > m.opts.MaxAffected {
+	combos, ok := topbuckets.AffectedCombos(lists, diff.Grown, plancache.MaxAffected)
+	if !ok {
 		m.resync(s, pin, cycleSpan)
 		return
 	}
-	var combos []topbuckets.Combo
-	_ = topbuckets.EnumerateAffected(lists, diff.Grown, func(buckets []stats.Bucket) error {
-		cb := topbuckets.Combo{Buckets: append([]stats.Bucket(nil), buckets...), NbRes: 1}
-		for _, b := range cb.Buckets {
-			cb.NbRes *= float64(b.Count)
-		}
-		combos = append(combos, cb)
-		return nil
-	})
 	// Prune grown combinations that provably cannot reach the pushed
 	// top-k, in two phases mirroring the two-phase TopBuckets strategy.
 	// Phase one bounds every affected combination with memoized loose
-	// pair bounds: pair bounds depend only on granule boxes, so only
-	// pairs touching a shape-changed bucket are re-solved and in-range
-	// appends re-bound by pure table lookup. Phase two refines the loose
-	// survivors with the tight solver — on tie-heavy data loose bounds
-	// saturate and prune nothing, and the tight prune is what keeps the
-	// probe proportional to the truly contending region. Both prunes are
-	// against the floor, the exact k-th snapshot score — sound because
-	// the local join discards candidates only strictly below the
-	// effective floor, so an entrant tying the floor (winning on the ID
-	// tie-break) still surfaces. Keep UB == floor for the same reason.
+	// pair bounds: the memo is keyed by granule boxes, so only pairs
+	// touching a shape-changed bucket are re-solved and in-range appends
+	// re-bound by pure lookup (a shape change starts the memo's next
+	// generation, which lets go of the boxes nothing asks for any more).
+	// Phase two refines the loose survivors with the tight solver — on
+	// tie-heavy data loose bounds saturate and prune nothing, and the
+	// tight prune is what keeps the probe proportional to the truly
+	// contending region. Both prunes are against the floor, the exact
+	// k-th snapshot score — sound because the local join discards
+	// candidates only strictly below the effective floor, so an entrant
+	// tying the floor (winning on the ID tie-break) still surfaces. Keep
+	// UB == floor for the same reason.
 	floor := floorOf(snapshot, s.k)
-	s.bounder.Invalidate(lists, diff.ShapeAffected)
+	if diff.AnyShape() {
+		s.memo = s.memo.Next()
+	}
+	topbuckets.LooseBounds(s.q, s.memo, vms, combos)
 	loose := combos[:0]
 	for _, cb := range combos {
-		cb.LB, cb.UB = s.bounder.Bound(vms, cb.Buckets)
 		if floor < 0 || cb.UB >= floor {
 			loose = append(loose, cb)
 		}
@@ -327,7 +303,9 @@ func (m *Manager) push(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 		if probeFloor < 0 {
 			probeFloor = 0
 		}
-		out, err := m.e.ProbePinned(obs.WithSpan(s.ctx, pushSpan), s.q, s.mapping, pin, kept, s.k, probeFloor)
+		// The probe's join reads the subscription's memo: every pair
+		// bound it needs was solved by the loose phase above.
+		out, err := m.e.ProbePinned(obs.WithSpan(s.ctx, pushSpan), s.q, s.mapping, pin, kept, s.k, probeFloor, s.memo)
 		if err != nil {
 			if s.ctx.Err() != nil {
 				return // the forwarder terminates it with the ctx cause
@@ -335,6 +313,7 @@ func (m *Manager) push(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 			s.terminate(fmt.Errorf("standing: probe: %w", err))
 			return
 		}
+		m.count(func(st *Stats) { st.ProbeBoundSolves += out.BoundSolves })
 		fresh = mergeTopK(s.k, snapshot, out.Results)
 	}
 	entered, left := diffResults(snapshot, fresh)
@@ -350,8 +329,9 @@ func (m *Manager) push(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 // and replaces its pushed state wholesale.
 func (m *Manager) resync(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 	// The transition was outside the append-only model (or past the
-	// incremental bound): cached pair bounds may alias different boxes.
-	s.bounder.Reset()
+	// incremental bound): start over with an empty memo rather than keep
+	// the boxes of a granulation that may be gone.
+	s.memo = solver.NewPairMemo()
 	mRouteResync.Inc()
 	rsSpan := cycleSpan.Child("resync")
 	rep, err := m.e.ExecutePinned(obs.WithSpan(s.ctx, rsSpan), s.q, s.mapping, pin, s.k, nil, "")
@@ -402,7 +382,7 @@ func (m *Manager) Subscribe(ctx context.Context, q *query.Query, k int, opts Sub
 	}
 	buffer := opts.Buffer
 	if buffer <= 0 {
-		buffer = m.opts.Buffer
+		buffer = DefaultBuffer
 	}
 
 	pin, err := m.e.Pin()
@@ -437,7 +417,7 @@ func (m *Manager) Subscribe(ctx context.Context, q *query.Query, k int, opts Sub
 		buffer:   buffer,
 		ctx:      sctx,
 		cancel:   scancel,
-		bounder:  topbuckets.NewLooseBounder(q, m.e.Options().TopBuckets),
+		memo:     solver.NewPairMemo(),
 		snapshot: rep.Results,
 		epoch:    pin.Epoch(),
 		gen:      pin.Generation(),

@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"tkij/internal/baselines"
 	"tkij/internal/core"
 	"tkij/internal/interval"
+	"tkij/internal/join"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
 )
@@ -30,7 +32,7 @@ func newTestEngine(t *testing.T, cols []*interval.Collection, opts core.Options)
 // resync carrying exactly the fresh top-k at subscription time.
 func TestSubscribeInitialSnapshot(t *testing.T) {
 	e := newTestEngine(t, testCols(3, 300, 11), core.Options{Granules: 6, K: 10, Reducers: 3})
-	m := NewManager(e, Options{})
+	m := NewManager(e)
 	defer m.Close()
 	q := query.Qbb(query.Env{Params: scoring.P1})
 
@@ -62,7 +64,7 @@ func TestSubscribeInitialSnapshot(t *testing.T) {
 // materialization tracks a fresh execute exactly, epoch by epoch.
 func TestIncrementalPush(t *testing.T) {
 	e := newTestEngine(t, testCols(3, 300, 12), core.Options{Granules: 6, K: 10, Reducers: 3})
-	m := NewManager(e, Options{})
+	m := NewManager(e)
 	defer m.Close()
 	q := query.Qbb(query.Env{Params: scoring.P1})
 
@@ -102,7 +104,7 @@ func TestIncrementalPush(t *testing.T) {
 // advance the subscription's epoch with an empty incremental delta.
 func TestPromotePath(t *testing.T) {
 	e := newTestEngine(t, testCols(3, 200, 13), core.Options{Granules: 6, K: 5, Reducers: 3})
-	m := NewManager(e, Options{})
+	m := NewManager(e)
 	defer m.Close()
 	q, err := query.New("before2", 2,
 		[]query.Edge{{From: 0, To: 1, Pred: scoring.Before(scoring.P1)}}, scoring.Avg{})
@@ -150,7 +152,7 @@ func scoresOf(tk *TopK) []float64 {
 // epoch) and keeps tracking fresh executes.
 func TestInvalidateStoreResync(t *testing.T) {
 	e := newTestEngine(t, testCols(3, 250, 14), core.Options{Granules: 6, K: 8, Reducers: 3})
-	m := NewManager(e, Options{})
+	m := NewManager(e)
 	defer m.Close()
 	q := query.Qbb(query.Env{Params: scoring.P1})
 
@@ -204,7 +206,7 @@ func TestInvalidateStoreResync(t *testing.T) {
 // Append; draining after the fact re-bases it to the current state.
 func TestSlowSubscriber(t *testing.T) {
 	e := newTestEngine(t, testCols(3, 250, 15), core.Options{Granules: 6, K: 8, Reducers: 3})
-	m := NewManager(e, Options{})
+	m := NewManager(e)
 	defer m.Close()
 	q := query.Qbb(query.Env{Params: scoring.P1})
 
@@ -237,7 +239,7 @@ func TestSlowSubscriber(t *testing.T) {
 // subscription, close its channel and deregister it.
 func TestSubscriptionLifecycle(t *testing.T) {
 	e := newTestEngine(t, testCols(3, 150, 16), core.Options{Granules: 5, K: 5, Reducers: 2})
-	m := NewManager(e, Options{})
+	m := NewManager(e)
 	defer m.Close()
 	q := query.Qbb(query.Env{Params: scoring.P1})
 
@@ -275,7 +277,7 @@ func TestSubscriptionLifecycle(t *testing.T) {
 // cleanly and leaves zero live store views.
 func TestManagerCloseClosesChannels(t *testing.T) {
 	e := newTestEngine(t, testCols(3, 150, 17), core.Options{Granules: 5, K: 5, Reducers: 2})
-	m := NewManager(e, Options{})
+	m := NewManager(e)
 	q := query.Qbb(query.Env{Params: scoring.P1})
 
 	subs := make([]*Subscription, 3)
@@ -296,5 +298,86 @@ func TestManagerCloseClosesChannels(t *testing.T) {
 	}
 	if vs := e.Store().ViewStats(); vs.Live != 0 {
 		t.Fatalf("%d live store views after Close", vs.Live)
+	}
+}
+
+// TestPushProbeSolvesNoBounds: a subscription owns one pair-bound memo,
+// its push cycles' loose phase fills it and the probe's join reads it —
+// so a probe solves no bound of its own, across in-range appends (pure
+// lookups) and boundary-widening ones (a new memo generation) alike,
+// while the pushed top-k stays the exhaustive one and the memo never
+// keeps a box the granulation has moved on from.
+func TestPushProbeSolvesNoBounds(t *testing.T) {
+	const k = 8
+	cols := testCols(3, 70, 15)
+	e := newTestEngine(t, cols, core.Options{Granules: 6, K: k, Reducers: 3})
+	m := NewManager(e)
+	defer m.Close()
+	q := query.Qom(query.Env{Params: scoring.P1})
+
+	sub, err := m.Subscribe(context.Background(), q, k, SubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+
+	rng := rand.New(rand.NewSource(9))
+	var counter int64
+	before := m.Stats()
+	for i := 0; i < 20; i++ {
+		col := i % 3
+		batch := randBatch(rng, col, 4, &counter)
+		for j := range batch { // in range: within the original extent
+			batch[j].Start %= 2900
+			batch[j].End = batch[j].Start + 1 + batch[j].End%90
+		}
+		widens := i%4 == 3
+		if widens { // every fourth append pushes the last granule's upper edge out
+			batch[0].End = 4000 + int64(i)*300
+		}
+		if _, err := e.Append(col, batch); err != nil {
+			t.Fatal(err)
+		}
+		m.Quiesce()
+
+		st := m.Stats()
+		if st.Pushes != before.Pushes+1 || st.Resyncs != 0 {
+			t.Fatalf("append %d: %d pushes, %d resyncs since the last one — want exactly one incremental push",
+				i, st.Pushes-before.Pushes, st.Resyncs)
+		}
+		if st.ProbeBoundSolves != 0 {
+			t.Fatalf("append %d (widening=%t): the probe's join solved %d pair bounds its push's loose phase should have left in the memo",
+				i, widens, st.ProbeBoundSolves)
+		}
+		before = st
+
+		got, _ := sub.Snapshot()
+		want, err := baselines.Naive(q, cols, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !join.ScoreMultisetEqual(got, want, 1e-9) {
+			t.Fatalf("append %d: pushed top-%d diverges from the exhaustive oracle\n got: %v\nwant: %v", i, k, got, want)
+		}
+	}
+	if before.ProbedCombos == 0 {
+		t.Fatal("no push probed any combination — the test lost its subject")
+	}
+
+	// A shape change starts the memo's next generation, so everything it
+	// holds was asked for over the current boxes: at most one entry per
+	// edge and pair of live buckets, however many widenings went by (the
+	// bound per-bucket invalidation used to give).
+	pin, err := e.Pin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pin.Release()
+	livePairs := 0
+	for _, edge := range q.Edges {
+		livePairs += len(pin.Matrices()[edge.From].Buckets()) * len(pin.Matrices()[edge.To].Buckets())
+	}
+	if got := sub.memo.Len(); got == 0 || got > livePairs {
+		t.Fatalf("subscription memo holds %d entries over %d live bucket pairs", got, livePairs)
 	}
 }

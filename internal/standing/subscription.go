@@ -8,7 +8,7 @@ import (
 	"tkij/internal/join"
 	"tkij/internal/plancache"
 	"tkij/internal/query"
-	"tkij/internal/topbuckets"
+	"tkij/internal/solver"
 )
 
 // Subscription is one registered standing query: a canonical plan key,
@@ -43,12 +43,12 @@ type Subscription struct {
 	// on large stores — abandon their work instead of running to
 	// completion for a consumer that is gone.
 	cancel context.CancelFunc
-	// bounder memoizes loose pair bounds across push cycles; pair bounds
-	// depend only on granule boxes, so they survive in-range appends
-	// untouched. Accessed only by the manager's dispatcher goroutine
-	// (creation in Subscribe happens-before via subscription
-	// registration).
-	bounder *topbuckets.LooseBounder
+	// memo holds the pair bounds of the push cycles' loose phase and of
+	// the probes' joins; it is keyed by granule boxes, so in-range
+	// appends find every bound solved. The field is accessed only by the
+	// manager's dispatcher goroutine (creation in Subscribe
+	// happens-before via subscription registration).
+	memo *solver.PairMemo
 
 	mu       sync.Mutex
 	snapshot []join.Result

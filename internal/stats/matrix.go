@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 
 	"tkij/internal/interval"
 )
@@ -185,31 +184,4 @@ func (m *Matrix) WithCol(col int) *Matrix {
 	cp := *m
 	cp.Col = col
 	return &cp
-}
-
-// Box returns the endpoint domains of bucket (l, l'): the start variable
-// ranges over granule l and the end variable over granule l'. The
-// solver uses these as decision-variable domains (constraints (1)(2) of
-// the Bounds Problem in §3.3). Boundary granules are widened to the
-// observed endpoint extent so the box contains clamped appends.
-func (m *Matrix) Box(l, lp int) (startLo, startHi, endLo, endHi float64) {
-	g := m.Grid()
-	startLo, startHi = g.Bounds(l)
-	endLo, endHi = g.Bounds(lp)
-	return
-}
-
-// SortBuckets orders buckets deterministically (by collection, start
-// granule, end granule) in place; useful for stable test output.
-func SortBuckets(bs []Bucket) {
-	sort.Slice(bs, func(i, j int) bool {
-		a, b := bs[i], bs[j]
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.StartG != b.StartG {
-			return a.StartG < b.StartG
-		}
-		return a.EndG < b.EndG
-	})
 }

@@ -144,7 +144,8 @@ func TestMatrixMergeGranulationMismatch(t *testing.T) {
 func TestMatrixBox(t *testing.T) {
 	gr, _ := NewGranulation(0, 100, 10)
 	m := NewMatrix(0, gr)
-	sLo, sHi, eLo, eHi := m.Box(1, 2)
+	sLo, sHi := m.Grid().Bounds(1)
+	eLo, eHi := m.Grid().Bounds(2)
 	if sLo != 10 || sHi != 20 || eLo != 20 || eHi != 30 {
 		t.Errorf("Box = (%g,%g,%g,%g)", sLo, sHi, eLo, eHi)
 	}

@@ -1,6 +1,7 @@
 package topbuckets
 
 import (
+	"cmp"
 	"fmt"
 
 	"tkij/internal/query"
@@ -24,11 +25,11 @@ type Combo struct {
 	NbRes float64
 }
 
-// key returns a comparable identity for deduplication and deterministic
-// tie-breaking.
-func (c *Combo) key() string {
-	// Buckets are small; a compact string key keeps this allocation-light
-	// enough for selection-time use only (not the enumeration hot path).
+// Key returns the combination's comparable identity — the bucket tuple
+// without counts or bounds. Selection deduplicates by it, and the plan
+// cache uses it to match a combination across epochs (counts grow,
+// bounds may be recomputed, the identity stays).
+func (c *Combo) Key() string {
 	k := make([]byte, 0, len(c.Buckets)*6)
 	for _, b := range c.Buckets {
 		k = append(k, byte(b.Col), byte(b.StartG>>8), byte(b.StartG), byte(b.EndG>>8), byte(b.EndG), '|')
@@ -36,11 +37,19 @@ func (c *Combo) key() string {
 	return string(k)
 }
 
-// Key returns the combination's comparable identity — the bucket tuple
-// without counts or bounds. The plan cache uses it to match a
-// combination across epochs (counts grow, bounds may be recomputed, the
-// identity stays).
-func (c *Combo) Key() string { return c.key() }
+// compareTuples orders two equal-length bucket tuples by (Col, StartG,
+// EndG) per vertex, first vertex most significant — the deterministic
+// tie-break of every selection sort, and the order of the Key strings
+// without their allocation.
+func compareTuples(a, b []stats.Bucket) int {
+	for v, x := range a {
+		y := b[v]
+		if c := cmp.Or(cmp.Compare(x.Col, y.Col), cmp.Compare(x.StartG, y.StartG), cmp.Compare(x.EndG, y.EndG)); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
 
 // Touches reports whether any of the combination's buckets satisfies
 // affected(vertex, bucket) — the per-combination touched-bucket test
@@ -56,38 +65,22 @@ func (c *Combo) Touches(affected func(v int, b stats.Bucket) bool) bool {
 	return false
 }
 
-// CountAffected returns the number of combinations in the cartesian
-// product of bucketLists that contain at least one affected bucket —
-// |Ω| − |Ω restricted to unaffected buckets| — without enumerating
-// them. Revalidation uses it to bounce to a full re-plan when the
-// affected region is too large to patch incrementally.
-func CountAffected(bucketLists [][]stats.Bucket, affected func(v int, b stats.Bucket) bool) float64 {
-	total, clean := 1.0, 1.0
-	for v, list := range bucketLists {
-		nClean := 0
-		for _, b := range list {
-			if !affected(v, b) {
-				nClean++
-			}
-		}
-		total *= float64(len(list))
-		clean *= float64(nClean)
-	}
-	return total - clean
-}
-
-// EnumerateAffected walks exactly the combinations of the cartesian
-// product that contain at least one affected bucket, in deterministic
-// order, invoking fn for each bucket tuple. The decomposition is by
-// first affected position: for every vertex v, it enumerates
-// (unaffected_0 × ... × unaffected_{v-1}) × affected_v × (full_{v+1} ×
-// ... × full_{n-1}), which partitions the affected region with no
-// duplicates. Like enumerate, the buckets slice passed to fn is reused
-// across calls; fn must copy it to retain it.
-func EnumerateAffected(bucketLists [][]stats.Bucket, affected func(v int, b stats.Bucket) bool, fn func(buckets []stats.Bucket) error) error {
+// AffectedCombos materializes exactly the combinations of the cartesian
+// product of bucketLists that contain at least one affected bucket,
+// each with its NbRes and zero bounds, in deterministic order — the
+// region an epoch bump forces revalidation and standing pushes to look
+// at again. ok is false, and nothing is enumerated, when that region
+// holds more than limit combinations (|Ω| − |Ω restricted to unaffected
+// buckets|, counted without enumerating): the caller then falls back to
+// a full re-plan. The decomposition is by first affected position: for
+// every vertex v it enumerates (unaffected_0 × ... × unaffected_{v-1}) ×
+// affected_v × (full_{v+1} × ... × full_{n-1}), which partitions the
+// affected region with no duplicates.
+func AffectedCombos(bucketLists [][]stats.Bucket, affected func(v int, b stats.Bucket) bool, limit float64) (combos []Combo, ok bool) {
 	n := len(bucketLists)
 	cleanLists := make([][]stats.Bucket, n)
 	dirtyLists := make([][]stats.Bucket, n)
+	total, clean := 1.0, 1.0
 	for v, list := range bucketLists {
 		for _, b := range list {
 			if affected(v, b) {
@@ -96,11 +89,13 @@ func EnumerateAffected(bucketLists [][]stats.Bucket, affected func(v int, b stat
 				cleanLists[v] = append(cleanLists[v], b)
 			}
 		}
+		total *= float64(len(list))
+		clean *= float64(len(cleanLists[v]))
+	}
+	if total-clean > limit {
+		return nil, false
 	}
 	for v := 0; v < n; v++ {
-		if len(dirtyLists[v]) == 0 {
-			continue
-		}
 		sub := make([][]stats.Bucket, n)
 		empty := false
 		for w := 0; w < n; w++ {
@@ -119,50 +114,65 @@ func EnumerateAffected(bucketLists [][]stats.Bucket, affected func(v int, b stat
 		if empty {
 			continue
 		}
-		if err := enumerate(sub, fn); err != nil {
-			return err
-		}
+		enumerate(sub, 0, len(sub[0]), func(_ []int, buckets []stats.Bucket) {
+			combos = append(combos, Combo{Buckets: append([]stats.Bucket(nil), buckets...), NbRes: nbRes(buckets)})
+		})
 	}
-	return nil
+	return combos, true
+}
+
+// BoxOf is the solver's endpoint domain of bucket b under grid g: the
+// start variable ranges over the bucket's start granule and the end
+// variable over its end granule (constraints (1)(2) of the Bounds
+// Problem in §3.3), boundary granules widened to the observed endpoint
+// extent so the box contains clamped appends. Every bound computation —
+// here and in the join — derives its boxes through it, which is what
+// makes their solver.PairMemo keys agree.
+func BoxOf(g stats.Grid, b stats.Bucket) solver.VertexBox {
+	var box solver.VertexBox
+	box.StartLo, box.StartHi = g.Bounds(b.StartG)
+	box.EndLo, box.EndHi = g.Bounds(b.EndG)
+	return box
 }
 
 // boxesFor converts a combination's buckets into solver vertex boxes.
 func boxesFor(matrices []*stats.Matrix, buckets []stats.Bucket) []solver.VertexBox {
 	boxes := make([]solver.VertexBox, len(buckets))
 	for i, b := range buckets {
-		sLo, sHi, eLo, eHi := matrices[i].Box(b.StartG, b.EndG)
-		boxes[i] = solver.VertexBox{StartLo: sLo, StartHi: sHi, EndLo: eLo, EndHi: eHi}
+		boxes[i] = BoxOf(matrices[i].Grid(), b)
 	}
 	return boxes
 }
 
-// enumerate walks the full combination space Ω — the cartesian product
-// of each collection's non-empty buckets — in deterministic row-major
-// order, invoking fn for each combination's bucket tuple. The buckets
-// slice passed to fn is reused across calls; fn must copy it to retain
-// it. enumerate returns an error from fn, stopping early.
-func enumerate(bucketLists [][]stats.Bucket, fn func(buckets []stats.Bucket) error) error {
+// enumerate walks the combination space Ω — the cartesian product of
+// each collection's non-empty buckets, the first collection restricted
+// to positions [lo, hi) (one TopBuckets shard) — in deterministic
+// row-major order, invoking fn for each combination with its odometer
+// positions (pos[i] indexes bucketLists[i]) and its bucket tuple. Both
+// slices are reused across calls; fn must copy what it retains.
+func enumerate(bucketLists [][]stats.Bucket, lo, hi int, fn func(pos []int, buckets []stats.Bucket)) {
 	n := len(bucketLists)
 	idx := make([]int, n)
+	idx[0] = lo
 	cur := make([]stats.Bucket, n)
 	for {
 		for i := 0; i < n; i++ {
 			cur[i] = bucketLists[i][idx[i]]
 		}
-		if err := fn(cur); err != nil {
-			return err
-		}
+		fn(idx, cur)
 		// Odometer increment, last position fastest.
 		i := n - 1
-		for ; i >= 0; i-- {
+		for ; i > 0; i-- {
 			idx[i]++
 			if idx[i] < len(bucketLists[i]) {
 				break
 			}
 			idx[i] = 0
 		}
-		if i < 0 {
-			return nil
+		if i == 0 {
+			if idx[0]++; idx[0] >= hi {
+				return
+			}
 		}
 	}
 }

@@ -25,7 +25,13 @@
 // what lets the join phase use KthResLB as a score floor — and what
 // lets the plan cache (internal/plancache) keep a selected set alive
 // across append-only epoch bumps, re-bounding only the combinations an
-// epoch touched: Combo.Touches identifies them, EnumerateAffected /
-// CountAffected walk exactly the affected region of Ω, and
-// TightenBounds recomputes safe bounds for a patch set in parallel.
+// epoch touched: Combo.Touches identifies them, AffectedCombos walks
+// exactly the affected region of Ω, and LooseBounds (memoized pair
+// bounds, see solver.PairMemo) and TightenBounds (the tight solver, in
+// parallel) recompute safe bounds for a patch set.
+//
+// Every pair bound — the loose strategy's dense tables here, the
+// standing layer's LooseBounds, the join's per-edge bounds — is solved
+// by solver.PairBounds over boxes derived by BoxOf, so the three agree
+// to the bit.
 package topbuckets

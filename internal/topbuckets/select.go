@@ -104,7 +104,7 @@ func sortCombos(cs []Combo, less func(a, b Combo) bool) {
 		if less(cs[j], cs[i]) {
 			return false
 		}
-		return cs[i].key() < cs[j].key()
+		return compareTuples(cs[i].Buckets, cs[j].Buckets) < 0
 	})
 }
 
@@ -129,12 +129,12 @@ func SelectWithThreshold(k int, combos []Combo) ([]Combo, float64) {
 	seen := make(map[string]bool)
 	for _, c := range cover.cover() {
 		selected = append(selected, c)
-		seen[c.key()] = true
+		seen[c.Key()] = true
 	}
 	for _, c := range combos {
-		if c.UB > t && !seen[c.key()] {
+		if c.UB > t && !seen[c.Key()] {
 			selected = append(selected, c)
-			seen[c.key()] = true
+			seen[c.Key()] = true
 		}
 	}
 	sortCombos(selected, func(a, b Combo) bool { return a.UB > b.UB })
@@ -167,14 +167,14 @@ func (s *streamSelector) beginPick() {
 	s.seen = make(map[string]bool)
 	for _, c := range s.cover.cover() {
 		s.selected = append(s.selected, c)
-		s.seen[c.key()] = true
+		s.seen[c.Key()] = true
 	}
 }
 
 // pick is pass two: keep every combination clearing the threshold.
 func (s *streamSelector) pick(c Combo) {
 	if c.UB > s.t {
-		if key := c.key(); !s.seen[key] {
+		if key := c.Key(); !s.seen[key] {
 			s.selected = append(s.selected, c)
 			s.seen[key] = true
 		}

@@ -50,12 +50,6 @@ type Options struct {
 	// (the paper shards TopBuckets over its 6 cluster workers).
 	// Defaults to GOMAXPROCS.
 	Workers int
-	// PairSolver tunes the 4-variable pair optimizations (loose and the
-	// first phase of two-phase).
-	PairSolver solver.Options
-	// TightSolver tunes the 2n-variable combination optimizations
-	// (brute-force and the second phase of two-phase).
-	TightSolver solver.Options
 	// MaxCombos guards materializing paths (brute-force, two-phase
 	// survivor refinement) against combinatorial explosion. Defaults to
 	// 2e6.
@@ -65,21 +59,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.PairSolver.MaxNodes == 0 {
-		o.PairSolver.MaxNodes = 512
-	}
-	if o.PairSolver.Eps == 0 {
-		o.PairSolver.Eps = 1e-3
-	}
-	// Tight bounds only drive pruning decisions; 1e-3 accuracy is ample
-	// and keeps branch-and-bound off the flat plateaus of equals-based
-	// predicates, where 1e-6 convergence costs milliseconds per call.
-	if o.TightSolver.MaxNodes == 0 {
-		o.TightSolver.MaxNodes = 512
-	}
-	if o.TightSolver.Eps == 0 {
-		o.TightSolver.Eps = 1e-3
 	}
 	if o.MaxCombos <= 0 {
 		o.MaxCombos = 2e6
@@ -146,30 +125,27 @@ func Run(q *query.Query, matrices []*stats.Matrix, k int, opts Options) (*Result
 	return res, nil
 }
 
-// pairKey identifies a bucket pair within one edge's bound table.
-type pairKey struct {
-	from, to stats.BucketKey
-}
-
 // pairBound holds solver bounds for one bucket pair.
 type pairBound struct {
 	lb, ub float64
 }
 
-// computePairBounds builds, for every query edge, the bound table over
-// all bucket pairs of its two collections (lines 1-3 of Algorithm 2),
-// parallelized across workers.
-func computePairBounds(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, opts Options) ([]map[pairKey]pairBound, int) {
-	tables := make([]map[pairKey]pairBound, len(q.Edges))
+// computePairBounds builds, for every query edge, the dense bound table
+// over all bucket pairs of its two collections (lines 1-3 of Algorithm
+// 2), parallelized across workers. Edge ei's bound for the buckets at
+// positions i of lists[e.From] and j of lists[e.To] is
+// tables[ei][i*len(lists[e.To])+j].
+func computePairBounds(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, opts Options) ([][]pairBound, int) {
+	tables := make([][]pairBound, len(q.Edges))
 	calls := 0
 	for ei, e := range q.Edges {
 		fromList, toList := lists[e.From], lists[e.To]
-		table := make(map[pairKey]pairBound, len(fromList)*len(toList))
-		type cell struct {
-			key pairKey
-			b   pairBound
+		fromGrid, toGrid := matrices[e.From].Grid(), matrices[e.To].Grid()
+		toBoxes := make([]solver.VertexBox, len(toList))
+		for j, bj := range toList {
+			toBoxes[j] = BoxOf(toGrid, bj)
 		}
-		out := make([]cell, len(fromList)*len(toList))
+		out := make([]pairBound, len(fromList)*len(toList))
 		var wg sync.WaitGroup
 		chunk := (len(fromList) + opts.Workers - 1) / opts.Workers
 		for w := 0; w < opts.Workers; w++ {
@@ -185,38 +161,61 @@ func computePairBounds(q *query.Query, matrices []*stats.Matrix, lists [][]stats
 			go func(lo, hi int) {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
-					bi := fromList[i]
-					sLo, sHi, eLo, eHi := matrices[e.From].Box(bi.StartG, bi.EndG)
-					fromBox := solver.VertexBox{StartLo: sLo, StartHi: sHi, EndLo: eLo, EndHi: eHi}
-					for j, bj := range toList {
-						sLo, sHi, eLo, eHi := matrices[e.To].Box(bj.StartG, bj.EndG)
-						toBox := solver.VertexBox{StartLo: sLo, StartHi: sHi, EndLo: eLo, EndHi: eHi}
-						lb, ub := solver.PredicateBounds(e.Pred, fromBox, toBox, opts.PairSolver)
-						out[i*len(toList)+j] = cell{key: pairKey{bi.Key(), bj.Key()}, b: pairBound{lb, ub}}
+					fromBox := BoxOf(fromGrid, fromList[i])
+					for j, toBox := range toBoxes {
+						lb, ub := solver.PairBounds(e.Pred, fromBox, toBox)
+						out[i*len(toList)+j] = pairBound{lb, ub}
 					}
 				}
 			}(lo, hi)
 		}
 		wg.Wait()
-		for _, c := range out {
-			table[c.key] = c.b
-		}
 		calls += len(out)
-		tables[ei] = table
+		tables[ei] = out
 	}
 	return tables, calls
 }
 
 // looseBounds aggregates per-edge pair bounds into combination bounds
-// (lines 4-5 of Algorithm 2): by monotonicity of S, aggregating edge
-// lower (resp. upper) bounds yields a valid combination lower (resp.
-// upper) bound.
-func looseBounds(q *query.Query, tables []map[pairKey]pairBound, buckets []stats.Bucket, lbs, ubs []float64) (lb, ub float64) {
+// (lines 4-5 of Algorithm 2) for the combination at the enumeration's
+// odometer positions pos: by monotonicity of S, aggregating edge lower
+// (resp. upper) bounds yields a valid combination lower (resp. upper)
+// bound.
+func looseBounds(q *query.Query, tables [][]pairBound, lists [][]stats.Bucket, pos []int, lbs, ubs []float64) (lb, ub float64) {
 	for ei, e := range q.Edges {
-		pb := tables[ei][pairKey{buckets[e.From].Key(), buckets[e.To].Key()}]
+		pb := tables[ei][pos[e.From]*len(lists[e.To])+pos[e.To]]
 		lbs[ei], ubs[ei] = pb.lb, pb.ub
 	}
 	return q.Agg.Aggregate(lbs), q.Agg.Aggregate(ubs)
+}
+
+// LooseBounds sets LB and UB of every combination in place to its loose
+// bounds over the current matrices, reading the per-edge pair bounds
+// through memo: only pairs memo has not seen at their current boxes are
+// solved. It is runLoose's bounding for callers that bound a few
+// combinations across many epochs (the standing layer's affected
+// region) rather than all of Ω once.
+func LooseBounds(q *query.Query, memo *solver.PairMemo, matrices []*stats.Matrix, combos []Combo) {
+	sigs := make([]string, len(q.Edges))
+	for ei, e := range q.Edges {
+		sigs[ei] = e.Pred.Signature()
+	}
+	lbs := make([]float64, len(q.Edges))
+	ubs := make([]float64, len(q.Edges))
+	for i := range combos {
+		bs := combos[i].Buckets
+		for ei, e := range q.Edges {
+			// Enumeration order varies the last vertices fastest, so an
+			// edge over earlier ones keeps its bucket pair — and the
+			// bounds already in lbs/ubs — for runs of combinations.
+			if i > 0 && bs[e.From] == combos[i-1].Buckets[e.From] && bs[e.To] == combos[i-1].Buckets[e.To] {
+				continue
+			}
+			lbs[ei], ubs[ei], _ = memo.Bounds(e.Pred, sigs[ei],
+				BoxOf(matrices[e.From].Grid(), bs[e.From]), BoxOf(matrices[e.To].Grid(), bs[e.To]))
+		}
+		combos[i].LB, combos[i].UB = q.Agg.Aggregate(lbs), q.Agg.Aggregate(ubs)
+	}
 }
 
 // runLoose implements Algorithm 2. With refine=false it is the loose
@@ -250,8 +249,6 @@ func runLoose(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, 
 	shardSel := make([][]Combo, shards)
 	var wg sync.WaitGroup
 	shardSize := (len(lists[0]) + shards - 1) / shards
-	var firstErr error
-	var errMu sync.Mutex
 	for w := 0; w < shards; w++ {
 		lo := w * shardSize
 		if lo >= len(lists[0]) {
@@ -264,47 +261,30 @@ func runLoose(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, 
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			shardLists := make([][]stats.Bucket, len(lists))
-			copy(shardLists, lists)
-			shardLists[0] = lists[0][lo:hi]
 			sel := newStreamSelector(k)
 			lbs := make([]float64, len(q.Edges))
 			ubs := make([]float64, len(q.Edges))
-			pass := func(fn func(Combo)) error {
-				return enumerate(shardLists, func(buckets []stats.Bucket) error {
-					lb, ub := looseBounds(q, tables, buckets, lbs, ubs)
+			pass := func(fn func(Combo)) {
+				enumerate(lists, lo, hi, func(pos []int, buckets []stats.Bucket) {
+					lb, ub := looseBounds(q, tables, lists, pos, lbs, ubs)
 					fn(Combo{Buckets: buckets, LB: lb, UB: ub, NbRes: nbRes(buckets)})
-					return nil
 				})
 			}
-			err := pass(func(c Combo) {
+			pass(func(c Combo) {
 				c.Buckets = append([]stats.Bucket(nil), c.Buckets...)
 				sel.observe(c)
 			})
-			if err == nil {
-				sel.beginPick()
-				err = pass(func(c Combo) {
-					if c.UB > sel.t {
-						c.Buckets = append([]stats.Bucket(nil), c.Buckets...)
-						sel.pick(c)
-					}
-				})
-			}
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
+			sel.beginPick()
+			pass(func(c Combo) {
+				if c.UB > sel.t {
+					c.Buckets = append([]stats.Bucket(nil), c.Buckets...)
+					sel.pick(c)
 				}
-				errMu.Unlock()
-				return
-			}
+			})
 			shardSel[w] = sel.finalize()
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	var union []Combo
 	for _, s := range shardSel {
 		union = append(union, s...)
@@ -339,15 +319,12 @@ func runBruteForce(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Buc
 		return nil, fmt.Errorf("topbuckets: brute-force over %g combinations exceeds MaxCombos %g (reduce g or use the loose strategy)", res.TotalCombos, opts.MaxCombos)
 	}
 	var combos []Combo
-	if err := enumerate(lists, func(buckets []stats.Bucket) error {
+	enumerate(lists, 0, len(lists[0]), func(_ []int, buckets []stats.Bucket) {
 		combos = append(combos, Combo{
 			Buckets: append([]stats.Bucket(nil), buckets...),
 			NbRes:   nbRes(buckets),
 		})
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	for _, c := range combos {
 		res.TotalResults += c.NbRes
 	}
@@ -364,6 +341,13 @@ func runBruteForce(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Buc
 	}
 	return res, nil
 }
+
+// tightOptions is the solver setting of the 2n-variable combination
+// optimizations. Tight bounds only drive pruning decisions; 1e-3
+// accuracy is ample and keeps branch-and-bound off the flat plateaus of
+// equals-based predicates, where 1e-6 convergence costs milliseconds
+// per call.
+var tightOptions = solver.Options{MaxNodes: 512, Eps: 1e-3}
 
 // TightenBounds recomputes tight solver bounds for every combination in
 // place, in parallel, and returns the total branch-and-bound nodes
@@ -392,7 +376,7 @@ func TightenBounds(q *query.Query, matrices []*stats.Matrix, combos []Combo, opt
 			for i := lo; i < hi; i++ {
 				boxes := boxesFor(matrices, combos[i].Buckets)
 				var cert solver.Cert
-				combos[i].LB, combos[i].UB, cert = solver.QueryBoundsCert(q, boxes, opts.TightSolver)
+				combos[i].LB, combos[i].UB, cert = solver.QueryBoundsCert(q, boxes, tightOptions)
 				local += cert.Nodes
 			}
 			nodes.Add(int64(local))

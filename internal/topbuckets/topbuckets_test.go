@@ -2,7 +2,9 @@ package topbuckets
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"tkij/internal/interval"
@@ -25,10 +27,10 @@ func checkDefinition2(t *testing.T, k int, all, selected []Combo) {
 	t.Helper()
 	sel := make(map[string]bool, len(selected))
 	for _, c := range selected {
-		sel[c.key()] = true
+		sel[c.Key()] = true
 	}
 	for _, w := range all {
-		if sel[w.key()] {
+		if sel[w.Key()] {
 			continue
 		}
 		var covered float64
@@ -133,7 +135,7 @@ func TestStreamSelectorMatchesSelectList(t *testing.T) {
 			t.Fatalf("stream selected %d, list selected %d (k=%d)", len(got), len(want), k)
 		}
 		for i := range got {
-			if got[i].key() != want[i].key() {
+			if got[i].Key() != want[i].Key() {
 				t.Fatalf("selection mismatch at %d", i)
 			}
 		}
@@ -259,10 +261,10 @@ func TestLooseVsTightBounds(t *testing.T) {
 	// Index loose bounds by combo identity.
 	looseUB := make(map[string]float64)
 	for _, c := range loose.Selected {
-		looseUB[c.key()] = c.UB
+		looseUB[c.Key()] = c.UB
 	}
 	for _, c := range brute.Selected {
-		if lu, ok := looseUB[c.key()]; ok && c.UB > lu+1e-9 {
+		if lu, ok := looseUB[c.Key()]; ok && c.UB > lu+1e-9 {
 			t.Fatalf("tight UB %g exceeds loose UB %g", c.UB, lu)
 		}
 	}
@@ -303,13 +305,12 @@ func TestEnumerateOrderAndCount(t *testing.T) {
 		{{Col: 1, StartG: 0}, {Col: 1, StartG: 1}, {Col: 1, StartG: 2}},
 	}
 	var seen [][2]int
-	err := enumerate(lists, func(bs []stats.Bucket) error {
+	enumerate(lists, 0, len(lists[0]), func(pos []int, bs []stats.Bucket) {
+		if lists[0][pos[0]] != bs[0] || lists[1][pos[1]] != bs[1] {
+			t.Fatalf("positions %v do not index the bucket tuple %v", pos, bs)
+		}
 		seen = append(seen, [2]int{bs[0].StartG, bs[1].StartG})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(seen) != 6 {
 		t.Fatalf("enumerated %d, want 6", len(seen))
 	}
@@ -321,5 +322,35 @@ func TestEnumerateOrderAndCount(t *testing.T) {
 	}
 	if got := comboCount(lists); got != 6 {
 		t.Errorf("comboCount = %g", got)
+	}
+
+	// A shard's range restricts the first list only.
+	var shard [][2]int
+	enumerate(lists, 1, 2, func(pos []int, bs []stats.Bucket) {
+		shard = append(shard, [2]int{pos[0], pos[1]})
+	})
+	if !reflect.DeepEqual(shard, [][2]int{{1, 0}, {1, 1}, {1, 2}}) {
+		t.Fatalf("shard [1,2) enumerated positions %v", shard)
+	}
+
+	// The selection tie-break compares bucket tuples numerically; within
+	// the Key string's one-byte Col / two-byte granule range that is
+	// exactly the order of the strings it replaced.
+	rng := rand.New(rand.NewSource(11))
+	tuple := func() []stats.Bucket {
+		bs := make([]stats.Bucket, 3)
+		for v := range bs {
+			// Few distinct values per field, so that ties run deep
+			// into the tuple; the high values cross the byte boundaries.
+			pick := func(vals ...int) int { return vals[rng.Intn(len(vals))] }
+			bs[v] = stats.Bucket{Col: pick(0, 1, 255), StartG: pick(0, 255, 256, 65535), EndG: pick(1, 256, 65535)}
+		}
+		return bs
+	}
+	for i := 0; i < 2000; i++ {
+		a, b := Combo{Buckets: tuple()}, Combo{Buckets: tuple()}
+		if got, want := compareTuples(a.Buckets, b.Buckets), strings.Compare(a.Key(), b.Key()); got != want {
+			t.Fatalf("compareTuples(%v, %v) = %d, Key order %d", a.Buckets, b.Buckets, got, want)
+		}
 	}
 }
