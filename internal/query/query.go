@@ -62,8 +62,11 @@ func (q *Query) Validate() error {
 	if q.NumVertices < 1 {
 		return fmt.Errorf("query %q: need at least one vertex, got %d", q.Name, q.NumVertices)
 	}
-	if q.NumVertices > 1 && len(q.Edges) == 0 {
-		return fmt.Errorf("query %q: %d vertices but no edges", q.Name, q.NumVertices)
+	// A weakly connected graph on n vertices has at least n-1 edges. The
+	// check also bounds n before the union-find below allocates n words,
+	// so a hostile vertex count costs nothing.
+	if q.NumVertices > len(q.Edges)+1 {
+		return fmt.Errorf("query %q: %d vertices but %d edges: graph is not weakly connected", q.Name, q.NumVertices, len(q.Edges))
 	}
 	if q.Agg == nil {
 		return fmt.Errorf("query %q: nil aggregator", q.Name)

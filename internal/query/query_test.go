@@ -39,7 +39,8 @@ func TestValidateRejections(t *testing.T) {
 		wantSub string
 	}{
 		{"no vertices", 0, nil, agg, "at least one vertex"},
-		{"no edges", 2, nil, agg, "no edges"},
+		{"no edges", 2, nil, agg, "not weakly connected"},
+		{"vertex count beyond its edges", 1<<35 + 3, []Edge{{0, 1, p}}, agg, "not weakly connected"},
 		{"nil agg", 2, []Edge{{0, 1, p}}, nil, "nil aggregator"},
 		{"out of range", 2, []Edge{{0, 5, p}}, agg, "out of range"},
 		{"self loop", 2, []Edge{{0, 1, p}, {1, 1, p}}, agg, "self-loop"},

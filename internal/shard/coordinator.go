@@ -331,16 +331,16 @@ func (c *Cluster) LoadStore(st *store.Store) error {
 		grans[col] = st.Col(col).Granulation()
 	}
 	for s, part := range parts {
-		cols := make([]store.PartitionCol, nCols)
+		cols := make([]store.MappedCol, nCols)
 		for col := 0; col < nCols; col++ {
-			pc := store.PartitionCol{Col: col, Gran: grans[col]}
+			mc := store.MappedCol{Col: col, Gran: grans[col]}
 			for _, k := range part[col] {
-				pc.Buckets = append(pc.Buckets, store.BucketSlice{
+				mc.Buckets = append(mc.Buckets, store.MappedBucket{
 					StartG: k.StartG, EndG: k.EndG,
 					Items: join.ItemsOf(view.Col(col), k.StartG, k.EndG),
 				})
 			}
-			cols[col] = pc
+			cols[col] = mc
 		}
 		if err := c.links[s].send(&LoadFrame{ShardID: s, Shards: len(c.links), Cols: cols}); err != nil {
 			err = fmt.Errorf("%w: loading worker %d: %v", ErrWorkerLost, s, err)

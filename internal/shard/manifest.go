@@ -57,7 +57,8 @@ func (m *Manifest) Owner(k stats.BucketKey) int {
 // Partition slices owned-bucket lists out of the layout: per shard, per
 // collection, the bucket keys that shard owns, in layout order. nCols
 // is the store's collection count; every shard gets an entry for every
-// collection (possibly empty), matching BuildBuckets' expectations.
+// collection (possibly empty), so each shard's Load frame carries one
+// store.MappedCol per collection, as store.BuildSealed expects.
 func (m *Manifest) Partition(layout []stats.BucketKey, nCols int) [][][]stats.BucketKey {
 	parts := make([][][]stats.BucketKey, m.shards)
 	for s := range parts {

@@ -432,7 +432,7 @@ func TestWorkerRejectsFloorReplay(t *testing.T) {
 		}
 	}
 	gran, _ := stats.NewGranulation(0, 100, 4)
-	send(&LoadFrame{ShardID: 0, Shards: 1, Cols: []store.PartitionCol{{Col: 0, Gran: gran}}})
+	send(&LoadFrame{ShardID: 0, Shards: 1, Cols: []store.MappedCol{{Col: 0, Gran: gran}}})
 	send(&FloorFrame{QueryID: 7, Floor: 0.5})
 
 	f, err := ReadFrame(testEnd)
@@ -482,8 +482,8 @@ func TestWorkerAbandonsReducersWhenLinkDrops(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	send(&LoadFrame{ShardID: 0, Shards: 1, Cols: []store.PartitionCol{
-		{Col: 0, Gran: gran, Buckets: []store.BucketSlice{{Items: items}}},
+	send(&LoadFrame{ShardID: 0, Shards: 1, Cols: []store.MappedCol{
+		{Col: 0, Gran: gran, Buckets: []store.MappedBucket{{Items: items}}},
 	}})
 	send(&QueryFrame{
 		QueryID: 1, K: 5, DisableIndex: true, DisablePruning: true,
@@ -567,8 +567,8 @@ func TestWorkerSurvivesShortComboFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	load := &LoadFrame{ShardID: 0, Shards: 1, Cols: []store.PartitionCol{
-		{Col: 0, Gran: gran, Buckets: []store.BucketSlice{{Items: items}}},
+	load := &LoadFrame{ShardID: 0, Shards: 1, Cols: []store.MappedCol{
+		{Col: 0, Gran: gran, Buckets: []store.MappedBucket{{Items: items}}},
 	}}
 	bad, sibling := open(), open()
 	send(bad, load)
@@ -614,7 +614,7 @@ func TestWorkerAppendEpochMismatch(t *testing.T) {
 		}
 	}
 	gran, _ := stats.NewGranulation(0, 100, 4)
-	send(&LoadFrame{ShardID: 0, Shards: 1, Cols: []store.PartitionCol{{Col: 0, Gran: gran}}})
+	send(&LoadFrame{ShardID: 0, Shards: 1, Cols: []store.MappedCol{{Col: 0, Gran: gran}}})
 	// Declare epoch 5; the replica will land on 1.
 	send(&AppendFrame{Epoch: 5, Col: 0, Items: []interval.Interval{{ID: 1, Start: 3, End: 9}}})
 
@@ -628,6 +628,64 @@ func TestWorkerAppendEpochMismatch(t *testing.T) {
 	}
 	if err := <-served; !errors.Is(err, ErrEpochMismatch) {
 		t.Fatalf("Serve returned %v, want ErrEpochMismatch", err)
+	}
+}
+
+// Every Load refusal, on a real worker. A tampered partition — an
+// interval outside the bucket it arrived in, a collection out of order —
+// dies at the decoder (ErrProtocol, the link drops); a well-formed frame
+// no replica can be built from — an empty or a repeated bucket — is
+// answered with a CodeLoad error frame and Serve returns ErrRemote.
+func TestWorkerLoadRefusals(t *testing.T) {
+	gran, _ := stats.NewGranulation(0, 100, 4)
+	in00 := []interval.Interval{{ID: 1, Start: 3, End: 9}} // bucket (0,0)
+	cases := []struct {
+		name   string
+		cols   []store.MappedCol
+		remote bool // CodeLoad + ErrRemote; otherwise ErrProtocol
+	}{
+		{"interval outside its bucket", []store.MappedCol{
+			{Col: 0, Gran: gran, Buckets: []store.MappedBucket{{StartG: 1, EndG: 1, Items: in00}}},
+		}, false},
+		{"collection out of order", []store.MappedCol{{Col: 1, Gran: gran}}, false},
+		{"empty bucket", []store.MappedCol{
+			{Col: 0, Gran: gran, Buckets: []store.MappedBucket{{StartG: 0, EndG: 0}}},
+		}, true},
+		{"duplicate bucket", []store.MappedCol{
+			{Col: 0, Gran: gran, Buckets: []store.MappedBucket{{Items: in00}, {Items: in00}}},
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := EncodeFrame(&LoadFrame{ShardID: 0, Shards: 1, Cols: tc.cols})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := DecodeFrame(b); errors.Is(err, ErrProtocol) == tc.remote {
+				t.Fatalf("DecodeFrame returned %v", err)
+			}
+			workerEnd, testEnd := net.Pipe()
+			defer testEnd.Close()
+			served := make(chan error, 1)
+			go func() { served <- NewWorker().Serve(workerEnd) }()
+			if _, err := testEnd.Write(b); err != nil {
+				t.Fatal(err)
+			}
+			want := ErrProtocol
+			if tc.remote {
+				want = ErrRemote
+				f, err := ReadFrame(testEnd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ef, ok := f.(*ErrorFrame); !ok || ef.Code != CodeLoad {
+					t.Fatalf("worker answered %#v, want CodeLoad", f)
+				}
+			}
+			if err := <-served; !errors.Is(err, want) {
+				t.Fatalf("Serve returned %v, want %v", err, want)
+			}
+		})
 	}
 }
 

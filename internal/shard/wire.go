@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 
-	"time"
 	"tkij/internal/interval"
 	"tkij/internal/join"
 	"tkij/internal/query"
@@ -19,12 +18,14 @@ import (
 // The wire protocol: every message is one frame — a u64 payload length,
 // then the payload: a u64 frame kind followed by the kind's fixed-width
 // little-endian body (the same word codec snapshots use, see
-// internal/interval's binary reader). Decoding is strict: every count
-// is bounded by the bytes actually present, booleans must be 0 or 1,
-// enum tags must be known, and a payload must be consumed exactly — so
-// a successful decode re-encodes byte-identically (the FuzzShardWire
-// contract) and a torn or tampered frame fails loudly instead of
-// executing a half-read query.
+// internal/interval's binary reader). Each frame type describes its body
+// once, in its walk method; encoding and decoding are the two directions
+// of that one walk (see wire). Decoding is strict: every count is bounded
+// by the bytes actually present, booleans must be 0 or 1, enum tags must
+// be known, and a payload must be consumed exactly — so a successful
+// decode re-encodes byte-identically (the FuzzShardWire contract) and a
+// torn or tampered frame fails loudly instead of executing a half-read
+// query.
 
 // Sentinel errors — the coordinator's fault taxonomy. Every failed
 // scatter-gather wraps exactly one of these (plus context.Canceled /
@@ -78,7 +79,28 @@ const (
 // Frame is one wire message.
 type Frame interface {
 	kind() uint64
-	appendBody(dst []byte) ([]byte, error)
+	// walk is the frame body's one layout description.
+	walk(w *wire)
+}
+
+// newFrame returns an empty frame of the given kind for a decode walk to
+// fill, or nil for an unknown kind.
+func newFrame(kind uint64) Frame {
+	switch kind {
+	case kindLoad:
+		return &LoadFrame{}
+	case kindAppend:
+		return &AppendFrame{}
+	case kindQuery:
+		return &QueryFrame{}
+	case kindFloor:
+		return &FloorFrame{}
+	case kindResult:
+		return &ResultFrame{}
+	case kindError:
+		return &ErrorFrame{}
+	}
+	return nil
 }
 
 // errf wraps a decode failure in ErrProtocol.
@@ -88,17 +110,19 @@ func errf(format string, args ...any) error {
 
 // EncodeFrame serializes f with its length prefix.
 func EncodeFrame(f Frame) ([]byte, error) {
-	dst := interval.AppendU64(nil, 0) // length, backfilled below
-	dst = interval.AppendU64(dst, f.kind())
-	dst, err := f.appendBody(dst)
-	if err != nil {
-		return nil, err
+	w := &wire{buf: interval.AppendU64(nil, 0)} // length, backfilled below
+	kind := f.kind()
+	w.u64(&kind)
+	f.walk(w)
+	if w.err != nil {
+		return nil, w.err
 	}
-	if len(dst)-8 > MaxFrameSize {
-		return nil, errf("frame payload of %d bytes exceeds limit", len(dst)-8)
+	n := len(w.buf) - 8
+	if n > MaxFrameSize {
+		return nil, errf("frame payload of %d bytes exceeds limit", n)
 	}
-	interval.PutU64(dst[:8], uint64(len(dst)-8))
-	return dst, nil
+	interval.PutU64(w.buf[:8], uint64(n))
+	return w.buf, nil
 }
 
 // DecodeFrame decodes the first frame in b, returning it and the number
@@ -107,19 +131,18 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < 8 {
 		return nil, 0, errf("frame header short: %d bytes", len(b))
 	}
-	r := interval.NewBinaryReader(b[:8])
-	n := r.U64()
-	if n < 8 || n > MaxFrameSize {
-		return nil, 0, errf("frame payload length %d out of range", n)
+	n, err := payloadLen(b[:8])
+	if err != nil {
+		return nil, 0, err
 	}
-	if uint64(len(b)-8) < n {
+	if len(b)-8 < n {
 		return nil, 0, errf("frame payload short: want %d bytes, have %d", n, len(b)-8)
 	}
 	f, err := decodePayload(b[8 : 8+n])
 	if err != nil {
 		return nil, 0, err
 	}
-	return f, int(8 + n), nil
+	return f, 8 + n, nil
 }
 
 // ReadFrame reads and decodes one frame from r. A clean EOF at a frame
@@ -133,10 +156,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		}
 		return nil, err
 	}
-	br := interval.NewBinaryReader(hdr[:])
-	n := br.U64()
-	if n < 8 || n > MaxFrameSize {
-		return nil, errf("frame payload length %d out of range", n)
+	n, err := payloadLen(hdr[:])
+	if err != nil {
+		return nil, err
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -148,234 +170,369 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return decodePayload(buf)
 }
 
-func decodePayload(p []byte) (Frame, error) {
-	r := interval.NewBinaryReader(p)
-	kind := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, errf("reading frame kind: %v", err)
+// payloadLen reads a frame's length prefix: at least the kind word, at
+// most MaxFrameSize.
+func payloadLen(hdr []byte) (int, error) {
+	n := interval.NewBinaryReader(hdr).U64()
+	if n < 8 || n > MaxFrameSize {
+		return 0, errf("frame payload length %d out of range", n)
 	}
-	var (
-		f   Frame
-		err error
-	)
-	switch kind {
-	case kindLoad:
-		f, err = decodeLoad(r)
-	case kindAppend:
-		f, err = decodeAppend(r)
-	case kindQuery:
-		f, err = decodeQuery(r)
-	case kindFloor:
-		f, err = decodeFloor(r)
-	case kindResult:
-		f, err = decodeResult(r)
-	case kindError:
-		f, err = decodeError(r)
-	default:
+	return int(n), nil
+}
+
+func decodePayload(p []byte) (Frame, error) {
+	w := &wire{r: interval.NewBinaryReader(p)}
+	var kind uint64
+	w.u64(&kind)
+	f := newFrame(kind)
+	if f == nil {
 		return nil, errf("unknown frame kind %d", kind)
 	}
-	if err != nil {
-		return nil, err
+	f.walk(w)
+	if w.err != nil {
+		return nil, w.err
 	}
-	if r.Len() != 0 {
-		return nil, errf("frame kind %d has %d trailing bytes", kind, r.Len())
+	if w.r.Len() != 0 {
+		return nil, errf("frame kind %d has %d trailing bytes", kind, w.r.Len())
 	}
 	return f, nil
 }
 
-// --- scalar helpers -------------------------------------------------
+// --- the walker -----------------------------------------------------
 
-func appendF64(dst []byte, v float64) []byte {
-	return interval.AppendU64(dst, math.Float64bits(v))
+// wire walks one frame body in either direction. Encoding (r == nil)
+// appends every field to buf and only reads the frame: a QueryFrame's
+// Combos, Mapping and Query are plan-cache state that concurrent scatters
+// encode at once. Decoding reads every field into the frame; the first
+// failure latches as an ErrProtocol and turns every later step into a
+// no-op, so a walk reads straight through and is checked once at the end.
+type wire struct {
+	buf []byte
+	r   *interval.BinaryReader
+	err error
 }
 
-func readF64(r *interval.BinaryReader) float64 {
-	return math.Float64frombits(r.U64())
+// decoding reports whether the walk is reading a frame and has not
+// failed — the guard of every decode-time check and of building decoded
+// values.
+func (w *wire) decoding() bool { return w.r != nil && w.err == nil }
+
+// fail latches the walk's first failure: a protocol violation when
+// decoding, a frame that cannot cross the wire when encoding.
+func (w *wire) fail(format string, args ...any) {
+	switch {
+	case w.err != nil:
+	case w.r != nil:
+		w.err = errf(format, args...)
+	default:
+		w.err = fmt.Errorf("shard: "+format, args...)
+	}
 }
 
-func appendBool(dst []byte, v bool) []byte {
-	if v {
-		return interval.AppendU64(dst, 1)
+func (w *wire) u64(v *uint64) {
+	switch {
+	case w.err != nil:
+	case w.r == nil:
+		w.buf = interval.AppendU64(w.buf, *v)
+	default:
+		*v = w.r.U64()
+		if err := w.r.Err(); err != nil {
+			w.fail("%v", err)
+		}
 	}
-	return interval.AppendU64(dst, 0)
 }
 
-func readBool(r *interval.BinaryReader, what string) (bool, error) {
-	v := r.U64()
-	if err := r.Err(); err != nil {
-		return false, errf("reading %s: %v", what, err)
+func (w *wire) i64(v *int64) {
+	u := uint64(*v)
+	w.u64(&u)
+	if w.decoding() {
+		*v = int64(u)
 	}
-	if v > 1 {
-		return false, errf("%s flag is %d, want 0 or 1", what, v)
-	}
-	return v == 1, nil
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = interval.AppendU64(dst, uint64(len(s)))
-	return append(dst, s...)
+func (w *wire) int(v *int) {
+	x := int64(*v)
+	w.i64(&x)
+	if w.decoding() {
+		*v = int(x)
+	}
 }
 
-func readString(r *interval.BinaryReader, what string) (string, error) {
-	n := r.U64()
-	if err := r.Err(); err != nil {
-		return "", errf("reading %s length: %v", what, err)
+func (w *wire) f64(v *float64) {
+	u := math.Float64bits(*v)
+	w.u64(&u)
+	if w.decoding() {
+		*v = math.Float64frombits(u)
 	}
-	if n > uint64(r.Len()) {
-		return "", errf("%s declares %d bytes, payload holds %d", what, n, r.Len())
-	}
-	b := r.Bytes(int(n))
-	if err := r.Err(); err != nil {
-		return "", errf("reading %s: %v", what, err)
-	}
-	return string(b), nil
 }
 
-func appendIntSlice(dst []byte, v []int) []byte {
-	dst = interval.AppendU64(dst, uint64(len(v)))
-	for _, x := range v {
-		dst = interval.AppendI64(dst, int64(x))
+// flag walks a boolean as a 0/1 word; any other word is refused.
+func (w *wire) flag(v *bool, what string) {
+	var u uint64
+	if *v {
+		u = 1
 	}
-	return dst
+	w.u64(&u)
+	if w.decoding() {
+		if u > 1 {
+			w.fail("%s flag is %d, want 0 or 1", what, u)
+			return
+		}
+		*v = u == 1
+	}
 }
 
-func readIntSlice(r *interval.BinaryReader, what string) ([]int, error) {
-	n := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, errf("reading %s count: %v", what, err)
+// count walks a length prefix. Decoding, it is the one rule that bounds a
+// declared length: n entries of at least minEntryBytes each must fit in
+// the bytes left, so a hostile prefix cannot demand memory the frame did
+// not pay for.
+func (w *wire) count(n *int, minEntryBytes int, what string) {
+	u := uint64(*n)
+	w.u64(&u)
+	if !w.decoding() {
+		return
 	}
-	if n > uint64(r.Len()/8) {
-		return nil, errf("%s declares %d entries, payload holds at most %d", what, n, r.Len()/8)
+	if most := w.r.Len() / minEntryBytes; u > uint64(most) {
+		w.fail("%s declares %d entries, payload holds at most %d", what, u, most)
+		return
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(r.I64())
-	}
-	if err := r.Err(); err != nil {
-		return nil, errf("reading %s: %v", what, err)
-	}
-	return out, nil
+	*n = int(u)
 }
 
-func appendIntervalsLP(dst []byte, ivs []interval.Interval) []byte {
-	dst = interval.AppendU64(dst, uint64(len(ivs)))
-	return interval.AppendIntervals(dst, ivs)
+func (w *wire) str(s *string, what string) {
+	n := len(*s)
+	w.count(&n, 1, what)
+	switch {
+	case w.err != nil:
+	case w.r == nil:
+		w.buf = append(w.buf, *s...)
+	default:
+		*s = string(w.r.Bytes(n))
+	}
 }
 
-func readIntervalsLP(r *interval.BinaryReader, what string) ([]interval.Interval, error) {
-	n := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, errf("reading %s count: %v", what, err)
+// intervals walks a length-prefixed interval slice in the 24-byte record
+// layout; every decoded interval must satisfy start <= end.
+func (w *wire) intervals(ivs *[]interval.Interval, what string) {
+	n := len(*ivs)
+	w.count(&n, interval.BinaryIntervalSize, what)
+	switch {
+	case w.err != nil:
+	case w.r == nil:
+		w.buf = interval.AppendIntervals(w.buf, *ivs)
+	default:
+		v, err := interval.DecodeIntervals(w.r.Bytes(n * interval.BinaryIntervalSize))
+		if err != nil {
+			w.fail("%s: %v", what, err)
+			return
+		}
+		*ivs = v
 	}
-	if n > uint64(r.Len()/interval.BinaryIntervalSize) {
-		return nil, errf("%s declares %d intervals, payload holds at most %d",
-			what, n, r.Len()/interval.BinaryIntervalSize)
+}
+
+func (w *wire) gran(g *stats.Granulation) {
+	switch {
+	case w.err != nil:
+	case w.r == nil:
+		w.buf = stats.AppendGranulation(w.buf, *g)
+	default:
+		v, err := stats.ReadGranulation(w.r)
+		if err != nil {
+			w.fail("granulation: %v", err)
+			return
+		}
+		*g = v
 	}
-	b := r.Bytes(int(n) * interval.BinaryIntervalSize)
-	if err := r.Err(); err != nil {
-		return nil, errf("reading %s: %v", what, err)
+}
+
+func (w *wire) grid(g *stats.Grid) {
+	w.gran(&g.Gran)
+	w.i64(&g.Lo)
+	w.i64(&g.Hi)
+}
+
+// list walks a length-prefixed slice: its count (each entry takes at
+// least minEntryBytes), then every entry through elem. Decoding
+// allocates the slice; encoding hands elem the frame's own entries, which
+// it must only read.
+func list[T any](w *wire, s *[]T, minEntryBytes int, what string, elem func(i int, e *T)) {
+	n := len(*s)
+	w.count(&n, minEntryBytes, what)
+	if w.err != nil {
+		return
 	}
-	ivs, err := interval.DecodeIntervals(b)
+	if w.r != nil {
+		*s = make([]T, n)
+	}
+	for i := range *s {
+		if w.err != nil {
+			return
+		}
+		elem(i, &(*s)[i])
+	}
+}
+
+// query walks a query — name, vertex count, edges, aggregator — through
+// a shallow copy, so encoding never touches the shared original.
+// Decoding rebuilds it through query.New, so a decoded query is exactly
+// as valid as one built locally.
+func (w *wire) query(qp **query.Query) {
+	var q query.Query
+	if w.r == nil {
+		if *qp == nil {
+			w.fail("query frame has no query")
+			return
+		}
+		q = **qp
+	}
+	w.str(&q.Name, "query name")
+	w.int(&q.NumVertices)
+	list(w, &q.Edges, 32, "edge list", func(_ int, e *query.Edge) {
+		w.int(&e.From)
+		w.int(&e.To)
+		var p scoring.Predicate
+		if e.Pred != nil {
+			p = *e.Pred
+		}
+		w.str(&p.Name, "predicate name")
+		list(w, &p.Terms, 104, "term list", func(_ int, t *scoring.Term) { w.term(t) })
+		if w.decoding() {
+			e.Pred = &p
+		}
+	})
+	w.agg(&q.Agg)
+	if !w.decoding() {
+		return
+	}
+	built, err := query.New(q.Name, q.NumVertices, q.Edges, q.Agg)
 	if err != nil {
-		return nil, errf("%s: %v", what, err)
+		w.fail("decoded query invalid: %v", err)
+		return
 	}
-	return ivs, nil
+	*qp = built
 }
 
-func appendGrid(dst []byte, g stats.Grid) []byte {
-	dst = stats.AppendGranulation(dst, g.Gran)
-	dst = interval.AppendI64(dst, int64(g.Lo))
-	dst = interval.AppendI64(dst, int64(g.Hi))
-	return dst
+// term walks one comparator term through copies of its fields; decoding
+// rebuilds it with scoring.NewTerm, which derives the cached difference.
+func (w *wire) term(t *scoring.Term) {
+	kind, left, right, p := t.Kind, t.Left, t.Right, t.P
+	w.int((*int)(&kind))
+	if w.decoding() && (kind < 0 || kind > scoring.CompGreater) {
+		w.fail("term kind %d unknown", kind)
+	}
+	for _, e := range []*scoring.LinearExpr{&left, &right} {
+		for i := range e.Coef {
+			w.f64(&e.Coef[i])
+		}
+		w.f64(&e.Const)
+	}
+	w.f64(&p.Lambda)
+	w.f64(&p.Rho)
+	if w.decoding() {
+		*t = scoring.NewTerm(kind, left, right, p)
+	}
 }
 
-func readGrid(r *interval.BinaryReader) (stats.Grid, error) {
-	gran, err := stats.ReadGranulation(r)
-	if err != nil {
-		return stats.Grid{}, errf("reading grid granulation: %v", err)
+// Aggregator tags.
+const (
+	aggAvg uint64 = iota
+	aggSum
+	aggMin
+	aggWeightedSum
+)
+
+func (w *wire) agg(a *scoring.Aggregator) {
+	var (
+		tag     uint64
+		weights []float64
+	)
+	if w.r == nil {
+		switch v := (*a).(type) {
+		case scoring.Avg:
+			tag = aggAvg
+		case scoring.Sum:
+			tag = aggSum
+		case scoring.Min:
+			tag = aggMin
+		case *scoring.WeightedSum:
+			tag, weights = aggWeightedSum, v.Weights
+		default:
+			w.fail("aggregator %T does not cross the wire", v)
+			return
+		}
 	}
-	lo, hi := r.I64(), r.I64()
-	if err := r.Err(); err != nil {
-		return stats.Grid{}, errf("reading grid bounds: %v", err)
+	w.u64(&tag)
+	if tag == aggWeightedSum {
+		list(w, &weights, 8, "weight list", func(_ int, x *float64) { w.f64(x) })
 	}
-	return stats.Grid{Gran: gran, Lo: interval.Timestamp(lo), Hi: interval.Timestamp(hi)}, nil
+	if !w.decoding() {
+		return
+	}
+	switch tag {
+	case aggAvg:
+		*a = scoring.Avg{}
+	case aggSum:
+		*a = scoring.Sum{}
+	case aggMin:
+		*a = scoring.Min{}
+	case aggWeightedSum:
+		ws, err := scoring.NewWeightedSum(weights)
+		if err != nil {
+			w.fail("decoded aggregator invalid: %v", err)
+			return
+		}
+		*a = ws
+	default:
+		w.fail("unknown aggregator tag %d", tag)
+	}
 }
 
 // --- LoadFrame ------------------------------------------------------
 
 // LoadFrame bootstraps a worker: its shard identity and its owned slice
-// of the coordinator's bucket partition, one PartitionCol per
-// collection (empty for collections the shard owns nothing of).
+// of the coordinator's bucket partition, one MappedCol per collection
+// (with no buckets for collections the shard owns nothing of), so the
+// replica has one ColStore per collection, aligned with the
+// coordinator's indexes. Decoding checks every interval against the
+// bucket it arrived in — the same tamper check a snapshot restore runs —
+// so a mis-partitioned load never builds a replica that serves wrong
+// buckets.
 type LoadFrame struct {
 	ShardID int
 	Shards  int
-	Cols    []store.PartitionCol
+	Cols    []store.MappedCol
 }
 
 func (*LoadFrame) kind() uint64 { return kindLoad }
 
-func (f *LoadFrame) appendBody(dst []byte) ([]byte, error) {
-	dst = interval.AppendI64(dst, int64(f.ShardID))
-	dst = interval.AppendI64(dst, int64(f.Shards))
-	dst = interval.AppendU64(dst, uint64(len(f.Cols)))
-	for _, pc := range f.Cols {
-		dst = interval.AppendI64(dst, int64(pc.Col))
-		dst = stats.AppendGranulation(dst, pc.Gran)
-		dst = interval.AppendU64(dst, uint64(len(pc.Buckets)))
-		for _, bs := range pc.Buckets {
-			dst = interval.AppendI64(dst, int64(bs.StartG))
-			dst = interval.AppendI64(dst, int64(bs.EndG))
-			dst = appendIntervalsLP(dst, bs.Items)
-		}
+func (f *LoadFrame) walk(w *wire) {
+	w.int(&f.ShardID)
+	w.int(&f.Shards)
+	if w.decoding() && (f.Shards < 1 || f.ShardID < 0 || f.ShardID >= f.Shards) {
+		w.fail("load names shard %d of %d", f.ShardID, f.Shards)
 	}
-	return dst, nil
-}
-
-func decodeLoad(r *interval.BinaryReader) (*LoadFrame, error) {
-	shardID, shards := r.I64(), r.I64()
-	nCols := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, errf("reading load header: %v", err)
-	}
-	if shards < 1 || shardID < 0 || shardID >= shards {
-		return nil, errf("load names shard %d of %d", shardID, shards)
-	}
-	if nCols > uint64(r.Len()/8) {
-		return nil, errf("load declares %d collections, payload holds at most %d", nCols, r.Len()/8)
-	}
-	f := &LoadFrame{ShardID: int(shardID), Shards: int(shards), Cols: make([]store.PartitionCol, nCols)}
-	for i := range f.Cols {
-		col := r.I64()
-		gran, err := stats.ReadGranulation(r)
-		if err != nil {
-			return nil, errf("reading load collection %d granulation: %v", i, err)
+	list(w, &f.Cols, 8, "load collection list", func(i int, c *store.MappedCol) {
+		w.int(&c.Col)
+		w.gran(&c.Gran)
+		if w.decoding() && c.Col != i {
+			w.fail("load collection %d declared as %d", i, c.Col)
 		}
-		nBuckets := r.U64()
-		if err := r.Err(); err != nil {
-			return nil, errf("reading load collection %d: %v", i, err)
-		}
-		if col != int64(i) {
-			return nil, errf("load collection %d declared as %d", i, col)
-		}
-		if nBuckets > uint64(r.Len()/24) {
-			return nil, errf("load collection %d declares %d buckets, payload holds at most %d",
-				i, nBuckets, r.Len()/24)
-		}
-		pc := store.PartitionCol{Col: i, Gran: gran, Buckets: make([]store.BucketSlice, nBuckets)}
-		for j := range pc.Buckets {
-			sg, eg := r.I64(), r.I64()
-			items, err := readIntervalsLP(r, fmt.Sprintf("load bucket (%d,%d,%d)", i, sg, eg))
-			if err != nil {
-				return nil, err
+		list(w, &c.Buckets, 24, "load bucket list", func(_ int, b *store.MappedBucket) {
+			w.int(&b.StartG)
+			w.int(&b.EndG)
+			w.intervals(&b.Items, "load bucket")
+			if !w.decoding() {
+				return
 			}
-			pc.Buckets[j] = store.BucketSlice{StartG: int(sg), EndG: int(eg), Items: items}
-		}
-		f.Cols[i] = pc
-	}
-	if err := r.Err(); err != nil {
-		return nil, errf("reading load frame: %v", err)
-	}
-	return f, nil
+			for _, iv := range b.Items {
+				if l, lp := c.Gran.BucketOf(iv); l != b.StartG || lp != b.EndG {
+					w.fail("load collection %d interval %v buckets to (%d,%d), arrived in (%d,%d)",
+						i, iv, l, lp, b.StartG, b.EndG)
+					return
+				}
+			}
+		})
+	})
 }
 
 // --- AppendFrame ----------------------------------------------------
@@ -392,26 +549,13 @@ type AppendFrame struct {
 
 func (*AppendFrame) kind() uint64 { return kindAppend }
 
-func (f *AppendFrame) appendBody(dst []byte) ([]byte, error) {
-	dst = interval.AppendI64(dst, f.Epoch)
-	dst = interval.AppendI64(dst, int64(f.Col))
-	dst = appendIntervalsLP(dst, f.Items)
-	return dst, nil
-}
-
-func decodeAppend(r *interval.BinaryReader) (*AppendFrame, error) {
-	epoch, col := r.I64(), r.I64()
-	if err := r.Err(); err != nil {
-		return nil, errf("reading append header: %v", err)
+func (f *AppendFrame) walk(w *wire) {
+	w.i64(&f.Epoch)
+	w.int(&f.Col)
+	if w.decoding() && f.Col < 0 {
+		w.fail("append names collection %d", f.Col)
 	}
-	if col < 0 {
-		return nil, errf("append names collection %d", col)
-	}
-	items, err := readIntervalsLP(r, "append batch")
-	if err != nil {
-		return nil, err
-	}
-	return &AppendFrame{Epoch: epoch, Col: int(col), Items: items}, nil
+	w.intervals(&f.Items, "append batch")
 }
 
 // --- QueryFrame -----------------------------------------------------
@@ -448,350 +592,66 @@ type QueryFrame struct {
 
 func (*QueryFrame) kind() uint64 { return kindQuery }
 
-func (f *QueryFrame) appendBody(dst []byte) ([]byte, error) {
-	dst = interval.AppendU64(dst, f.QueryID)
-	dst = interval.AppendI64(dst, f.Epoch)
-	dst = interval.AppendI64(dst, int64(f.K))
-	dst = appendF64(dst, f.Floor)
-	dst = appendBool(dst, f.DisableIndex)
-	dst = appendBool(dst, f.DisablePruning)
-	dst = appendBool(dst, f.NoFloorUplink)
-	dst, err := appendQuery(dst, f.Query)
-	if err != nil {
-		return nil, err
+func (f *QueryFrame) walk(w *wire) {
+	w.u64(&f.QueryID)
+	w.i64(&f.Epoch)
+	w.int(&f.K)
+	w.f64(&f.Floor)
+	if w.decoding() && f.K < 1 {
+		w.fail("query k = %d, want >= 1", f.K)
 	}
-	dst = appendIntSlice(dst, f.Mapping)
-	dst = interval.AppendU64(dst, uint64(len(f.Grids)))
-	for _, g := range f.Grids {
-		dst = appendGrid(dst, g)
-	}
-	dst = interval.AppendU64(dst, uint64(len(f.Combos)))
-	for _, c := range f.Combos {
-		dst = interval.AppendU64(dst, uint64(len(c.Buckets)))
-		for _, b := range c.Buckets {
-			dst = interval.AppendI64(dst, int64(b.Col))
-			dst = interval.AppendI64(dst, int64(b.StartG))
-			dst = interval.AppendI64(dst, int64(b.EndG))
-			dst = interval.AppendI64(dst, int64(b.Count))
+	w.flag(&f.DisableIndex, "disable-index")
+	w.flag(&f.DisablePruning, "disable-pruning")
+	w.flag(&f.NoFloorUplink, "no-floor-uplink")
+	w.query(&f.Query)
+	list(w, &f.Mapping, 8, "vertex mapping", func(v int, col *int) {
+		w.int(col)
+		if w.decoding() && *col < 0 {
+			w.fail("vertex %d maps to collection %d", v, *col)
 		}
-		dst = appendF64(dst, c.LB)
-		dst = appendF64(dst, c.UB)
-		dst = appendF64(dst, c.NbRes)
-	}
-	dst = interval.AppendU64(dst, uint64(len(f.Tasks)))
-	for _, t := range f.Tasks {
-		dst = interval.AppendI64(dst, int64(t.Reducer))
-		dst = appendIntSlice(dst, t.Combos)
-	}
-	dst = interval.AppendU64(dst, uint64(len(f.Shipped)))
-	for _, sb := range f.Shipped {
-		dst = interval.AppendI64(dst, int64(sb.Col))
-		dst = interval.AppendI64(dst, int64(sb.StartG))
-		dst = interval.AppendI64(dst, int64(sb.EndG))
-		dst = appendIntervalsLP(dst, sb.Items)
-	}
-	return dst, nil
-}
-
-func decodeQuery(r *interval.BinaryReader) (*QueryFrame, error) {
-	f := &QueryFrame{}
-	f.QueryID = r.U64()
-	f.Epoch = r.I64()
-	k := r.I64()
-	f.Floor = readF64(r)
-	if err := r.Err(); err != nil {
-		return nil, errf("reading query header: %v", err)
-	}
-	if k < 1 {
-		return nil, errf("query k = %d, want >= 1", k)
-	}
-	f.K = int(k)
-	var err error
-	if f.DisableIndex, err = readBool(r, "disable-index"); err != nil {
-		return nil, err
-	}
-	if f.DisablePruning, err = readBool(r, "disable-pruning"); err != nil {
-		return nil, err
-	}
-	if f.NoFloorUplink, err = readBool(r, "no-floor-uplink"); err != nil {
-		return nil, err
-	}
-	if f.Query, err = readQuery(r); err != nil {
-		return nil, err
-	}
-	if f.Mapping, err = readIntSlice(r, "vertex mapping"); err != nil {
-		return nil, err
-	}
-	for i, c := range f.Mapping {
-		if c < 0 {
-			return nil, errf("vertex %d maps to collection %d", i, c)
+	})
+	list(w, &f.Grids, 40, "grid list", func(_ int, g *stats.Grid) { w.grid(g) })
+	list(w, &f.Combos, 32, "combo list", func(i int, c *topbuckets.Combo) {
+		list(w, &c.Buckets, 32, "combo bucket list", func(_ int, b *stats.Bucket) {
+			w.int(&b.Col)
+			w.int(&b.StartG)
+			w.int(&b.EndG)
+			w.int(&b.Count)
+		})
+		// Past here the joiner indexes Buckets by vertex.
+		if w.decoding() && len(c.Buckets) != f.Query.NumVertices {
+			w.fail("combo %d has %d buckets, query %s has %d vertices", i, len(c.Buckets), f.Query.Name, f.Query.NumVertices)
 		}
-	}
-	nGrids := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, errf("reading grid count: %v", err)
-	}
-	if nGrids > uint64(r.Len()/40) {
-		return nil, errf("query declares %d grids, payload holds at most %d", nGrids, r.Len()/40)
-	}
-	f.Grids = make([]stats.Grid, nGrids)
-	for i := range f.Grids {
-		if f.Grids[i], err = readGrid(r); err != nil {
-			return nil, err
+		w.f64(&c.LB)
+		w.f64(&c.UB)
+		w.f64(&c.NbRes)
+	})
+	list(w, &f.Tasks, 16, "task list", func(i int, t *join.ReducerTask) {
+		w.int(&t.Reducer)
+		if w.decoding() && t.Reducer < 0 {
+			w.fail("task %d names reducer %d", i, t.Reducer)
 		}
-	}
-	nCombos := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, errf("reading combo count: %v", err)
-	}
-	if nCombos > uint64(r.Len()/32) {
-		return nil, errf("query declares %d combos, payload holds at most %d", nCombos, r.Len()/32)
-	}
-	f.Combos = make([]topbuckets.Combo, nCombos)
-	for i := range f.Combos {
-		nb := r.U64()
-		if err := r.Err(); err != nil {
-			return nil, errf("reading combo %d: %v", i, err)
-		}
-		if nb > uint64(r.Len()/32) {
-			return nil, errf("combo %d declares %d buckets, payload holds at most %d", i, nb, r.Len()/32)
-		}
-		if nb != uint64(f.Query.NumVertices) {
-			return nil, errf("combo %d has %d buckets, query %s has %d vertices", i, nb, f.Query.Name, f.Query.NumVertices)
-		}
-		c := topbuckets.Combo{Buckets: make([]stats.Bucket, nb)}
-		for j := range c.Buckets {
-			c.Buckets[j] = stats.Bucket{
-				Col:    int(r.I64()),
-				StartG: int(r.I64()),
-				EndG:   int(r.I64()),
-				Count:  int(r.I64()),
+		list(w, &t.Combos, 8, "task combos", func(_ int, ci *int) {
+			w.int(ci)
+			if w.decoding() && (*ci < 0 || *ci >= len(f.Combos)) {
+				w.fail("task %d references combo %d of %d", i, *ci, len(f.Combos))
 			}
-		}
-		c.LB = readF64(r)
-		c.UB = readF64(r)
-		c.NbRes = readF64(r)
-		if err := r.Err(); err != nil {
-			return nil, errf("reading combo %d: %v", i, err)
-		}
-		f.Combos[i] = c
-	}
-	nTasks := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, errf("reading task count: %v", err)
-	}
-	if nTasks > uint64(r.Len()/16) {
-		return nil, errf("query declares %d tasks, payload holds at most %d", nTasks, r.Len()/16)
-	}
-	f.Tasks = make([]join.ReducerTask, nTasks)
-	for i := range f.Tasks {
-		rj := r.I64()
-		if err := r.Err(); err != nil {
-			return nil, errf("reading task %d: %v", i, err)
-		}
-		if rj < 0 {
-			return nil, errf("task %d names reducer %d", i, rj)
-		}
-		combos, err := readIntSlice(r, fmt.Sprintf("task %d combos", i))
-		if err != nil {
-			return nil, err
-		}
-		for _, ci := range combos {
-			if ci < 0 || ci >= len(f.Combos) {
-				return nil, errf("task %d references combo %d of %d", i, ci, len(f.Combos))
-			}
-		}
+		})
 		// A reducer stops at the first combination its threshold
 		// dominates; on an unsorted list that would skip live ones.
-		if !join.DescendingUB(f.Combos, combos) {
-			return nil, errf("task %d lists its combos out of descending-UB order", i)
+		if w.decoding() && !join.DescendingUB(f.Combos, t.Combos) {
+			w.fail("task %d lists its combos out of descending-UB order", i)
 		}
-		f.Tasks[i] = join.ReducerTask{Reducer: int(rj), Combos: combos}
-	}
-	nShipped := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, errf("reading shipped count: %v", err)
-	}
-	if nShipped > uint64(r.Len()/32) {
-		return nil, errf("query declares %d shipped buckets, payload holds at most %d", nShipped, r.Len()/32)
-	}
-	f.Shipped = make([]ShippedBucket, nShipped)
-	for i := range f.Shipped {
-		col, sg, eg := r.I64(), r.I64(), r.I64()
-		items, err := readIntervalsLP(r, fmt.Sprintf("shipped bucket (%d,%d,%d)", col, sg, eg))
-		if err != nil {
-			return nil, err
+	})
+	list(w, &f.Shipped, 32, "shipped bucket list", func(i int, sb *ShippedBucket) {
+		w.int(&sb.Col)
+		w.int(&sb.StartG)
+		w.int(&sb.EndG)
+		w.intervals(&sb.Items, "shipped bucket")
+		if w.decoding() && sb.Col < 0 {
+			w.fail("shipped bucket %d names collection %d", i, sb.Col)
 		}
-		if col < 0 {
-			return nil, errf("shipped bucket %d names collection %d", i, col)
-		}
-		f.Shipped[i] = ShippedBucket{Col: int(col), StartG: int(sg), EndG: int(eg), Items: items}
-	}
-	return f, nil
-}
-
-func appendQuery(dst []byte, q *query.Query) ([]byte, error) {
-	if q == nil {
-		return nil, fmt.Errorf("shard: query frame has no query")
-	}
-	dst = appendString(dst, q.Name)
-	dst = interval.AppendI64(dst, int64(q.NumVertices))
-	dst = interval.AppendU64(dst, uint64(len(q.Edges)))
-	for _, e := range q.Edges {
-		dst = interval.AppendI64(dst, int64(e.From))
-		dst = interval.AppendI64(dst, int64(e.To))
-		dst = appendString(dst, e.Pred.Name)
-		dst = interval.AppendU64(dst, uint64(len(e.Pred.Terms)))
-		for _, t := range e.Pred.Terms {
-			dst = interval.AppendU64(dst, uint64(t.Kind))
-			dst = appendExpr(dst, t.Left)
-			dst = appendExpr(dst, t.Right)
-			dst = appendF64(dst, t.P.Lambda)
-			dst = appendF64(dst, t.P.Rho)
-		}
-	}
-	return appendAgg(dst, q.Agg)
-}
-
-func readQuery(r *interval.BinaryReader) (*query.Query, error) {
-	name, err := readString(r, "query name")
-	if err != nil {
-		return nil, err
-	}
-	nv := r.I64()
-	nEdges := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, errf("reading query graph header: %v", err)
-	}
-	if nEdges > uint64(r.Len()/32) {
-		return nil, errf("query declares %d edges, payload holds at most %d", nEdges, r.Len()/32)
-	}
-	edges := make([]query.Edge, nEdges)
-	for i := range edges {
-		from, to := r.I64(), r.I64()
-		predName, err := readString(r, fmt.Sprintf("edge %d predicate name", i))
-		if err != nil {
-			return nil, err
-		}
-		nTerms := r.U64()
-		if err := r.Err(); err != nil {
-			return nil, errf("reading edge %d: %v", i, err)
-		}
-		if nTerms > uint64(r.Len()/104) {
-			return nil, errf("edge %d declares %d terms, payload holds at most %d", i, nTerms, r.Len()/104)
-		}
-		terms := make([]scoring.Term, nTerms)
-		for j := range terms {
-			kind := r.U64()
-			if err := r.Err(); err != nil {
-				return nil, errf("reading edge %d term %d: %v", i, j, err)
-			}
-			if kind > uint64(scoring.CompGreater) {
-				return nil, errf("edge %d term %d kind %d unknown", i, j, kind)
-			}
-			left := readExpr(r)
-			right := readExpr(r)
-			p := scoring.Params{Lambda: readF64(r), Rho: readF64(r)}
-			if err := r.Err(); err != nil {
-				return nil, errf("reading edge %d term %d: %v", i, j, err)
-			}
-			terms[j] = scoring.NewTerm(scoring.CompKind(kind), left, right, p)
-		}
-		edges[i] = query.Edge{
-			From: int(from), To: int(to),
-			Pred: &scoring.Predicate{Name: predName, Terms: terms},
-		}
-	}
-	agg, err := readAgg(r)
-	if err != nil {
-		return nil, err
-	}
-	q, err := query.New(name, int(nv), edges, agg)
-	if err != nil {
-		return nil, errf("decoded query invalid: %v", err)
-	}
-	return q, nil
-}
-
-func appendExpr(dst []byte, e scoring.LinearExpr) []byte {
-	for _, c := range e.Coef {
-		dst = appendF64(dst, c)
-	}
-	return appendF64(dst, e.Const)
-}
-
-func readExpr(r *interval.BinaryReader) scoring.LinearExpr {
-	var e scoring.LinearExpr
-	for i := range e.Coef {
-		e.Coef[i] = readF64(r)
-	}
-	e.Const = readF64(r)
-	return e
-}
-
-// Aggregator tags.
-const (
-	aggAvg uint64 = iota
-	aggSum
-	aggMin
-	aggWeightedSum
-)
-
-func appendAgg(dst []byte, agg scoring.Aggregator) ([]byte, error) {
-	switch a := agg.(type) {
-	case scoring.Avg:
-		return interval.AppendU64(dst, aggAvg), nil
-	case scoring.Sum:
-		return interval.AppendU64(dst, aggSum), nil
-	case scoring.Min:
-		return interval.AppendU64(dst, aggMin), nil
-	case *scoring.WeightedSum:
-		dst = interval.AppendU64(dst, aggWeightedSum)
-		dst = interval.AppendU64(dst, uint64(len(a.Weights)))
-		for _, w := range a.Weights {
-			dst = appendF64(dst, w)
-		}
-		return dst, nil
-	default:
-		return nil, fmt.Errorf("shard: aggregator %T does not cross the wire", agg)
-	}
-}
-
-func readAgg(r *interval.BinaryReader) (scoring.Aggregator, error) {
-	tag := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, errf("reading aggregator tag: %v", err)
-	}
-	switch tag {
-	case aggAvg:
-		return scoring.Avg{}, nil
-	case aggSum:
-		return scoring.Sum{}, nil
-	case aggMin:
-		return scoring.Min{}, nil
-	case aggWeightedSum:
-		n := r.U64()
-		if err := r.Err(); err != nil {
-			return nil, errf("reading weight count: %v", err)
-		}
-		if n > uint64(r.Len()/8) {
-			return nil, errf("aggregator declares %d weights, payload holds at most %d", n, r.Len()/8)
-		}
-		weights := make([]float64, n)
-		for i := range weights {
-			weights[i] = readF64(r)
-		}
-		if err := r.Err(); err != nil {
-			return nil, errf("reading weights: %v", err)
-		}
-		ws, err := scoring.NewWeightedSum(weights)
-		if err != nil {
-			return nil, errf("decoded aggregator invalid: %v", err)
-		}
-		return ws, nil
-	default:
-		return nil, errf("unknown aggregator tag %d", tag)
-	}
+	})
 }
 
 // --- FloorFrame -----------------------------------------------------
@@ -808,18 +668,9 @@ type FloorFrame struct {
 
 func (*FloorFrame) kind() uint64 { return kindFloor }
 
-func (f *FloorFrame) appendBody(dst []byte) ([]byte, error) {
-	dst = interval.AppendU64(dst, f.QueryID)
-	dst = appendF64(dst, f.Floor)
-	return dst, nil
-}
-
-func decodeFloor(r *interval.BinaryReader) (*FloorFrame, error) {
-	f := &FloorFrame{QueryID: r.U64(), Floor: readF64(r)}
-	if err := r.Err(); err != nil {
-		return nil, errf("reading floor frame: %v", err)
-	}
-	return f, nil
+func (f *FloorFrame) walk(w *wire) {
+	w.u64(&f.QueryID)
+	w.f64(&f.Floor)
 }
 
 // --- ResultFrame ----------------------------------------------------
@@ -835,123 +686,36 @@ type ResultFrame struct {
 
 func (*ResultFrame) kind() uint64 { return kindResult }
 
-func (f *ResultFrame) appendBody(dst []byte) ([]byte, error) {
-	dst = interval.AppendU64(dst, f.QueryID)
-	dst = interval.AppendI64(dst, f.Epoch)
-	dst = interval.AppendU64(dst, uint64(len(f.Reducers)))
-	for _, rr := range f.Reducers {
-		dst = interval.AppendI64(dst, int64(rr.Reducer))
-		dst = appendLocalStats(dst, rr.Stats)
-		dst = interval.AppendU64(dst, uint64(len(rr.Results)))
-		for _, res := range rr.Results {
-			dst = interval.AppendU64(dst, uint64(len(res.Tuple)))
-			dst = interval.AppendIntervals(dst, res.Tuple)
-			dst = appendF64(dst, res.Score)
+func (f *ResultFrame) walk(w *wire) {
+	w.u64(&f.QueryID)
+	w.i64(&f.Epoch)
+	list(w, &f.Reducers, 144, "reducer list", func(i int, rr *join.ReducerOutput) {
+		w.int(&rr.Reducer)
+		if w.decoding() && rr.Reducer < 0 {
+			w.fail("reducer result %d names reducer %d", i, rr.Reducer)
 		}
-	}
-	return dst, nil
-}
-
-func decodeResult(r *interval.BinaryReader) (*ResultFrame, error) {
-	f := &ResultFrame{QueryID: r.U64(), Epoch: r.I64()}
-	n := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, errf("reading result header: %v", err)
-	}
-	if n > uint64(r.Len()/144) {
-		return nil, errf("result declares %d reducers, payload holds at most %d", n, r.Len()/144)
-	}
-	f.Reducers = make([]join.ReducerOutput, n)
-	for i := range f.Reducers {
-		rj := r.I64()
-		if err := r.Err(); err != nil {
-			return nil, errf("reading reducer result %d: %v", i, err)
-		}
-		if rj < 0 {
-			return nil, errf("reducer result %d names reducer %d", i, rj)
-		}
-		st, err := readLocalStats(r)
-		if err != nil {
-			return nil, err
-		}
-		nRes := r.U64()
-		if err := r.Err(); err != nil {
-			return nil, errf("reading reducer %d result count: %v", rj, err)
-		}
-		if nRes > uint64(r.Len()/32) {
-			return nil, errf("reducer %d declares %d results, payload holds at most %d", rj, nRes, r.Len()/32)
-		}
-		results := make([]join.Result, nRes)
-		for j := range results {
-			tupleLen := r.U64()
-			if err := r.Err(); err != nil {
-				return nil, errf("reading reducer %d result %d: %v", rj, j, err)
-			}
-			if tupleLen > uint64(r.Len()/interval.BinaryIntervalSize) {
-				return nil, errf("result tuple declares %d intervals, payload holds at most %d",
-					tupleLen, r.Len()/interval.BinaryIntervalSize)
-			}
-			b := r.Bytes(int(tupleLen) * interval.BinaryIntervalSize)
-			if err := r.Err(); err != nil {
-				return nil, errf("reading reducer %d result %d tuple: %v", rj, j, err)
-			}
-			tuple, err := interval.DecodeIntervals(b)
-			if err != nil {
-				return nil, errf("reducer %d result %d tuple: %v", rj, j, err)
-			}
-			results[j] = join.Result{Tuple: tuple, Score: readF64(r)}
-		}
-		if err := r.Err(); err != nil {
-			return nil, errf("reading reducer %d results: %v", rj, err)
-		}
-		f.Reducers[i] = join.ReducerOutput{Reducer: int(rj), Stats: st, Results: results}
-	}
-	return f, nil
-}
-
-func appendLocalStats(dst []byte, s join.LocalStats) []byte {
-	dst = interval.AppendI64(dst, int64(s.Reducer))
-	dst = interval.AppendI64(dst, int64(s.CombosAssigned))
-	dst = interval.AppendI64(dst, int64(s.CombosProcessed))
-	dst = interval.AppendI64(dst, int64(s.CombosSkipped))
-	dst = interval.AppendI64(dst, s.TuplesExamined)
-	dst = interval.AppendI64(dst, s.PartialsPruned)
-	dst = interval.AppendI64(dst, int64(s.ResultsReturned))
-	dst = interval.AppendI64(dst, int64(s.ProbeRounds))
-	dst = appendF64(dst, s.FloorUsed)
-	dst = appendF64(dst, s.MinScore)
-	dst = interval.AppendI64(dst, int64(s.BucketRefsRouted))
-	dst = appendF64(dst, s.RoutedIntervals)
-	dst = appendF64(dst, s.SharedFloorFinal)
-	dst = interval.AppendI64(dst, s.BoundSolves)
-	dst = interval.AppendI64(dst, s.BoundReuses)
-	dst = interval.AppendI64(dst, int64(s.Duration))
-	return dst
-}
-
-func readLocalStats(r *interval.BinaryReader) (join.LocalStats, error) {
-	s := join.LocalStats{
-		Reducer:         int(r.I64()),
-		CombosAssigned:  int(r.I64()),
-		CombosProcessed: int(r.I64()),
-		CombosSkipped:   int(r.I64()),
-		TuplesExamined:  r.I64(),
-		PartialsPruned:  r.I64(),
-		ResultsReturned: int(r.I64()),
-		ProbeRounds:     int(r.I64()),
-		FloorUsed:       readF64(r),
-		MinScore:        readF64(r),
-	}
-	s.BucketRefsRouted = int(r.I64())
-	s.RoutedIntervals = readF64(r)
-	s.SharedFloorFinal = readF64(r)
-	s.BoundSolves = r.I64()
-	s.BoundReuses = r.I64()
-	s.Duration = time.Duration(r.I64())
-	if err := r.Err(); err != nil {
-		return join.LocalStats{}, errf("reading reducer stats: %v", err)
-	}
-	return s, nil
+		s := &rr.Stats
+		w.int(&s.Reducer)
+		w.int(&s.CombosAssigned)
+		w.int(&s.CombosProcessed)
+		w.int(&s.CombosSkipped)
+		w.i64(&s.TuplesExamined)
+		w.i64(&s.PartialsPruned)
+		w.int(&s.ResultsReturned)
+		w.int(&s.ProbeRounds)
+		w.f64(&s.FloorUsed)
+		w.f64(&s.MinScore)
+		w.int(&s.BucketRefsRouted)
+		w.f64(&s.RoutedIntervals)
+		w.f64(&s.SharedFloorFinal)
+		w.i64(&s.BoundSolves)
+		w.i64(&s.BoundReuses)
+		w.i64((*int64)(&s.Duration))
+		list(w, &rr.Results, 32, "result list", func(_ int, res *join.Result) {
+			w.intervals(&res.Tuple, "result tuple")
+			w.f64(&res.Score)
+		})
+	})
 }
 
 // --- ErrorFrame -----------------------------------------------------
@@ -967,25 +731,11 @@ type ErrorFrame struct {
 
 func (*ErrorFrame) kind() uint64 { return kindError }
 
-func (f *ErrorFrame) appendBody(dst []byte) ([]byte, error) {
-	dst = interval.AppendU64(dst, f.QueryID)
-	dst = interval.AppendU64(dst, f.Code)
-	dst = appendString(dst, f.Msg)
-	return dst, nil
-}
-
-func decodeError(r *interval.BinaryReader) (*ErrorFrame, error) {
-	f := &ErrorFrame{QueryID: r.U64(), Code: r.U64()}
-	if err := r.Err(); err != nil {
-		return nil, errf("reading error frame: %v", err)
+func (f *ErrorFrame) walk(w *wire) {
+	w.u64(&f.QueryID)
+	w.u64(&f.Code)
+	if w.decoding() && f.Code > CodeLoad {
+		w.fail("unknown worker error code %d", f.Code)
 	}
-	if f.Code > CodeLoad {
-		return nil, errf("unknown worker error code %d", f.Code)
-	}
-	msg, err := readString(r, "error message")
-	if err != nil {
-		return nil, err
-	}
-	f.Msg = msg
-	return f, nil
+	w.str(&f.Msg, "error message")
 }

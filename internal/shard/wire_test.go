@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,9 +38,9 @@ func sampleFrames(t testing.TB) []Frame {
 	q := query.Qbb(env)
 	ivs := []interval.Interval{{ID: 1, Start: 3, End: 17}, {ID: 2, Start: 14, End: 30}}
 	return []Frame{
-		&LoadFrame{ShardID: 1, Shards: 3, Cols: []store.PartitionCol{
-			{Col: 0, Gran: gran, Buckets: []store.BucketSlice{{StartG: 0, EndG: 0, Items: ivs[:1]}}},
-			{Col: 1, Gran: gran, Buckets: []store.BucketSlice{}},
+		&LoadFrame{ShardID: 1, Shards: 3, Cols: []store.MappedCol{
+			{Col: 0, Gran: gran, Buckets: []store.MappedBucket{{StartG: 0, EndG: 0, Items: ivs[:1]}}},
+			{Col: 1, Gran: gran, Buckets: []store.MappedBucket{}},
 		}},
 		&AppendFrame{Epoch: 4, Col: 1, Items: ivs},
 		&QueryFrame{
@@ -81,24 +84,36 @@ func sampleFrames(t testing.TB) []Frame {
 	}
 }
 
+// sampleQuery returns sampleFrames' query frame.
+func sampleQuery(t testing.TB) *QueryFrame {
+	t.Helper()
+	for _, f := range sampleFrames(t) {
+		if qf, ok := f.(*QueryFrame); ok {
+			return qf
+		}
+	}
+	t.Fatal("sampleFrames holds no query frame")
+	return nil
+}
+
+func mustEncode(t testing.TB, f Frame) []byte {
+	t.Helper()
+	b, err := EncodeFrame(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // shortComboFrame encodes the sample query frame with its combination
 // one bucket narrower than the query's vertex count — every length
 // prefix is honest, only the cross-field relation is broken.
 func shortComboFrame(t testing.TB) []byte {
 	t.Helper()
-	for _, f := range sampleFrames(t) {
-		if qf, ok := f.(*QueryFrame); ok {
-			c := &qf.Combos[0]
-			c.Buckets = c.Buckets[:qf.Query.NumVertices-1]
-			b, err := EncodeFrame(qf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}
-	}
-	t.Fatal("sampleFrames holds no query frame")
-	return nil
+	qf := sampleQuery(t)
+	c := &qf.Combos[0]
+	c.Buckets = c.Buckets[:qf.Query.NumVertices-1]
+	return mustEncode(t, qf)
 }
 
 // unsortedTaskFrame encodes the sample query frame with a second,
@@ -107,21 +122,39 @@ func shortComboFrame(t testing.TB) []byte {
 // reducers' early termination relies on is broken.
 func unsortedTaskFrame(t testing.TB) []byte {
 	t.Helper()
-	for _, f := range sampleFrames(t) {
-		if qf, ok := f.(*QueryFrame); ok {
-			hot := qf.Combos[0]
-			hot.UB = 0.9
-			qf.Combos = append(qf.Combos, hot)
-			qf.Tasks[0].Combos = []int{0, 1}
-			b, err := EncodeFrame(qf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}
+	qf := sampleQuery(t)
+	hot := qf.Combos[0]
+	hot.UB = 0.9
+	qf.Combos = append(qf.Combos, hot)
+	qf.Tasks[0].Combos = []int{0, 1}
+	return mustEncode(t, qf)
+}
+
+// Byte offsets of two words in an encoded QueryFrame: the length prefix,
+// kind, QueryID, Epoch, K and Floor words precede the DisableIndex flag;
+// the three flags and the query name (length word, then its bytes)
+// precede the vertex count.
+func disableIndexAt(*QueryFrame) int   { return 6 * 8 }
+func vertexCountAt(qf *QueryFrame) int { return 10*8 + len(qf.Query.Name) }
+
+// patchedQueryFrame encodes the sample query frame with the word at(qf)
+// — which must hold was — overwritten by v.
+func patchedQueryFrame(t testing.TB, at func(*QueryFrame) int, was, v uint64) []byte {
+	t.Helper()
+	qf := sampleQuery(t)
+	b := mustEncode(t, qf)
+	off := at(qf)
+	if got := interval.NewBinaryReader(b[off:]).U64(); got != was {
+		t.Fatalf("word at byte %d is %d, want %d", off, got, was)
 	}
-	t.Fatal("sampleFrames holds no query frame")
-	return nil
+	interval.PutU64(b[off:], v)
+	return b
+}
+
+// hugeVertexFrame declares 2^35+3 vertices for a query of two edges: a
+// union-find sized by that count would need 256 GiB.
+func hugeVertexFrame(t testing.TB) []byte {
+	return patchedQueryFrame(t, vertexCountAt, 3, 1<<35+3)
 }
 
 // Every frame kind survives encode→decode→re-encode with byte identity
@@ -191,12 +224,10 @@ func TestReadFrameTruncation(t *testing.T) {
 	}
 }
 
-// Malformed payloads decode to errors, never to frames.
+// Malformed payloads decode to errors, never to frames, and a refusal
+// costs the memory of the bytes sent, not of the counts they declare.
 func TestDecodeRejects(t *testing.T) {
-	floor, err := EncodeFrame(&FloorFrame{QueryID: 1, Floor: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	floor := mustEncode(t, &FloorFrame{QueryID: 1, Floor: 0.5})
 	cases := map[string][]byte{
 		"unknown kind":     interval.AppendU64(interval.AppendU64(nil, 16), 99),
 		"oversized length": interval.AppendU64(nil, MaxFrameSize+1),
@@ -210,24 +241,93 @@ func TestDecodeRejects(t *testing.T) {
 			interval.PutU64(b, uint64(len(b)))
 			return b
 		}(),
-		"non-binary bool": func() []byte {
-			b, _ := EncodeFrame(&QueryFrame{})
-			return b
-		}(),
-		"bad error code": func() []byte {
-			b, _ := EncodeFrame(&ErrorFrame{QueryID: 1, Code: 7, Msg: "x"})
-			return b
-		}(),
+		"non-binary bool":                 patchedQueryFrame(t, disableIndexAt, 1, 2),
+		"bad error code":                  mustEncode(t, &ErrorFrame{QueryID: 1, Code: 7, Msg: "x"}),
 		"combo narrower than its query":   shortComboFrame(t),
 		"task not in descending-UB order": unsortedTaskFrame(t),
+		"vertex count beyond its edges":   hugeVertexFrame(t),
 	}
 	for name, b := range cases {
 		if b == nil {
-			continue
+			t.Fatalf("%s: no input", name)
 		}
-		if _, _, err := DecodeFrame(b); !errors.Is(err, ErrProtocol) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := DecodeFrame(b)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrProtocol) {
 			t.Fatalf("%s: decode returned %v, want ErrProtocol", name, err)
 		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%s: refusing %d bytes allocated %d", name, len(b), alloc)
+		}
+	}
+}
+
+// The byte format is pinned: sampleFrames encode to exactly the frames
+// in testdata/frames-v1.bin, and every pinned frame decodes and
+// re-encodes to its own bytes.
+func TestFrameFormatPin(t *testing.T) {
+	pin, err := os.ReadFile("testdata/frames-v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := sampleFrames(t)
+	var enc []byte
+	for _, f := range frames {
+		enc = append(enc, mustEncode(t, f)...)
+	}
+	if !bytes.Equal(enc, pin) {
+		t.Fatalf("sampleFrames encode to %d bytes that differ from the %d-byte pin", len(enc), len(pin))
+	}
+	n := 0
+	for rest := pin; len(rest) > 0; n++ {
+		f, used, err := DecodeFrame(rest)
+		if err != nil {
+			t.Fatalf("pinned frame %d: %v", n, err)
+		}
+		if f.kind() != frames[n].kind() || !bytes.Equal(mustEncode(t, f), rest[:used]) {
+			t.Fatalf("pinned frame %d (%T) does not round-trip", n, f)
+		}
+		rest = rest[used:]
+	}
+	if n != len(frames) {
+		t.Fatalf("pin holds %d frames, want %d", n, len(frames))
+	}
+}
+
+// Encoding only reads the frame: concurrent scatters encode frames that
+// share one plan's Combos, Mapping and Query. Under -race a store from
+// any of the 8 encoders is a reported race; the deep comparison also
+// catches one that stores the value already there.
+func TestEncodeDoesNotWriteFrame(t *testing.T) {
+	shared, want := sampleQuery(t), sampleQuery(t)
+	wantBytes := mustEncode(t, want)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				b, err := EncodeFrame(shared)
+				if err == nil && !bytes.Equal(b, wantBytes) {
+					err = errors.New("encoding changed between calls")
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(shared, want) {
+		t.Fatal("encoding modified the frame")
 	}
 }
 
@@ -237,16 +337,13 @@ func TestDecodeRejects(t *testing.T) {
 // worker both rely on when they cross-check frames).
 func FuzzShardWire(f *testing.F) {
 	for _, fr := range sampleFrames(f) {
-		b, err := EncodeFrame(fr)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
+		f.Add(mustEncode(f, fr))
 	}
 	f.Add([]byte{})
 	f.Add(interval.AppendU64(nil, 16))
 	f.Add(shortComboFrame(f))
 	f.Add(unsortedTaskFrame(f))
+	f.Add(hugeVertexFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := DecodeFrame(data)
 		if err != nil {

@@ -249,7 +249,7 @@ type MappedBucket struct {
 }
 
 // MappedCol is one collection's sealed partition: what ReadDirectory
-// returns and BuildMapped/BuildSealed take.
+// returns, a shard Load frame carries, and BuildMapped/BuildSealed take.
 type MappedCol struct {
 	Col     int
 	Gran    stats.Granulation
@@ -281,8 +281,9 @@ func BuildMapped(cols []MappedCol, region Region) (*Store, error) {
 }
 
 // BuildSealed is BuildMapped for buckets decoded onto the heap (the
-// snapshot.Decode restore path): same assembly, but sealed prefixes are
-// indexed by lazily memoized R-trees, exactly as Build leaves them.
+// snapshot.Decode restore path and a shard worker's Load frame): same
+// assembly, but sealed prefixes are indexed by lazily memoized R-trees,
+// exactly as Build leaves them.
 func BuildSealed(cols []MappedCol) (*Store, error) {
 	return assemble(cols, false)
 }
