@@ -10,11 +10,15 @@ import (
 	"testing"
 	"time"
 
+	"tkij/internal/distribute"
 	"tkij/internal/experiments"
 	"tkij/internal/interval"
 	"tkij/internal/join"
+	"tkij/internal/mapreduce"
 	"tkij/internal/scoring"
 	"tkij/internal/solver"
+	"tkij/internal/stats"
+	"tkij/internal/topbuckets"
 )
 
 // benchScale keeps each figure benchmark in the seconds range.
@@ -236,6 +240,34 @@ func BenchmarkSolverPairBounds(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		solver.PredicateBounds(pred, x, y, solver.Options{MaxNodes: 512, Eps: 1e-3})
+	}
+}
+
+// BenchmarkPlanMiss measures what a query whose plan is not cached pays
+// before any join work: TopBuckets (loose strategy) and DTB over the
+// selection, at 3 × 15k uniform intervals, g = 20, k = 100, 8 reducers.
+func BenchmarkPlanMiss(b *testing.B) {
+	cols := []*interval.Collection{
+		Uniform("C1", 15000, 1), Uniform("C2", 15000, 2), Uniform("C3", 15000, 3),
+	}
+	ms, _, err := stats.Collect(cols, 20, mapreduce.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := QueryByName("Qo,m", QueryEnv{Params: P1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := topbuckets.Run(q, ms, 100, topbuckets.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := distribute.Assign(distribute.AlgDTB, res.Selected, 8); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"tkij/internal/baselines"
 	"tkij/internal/interval"
 	"tkij/internal/join"
+	"tkij/internal/plancache"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
 	"tkij/internal/stats"
@@ -200,4 +201,38 @@ func TestWarmExecuteAllocBudget(t *testing.T) {
 			allocs, selected)
 	}
 	t.Logf("warm ExecuteMapped: %.0f allocations, %d selected combinations", allocs, selected)
+}
+
+// The plan-miss twin of TestWarmExecuteAllocBudget: with the plan cache
+// off every execution runs TopBuckets and DTB again, and still allocates
+// O(|Ω_k,S|) objects, not O(|Ω|) — enumeration, selection and the bound
+// solver's branch-and-bound allocate nothing per combination or node.
+func TestPlanMissAllocBudget(t *testing.T) {
+	cols := synthCols(3, 1500, 41)
+	q := query.Qom(query.Env{Params: scoring.P1})
+	e, err := NewEngine(cols, Options{Granules: 20, K: 100, Reducers: 8, PlanCache: plancache.Options{Disabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapping := []int{0, 1, 2}
+	var r *Report
+	run := func() {
+		if r, err = e.ExecuteMapped(context.Background(), q, mapping); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // index builds
+	allocs := testing.AllocsPerRun(5, run)
+	if r.PlanCacheHit {
+		t.Fatal("an execution with the plan cache disabled reported a hit")
+	}
+	omega := r.TopBuckets.TotalCombos
+	if omega < 50000 {
+		t.Fatalf("|Ω| = %g — too few combinations for a per-combination allocation to show", omega)
+	}
+	if allocs >= omega/4 {
+		t.Fatalf("a plan-miss execution allocates %.0f objects over |Ω| = %g (%d selected), want < |Ω|/4",
+			allocs, omega, len(r.TopBuckets.Selected))
+	}
+	t.Logf("plan-miss ExecuteMapped: %.0f allocations, |Ω| = %g, %d selected", allocs, omega, len(r.TopBuckets.Selected))
 }

@@ -37,8 +37,9 @@ type Assignment struct {
 	ReplicatedRecords float64
 }
 
-// ResultImbalance returns max/avg of ReducerResults over reducers that
-// received work — the worst-case output imbalance the assignment allows.
+// ResultImbalance returns max/avg of ReducerResults, the average taken
+// over all Reducers, idle ones included — the worst-case output
+// imbalance the assignment allows.
 func (a *Assignment) ResultImbalance() float64 {
 	var max, sum float64
 	n := 0
@@ -55,48 +56,69 @@ func (a *Assignment) ResultImbalance() float64 {
 	return max / (sum / float64(n))
 }
 
-// assignmentState tracks per-reducer load during construction.
+// assignmentState tracks per-reducer load during construction. Buckets
+// are numbered densely once per assignment, so the replication
+// bookkeeping is a flat table rather than a map per bucket.
 type assignmentState struct {
-	a           *Assignment
-	comboCount  []int                            // |Ω_rj|
-	bucketOn    map[stats.BucketKey]map[int]bool // bucket -> reducers holding it
-	bucketCount map[stats.BucketKey]int          // |b| cache
+	a          *Assignment
+	comboCount []int // |Ω_rj|
+	// ids[ci][v] is the dense number of combos[ci].Buckets[v]; keys maps
+	// a number back to its bucket.
+	ids  [][]int32
+	keys []stats.BucketKey
+	// on[id*Reducers+rj] reports that reducer rj holds bucket id.
+	on []bool
 }
 
-func newState(algorithm string, nCombos, r int) *assignmentState {
-	return &assignmentState{
+func newState(algorithm string, combos []topbuckets.Combo, r int) *assignmentState {
+	s := &assignmentState{
 		a: &Assignment{
 			Algorithm:      algorithm,
 			Reducers:       r,
-			ComboReducer:   make([]int, nCombos),
+			ComboReducer:   make([]int, len(combos)),
 			ReducerCombos:  make([][]int, r),
 			BucketReducers: make(map[stats.BucketKey][]int),
 			ReducerResults: make([]float64, r),
 		},
-		comboCount:  make([]int, r),
-		bucketOn:    make(map[stats.BucketKey]map[int]bool),
-		bucketCount: make(map[stats.BucketKey]int),
+		comboCount: make([]int, r),
+		ids:        make([][]int32, len(combos)),
 	}
+	n := 0
+	for _, c := range combos {
+		n += len(c.Buckets)
+	}
+	flat := make([]int32, n)
+	number := make(map[stats.BucketKey]int32)
+	for ci, c := range combos {
+		ids := flat[:len(c.Buckets):len(c.Buckets)]
+		flat = flat[len(c.Buckets):]
+		for v, b := range c.Buckets {
+			key := b.Key()
+			id, ok := number[key]
+			if !ok {
+				id = int32(len(s.keys))
+				number[key] = id
+				s.keys = append(s.keys, key)
+			}
+			ids[v] = id
+		}
+		s.ids[ci] = ids
+	}
+	s.on = make([]bool, len(s.keys)*r)
+	return s
 }
 
-// assign records combination comboIdx (with the given buckets and result
+// assign records combination ci (with the given buckets and result
 // count) on reducer rj, updating replication bookkeeping.
-func (s *assignmentState) assign(comboIdx int, c topbuckets.Combo, rj int) {
-	s.a.ComboReducer[comboIdx] = rj
-	s.a.ReducerCombos[rj] = append(s.a.ReducerCombos[rj], comboIdx)
+func (s *assignmentState) assign(ci int, c topbuckets.Combo, rj int) {
+	s.a.ComboReducer[ci] = rj
+	s.a.ReducerCombos[rj] = append(s.a.ReducerCombos[rj], ci)
 	s.a.ReducerResults[rj] += c.NbRes
 	s.comboCount[rj]++
-	for _, b := range c.Buckets {
-		key := b.Key()
-		s.bucketCount[key] = b.Count
-		on := s.bucketOn[key]
-		if on == nil {
-			on = make(map[int]bool)
-			s.bucketOn[key] = on
-		}
-		if !on[rj] {
-			on[rj] = true
-			s.a.ReplicatedRecords += float64(b.Count)
+	for v, id := range s.ids[ci] {
+		if at := int(id)*s.a.Reducers + rj; !s.on[at] {
+			s.on[at] = true
+			s.a.ReplicatedRecords += float64(c.Buckets[v].Count)
 		}
 	}
 }
@@ -106,15 +128,18 @@ func (s *assignmentState) assign(comboIdx int, c topbuckets.Combo, rj int) {
 // order already, LPT does not) and freezes the bucket→reducer sets in
 // sorted order.
 func (s *assignmentState) finalize(combos []topbuckets.Combo) *Assignment {
+	byUB := func(a, b int) int { return cmp.Compare(combos[b].UB, combos[a].UB) }
 	for _, idxs := range s.a.ReducerCombos {
-		slices.SortStableFunc(idxs, func(a, b int) int { return cmp.Compare(combos[b].UB, combos[a].UB) })
+		slices.SortStableFunc(idxs, byUB)
 	}
-	for key, on := range s.bucketOn {
-		rs := make([]int, 0, len(on))
-		for rj := range on {
-			rs = append(rs, rj)
+	r := s.a.Reducers
+	for id, key := range s.keys {
+		var rs []int
+		for rj, on := range s.on[id*r : (id+1)*r] {
+			if on {
+				rs = append(rs, rj)
+			}
 		}
-		sort.Ints(rs)
 		s.a.BucketReducers[key] = rs
 	}
 	return s.a
@@ -130,24 +155,31 @@ func (s *assignmentState) finalize(combos []topbuckets.Combo) *Assignment {
 // assignments that reduce replication cost"). We follow the prose:
 // minimize the *newly shipped* records, which is equivalent to
 // maximizing the already-present fraction.
-func (s *assignmentState) inCost(c topbuckets.Combo, rj int) float64 {
+func (s *assignmentState) inCost(ci int, c topbuckets.Combo, rj int) float64 {
 	var cost float64
-	for _, b := range c.Buckets {
-		if !s.bucketOn[b.Key()][rj] {
-			cost += float64(b.Count)
+	for v, id := range s.ids[ci] {
+		if !s.on[int(id)*s.a.Reducers+rj] {
+			cost += float64(c.Buckets[v].Count)
 		}
 	}
 	return cost
 }
 
 // sortIdx returns combination indexes ordered by less with a
-// deterministic tie-break on the input order.
+// deterministic tie-break on the input order. Input already in order —
+// DTB's and RoundRobin's usual case, Ω_k,S arriving by descending UB —
+// is returned as is: a stable sort of it is the identity.
 func sortIdx(n int, less func(i, j int) bool) []int {
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
+	for i := 1; i < n; i++ {
+		if less(i, i-1) {
+			sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
+			break
+		}
+	}
 	return idx
 }
 
@@ -158,7 +190,7 @@ func DTB(combos []topbuckets.Combo, r int) (*Assignment, error) {
 	if err := checkArgs(combos, r); err != nil {
 		return nil, err
 	}
-	s := newState("DTB", len(combos), r)
+	s := newState("DTB", combos, r)
 	var totalRes float64
 	for _, c := range combos {
 		totalRes += c.NbRes
@@ -166,7 +198,7 @@ func DTB(combos []topbuckets.Combo, r int) (*Assignment, error) {
 	avgRes := totalRes / float64(r)
 	order := sortIdx(len(combos), func(i, j int) bool { return combos[i].UB > combos[j].UB })
 	for _, ci := range order {
-		rj := s.getReducer(combos[ci], avgRes)
+		rj := s.getReducer(ci, combos[ci], avgRes)
 		s.assign(ci, combos[ci], rj)
 	}
 	return s.finalize(combos), nil
@@ -175,7 +207,7 @@ func DTB(combos []topbuckets.Combo, r int) (*Assignment, error) {
 // getReducer implements Algorithm 4: among reducers under the 2×avgRes
 // result cap, restrict to those with the fewest assigned combinations,
 // then pick the one with the lowest added input cost.
-func (s *assignmentState) getReducer(c topbuckets.Combo, avgRes float64) int {
+func (s *assignmentState) getReducer(ci int, c topbuckets.Combo, avgRes float64) int {
 	r := s.a.Reducers
 	underCap := func(rj int) bool { return s.a.ReducerResults[rj] < 2*avgRes }
 	// If every reducer is over the cap (degenerate: one combination
@@ -200,7 +232,7 @@ func (s *assignmentState) getReducer(c topbuckets.Combo, avgRes float64) int {
 		if !eligible(rj) || s.comboCount[rj] != minAssigned {
 			continue
 		}
-		cost := s.inCost(c, rj)
+		cost := s.inCost(ci, c, rj)
 		if best == -1 || cost < bestCost {
 			best, bestCost = rj, cost
 		}
@@ -214,7 +246,7 @@ func LPT(combos []topbuckets.Combo, r int) (*Assignment, error) {
 	if err := checkArgs(combos, r); err != nil {
 		return nil, err
 	}
-	s := newState("LPT", len(combos), r)
+	s := newState("LPT", combos, r)
 	order := sortIdx(len(combos), func(i, j int) bool { return combos[i].NbRes > combos[j].NbRes })
 	for _, ci := range order {
 		best := 0
@@ -234,7 +266,7 @@ func RoundRobin(combos []topbuckets.Combo, r int) (*Assignment, error) {
 	if err := checkArgs(combos, r); err != nil {
 		return nil, err
 	}
-	s := newState("RoundRobin", len(combos), r)
+	s := newState("RoundRobin", combos, r)
 	order := sortIdx(len(combos), func(i, j int) bool { return combos[i].UB > combos[j].UB })
 	for pos, ci := range order {
 		s.assign(ci, combos[ci], pos%r)

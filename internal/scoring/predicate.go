@@ -58,7 +58,10 @@ func (t Term) Score(x, y interval.Interval) float64 {
 }
 
 // ScoreOfDiff evaluates the term given a precomputed difference value.
-func (t Term) ScoreOfDiff(d float64) float64 {
+// It and ScoreRange take a pointer: they are too large to inline, and
+// the bound solver calls them per term per branch-and-bound node, where
+// a value receiver copies the 144-byte Term each time.
+func (t *Term) ScoreOfDiff(d float64) float64 {
 	if t.Kind == CompEquals {
 		return EqualsScore(d, t.P)
 	}
@@ -67,7 +70,7 @@ func (t Term) ScoreOfDiff(d float64) float64 {
 
 // ScoreRange returns the tight [min, max] of the term score when the
 // difference ranges over [dlo, dhi].
-func (t Term) ScoreRange(dlo, dhi float64) (min, max float64) {
+func (t *Term) ScoreRange(dlo, dhi float64) (min, max float64) {
 	if t.Kind == CompEquals {
 		return EqualsScoreRange(dlo, dhi, t.P)
 	}

@@ -16,7 +16,8 @@
 package solver
 
 import (
-	"container/heap"
+	"slices"
+	"sync"
 
 	"tkij/internal/query"
 	"tkij/internal/scoring"
@@ -93,7 +94,8 @@ func edgeBounds(from, to VertexBox) (lo, hi [4]float64) {
 // lows/highs encloses the min of the terms.
 func predicateEnclosure(pred *scoring.Predicate, lo4, hi4 [4]float64) (lo, hi float64) {
 	lo, hi = 1, 1
-	for _, t := range pred.Terms {
+	for i := range pred.Terms {
+		t := &pred.Terms[i] // by pointer: a Term is 144 bytes
 		dlo, dhi := t.Diff.Range(lo4, hi4)
 		slo, shi := t.ScoreRange(dlo, dhi)
 		if slo < lo {
@@ -107,10 +109,9 @@ func predicateEnclosure(pred *scoring.Predicate, lo4, hi4 [4]float64) (lo, hi fl
 }
 
 // enclose returns a valid enclosure of the query's aggregate score over
-// the vertex boxes, using the aggregator's monotonicity.
-func enclose(q *query.Query, boxes []VertexBox) (lo, hi float64) {
-	los := make([]float64, len(q.Edges))
-	his := make([]float64, len(q.Edges))
+// the vertex boxes, using the aggregator's monotonicity. los and his
+// hold one slot per edge and are overwritten.
+func enclose(q *query.Query, boxes []VertexBox, los, his []float64) (lo, hi float64) {
 	for i, e := range q.Edges {
 		l4, h4 := edgeBounds(boxes[e.From], boxes[e.To])
 		los[i], his[i] = predicateEnclosure(e.Pred, l4, h4)
@@ -119,13 +120,14 @@ func enclose(q *query.Query, boxes []VertexBox) (lo, hi float64) {
 }
 
 // evalAt computes the exact aggregate score at a concrete assignment
-// (the midpoint of a box, used to raise the incumbent).
-func evalAt(q *query.Query, pts [][2]float64) float64 {
-	partials := make([]float64, len(q.Edges))
+// (the midpoint of a box, used to raise the incumbent). partials holds
+// one slot per edge and is overwritten.
+func evalAt(q *query.Query, pts [][2]float64, partials []float64) float64 {
 	for i, e := range q.Edges {
 		v := [4]float64{pts[e.From][0], pts[e.From][1], pts[e.To][0], pts[e.To][1]}
 		s := 1.0
-		for _, t := range e.Pred.Terms {
+		for j := range e.Pred.Terms {
+			t := &e.Pred.Terms[j]
 			ts := t.ScoreOfDiff(t.Diff.EvalVars(v))
 			if ts < s {
 				s = ts
@@ -136,24 +138,96 @@ func evalAt(q *query.Query, pts [][2]float64) float64 {
 	return q.Agg.Aggregate(partials)
 }
 
-// node is one open box in the search tree.
-type node struct {
-	boxes []VertexBox
+// search is the scratch of branch-and-bound: the open nodes, their
+// boxes and the per-edge buffers of enclose and evalAt. It is reused
+// across bound computations through searchPool, so a search does no
+// per-node allocation once its buffers have grown; a goroutine owns one
+// from Get to Put.
+type search struct {
+	// arena holds the vertex boxes of open nodes, n consecutive boxes
+	// per node; free lists the offsets of closed nodes for reuse.
+	arena []VertexBox
+	free  []int
+	open  openHeap
+	// child holds the vertex boxes of the node being bounded, copied into
+	// the arena only if it is opened.
+	child              []VertexBox
+	los, his, partials []float64
+	pts                [][2]float64
+}
+
+var searchPool = sync.Pool{New: func() any { return new(search) }}
+
+// fit sizes the per-vertex and per-edge buffers for one query.
+func (s *search) fit(vertices, edges int) {
+	s.child, s.pts = sized(s.child, vertices), sized(s.pts, vertices)
+	s.los, s.his, s.partials = sized(s.los, edges), sized(s.his, edges), sized(s.partials, edges)
+}
+
+// sized returns buf resliced to n elements, reallocated only when its
+// capacity is short.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// openNode is one open box in the search tree: its boxes at
+// arena[off:off+n] and the bound of its enclosure.
+type openNode struct {
+	off   int
 	bound float64 // hi of enclosure when maximizing, -lo when minimizing
 }
 
-// nodeHeap is a max-heap on bound.
-type nodeHeap []node
+// openHeap is a max-heap on bound. push and pop are container/heap's
+// Push and Pop with up and down copied line for line, so nodes of equal
+// bound are opened in the same order as through the interface.
+type openHeap []openNode
 
-func (h nodeHeap) Len() int            { return len(h) }
-func (h nodeHeap) Less(i, j int) bool  { return h[i].bound > h[j].bound }
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(node)) }
-func (h *nodeHeap) Pop() interface{} {
+func (h *openHeap) push(nd openNode) {
+	*h = append(*h, nd)
+	h.up(len(*h) - 1)
+}
+
+func (h *openHeap) pop() openNode {
 	old := *h
-	n := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return n
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	h.down(0, n)
+	nd := old[n]
+	*h = old[:n]
+	return nd
+}
+
+func (h openHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].bound > h[i].bound) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h openHeap) down(i0, n int) {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].bound > h[j1].bound {
+			j = j2 // = 2*i + 2  // right child
+		}
+		if !(h[j].bound > h[i].bound) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // Cert is the certificate attached to a bound computation: how much
@@ -184,8 +258,11 @@ func QueryBounds(q *query.Query, boxes []VertexBox, opts Options) (lb, ub float6
 // certificate of the two optimizations.
 func QueryBoundsCert(q *query.Query, boxes []VertexBox, opts Options) (lb, ub float64, cert Cert) {
 	opts = opts.withDefaults()
-	ub, upNodes, upConv := optimize(q, boxes, opts, true)
-	lb, loNodes, loConv := optimize(q, boxes, opts, false)
+	s := searchPool.Get().(*search)
+	s.fit(len(boxes), len(q.Edges))
+	ub, upNodes, upConv := s.optimize(q, boxes, opts, true)
+	lb, loNodes, loConv := s.optimize(q, boxes, opts, false)
+	searchPool.Put(s)
 	return lb, ub, Cert{Nodes: upNodes + loNodes, Converged: upConv && loConv}
 }
 
@@ -216,37 +293,25 @@ func PredicateBounds(pred *scoring.Predicate, x, y VertexBox, opts Options) (lb,
 // returns a value <= the true minimum. It also reports the number of
 // nodes opened and whether the search converged within Eps (false only
 // when the node budget cut it short).
-func optimize(q *query.Query, boxes []VertexBox, opts Options, maximize bool) (float64, int, bool) {
+func (s *search) optimize(q *query.Query, boxes []VertexBox, opts Options, maximize bool) (float64, int, bool) {
 	sign := 1.0
 	if !maximize {
 		sign = -1
 	}
-	bound := func(bs []VertexBox) float64 {
-		lo, hi := enclose(q, bs)
-		if maximize {
-			return hi
-		}
-		return -lo
-	}
-	sample := func(bs []VertexBox) float64 {
-		pts := make([][2]float64, len(bs))
-		for i, b := range bs {
-			pts[i] = [2]float64{b.mid(0), b.mid(1)}
-		}
-		return sign * evalAt(q, pts)
-	}
+	n := len(boxes)
+	s.arena, s.free, s.open = s.arena[:0], s.free[:0], s.open[:0]
 
-	root := node{boxes: boxes, bound: bound(boxes)}
-	incumbent := sample(boxes) // achieved value: a safe inner bound
+	root := s.alloc(n)
+	copy(s.arena[root:root+n], boxes)
+	s.open.push(openNode{off: root, bound: s.bound(q, boxes, maximize)})
+	incumbent := s.sample(q, boxes, sign) // achieved value: a safe inner bound
 	// pruned tracks the largest bound among boxes we chose not to open;
 	// the true optimum may hide there, so the returned (outer) bound is
 	// never allowed below it.
 	pruned := incumbent
-	h := &nodeHeap{root}
-	heap.Init(h)
 	nodes := 0
-	for h.Len() > 0 {
-		top := heap.Pop(h).(node)
+	for len(s.open) > 0 {
+		top := s.open.pop()
 		if top.bound <= incumbent+opts.Eps || nodes >= opts.MaxNodes {
 			// top.bound dominates every open node (max-heap) and pruned
 			// children are tracked separately: this is a safe outer bound.
@@ -255,7 +320,7 @@ func optimize(q *query.Query, boxes []VertexBox, opts Options, maximize bool) (f
 		nodes++
 		// Branch on the widest variable.
 		bestV, bestVar, bestW := 0, 0, -1.0
-		for i, b := range top.boxes {
+		for i, b := range s.arena[top.off : top.off+n] {
 			for v := 0; v < 2; v++ {
 				if w := b.width(v); w > bestW {
 					bestV, bestVar, bestW = i, v, w
@@ -270,25 +335,59 @@ func optimize(q *query.Query, boxes []VertexBox, opts Options, maximize bool) (f
 			if top.bound > incumbent {
 				incumbent = top.bound
 			}
+			s.free = append(s.free, top.off)
 			continue
 		}
-		loBox, hiBox := top.boxes[bestV].split(bestVar)
-		for _, nb := range []VertexBox{loBox, hiBox} {
-			child := make([]VertexBox, len(top.boxes))
-			copy(child, top.boxes)
-			child[bestV] = nb
-			b := bound(child)
-			if s := sample(child); s > incumbent {
-				incumbent = s
+		loBox, hiBox := s.arena[top.off+bestV].split(bestVar)
+		for _, nb := range [2]VertexBox{loBox, hiBox} {
+			// Re-slice per child: opening the first may grow the arena.
+			copy(s.child, s.arena[top.off:top.off+n])
+			s.child[bestV] = nb
+			b := s.bound(q, s.child, maximize)
+			if sm := s.sample(q, s.child, sign); sm > incumbent {
+				incumbent = sm
 			}
 			if b > incumbent+opts.Eps {
-				heap.Push(h, node{boxes: child, bound: b})
+				off := s.alloc(n)
+				copy(s.arena[off:off+n], s.child)
+				s.open.push(openNode{off: off, bound: b})
 			} else if b > pruned {
 				pruned = b
 			}
 		}
+		s.free = append(s.free, top.off)
 	}
 	return sign * maxf(incumbent, pruned), nodes, true
+}
+
+// alloc returns the arena offset of room for one node's n boxes.
+func (s *search) alloc(n int) int {
+	if k := len(s.free); k > 0 {
+		off := s.free[k-1]
+		s.free = s.free[:k-1]
+		return off
+	}
+	off := len(s.arena)
+	s.arena = slices.Grow(s.arena, n)[:off+n]
+	return off
+}
+
+// bound is the enclosure side the search orders nodes by: hi when
+// maximizing, -lo when minimizing.
+func (s *search) bound(q *query.Query, boxes []VertexBox, maximize bool) float64 {
+	lo, hi := enclose(q, boxes, s.los, s.his)
+	if maximize {
+		return hi
+	}
+	return -lo
+}
+
+// sample is the signed score at the boxes' midpoint.
+func (s *search) sample(q *query.Query, boxes []VertexBox, sign float64) float64 {
+	for i, b := range boxes {
+		s.pts[i] = [2]float64{b.mid(0), b.mid(1)}
+	}
+	return sign * evalAt(q, s.pts, s.partials)
 }
 
 func maxf(a, b float64) float64 {

@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"tkij/internal/query"
@@ -100,7 +101,7 @@ func TestQueryBoundsBracketSamples(t *testing.T) {
 			for i := range pts {
 				pts[i] = samplePoint(rng, boxes[i])
 			}
-			got := evalAt(q, pts)
+			got := evalAt(q, pts, make([]float64, len(q.Edges)))
 			if got < lb-1e-9 || got > ub+1e-9 {
 				t.Fatalf("%s: sample score %g outside [%g,%g]", q.Name, got, lb, ub)
 			}
@@ -240,5 +241,44 @@ func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Eps <= 0 || o.MaxNodes <= 0 {
 		t.Errorf("defaults = %+v", o)
+	}
+}
+
+// raceEnabled reports a -race build, whose sync.Pool drops a share of
+// what it is given back and so allocates a fresh search now and then.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// A bound solve reuses its search scratch: its allocations do not grow
+// with the branch-and-bound nodes it opens (hundreds here).
+func TestBoundSolveAllocBudget(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's sync.Pool drops scratch on purpose")
+	}
+	pred := scoring.Starts(scoring.P1) // two terms: the generic path
+	x := VertexBox{StartLo: 0, StartHi: 2500, EndLo: 0, EndHi: 2600}
+	y := VertexBox{StartLo: 2500, StartHi: 5000, EndLo: 2500, EndHi: 5100}
+	if allocs := testing.AllocsPerRun(50, func() { PredicateBounds(pred, x, y, pairOptions) }); allocs > 8 {
+		t.Errorf("PredicateBounds of a two-term predicate allocates %.1f objects, want <= 8", allocs)
+	}
+	q := query.Qsfm(query.Env{Params: scoring.P1})
+	boxes := []VertexBox{x, y, {StartLo: 4000, StartHi: 6500, EndLo: 4000, EndHi: 6600}}
+	var cert Cert
+	allocs := testing.AllocsPerRun(50, func() { _, _, cert = QueryBoundsCert(q, boxes, Options{MaxNodes: 512, Eps: 1e-3}) })
+	if cert.Nodes < 100 {
+		t.Fatalf("the 3-vertex solve opened %d nodes — too few for per-node allocation to show", cert.Nodes)
+	}
+	if allocs > 8 {
+		t.Errorf("QueryBoundsCert over 3 vertex boxes allocates %.1f objects for %d nodes, want <= 8", allocs, cert.Nodes)
 	}
 }

@@ -10,6 +10,7 @@ package standing
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,12 @@ func TestStandingConcurrentChurn(t *testing.T) {
 	q := query.Qbb(query.Env{Params: scoring.P1})
 
 	stop := make(chan struct{})
+	// The churners subscribe under stopCtx, so a Subscribe still executing
+	// when the test stops is abandoned rather than waited for: by then the
+	// appender has grown the store by millions of intervals, and one
+	// execution over it can take minutes.
+	stopCtx, stopAll := context.WithCancel(context.Background())
+	defer stopAll()
 	var wg sync.WaitGroup
 	var appends atomic.Int64
 
@@ -80,11 +87,11 @@ func TestStandingConcurrentChurn(t *testing.T) {
 					return
 				default:
 				}
-				ctx, cancel := context.WithCancel(context.Background())
+				ctx, cancel := context.WithCancel(stopCtx)
 				sub, err := m.Subscribe(ctx, q, 6, SubOptions{Buffer: 2})
 				if err != nil {
 					cancel()
-					if err == ErrClosed {
+					if err == ErrClosed || (stopCtx.Err() != nil && errors.Is(err, context.Canceled)) {
 						return
 					}
 					t.Error(err)
@@ -140,6 +147,7 @@ func TestStandingConcurrentChurn(t *testing.T) {
 		t.Error("appends stalled while subscribers churned")
 	}
 	close(stop)
+	stopAll()
 	wg.Wait()
 	m.Close()
 

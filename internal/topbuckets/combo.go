@@ -26,9 +26,9 @@ type Combo struct {
 }
 
 // Key returns the combination's comparable identity — the bucket tuple
-// without counts or bounds. Selection deduplicates by it, and the plan
-// cache uses it to match a combination across epochs (counts grow,
-// bounds may be recomputed, the identity stays).
+// without counts or bounds. The plan cache uses it to match a
+// combination across epochs (counts grow, bounds may be recomputed, the
+// identity stays).
 func (c *Combo) Key() string {
 	k := make([]byte, 0, len(c.Buckets)*6)
 	for _, b := range c.Buckets {
@@ -39,13 +39,18 @@ func (c *Combo) Key() string {
 
 // compareTuples orders two equal-length bucket tuples by (Col, StartG,
 // EndG) per vertex, first vertex most significant — the deterministic
-// tie-break of every selection sort, and the order of the Key strings
-// without their allocation.
+// tie-break of the selection order (byUB), and the order of the Key
+// strings without their allocation.
 func compareTuples(a, b []stats.Bucket) int {
-	for v, x := range a {
-		y := b[v]
-		if c := cmp.Or(cmp.Compare(x.Col, y.Col), cmp.Compare(x.StartG, y.StartG), cmp.Compare(x.EndG, y.EndG)); c != 0 {
-			return c
+	for v := range a {
+		x, y := &a[v], &b[v]
+		switch {
+		case x.Col != y.Col:
+			return cmp.Compare(x.Col, y.Col)
+		case x.StartG != y.StartG:
+			return cmp.Compare(x.StartG, y.StartG)
+		case x.EndG != y.EndG:
+			return cmp.Compare(x.EndG, y.EndG)
 		}
 	}
 	return 0
@@ -135,13 +140,12 @@ func BoxOf(g stats.Grid, b stats.Bucket) solver.VertexBox {
 	return box
 }
 
-// boxesFor converts a combination's buckets into solver vertex boxes.
-func boxesFor(matrices []*stats.Matrix, buckets []stats.Bucket) []solver.VertexBox {
-	boxes := make([]solver.VertexBox, len(buckets))
+// boxesFor appends a combination's solver vertex boxes to dst.
+func boxesFor(matrices []*stats.Matrix, buckets []stats.Bucket, dst []solver.VertexBox) []solver.VertexBox {
 	for i, b := range buckets {
-		boxes[i] = BoxOf(matrices[i].Grid(), b)
+		dst = append(dst, BoxOf(matrices[i].Grid(), b))
 	}
-	return boxes
+	return dst
 }
 
 // enumerate walks the combination space Ω — the cartesian product of
@@ -174,6 +178,16 @@ func enumerate(bucketLists [][]stats.Bucket, lo, hi int, fn func(pos []int, buck
 				return
 			}
 		}
+	}
+}
+
+// tupleAt writes into dst the bucket tuple at row-major position pos of
+// the cartesian product of bucketLists — enumerate's order.
+func tupleAt(bucketLists [][]stats.Bucket, pos int, dst []stats.Bucket) {
+	for v := len(bucketLists) - 1; v >= 0; v-- {
+		n := len(bucketLists[v])
+		dst[v] = bucketLists[v][pos%n]
+		pos /= n
 	}
 }
 

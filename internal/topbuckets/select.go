@@ -1,8 +1,8 @@
 package topbuckets
 
 import (
-	"container/heap"
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // This file implements the Top Buckets selection of Algorithm 1
@@ -22,7 +22,8 @@ import (
 //
 //  1. Streaming. Ω is O(g^2n) and is never materialized; a bounded
 //     min-heap retains just the descending-LB prefix covering k results,
-//     and selection is a second streaming pass. Results are identical.
+//     and the same single pass keeps only the combinations that can still
+//     clear its threshold. Results are identical.
 //  2. Tie correctness. The printed algorithm fills the selection in
 //     descending-UB order until k results are collected, which under
 //     score ties (UB == kthResLB but LB < kthResLB, common when scores
@@ -36,42 +37,68 @@ import (
 //     (e.g. a single combination selected for Qb,b) while making the
 //     exactness guarantee robust to ties.
 
-// lbCover is a min-heap over (LB, nbRes) retaining the minimal
-// descending-LB set of combinations covering at least k results.
+// candidate is one combination as selection sees it: its bounds, its
+// result count, and its position — row-major in Ω for the enumeration,
+// the index of a materialized list — which stands for its bucket tuple
+// until the tuple is built.
+type candidate struct {
+	pos           int
+	lb, ub, nbRes float64
+}
+
+// lbCover is a min-heap on LB retaining the minimal descending-LB set of
+// candidates covering at least k results. add is container/heap's Push
+// and Pop with up and down copied line for line, so candidates of equal
+// LB leave the cover in the same order as through the interface.
 type lbCover struct {
 	k     float64
 	total float64
-	items lbHeap
+	items []candidate
 }
 
-type lbItem struct {
-	lb    float64
-	nbRes float64
-	combo Combo
-}
-
-type lbHeap []lbItem
-
-func (h lbHeap) Len() int            { return len(h) }
-func (h lbHeap) Less(i, j int) bool  { return h[i].lb < h[j].lb }
-func (h lbHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *lbHeap) Push(x interface{}) { *h = append(*h, x.(lbItem)) }
-func (h *lbHeap) Pop() interface{} {
-	old := *h
-	it := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return it
-}
-
-func newLBCover(k int) *lbCover { return &lbCover{k: float64(k)} }
-
-// add offers one combination to the cover.
-func (c *lbCover) add(cb Combo) {
-	heap.Push(&c.items, lbItem{lb: cb.LB, nbRes: cb.NbRes, combo: cb})
-	c.total += cb.NbRes
+// add offers one candidate to the cover.
+func (c *lbCover) add(it candidate) {
+	c.items = append(c.items, it)
+	c.up(len(c.items) - 1)
+	c.total += it.nbRes
 	for len(c.items) > 1 && c.total-c.items[0].nbRes >= c.k {
 		c.total -= c.items[0].nbRes
-		heap.Pop(&c.items)
+		n := len(c.items) - 1
+		c.items[0], c.items[n] = c.items[n], c.items[0]
+		c.down(0, n)
+		c.items = c.items[:n]
+	}
+}
+
+func (c *lbCover) up(j int) {
+	h := c.items
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].lb < h[i].lb) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (c *lbCover) down(i0, n int) {
+	h := c.items
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].lb < h[j1].lb {
+			j = j2 // = 2*i + 2  // right child
+		}
+		if !(h[j].lb < h[i].lb) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
 	}
 }
 
@@ -85,27 +112,63 @@ func (c *lbCover) threshold() float64 {
 	return c.items[0].lb
 }
 
-// cover returns the covered combinations (H) in descending-LB order.
-func (c *lbCover) cover() []Combo {
-	out := make([]Combo, len(c.items))
-	for i, it := range c.items {
-		out[i] = it.combo
-	}
-	sortCombos(out, func(a, b Combo) bool { return a.LB > b.LB })
-	return out
+// selector performs Top Buckets selection in one pass: offer takes every
+// combination once, pick returns Ω_k,S.
+type selector struct {
+	cover lbCover
+	kept  []candidate
 }
 
-// sortCombos sorts with a deterministic tie-break on bucket identity.
-func sortCombos(cs []Combo, less func(a, b Combo) bool) {
-	sort.Slice(cs, func(i, j int) bool {
-		if less(cs[i], cs[j]) {
-			return true
+func newSelector(k int) *selector { return &selector{cover: lbCover{k: float64(k)}} }
+
+// offer feeds a candidate to the cover and keeps it if it can still be
+// selected. Until the cover holds k results any candidate can; from then
+// on the threshold only rises (a candidate below the cover's minimum is
+// popped again at once, one above it can only push the minimum up), so a
+// candidate whose UB does not clear the current threshold cannot clear
+// the final kthResLB.
+func (s *selector) offer(it candidate) {
+	s.cover.add(it)
+	if s.cover.total < s.cover.k || it.ub > s.cover.threshold() {
+		s.kept = append(s.kept, it)
+	}
+}
+
+// pick returns Ω_k,S — the cover H and every kept candidate with UB
+// above kthResLB — in position order, and kthResLB.
+func (s *selector) pick() ([]candidate, float64) {
+	t := s.cover.threshold()
+	cover := slices.Clone(s.cover.items)
+	slices.SortFunc(cover, func(a, b candidate) int { return cmp.Compare(a.pos, b.pos) })
+	picked := make([]candidate, 0, len(cover)+len(s.kept))
+	// Kept candidates are in position order: merge the cover into them,
+	// so that a kept candidate the cover holds is picked once.
+	i := 0
+	for _, it := range s.kept {
+		for i < len(cover) && cover[i].pos < it.pos {
+			picked = append(picked, cover[i])
+			i++
 		}
-		if less(cs[j], cs[i]) {
-			return false
+		if i < len(cover) && cover[i].pos == it.pos {
+			i++
+		} else if !(it.ub > t) {
+			continue
 		}
-		return compareTuples(cs[i].Buckets, cs[j].Buckets) < 0
-	})
+		picked = append(picked, it)
+	}
+	return append(picked, cover[i:]...), t
+}
+
+// byUB is the order of Ω_k,S — the access order of the join phase:
+// descending UB, ties broken by bucket tuple.
+func byUB(a, b Combo) int {
+	switch {
+	case a.UB > b.UB:
+		return -1
+	case a.UB < b.UB:
+		return 1
+	}
+	return compareTuples(a.Buckets, b.Buckets)
 }
 
 // SelectList runs Top Buckets selection over a materialized combination
@@ -119,70 +182,18 @@ func SelectList(k int, combos []Combo) []Combo {
 // SelectWithThreshold is SelectList additionally returning kthResLB —
 // the certified lower bound on the k-th result's score. The join phase
 // uses it as a score floor: no result below it can reach the top-k.
+// The combinations must have pairwise distinct bucket tuples.
 func SelectWithThreshold(k int, combos []Combo) ([]Combo, float64) {
-	cover := newLBCover(k)
-	for _, c := range combos {
-		cover.add(c)
+	s := newSelector(k)
+	for i := range combos {
+		c := &combos[i]
+		s.offer(candidate{pos: i, lb: c.LB, ub: c.UB, nbRes: c.NbRes})
 	}
-	t := cover.threshold()
-	selected := make([]Combo, 0, 16)
-	seen := make(map[string]bool)
-	for _, c := range cover.cover() {
-		selected = append(selected, c)
-		seen[c.Key()] = true
+	picked, t := s.pick()
+	selected := make([]Combo, len(picked))
+	for i, it := range picked {
+		selected[i] = combos[it.pos]
 	}
-	for _, c := range combos {
-		if c.UB > t && !seen[c.Key()] {
-			selected = append(selected, c)
-			seen[c.Key()] = true
-		}
-	}
-	sortCombos(selected, func(a, b Combo) bool { return a.UB > b.UB })
+	slices.SortFunc(selected, byUB)
 	return selected, t
-}
-
-// streamSelector performs the same selection over a two-pass stream:
-// pass one feeds every combination to observe, pass two feeds every
-// combination to pick, and finalize returns Ω_k,S. The two passes must
-// present the same combinations (bounds may be recomputed).
-type streamSelector struct {
-	k     int
-	cover *lbCover
-	t     float64
-	// pass-two state
-	selected []Combo
-	seen     map[string]bool
-}
-
-func newStreamSelector(k int) *streamSelector {
-	return &streamSelector{k: k, cover: newLBCover(k)}
-}
-
-// observe is pass one: accumulate the LB cover.
-func (s *streamSelector) observe(c Combo) { s.cover.add(c) }
-
-// beginPick freezes the threshold and seeds the selection with H.
-func (s *streamSelector) beginPick() {
-	s.t = s.cover.threshold()
-	s.seen = make(map[string]bool)
-	for _, c := range s.cover.cover() {
-		s.selected = append(s.selected, c)
-		s.seen[c.Key()] = true
-	}
-}
-
-// pick is pass two: keep every combination clearing the threshold.
-func (s *streamSelector) pick(c Combo) {
-	if c.UB > s.t {
-		if key := c.Key(); !s.seen[key] {
-			s.selected = append(s.selected, c)
-			s.seen[key] = true
-		}
-	}
-}
-
-// finalize returns Ω_k,S sorted by descending UB.
-func (s *streamSelector) finalize() []Combo {
-	sortCombos(s.selected, func(a, b Combo) bool { return a.UB > b.UB })
-	return s.selected
 }

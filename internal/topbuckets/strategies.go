@@ -1,8 +1,10 @@
 package topbuckets
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -235,7 +237,7 @@ func runLoose(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, 
 		res.TotalResults *= float64(m.Total())
 	}
 
-	// Streaming passes over Ω with cheap table-lookup bounds, sharded by
+	// One streaming pass over Ω with cheap table-lookup bounds, sharded by
 	// the first collection's buckets exactly as the paper's distributed
 	// TopBuckets splits B_1 into worker groups (§4 "Selection of bucket
 	// combinations"): each shard selects a locally sufficient set, and a
@@ -261,27 +263,7 @@ func runLoose(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, 
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			sel := newStreamSelector(k)
-			lbs := make([]float64, len(q.Edges))
-			ubs := make([]float64, len(q.Edges))
-			pass := func(fn func(Combo)) {
-				enumerate(lists, lo, hi, func(pos []int, buckets []stats.Bucket) {
-					lb, ub := looseBounds(q, tables, lists, pos, lbs, ubs)
-					fn(Combo{Buckets: buckets, LB: lb, UB: ub, NbRes: nbRes(buckets)})
-				})
-			}
-			pass(func(c Combo) {
-				c.Buckets = append([]stats.Bucket(nil), c.Buckets...)
-				sel.observe(c)
-			})
-			sel.beginPick()
-			pass(func(c Combo) {
-				if c.UB > sel.t {
-					c.Buckets = append([]stats.Bucket(nil), c.Buckets...)
-					sel.pick(c)
-				}
-			})
-			shardSel[w] = sel.finalize()
+			shardSel[w] = selectShard(q, tables, lists, lo, hi, k)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -309,6 +291,49 @@ func runLoose(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, 
 		res.SelectedResults += c.NbRes
 	}
 	return res, nil
+}
+
+// selectShard is one shard of the loose enumeration: the combinations
+// whose first bucket is at positions [lo, hi) of lists[0], bounded from
+// the pair tables and selected in one pass. It returns the shard's
+// Ω_k,S sorted by descending UB, tuples backed by one slab.
+func selectShard(q *query.Query, tables [][]pairBound, lists [][]stats.Bucket, lo, hi, k int) []Combo {
+	sel := newSelector(k)
+	lbs := make([]float64, len(q.Edges))
+	ubs := make([]float64, len(q.Edges))
+	// Row-major positions: the shard starts at lo times the count of
+	// tuples below each first bucket.
+	pos := lo
+	for _, l := range lists[1:] {
+		pos *= len(l)
+	}
+	enumerate(lists, lo, hi, func(idx []int, buckets []stats.Bucket) {
+		lb, ub := looseBounds(q, tables, lists, idx, lbs, ubs)
+		sel.offer(candidate{pos: pos, lb: lb, ub: ub, nbRes: nbRes(buckets)})
+		pos++
+	})
+	picked, _ := sel.pick()
+	// Matrix.Buckets lists each collection's buckets in tuple order, so
+	// row-major positions order tuples as compareTuples does: sorting by
+	// (UB desc, position) sorts the combinations by byUB.
+	slices.SortFunc(picked, func(a, b candidate) int {
+		switch {
+		case a.ub > b.ub:
+			return -1
+		case a.ub < b.ub:
+			return 1
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	n := len(lists)
+	slab := make([]stats.Bucket, len(picked)*n)
+	out := make([]Combo, len(picked))
+	for i, it := range picked {
+		bs := slab[i*n : (i+1)*n : (i+1)*n]
+		tupleAt(lists, it.pos, bs)
+		out[i] = Combo{Buckets: bs, LB: it.lb, UB: it.ub, NbRes: it.nbRes}
+	}
+	return out
 }
 
 // runBruteForce materializes Ω with tight solver bounds for every
@@ -373,8 +398,9 @@ func TightenBounds(q *query.Query, matrices []*stats.Matrix, combos []Combo, opt
 		go func(lo, hi int) {
 			defer wg.Done()
 			local := 0
+			var boxes []solver.VertexBox
 			for i := lo; i < hi; i++ {
-				boxes := boxesFor(matrices, combos[i].Buckets)
+				boxes = boxesFor(matrices, combos[i].Buckets, boxes[:0])
 				var cert solver.Cert
 				combos[i].LB, combos[i].UB, cert = solver.QueryBoundsCert(q, boxes, tightOptions)
 				local += cert.Nodes

@@ -1,10 +1,14 @@
 package topbuckets
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"tkij/internal/interval"
@@ -110,6 +114,48 @@ func TestSelectListFewerThanKResults(t *testing.T) {
 	}
 }
 
+// twoPassSelect is the two-pass selection the one-pass selector
+// replaces: the cover over every combination first, then every
+// combination whose UB clears the final threshold, de-duplicated by key.
+func twoPassSelect(k int, all []Combo) []Combo {
+	cover := lbCover{k: float64(k)}
+	for i, c := range all {
+		cover.add(candidate{pos: i, lb: c.LB, ub: c.UB, nbRes: c.NbRes})
+	}
+	t := cover.threshold()
+	var out []Combo
+	seen := make(map[string]bool)
+	for _, it := range cover.items {
+		out = append(out, all[it.pos])
+		seen[all[it.pos].Key()] = true
+	}
+	for _, c := range all {
+		if c.UB > t && !seen[c.Key()] {
+			out = append(out, c)
+			seen[c.Key()] = true
+		}
+	}
+	slices.SortFunc(out, byUB)
+	return out
+}
+
+func sameSelection(t *testing.T, what string, got, want []Combo) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: selected %d, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Key() != w.Key() || g.LB != w.LB || g.UB != w.UB || g.NbRes != w.NbRes {
+			t.Fatalf("%s: selection mismatch at %d: %+v, want %+v", what, i, g, w)
+		}
+	}
+}
+
+// The one-pass selector keeps exactly what the two-pass selection picks,
+// in the same order — also under coarse scores that force ties — and a
+// loose-enumeration shard, which builds only its picked tuples, selects
+// what SelectList selects over the materialized enumeration.
 func TestStreamSelectorMatchesSelectList(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 100; trial++ {
@@ -121,23 +167,27 @@ func TestStreamSelectorMatchesSelectList(t *testing.T) {
 			lb := ub * float64(rng.Intn(11)) / 10
 			all[i] = mkCombo(lb, ub, float64(1+rng.Intn(20)), i)
 		}
-		want := SelectList(k, all)
-		s := newStreamSelector(k)
-		for _, c := range all {
-			s.observe(c)
-		}
-		s.beginPick()
-		for _, c := range all {
-			s.pick(c)
-		}
-		got := s.finalize()
-		if len(got) != len(want) {
-			t.Fatalf("stream selected %d, list selected %d (k=%d)", len(got), len(want), k)
-		}
-		for i := range got {
-			if got[i].Key() != want[i].Key() {
-				t.Fatalf("selection mismatch at %d", i)
-			}
+		sameSelection(t, "list", SelectList(k, all), twoPassSelect(k, all))
+	}
+
+	cols := synthCollections(3, 80, 29)
+	ms := matricesFor(t, cols, 5)
+	q := query.Qom(query.Env{Params: scoring.P1})
+	lists, err := validateInputs(q, ms, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, _ := computePairBounds(q, ms, lists, Options{Workers: 2})
+	lbs, ubs := make([]float64, len(q.Edges)), make([]float64, len(q.Edges))
+	for _, k := range []int{1, 10, 1000} {
+		for _, span := range [][2]int{{0, len(lists[0])}, {1, 3}} {
+			var all []Combo
+			enumerate(lists, span[0], span[1], func(pos []int, bs []stats.Bucket) {
+				lb, ub := looseBounds(q, tables, lists, pos, lbs, ubs)
+				all = append(all, Combo{Buckets: append([]stats.Bucket(nil), bs...), LB: lb, UB: ub, NbRes: nbRes(bs)})
+			})
+			got := selectShard(q, tables, lists, span[0], span[1], k)
+			sameSelection(t, fmt.Sprintf("shard %v, k=%d", span, k), got, twoPassSelect(k, all))
 		}
 	}
 }
@@ -305,9 +355,14 @@ func TestEnumerateOrderAndCount(t *testing.T) {
 		{{Col: 1, StartG: 0}, {Col: 1, StartG: 1}, {Col: 1, StartG: 2}},
 	}
 	var seen [][2]int
+	at := make([]stats.Bucket, 2)
 	enumerate(lists, 0, len(lists[0]), func(pos []int, bs []stats.Bucket) {
 		if lists[0][pos[0]] != bs[0] || lists[1][pos[1]] != bs[1] {
 			t.Fatalf("positions %v do not index the bucket tuple %v", pos, bs)
+		}
+		// tupleAt inverts the row-major order.
+		if tupleAt(lists, len(seen), at); !reflect.DeepEqual(at, bs) {
+			t.Fatalf("tupleAt(%d) = %v, enumerated %v", len(seen), at, bs)
 		}
 		seen = append(seen, [2]int{bs[0].StartG, bs[1].StartG})
 	})
@@ -353,4 +408,71 @@ func TestEnumerateOrderAndCount(t *testing.T) {
 			t.Fatalf("compareTuples(%v, %v) = %d, Key order %d", a.Buckets, b.Buckets, got, want)
 		}
 	}
+}
+
+// A loose run's allocations are O(|Ω_k,S|), not O(|Ω|): the enumeration
+// bounds, offers and drops combinations without allocating, and the
+// pair-bound solves reuse their search scratch.
+func TestLooseRunAllocBudget(t *testing.T) {
+	cols := synthCollections(3, 3000, 41)
+	ms := matricesFor(t, cols, 20)
+	q := query.Qom(query.Env{Params: scoring.P1})
+	var res *Result
+	allocs := testing.AllocsPerRun(3, func() {
+		var err error
+		if res, err = Run(q, ms, 100, Options{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.TotalCombos < 50000 {
+		t.Fatalf("|Ω| = %g — too few combinations for a per-combination allocation to show", res.TotalCombos)
+	}
+	if allocs >= res.TotalCombos/4 {
+		t.Fatalf("Run allocates %.0f objects over |Ω| = %g (%d selected), want < |Ω|/4",
+			allocs, res.TotalCombos, len(res.Selected))
+	}
+	t.Logf("Run: %.0f allocations, |Ω| = %g, %d selected", allocs, res.TotalCombos, len(res.Selected))
+}
+
+// Tight bounds do not depend on how combinations are split across
+// workers — each worker's solves use scratch no other goroutine touches —
+// and pair tables built from concurrent callers agree bit for bit.
+func TestSolverScratchConcurrent(t *testing.T) {
+	cols := synthCollections(3, 200, 43)
+	ms := matricesFor(t, cols, 5)
+	q := query.Qsfm(query.Env{Params: scoring.P1})
+	lists, err := validateInputs(q, ms, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []Combo
+	enumerate(lists, 0, len(lists[0]), func(_ []int, bs []stats.Bucket) {
+		all = append(all, Combo{Buckets: append([]stats.Bucket(nil), bs...), NbRes: nbRes(bs)})
+	})
+	one := append([]Combo(nil), all...)
+	eight := append([]Combo(nil), all...)
+	nodes1 := TightenBounds(q, ms, one, Options{Workers: 1})
+	nodes8 := TightenBounds(q, ms, eight, Options{Workers: 8})
+	if nodes1 != nodes8 {
+		t.Fatalf("8 workers opened %d nodes, 1 worker %d", nodes8, nodes1)
+	}
+	for i := range one {
+		if math.Float64bits(one[i].LB) != math.Float64bits(eight[i].LB) || math.Float64bits(one[i].UB) != math.Float64bits(eight[i].UB) {
+			t.Fatalf("combination %d: 8 workers bound [%v,%v], 1 worker [%v,%v]", i, eight[i].LB, eight[i].UB, one[i].LB, one[i].UB)
+		}
+	}
+
+	want, _ := computePairBounds(q, ms, lists, Options{Workers: 1})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, _ := computePairBounds(q, ms, lists, Options{Workers: 2})
+			if !reflect.DeepEqual(got, want) {
+				t.Error("pair tables from concurrent callers differ from the sequential tables")
+			}
+		}()
+	}
+	wg.Wait()
 }
