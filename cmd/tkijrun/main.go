@@ -31,7 +31,7 @@
 //
 // Zero-copy restore: -mmap (with -load-stats) maps the snapshot file
 // read-only instead of decoding it — sealed buckets are served straight
-// from the mapping through the flat sorted-endpoint kernel, the restore
+// from the mapping (only their R-trees are built on the heap), the restore
 // cost is O(buckets) rather than O(intervals), and the checksum runs in
 // the background (a damaged file fails the first query after discovery
 // instead of the open).

@@ -54,8 +54,8 @@ type Options struct {
 	PlanCache plancache.Options
 	// Mmap selects the zero-copy restore path in OpenEngine: the
 	// snapshot file is mapped read-only and its sealed buckets are
-	// served straight from the mapping through the flat sorted-endpoint
-	// kernel — no interval is decoded into the heap and the first query
+	// served straight from the mapping — no interval is decoded into the
+	// heap, only the lazily built R-trees live there, and the first query
 	// runs with no store materialization. The O(dataset) content
 	// verification (checksum, per-record checks) runs in the background;
 	// a damaged file fails the first query admission after discovery

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -17,8 +18,8 @@ import (
 )
 
 // exampleQueries is the catalog the equivalence tests sweep: every
-// predicate family the paper's experiments use, so the flat kernel is
-// exercised on overlap, before and after probe boxes alike.
+// predicate family the paper's experiments use, so mapped buckets are
+// probed with overlap, before and after boxes alike.
 func exampleQueries(cols []*interval.Collection) []*query.Query {
 	env := query.Env{Params: scoring.P1, Avg: interval.AvgLength(cols...)}
 	return []*query.Query{
@@ -29,11 +30,11 @@ func exampleQueries(cols []*interval.Collection) []*query.Query {
 }
 
 // The zero-copy acceptance contract: an engine restored with
-// Options.Mmap answers every example query with the same top-k score
-// multiset as both the engine that computed the offline phase and a
-// heap-restored engine — before and after interleaved appends — while
-// serving sealed buckets through the flat kernel (zero R-trees) with
-// no store materialization at open.
+// Options.Mmap answers every example query with the same top-k tuples,
+// in the same order, as both the engine that computed the offline phase
+// and a heap-restored engine — before and after interleaved appends — while
+// serving sealed buckets in place through lazily built R-trees, with no
+// store materialization at open.
 func TestOpenEngineMmapEquivalence(t *testing.T) {
 	const (
 		nCols  = 3
@@ -77,10 +78,10 @@ func TestOpenEngineMmapEquivalence(t *testing.T) {
 		t.Fatal("mapped restore reports a store build — the partition should be served from the mapping")
 	}
 	// Zero-copy means zero store materialization at open: the mapped
-	// store exists but holds no sealed index yet, and after queries run
-	// its sealed probes go through the flat kernel, never an R-tree.
-	if snap := mm.Store().Snapshot(); snap.TreesBuilt != 0 || snap.FlatIndexesBuilt != 0 {
-		t.Fatalf("open materialized indexes: %d trees, %d flat", snap.TreesBuilt, snap.FlatIndexesBuilt)
+	// store exists but holds no sealed index yet; queries build its
+	// R-trees lazily, as on every other store.
+	if snap := mm.Store().Snapshot(); snap.TreesBuilt != 0 || snap.DeltaTreesBuilt != 0 {
+		t.Fatalf("open materialized indexes: %d trees, %d delta trees", snap.TreesBuilt, snap.DeltaTreesBuilt)
 	}
 
 	queries := exampleQueries(built.Collections())
@@ -97,19 +98,16 @@ func TestOpenEngineMmapEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s on mapped engine: %v", q.Name, err)
 		}
-		if !join.ScoreMultisetEqual(hgot.Results, want.Results, 1e-9) {
+		if !reflect.DeepEqual(hgot.Results, want.Results) {
 			t.Fatalf("query %s: heap-restored engine diverged from built engine", q.Name)
 		}
-		if !join.ScoreMultisetEqual(mgot.Results, want.Results, 1e-9) {
+		if !reflect.DeepEqual(mgot.Results, want.Results) {
 			t.Fatalf("query %s: mapped engine diverged from built engine", q.Name)
 		}
 	}
-	snap := mm.Store().Snapshot()
-	if snap.TreesBuilt != 0 {
-		t.Fatalf("mapped engine built %d sealed R-trees; sealed probes must use the flat kernel", snap.TreesBuilt)
-	}
-	if snap.FlatIndexesBuilt == 0 {
-		t.Fatal("mapped engine built no flat indexes — the kernel was never exercised")
+	if snap := mm.Store().Snapshot(); snap.TreesBuilt == 0 || snap.DeltaTreesBuilt != 0 {
+		t.Fatalf("mapped engine built %d sealed and %d delta R-trees; its sealed probes must go through memoized R-trees",
+			snap.TreesBuilt, snap.DeltaTreesBuilt)
 	}
 
 	// Interleave identical appends into all three engines; answers must
@@ -139,7 +137,7 @@ func TestOpenEngineMmapEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !join.ScoreMultisetEqual(mgot.Results, want.Results, 1e-9) {
+			if !reflect.DeepEqual(mgot.Results, want.Results) {
 				t.Fatalf("query %s after batch %d: mapped engine diverged from built engine", q.Name, bi)
 			}
 			if mgot.Epoch != int64(bi+1) {
@@ -149,6 +147,61 @@ func TestOpenEngineMmapEquivalence(t *testing.T) {
 	}
 	if mm.Epoch() != int64(len(batches)) {
 		t.Fatalf("mapped engine at epoch %d after %d batches", mm.Epoch(), len(batches))
+	}
+
+	t.Run("ties", testRestorePathsAgreeOnTies)
+}
+
+// testRestorePathsAgreeOnTies is the tie-heavy case: Qb,b over small
+// collections scores many tuples equal at the k-th place, so which tied
+// tuples survive depends on the order candidates are enumerated in (see
+// join.TopK.Add). Every restore path indexes a bucket with the same
+// R-tree over the same item order and runs the same plan, so the built
+// engine, a heap restore, an mmap restore and a 3-shard engine over the
+// mmap restore must return identical tuples, not merely equal scores.
+func testRestorePathsAgreeOnTies(t *testing.T) {
+	const (
+		nCols  = 3
+		perCol = 80
+		seeds  = 20
+	)
+	opts := Options{Granules: 6, K: 6, Reducers: 4}
+	mmOpts := opts
+	mmOpts.Mmap = true
+	shOpts := mmOpts
+	shOpts.Shards = 3
+	for seed := int64(1); seed <= seeds; seed++ {
+		built, err := NewEngine(synthCols(nCols, perCol, seed), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "ties.tkij")
+		if err := built.SaveSnapshot(path); err != nil {
+			t.Fatal(err)
+		}
+		q := query.Qbb(query.Env{Params: scoring.P1, Avg: interval.AvgLength(built.Collections()...)})
+		want, err := built.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			opts Options
+		}{{"heap-restored", opts}, {"mapped", mmOpts}, {"sharded mapped", shOpts}} {
+			e, err := OpenEngine(synthCols(nCols, perCol, seed), path, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Execute(context.Background(), q)
+			e.Close()
+			if err != nil {
+				t.Fatalf("seed %d, %s engine: %v", seed, c.name, err)
+			}
+			if !reflect.DeepEqual(got.Results, want.Results) {
+				t.Errorf("seed %d: %s engine returned other tuples than the built engine\n got:  %v\n want: %v",
+					seed, c.name, got.Results, want.Results)
+			}
+		}
 	}
 }
 

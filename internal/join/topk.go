@@ -86,13 +86,17 @@ func (t *TopK) Threshold() float64 {
 
 // Add offers a result; it is retained if the collector is not full or
 // if it orders before the current worst under the deterministic total
-// order (score descending, tuple IDs as tie-break). Breaking ties by
-// the total order — not first-come — makes the retained set independent
-// of arrival order, so local and distributed executions that enumerate
-// equal-scoring candidates in different orders still converge on the
-// identical top-k. It reports whether the result was retained — a
-// retention with Full() true means Threshold() may have risen, the
-// signal the join publishes to the shared floor.
+// order (score descending, tuple IDs as tie-break). The tie-break makes
+// the collector itself order-independent over the results it is
+// offered, but not the join above it: the local join stops pursuing
+// candidates whose bound only equals the current k-th score, so which
+// tuples tied at the k-th score are offered at all depends on the order
+// candidates are enumerated in. Two executions with the same bucket
+// index, the same per-bucket item order and the same assignment return
+// identical tuples; otherwise results agree only up to ties at the k-th
+// score. It reports whether the result was retained — a retention with
+// Full() true means Threshold() may have risen, the signal the join
+// publishes to the shared floor.
 func (t *TopK) Add(r Result) bool {
 	if !t.Full() {
 		heap.Push(&t.items, r)

@@ -10,8 +10,8 @@ import (
 
 // FuzzMmapRead drives arbitrary bytes through both consumers of the
 // shared walker — the production mapped pipeline (OpenBytes, Verify,
-// Reader.Store: view in place, flat kernel, replay) and the heap one
-// (snapshot.Decode: copy, R-trees, replay) — and holds them to one
+// Reader.Store: view in place, replay) and the heap one
+// (snapshot.Decode: copy, replay) — and holds them to one
 // contract:
 //
 //   - no input may panic or fault — truncated, corrupted, misaligned,

@@ -97,15 +97,15 @@ func newReader(data []byte, unmap func([]byte) error) (*Reader, error) {
 func (r *Reader) Cols() []store.MappedCol { return r.img.Cols }
 
 // Store assembles the restored engine state over the mapping: the
-// sealed partition served in place through the flat sorted-endpoint
-// kernel (store.BuildMapped, which retains the Reader for the store
-// and for every view it pins), the delta sections replayed on top
+// sealed partition served in place, each bucket indexed by a lazily
+// built R-tree (store.BuildSealed, which retains the Reader for the
+// store and for every view it pins), the delta sections replayed on top
 // through the ordinary append path — copying just the deltas to the
 // heap, exactly as live ingest would have. The matrices are ordinary
 // heap objects and stay valid after the Reader is released. Call it
 // once per Reader: replay mutates the parsed matrices.
 func (r *Reader) Store() (*store.Store, []*stats.Matrix, error) {
-	st, err := store.BuildMapped(r.img.Cols, r)
+	st, err := store.BuildSealed(r.img.Cols, r)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -116,8 +116,9 @@ func TestOpenBytesMatchesHeapDecode(t *testing.T) {
 		}
 		diffStores(t, heapSt, mapSt, heapMs)
 
-		// Probe equivalence through the serving interface: flat kernel on
-		// the mapped store, R-trees on the heap store, same refs.
+		// Probe equivalence through the serving interface: both stores
+		// index a bucket with the same R-tree over the same items, so the
+		// refs come back in the same visit order.
 		hview, mview := heapSt.View(), mapSt.View()
 		boxes := []rtree.Rect{
 			rtree.Everything(),
@@ -130,8 +131,6 @@ func TestOpenBytesMatchesHeapDecode(t *testing.T) {
 					var hv, mv []int32
 					hview.Col(i).Bucket(b.StartG, b.EndG).Search(box, func(r int32) bool { hv = append(hv, r); return true })
 					mview.Col(i).Bucket(b.StartG, b.EndG).Search(box, func(r int32) bool { mv = append(mv, r); return true })
-					slices.Sort(hv)
-					slices.Sort(mv)
 					if !slices.Equal(hv, mv) {
 						t.Fatalf("col %d bucket (%d,%d) box %+v: heap probe %v, mapped probe %v", i, b.StartG, b.EndG, box, hv, mv)
 					}

@@ -57,7 +57,8 @@ func MustNew(name string, numVertices int, edges []Edge, agg scoring.Aggregator)
 // Validate checks the structural constraints of §2: at least one vertex,
 // vertex indexes in range, no self-loops, (i,j) and (j,i) never both
 // present, no duplicate edges, weak connectivity, valid predicates, and
-// a non-nil aggregator.
+// a non-nil aggregator — a weighted sum with exactly one weight per
+// edge, since its Aggregate panics on any other score count.
 func (q *Query) Validate() error {
 	if q.NumVertices < 1 {
 		return fmt.Errorf("query %q: need at least one vertex, got %d", q.Name, q.NumVertices)
@@ -70,6 +71,9 @@ func (q *Query) Validate() error {
 	}
 	if q.Agg == nil {
 		return fmt.Errorf("query %q: nil aggregator", q.Name)
+	}
+	if ws, ok := q.Agg.(*scoring.WeightedSum); ok && len(ws.Weights) != len(q.Edges) {
+		return fmt.Errorf("query %q: weighted sum has %d weights for %d edges", q.Name, len(ws.Weights), len(q.Edges))
 	}
 	seen := make(map[[2]int]bool, len(q.Edges))
 	uf := newUnionFind(q.NumVertices)

@@ -31,6 +31,10 @@ func TestValidateAcceptsChainAndCycle(t *testing.T) {
 func TestValidateRejections(t *testing.T) {
 	p := scoring.Meets(scoring.P1)
 	agg := scoring.Avg{}
+	ws, err := scoring.NewWeightedSum([]float64{2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
 		n       int
@@ -48,6 +52,7 @@ func TestValidateRejections(t *testing.T) {
 		{"both directions", 2, []Edge{{0, 1, p}, {1, 0, p}}, agg, "both"},
 		{"nil predicate", 2, []Edge{{0, 1, nil}}, agg, "nil predicate"},
 		{"disconnected", 4, []Edge{{0, 1, p}, {2, 3, p}}, agg, "not weakly connected"},
+		{"weights per edge", 2, []Edge{{0, 1, p}}, ws, "2 weights for 1 edges"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {

@@ -130,6 +130,22 @@ func unsortedTaskFrame(t testing.TB) []byte {
 	return mustEncode(t, qf)
 }
 
+// mismatchedWeightsFrame encodes the sample query frame with a weighted
+// sum carrying one weight more than the query has edges — every weight
+// is valid, only the count is off, and Aggregate would panic on it.
+func mismatchedWeightsFrame(t testing.TB) []byte {
+	t.Helper()
+	qf := sampleQuery(t)
+	q := *qf.Query
+	weights := make([]float64, len(q.Edges)+1)
+	for i := range weights {
+		weights[i] = 1
+	}
+	q.Agg = &scoring.WeightedSum{Weights: weights}
+	qf.Query = &q
+	return mustEncode(t, qf)
+}
+
 // Byte offsets of two words in an encoded QueryFrame: the length prefix,
 // kind, QueryID, Epoch, K and Floor words precede the DisableIndex flag;
 // the three flags and the query name (length word, then its bytes)
@@ -246,6 +262,7 @@ func TestDecodeRejects(t *testing.T) {
 		"combo narrower than its query":   shortComboFrame(t),
 		"task not in descending-UB order": unsortedTaskFrame(t),
 		"vertex count beyond its edges":   hugeVertexFrame(t),
+		"weight count beyond its edges":   mismatchedWeightsFrame(t),
 	}
 	for name, b := range cases {
 		if b == nil {
@@ -344,6 +361,7 @@ func FuzzShardWire(f *testing.F) {
 	f.Add(shortComboFrame(f))
 	f.Add(unsortedTaskFrame(f))
 	f.Add(hugeVertexFrame(f))
+	f.Add(mismatchedWeightsFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := DecodeFrame(data)
 		if err != nil {

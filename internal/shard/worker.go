@@ -145,7 +145,7 @@ func (w *Worker) handleLoad(f *LoadFrame, fw *frameWriter) error {
 		_ = fw.send(&ErrorFrame{Code: CodeLoad, Msg: err.Error()})
 		return err
 	}
-	st, err := store.BuildSealed(f.Cols)
+	st, err := store.BuildSealed(f.Cols, nil)
 	if err != nil {
 		err = fmt.Errorf("%w: shard %d load: %v", ErrRemote, f.ShardID, err)
 		_ = fw.send(&ErrorFrame{Code: CodeLoad, Msg: err.Error()})

@@ -142,7 +142,7 @@ func Decode(img []byte) (*store.Store, []*stats.Matrix, error) {
 		return nil, nil, err
 	}
 	p.View(CopyRecords)
-	st, err := store.BuildSealed(p.Cols)
+	st, err := store.BuildSealed(p.Cols, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("snapshot: %w", err)
 	}

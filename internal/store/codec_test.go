@@ -43,7 +43,7 @@ func readStore(r *interval.BinaryReader) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return BuildSealed(heapItems(cols))
+	return BuildSealed(heapItems(cols), nil)
 }
 
 // heapItems fills every bucket's Items with a plain copy of its Records.

@@ -60,7 +60,7 @@ func FuzzReadStore(f *testing.F) {
 				}
 			}
 		}
-		s, err := BuildSealed(heapItems(cols))
+		s, err := BuildSealed(heapItems(cols), nil)
 		if err != nil {
 			t.Fatalf("BuildSealed refused a directory ReadDirectory accepted: %v", err)
 		}

@@ -1,10 +1,8 @@
 package store
 
 import (
-	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"tkij/internal/interval"
@@ -12,7 +10,7 @@ import (
 	"tkij/internal/stats"
 )
 
-// naiveSearch is the reference the flat kernel is checked against: the
+// naiveSearch is the reference bucket probes are checked against: the
 // R-tree's exact visit semantics (closed float box over (start, end)
 // points), by linear scan.
 func naiveSearch(items []interval.Interval, box rtree.Rect) []int32 {
@@ -25,144 +23,9 @@ func naiveSearch(items []interval.Interval, box rtree.Rect) []int32 {
 	return out
 }
 
-func flatSearchAll(idx *flatIndex, items []interval.Interval, box rtree.Rect) []int32 {
-	var out []int32
-	idx.search(box, items, func(ref int32) bool {
-		out = append(out, ref)
-		return true
-	})
-	slices.Sort(out)
-	return out
-}
-
-func randItems(rng *rand.Rand, n int) []interval.Interval {
-	items := make([]interval.Interval, n)
-	for i := range items {
-		s := rng.Int63n(10_000) - 5_000
-		items[i] = interval.Interval{ID: int64(i), Start: s, End: s + rng.Int63n(400)}
-	}
-	return items
-}
-
-// The kernel must agree with a naive scan on every predicate-derived
-// box class the local join produces: overlap-style boxes constraining
-// both axes, before-style boxes constraining only the end axis, and
-// after-style boxes constraining only the start axis — plus the
-// unconstrained and empty degenerate cases.
-func TestFlatIndexMatchesNaiveScanPerPredicateClass(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	inf := math.Inf(1)
-	for round := 0; round < 200; round++ {
-		items := randItems(rng, 1+rng.Intn(300))
-		idx := buildFlatIndex(items)
-		lo := float64(rng.Int63n(12_000) - 6_000)
-		hi := lo + float64(rng.Int63n(3_000))
-		lo2 := float64(rng.Int63n(12_000) - 6_000)
-		hi2 := lo2 + float64(rng.Int63n(3_000))
-		// Fractional bounds exercise the ceil/floor clamping.
-		if round%3 == 0 {
-			lo += 0.5
-			hi += 0.25
-		}
-		boxes := map[string]rtree.Rect{
-			"overlap (both axes)": {MinX: lo, MaxX: hi, MinY: lo2, MaxY: hi2},
-			"before (end axis)":   {MinX: -inf, MaxX: inf, MinY: lo, MaxY: hi},
-			"after (start axis)":  {MinX: lo, MaxX: hi, MinY: -inf, MaxY: inf},
-			"everything":          rtree.Everything(),
-			"empty":               {MinX: 1, MaxX: 0, MinY: -inf, MaxY: inf},
-		}
-		for class, box := range boxes {
-			want := naiveSearch(items, box)
-			got := flatSearchAll(idx, items, box)
-			if !slices.Equal(got, want) {
-				t.Fatalf("round %d, %s box %+v: flat kernel returned %d refs, naive scan %d\nflat:  %v\nnaive: %v",
-					round, class, box, len(got), len(want), got, want)
-			}
-		}
-	}
-}
-
-// Early termination: fn returning false must stop the probe and
-// propagate false, exactly like the R-tree path.
-func TestFlatIndexStopsOnFalse(t *testing.T) {
-	items := randItems(rand.New(rand.NewSource(3)), 100)
-	idx := buildFlatIndex(items)
-	calls := 0
-	cont := idx.search(rtree.Everything(), items, func(int32) bool {
-		calls++
-		return calls < 5
-	})
-	if cont || calls != 5 {
-		t.Fatalf("search continued=%t after %d calls; want stopped after 5", cont, calls)
-	}
-}
-
-func TestGallop(t *testing.T) {
-	a := []int64{-10, -10, -3, 0, 0, 0, 7, 42}
-	cases := []struct {
-		x      int64
-		ge, gt int
-	}{
-		{-11, 0, 0}, {-10, 0, 2}, {-5, 2, 2}, {-3, 2, 3}, {0, 3, 6},
-		{1, 6, 6}, {7, 6, 7}, {42, 7, 8}, {43, 8, 8},
-		{math.MinInt64, 0, 0}, {math.MaxInt64, 8, 8},
-	}
-	for _, c := range cases {
-		if got := gallopGE(a, c.x); got != c.ge {
-			t.Errorf("gallopGE(%d) = %d, want %d", c.x, got, c.ge)
-		}
-		if got := gallopGT(a, c.x); got != c.gt {
-			t.Errorf("gallopGT(%d) = %d, want %d", c.x, got, c.gt)
-		}
-	}
-	if got := gallopGE(nil, 5); got != 0 {
-		t.Errorf("gallopGE(empty) = %d", got)
-	}
-	// Cross-check against sort.Search on larger random inputs.
-	rng := rand.New(rand.NewSource(9))
-	b := make([]int64, 1000)
-	for i := range b {
-		b[i] = rng.Int63n(500)
-	}
-	slices.Sort(b)
-	for i := 0; i < 500; i++ {
-		x := rng.Int63n(520) - 10
-		if got, want := gallopGE(b, x), sort.Search(len(b), func(i int) bool { return b[i] >= x }); got != want {
-			t.Fatalf("gallopGE(%d) = %d, want %d", x, got, want)
-		}
-		if got, want := gallopGT(b, x), sort.Search(len(b), func(i int) bool { return b[i] > x }); got != want {
-			t.Fatalf("gallopGT(%d) = %d, want %d", x, got, want)
-		}
-	}
-}
-
-func TestBoxToInt(t *testing.T) {
-	inf := math.Inf(1)
-	cases := []struct {
-		flo, fhi float64
-		lo, hi   int64
-		empty    bool
-	}{
-		{-inf, inf, math.MinInt64, math.MaxInt64, false},
-		{1.5, 3.5, 2, 3, false},
-		{-3.5, -1.5, -3, -2, false},
-		{2, 2, 2, 2, false},
-		{2.1, 2.9, 0, 0, true}, // no integer inside
-		{5, 3, 0, 0, true},     // inverted box
-		{-inf, 4.7, math.MinInt64, 4, false},
-		{-0.5, inf, 0, math.MaxInt64, false},
-	}
-	for _, c := range cases {
-		lo, hi, empty := boxToInt(c.flo, c.fhi)
-		if empty != c.empty || (!empty && (lo != c.lo || hi != c.hi)) {
-			t.Errorf("boxToInt(%v, %v) = (%d, %d, %t), want (%d, %d, %t)", c.flo, c.fhi, lo, hi, empty, c.lo, c.hi, c.empty)
-		}
-	}
-}
-
-// mappedFixture builds a small mapped store (flat kernel, no R-trees)
-// over deterministic data, alongside the granulation it was bucketed
-// under.
+// mappedFixture builds a small store over pre-partitioned sealed
+// buckets, as a restore does (no index built yet), over deterministic
+// data, alongside the granulation it was bucketed under.
 func mappedFixture(t *testing.T, region Region) (*Store, stats.Granulation, []MappedCol) {
 	t.Helper()
 	gran := stats.Granulation{Min: 0, Max: 999, G: 4}
@@ -190,7 +53,7 @@ func mappedFixture(t *testing.T, region Region) (*Store, stats.Granulation, []Ma
 		return a.EndG - b.EndG
 	})
 	cols := []MappedCol{col}
-	s, err := BuildMapped(cols, region)
+	s, err := BuildSealed(cols, region)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,48 +61,67 @@ func mappedFixture(t *testing.T, region Region) (*Store, stats.Granulation, []Ma
 }
 
 // A mapped store must answer exactly like a built store over the same
-// buckets: flat kernel vs R-tree, same refs.
+// buckets: the same refs in the same visit order — both index a sealed
+// prefix with the same memoized R-tree, which is what makes tied
+// answers agree across restore paths.
 func TestBuildMappedSearchMatchesTreePath(t *testing.T) {
-	s, _, mcols := mappedFixture(t, nil)
-	view := s.View()
+	s, gran, mcols := mappedFixture(t, nil)
+	// The heap twin: one collection listing the buckets' intervals in
+	// bucket order, so Build reproduces every bucket's item order.
+	col := &interval.Collection{Name: "C"}
+	for _, mb := range mcols[0].Buckets {
+		col.Items = append(col.Items, mb.Items...)
+	}
+	built, err := Build([]*interval.Collection{col}, []*stats.Matrix{{Gran: gran}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, bview := s.View(), built.View()
 	defer view.Release()
+	defer bview.Release()
+	probe := func(h Bucket, box rtree.Rect) []int32 {
+		var refs []int32
+		h.Search(box, func(ref int32) bool {
+			refs = append(refs, ref)
+			return true
+		})
+		return refs
+	}
 	rng := rand.New(rand.NewSource(5))
 	for _, mb := range mcols[0].Buckets {
-		h := view.Col(0).Bucket(mb.StartG, mb.EndG)
+		h, bh := view.Col(0).Bucket(mb.StartG, mb.EndG), bview.Col(0).Bucket(mb.StartG, mb.EndG)
 		items := h.Items()
 		if len(items) != len(mb.Items) {
 			t.Fatalf("bucket (%d,%d): %d items served, %d mapped", mb.StartG, mb.EndG, len(items), len(mb.Items))
+		}
+		if !slices.Equal(items, bh.Items()) {
+			t.Fatalf("bucket (%d,%d): mapped and built stores hold different items", mb.StartG, mb.EndG)
 		}
 		for round := 0; round < 20; round++ {
 			lo := float64(rng.Int63n(1100) - 50)
 			box := rtree.Rect{MinX: lo, MaxX: lo + float64(rng.Int63n(300)),
 				MinY: float64(rng.Int63n(500)), MaxY: float64(rng.Int63n(500) + 600)}
-			var got []int32
-			h.Search(box, func(ref int32) bool {
-				got = append(got, ref)
-				return true
-			})
+			got, heap := probe(h, box), probe(bh, box)
+			if !slices.Equal(got, heap) {
+				t.Fatalf("bucket (%d,%d) box %+v: mapped store visited %v, built store %v", mb.StartG, mb.EndG, box, got, heap)
+			}
 			slices.Sort(got)
 			if want := naiveSearch(items, box); !slices.Equal(got, want) {
 				t.Fatalf("bucket (%d,%d) box %+v: got %v, want %v", mb.StartG, mb.EndG, box, got, want)
 			}
 		}
 	}
-	snap := s.Snapshot()
-	if snap.TreesBuilt != 0 {
-		t.Fatalf("mapped store built %d R-trees", snap.TreesBuilt)
-	}
-	if snap.FlatIndexesBuilt == 0 {
-		t.Fatal("mapped store built no flat indexes — the probes above used something else")
+	if snap, want := s.Snapshot(), int64(len(mcols[0].Buckets)); snap.TreesBuilt != want {
+		t.Fatalf("mapped store built %d R-trees for %d probed buckets", snap.TreesBuilt, want)
 	}
 }
 
 // The warm probe path must be allocation-free with the instrumentation
-// compiled in: once a bucket's index is memoized — the flat kernel on a
-// mapped store, the R-tree on a heap-built one, the delta tree over an
-// appended suffix — neither resolving the bucket to a handle (the handle
-// is the epoch's bucket itself, not an adapter) nor probing a resolved
-// handle allocates, and no probe builds a second index.
+// compiled in: once a bucket's tree is memoized — the base R-tree of a
+// mapped bucket or of a heap-built one, the delta tree over an appended
+// suffix — neither resolving the bucket to a handle (the handle is the
+// epoch's bucket itself, not an adapter) nor probing a resolved handle
+// allocates, and no probe builds a second tree.
 func TestWarmProbeAllocFree(t *testing.T) {
 	mapped, _, mcols := mappedFixture(t, nil)
 	mb := mcols[0].Buckets[0] // largest bucket
@@ -257,7 +139,7 @@ func TestWarmProbeAllocFree(t *testing.T) {
 		startG, endG int
 		built        func(Stats) int64 // builds of the index under test
 	}{
-		{"flat", mapped, mb.StartG, mb.EndG, func(st Stats) int64 { return st.FlatIndexesBuilt }},
+		{"mapped", mapped, mb.StartG, mb.EndG, func(st Stats) int64 { return st.TreesBuilt }},
 		{"rtree", heap, hb.StartG, hb.EndG, func(st Stats) int64 { return st.TreesBuilt }},
 		{"delta", grown, gb.StartG, gb.EndG, func(st Stats) int64 { return st.DeltaTreesBuilt }},
 	} {
@@ -316,8 +198,8 @@ func TestBuildMappedRejectsMalformedInput(t *testing.T) {
 			{StartG: 0, EndG: 0, Items: iv}, {StartG: 0, EndG: 0, Items: iv}}}},
 	}
 	for name, cols := range cases {
-		if _, err := BuildMapped(cols, nil); err == nil {
-			t.Errorf("%s: BuildMapped accepted", name)
+		if _, err := BuildSealed(cols, nil); err == nil {
+			t.Errorf("%s: BuildSealed accepted", name)
 		}
 	}
 }
@@ -356,7 +238,7 @@ func TestMappedRegionLifecycle(t *testing.T) {
 	region := &fakeRegion{t: t, refs: 1} // the opener's reference
 	s, _, _ := mappedFixture(t, region)
 	if region.refs != 2 {
-		t.Fatalf("after BuildMapped: %d refs, want 2 (opener + store)", region.refs)
+		t.Fatalf("after BuildSealed: %d refs, want 2 (opener + store)", region.refs)
 	}
 	region.Release() // opener hands off to the store
 	v1 := s.View()
@@ -385,8 +267,9 @@ func TestMappedRegionLifecycle(t *testing.T) {
 }
 
 // Appending to a mapped bucket must copy it to the heap (the mapping is
-// read-only), keep answering correctly through the flat kernel + delta
-// tree combination, and reseal into a flat bucket when compaction hits.
+// read-only), keep answering correctly through the base + delta tree
+// combination, and reseal into one rebuilt base tree when compaction
+// hits — the same life a heap-built bucket leads.
 func TestMappedAppendCopiesAndServes(t *testing.T) {
 	s, gran, mcols := mappedFixture(t, nil)
 	s.SetCompactLimit(4)
@@ -410,6 +293,9 @@ func TestMappedAppendCopiesAndServes(t *testing.T) {
 			t.Fatal(err)
 		}
 		added = append(added, iv)
+		if i == 0 && &s.Col(0).BucketItems(target.StartG, target.EndG)[0] == &target.Items[0] {
+			t.Fatal("the first Append extended the mapped bucket slice in place instead of copying it")
+		}
 	}
 	// The mapped slice must be untouched (copy-on-append, not in-place).
 	if !slices.Equal(target.Items, before) {
@@ -419,18 +305,25 @@ func TestMappedAppendCopiesAndServes(t *testing.T) {
 	defer view.Release()
 	h := view.Col(0).Bucket(target.StartG, target.EndG)
 	items := h.Items()
-	if len(items) != len(before)+len(added) {
-		t.Fatalf("bucket serves %d items, want %d", len(items), len(before)+len(added))
+	if want := append(before, added...); !slices.Equal(items, want) {
+		t.Fatalf("bucket serves %d items, want the %d mapped then the %d appended", len(items), len(before), len(added))
 	}
-	var got []int32
+	seen := make([]bool, len(items))
 	h.Search(rtree.Everything(), func(ref int32) bool {
-		got = append(got, ref)
+		if seen[ref] {
+			t.Fatalf("probe visited ref %d twice", ref)
+		}
+		seen[ref] = true
 		return true
 	})
-	if len(got) != len(items) {
-		t.Fatalf("probe visited %d of %d items after append", len(got), len(items))
+	if i := slices.Index(seen, false); i >= 0 {
+		t.Fatalf("probe missed ref %d of %d after append", i, len(items))
 	}
-	if snap := s.Snapshot(); snap.TreesBuilt != 0 {
-		t.Fatalf("append to a mapped store built %d sealed R-trees; resealed buckets must stay flat", snap.TreesBuilt)
+	// Six single appends under limit 4: one reseal at the fourth, then a
+	// two-interval delta. The probe builds the resealed base tree and the
+	// delta tree, nothing else.
+	if snap := s.Snapshot(); snap.Compactions != 1 || snap.TreesBuilt != 1 || snap.DeltaTreesBuilt != 1 {
+		t.Fatalf("append to a mapped store: %d compactions, %d base trees, %d delta trees built; want 1, 1, 1",
+			snap.Compactions, snap.TreesBuilt, snap.DeltaTreesBuilt)
 	}
 }

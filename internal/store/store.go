@@ -44,80 +44,63 @@ type Bucket = interface {
 	Search(box rtree.Rect, fn func(ref int32) bool)
 }
 
-// indexMemo lazily builds and memoizes one index (an R-tree or a flat
-// sorted-endpoint index) over a fixed interval slice. Safe for
-// concurrent use; the warm path is one atomic load.
-type indexMemo[T any] struct {
+// treeMemo lazily bulk-builds and memoizes the R-tree over a fixed
+// interval slice. Safe for concurrent use; the warm path is one atomic
+// load.
+type treeMemo struct {
 	once sync.Once
-	idx  atomic.Pointer[T]
+	tree atomic.Pointer[rtree.Tree]
 }
 
-type (
-	treeMemo = indexMemo[rtree.Tree]
-	flatMemo = indexMemo[flatIndex]
-)
-
-// get returns the memoized index, building it on first call; built is
+// get returns the memoized tree, building it on first call; built is
 // incremented exactly once, by the build.
-func (m *indexMemo[T]) get(items []interval.Interval, build func([]interval.Interval) *T, built *atomic.Int64) *T {
-	if idx := m.idx.Load(); idx != nil {
-		return idx
+func (m *treeMemo) get(items []interval.Interval, built *atomic.Int64) *rtree.Tree {
+	if t := m.tree.Load(); t != nil {
+		return t
 	}
 	m.once.Do(func() {
-		m.idx.Store(build(items))
+		m.tree.Store(TreeOf(items))
 		built.Add(1)
 	})
-	return m.idx.Load()
+	return m.tree.Load()
 }
 
-// ready reports whether the index has been built.
-func (m *indexMemo[T]) ready() bool { return m != nil && m.idx.Load() != nil }
+// ready reports whether the tree has been built.
+func (m *treeMemo) ready() bool { return m != nil && m.tree.Load() != nil }
 
 // bucket is one bucket as visible at one epoch. It is immutable after
-// publication: items[:sealed] is the sealed prefix covered by either
-// the base R-tree or the flat sorted-endpoint index (shared with
-// earlier epochs until a compaction reseals the bucket), items[sealed:]
-// is the epoch's delta covered by the small delta tree. Later epochs
-// may extend the shared backing array beyond len(items); the visible
-// prefix is never rewritten.
-//
-// Exactly one of base/flat is non-nil when sealed > 0: heap-built
-// partitions (Build, BuildSealed) index sealed prefixes with R-trees,
-// mapped partitions (BuildMapped) with the flat kernel — whose items
-// may alias a read-only snapshot mapping, which is why the append path
-// copies such a bucket before extending it.
+// publication: items[:sealed] is the sealed prefix covered by the base
+// R-tree (shared with earlier epochs until a compaction reseals the
+// bucket), items[sealed:] is the epoch's delta covered by the small
+// delta tree. Later epochs may extend the shared backing array beyond
+// len(items); the visible prefix is never rewritten. A restored
+// bucket's items may alias a read-only snapshot mapping, which is why
+// BuildSealed clips them and the append path copies such a bucket
+// before extending it.
 type bucket struct {
 	cs     *ColStore // owner; index builds and reuses are counted there
 	items  []interval.Interval
 	sealed int
-	base   *treeMemo // R-tree over items[:sealed]; see invariant above
-	flat   *flatMemo // flat index over items[:sealed]; see invariant above
+	base   *treeMemo // over items[:sealed]; nil iff sealed == 0
 	delta  *treeMemo // over items[sealed:]; nil iff sealed == len(items)
 }
 
 // Items implements Bucket.
 func (b *bucket) Items() []interval.Interval { return b.items }
 
-// Search implements Bucket: it probes the sealed index (flat kernel or
-// base R-tree) and then the delta tree. It is the one probe
-// implementation; every accessor below resolves a bucket and calls it.
+// Search implements Bucket: it probes the base tree and then the delta
+// tree. It is the one probe implementation; every accessor below
+// resolves a bucket and calls it.
 func (b *bucket) Search(box rtree.Rect, fn func(ref int32) bool) {
 	if b.sealed > 0 {
-		if b.flat != nil {
-			idx := b.flat.get(b.items[:b.sealed], buildFlatIndex, &b.cs.flatBuilt)
-			if !idx.search(box, b.items[:b.sealed], fn) {
-				return
-			}
-		} else {
-			t := b.base.get(b.items[:b.sealed], TreeOf, &b.cs.treesBuilt)
-			if !t.Search(box, func(pt rtree.Point) bool { return fn(pt.Ref) }) {
-				return
-			}
+		t := b.base.get(b.items[:b.sealed], &b.cs.treesBuilt)
+		if !t.Search(box, func(pt rtree.Point) bool { return fn(pt.Ref) }) {
+			return
 		}
 	}
 	if b.sealed < len(b.items) {
 		off := int32(b.sealed)
-		t := b.delta.get(b.items[b.sealed:], TreeOf, &b.cs.deltaTreesBuilt)
+		t := b.delta.get(b.items[b.sealed:], &b.cs.deltaTreesBuilt)
 		t.Search(box, func(pt rtree.Point) bool { return fn(off + pt.Ref) })
 	}
 }
@@ -139,7 +122,7 @@ func (v *colView) resolve(startG, endG int) Bucket {
 		return nil
 	}
 	var hits int64
-	if b.base.ready() || b.flat.ready() {
+	if b.base.ready() {
 		hits++
 	}
 	if b.delta.ready() {
@@ -170,7 +153,6 @@ type ColStore struct {
 
 	treesBuilt      atomic.Int64
 	deltaTreesBuilt atomic.Int64
-	flatBuilt       atomic.Int64
 	treeHits        atomic.Int64
 	compactions     atomic.Int64
 }
@@ -216,15 +198,13 @@ func (cs *ColStore) SearchBucket(startG, endG int, box rtree.Rect, fn func(ref i
 // also probes the delta; BucketTree exists for tests and diagnostics.
 func (cs *ColStore) BucketTree(startG, endG int) *rtree.Tree {
 	b := cs.cur.Load().buckets[gkey{startG, endG}]
-	if b == nil || b.sealed == 0 || b.base == nil {
-		// base == nil with sealed > 0 is a mapped bucket: its sealed
-		// prefix is probed through the flat kernel, there is no R-tree.
+	if b == nil || b.sealed == 0 {
 		return nil
 	}
 	if b.base.ready() {
 		cs.treeHits.Add(1)
 	}
-	return b.base.get(b.items[:b.sealed], TreeOf, &cs.treesBuilt)
+	return b.base.get(b.items[:b.sealed], &cs.treesBuilt)
 }
 
 // TreeOf bulk-builds the R-tree over a bucket's (start, end) points,
@@ -260,7 +240,7 @@ type Store struct {
 	viewHighWater atomic.Int64
 
 	// region, when non-nil, is the refcounted mapping the sealed bucket
-	// slices alias (BuildMapped). The store holds one reference until
+	// slices alias (BuildSealed). The store holds one reference until
 	// Close; every pinned View holds another, so the mapping outlives
 	// any probe in flight. Heap-built stores leave it nil.
 	region Region
@@ -394,29 +374,22 @@ func (s *Store) append(col int, ivs []interval.Interval, forceEpoch bool) (int64
 		if ob := old.buckets[k]; ob != nil {
 			// Extending the latest epoch's slice is safe: earlier epochs
 			// hold shorter prefixes of the same array and the visible
-			// prefix is never rewritten. A mapped bucket's slice is
+			// prefix is never rewritten. A restored bucket's slice is
 			// clipped (cap == len), so the first append relocates it to
-			// the heap instead of writing into the read-only mapping;
-			// the carried-over flat index keeps serving the sealed
-			// prefix — the values are identical, only the address moved.
+			// the heap instead of writing into a read-only mapping; the
+			// carried-over base tree keeps serving the sealed prefix —
+			// the values are identical, only the address moved.
 			nb.items = append(ob.items, add...)
 			nb.sealed = ob.sealed
 			nb.base = ob.base
-			nb.flat = ob.flat
 		} else {
 			nb.items = add
 		}
 		if deltaLen := len(nb.items) - nb.sealed; deltaLen >= s.compactLimit || deltaLen > nb.sealed {
-			// Reseal: the whole bucket is covered by one sealed index
-			// again, rebuilt lazily on its next probe — an R-tree for
-			// heap buckets, a fresh flat index for mapped ones (once
-			// flat, a bucket stays on the flat kernel).
+			// Reseal: the whole bucket is covered by one base tree
+			// again, rebuilt lazily on its next probe.
 			nb.sealed = len(nb.items)
-			if nb.flat != nil {
-				nb.flat = &flatMemo{}
-			} else {
-				nb.base = &treeMemo{}
-			}
+			nb.base = &treeMemo{}
 			nb.delta = nil
 			cs.compactions.Add(1)
 		} else {
@@ -569,14 +542,10 @@ type Stats struct {
 	// DeltaTreesBuilt counts the small per-epoch delta trees built over
 	// appended suffixes.
 	DeltaTreesBuilt int64
-	// FlatIndexesBuilt counts flat sorted-endpoint indexes built over
-	// mapped sealed buckets (the zero-copy path's sibling of
-	// TreesBuilt, including rebuilds forced by compaction).
-	FlatIndexesBuilt int64
-	// TreeHits counts memoized-index reuses, once per bucket
-	// resolution (Bucket, SearchBucket, BucketTree): each index of the
-	// resolved bucket — sealed R-tree or flat index, delta tree — that
-	// was already built counts one, however many probes follow.
+	// TreeHits counts memoized-tree reuses, once per bucket resolution
+	// (Bucket, SearchBucket, BucketTree): each tree of the resolved
+	// bucket — base or delta — that was already built counts one,
+	// however many probes follow.
 	TreeHits int64
 	// Compactions counts bucket reseals triggered by the compaction
 	// threshold.
@@ -600,7 +569,6 @@ func (s *Store) Snapshot() Stats {
 		}
 		st.TreesBuilt += cs.treesBuilt.Load()
 		st.DeltaTreesBuilt += cs.deltaTreesBuilt.Load()
-		st.FlatIndexesBuilt += cs.flatBuilt.Load()
 		st.TreeHits += cs.treeHits.Load()
 		st.Compactions += cs.compactions.Load()
 	}
