@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt check loc knobs bench-pairs
+.PHONY: build test vet fmt check loc knobs knobs-check bench-pairs
 
 build:
 	$(GO) build ./...
@@ -23,7 +23,7 @@ fmt:
 		echo "files need gofmt:"; echo "$$out"; exit 1; fi
 
 # check is the pre-push gate: everything a PR must pass locally.
-check: fmt build vet test
+check: fmt build vet knobs-check test
 	@echo "check: OK"
 
 # loc prints the figure ROADMAP.md and CHANGES.md quote for the size of
@@ -43,6 +43,16 @@ knobs:
 		open && /^\}/ { open = 0 } \
 		open && match($$0, /^\t[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* /) { n += split(substr($$0, RSTART, RLENGTH), f, ",") } \
 		END { print n }'
+
+# knobs-check fails when `make knobs` exceeds KNOBS_BUDGET, so an option
+# can only come back through an edit of this line. Lower the budget with
+# every change that removes options.
+KNOBS_BUDGET = 32
+knobs-check:
+	@n=$$($(MAKE) -s --no-print-directory knobs); \
+	if [ "$$n" -gt $(KNOBS_BUDGET) ]; then \
+		echo "knobs: $$n option fields exceed the budget of $(KNOBS_BUDGET)"; exit 1; fi; \
+	echo "knobs: $$n of $(KNOBS_BUDGET)"
 
 # bench-pairs runs one benchmark workload on REF and on the working tree
 # in alternating pairs and prints medians, wins and REF's quartile

@@ -21,7 +21,10 @@ const (
 	DefaultWindow      = time.Millisecond
 	DefaultMaxBatch    = 32
 	DefaultMaxInflight = 2
-	DefaultParallel    = 4
+	// DefaultParallel is the number of batch members executing
+	// concurrently within one batch. Each member runs its own reducer
+	// goroutines; this bounds the multiplication.
+	DefaultParallel = 4
 )
 
 // Options tunes a Batcher. The zero value uses the defaults above with
@@ -45,10 +48,6 @@ type Options struct {
 	// pinned store view, so this is also the bound on live epoch views
 	// under continuous ingest.
 	MaxInflight int
-	// Parallel is the number of batch members executing concurrently
-	// within one batch (<= 0 means DefaultParallel). Each member runs
-	// its own reducer goroutines; this bounds the multiplication.
-	Parallel int
 }
 
 func (o Options) withDefaults() Options {
@@ -63,9 +62,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = DefaultMaxInflight
-	}
-	if o.Parallel <= 0 {
-		o.Parallel = DefaultParallel
 	}
 	return o
 }
@@ -116,6 +112,10 @@ type member struct {
 	mapping  []int
 	enqueued time.Time
 	done     chan outcome
+	// floor is the score floor the member executes against, shared with
+	// every member of its batch under the same plan key; set when the
+	// batch groups its members.
+	floor *join.SharedFloor
 }
 
 type outcome struct {
@@ -127,7 +127,8 @@ type outcome struct {
 // public API and the engine, coalescing concurrent Submit calls into
 // short batching windows. Each batch executes against a single pinned
 // epoch view, single-flights the planning of identical plan keys, and
-// shares score floors across members (join.BatchShare).
+// shares one score floor (join.SharedFloor) among the members of each
+// plan-key group.
 // Safe for concurrent use; create with New, stop with Close.
 type Batcher struct {
 	e    *core.Engine
@@ -383,9 +384,9 @@ func (b *Batcher) dispatch() {
 	}
 }
 
-// runBatch executes one batch: one pinned epoch, one sharing registry,
-// plans single-flighted per distinct key, members executed by a bounded
-// worker pool.
+// runBatch executes one batch: one pinned epoch, plans single-flighted
+// and one score floor shared per distinct plan key, members executed by
+// a bounded worker pool.
 func (b *Batcher) runBatch(batch []*member) {
 	// The batch lifecycle roots its own span tree: the dispatcher owns
 	// the batch, no single member context does.
@@ -408,17 +409,18 @@ func (b *Batcher) runBatch(batch []*member) {
 	if batchSpan != nil {
 		batchSpan.SetInt("epoch", pin.Epoch())
 	}
-	share := join.NewBatchShare()
 
 	// Group members by plan-identity key. Members whose (query,
-	// mapping) fails validation fail here, before any planning.
+	// mapping) fails validation fail here, before any planning. A group
+	// is exactly the set of executions with one plan key on one pin —
+	// identical result-score multisets — so its members share one score
+	// floor: one member's certified k-th-score bound prunes them all.
 	type group struct {
-		key     string
 		members []*member
+		floor   *join.SharedFloor
 	}
 	var groups []*group
 	byKey := make(map[string]*group)
-	keys := make(map[*member]string, len(batch))
 	live := batch[:0:0]
 	for _, m := range batch {
 		key, err := pin.PlanKey(m.q, m.mapping, b.e.Options().K)
@@ -427,13 +429,13 @@ func (b *Batcher) runBatch(batch []*member) {
 			b.bumpCompleted(1)
 			continue
 		}
-		keys[m] = key
 		g := byKey[key]
 		if g == nil {
-			g = &group{key: key}
+			g = &group{floor: new(join.SharedFloor)}
 			byKey[key] = g
 			groups = append(groups, g)
 		}
+		m.floor = g.floor
 		g.members = append(g.members, m)
 		live = append(live, m)
 	}
@@ -448,7 +450,7 @@ func (b *Batcher) runBatch(batch []*member) {
 	// plan cache disabled the warm-up would be discarded work (nothing
 	// is inserted), so skip it and let every member plan cold.
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, b.opts.Parallel)
+	sem := make(chan struct{}, DefaultParallel)
 	if !b.e.Options().PlanCache.Disabled {
 		solveSpan := batchSpan.Child("leader-solve")
 		var leaders, followers int64
@@ -494,11 +496,11 @@ func (b *Batcher) runBatch(batch []*member) {
 		b.mu.Unlock()
 	}
 
-	// Execute every member against the shared pin and registry.
+	// Execute every member against the shared pin and its group's floor.
 	for _, m := range live {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(m *member, floorKey string) {
+		go func(m *member) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			start := time.Now()
@@ -508,7 +510,7 @@ func (b *Batcher) runBatch(batch []*member) {
 			if mspan != nil {
 				mspan.SetInt("queue_wait_us", wait.Microseconds())
 			}
-			rep, err := b.e.ExecutePinned(obs.WithSpan(m.ctx, mspan), m.q, m.mapping, pin, b.e.Options().K, share, floorKey)
+			rep, err := b.e.ExecutePinned(obs.WithSpan(m.ctx, mspan), m.q, m.mapping, pin, b.e.Options().K, m.floor)
 			mspan.Finish()
 			if rep != nil {
 				rep.Batched = true
@@ -521,7 +523,7 @@ func (b *Batcher) runBatch(batch []*member) {
 			}
 			m.done <- outcome{report: rep, err: err}
 			b.bumpCompleted(1)
-		}(m, keys[m])
+		}(m)
 	}
 	wg.Wait()
 }

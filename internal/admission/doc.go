@@ -30,10 +30,12 @@
 //     pay for one TopBuckets solve and the other N-1 members execute as
 //     pure cache hits.
 //
-//   - Shared floors. All members execute under one join.BatchShare:
-//     members with the same plan key share one cross-reducer score floor
-//     (identical result-score multisets make one member's certified
-//     k-th-score bound a sound floor for its siblings). Their per-edge
+//   - Shared floors. The batch keeps one join.SharedFloor per plan-key
+//     group and hands it to each member's core.Engine.ExecutePinned:
+//     members with the same plan key on the batch's one pin share one
+//     cross-reducer score floor (identical result-score multisets make
+//     one member's certified k-th-score bound a sound floor for its
+//     siblings), and no other executions do. Their per-edge
 //     combination bounds are memoized with the cached plan they all hit
 //     (solver.PairMemo), so siblings — and later batches — solve none.
 //

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"tkij/internal/datagen"
 	"tkij/internal/interval"
+	"tkij/internal/join"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
 )
@@ -96,7 +98,7 @@ func TestExecutePinnedSharesPlan(t *testing.T) {
 	if _, err := e.Append(0, []interval.Interval{{ID: 99, Start: 5, End: 25}}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.ExecutePinned(context.Background(), q, mapping, pin, e.Options().K, nil, "")
+	rep, err := e.ExecutePinned(context.Background(), q, mapping, pin, e.Options().K, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,5 +107,67 @@ func TestExecutePinnedSharesPlan(t *testing.T) {
 	}
 	if !rep.PlanCacheHit {
 		t.Fatalf("pinned execution after PlanPinned was a %s, want hit", rep.PlanOutcome())
+	}
+}
+
+// A floor the caller owns outlives one execution: a second execution on
+// the same pin with the same floor starts every reducer at least at the
+// first execution's final floor, and both answer exactly what an
+// execution with a private floor answers.
+func TestExecutePinnedCallerFloor(t *testing.T) {
+	cols := []*interval.Collection{
+		datagen.Uniform("C1", 400, 7), datagen.Uniform("C2", 400, 8), datagen.Uniform("C3", 400, 9),
+	}
+	e, err := NewEngine(cols, Options{Granules: 8, K: 10, Reducers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A shape whose k-th score lies between the probe ladder's rungs, so
+	// reducers reach the first execution's final floor only through the
+	// floor they are handed.
+	q, err := query.ByName("QjB,jB", query.Env{Params: scoring.P1, Avg: 45})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin, err := e.Pin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pin.Release()
+	mapping := []int{0, 1, 2}
+	run := func(floor *join.SharedFloor) *Report {
+		t.Helper()
+		rep, err := e.ExecutePinned(context.Background(), q, mapping, pin, 10, floor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+
+	private := run(nil)
+	floor := new(join.SharedFloor)
+	first := run(floor)
+	second := run(floor)
+	if first.Join.SharedFloor <= 0 {
+		t.Fatal("the first execution established no floor")
+	}
+	ran := 0
+	for _, l := range second.Join.Locals {
+		if l.CombosAssigned == 0 {
+			continue
+		}
+		ran++
+		if l.FloorUsed < first.Join.SharedFloor {
+			t.Fatalf("reducer %d started the second execution at floor %g, below the first's final %g",
+				l.Reducer, l.FloorUsed, first.Join.SharedFloor)
+		}
+	}
+	if ran == 0 {
+		t.Fatal("no reducer ran in the second execution")
+	}
+	for name, rep := range map[string]*Report{"first": first, "second": second} {
+		if !reflect.DeepEqual(rep.Results, private.Results) {
+			t.Fatalf("%s execution on the shared floor answered differently from a private floor", name)
+		}
 	}
 }

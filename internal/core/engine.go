@@ -30,10 +30,6 @@ type Options struct {
 	K int
 	// Reducers is the number of reduce partitions r.
 	Reducers int
-	// Mappers is the number of parallel map tasks of the offline
-	// statistics-collection job (0 = GOMAXPROCS). It affects offline
-	// statistics collection only — nothing at query time reads it.
-	Mappers int
 	// Strategy selects the TopBuckets bound-computation strategy.
 	Strategy topbuckets.Strategy
 	// Distribution selects the workload-assignment algorithm.
@@ -43,9 +39,6 @@ type Options struct {
 	TopBuckets topbuckets.Options
 	// Local carries the per-reducer join ablation switches.
 	Local join.LocalOptions
-	// CompactLimit is the store's per-bucket delta compaction threshold
-	// for streaming appends (0 = store.DefaultCompactLimit).
-	CompactLimit int
 	// PlanCache tunes the query-plan cache (the zero value enables it
 	// with default bounds; set PlanCache.Disabled to plan every query
 	// cold). Repeated query shapes hit the cache and skip the
@@ -220,13 +213,6 @@ func OpenEngine(cols []*interval.Collection, snapshotPath string, opts Options) 
 	}
 	e.matrices = ms
 	e.store = st
-	// Delta sections were replayed (inside snapshot.Load, or by
-	// openMapped) under the store's default compaction threshold; the
-	// engine's limit governs appends from here on. Bucket sealing
-	// structure may therefore differ from the live engine that wrote the
-	// deltas under a custom CompactLimit — answers are identical either
-	// way, sealing only decides which probes pay a lazy rebuild.
-	st.SetCompactLimit(e.opts.CompactLimit)
 	e.restored = true
 	// The snapshot's granulation is what the persisted partition was
 	// built under; reflect it in the engine's options so Options()
@@ -371,10 +357,7 @@ func (e *Engine) prepareLocked() error {
 	}
 	start := time.Now()
 	if e.matrices == nil {
-		ms, metrics, err := stats.Collect(e.cols, e.opts.Granules, mapreduce.Config{
-			Mappers:  e.opts.Mappers,
-			Reducers: len(e.cols),
-		})
+		ms, metrics, err := stats.Collect(e.cols, e.opts.Granules, mapreduce.Config{Reducers: len(e.cols)})
 		if err != nil {
 			return err
 		}
@@ -390,7 +373,6 @@ func (e *Engine) prepareLocked() error {
 	if err != nil {
 		return err
 	}
-	st.SetCompactLimit(e.opts.CompactLimit)
 	e.store = st
 	e.StoreBuildDuration += time.Since(buildStart)
 	e.StatsDuration += time.Since(start)

@@ -291,7 +291,7 @@ func (e *Engine) ExecuteMapped(ctx context.Context, q *query.Query, mapping []in
 		return nil, err
 	}
 	defer pin.Release()
-	return e.execute(ctx, q, mapping, pin, e.opts.K, nil, "")
+	return e.execute(ctx, q, mapping, pin, e.opts.K, nil)
 }
 
 // pinnedInputs assembles, from a pin, the per-vertex planning matrices
@@ -342,17 +342,13 @@ func (e *Engine) plan(ctx context.Context, q *query.Query, mapping []int, vertex
 }
 
 // joinMerge is the execution half, shared by full executions and
-// standing probes: it raises the request's score floor to the certified
-// floor, runs join + merge through the pin's runner under a span named
-// phase, and translates a cancellation abort. The span rides the
-// context into the runner, so a shard cluster hangs its scatter/gather
-// children under it.
-func (e *Engine) joinMerge(ctx context.Context, phase string, pin *Pin, req *join.ReduceRequest, floor float64) (*join.Output, error) {
+// standing probes: it runs join + merge through the pin's runner under a
+// span named phase, and translates a cancellation abort. The span rides
+// the context into the runner, so a shard cluster hangs its
+// scatter/gather children under it.
+func (e *Engine) joinMerge(ctx context.Context, phase string, pin *Pin, req *join.ReduceRequest) (*join.Output, error) {
 	if err := checkCtx(ctx, phase); err != nil {
 		return nil, err
-	}
-	if req.Opts.Floor < floor {
-		req.Opts.Floor = floor
 	}
 	span := obs.SpanFrom(ctx).Child(phase)
 	if span != nil {
@@ -390,27 +386,28 @@ func (e *Engine) PlanPinned(ctx context.Context, q *query.Query, mapping []int, 
 // instead of pinning its own: the admission layer executes every member
 // of one batch against a single Pin (at Options.K), the standing layer
 // serves each subscription at its own k. k is part of plan-cache
-// identity, so plans at different k never alias. share, when non-nil,
-// is the batch-scoped floor registry (see join.BatchShare); floorKey,
-// when additionally non-empty, shares the cross-reducer score floor
-// with sibling executions under the same plan-identity key — callers
-// must pass the pin's PlanKey (or empty to keep the floor private). The
-// pin stays valid after the call; releasing it is the caller's
-// responsibility.
+// identity, so plans at different k never alias. floor is the
+// cross-reducer score floor the join prunes against; the execution
+// raises it to its plan's certified kthResLB and every reducer raises it
+// further. nil keeps the floor private to this execution. A caller may
+// pass one floor to several executions — on this pin, for one PlanKey
+// (the admission layer passes one per plan-key group of a batch) — since
+// only those share a result-score multiset. The pin stays valid after
+// the call; releasing it is the caller's responsibility.
 func (e *Engine) ExecutePinned(ctx context.Context, q *query.Query, mapping []int, pin *Pin, k int,
-	share *join.BatchShare, floorKey string) (*Report, error) {
+	floor *join.SharedFloor) (*Report, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
 	if err := e.validateMapping(q, mapping); err != nil {
 		return nil, err
 	}
-	return e.execute(ctx, q, mapping, pin, k, share, floorKey)
+	return e.execute(ctx, q, mapping, pin, k, floor)
 }
 
 // execute is ExecutePinned on validated input: plan, then join + merge.
 func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin *Pin, k int,
-	share *join.BatchShare, floorKey string) (report *Report, err error) {
+	floor *join.SharedFloor) (report *Report, err error) {
 
 	// Span selection: under admission each member's context carries its
 	// member span, so the execution nests there; a direct call roots a
@@ -472,14 +469,17 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 	tb := planned.TopBuckets
 
 	// Phases 3+4: distributed join and merge over the resident store.
-	// TopBuckets' kthResLB seeds the shared cross-reducer threshold as a
-	// certified score floor; under batching the floor is shared through
-	// the batch registry instead. The per-edge bound memo comes with the
-	// plan, so only the plan's first execution solves any bound.
-	req.Combos, req.Assign, req.Bounds = tb.Selected, planned.Assignment, planned.Bounds
-	req.Opts.Share, req.Opts.FloorKey = share, floorKey
+	// TopBuckets' kthResLB raises the cross-reducer threshold — the
+	// caller's, or a private one — as a certified score floor. The
+	// per-edge bound memo comes with the plan, so only the plan's first
+	// execution solves any bound.
+	if floor == nil {
+		floor = new(join.SharedFloor)
+	}
+	floor.Raise(tb.KthResLB)
+	req.Combos, req.Assign, req.Bounds, req.Shared = tb.Selected, planned.Assignment, planned.Bounds, floor
 	storeBefore := pin.store.Snapshot()
-	out, err := e.joinMerge(ctx, "join", pin, req, tb.KthResLB)
+	out, err := e.joinMerge(ctx, "join", pin, req)
 	if err != nil {
 		return nil, err
 	}
@@ -542,8 +542,8 @@ func (e *Engine) ProbePinned(ctx context.Context, q *query.Query, mapping []int,
 		return nil, err
 	}
 	_, req := e.pinnedInputs(q, mapping, pin, k)
-	req.Combos, req.Assign, req.Bounds = combos, assign, bounds
-	out, err := e.joinMerge(ctx, "probe", pin, req, floor)
+	req.Combos, req.Assign, req.Bounds, req.Shared = combos, assign, bounds, join.NewSharedFloor(floor)
+	out, err := e.joinMerge(ctx, "probe", pin, req)
 	if err != nil {
 		return nil, err
 	}

@@ -116,16 +116,21 @@ func TestConcurrentExecute(t *testing.T) {
 
 // Regression: when every combination is pruned (a floor above any
 // achievable score — the same shape as an empty selection/assignment),
-// Execute must return an empty non-nil result slice with merge metrics
-// populated, not a nil slice.
+// an execution must return an empty non-nil result slice with merge
+// metrics populated, not a nil slice.
 func TestExecuteEmptySelectionPath(t *testing.T) {
 	cols := synthCols(3, 60, 31)
-	e, err := NewEngine(cols, Options{Granules: 5, K: 5, Reducers: 3,
-		Local: join.LocalOptions{Floor: 1.1}}) // no score can reach 1.1
+	e, err := NewEngine(cols, Options{Granules: 5, K: 5, Reducers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := e.Execute(context.Background(), query.Qom(query.Env{Params: scoring.P1}))
+	pin, err := e.Pin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pin.Release()
+	report, err := e.ExecutePinned(context.Background(), query.Qom(query.Env{Params: scoring.P1}),
+		[]int{0, 1, 2}, pin, 5, join.NewSharedFloor(1.1)) // no score can reach 1.1
 	if err != nil {
 		t.Fatal(err)
 	}

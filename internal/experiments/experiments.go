@@ -31,8 +31,6 @@ type Config struct {
 	Scale float64
 	// Reducers is r (paper: 24). Default 24.
 	Reducers int
-	// Mappers is the map-task parallelism (0 = GOMAXPROCS).
-	Mappers int
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
 }
@@ -141,7 +139,6 @@ func engineFor(cols []*interval.Collection, g, k int, strat topbuckets.Strategy,
 		Granules:     g,
 		K:            k,
 		Reducers:     cfg.Reducers,
-		Mappers:      cfg.Mappers,
 		Strategy:     strat,
 		Distribution: alg,
 		Local:        local,

@@ -37,7 +37,7 @@ func StatsCollection(ctx context.Context, cfg Config) ([]*Table, error) {
 			datagen.Uniform("C1", n, 1), datagen.Uniform("C2", n, 2), datagen.Uniform("C3", n, 3),
 		}
 		start := time.Now()
-		_, metrics, err := stats.Collect(cols, 40, mapreduce.Config{Mappers: cfg.Mappers, Reducers: 3})
+		_, metrics, err := stats.Collect(cols, 40, mapreduce.Config{Reducers: 3})
 		if err != nil {
 			return nil, err
 		}
@@ -204,7 +204,7 @@ func Fig9Strategies(ctx context.Context, cfg Config) ([]*Table, error) {
 				// beyond n = 3 it exceeds the combination budget, the
 				// analogue of the paper's >1h entries.
 				e, err := core.NewEngine(cols, core.Options{
-					Granules: g, K: k, Reducers: cfg.Reducers, Mappers: cfg.Mappers,
+					Granules: g, K: k, Reducers: cfg.Reducers,
 					Strategy: strat, Distribution: distribute.AlgDTB,
 					TopBuckets: topbuckets.Options{MaxCombos: 20000},
 				})
@@ -307,7 +307,7 @@ func Fig11Scalability(ctx context.Context, cfg Config) ([]*Table, error) {
 		cols := []*interval.Collection{
 			datagen.Uniform("C1", n, 61), datagen.Uniform("C2", n, 62), datagen.Uniform("C3", n, 63),
 		}
-		mrCfg := mapreduce.Config{Mappers: cfg.Mappers}
+		mrCfg := mapreduce.Config{}
 
 		// (a) Qb,b.
 		am, err := baselines.AllMatrix(query.Qbb(query.Env{Params: scoring.PB}), cols, k, 4, mrCfg)

@@ -94,7 +94,7 @@ func Fig13TrafficScalability(ctx context.Context, cfg Config) ([]*Table, error) 
 		avg := interval.AvgLength(c)
 		for _, q := range trafficQueries(avg) {
 			e, err := core.NewEngine([]*interval.Collection{c}, core.Options{
-				Granules: g, K: k, Reducers: cfg.Reducers, Mappers: cfg.Mappers,
+				Granules: g, K: k, Reducers: cfg.Reducers,
 				Strategy: topbuckets.Loose, Distribution: distribute.AlgDTB,
 			})
 			if err != nil {
@@ -136,7 +136,7 @@ func Fig14TrafficEffectOfK(ctx context.Context, cfg Config) ([]*Table, error) {
 		row := []string{fmt.Sprintf("%d", k)}
 		for _, q := range queries {
 			e, err := core.NewEngine([]*interval.Collection{c}, core.Options{
-				Granules: g, K: k, Reducers: cfg.Reducers, Mappers: cfg.Mappers,
+				Granules: g, K: k, Reducers: cfg.Reducers,
 				Strategy: topbuckets.Loose, Distribution: distribute.AlgDTB,
 			})
 			if err != nil {

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -87,8 +88,8 @@ func TestFourWayChain(t *testing.T) {
 	}
 }
 
-// An explicit Floor must never change the answer when it is a valid
-// lower bound on the k-th score, and reducers must report it.
+// A caller-seeded shared floor must never change the answer when it is
+// a valid lower bound on the k-th score, and reducers must report it.
 func TestFloorPropagation(t *testing.T) {
 	cols := synthCols(2, 80, 29)
 	pp := scoring.P1
@@ -99,7 +100,23 @@ func TestFloorPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	kth := exact[len(exact)-1].Score
-	out := pipeline(t, q, cols, 5, k, topbuckets.Loose, distribute.AlgDTB, LocalOptions{Floor: kth})
+	ms := collect(t, cols, 5)
+	tb, err := topbuckets.Run(q, ms, k, topbuckets.Options{Strategy: topbuckets.Loose})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := distribute.Assign(distribute.AlgDTB, tb.Selected, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs, grans := storeSources(t, cols, ms)
+	out, err := Run(context.Background(), &ReduceRequest{
+		Query: q, Srcs: srcs, Grans: grans, Combos: tb.Selected, Assign: assign, K: k,
+		Shared: NewSharedFloor(kth),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ScoreMultisetEqual(out.Results, exact, 1e-9) {
 		t.Fatalf("valid floor %g changed the answer", kth)
 	}

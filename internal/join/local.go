@@ -62,22 +62,6 @@ type LocalOptions struct {
 	// the probe ladder and combination early termination (ablation:
 	// BenchmarkAblationPruning).
 	DisablePruning bool
-	// Floor is a certified lower bound on the global k-th result's score
-	// (TopBuckets' kthResLB): no result scoring strictly below it can
-	// reach the top-k, so reducers discard such results outright. Zero
-	// is always safe.
-	Floor float64
-	// Share, when non-nil, connects this execution to a batch-scoped
-	// registry of score floors (admission batching). It shares nothing
-	// else: per-edge bounds are memoized per plan (ReduceRequest.Bounds).
-	Share *BatchShare
-	// FloorKey, when non-empty alongside Share, is the plan-identity
-	// key under which the cross-reducer score floor is shared with
-	// other batch members. Soundness requires that every execution
-	// using one key has an identical result-score multiset — the
-	// admission layer keys it by canonical plan key, which guarantees
-	// that. Empty keeps the floor private to this execution.
-	FloorKey string
 }
 
 // floorEps is subtracted from score floors before strict comparisons so
@@ -108,8 +92,8 @@ type LocalStats struct {
 	ResultsReturned int
 	// ProbeRounds counts probe-ladder rounds run before the exact pass.
 	ProbeRounds int
-	// FloorUsed is the score floor of the exact pass (Floor option,
-	// possibly raised by a successful probe).
+	// FloorUsed is the score floor of the exact pass (the shared floor
+	// when the reducer started, possibly raised by a successful probe).
 	FloorUsed float64
 	// MinScore is the lowest score among returned results (the k-th
 	// local result when the reducer filled its list — Figure 8c). It is
@@ -315,8 +299,8 @@ type localJoiner struct {
 	stats    LocalStats
 
 	// floor is the active score floor: results strictly below it are
-	// discarded. Starts at opts.Floor and may be raised by a successful
-	// probe-ladder round.
+	// discarded. Starts at the shared floor's value and may be raised by
+	// a successful probe-ladder round.
 	floor float64
 	// probing marks probe-ladder mode: results are counted, not kept.
 	probing    bool
@@ -476,13 +460,11 @@ func (lj *localJoiner) run(idxs []int) []Result {
 	lj.stats.CombosAssigned = len(idxs)
 
 	if !lj.opts.DisablePruning {
-		lj.floor = lj.opts.Floor
-		// Adopt whatever threshold faster reducers have already
-		// certified — it both prunes and skips redundant probe rounds.
+		// Start from the certified seed and whatever threshold faster
+		// reducers have already published — it both prunes and skips
+		// redundant probe rounds.
 		if lj.shared != nil {
-			if s := lj.shared.Load(); s > lj.floor {
-				lj.floor = s
-			}
+			lj.floor = lj.shared.Load()
 		}
 		// Probe ladder: find the highest v for which k results scoring
 		// at least v exist locally; the exact pass then starts with that

@@ -95,8 +95,10 @@ func (rt ReduceTimes) Imbalance() float64 {
 // bucket data (see Source); req.Grans[i] is the granulation (with
 // observed endpoint extent) vertex i's buckets live under. Raw
 // intervals stay resident in the store — reducers are handed
-// combination indexes and prune against a shared cross-reducer
-// threshold seeded from req.Opts.Floor. req.Shared is set by Run; the
+// combination indexes and prune against the shared cross-reducer
+// threshold req.Shared, which the caller seeds and may share with
+// executions of identical result-score multisets. Without one Run
+// creates a private floor at 0; under DisablePruning it uses none. The
 // caller's request is not modified.
 //
 // runner evaluates the reducers: nil selects the in-process local
@@ -127,18 +129,14 @@ func Run(ctx context.Context, req *ReduceRequest, runner Runner) (*Output, error
 	}
 
 	// The shared global threshold (§3.4's early-termination payoff):
-	// every reducer both consults and raises it. Under admission
-	// batching the floor is drawn from the batch-scoped registry
-	// instead, so sibling executions with the same plan-identity key
-	// raise and consult one floor together. Remote runners broadcast
-	// its raises to their workers and fold worker raises back in.
+	// every reducer both consults and raises it. The caller owns it;
+	// remote runners broadcast its raises to their workers and fold
+	// worker raises back in.
 	r := *req
-	if opts := r.Opts; !opts.DisablePruning {
-		if opts.Share != nil && opts.FloorKey != "" {
-			r.Shared = opts.Share.Floor(opts.FloorKey, opts.Floor)
-		} else {
-			r.Shared = NewSharedFloor(opts.Floor)
-		}
+	if r.Opts.DisablePruning {
+		r.Shared = nil
+	} else if r.Shared == nil {
+		r.Shared = new(SharedFloor)
 	}
 
 	if runner == nil {

@@ -34,10 +34,12 @@ type ReduceRequest struct {
 	Assign *distribute.Assignment
 	K      int
 	Opts   LocalOptions
-	// Shared is the query's cross-reducer score floor; nil when pruning
-	// is disabled. Run installs it; every reducer — local or remote —
-	// consults and raises it (remote runners mirror it over their
-	// floor-broadcast channel).
+	// Shared is the query's cross-reducer score floor, owned by the
+	// caller and seeded with a certified lower bound on the k-th result
+	// score (TopBuckets' kthResLB); nil lets Run create a private one at
+	// 0, and Run drops it under DisablePruning. Every reducer — local or
+	// remote — consults and raises it (remote runners mirror it over
+	// their floor-broadcast channel).
 	Shared *SharedFloor
 	// Bounds memoizes the per-edge combination bounds. The engine passes
 	// the cached plan's memo (a standing probe its subscription's), so a

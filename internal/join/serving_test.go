@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tkij/internal/distribute"
 	"tkij/internal/interval"
@@ -50,6 +52,102 @@ func TestSharedFloorConcurrentRaise(t *testing.T) {
 	wg.Wait()
 	if got := s.Load(); got != 1 {
 		t.Fatalf("concurrent max = %g, want 1", got)
+	}
+}
+
+// Watch under 16 concurrent raisers: fn sees the seed at registration,
+// calls see a non-decreasing floor and the last one the final floor, a
+// raise that lifts nothing wakes nobody, and no call runs after stop
+// returns.
+func TestSharedFloorWatch(t *testing.T) {
+	s := NewSharedFloor(0.25)
+	var (
+		mu      sync.Mutex
+		seen    []float64
+		stopped atomic.Bool
+	)
+	stop := s.Watch(func(v float64) {
+		if stopped.Load() {
+			t.Error("fn ran after stop returned")
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if n := len(seen); n > 0 && v < seen[n-1] {
+			t.Errorf("fn saw the floor fall from %g to %g", seen[n-1], v)
+		}
+		seen = append(seen, v)
+	})
+	last := func() (float64, int) {
+		mu.Lock()
+		defer mu.Unlock()
+		return seen[len(seen)-1], len(seen)
+	}
+	if v, n := last(); n != 1 || v != 0.25 {
+		t.Fatalf("registration: %d calls, last %g; want one call with the seed 0.25", n, v)
+	}
+
+	const raisers, steps = 16, 400
+	raiseAll := func(base float64) *sync.WaitGroup {
+		var wg sync.WaitGroup
+		for g := 0; g < raisers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 1; i <= steps; i++ {
+					s.Raise(base + float64(i*raisers+g)/(steps*raisers*4))
+				}
+			}(g)
+		}
+		return &wg
+	}
+	raiseAll(0.25).Wait()
+	final := s.Load()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if v, _ := last(); v == final {
+			break
+		}
+		if time.Now().After(deadline) {
+			v, _ := last()
+			t.Fatalf("fn last saw %g, the final floor is %g", v, final)
+		}
+	}
+
+	// Raisers racing stop: once stop returns, fn must never run again.
+	wg := raiseAll(final)
+	stop()
+	stopped.Store(true)
+	wg.Wait()
+	stop() // idempotent
+
+	// A raise that lifts nothing wakes nobody. The watcher is held inside
+	// the call for a lifting raise, so any wakeup the no-op raises left
+	// would still be pending on its channel when it is inspected.
+	quiet := NewSharedFloor(0.5)
+	calls, gate := make(chan float64, 2), make(chan struct{})
+	stopQuiet := quiet.Watch(func(v float64) {
+		calls <- v
+		if v == 0.75 {
+			<-gate
+		}
+	})
+	<-calls // registration
+	quiet.Raise(0.75)
+	if v := <-calls; v != 0.75 {
+		t.Fatalf("lifting raise woke fn with %g, want 0.75", v)
+	}
+	quiet.Raise(0.75)
+	quiet.Raise(0.25)
+	quiet.Raise(math.NaN())
+	quiet.Raise(-1)
+	for _, wake := range *quiet.wakes.Load() {
+		if len(wake) != 0 {
+			t.Fatal("a raise that lifted nothing left a wakeup pending")
+		}
+	}
+	close(gate)
+	stopQuiet()
+	if n := len(calls); n != 0 {
+		t.Fatalf("%d calls after the only lifting raise", n)
 	}
 }
 

@@ -2,6 +2,8 @@ package join
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -17,20 +19,22 @@ import (
 // turns that design into actual cross-reducer early termination instead
 // of r private prune floors.
 //
+// A floor is a value its caller owns and hands to the join as
+// ReduceRequest.Shared: the engine makes one per execution, the
+// admission layer one per plan-key group of a batch, a shard worker one
+// per scattered query. Several executions may share one floor only when
+// their result-score multisets are identical (one plan key on one pin),
+// which is what makes one execution's certified bound sound for all.
+//
 // The zero value is a floor of 0 (prune nothing); all methods are safe
 // for concurrent use.
-//
-// Raises are observable as a stream: Subscribe returns a coalescing
-// signal channel notified after every successful Raise, which is what
-// the shard coordinator's floor broadcaster and each worker's uplink
-// sender select on. The subscription carries no value — a woken
-// subscriber reads Load(), so bursts of raises collapse into one wakeup
-// and a slow subscriber never blocks a reducer mid-probe.
 type SharedFloor struct {
 	bits atomic.Uint64
-	// subs is the immutable subscriber list, copy-on-write so Raise's
-	// hot path is one pointer load when nobody listens.
-	subs atomic.Pointer[[]chan struct{}]
+	// wakes is the immutable list of watcher signals, copy-on-write so
+	// Raise's hot path is one pointer load when nobody watches; mu
+	// serializes its edits.
+	mu    sync.Mutex
+	wakes atomic.Pointer[[]chan struct{}]
 }
 
 // NewSharedFloor returns a floor seeded at v (negative seeds clamp to 0).
@@ -47,8 +51,8 @@ func (s *SharedFloor) Load() float64 {
 
 // Raise lifts the floor to v if v is higher. NaN and non-positive
 // values are ignored, so the floor never regresses and never poisons
-// comparisons. A raise that actually lifts the floor signals every
-// subscriber; a no-op raise (already at or above v) signals nobody, so
+// comparisons. A raise that actually lifts the floor wakes every
+// watcher; a no-op raise (already at or above v) wakes nobody, so
 // duplicate floor broadcasts coming back over the wire terminate
 // instead of echoing forever.
 func (s *SharedFloor) Raise(v float64) {
@@ -61,62 +65,66 @@ func (s *SharedFloor) Raise(v float64) {
 			return
 		}
 		if s.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			s.notify()
+			if wakes := s.wakes.Load(); wakes != nil {
+				for _, ch := range *wakes {
+					select {
+					case ch <- struct{}{}:
+					default: // a wakeup is already pending: coalesce
+					}
+				}
+			}
 			return
 		}
 	}
 }
 
-// Subscribe registers and returns a coalescing raise-notification
-// channel (capacity 1): after each effective Raise the channel holds a
-// signal; the subscriber reads Load() for the current floor. Release it
-// with Unsubscribe.
-func (s *SharedFloor) Subscribe() chan struct{} {
-	ch := make(chan struct{}, 1)
-	for {
-		old := s.subs.Load()
-		var list []chan struct{}
-		if old != nil {
-			list = append(list, *old...)
-		}
-		list = append(list, ch)
-		if s.subs.CompareAndSwap(old, &list) {
-			return ch
-		}
-	}
-}
-
-// Unsubscribe removes a channel returned by Subscribe. Signals already
-// queued on it are left for the caller to drain (or garbage-collect).
-func (s *SharedFloor) Unsubscribe(ch chan struct{}) {
-	for {
-		old := s.subs.Load()
-		if old == nil {
-			return
-		}
-		list := make([]chan struct{}, 0, len(*old))
-		for _, c := range *old {
-			if c != ch {
-				list = append(list, c)
+// Watch makes the floor observable: fn runs once with the current floor
+// before Watch returns, then — on a goroutine of Watch's — after every
+// Raise that lifts the floor, each time with the floor current when it
+// runs. A burst of raises may coalesce into one call, calls never
+// overlap, and a slow fn never blocks a raiser. stop unregisters fn and
+// waits for its last call to return: no call runs after stop returns.
+// stop is idempotent. The shard coordinator's rebroadcaster and each
+// worker's uplink are watchers.
+func (s *SharedFloor) Watch(fn func(v float64)) (stop func()) {
+	wake := make(chan struct{}, 1)
+	s.editWakes(func(list []chan struct{}) []chan struct{} {
+		return append(slices.Clip(list), wake)
+	})
+	fn(s.Load())
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		for {
+			select {
+			case <-quit:
+				return
+			case <-wake:
+				fn(s.Load())
 			}
 		}
-		if s.subs.CompareAndSwap(old, &list) {
-			return
-		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			s.editWakes(func(list []chan struct{}) []chan struct{} {
+				return slices.DeleteFunc(slices.Clone(list), func(ch chan struct{}) bool { return ch == wake })
+			})
+			close(quit)
+			<-exited
+		})
 	}
 }
 
-// notify wakes every subscriber without blocking: a subscriber whose
-// signal is already pending coalesces this raise into it.
-func (s *SharedFloor) notify() {
-	subs := s.subs.Load()
-	if subs == nil {
-		return
+// editWakes replaces the watcher list with edit(current); edit must not
+// modify the list it is handed.
+func (s *SharedFloor) editWakes(edit func([]chan struct{}) []chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var cur []chan struct{}
+	if p := s.wakes.Load(); p != nil {
+		cur = *p
 	}
-	for _, ch := range *subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
+	next := edit(cur)
+	s.wakes.Store(&next)
 }

@@ -5,35 +5,28 @@ import (
 )
 
 // EpochState is the per-vertex bucket-matrix fingerprint a plan — or a
-// standing subscription's pushed top-k — was computed against: each
-// vertex's granulation grid (with observed endpoint extent) and its
-// per-bucket interval counts. Diffing it against the matrices of a
-// later epoch classifies exactly what the intervening appends changed.
-// Plan revalidation (revalidate.go) and the standing layer's
-// incremental re-probe share this one diff; they just consume different
-// predicates of it (ShapeAffected vs Grown). Capture is O(non-empty
-// buckets); a state is immutable after capture and safe to share.
+// standing subscription's pushed top-k — was computed against: the
+// per-vertex matrices themselves, whose granulation grids (with observed
+// endpoint extent) and per-bucket interval counts are what a later
+// epoch is diffed against. Diffing it against the matrices of a later
+// epoch classifies exactly what the intervening appends changed. Plan
+// revalidation (revalidate.go) and the standing layer's incremental
+// re-probe share this one diff; they just consume different predicates
+// of it (ShapeAffected vs Grown). Capture is O(vertices) and copies no
+// counts; a state is immutable and safe to share.
 type EpochState struct {
-	states []vertexState
+	matrices []*stats.Matrix
 }
 
-// vertexState is one vertex's share of an EpochState.
-type vertexState struct {
-	grid   stats.Grid
-	counts map[[2]int]int // (startG, endG) -> interval count at capture
-}
-
-// CaptureEpochState fingerprints the per-vertex matrices.
+// CaptureEpochState fingerprints the per-vertex matrices by holding on
+// to them. Contract: matrices handed to Plan or CaptureEpochState are
+// never mutated afterwards. The engine honours it by copy-on-write —
+// Append clones a collection's matrix before folding the batch in — and
+// a caller that mutates a matrix in place (stats.ApplyUpdate) must call
+// Engine.InvalidateStore, which purges every plan and forces every
+// standing subscription to resync, so a stale capture is never diffed.
 func CaptureEpochState(matrices []*stats.Matrix) *EpochState {
-	vs := make([]vertexState, len(matrices))
-	for v, m := range matrices {
-		counts := make(map[[2]int]int)
-		for _, b := range m.Buckets() {
-			counts[[2]int{b.StartG, b.EndG}] = b.Count
-		}
-		vs[v] = vertexState{grid: m.Grid(), counts: counts}
-	}
-	return &EpochState{states: vs}
+	return &EpochState{matrices: append([]*stats.Matrix(nil), matrices...)}
 }
 
 // Diff classifies the transition from the captured state to the current
@@ -44,7 +37,7 @@ func CaptureEpochState(matrices []*stats.Matrix) *EpochState {
 // model (vertex-count mismatch, granulation swap): nothing can be
 // diffed and the caller must re-plan or resync from scratch.
 func (s *EpochState) Diff(matrices []*stats.Matrix, permute []int) (*EpochDiff, bool) {
-	if s == nil || len(matrices) != len(s.states) {
+	if s == nil || len(matrices) != len(s.matrices) {
 		return nil, false
 	}
 	d := &EpochDiff{matrices: matrices, diffs: make([]vertexDiff, len(matrices))}
@@ -53,15 +46,15 @@ func (s *EpochState) Diff(matrices []*stats.Matrix, permute []int) (*EpochDiff, 
 		if permute != nil {
 			sv = permute[v]
 		}
-		old := s.states[sv]
-		grid := m.Grid()
-		if grid.Gran != old.grid.Gran {
+		old := s.matrices[sv]
+		grid, oldGrid := m.Grid(), old.Grid()
+		if grid.Gran != oldGrid.Gran {
 			return nil, false
 		}
 		vd := vertexDiff{
-			widenLo: grid.Lo < old.grid.Lo,
-			widenHi: grid.Hi > old.grid.Hi,
-			old:     old.counts,
+			widenLo: grid.Lo < oldGrid.Lo,
+			widenHi: grid.Hi > oldGrid.Hi,
+			old:     old,
 		}
 		if vd.widenLo || vd.widenHi {
 			// An out-of-range append clamped into a boundary bucket:
@@ -69,8 +62,8 @@ func (s *EpochState) Diff(matrices []*stats.Matrix, permute []int) (*EpochDiff, 
 			d.anyShape, d.anyGrowth = true, true
 		} else {
 			for _, b := range m.Buckets() {
-				c, ok := old.counts[[2]int{b.StartG, b.EndG}]
-				if !ok {
+				c := old.Count(b.StartG, b.EndG)
+				if c == 0 {
 					d.anyShape, d.anyGrowth = true, true
 					break
 				}
@@ -96,7 +89,9 @@ type EpochDiff struct {
 
 type vertexDiff struct {
 	widenLo, widenHi bool
-	old              map[[2]int]int
+	// old is the vertex's captured matrix; a bucket absent at capture
+	// counts 0 there, since matrices list only non-empty buckets.
+	old *stats.Matrix
 }
 
 // AnyShape reports whether any bucket's granule box changed: a bucket
@@ -115,7 +110,7 @@ func (d *EpochDiff) AnyGrown() bool { return d.anyGrowth }
 // counts only strengthen a selection certificate.
 func (d *EpochDiff) ShapeAffected(v int, b stats.Bucket) bool {
 	vd := d.diffs[v]
-	if _, ok := vd.old[[2]int{b.StartG, b.EndG}]; !ok {
+	if vd.old.Count(b.StartG, b.EndG) == 0 {
 		return true
 	}
 	lastG := d.matrices[v].Gran.G - 1
@@ -134,6 +129,5 @@ func (d *EpochDiff) ShapeAffected(v int, b stats.Bucket) bool {
 // in a combination with at least one Grown bucket — the completeness
 // argument behind incremental push (see internal/standing).
 func (d *EpochDiff) Grown(v int, b stats.Bucket) bool {
-	c, ok := d.diffs[v].old[[2]int{b.StartG, b.EndG}]
-	return !ok || b.Count != c
+	return b.Count != d.diffs[v].old.Count(b.StartG, b.EndG)
 }

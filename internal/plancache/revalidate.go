@@ -1,6 +1,7 @@
 package plancache
 
 import (
+	"slices"
 	"time"
 
 	"tkij/internal/distribute"
@@ -89,7 +90,6 @@ func (c *Cache) revalidate(e *entry, req Request, reqLabeling []int) (*entry, *P
 	// entries are immutable and may be serving other queries right
 	// now) ...
 	sel := make([]topbuckets.Combo, len(e.tb.Selected))
-	seen := make(map[string]bool, len(sel))
 	var dirty []int
 	for i, old := range e.tb.Selected {
 		cb := old
@@ -103,17 +103,24 @@ func (c *Cache) revalidate(e *entry, req Request, reqLabeling []int) (*entry, *P
 			cb.NbRes *= float64(b.Count)
 		}
 		sel[i] = cb
-		seen[cb.Key()] = true
 		if cb.Touches(affected) {
 			dirty = append(dirty, i)
 		}
 	}
 	// ... plus the previously pruned combinations inside the affected
 	// region (anything with at least one new or boundary-widened
-	// bucket; their old UB <= t_old no longer binds).
+	// bucket; their old UB <= t_old no longer binds). A cached
+	// combination lies in the region exactly when it is dirty, so the
+	// region members already among the candidates are the ones whose
+	// bucket tuple equals a dirty one's.
+	dirtyTuples := make([][]stats.Bucket, len(dirty))
+	for i, idx := range dirty {
+		dirtyTuples[i] = sel[idx].Buckets
+	}
+	slices.SortFunc(dirtyTuples, topbuckets.CompareTuples)
 	fresh := region[:0]
 	for _, cb := range region {
-		if !seen[cb.Key()] {
+		if _, cached := slices.BinarySearchFunc(dirtyTuples, cb.Buckets, topbuckets.CompareTuples); !cached {
 			fresh = append(fresh, cb)
 		}
 	}

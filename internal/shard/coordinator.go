@@ -203,12 +203,13 @@ type pendingQuery struct {
 	epoch  int64
 	master *join.SharedFloor // nil when pruning is disabled
 
-	mu        sync.Mutex
-	scattered []bool
-	// sentFloor[i] is the highest floor worker i is known to hold —
-	// seeded at scatter, advanced by rebroadcasts, and by uplinks from
-	// that worker (its own raises never echo back to it).
-	sentFloor   []float64
+	// peers[i] is the highest floor worker i is known to hold — seeded
+	// at scatter, advanced by rebroadcasts, and by uplinks from that
+	// worker (its own raises never echo back to it).
+	peers []peerFloor
+
+	mu          sync.Mutex
+	scattered   []bool
 	frames      []*ResultFrame
 	got         int
 	floorFrames int64
@@ -270,10 +271,8 @@ func (c *Cluster) onFloor(idx int, f *FloorFrame) {
 	if pq == nil || pq.master == nil {
 		return // late floor for a completed query — expected, and a no-op
 	}
+	pq.peers[idx].advance(f.Floor)
 	pq.mu.Lock()
-	if f.Floor > pq.sentFloor[idx] {
-		pq.sentFloor[idx] = f.Floor
-	}
 	pq.floorFrames++
 	pq.mu.Unlock()
 	// Raising the master wakes the rebroadcaster, which forwards the
@@ -431,7 +430,7 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 	pq := &pendingQuery{
 		id: id, epoch: epoch, master: master,
 		scattered: make([]bool, len(c.links)),
-		sentFloor: make([]float64, len(c.links)),
+		peers:     make([]peerFloor, len(c.links)),
 		frames:    make([]*ResultFrame, len(c.links)),
 		done:      make(chan struct{}),
 	}
@@ -448,31 +447,10 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 		c.pmu.Unlock()
 	}()
 
-	// Rebroadcaster: subscribed before the scatter so no raise — even
-	// one landing mid-scatter — is lost. The first loop iteration runs
-	// unconditionally, covering raises that predate the subscription.
-	broadcast := master != nil && !c.opts.NoFloorBroadcast
-	if broadcast {
-		sub := master.Subscribe()
-		stop := make(chan struct{})
-		var bwg sync.WaitGroup
-		bwg.Add(1)
-		go func() {
-			defer bwg.Done()
-			for {
-				c.rebroadcast(pq)
-				select {
-				case <-stop:
-					return
-				case <-sub:
-				}
-			}
-		}()
-		defer func() {
-			close(stop)
-			bwg.Wait()
-			master.Unsubscribe(sub)
-		}()
+	// Rebroadcaster: watching before the scatter so no raise — even one
+	// landing mid-scatter — is lost.
+	if master != nil && !c.opts.NoFloorBroadcast {
+		defer master.Watch(func(v float64) { c.rebroadcast(pq, v) })()
 	}
 
 	// Scatter. The per-link floor seed snapshots the master at encode
@@ -491,7 +469,6 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 			QueryID:        id,
 			Epoch:          epoch,
 			K:              req.K,
-			Floor:          req.Opts.Floor,
 			DisableIndex:   req.Opts.DisableIndex,
 			DisablePruning: req.Opts.DisablePruning,
 			NoFloorUplink:  c.opts.NoFloorBroadcast,
@@ -505,11 +482,10 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 		if master != nil {
 			qf.Floor = master.Load()
 		}
-		seed := qf.Floor
 		err := l.sendSeq(qf, func() {
 			pq.mu.Lock()
 			pq.scattered[i] = true
-			pq.sentFloor[i] = seed
+			pq.peers[i].advance(qf.Floor)
 			pq.mu.Unlock()
 		})
 		if err != nil {
@@ -565,16 +541,14 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 	return out, nil
 }
 
-// rebroadcast pushes the master floor to every worker that has been
+// rebroadcast pushes master floor v to every worker that has been
 // scattered and is known to hold less. Send failures are left to the
 // link read loop to diagnose.
-func (c *Cluster) rebroadcast(pq *pendingQuery) {
-	v := pq.master.Load()
+func (c *Cluster) rebroadcast(pq *pendingQuery, v float64) {
 	for i, l := range c.links {
 		pq.mu.Lock()
-		send := pq.scattered[i] && !pq.completed && v > pq.sentFloor[i]
+		send := pq.scattered[i] && !pq.completed && pq.peers[i].advance(v)
 		if send {
-			pq.sentFloor[i] = v
 			pq.floorFrames++
 		}
 		pq.mu.Unlock()
@@ -582,6 +556,27 @@ func (c *Cluster) rebroadcast(pq *pendingQuery) {
 			_ = l.send(&FloorFrame{QueryID: pq.id, Floor: v})
 		}
 	}
+}
+
+// peerFloor is the highest score floor one side of a shard link knows
+// its peer holds: the last value sent to it or received from it. A side
+// sends a floor only when advance reports it news, which keeps a raise
+// from echoing between coordinator and worker.
+type peerFloor struct {
+	mu sync.Mutex
+	v  float64
+}
+
+// advance records that the peer holds v and reports whether that is
+// higher than anything it was known to hold.
+func (p *peerFloor) advance(v float64) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !(v > p.v) {
+		return false
+	}
+	p.v = v
+	return true
 }
 
 // shipBuckets materializes one shard's shipping list from the

@@ -105,7 +105,7 @@ func (env *pipelineEnv) run(t *testing.T, runner join.Runner, opts join.LocalOpt
 func (env *pipelineEnv) request(opts join.LocalOptions) *join.ReduceRequest {
 	var shared *join.SharedFloor
 	if !opts.DisablePruning {
-		shared = join.NewSharedFloor(opts.Floor)
+		shared = new(join.SharedFloor)
 	}
 	return &join.ReduceRequest{
 		Query: env.q, Srcs: env.srcs, Grans: env.grans, Combos: env.combos,

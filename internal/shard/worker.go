@@ -49,12 +49,10 @@ type workerQuery struct {
 	// scatter frame and raised by local reducers and coordinator
 	// rebroadcasts; nil when pruning is disabled.
 	floor *join.SharedFloor
-	mu    sync.Mutex
-	// advertised is the highest floor value the coordinator is known to
-	// have (either it sent it, or we uplinked it) — the uplink guard
-	// that keeps a rebroadcast from echoing forever between the two
-	// sides.
-	advertised float64
+	// coordinator is the highest floor the coordinator is known to hold
+	// (it sent it, or the uplink did) — the guard that keeps a
+	// rebroadcast from echoing back.
+	coordinator peerFloor
 }
 
 // NewWorker returns an empty worker awaiting its Load frame.
@@ -225,7 +223,7 @@ func (w *Worker) handleQuery(ctx context.Context, f *QueryFrame, fw *frameWriter
 	wq := &workerQuery{}
 	if !f.DisablePruning {
 		wq.floor = join.NewSharedFloor(f.Floor)
-		wq.advertised = f.Floor
+		wq.coordinator.advance(f.Floor)
 	}
 	w.mu.Lock()
 	if w.active[f.QueryID] != nil {
@@ -255,11 +253,7 @@ func (w *Worker) handleFloor(f *FloorFrame, fw *frameWriter) error {
 		if wq.floor != nil {
 			// Record the coordinator's knowledge before raising, so the
 			// uplink never echoes this exact value back.
-			wq.mu.Lock()
-			if f.Floor > wq.advertised {
-				wq.advertised = f.Floor
-			}
-			wq.mu.Unlock()
+			wq.coordinator.advance(f.Floor)
 			wq.floor.Raise(f.Floor)
 		}
 		return nil
@@ -295,38 +289,13 @@ func (w *Worker) execute(ctx context.Context, f *QueryFrame, wq *workerQuery, vi
 	}()
 
 	// Floor uplink: mirror local raises to the coordinator, once each.
+	// Send failures are left to the read loop, which sees the link die.
 	if wq.floor != nil && !f.NoFloorUplink {
-		sub := wq.floor.Subscribe()
-		done := make(chan struct{})
-		var upWG sync.WaitGroup
-		upWG.Add(1)
-		go func() {
-			defer upWG.Done()
-			for {
-				v := wq.floor.Load()
-				wq.mu.Lock()
-				send := v > wq.advertised
-				if send {
-					wq.advertised = v
-				}
-				wq.mu.Unlock()
-				if send {
-					if fw.send(&FloorFrame{QueryID: f.QueryID, Floor: v}) != nil {
-						return
-					}
-				}
-				select {
-				case <-done:
-					return
-				case <-sub:
-				}
+		defer wq.floor.Watch(func(v float64) {
+			if wq.coordinator.advance(v) {
+				_ = fw.send(&FloorFrame{QueryID: f.QueryID, Floor: v})
 			}
-		}()
-		defer func() {
-			close(done)
-			upWG.Wait()
-			wq.floor.Unsubscribe(sub)
-		}()
+		})()
 	}
 
 	reducers, err := runTasks(ctx, f, wq, view)
@@ -390,7 +359,6 @@ func runTasks(ctx context.Context, f *QueryFrame, wq *workerQuery, view *store.V
 		Opts: join.LocalOptions{
 			DisableIndex:   f.DisableIndex,
 			DisablePruning: f.DisablePruning,
-			Floor:          f.Floor,
 		},
 		Shared: wq.floor,
 	}, f.Tasks)

@@ -272,7 +272,7 @@ func TestMappedRegionLifecycle(t *testing.T) {
 // hits — the same life a heap-built bucket leads.
 func TestMappedAppendCopiesAndServes(t *testing.T) {
 	s, gran, mcols := mappedFixture(t, nil)
-	s.SetCompactLimit(4)
+	s.setCompactLimit(4)
 	target := mcols[0].Buckets[0]
 	before := append([]interval.Interval(nil), target.Items...)
 

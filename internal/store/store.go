@@ -12,7 +12,7 @@ import (
 )
 
 // DefaultCompactLimit is the delta size at which a bucket is resealed
-// (see SetCompactLimit): a bucket also compacts whenever its delta
+// (see setCompactLimit): a bucket also compacts whenever its delta
 // grows past its sealed prefix, so small fresh buckets reseal cheaply
 // while large established buckets amortize one rebuild per
 // DefaultCompactLimit appended intervals.
@@ -301,12 +301,13 @@ func Build(cols []*interval.Collection, matrices []*stats.Matrix) (*Store, error
 	return s, nil
 }
 
-// SetCompactLimit tunes the per-bucket compaction threshold: a bucket
-// reseals (discarding its delta tree in favor of one lazily rebuilt
-// base tree) once its delta holds at least limit intervals, or more
-// intervals than its sealed prefix. limit <= 0 restores the default.
-// Call it between appends, not concurrently with one.
-func (s *Store) SetCompactLimit(limit int) {
+// setCompactLimit tunes the per-bucket compaction threshold, which is
+// DefaultCompactLimit outside this package's tests: a bucket reseals
+// (discarding its delta tree in favor of one lazily rebuilt base tree)
+// once its delta holds at least limit intervals, or more intervals than
+// its sealed prefix. limit <= 0 restores the default. Call it between
+// appends, not concurrently with one.
+func (s *Store) setCompactLimit(limit int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if limit <= 0 {

@@ -260,7 +260,7 @@ func TestViewPinsEpoch(t *testing.T) {
 func TestCompactionReseals(t *testing.T) {
 	cols := synthCols(1, 100, 13)
 	s, ms := buildStore(t, cols, 3)
-	s.SetCompactLimit(3)
+	s.setCompactLimit(3)
 	b := ms[0].Buckets()[0]
 	gran := ms[0].Gran
 	lo, _ := gran.Bounds(b.StartG)
@@ -425,7 +425,7 @@ func TestViewStatsAccounting(t *testing.T) {
 func TestColStoreBucketNeverMixesEpochs(t *testing.T) {
 	cols := synthCols(1, 300, 41)
 	s, ms := buildStore(t, cols, 4)
-	s.SetCompactLimit(8) // mix delta epochs with reseals
+	s.setCompactLimit(8) // mix delta epochs with reseals
 	b := ms[0].Buckets()[0]
 	first := s.Col(0).BucketItems(b.StartG, b.EndG)[0]
 	done := make(chan struct{})
@@ -472,7 +472,7 @@ func TestColStoreBucketNeverMixesEpochs(t *testing.T) {
 func TestResolvedHandleKeepsItsEpoch(t *testing.T) {
 	cols := synthCols(1, 200, 43)
 	s, ms := buildStore(t, cols, 4)
-	s.SetCompactLimit(2)
+	s.setCompactLimit(2)
 	b := ms[0].Buckets()[0]
 	view := s.View()
 	defer view.Release()

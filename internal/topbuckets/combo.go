@@ -25,23 +25,12 @@ type Combo struct {
 	NbRes float64
 }
 
-// Key returns the combination's comparable identity — the bucket tuple
-// without counts or bounds. The plan cache uses it to match a
-// combination across epochs (counts grow, bounds may be recomputed, the
-// identity stays).
-func (c *Combo) Key() string {
-	k := make([]byte, 0, len(c.Buckets)*6)
-	for _, b := range c.Buckets {
-		k = append(k, byte(b.Col), byte(b.StartG>>8), byte(b.StartG), byte(b.EndG>>8), byte(b.EndG), '|')
-	}
-	return string(k)
-}
-
-// compareTuples orders two equal-length bucket tuples by (Col, StartG,
-// EndG) per vertex, first vertex most significant — the deterministic
-// tie-break of the selection order (byUB), and the order of the Key
-// strings without their allocation.
-func compareTuples(a, b []stats.Bucket) int {
+// CompareTuples orders two equal-length bucket tuples by (Col, StartG,
+// EndG) per vertex, first vertex most significant: the deterministic
+// tie-break of the selection order, and the one comparison that tells
+// whether two combinations are the same bucket tuple (0) whatever their
+// counts and bounds.
+func CompareTuples(a, b []stats.Bucket) int {
 	for v := range a {
 		x, y := &a[v], &b[v]
 		switch {

@@ -43,12 +43,12 @@ func TestShardedLooseConsistentAcrossWorkers(t *testing.T) {
 		want := make(map[string]bool)
 		for _, c := range baseline.Selected {
 			if c.UB > baseline.KthResLB {
-				want[c.Key()] = true
+				want[tupleKey(c)] = true
 			}
 		}
 		got := make(map[string]bool)
 		for _, c := range res.Selected {
-			got[c.Key()] = true
+			got[tupleKey(c)] = true
 		}
 		for key := range want {
 			if !got[key] {

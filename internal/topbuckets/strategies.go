@@ -314,7 +314,7 @@ func selectShard(q *query.Query, tables [][]pairBound, lists [][]stats.Bucket, l
 	})
 	picked, _ := sel.pick()
 	// Matrix.Buckets lists each collection's buckets in tuple order, so
-	// row-major positions order tuples as compareTuples does: sorting by
+	// row-major positions order tuples as CompareTuples does: sorting by
 	// (UB desc, position) sorts the combinations by byUB.
 	slices.SortFunc(picked, func(a, b candidate) int {
 		switch {

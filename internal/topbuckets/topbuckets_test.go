@@ -1,6 +1,7 @@
 package topbuckets
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,6 +19,19 @@ import (
 	"tkij/internal/stats"
 )
 
+// tupleKey is a test-local map key for a combination's bucket tuple:
+// each vertex's (Col, StartG, EndG) as fixed-width big-endian words, so
+// that byte order is CompareTuples order.
+func tupleKey(c Combo) string {
+	k := make([]byte, 0, 24*len(c.Buckets))
+	for _, b := range c.Buckets {
+		k = binary.BigEndian.AppendUint64(k, uint64(b.Col))
+		k = binary.BigEndian.AppendUint64(k, uint64(b.StartG))
+		k = binary.BigEndian.AppendUint64(k, uint64(b.EndG))
+	}
+	return string(k)
+}
+
 func mkCombo(lb, ub, nbRes float64, id int) Combo {
 	return Combo{
 		Buckets: []stats.Bucket{{Col: 0, StartG: id, EndG: id, Count: int(nbRes)}},
@@ -31,10 +45,10 @@ func checkDefinition2(t *testing.T, k int, all, selected []Combo) {
 	t.Helper()
 	sel := make(map[string]bool, len(selected))
 	for _, c := range selected {
-		sel[c.Key()] = true
+		sel[tupleKey(c)] = true
 	}
 	for _, w := range all {
-		if sel[w.Key()] {
+		if sel[tupleKey(w)] {
 			continue
 		}
 		var covered float64
@@ -127,12 +141,12 @@ func twoPassSelect(k int, all []Combo) []Combo {
 	seen := make(map[string]bool)
 	for _, it := range cover.items {
 		out = append(out, all[it.pos])
-		seen[all[it.pos].Key()] = true
+		seen[tupleKey(all[it.pos])] = true
 	}
 	for _, c := range all {
-		if c.UB > t && !seen[c.Key()] {
+		if c.UB > t && !seen[tupleKey(c)] {
 			out = append(out, c)
-			seen[c.Key()] = true
+			seen[tupleKey(c)] = true
 		}
 	}
 	slices.SortFunc(out, byUB)
@@ -146,7 +160,7 @@ func sameSelection(t *testing.T, what string, got, want []Combo) {
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		if g.Key() != w.Key() || g.LB != w.LB || g.UB != w.UB || g.NbRes != w.NbRes {
+		if tupleKey(g) != tupleKey(w) || g.LB != w.LB || g.UB != w.UB || g.NbRes != w.NbRes {
 			t.Fatalf("%s: selection mismatch at %d: %+v, want %+v", what, i, g, w)
 		}
 	}
@@ -311,10 +325,10 @@ func TestLooseVsTightBounds(t *testing.T) {
 	// Index loose bounds by combo identity.
 	looseUB := make(map[string]float64)
 	for _, c := range loose.Selected {
-		looseUB[c.Key()] = c.UB
+		looseUB[tupleKey(c)] = c.UB
 	}
 	for _, c := range brute.Selected {
-		if lu, ok := looseUB[c.Key()]; ok && c.UB > lu+1e-9 {
+		if lu, ok := looseUB[tupleKey(c)]; ok && c.UB > lu+1e-9 {
 			t.Fatalf("tight UB %g exceeds loose UB %g", c.UB, lu)
 		}
 	}
@@ -388,9 +402,8 @@ func TestEnumerateOrderAndCount(t *testing.T) {
 		t.Fatalf("shard [1,2) enumerated positions %v", shard)
 	}
 
-	// The selection tie-break compares bucket tuples numerically; within
-	// the Key string's one-byte Col / two-byte granule range that is
-	// exactly the order of the strings it replaced.
+	// The selection tie-break compares bucket tuples numerically: the
+	// byte order of their fixed-width encoding.
 	rng := rand.New(rand.NewSource(11))
 	tuple := func() []stats.Bucket {
 		bs := make([]stats.Bucket, 3)
@@ -404,8 +417,8 @@ func TestEnumerateOrderAndCount(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		a, b := Combo{Buckets: tuple()}, Combo{Buckets: tuple()}
-		if got, want := compareTuples(a.Buckets, b.Buckets), strings.Compare(a.Key(), b.Key()); got != want {
-			t.Fatalf("compareTuples(%v, %v) = %d, Key order %d", a.Buckets, b.Buckets, got, want)
+		if got, want := CompareTuples(a.Buckets, b.Buckets), strings.Compare(tupleKey(a), tupleKey(b)); got != want {
+			t.Fatalf("CompareTuples(%v, %v) = %d, Key order %d", a.Buckets, b.Buckets, got, want)
 		}
 	}
 }
