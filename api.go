@@ -54,9 +54,8 @@
 //	}
 //
 // For heavy concurrent traffic, wrap the engine in a Server: Submit
-// calls are coalesced into short batching windows, each batch executes
-// against one pinned epoch, and queries sharing a shape share one
-// TopBuckets solve and one cross-reducer score floor (see NewServer).
+// caps the queries executing at once, queues the rest in arrival order
+// and rejects past a bounded queue (see NewServer).
 package tkij
 
 import (
@@ -243,19 +242,19 @@ const (
 	RoundRobin = distribute.AlgRoundRobin
 )
 
-// Serving. A Server is the admission and batching layer over one
-// engine: concurrent Submit calls are grouped into short batching
-// windows, each batch runs against a single pinned epoch view, plans
-// are single-flighted per query shape, and batch members share score
-// floors and bound memos. Batched execution is result-identical to
-// calling Engine.Execute sequentially at the same epoch.
+// Serving. A Server is the admission layer over one engine: a bounded
+// FIFO queue in front of Engine.ExecuteMapped. At most MaxInflight
+// Submits execute at once, each on an epoch view it pins itself; the
+// rest wait in arrival order, at most MaxQueue of them. Concurrent
+// first queries of one shape share one plan through the plan cache's
+// single-flight, so a Submit answers exactly what Engine.Execute
+// answers at the same epoch.
 type (
-	// Server admits and batches concurrent queries over one Engine.
-	Server = admission.Batcher
-	// ServerOptions tunes the batching policy: window, batch size,
-	// queue depth (backpressure), in-flight batch cap (which also
-	// bounds live epoch views under ingest), and per-batch parallelism.
-	// The zero value uses sensible defaults.
+	// Server admits concurrent queries over one Engine.
+	Server = admission.Server
+	// ServerOptions tunes admission: queue depth (backpressure) and the
+	// in-flight execution cap, which also bounds live epoch views under
+	// ingest. The zero value uses sensible defaults.
 	ServerOptions = admission.Options
 	// ServerStats is a snapshot of a Server's admission activity.
 	ServerStats = admission.Stats
@@ -271,8 +270,8 @@ var (
 	ErrCanceled     = core.ErrCanceled
 )
 
-// NewServer returns a running Server over engine. Close it to stop
-// admission and flush queued queries.
+// NewServer returns a Server over engine. Close it to stop admission;
+// Close returns once every accepted Submit has returned.
 func NewServer(engine *Engine, opts ServerOptions) *Server {
 	return admission.New(engine, opts)
 }

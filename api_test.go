@@ -5,7 +5,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 )
 
 // The public API must carry a user through the full quickstart flow.
@@ -99,7 +98,7 @@ func TestStrategyAndDistributionConstants(t *testing.T) {
 	}
 }
 
-// The public serving surface: a Server batches concurrent Submits and
+// The public serving surface: a Server admits concurrent Submits and
 // returns reports identical to direct execution.
 func TestPublicAPIServer(t *testing.T) {
 	c1 := Uniform("C1", 400, 1)
@@ -112,7 +111,7 @@ func TestPublicAPIServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := NewServer(engine, ServerOptions{Window: 10 * time.Millisecond})
+	server := NewServer(engine, ServerOptions{})
 	defer server.Close()
 
 	const n = 6
@@ -139,8 +138,8 @@ func TestPublicAPIServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range reports {
-		if !r.Batched {
-			t.Fatalf("report %d not batched", i)
+		if r.BatchSize != 1 {
+			t.Fatalf("report %d batch size %d, want 1 through a server", i, r.BatchSize)
 		}
 		if len(r.Results) != len(direct.Results) {
 			t.Fatalf("report %d has %d results, direct execution %d", i, len(r.Results), len(direct.Results))

@@ -7,6 +7,8 @@ package tkij
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -180,13 +182,14 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchedQueries measures throughput through the admission/
-// batching layer: many goroutines submitting repeated shapes to one
-// Server, coalesced into batches that share a pinned epoch, a
-// single-flighted plan, a cross-query score floor and a bound memo.
-// Compare with BenchmarkConcurrentQueries, the direct-execution
-// equivalent of the same workload.
-func BenchmarkBatchedQueries(b *testing.B) {
+// BenchmarkServerQueries measures throughput through the admission
+// layer under a burst: 8 submitting goroutines per GOMAXPROCS (16 on
+// two cores) repeat three warm shapes against one Server, whose default
+// in-flight cap lets GOMAXPROCS of them execute at once while the rest
+// queue. Compare with BenchmarkConcurrentQueries, the same workload on
+// direct Execute calls. p99-ms is the 99th percentile of one Submit's
+// latency, queueing included.
+func BenchmarkServerQueries(b *testing.B) {
 	env := QueryEnv{Params: P1}
 	names := []string{"Qb,b", "Qo,m", "Qs,m"}
 	queries := make([]*Query, len(names))
@@ -198,23 +201,30 @@ func BenchmarkBatchedQueries(b *testing.B) {
 		queries[i] = q
 	}
 	engine := servingEngine(b, queries[0])
-	server := NewServer(engine, ServerOptions{Window: 500 * time.Microsecond})
+	server := NewServer(engine, ServerOptions{})
 	defer server.Close()
+	var mu sync.Mutex
+	var latencies []time.Duration
+	b.SetParallelism(8)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
+		var mine []time.Duration
+		for i := 0; pb.Next(); i++ {
+			start := time.Now()
 			if _, err := server.Submit(context.Background(), queries[i%len(queries)], nil); err != nil {
 				b.Error(err)
 				return
 			}
-			i++
+			mine = append(mine, time.Since(start))
 		}
+		mu.Lock()
+		latencies = append(latencies, mine...)
+		mu.Unlock()
 	})
 	b.StopTimer()
-	st := server.Stats()
-	if st.Batches > 0 {
-		b.ReportMetric(float64(st.Submitted)/float64(st.Batches), "queries/batch")
+	if len(latencies) > 0 {
+		slices.Sort(latencies)
+		b.ReportMetric(float64(latencies[len(latencies)*99/100].Microseconds())/1e3, "p99-ms")
 	}
 }
 

@@ -45,13 +45,13 @@
 // run's JSON reports plan_cache: "hit" | "revalidated" | "miss".
 //
 // Concurrent serving: -concurrency N routes each repeat round through
-// the admission/batching layer — N copies of the query are submitted at
-// once, coalesced into batches that share one pinned epoch, one
-// TopBuckets solve and one score floor. -batch-window D tunes the
-// batching window. Each run's JSON then carries batch (the size of the
-// batch the query rode) and queue_ms (admission-to-execution wait):
+// the admission layer (tkij.Server) — N copies of the query are
+// submitted at once; GOMAXPROCS of them execute while the rest queue,
+// and the round's first plan is computed once for all N. Each run's
+// JSON then carries batch (1: admitted through the server) and
+// queue_ms (Submit-to-execution wait):
 //
-//	tkijrun -query Qo,m -concurrency 8 -batch-window 2ms -repeat 3 -json C1.tsv C2.tsv C3.tsv
+//	tkijrun -query Qo,m -concurrency 8 -repeat 3 -json C1.tsv C2.tsv C3.tsv
 //
 // Distributed execution: -shards N splits the bucket store across N
 // shard workers and scatters each query's reducer assignment to them;
@@ -122,9 +122,9 @@ type jsonRun struct {
 	RoutedBucketEntries int     `json:"routed_bucket_entries"`
 	RoutedIntervals     float64 `json:"routed_interval_records"`
 	SharedFloor         float64 `json:"shared_floor"`
-	// Batch is the number of queries in the batch this run rode through
-	// the admission layer (0 for direct, unbatched execution); QueueMillis
-	// is the admission-to-execution wait inside the batcher.
+	// Batch is 1 when this run was admitted through the server and 0
+	// for direct execution; QueueMillis is the Submit-to-execution wait
+	// inside the server.
 	Batch       int     `json:"batch"`
 	QueueMillis float64 `json:"queue_ms"`
 	// MinKthScore is the minimum k-th local score across reducers that
@@ -224,8 +224,7 @@ func main() {
 		shards    = flag.Int("shards", 0, "split the bucket store across N in-process shard workers and run the join distributed (0/1 = local execution)")
 		shardAddr = flag.String("shard-addrs", "", "comma-separated tkij-worker TCP addresses to shard across (overrides -shards)")
 		noFloorBc = flag.Bool("no-floor-broadcast", false, "with -shards: do not stream the rising score floor to workers (ablation; results are unchanged, remote pruning is lost)")
-		conc      = flag.Int("concurrency", 1, "submit N copies of the query concurrently per repeat round through the admission/batching layer (1 = direct execution)")
-		batchWin  = flag.Duration("batch-window", time.Millisecond, "admission batching window (with -concurrency > 1)")
+		conc      = flag.Int("concurrency", 1, "submit N copies of the query concurrently per repeat round through the admission layer (1 = direct execution)")
 		subscribe = flag.Bool("subscribe", false, "standing-query mode: subscribe to the query, stream the -append batch chunk by chunk, and verify the pushed top-k against a fresh re-execute after every append")
 		subChunks = flag.Int("subscribe-chunks", 8, "with -subscribe: number of ingest batches the -append file is split into")
 		jsonOut   = flag.Bool("json", false, "emit a machine-readable JSON report")
@@ -347,13 +346,13 @@ func main() {
 			fatal(err)
 		}
 	}
-	// The admission/batching layer is created up front when a mode needs
+	// The admission layer is created up front when a mode needs
 	// it (-subscribe registers subscriptions through it; -concurrency > 1
 	// routes repeat rounds through it) so the debug endpoint can bridge
 	// its stats for the whole run.
 	var server *tkij.Server
 	if *subscribe || *conc > 1 {
-		server = tkij.NewServer(engine, tkij.ServerOptions{Window: *batchWin})
+		server = tkij.NewServer(engine, tkij.ServerOptions{})
 		defer server.Close()
 	}
 	var debugSrv *tkij.DebugServer
@@ -410,8 +409,8 @@ func main() {
 		Appended: appended, Epoch: engine.Epoch()}
 
 	// With -concurrency > 1, every repeat round submits N copies of the
-	// query at once through the admission/batching layer; they coalesce
-	// into batches sharing one pinned epoch, plan and score floor.
+	// query at once through the admission layer; the first of them plans
+	// the round's shape and the others wait for that plan.
 	runOnce := func() []*tkij.Report {
 		if server == nil {
 			r, err := engine.ExecuteMapped(context.Background(), q, mapping)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -45,68 +46,49 @@ func testQuery(t *testing.T, name string) *query.Query {
 	return q
 }
 
-// Concurrent submits of one shape must coalesce into one batch that
-// shares a single pinned epoch and a single plan solve.
-func TestBatchCoalescesConcurrentSubmits(t *testing.T) {
-	e := testEngine(t, 800, core.Options{})
-	if err := e.PrepareStats(); err != nil {
-		t.Fatal(err)
-	}
-	b := New(e, Options{Window: 100 * time.Millisecond, MaxBatch: 8})
-	defer b.Close()
-	q := testQuery(t, "Qo,m")
+// occupy takes every execution slot of s, as if MaxInflight queries
+// were executing; later Submits queue until free hands the slots back.
+func occupy(s *Server) {
+	s.mu.Lock()
+	s.running = s.opts.MaxInflight
+	s.mu.Unlock()
+}
 
-	const n = 8
-	reports := make([]*core.Report, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := b.Submit(context.Background(), q, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			reports[i] = r
-		}(i)
+func free(s *Server) {
+	for i := 0; i < s.opts.MaxInflight; i++ {
+		s.release()
 	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	for i, r := range reports {
-		if !r.Batched {
-			t.Fatalf("report %d not marked batched", i)
+}
+
+// waitQueued returns once n Submits wait for a slot.
+func waitQueued(t *testing.T, s *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		queued := len(s.queue)
+		s.mu.Unlock()
+		if queued == n {
+			return
 		}
-		if r.Epoch != reports[0].Epoch {
-			t.Fatalf("report %d pinned epoch %d, batch sibling had %d", i, r.Epoch, reports[0].Epoch)
+		if time.Now().After(deadline) {
+			t.Fatalf("%d submits queued, want %d", queued, n)
 		}
-		if r.BatchSize < 2 {
-			t.Fatalf("report %d batch size %d, want coalescing", i, r.BatchSize)
-		}
-	}
-	st := b.Stats()
-	if st.Submitted != n || st.Completed != n {
-		t.Fatalf("stats submitted/completed = %d/%d, want %d/%d", st.Submitted, st.Completed, n, n)
-	}
-	// All eight share a shape: at most one leader per batch actually
-	// formed, everyone else rode the single-flighted plan.
-	if st.PlanLeaders >= int64(n) || st.PlanFollowers == 0 {
-		t.Fatalf("plan single-flight missing: leaders=%d followers=%d", st.PlanLeaders, st.PlanFollowers)
+		runtime.Gosched()
 	}
 }
 
 // A full queue must reject immediately with ErrQueueFull, and a closed
-// batcher with ErrClosed.
+// server with ErrClosed.
 func TestBackpressureAndClose(t *testing.T) {
 	e := testEngine(t, 300, core.Options{})
 	if err := e.PrepareStats(); err != nil {
 		t.Fatal(err)
 	}
-	b := New(e, Options{Window: time.Second, MaxBatch: 64, MaxQueue: 2})
+	b := New(e, Options{MaxQueue: 2, MaxInflight: 1})
 	q := testQuery(t, "Qb,b")
 
+	occupy(b)
 	done := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
@@ -114,32 +96,28 @@ func TestBackpressureAndClose(t *testing.T) {
 			done <- err
 		}()
 	}
-	// Wait until both occupy the queue, then overflow it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st := b.Stats(); st.Submitted == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("queued submits never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, b, 2)
 	if _, err := b.Submit(context.Background(), q, nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit returned %v, want ErrQueueFull", err)
 	}
-	// Close flushes the queued queries rather than failing them.
-	b.Close()
+	// Close runs the queued queries rather than failing them.
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	free(b)
+	<-closed
 	for i := 0; i < 2; i++ {
 		if err := <-done; err != nil {
-			t.Fatalf("flushed submit failed: %v", err)
+			t.Fatalf("queued submit failed: %v", err)
 		}
 	}
 	if _, err := b.Submit(context.Background(), q, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close returned %v, want ErrClosed", err)
 	}
-	if st := b.Stats(); st.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", st.Rejected)
+	if st := b.Stats(); st.Rejected != 1 || st.Submitted != 2 || st.Completed != 2 || st.QueueHighWater != 2 {
+		t.Fatalf("stats %+v, want 1 rejected, 2 submitted and completed, queue high water 2", st)
 	}
 }
 
@@ -151,7 +129,7 @@ func TestSubmitCancellation(t *testing.T) {
 	if err := e.PrepareStats(); err != nil {
 		t.Fatal(err)
 	}
-	b := New(e, Options{Window: 200 * time.Millisecond})
+	b := New(e, Options{MaxInflight: 1})
 	defer b.Close()
 	q := testQuery(t, "Qb,b")
 
@@ -161,60 +139,105 @@ func TestSubmitCancellation(t *testing.T) {
 		t.Fatalf("pre-canceled submit returned %v, want ErrCanceled/context.Canceled", err)
 	}
 
-	// Cancel while queued: the batching window is long enough that the
-	// cancellation lands first.
+	// Cancel while queued behind a busy slot.
+	occupy(b)
 	ctx, cancel2 := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
 		_, err := b.Submit(ctx, q, nil)
 		errc <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitQueued(t, b, 1)
 	cancel2()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, core.ErrCanceled) {
-			t.Fatalf("canceled-in-queue submit returned %v, want ErrCanceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("canceled submit did not return")
+	if err := <-errc; !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("canceled-in-queue submit returned %v, want ErrCanceled", err)
 	}
+	waitQueued(t, b, 0)
+	free(b)
 
-	// An uncanceled sibling submitted alongside still succeeds.
+	// An uncanceled sibling submitted afterwards still succeeds.
 	if _, err := b.Submit(context.Background(), q, nil); err != nil {
 		t.Fatalf("sibling submit failed: %v", err)
 	}
 }
 
+// Every accepted Submit is counted once as completed, whatever its
+// outcome: Submits canceled while they wait for a slot included, so at
+// quiescence Submitted == Completed.
+func TestCanceledWhileQueuedCompletes(t *testing.T) {
+	e := testEngine(t, 300, core.Options{})
+	if err := e.PrepareStats(); err != nil {
+		t.Fatal(err)
+	}
+	b := New(e, Options{MaxInflight: 1})
+	defer b.Close()
+	q := testQuery(t, "Qb,b")
+
+	occupy(b)
+	const n = 8
+	cancels := make([]context.CancelFunc, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancels[i] = cancel
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = b.Submit(ctx, q, nil)
+		}(i)
+		waitQueued(t, b, i+1)
+	}
+	for i := 0; i < n; i += 2 {
+		cancels[i]()
+	}
+	waitQueued(t, b, n/2)
+	free(b)
+	wg.Wait()
+	for i, err := range errs {
+		canceled := i%2 == 0
+		if canceled && !errors.Is(err, core.ErrCanceled) || !canceled && err != nil {
+			t.Fatalf("submit %d (canceled %v) returned %v", i, canceled, err)
+		}
+		cancels[i]()
+	}
+	if st := b.Stats(); st.Submitted != n || st.Completed != n {
+		t.Fatalf("stats submitted/completed = %d/%d at quiescence, want %d/%d", st.Submitted, st.Completed, n, n)
+	}
+	b.mu.Lock()
+	running, queued := b.running, len(b.queue)
+	b.mu.Unlock()
+	if running != 0 || queued != 0 {
+		t.Fatalf("%d slots held and %d submits queued at quiescence", running, queued)
+	}
+}
+
 // Live epoch views under continuous ingest must be bounded by the
-// in-flight batch cap — not by the number of in-flight queries — and
-// must drain to zero once the batcher closes.
+// in-flight cap — not by the number of waiting queries — and must
+// drain to zero once the server closes.
 func TestLiveViewsBoundedUnderIngest(t *testing.T) {
 	e := testEngine(t, 600, core.Options{})
 	if err := e.PrepareStats(); err != nil {
 		t.Fatal(err)
 	}
 	const maxInflight = 2
-	b := New(e, Options{Window: 2 * time.Millisecond, MaxBatch: 4, MaxInflight: maxInflight})
+	b := New(e, Options{MaxInflight: maxInflight})
 	q := testQuery(t, "Qb,b")
 
-	stop := make(chan struct{})
-	var ingest sync.WaitGroup
-	ingest.Add(1)
+	// One append follows every answered query, so appends interleave
+	// with the executions in flight.
+	answered := make(chan struct{}, 1)
+	ingestDone := make(chan struct{})
 	go func() {
-		defer ingest.Done()
+		defer close(ingestDone)
 		for i := 0; ; i++ {
-			select {
-			case <-stop:
+			if _, ok := <-answered; !ok {
 				return
-			default:
 			}
 			batch := []interval.Interval{{ID: int64(100000 + i), Start: int64(i % 500), End: int64(i%500 + 10)}}
 			if _, err := e.Append(i%3, batch); err != nil {
 				t.Error(err)
-				return
 			}
-			time.Sleep(time.Millisecond)
 		}
 	}()
 
@@ -224,16 +247,20 @@ func TestLiveViewsBoundedUnderIngest(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 4; j++ {
-				if _, err := b.Submit(context.Background(), q, nil); err != nil && !errors.Is(err, ErrQueueFull) {
+				if _, err := b.Submit(context.Background(), q, nil); err != nil {
 					t.Error(err)
 					return
+				}
+				select {
+				case answered <- struct{}{}:
+				default:
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	close(stop)
-	ingest.Wait()
+	close(answered)
+	<-ingestDone
 	b.Close()
 
 	vs := e.Store().ViewStats()
@@ -241,21 +268,23 @@ func TestLiveViewsBoundedUnderIngest(t *testing.T) {
 		t.Fatalf("live views after close = %d, want 0 (views must release deterministically)", vs.Live)
 	}
 	if vs.HighWater > maxInflight {
-		t.Fatalf("view high-water %d exceeds in-flight batch bound %d: batching is not bounding epochs", vs.HighWater, maxInflight)
+		t.Fatalf("view high-water %d exceeds the in-flight bound %d", vs.HighWater, maxInflight)
 	}
 	if vs.HighWater < 1 {
-		t.Fatalf("view high-water %d: no batch ever pinned?", vs.HighWater)
+		t.Fatalf("view high-water %d: no execution ever pinned?", vs.HighWater)
+	}
+	if e.Epoch() < 1 {
+		t.Fatal("no append interleaved with the queries")
 	}
 }
 
-// An invalid member fails alone; valid members of the same batch
-// succeed.
+// An invalid submit fails alone; a valid one beside it succeeds.
 func TestInvalidMemberFailsAlone(t *testing.T) {
 	e := testEngine(t, 300, core.Options{})
 	if err := e.PrepareStats(); err != nil {
 		t.Fatal(err)
 	}
-	b := New(e, Options{Window: 50 * time.Millisecond})
+	b := New(e, Options{})
 	defer b.Close()
 	q := testQuery(t, "Qb,b")
 
@@ -277,18 +306,21 @@ func TestInvalidMemberFailsAlone(t *testing.T) {
 	if goodErr != nil {
 		t.Fatalf("valid sibling failed: %v", goodErr)
 	}
+	if st := b.Stats(); st.Submitted != 2 || st.Completed != 2 {
+		t.Fatalf("stats %+v, want 2 submitted and completed", st)
+	}
 }
 
-// A canceled sibling must not poison the batch's shared plan warm:
-// the leader's warm context is detached from its cancellation
-// (context.WithoutCancel), so followers still get their results even
-// when the member whose context seeded the warm is canceled mid-batch.
+// A canceled Submit must not poison concurrent Submits of its shape:
+// the plan cache plans that shape once for all of them, and the
+// planning carries no caller's context, so the siblings never see the
+// cancellation even when the canceled Submit is the one planning.
 func TestCanceledLeaderDoesNotPoisonBatch(t *testing.T) {
 	e := testEngine(t, 500, core.Options{})
 	if err := e.PrepareStats(); err != nil {
 		t.Fatal(err)
 	}
-	b := New(e, Options{Window: 80 * time.Millisecond, MaxBatch: 8})
+	b := New(e, Options{})
 	defer b.Close()
 	q := testQuery(t, "Qo,m")
 
@@ -296,14 +328,14 @@ func TestCanceledLeaderDoesNotPoisonBatch(t *testing.T) {
 	var wg sync.WaitGroup
 	var canceledErr error
 	okErrs := make([]error, 4)
+	started := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// This member enters the queue first and is the likeliest
-		// leader; its context dies while the batch is in flight.
+		close(started)
 		_, canceledErr = b.Submit(ctx, q, nil)
 	}()
-	time.Sleep(10 * time.Millisecond)
+	<-started
 	for i := range okErrs {
 		wg.Add(1)
 		go func(i int) {
@@ -311,24 +343,23 @@ func TestCanceledLeaderDoesNotPoisonBatch(t *testing.T) {
 			_, okErrs[i] = b.Submit(context.Background(), q, nil)
 		}(i)
 	}
-	time.Sleep(20 * time.Millisecond)
 	cancel()
 	wg.Wait()
 
-	// The canceled member may have finished or aborted — both are
-	// legal; what the fix guarantees is that its siblings never see
-	// its cancellation.
+	// The canceled Submit may have finished or aborted — both are
+	// legal; what must hold is that its siblings never see its
+	// cancellation.
 	if canceledErr != nil && !errors.Is(canceledErr, context.Canceled) {
-		t.Fatalf("canceled member: unexpected error %v", canceledErr)
+		t.Fatalf("canceled submit: unexpected error %v", canceledErr)
 	}
 	for i, err := range okErrs {
 		if err != nil {
-			t.Fatalf("sibling %d poisoned by leader cancellation: %v", i, err)
+			t.Fatalf("sibling %d poisoned by a canceled submit: %v", i, err)
 		}
 	}
 }
 
-func ExampleBatcher() {
+func ExampleServer() {
 	cols := []*interval.Collection{
 		datagen.Uniform("C1", 500, 1), datagen.Uniform("C2", 500, 2), datagen.Uniform("C3", 500, 3),
 	}
@@ -340,8 +371,8 @@ func ExampleBatcher() {
 	if err != nil {
 		panic(err)
 	}
-	b := New(e, Options{Window: 20 * time.Millisecond})
-	defer b.Close()
+	s := New(e, Options{})
+	defer s.Close()
 
 	var wg sync.WaitGroup
 	reports := make([]*core.Report, 4)
@@ -349,11 +380,11 @@ func ExampleBatcher() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reports[i], _ = b.Submit(context.Background(), q, nil)
+			reports[i], _ = s.Submit(context.Background(), q, nil)
 		}(i)
 	}
 	wg.Wait()
-	fmt.Println("results:", len(reports[0].Results), "batched:", reports[0].Batched)
+	fmt.Println("results:", len(reports[0].Results), "batch size:", reports[0].BatchSize)
 	// Output:
-	// results: 5 batched: true
+	// results: 5 batch size: 1
 }

@@ -1,47 +1,35 @@
-// Package admission is the serving layer's admission and batching
-// subsystem: it sits between the public API (tkij.Server) and
-// core.Engine, turning a stream of concurrent queries into a stream of
-// batches that share work.
+// Package admission is the serving layer's admission control: it sits
+// between the public API (tkij.Server) and core.Engine and decides when
+// a query may execute.
 //
-// TKIJ pays its query-time cost in the TopBuckets bound solve and the
-// per-combination join probes. Without batching, N concurrent queries
-// over one dataset each pin their own epoch view and redo overlapping
-// bucket work; the plan cache only helps a shape that repeats *after*
-// an earlier miss completed. The Batcher closes both gaps:
+// A Server is a bounded FIFO queue in front of core.Engine.ExecuteMapped:
 //
-//   - Windowed admission. A query entering an empty queue opens a short
-//     batching window (Options.Window); arrivals during it join the
-//     same batch, which cuts early at Options.MaxBatch. A queue at
-//     Options.MaxQueue rejects further Submits with ErrQueueFull —
-//     backpressure instead of unbounded buffering — and every member
-//     carries its own context, so a per-query deadline cancels that
-//     query alone, between phases.
+//   - At most Options.MaxInflight queries execute at once (by default
+//     runtime.GOMAXPROCS(0): every execution already fans out to the
+//     engine's reducer goroutines). Later Submits wait in arrival order
+//     for a slot.
+//   - At most Options.MaxQueue Submits wait; one more fails fast with
+//     ErrQueueFull — backpressure instead of unbounded buffering.
+//   - Every Submit carries its own context: cancellation or a deadline
+//     fails that query alone, whether it is still queued or between
+//     execution phases. Every accepted Submit is counted once as
+//     completed, whatever its outcome.
+//   - Each execution pins its own epoch view and releases it when it
+//     returns, so the live views under continuous ingest are bounded by
+//     MaxInflight (store.ViewStats is the regression metric).
 //
-//   - One pinned epoch per batch. Each batch executes against a single
-//     core.Pin (one store.View shared by every member), so the number
-//     of live epoch views under continuous ingest is bounded by
-//     Options.MaxInflight — the in-flight batch cap — rather than by
-//     the number of in-flight queries (store.ViewStats is the
-//     regression metric).
+// The work concurrent queries share needs no batching here. Planning is
+// single-flighted inside the plan cache (internal/plancache): N
+// concurrent first queries of one shape at one epoch pay for one
+// TopBuckets solve, and the other N-1 read its result; the per-edge
+// bound memo lives with the cached plan (solver.PairMemo). Each
+// execution owns its score floor (join.SharedFloor).
 //
-//   - Single-flighted planning. Members are grouped by canonical plan
-//     key (Pin.PlanKey); one leader per distinct key warms the plan
-//     cache at the pinned epoch, so N concurrent misses on one shape
-//     pay for one TopBuckets solve and the other N-1 members execute as
-//     pure cache hits.
-//
-//   - Shared floors. The batch keeps one join.SharedFloor per plan-key
-//     group and hands it to each member's core.Engine.ExecutePinned:
-//     members with the same plan key on the batch's one pin share one
-//     cross-reducer score floor (identical result-score multisets make
-//     one member's certified k-th-score bound a sound floor for its
-//     siblings), and no other executions do. Their per-edge
-//     combination bounds are memoized with the cached plan they all hit
-//     (solver.PairMemo), so siblings — and later batches — solve none.
-//
-// Batched execution is result-identical to sequential execution at the
-// same epoch: everything shared is either a pure function of its key
-// (plans, bounds) or a certified-sound pruning floor. The equivalence
+// A Submit executes exactly what Engine.ExecuteMapped executes, so its
+// answer is the sequential one at its pinned epoch. The equivalence
 // harness in this package asserts it against both the sequential engine
 // and the naive oracle, including under interleaved appends.
+//
+// The Server also owns the engine's standing-query manager
+// (Subscribe), since an engine carries at most one ingest hook.
 package admission

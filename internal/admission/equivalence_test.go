@@ -1,15 +1,14 @@
 package admission
 
-// Batching-equivalence harness: batched Submit must be
-// result-identical to sequential Execute. Everything the batch shares —
-// the pinned epoch, the single-flighted plan, the cross-query floor,
-// the bound memo — is either a pure function of its key or a
-// certified-sound pruning floor, so the top-k score multiset must come
-// out byte-identical (exact float equality, no epsilon):
+// Server-equivalence harness: concurrent Submits must be
+// result-identical to sequential Execute. What concurrent executions
+// share — the single-flighted plan and its bound memo — is a pure
+// function of its key, so the top-k score multiset must come out
+// byte-identical (exact float equality, no epsilon):
 //
 //   - quiesced: concurrent duplicate Submits vs the same engine's
 //     sequential ExecuteMapped;
-//   - under interleaved Append: every batched report is checked against
+//   - under interleaved Append: every served report is checked against
 //     the naive nested-loop oracle over the collection prefixes its
 //     pinned epoch corresponds to.
 
@@ -19,7 +18,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"tkij/internal/baselines"
 	"tkij/internal/core"
@@ -112,7 +110,7 @@ func TestBatchedMatchesSequentialRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b := New(e, Options{Window: 3 * time.Millisecond, MaxBatch: 16})
+			b := New(e, Options{})
 			defer b.Close()
 
 			// Quiesced round: duplicate concurrent Submits of two shapes
@@ -142,31 +140,30 @@ func TestBatchedMatchesSequentialRandomized(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !sameScores(reports[i].Results, seqReport.Results) {
-					t.Fatalf("batched submit %d diverged from sequential Execute on %s\nbatched:    %v\nsequential: %v",
+					t.Fatalf("served submit %d diverged from sequential Execute on %s\nserved:     %v\nsequential: %v",
 						i, q.Name, exactScores(reports[i].Results), exactScores(seqReport.Results))
 				}
 				for _, r := range reports[i].Results {
 					if got := q.Score(r.Tuple); got != r.Score {
-						t.Fatalf("batched result tuple %v reports score %g, rescores to %g", r.Tuple, r.Score, got)
+						t.Fatalf("served result tuple %v reports score %g, rescores to %g", r.Tuple, r.Score, got)
 					}
 				}
 			}
 
-			// Ingest round: one appender streams batches while duplicate
-			// Submits run; every report must match the naive oracle over
-			// the collection prefixes of its pinned epoch.
+			// Ingest round: one appender streams batches, one after each
+			// answered Submit, while duplicate Submits run; every report
+			// must match the naive oracle over the collection prefixes of
+			// its pinned epoch.
 			var mu sync.Mutex
 			lengths := map[int64][]int{0: colLengths(cols)}
-			stop := make(chan struct{})
+			answered := make(chan struct{}, 1)
 			var ingest sync.WaitGroup
 			ingest.Add(1)
 			go func() {
 				defer ingest.Done()
 				for i := 0; ; i++ {
-					select {
-					case <-stop:
+					if _, ok := <-answered; !ok {
 						return
-					default:
 					}
 					col := rng.Intn(n)
 					batch := make([]interval.Interval, 3+rng.Intn(8))
@@ -184,7 +181,6 @@ func TestBatchedMatchesSequentialRandomized(t *testing.T) {
 					}
 					lengths[epoch] = colLengths(cols)
 					mu.Unlock()
-					time.Sleep(time.Millisecond)
 				}
 			}()
 
@@ -203,10 +199,14 @@ func TestBatchedMatchesSequentialRandomized(t *testing.T) {
 						return
 					}
 					ingestReports[i] = r
+					select {
+					case answered <- struct{}{}:
+					default:
+					}
 				}(i)
 			}
 			wg.Wait()
-			close(stop)
+			close(answered)
 			ingest.Wait()
 			if t.Failed() {
 				t.FailNow()
@@ -228,7 +228,7 @@ func TestBatchedMatchesSequentialRandomized(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !sameScores(r.Results, want) {
-					t.Fatalf("batched submit %d (epoch %d) diverged from the naive oracle\nbatched: %v\nnaive:   %v",
+					t.Fatalf("served submit %d (epoch %d) diverged from the naive oracle\nserved:  %v\nnaive:   %v",
 						i, r.Epoch, exactScores(r.Results), exactScores(want))
 				}
 			}

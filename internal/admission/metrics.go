@@ -2,24 +2,42 @@ package admission
 
 import "tkij/internal/obs"
 
-// batchSizeBuckets covers the MaxBatch range in powers of two.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-
 var (
 	mSubmitted = obs.NewCounter("tkij_admission_submitted_total",
 		"Accepted Submit calls.")
 	mRejected = obs.NewCounter("tkij_admission_rejected_total",
 		"Submit calls refused with ErrQueueFull.")
 	mCompleted = obs.NewCounter("tkij_admission_completed_total",
-		"Members whose execution finished (successfully or not).")
-	mBatches = obs.NewCounter("tkij_admission_batches_total",
-		"Batches cut and executed.")
-	mBatchSize = obs.NewHistogram("tkij_admission_batch_size",
-		"Members per executed batch.", batchSizeBuckets)
+		"Accepted Submit calls that returned, whatever their outcome.")
 	mQueueWait = obs.NewHistogram("tkij_admission_queue_wait_seconds",
-		"Per-member wait from enqueue to execution start in seconds.", nil)
+		"Per-query wait from Submit to execution start in seconds.", nil)
 	mPlanLeaders = obs.NewCounter("tkij_admission_plan_leaders_total",
-		"Distinct plan keys warmed by a batch leader (one solve each).")
+		"Submits whose execution planned a miss.")
 	mPlanFollowers = obs.NewCounter("tkij_admission_plan_followers_total",
-		"Members that rode a sibling's plan solve.")
+		"Submits whose execution waited on a concurrent planning of its shape.")
 )
+
+// Stats is a snapshot of a Server's activity.
+type Stats struct {
+	// Submitted counts accepted Submit calls; Rejected counts Submits
+	// refused with ErrQueueFull.
+	Submitted int64
+	Rejected  int64
+	// Completed counts accepted Submits that returned, whatever their
+	// outcome (success, error, cancellation while queued or executing):
+	// at quiescence Completed == Submitted.
+	Completed int64
+	// QueueHighWater is the most Submits ever waiting for a slot at once.
+	QueueHighWater int
+	// PlanLeaders counts Submits whose execution planned a miss;
+	// PlanFollowers counts Submits whose execution waited on a
+	// concurrent planning of the same plan key and epoch instead
+	// (core.Report.PlanWaited).
+	PlanLeaders   int64
+	PlanFollowers int64
+	// BoundSolves / BoundReuses sum, over every execution, the per-edge
+	// bound solver calls the reducers ran and the ones the plan's memo
+	// answered (join.Output.BoundSolves / BoundReuses).
+	BoundSolves int64
+	BoundReuses int64
+}

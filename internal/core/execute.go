@@ -37,11 +37,10 @@ func checkCtx(ctx context.Context, phase string) error {
 
 // Pin is one pinned execution context: the bucket matrices and the
 // epoch-pinned store view captured as a single consistent unit. The
-// engine pins one per Execute; the admission layer pins one per batch,
-// so every batch member shares one epoch (and the store's live-view
-// count grows with in-flight batches, not with in-flight queries).
-// Release it when the executions using it have completed; Release is
-// idempotent.
+// engine pins one per Execute; the standing layer pins one per push
+// cycle and serves every subscription of the cycle on it. The store's
+// live-view count is the number of pins not yet released. Release it
+// when the executions using it have completed; Release is idempotent.
 type Pin struct {
 	e        *Engine
 	matrices []*stats.Matrix
@@ -104,10 +103,8 @@ func (p *Pin) Release() {
 
 // PlanKey returns the canonical plan-identity key of (q, mapping)
 // planned for k results under the pin's granulation — the key the plan
-// cache files the shape under, and the key the admission layer groups
-// batch members by: members sharing it share one TopBuckets solve and
-// one cross-reducer floor. k is part of plan identity (the admission
-// layer passes Options.K, standing subscriptions their own k).
+// cache files the shape under, and the key a standing subscription
+// records its plan by. k is part of plan identity.
 func (p *Pin) PlanKey(q *query.Query, mapping []int, k int) (string, error) {
 	if err := p.e.validateMapping(q, mapping); err != nil {
 		return "", err
@@ -183,16 +180,13 @@ type Report struct {
 	// rather than a one-shot caller query. Filled by internal/standing.
 	Standing bool
 
-	// Batched reports the execution went through the admission layer's
-	// batching path (a Server/Batcher Submit) rather than a direct
-	// Execute. The three fields below are filled by that layer.
-	Batched bool
-	// BatchSize is the number of queries admitted into this execution's
-	// batch (including this one); they all shared one pinned epoch.
+	// BatchSize is 1 when the execution was admitted through a server
+	// (admission.Server.Submit) and 0 for a direct Execute; the server
+	// fills it and QueueWait.
 	BatchSize int
-	// QueueWait is the time between admission (Submit) and the start of
-	// this query's execution: the batching window plus any queueing
-	// behind earlier batches.
+	// QueueWait is the time from Submit's entry to the start of this
+	// execution: the wait for an execution slot plus validation and
+	// the epoch pin.
 	QueueWait time.Duration
 
 	// ShardCount is the number of shard workers the join scattered to
@@ -222,6 +216,11 @@ type Report struct {
 	// was first computed — the planning work a Hit or Revalidated
 	// execution did not repeat. Zero when the plan was computed cold.
 	PlanSavedTime time.Duration
+	// PlanWaited reports that the plan cache found this execution's
+	// plan being computed by a concurrent execution (same plan key and
+	// epoch) and the execution waited for it instead of planning again
+	// (plancache.Planned.Waited); the wait is inside TopBucketsTime.
+	PlanWaited bool
 
 	// TopBucketsTime is the wall time of phase 1 (TopBuckets pruning),
 	// or of the plan-cache lookup / revalidation that replaced it.
@@ -291,7 +290,7 @@ func (e *Engine) ExecuteMapped(ctx context.Context, q *query.Query, mapping []in
 		return nil, err
 	}
 	defer pin.Release()
-	return e.execute(ctx, q, mapping, pin, e.opts.K, nil)
+	return e.execute(ctx, q, mapping, pin, e.opts.K)
 }
 
 // pinnedInputs assembles, from a pin, the per-vertex planning matrices
@@ -367,52 +366,29 @@ func (e *Engine) joinMerge(ctx context.Context, phase string, pin *Pin, req *joi
 	return out, nil
 }
 
-// PlanPinned runs (or revalidates, or simply looks up) the planning
-// phases for (q, mapping) at the pin's epoch under the engine's
-// Options.K, warming the plan cache without running the join. The
-// admission layer calls it once per distinct plan key in a batch, so N
-// concurrent misses on one shape pay for one TopBuckets solve and every
-// other batch member's ExecutePinned is a pure cache hit.
-func (e *Engine) PlanPinned(ctx context.Context, q *query.Query, mapping []int, pin *Pin) error {
-	if err := e.validateMapping(q, mapping); err != nil {
-		return err
-	}
-	vertexMs, _ := e.pinnedInputs(q, mapping, pin, e.opts.K)
-	_, err := e.plan(ctx, q, mapping, vertexMs, pin, e.opts.K)
-	return err
-}
-
 // ExecutePinned evaluates q for its top k against a pre-pinned epoch
-// instead of pinning its own: the admission layer executes every member
-// of one batch against a single Pin (at Options.K), the standing layer
-// serves each subscription at its own k. k is part of plan-cache
-// identity, so plans at different k never alias. floor is the
-// cross-reducer score floor the join prunes against; the execution
-// raises it to its plan's certified kthResLB and every reducer raises it
-// further. nil keeps the floor private to this execution. A caller may
-// pass one floor to several executions — on this pin, for one PlanKey
-// (the admission layer passes one per plan-key group of a batch) — since
-// only those share a result-score multiset. The pin stays valid after
-// the call; releasing it is the caller's responsibility.
-func (e *Engine) ExecutePinned(ctx context.Context, q *query.Query, mapping []int, pin *Pin, k int,
-	floor *join.SharedFloor) (*Report, error) {
+// instead of pinning its own: the standing layer serves each
+// subscription at its own k on its push cycle's pin. k is part of
+// plan-cache identity, so plans at different k never alias. The pin
+// stays valid after the call; releasing it is the caller's
+// responsibility.
+func (e *Engine) ExecutePinned(ctx context.Context, q *query.Query, mapping []int, pin *Pin, k int) (*Report, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
 	if err := e.validateMapping(q, mapping); err != nil {
 		return nil, err
 	}
-	return e.execute(ctx, q, mapping, pin, k, floor)
+	return e.execute(ctx, q, mapping, pin, k)
 }
 
 // execute is ExecutePinned on validated input: plan, then join + merge.
-func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin *Pin, k int,
-	floor *join.SharedFloor) (report *Report, err error) {
+func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin *Pin, k int) (report *Report, err error) {
 
-	// Span selection: under admission each member's context carries its
-	// member span, so the execution nests there; a direct call roots a
-	// fresh query span on the engine tracer. Both are nil (free) when no
-	// tracer is attached.
+	// Span selection: a caller whose context carries a span (a standing
+	// resync, a traced caller) gets the execution nested there; a plain
+	// call roots a fresh query span on the engine tracer. Both are nil
+	// (free) when no tracer is attached.
 	span := obs.SpanFrom(ctx)
 	if span != nil {
 		span = span.Child("execute")
@@ -445,9 +421,8 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 	total := time.Now()
 	vertexMs, req := e.pinnedInputs(q, mapping, pin, k)
 
-	// Phases 1+2 (online). Batched executions usually hit the plan cache
-	// outright: their batch's plan leader already warmed the entry at
-	// this exact epoch (PlanPinned).
+	// Phases 1+2 (online), through the plan cache, which single-flights
+	// concurrent plannings of one shape at one epoch.
 	planSpan := span.Child("plan")
 	planned, err := e.plan(ctx, q, mapping, vertexMs, pin, k)
 	if err != nil {
@@ -469,15 +444,10 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 	tb := planned.TopBuckets
 
 	// Phases 3+4: distributed join and merge over the resident store.
-	// TopBuckets' kthResLB raises the cross-reducer threshold — the
-	// caller's, or a private one — as a certified score floor. The
-	// per-edge bound memo comes with the plan, so only the plan's first
-	// execution solves any bound.
-	if floor == nil {
-		floor = new(join.SharedFloor)
-	}
-	floor.Raise(tb.KthResLB)
-	req.Combos, req.Assign, req.Bounds, req.Shared = tb.Selected, planned.Assignment, planned.Bounds, floor
+	// The execution's own cross-reducer floor starts at TopBuckets'
+	// certified kthResLB. The per-edge bound memo comes with the plan,
+	// so only the plan's first execution solves any bound.
+	req.Combos, req.Assign, req.Bounds, req.Shared = tb.Selected, planned.Assignment, planned.Bounds, join.NewSharedFloor(tb.KthResLB)
 	storeBefore := pin.store.Snapshot()
 	out, err := e.joinMerge(ctx, "join", pin, req)
 	if err != nil {
@@ -498,6 +468,7 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 		PlanCacheHit:    planned.Outcome == plancache.Hit,
 		PlanRevalidated: planned.Outcome == plancache.Revalidated,
 		PlanSavedTime:   planned.SavedPlanTime,
+		PlanWaited:      planned.Waited,
 		TopBucketsTime:  planned.TopBucketsTime,
 		DistributeTime:  planned.DistributeTime,
 		JoinTime:        out.JoinDuration,

@@ -129,18 +129,23 @@ func TestExecuteEmptySelectionPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pin.Release()
-	report, err := e.ExecutePinned(context.Background(), query.Qom(query.Env{Params: scoring.P1}),
-		[]int{0, 1, 2}, pin, 5, join.NewSharedFloor(1.1)) // no score can reach 1.1
+	q, mapping := query.Qom(query.Env{Params: scoring.P1}), []int{0, 1, 2}
+	full, err := e.ExecutePinned(context.Background(), q, mapping, pin, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Results == nil {
+	// The plan's combinations joined under a floor no score can reach.
+	out, err := e.ProbePinned(context.Background(), q, mapping, pin, full.TopBuckets.Selected, 5, 1.1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Results == nil {
 		t.Fatal("Results is nil on the empty path; want an empty non-nil slice")
 	}
-	if len(report.Results) != 0 {
-		t.Fatalf("floor 1.1 returned %d results", len(report.Results))
+	if len(out.Results) != 0 {
+		t.Fatalf("floor 1.1 returned %d results", len(out.Results))
 	}
-	for _, l := range report.Join.Locals {
+	for _, l := range out.Locals {
 		if l.CombosProcessed != 0 {
 			t.Fatalf("reducer %d processed %d combos under an unreachable floor", l.Reducer, l.CombosProcessed)
 		}

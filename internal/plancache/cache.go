@@ -116,6 +116,10 @@ type Planned struct {
 	// the original full plan cost when it was first computed — the
 	// planning work this call did not repeat. Zero on a Miss.
 	SavedPlanTime time.Duration
+	// Waited reports that the call found a concurrent miss or
+	// revalidation of its key and epoch in flight and waited for it
+	// instead of planning again; the wait is inside TopBucketsTime.
+	Waited bool
 }
 
 // Stats is a snapshot of cache activity.
@@ -124,7 +128,10 @@ type Stats struct {
 	Revalidations int64
 	Misses        int64
 	Evictions     int64
-	Entries       int
+	// Waits counts calls that waited on a concurrent miss or
+	// revalidation of their key and epoch (Planned.Waited).
+	Waits   int64
+	Entries int
 	// Cost is the total retained solver-work cost (bounded by
 	// Options.MaxCost).
 	Cost float64
@@ -161,16 +168,37 @@ type entry struct {
 }
 
 // Cache is a bounded, epoch-aware plan cache. Safe for concurrent use;
-// concurrent misses on one key plan independently and the last insert
-// wins (planning is deterministic, so the entries are interchangeable).
+// planning is single-flighted per (canonical key, epoch): one call runs
+// the miss or revalidation, and concurrent calls for that pair wait for
+// it and then look the key up again.
 type Cache struct {
 	opts Options
 
 	mu      sync.Mutex
 	entries map[string]*entry
+	flights map[flight]*solve
 	lru     *list.List // front = most recently used
 	cost    float64
 	stats   Stats
+
+	// onLead, when set, runs in the leading call of every flight after
+	// the flight is registered and before it plans (a test seam for
+	// holding a flight open while others join it).
+	onLead func()
+}
+
+// flight names one single-flighted planning: a canonical key at an
+// epoch.
+type flight struct {
+	key   string
+	epoch int64
+}
+
+// solve is one flight in progress. done closes when the leading call
+// returns; err is its error, handed to every waiter (and never cached).
+type solve struct {
+	done chan struct{}
+	err  error
 }
 
 // New returns a cache with the given options.
@@ -178,6 +206,7 @@ func New(opts Options) *Cache {
 	return &Cache{
 		opts:    opts.withDefaults(),
 		entries: make(map[string]*entry),
+		flights: make(map[flight]*solve),
 		lru:     list.New(),
 	}
 }
@@ -185,7 +214,10 @@ func New(opts Options) *Cache {
 // Plan serves a planning request: from the cache when an entry matches
 // Request's canonical key at (or revalidatably below) its epoch,
 // otherwise by running TopBuckets + distribution and caching the
-// result.
+// result. A call that finds the same key and epoch already being
+// planned waits for that flight and then looks the key up again, so an
+// isomorphic labeling still gets the plan translated into its own; the
+// flight's error, if any, is returned to it instead.
 func (c *Cache) Plan(req Request) (*Planned, error) {
 	if c == nil || c.opts.Disabled {
 		p, _, err := fullPlan(req)
@@ -193,40 +225,83 @@ func (c *Cache) Plan(req Request) (*Planned, error) {
 	}
 	lookupStart := time.Now()
 	key, labeling := Canonicalize(req.Query, req.VertexCols, req.K, granulations(req.Matrices))
-
-	c.mu.Lock()
-	e := c.entries[key]
-	switch {
-	case e == nil:
-		c.stats.Misses++
-	case e.epoch == req.Epoch:
-		c.lru.MoveToFront(e.el)
-		c.stats.Hits++
+	f := flight{key, req.Epoch}
+	waited := false
+	for {
+		c.mu.Lock()
+		e := c.entries[key]
+		switch {
+		case e != nil && e.epoch == req.Epoch:
+			c.lru.MoveToFront(e.el)
+			c.stats.Hits++
+			c.mu.Unlock()
+			tb, assign := translatePlan(e.tb, e.assign, sigmaFor(e.labeling, labeling))
+			return &Planned{
+				TopBuckets:     tb,
+				Assignment:     assign,
+				Bounds:         e.bounds,
+				Outcome:        Hit,
+				TopBucketsTime: time.Since(lookupStart),
+				SavedPlanTime:  e.planTime,
+				Waited:         waited,
+			}, nil
+		case e != nil && e.epoch > req.Epoch:
+			// The entry outran this query's pinned epoch (an append
+			// landed between pinning and lookup, and a sibling query
+			// already revalidated). Its floor may be certified by
+			// intervals this query cannot see — plan cold and leave the
+			// newer entry alone.
+			c.stats.Misses++
+			c.mu.Unlock()
+			p, _, err := fullPlan(req)
+			if p != nil {
+				p.Waited = waited
+			}
+			return p, err
+		}
+		if s := c.flights[f]; s != nil {
+			c.stats.Waits++
+			c.mu.Unlock()
+			<-s.done
+			if s.err != nil {
+				return nil, s.err
+			}
+			waited = true
+			continue
+		}
+		s := &solve{done: make(chan struct{})}
+		c.flights[f] = s
+		if e == nil {
+			c.stats.Misses++
+		}
 		c.mu.Unlock()
-		tb, assign := translatePlan(e.tb, e.assign, sigmaFor(e.labeling, labeling))
-		return &Planned{
-			TopBuckets:     tb,
-			Assignment:     assign,
-			Bounds:         e.bounds,
-			Outcome:        Hit,
-			TopBucketsTime: time.Since(lookupStart),
-			SavedPlanTime:  e.planTime,
-		}, nil
-	case e.epoch > req.Epoch:
-		// The entry outran this query's pinned epoch (an append landed
-		// between pinning and lookup, and a sibling query already
-		// revalidated). Its floor may be certified by intervals this
-		// query cannot see — plan cold and leave the newer entry alone.
-		c.stats.Misses++
-		c.mu.Unlock()
-		p, _, err := fullPlan(req)
+		p, err := c.lead(e, req, key, labeling, f, s)
+		if p != nil {
+			p.Waited = waited
+		}
 		return p, err
 	}
-	c.mu.Unlock()
+}
 
+// lead runs flight f as its leading call: it revalidates e (an entry
+// behind req.Epoch) when there is one, plans in full otherwise or when
+// revalidation declines, caches the result, and then releases the
+// flight's waiters with its error (a waiter released without one looks
+// the key up again, so even a panicking leader strands nobody).
+func (c *Cache) lead(e *entry, req Request, key string, labeling []int, f flight, s *solve) (planned *Planned, err error) {
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, f)
+		c.mu.Unlock()
+		s.err = err
+		close(s.done)
+	}()
+	if c.onLead != nil {
+		c.onLead()
+	}
 	if e != nil {
-		// Entry is behind req.Epoch: revalidate outside the lock (the
-		// entry is immutable; we only read it).
+		// Revalidate outside the lock (the entry is immutable; we only
+		// read it).
 		if ne, planned := c.revalidate(e, req, labeling); ne != nil {
 			c.insert(ne, true)
 			return planned, nil
@@ -239,7 +314,6 @@ func (c *Cache) Plan(req Request) (*Planned, error) {
 		c.stats.Misses++
 		c.mu.Unlock()
 	}
-
 	planned, ne, err := fullPlan(req)
 	if err != nil {
 		return nil, err

@@ -48,6 +48,15 @@
 // cannot silently pin hundreds of megabytes while a thousand trivial
 // plans thrash.
 //
+// Single flight. One call plans a given (canonical key, epoch) at a
+// time: concurrent callers that miss or find the entry behind their
+// epoch wait for that call, then look the key up again and read its
+// result as a hit — translated, like any hit, into their own labeling.
+// N concurrent first queries of one shape pay for one TopBuckets solve,
+// whether they come through a server, direct Execute calls or standing
+// resyncs. A failed planning hands its error to its waiters and caches
+// nothing, so the next call plans afresh.
+//
 // The cache is safe for concurrent use. Cached plans are immutable:
 // revalidation builds fresh entries, and callers must treat the
 // returned TopBuckets result and Assignment as read-only (the join

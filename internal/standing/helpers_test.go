@@ -76,7 +76,7 @@ func freshResults(t *testing.T, e *core.Engine, q *query.Query, mapping []int, k
 		t.Fatal(err)
 	}
 	defer pin.Release()
-	rep, err := e.ExecutePinned(context.Background(), q, mapping, pin, k, nil)
+	rep, err := e.ExecutePinned(context.Background(), q, mapping, pin, k)
 	if err != nil {
 		t.Fatal(err)
 	}

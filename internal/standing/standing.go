@@ -334,7 +334,7 @@ func (m *Manager) resync(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 	s.memo = solver.NewPairMemo()
 	mRouteResync.Inc()
 	rsSpan := cycleSpan.Child("resync")
-	rep, err := m.e.ExecutePinned(obs.WithSpan(s.ctx, rsSpan), s.q, s.mapping, pin, s.k, nil)
+	rep, err := m.e.ExecutePinned(obs.WithSpan(s.ctx, rsSpan), s.q, s.mapping, pin, s.k)
 	rsSpan.Finish()
 	if err != nil {
 		if s.ctx.Err() != nil {
@@ -394,7 +394,7 @@ func (m *Manager) Subscribe(ctx context.Context, q *query.Query, k int, opts Sub
 	if err != nil {
 		return nil, fmt.Errorf("standing: subscribe: %w", err)
 	}
-	rep, err := m.e.ExecutePinned(ctx, q, mapping, pin, k, nil)
+	rep, err := m.e.ExecutePinned(ctx, q, mapping, pin, k)
 	if err != nil {
 		return nil, fmt.Errorf("standing: subscribe: %w", err)
 	}

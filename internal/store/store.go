@@ -234,8 +234,8 @@ type Store struct {
 	// liveViews counts pinned Views not yet Released; viewHighWater is
 	// the maximum liveViews ever reached. Under continuous ingest every
 	// live view keeps its epoch's touched buckets reachable, so the
-	// admission layer uses these to verify that batching bounds the
-	// number of epochs alive at once (see ViewStats).
+	// admission layer uses these to verify that its in-flight cap bounds
+	// the number of epochs alive at once (see ViewStats).
 	liveViews     atomic.Int64
 	viewHighWater atomic.Int64
 
@@ -428,9 +428,9 @@ func (s *Store) Intervals() int {
 
 // View pins the latest epoch: the returned View serves exactly the
 // buckets visible now, unaffected by any Append published later. The
-// engine pins one View per query at admission (and the batching layer
-// pins one View per batch), so a query never observes a partial batch
-// or mixes epochs across collections. Every pinned View counts as live
+// engine pins one View per query at admission (and the standing layer
+// one per push cycle), so a query never observes a partial batch or
+// mixes epochs across collections. Every pinned View counts as live
 // until Release is called on it (see ViewStats).
 func (s *Store) View() *View {
 	s.mu.RLock()
@@ -461,9 +461,9 @@ type ViewStats struct {
 	// keeps its epoch's bucket state reachable.
 	Live int64
 	// HighWater is the maximum Live ever observed — the regression
-	// metric for "batching bounds concurrent epochs": a busy batcher
-	// over continuous ingest must keep it at its in-flight batch bound,
-	// not at the query count.
+	// metric for "admission bounds concurrent epochs": a busy server
+	// over continuous ingest must keep it at its in-flight cap, not at
+	// the query count.
 	HighWater int64
 }
 
@@ -487,7 +487,7 @@ func (v *View) Epoch() int64 { return v.epoch }
 
 // Release retires the view: the store's live-view count drops and the
 // caller promises not to probe the view again. Releasing is what lets
-// the batching layer bound how many epochs stay alive under continuous
+// the admission layer bound how many epochs stay alive under continuous
 // ingest — a view is cheap, but an unreleased one pins every bucket its
 // epoch could see. Release is idempotent; a nil view is a no-op.
 func (v *View) Release() {
