@@ -58,9 +58,9 @@ type LocalOptions struct {
 	// DisableIndex replaces R-tree probes with full bucket scans
 	// (ablation: BenchmarkAblationLocalIndex).
 	DisableIndex bool
-	// DisablePruning turns off threshold-based pruning, the score floor,
-	// the probe ladder and combination early termination (ablation:
-	// BenchmarkAblationPruning).
+	// DisablePruning turns off threshold-based pruning, the score floor
+	// (so also the probe ladder, whose rungs are floors) and combination
+	// early termination (ablation: BenchmarkAblationPruning).
 	DisablePruning bool
 }
 
@@ -69,13 +69,17 @@ type LocalOptions struct {
 // scores at 1/ρ steps, orders of magnitude above this epsilon.
 const floorEps = 1e-9
 
-// probeLadder is the descending sequence of optimistic score floors the
-// local join probes before its exact pass. The paper's reducers query
-// the R-tree "for an interval x_i and a score value v" (§4); the ladder
-// supplies v: if a cheap, tightly-boxed probe finds k results scoring at
-// least v, the exact pass can start with threshold v instead of
-// discovering it gradually — avoiding exhaustive enumeration when
-// high-scoring results are sparse.
+// probeLadder is the descending sequence of optimistic score floors a
+// reducer tries before it falls back to the shared floor. The paper's
+// reducers query the R-tree "for an interval x_i and a score value v"
+// (§4); the ladder supplies v. A rung is the reducer's one pass with its
+// own floor set to v, so candidates are boxed and pruned at
+// max(v, shared floor) from the first probe on instead of at a k-th
+// score discovered gradually — avoiding exhaustive enumeration when
+// high-scoring results are sparse. The rung's output is the answer when
+// its top-k fills (every local top-k result scores at least v) or when
+// the shared floor reached v during the pass (nothing below v can be in
+// the global top-k); otherwise it is dropped and the next rung runs.
 var probeLadder = []float64{0.95, 0.75, 0.5, 0.25}
 
 // LocalStats describes one reducer's local join work.
@@ -90,10 +94,13 @@ type LocalStats struct {
 	PartialsPruned int64
 	// ResultsReturned is the size of the local top-k list.
 	ResultsReturned int
-	// ProbeRounds counts probe-ladder rounds run before the exact pass.
+	// ProbeRounds counts the probe-ladder rungs run. TuplesExamined and
+	// PartialsPruned include the work of rungs whose output was dropped;
+	// CombosProcessed and CombosSkipped describe the answering pass only.
 	ProbeRounds int
-	// FloorUsed is the score floor of the exact pass (the shared floor
-	// when the reducer started, possibly raised by a successful probe).
+	// FloorUsed is the effective floor of the pass that produced the
+	// answer when it ended: the higher of its rung value (0 after the
+	// ladder) and the shared floor.
 	FloorUsed float64
 	// MinScore is the lowest score among returned results (the k-th
 	// local result when the reducer filled its list — Figure 8c). It is
@@ -298,16 +305,12 @@ type localJoiner struct {
 	scratch  []float64
 	stats    LocalStats
 
-	// floor is the active score floor: results strictly below it are
-	// discarded. Starts at the shared floor's value and may be raised by
-	// a successful probe-ladder round.
+	// floor is the pass's own score floor: the rung value during a
+	// probe-ladder rung, 0 after the ladder. The effective floor is the
+	// higher of it and the shared floor, read live.
 	floor float64
-	// probing marks probe-ladder mode: results are counted, not kept.
-	probing    bool
-	probeCount int
-	stop       bool
-	// canceled latches once done is closed: every recursion level, probe
-	// round and combination loop unwinds, and the caller must discard the
+	// canceled latches once done is closed: every recursion level, rung
+	// and combination loop unwinds, and the caller must discard the
 	// (truncated) output.
 	canceled bool
 
@@ -334,7 +337,7 @@ type localJoiner struct {
 
 	// levels is per-plan-position probe scratch: the visit closure handed
 	// to Bucket.Search is built once per level here and reused across
-	// every combination, probe round and bucket, so a warm probe
+	// every combination, ladder rung and bucket, so a warm probe
 	// allocates nothing (a fresh closure per recurse call escaped to the
 	// heap on every single bucket probe).
 	levels []probeLevel
@@ -364,7 +367,6 @@ func (l *probeLevel) visit(iv interval.Interval) {
 		select {
 		case <-lj.done:
 			lj.canceled = true
-			lj.stop = true
 			return
 		default:
 		}
@@ -415,7 +417,7 @@ func newLocalJoiner(done <-chan struct{}, p *plan, req *ReduceRequest) *localJoi
 		l.pos = pos
 		l.fn = func(ref int32) bool {
 			l.visit(l.items[ref])
-			return !lj.stop
+			return !lj.canceled
 		}
 	}
 	return lj
@@ -427,7 +429,7 @@ func newLocalJoiner(done <-chan struct{}, p *plan, req *ReduceRequest) *localJoi
 // bucket boxes. Without granulations (grans == nil) the bounds stay at
 // the trivial 1.0. Each bound is a pure function of the predicate and
 // the two boxes, so it is solved once per memo (see solver.PairMemo), not
-// once per query, reducer or probe round.
+// once per query, reducer or ladder rung.
 func (lj *localJoiner) prepareCombo(combo topbuckets.Combo) {
 	for v, b := range combo.Buckets {
 		h := lj.srcs[v].Bucket(b.StartG, b.EndG)
@@ -454,42 +456,48 @@ func (lj *localJoiner) prepareCombo(combo topbuckets.Combo) {
 
 // run processes the reducer's combinations — idxs index lj.combos, by
 // descending score upper bound (§3.4; RunTasks checked the order) — and
-// returns the local top-k.
+// returns the local top-k. Unless pruning is disabled, the probe ladder's
+// rungs come first (see probeLadder); a rung the shared floor already
+// covers is not run.
 func (lj *localJoiner) run(idxs []int) []Result {
 	start := time.Now()
 	lj.stats.CombosAssigned = len(idxs)
-
 	if !lj.opts.DisablePruning {
-		// Start from the certified seed and whatever threshold faster
-		// reducers have already published — it both prunes and skips
-		// redundant probe rounds.
-		if lj.shared != nil {
-			lj.floor = lj.shared.Load()
-		}
-		// Probe ladder: find the highest v for which k results scoring
-		// at least v exist locally; the exact pass then starts with that
-		// threshold.
 		for _, v := range probeLadder {
-			if v <= lj.floor || lj.canceled {
+			if v <= lj.sharedFloor() || lj.canceled {
 				break
 			}
 			lj.stats.ProbeRounds++
-			if lj.probe(idxs, v) {
-				lj.floor = v
-				// A successful probe certifies k results scoring >= v
-				// locally, which lower-bounds the global k-th score.
-				if lj.shared != nil {
-					lj.shared.Raise(v)
-				}
+			lj.floor = v
+			lj.pass(idxs)
+			if lj.topk.Full() || lj.sharedFloor() >= v {
 				break
 			}
+			lj.floor = 0
+			lj.topk = NewTopK(lj.k)
 		}
 	}
-	lj.stats.FloorUsed = lj.floor
+	if lj.floor == 0 { // no rung answered: one pass from the shared floor
+		lj.pass(idxs)
+	}
+	results := lj.topk.Results()
+	lj.stats.ResultsReturned = len(results)
+	if len(results) > 0 {
+		lj.stats.MinScore = results[len(results)-1].Score
+	}
+	lj.stats.FloorUsed = lj.effectiveFloor()
+	lj.stats.SharedFloorFinal = lj.sharedFloor()
+	lj.stats.Duration = time.Since(start)
+	return results
+}
 
+// pass runs the reducer's combinations once at the current floor,
+// collecting into lj.topk.
+func (lj *localJoiner) pass(idxs []int) {
+	lj.stats.CombosProcessed, lj.stats.CombosSkipped = 0, 0
 	for i, ci := range idxs {
 		if lj.canceled {
-			break
+			return
 		}
 		c := lj.combos[ci]
 		if !lj.opts.DisablePruning && c.UB <= lj.pruneThreshold() {
@@ -497,65 +505,26 @@ func (lj *localJoiner) run(idxs []int) []Result {
 			// also dominated. This is the early-termination payoff of
 			// DTB handing each reducer high-scoring results first.
 			lj.stats.CombosSkipped = len(idxs) - i
-			break
+			return
 		}
 		lj.stats.CombosProcessed++
 		lj.prepareCombo(c)
 		lj.recurse(0)
 	}
-	results := lj.topk.Results()
-	lj.stats.ResultsReturned = len(results)
-	if len(results) > 0 {
-		lj.stats.MinScore = results[len(results)-1].Score
-	}
-	if lj.shared != nil {
-		lj.stats.SharedFloorFinal = lj.shared.Load()
-	}
-	lj.stats.Duration = time.Since(start)
-	return results
 }
 
-// probe runs one probe-ladder round at floor v: count (up to k) results
-// scoring at least v, with tight index boxes derived from v. Reports
-// whether k were found.
-func (lj *localJoiner) probe(ordered []int, v float64) bool {
-	saved := lj.floor
-	lj.floor = v
-	lj.probing = true
-	lj.probeCount = 0
-	lj.stop = false
-	for _, ci := range ordered {
-		c := lj.combos[ci]
-		if c.UB <= v-floorEps {
-			break // sorted by descending UB
-		}
-		lj.prepareCombo(c)
-		lj.recurse(0)
-		if lj.stop {
-			break
-		}
+// sharedFloor is the cross-reducer floor's current value, 0 without one.
+func (lj *localJoiner) sharedFloor() float64 {
+	if lj.shared == nil {
+		return 0
 	}
-	found := lj.probeCount >= lj.k
-	lj.probing = false
-	lj.stop = false
-	if !found {
-		lj.floor = saved
-	}
-	return found
+	return lj.shared.Load()
 }
 
-// effectiveFloor is the reducer's active certified score floor: its own
-// (possibly probe-raised) floor or the cross-reducer shared floor,
-// whichever is higher. Probe rounds stay local — consulting the shared
-// floor there would miscount results at probe levels below it.
+// effectiveFloor is the pass's certified-or-optimistic score floor: its
+// own floor or the cross-reducer shared floor, whichever is higher.
 func (lj *localJoiner) effectiveFloor() float64 {
-	f := lj.floor
-	if !lj.probing && lj.shared != nil {
-		if s := lj.shared.Load(); s > f {
-			f = s
-		}
-	}
-	return f
+	return max(lj.floor, lj.sharedFloor())
 }
 
 // pruneThreshold is the score a candidate must strictly exceed to be
@@ -564,7 +533,7 @@ func (lj *localJoiner) effectiveFloor() float64 {
 // fills.
 func (lj *localJoiner) pruneThreshold() float64 {
 	thr := lj.effectiveFloor() - floorEps
-	if !lj.probing && lj.topk.Full() {
+	if lj.topk.Full() {
 		if t := lj.topk.Threshold(); t > thr {
 			thr = t
 		}
@@ -578,17 +547,8 @@ func (lj *localJoiner) recurse(pos int) {
 	p := lj.plan
 	if pos == len(p.order) {
 		score := p.q.Agg.Aggregate(lj.partials)
-		if lj.probing {
-			if score > lj.floor-floorEps {
-				lj.probeCount++
-				if lj.probeCount >= lj.k {
-					lj.stop = true
-				}
-			}
-			return
-		}
 		if !lj.opts.DisablePruning && score <= lj.effectiveFloor()-floorEps {
-			return // certified below the global k-th result
+			return // below the rung, or certified below the global k-th result
 		}
 		if lj.topk.Add(Result{Tuple: append([]interval.Interval(nil), lj.tuple...), Score: score}) &&
 			lj.shared != nil && lj.topk.Full() {
@@ -607,7 +567,7 @@ func (lj *localJoiner) recurse(pos int) {
 		for _, iv := range items {
 			lj.tuple[v] = iv
 			lj.recurse(1)
-			if lj.stop {
+			if lj.canceled {
 				return
 			}
 		}
@@ -615,7 +575,7 @@ func (lj *localJoiner) recurse(pos int) {
 	}
 
 	thr := -1.0
-	pruning := !lj.opts.DisablePruning && (lj.probing || lj.topk.Full() || lj.effectiveFloor() > 0)
+	pruning := !lj.opts.DisablePruning && (lj.topk.Full() || lj.effectiveFloor() > 0)
 	if pruning {
 		thr = lj.pruneThreshold()
 	}
@@ -634,7 +594,7 @@ func (lj *localJoiner) recurse(pos int) {
 	if lj.opts.DisableIndex {
 		for _, iv := range items {
 			l.visit(iv)
-			if lj.stop {
+			if lj.canceled {
 				return
 			}
 		}

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"sync"
@@ -65,8 +66,15 @@ func TestSharedFloorWatch(t *testing.T) {
 		mu      sync.Mutex
 		seen    []float64
 		stopped atomic.Bool
+		called  = make(chan struct{}, 1) // a pending signal: fn has run since the last receive
 	)
 	stop := s.Watch(func(v float64) {
+		defer func() {
+			select {
+			case called <- struct{}{}:
+			default:
+			}
+		}()
 		if stopped.Load() {
 			t.Error("fn ran after stop returned")
 		}
@@ -102,12 +110,14 @@ func TestSharedFloorWatch(t *testing.T) {
 	}
 	raiseAll(0.25).Wait()
 	final := s.Load()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if v, _ := last(); v == final {
+	for deadline := time.After(10 * time.Second); ; {
+		v, _ := last()
+		if v == final {
 			break
 		}
-		if time.Now().After(deadline) {
-			v, _ := last()
+		select {
+		case <-called:
+		case <-deadline:
 			t.Fatalf("fn last saw %g, the final floor is %g", v, final)
 		}
 	}
@@ -255,5 +265,75 @@ func TestLocalStatsJSONSafe(t *testing.T) {
 	}
 	if _, err := json.Marshal(st); err != nil {
 		t.Fatalf("LocalStats not JSON-safe: %v", err)
+	}
+}
+
+// raisingSource is a Source whose first bucket resolution raises floor to
+// v — what another reducer certifying the k-th score looks like to the
+// reducer reading through it.
+type raisingSource struct {
+	Source
+	once  *sync.Once
+	floor *SharedFloor
+	v     float64
+}
+
+func (s raisingSource) Bucket(startG, endG int) Bucket {
+	s.once.Do(func() { s.floor.Raise(s.v) })
+	return s.Source.Bucket(startG, endG)
+}
+
+// A probe-ladder rung reads the shared floor live. Here the floor is
+// certified at the global k-th score during rung 0.95, at the rung's
+// first bucket resolution, as another reducer would. At k = 8 (k-th
+// score 0.875) rung 0.95 fails to fill, rung 0.75 is covered by the
+// floor and skipped, and the reducer answers from the floor. At k = 2
+// (k-th score 1) rung 0.95 prunes at 1 from that bucket on. Either way
+// the reducer runs one rung, answers exactly, and does the work of a
+// reducer that found the floor certified when it started.
+func TestRungYieldsToSharedFloor(t *testing.T) {
+	cols := synthCols(3, 120, 21)
+	q := query.Qss(query.Env{Params: scoring.P1})
+	ms := collect(t, cols, 6)
+	for _, k := range []int{8, 2} {
+		exact, err := Exhaustive(q, cols, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kth := exact[len(exact)-1].Score
+		tb, err := topbuckets.Run(q, ms, k, topbuckets.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assign, err := distribute.DTB(tb.Selected, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(floor *SharedFloor, raise bool) LocalStats {
+			srcs, grans := storeSources(t, cols, ms)
+			if raise {
+				once := new(sync.Once)
+				for v := range srcs {
+					srcs[v] = raisingSource{Source: srcs[v], once: once, floor: floor, v: kth}
+				}
+			}
+			out, err := Run(context.Background(), &ReduceRequest{
+				Query: q, Srcs: srcs, Grans: grans, Combos: tb.Selected, Assign: assign, K: k, Shared: floor,
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ScoreMultisetEqual(out.Results, exact, 1e-9) {
+				t.Fatalf("k %d: got %v, want %v", k, scoresOf(out.Results), scoresOf(exact))
+			}
+			return out.Locals[0]
+		}
+		st, seeded := run(NewSharedFloor(0), true), run(NewSharedFloor(kth), false)
+		if st.ProbeRounds != 1 || st.FloorUsed != kth {
+			t.Fatalf("k %d: %d rungs, answering floor %g; want 1 rung and the certified floor %g", k, st.ProbeRounds, st.FloorUsed, kth)
+		}
+		if st.TuplesExamined != seeded.TuplesExamined {
+			t.Fatalf("k %d: examined %d tuples, %d with the floor certified from the start", k, st.TuplesExamined, seeded.TuplesExamined)
+		}
 	}
 }

@@ -25,7 +25,7 @@ func PairBounds(pred *scoring.Predicate, x, y VertexBox) (lb, ub float64) {
 // PairMemo memoizes PairBounds. The key is the solver's complete input
 // — the predicate's scoring signature and the two vertex boxes — so
 // equal keys imply equal bounds whoever asks: one memo is sound across
-// reducers, probe rounds, queries, epochs, subscriptions and isomorphic
+// reducers, ladder rungs, queries, epochs, subscriptions and isomorphic
 // labelings of a shape, and nothing ever invalidates an entry — a
 // boundary granule widened by an out-of-range append is simply a
 // different key.

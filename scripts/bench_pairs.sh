@@ -6,10 +6,11 @@
 #
 # The ref is extracted once (git archive) under .bench_build/pairs/<sha>;
 # each pair runs `benchmark/run.sh --workload W --seed 1` on both sides,
-# alternating which side goes first. Prints both series of query_p50_ms
-# and queries_per_s, their medians, how many pairs the tree won, and the
-# ref's own quartile distance (the spread a gain has to clear). It calls
-# the benchmark; it does not edit it.
+# alternating which side goes first. Prints, for each of the four
+# end-to-end metrics (query_p50_ms, queries_per_s, setup_s, peak_rss_mb),
+# both series, their medians, how many pairs the tree won, and the ref's
+# own quartile distance (the spread a gain has to clear). It calls the
+# benchmark; it does not edit it.
 set -euo pipefail
 if [ $# -lt 2 ]; then
 	echo "usage: $0 <ref> <workload> [pairs=10] [seconds=10]" >&2
@@ -24,7 +25,7 @@ if [ ! -d "$refdir" ]; then
 	git -C "$root" archive "$sha" | tar -x -C "$refdir"
 fi
 
-# run_side <dir>: one untraced run; prints "<query_p50_ms> <queries_per_s>".
+# run_side <dir>: one untraced run; prints the metrics in report order.
 run_side() {
 	local line
 	line=$(cd "$1" && bash benchmark/run.sh --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)
@@ -36,7 +37,7 @@ run_side() {
 		;;
 	esac
 	local m out=
-	for m in query_p50_ms queries_per_s; do
+	for m in query_p50_ms queries_per_s setup_s peak_rss_mb; do
 		out+="$(sed -n 's/.*"'"$m"'":{"unit":"[^"]*","value":\([-0-9.e+]*\)}.*/\1/p' <<<"$line") "
 	done
 	echo "$out"
@@ -83,3 +84,5 @@ report() {
 }
 report 1 query_p50_ms lower
 report 2 queries_per_s higher
+report 3 setup_s lower
+report 4 peak_rss_mb lower
