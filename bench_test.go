@@ -242,20 +242,32 @@ func BenchmarkPredicateScore(b *testing.B) {
 }
 
 // BenchmarkSolverPairBounds measures one loose-strategy unit of work:
-// tight bounds for a predicate over a bucket pair.
+// tight bounds for a predicate over a bucket pair. A separable predicate
+// (s-starts) is its enclosure alone; one whose terms share an endpoint
+// (s-overlaps) still searches its maximum.
 func BenchmarkSolverPairBounds(b *testing.B) {
-	pred := scoring.Starts(scoring.P1)
 	x := solver.VertexBox{StartLo: 0, StartHi: 2500, EndLo: 0, EndHi: 2600}
 	y := solver.VertexBox{StartLo: 2500, StartHi: 5000, EndLo: 2500, EndHi: 5100}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		solver.PredicateBounds(pred, x, y, solver.Options{MaxNodes: 512, Eps: 1e-3})
+	for _, bc := range []struct {
+		name string
+		pred *scoring.Predicate
+	}{
+		{"separable", scoring.Starts(scoring.P1)},
+		{"shared", scoring.Overlaps(scoring.P1)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				solver.PairBounds(bc.pred, x, y)
+			}
+		})
 	}
 }
 
 // BenchmarkPlanMiss measures what a query whose plan is not cached pays
 // before any join work: TopBuckets (loose strategy) and DTB over the
-// selection, at 3 × 15k uniform intervals, g = 20, k = 100, 8 reducers.
+// selection, at 3 × 15k uniform intervals, g = 20, k = 100, 8 reducers,
+// for each query shape of the cold_plan workload.
 func BenchmarkPlanMiss(b *testing.B) {
 	cols := []*interval.Collection{
 		Uniform("C1", 15000, 1), Uniform("C2", 15000, 2), Uniform("C3", 15000, 3),
@@ -264,20 +276,23 @@ func BenchmarkPlanMiss(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q, err := QueryByName("Qo,m", QueryEnv{Params: P1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := topbuckets.Run(q, ms, 100, topbuckets.Options{})
+	for _, name := range []string{"Qo,o", "Qo,m", "Qs,f,m"} {
+		q, err := QueryByName(name, QueryEnv{Params: P1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := distribute.Assign(distribute.AlgDTB, res.Selected, 8); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := topbuckets.Run(q, ms, 100, topbuckets.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := distribute.Assign(distribute.AlgDTB, res.Selected, 8); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

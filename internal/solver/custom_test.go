@@ -60,17 +60,16 @@ func TestBoundsMonotoneUnderBoxShrink(t *testing.T) {
 	}
 }
 
-// The single-term analytic fast path must agree with branch-and-bound.
+// A single-term predicate's bounds, its enclosure, must agree with
+// branch-and-bound.
 func TestSingleTermFastPathAgreesWithBnB(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	single := scoring.Meets(scoring.P1) // one equals term
 	for trial := 0; trial < 50; trial++ {
 		x, y := randBox(rng), randBox(rng)
 		flb, fub := PredicateBounds(single, x, y, Options{})
-		// Force the generic path by wrapping the term in a two-term
-		// predicate whose second term is always 1 (greater with a huge
-		// negative offset can't be built; instead duplicate the term —
-		// min(t, t) == t).
+		// Force the search by duplicating the term — min(t, t) == t, and
+		// two terms sharing endpoints are not separable.
 		dup := &scoring.Predicate{Name: "dup", Terms: []scoring.Term{single.Terms[0], single.Terms[0]}}
 		glb, gub := PredicateBounds(dup, x, y, Options{MaxNodes: 20000})
 		if diff := fub - gub; diff > 1e-3 || diff < -1e-3 {

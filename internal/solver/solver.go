@@ -13,6 +13,13 @@
 // returned bounds are always *safe*: UB >= true maximum and LB <= true
 // minimum, so pruning decisions based on them never sacrifice
 // correctness, only (marginally) efficiency when the node budget is hit.
+//
+// Over one bucket pair (PredicateBounds) the enclosure of the whole box
+// is already exact on the minimum of every predicate and on the maximum
+// of every separable one, so the search runs only for the maximum of
+// s-overlaps, s-sparks and s-justBefore. Over a combination
+// (QueryBoundsCert) edges that share a vertex share variables, and both
+// sides are searched.
 package solver
 
 import (
@@ -246,16 +253,10 @@ type Cert struct {
 	Converged bool
 }
 
-// QueryBounds solves the Bounds Problem: the tight lower and upper bound
-// of the query's aggregate score when each vertex's endpoints range over
-// its bucket box. Safe even when the node budget truncates the search.
-func QueryBounds(q *query.Query, boxes []VertexBox, opts Options) (lb, ub float64) {
-	lb, ub, _ = QueryBoundsCert(q, boxes, opts)
-	return lb, ub
-}
-
-// QueryBoundsCert is QueryBounds additionally returning the work
-// certificate of the two optimizations.
+// QueryBoundsCert solves the Bounds Problem: the tight lower and upper
+// bound of the query's aggregate score when each vertex's endpoints range
+// over its bucket box, and the work certificate of the two
+// optimizations. Safe even when the node budget truncates the search.
 func QueryBoundsCert(q *query.Query, boxes []VertexBox, opts Options) (lb, ub float64, cert Cert) {
 	opts = opts.withDefaults()
 	s := searchPool.Get().(*search)
@@ -269,15 +270,27 @@ func QueryBoundsCert(q *query.Query, boxes []VertexBox, opts Options) (lb, ub fl
 // PredicateBounds returns bounds for a single scored predicate over an
 // (x, y) bucket pair — the unit of work of the loose strategy, where the
 // solver assigns only 4 variables (§3.3).
+//
+// The enclosure of the whole box is exact wherever the predicate's
+// structure allows, and branch-and-bound runs only where it does not:
+//   - LB is always the enclosure's lo. A predicate is a min of terms and
+//     each term's range over the box is attained, so the min over the box
+//     of the min of the terms is the min of the terms' minima.
+//   - UB is the enclosure's hi when the predicate is separable — no
+//     endpoint appears in two terms (every single-term predicate,
+//     s-equals, s-starts, s-finishedBy, s-contains): each term then
+//     reaches its maximum on its own endpoints, all at once.
+//   - Otherwise (s-overlaps, s-sparks, s-justBefore) UB is the
+//     maximizing search alone.
+//
+// Both shortcuts equal what the two-sided search of QueryBoundsCert
+// returns over the one-edge query, bit for bit
+// (TestPairBoundsEnclosureExact).
 func PredicateBounds(pred *scoring.Predicate, x, y VertexBox, opts Options) (lb, ub float64) {
-	if len(pred.Terms) == 1 {
-		// Single-comparator predicates (before, meets, shiftMeets): the
-		// score is a unimodal function of one linear difference, whose
-		// range over a box is attained — the analytic bounds are exact.
-		t := pred.Terms[0]
-		lo4, hi4 := edgeBounds(x, y)
-		dlo, dhi := t.Diff.Range(lo4, hi4)
-		return t.ScoreRange(dlo, dhi)
+	lo4, hi4 := edgeBounds(x, y)
+	lb, ub = predicateEnclosure(pred, lo4, hi4)
+	if separable(pred) {
+		return lb, ub
 	}
 	q := &query.Query{
 		Name:        "pair",
@@ -285,7 +298,29 @@ func PredicateBounds(pred *scoring.Predicate, x, y VertexBox, opts Options) (lb,
 		Edges:       []query.Edge{{From: 0, To: 1, Pred: pred}},
 		Agg:         scoring.Avg{},
 	}
-	return QueryBounds(q, []VertexBox{x, y}, opts)
+	s := searchPool.Get().(*search)
+	s.fit(2, 1)
+	ub, _, _ = s.optimize(q, []VertexBox{x, y}, opts.withDefaults(), true)
+	searchPool.Put(s)
+	return lb, ub
+}
+
+// separable reports whether no endpoint has a nonzero coefficient in
+// the differences of two of pred's terms.
+func separable(pred *scoring.Predicate) bool {
+	var used [4]bool
+	for i := range pred.Terms {
+		for v, c := range pred.Terms[i].Diff.Coef {
+			if c == 0 {
+				continue
+			}
+			if used[v] {
+				return false
+			}
+			used[v] = true
+		}
+	}
+	return true
 }
 
 // optimize runs best-first branch-and-bound. maximize=true returns a

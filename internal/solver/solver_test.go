@@ -42,7 +42,7 @@ func TestPaperFigure6TightBounds(t *testing.T) {
 		{StartLo: 20, StartHi: 30, EndLo: 30, EndHi: 40},
 		{StartLo: 30, StartHi: 40, EndLo: 30, EndHi: 40},
 	}
-	lb, ub := QueryBounds(q, boxes, Options{MaxNodes: 20000})
+	lb, ub, _ := QueryBoundsCert(q, boxes, Options{MaxNodes: 20000})
 	if math.Abs(ub-0.5) > 1e-3 {
 		t.Errorf("tight UB = %g, want 0.5", ub)
 	}
@@ -92,7 +92,7 @@ func TestQueryBoundsBracketSamples(t *testing.T) {
 		for i := range boxes {
 			boxes[i] = randBox(rng)
 		}
-		lb, ub := QueryBounds(q, boxes, Options{})
+		lb, ub, _ := QueryBoundsCert(q, boxes, Options{})
 		if lb > ub+1e-9 {
 			t.Fatalf("%s: lb %g > ub %g", q.Name, lb, ub)
 		}
@@ -194,14 +194,14 @@ func TestQueryBoundsBooleanParams(t *testing.T) {
 		{StartLo: 30, StartHi: 40, EndLo: 40, EndHi: 50},
 		{StartLo: 60, StartHi: 70, EndLo: 70, EndHi: 80},
 	}
-	lb, ub := QueryBounds(q, boxes, Options{})
+	lb, ub, _ := QueryBoundsCert(q, boxes, Options{})
 	if lb != 1 || ub != 1 {
 		t.Errorf("certain before: bounds [%g,%g], want [1,1]", lb, ub)
 	}
 	// Clearly violated: y entirely before x.
 	boxes[1], boxes[0] = boxes[0], boxes[1]
 	boxes[2] = VertexBox{StartLo: 0, StartHi: 5, EndLo: 5, EndHi: 9}
-	lb, ub = QueryBounds(q, boxes, Options{})
+	lb, ub, _ = QueryBoundsCert(q, boxes, Options{})
 	if lb != 0 || ub != 0 {
 		t.Errorf("impossible before: bounds [%g,%g], want [0,0]", lb, ub)
 	}
@@ -214,8 +214,8 @@ func TestQueryBoundsTruncatedSearchStillSafe(t *testing.T) {
 	q := query.Qsfm(env)
 	for trial := 0; trial < 20; trial++ {
 		boxes := []VertexBox{randBox(rng), randBox(rng), randBox(rng)}
-		lbT, ubT := QueryBounds(q, boxes, Options{MaxNodes: 3}) // truncated
-		lbF, ubF := QueryBounds(q, boxes, Options{MaxNodes: 50000})
+		lbT, ubT, _ := QueryBoundsCert(q, boxes, Options{MaxNodes: 3}) // truncated
+		lbF, ubF, _ := QueryBoundsCert(q, boxes, Options{MaxNodes: 50000})
 		if ubT < ubF-1e-9 {
 			t.Fatalf("truncated UB %g below converged UB %g", ubT, ubF)
 		}

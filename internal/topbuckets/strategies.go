@@ -248,7 +248,7 @@ func runLoose(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, 
 	if shards > len(lists[0]) {
 		shards = len(lists[0])
 	}
-	shardSel := make([][]Combo, shards)
+	shardSel := make([][]candidate, shards)
 	var wg sync.WaitGroup
 	shardSize := (len(lists[0]) + shards - 1) / shards
 	for w := 0; w < shards; w++ {
@@ -267,11 +267,7 @@ func runLoose(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, 
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	var union []Combo
-	for _, s := range shardSel {
-		union = append(union, s...)
-	}
-	selected, kthResLB := SelectWithThreshold(k, union)
+	selected, kthResLB := selectUnion(lists, shardSel, k)
 	res.KthResLB = kthResLB
 	res.EnumPhase = time.Since(enumStart)
 
@@ -296,8 +292,9 @@ func runLoose(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, 
 // selectShard is one shard of the loose enumeration: the combinations
 // whose first bucket is at positions [lo, hi) of lists[0], bounded from
 // the pair tables and selected in one pass. It returns the shard's
-// Ω_k,S sorted by descending UB, tuples backed by one slab.
-func selectShard(q *query.Query, tables [][]pairBound, lists [][]stats.Bucket, lo, hi, k int) []Combo {
+// Ω_k,S as candidates at their row-major positions in Ω, in byUBPos
+// order.
+func selectShard(q *query.Query, tables [][]pairBound, lists [][]stats.Bucket, lo, hi, k int) []candidate {
 	sel := newSelector(k)
 	lbs := make([]float64, len(q.Edges))
 	ubs := make([]float64, len(q.Edges))
@@ -313,27 +310,91 @@ func selectShard(q *query.Query, tables [][]pairBound, lists [][]stats.Bucket, l
 		pos++
 	})
 	picked, _ := sel.pick()
-	// Matrix.Buckets lists each collection's buckets in tuple order, so
-	// row-major positions order tuples as CompareTuples does: sorting by
-	// (UB desc, position) sorts the combinations by byUB.
-	slices.SortFunc(picked, func(a, b candidate) int {
-		switch {
-		case a.ub > b.ub:
-			return -1
-		case a.ub < b.ub:
-			return 1
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	n := len(lists)
-	slab := make([]stats.Bucket, len(picked)*n)
-	out := make([]Combo, len(picked))
-	for i, it := range picked {
-		bs := slab[i*n : (i+1)*n : (i+1)*n]
-		tupleAt(lists, it.pos, bs)
-		out[i] = Combo{Buckets: bs, LB: it.lb, UB: it.ub, NbRes: it.nbRes}
+	slices.SortFunc(picked, byUBPos)
+	return picked
+}
+
+// byUBPos orders candidates at row-major positions in Ω as byUB orders
+// their combinations: Matrix.Buckets lists each collection's buckets in
+// tuple order, so row-major positions order tuples as CompareTuples
+// does.
+func byUBPos(a, b candidate) int {
+	switch {
+	case a.ub > b.ub:
+		return -1
+	case a.ub < b.ub:
+		return 1
 	}
-	return out
+	return cmp.Compare(a.pos, b.pos)
+}
+
+// selectUnion is the final selection of the loose enumeration over the
+// union of its shards' selections, each run one shard's picks in
+// byUBPos order. It offers the union run by run, each run in its own
+// order: which of two equal LBs leaves the cover depends on that order
+// (TestPlanPin pins it). The picks of each run keep their run's order,
+// so Ω_k,S in byUB order is a merge of the runs' picks, not a sort, and
+// only its tuples are built, into one slab.
+func selectUnion(lists [][]stats.Bucket, runs [][]candidate, k int) ([]Combo, float64) {
+	sel := newSelector(k)
+	i := 0
+	for _, run := range runs {
+		for _, c := range run {
+			c.pos = i // the union index, so that kept candidates are in position order
+			sel.offer(c)
+			i++
+		}
+	}
+	picked, t := sel.pick()
+	// Back from union indices, which ascend run by run, to the runs'
+	// candidates.
+	parts := make([][]candidate, len(runs))
+	flat := make([]candidate, len(picked))
+	p, start := 0, 0
+	for r, run := range runs {
+		from := p
+		for ; p < len(picked) && picked[p].pos < start+len(run); p++ {
+			flat[p] = run[picked[p].pos-start]
+		}
+		parts[r] = flat[from:p]
+		start += len(run)
+	}
+	merged := mergeRuns(parts)
+	n := len(lists)
+	slab := make([]stats.Bucket, len(merged)*n)
+	out := make([]Combo, len(merged))
+	for i, c := range merged {
+		bs := slab[i*n : (i+1)*n : (i+1)*n]
+		tupleAt(lists, c.pos, bs)
+		out[i] = Combo{Buckets: bs, LB: c.lb, UB: c.ub, NbRes: c.nbRes}
+	}
+	return out, t
+}
+
+// mergeRuns merges one or more runs sorted by byUBPos into one sorted
+// run, two runs at a time.
+func mergeRuns(runs [][]candidate) []candidate {
+	for len(runs) > 1 {
+		next := make([][]candidate, 0, (len(runs)+1)/2)
+		for i := 0; i < len(runs); i += 2 {
+			if i+1 == len(runs) {
+				next = append(next, runs[i])
+				continue
+			}
+			a, b := runs[i], runs[i+1]
+			m := make([]candidate, 0, len(a)+len(b))
+			for len(a) > 0 && len(b) > 0 {
+				if byUBPos(b[0], a[0]) < 0 {
+					m, b = append(m, b[0]), b[1:]
+				} else {
+					m, a = append(m, a[0]), a[1:]
+				}
+			}
+			next = append(next, append(append(m, a...), b...))
+		}
+		runs = next
+	}
+	return runs[0]
 }
 
 // runBruteForce materializes Ω with tight solver bounds for every

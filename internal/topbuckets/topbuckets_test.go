@@ -166,10 +166,22 @@ func sameSelection(t *testing.T, what string, got, want []Combo) {
 	}
 }
 
+// combosAt materializes candidates at row-major positions of Ω, tuples
+// through tupleAt.
+func combosAt(lists [][]stats.Bucket, cs []candidate) []Combo {
+	out := make([]Combo, len(cs))
+	for i, c := range cs {
+		bs := make([]stats.Bucket, len(lists))
+		tupleAt(lists, c.pos, bs)
+		out[i] = Combo{Buckets: bs, LB: c.lb, UB: c.ub, NbRes: c.nbRes}
+	}
+	return out
+}
+
 // The one-pass selector keeps exactly what the two-pass selection picks,
 // in the same order — also under coarse scores that force ties — and a
-// loose-enumeration shard, which builds only its picked tuples, selects
-// what SelectList selects over the materialized enumeration.
+// loose-enumeration shard, whose picks are positions in Ω, selects what
+// SelectList selects over the materialized enumeration.
 func TestStreamSelectorMatchesSelectList(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 100; trial++ {
@@ -200,9 +212,68 @@ func TestStreamSelectorMatchesSelectList(t *testing.T) {
 				lb, ub := looseBounds(q, tables, lists, pos, lbs, ubs)
 				all = append(all, Combo{Buckets: append([]stats.Bucket(nil), bs...), LB: lb, UB: ub, NbRes: nbRes(bs)})
 			})
-			got := selectShard(q, tables, lists, span[0], span[1], k)
+			got := combosAt(lists, selectShard(q, tables, lists, span[0], span[1], k))
 			sameSelection(t, fmt.Sprintf("shard %v, k=%d", span, k), got, twoPassSelect(k, all))
 		}
+	}
+}
+
+// runLoose's final selection merges the shards' sorted picks instead of
+// sorting their union: over 1-4 shards whose runs tie at UB 1.0 across
+// shard boundaries, selectUnion picks what SelectWithThreshold picks over
+// the materialized union offered in the same order, with the same
+// threshold, in the same order — and the merge of runs alone is
+// slices.SortFunc(…, byUB) of the same picks.
+func TestSelectUnionMergesShardRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 300; trial++ {
+		// Bucket lists in tuple order, as Matrix.Buckets lists them.
+		lists := make([][]stats.Bucket, 2+rng.Intn(2))
+		for v := range lists {
+			g := 2 + rng.Intn(4)
+			for s := 0; s < g; s++ {
+				for e := s; e < g; e++ {
+					lists[v] = append(lists[v], stats.Bucket{Col: v, StartG: s, EndG: e, Count: 1 + rng.Intn(5)})
+				}
+			}
+		}
+		inner := 1
+		for _, l := range lists[1:] {
+			inner *= len(l)
+		}
+		shards := min(1+rng.Intn(4), len(lists[0]))
+		size := (len(lists[0]) + shards - 1) / shards
+		var runs [][]candidate
+		var union []Combo
+		for lo := 0; lo < len(lists[0]); lo += size {
+			hi := min(lo+size, len(lists[0]))
+			var run []candidate
+			for pos := lo * inner; pos < hi*inner; pos++ {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				ub := 1.0 // most candidates tie at 1.0, in every shard
+				if rng.Intn(3) == 0 {
+					ub = float64(rng.Intn(10)) / 10
+				}
+				lb := ub * float64(rng.Intn(11)) / 10
+				run = append(run, candidate{pos: pos, lb: lb, ub: ub, nbRes: float64(1 + rng.Intn(20))})
+			}
+			slices.SortFunc(run, byUBPos)
+			runs = append(runs, run)
+			union = append(union, combosAt(lists, run)...)
+		}
+		k := 1 + rng.Intn(60)
+		got, gotT := selectUnion(lists, runs, k)
+		want, wantT := SelectWithThreshold(k, union)
+		what := fmt.Sprintf("trial %d: %d shards, k=%d", trial, len(runs), k)
+		sameSelection(t, what, got, want)
+		if gotT != wantT {
+			t.Fatalf("%s: kthResLB %g, want %g", what, gotT, wantT)
+		}
+		sorted := slices.Clone(union)
+		slices.SortFunc(sorted, byUB)
+		sameSelection(t, what+", all picks", combosAt(lists, mergeRuns(runs)), sorted)
 	}
 }
 
