@@ -35,9 +35,10 @@
 //
 // Stages 3 and 4's planning halves (bound solving, pruning, reducer
 // assignment) are memoized per query shape in an epoch-keyed plan
-// cache: repeated shapes skip them on a hit, and streaming appends
-// revalidate cached plans instead of discarding them (see
-// Options.PlanCache and Report.PlanCacheHit).
+// cache: repeated shapes skip them on a hit, and a streaming append
+// promotes a cached plan unchanged unless it created a bucket or widened
+// a boundary granule, which plans it again (see Options.PlanCache and
+// Report.PlanCacheHit).
 //
 // Quickstart:
 //
@@ -217,14 +218,14 @@ type (
 	Distribution = distribute.Algorithm
 	// PlanCacheOptions tunes (or disables) the engine's query-plan
 	// cache: repeated query shapes skip the TopBuckets and distribution
-	// phases on a hit, and streaming appends revalidate cached plans
-	// incrementally instead of discarding them. Set it on
+	// phases on a hit, and a streaming append promotes a cached plan
+	// unchanged unless it changed a bucket's shape. Set it on
 	// Options.PlanCache; the zero value enables the cache with default
 	// bounds.
 	PlanCacheOptions = plancache.Options
 	// PlanCacheStats is a snapshot of plan-cache activity
-	// (Engine.PlanCacheStats): hits, revalidations, misses, evictions,
-	// and the retained solver-work cost.
+	// (Engine.PlanCacheStats): hits, promotions (Revalidations),
+	// misses, evictions, and the retained solver-work cost.
 	PlanCacheStats = plancache.Stats
 )
 
@@ -282,7 +283,7 @@ func NewServer(engine *Engine, opts ServerOptions) *Server {
 // (a resync delta) followed by one incremental delta per ingest push —
 // membership changes computed by re-probing only the bucket
 // combinations each append affected, never by re-executing the full
-// query unless revalidation cannot certify the result. A consumer
+// query unless the grown region is too large to probe. A consumer
 // folding the deltas through SubscriptionTopK.Apply materializes, after
 // every delta, exactly the result list a fresh Execute at that epoch
 // returns.

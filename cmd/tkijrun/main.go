@@ -38,8 +38,9 @@
 //
 // Plan caching: repeated runs of one query shape are served from the
 // engine's plan cache — the TopBuckets solve and the reducer assignment
-// are skipped on a hit, and epoch bumps revalidate the cached plan
-// instead of discarding it. -append-every N re-streams the -append
+// are skipped on a hit, and an epoch bump promotes the cached plan
+// unchanged unless it changed a bucket's shape, which plans it again.
+// -append-every N re-streams the -append
 // batch before every Nth repeat run to interleave ingest with queries;
 // -no-plan-cache plans every run cold (the equivalence baseline). Each
 // run's JSON reports plan_cache: "hit" | "revalidated" | "miss".
@@ -110,8 +111,9 @@ type jsonRun struct {
 	Run   int   `json:"run"`
 	Epoch int64 `json:"epoch"`
 	// PlanCache is how the planning phases were served: "hit" (cached
-	// plan, same epoch), "revalidated" (cached plan carried across
-	// epoch bumps), or "miss" (planned cold).
+	// plan, same epoch), "revalidated" (cached plan promoted unchanged
+	// across epoch bumps that changed no bucket's shape), or "miss"
+	// (planned cold, also after a shape-changing epoch bump).
 	PlanCache           string  `json:"plan_cache"`
 	PlanMillis          float64 `json:"plan_ms"`
 	PlanSavedMillis     float64 `json:"plan_saved_ms"`
@@ -219,7 +221,7 @@ func main() {
 		appendSrc = flag.String("append", "", "stream this batch file's intervals into the engine (epoch-delta ingest) before querying")
 		appendCol = flag.Int("append-col", 0, "collection index the -append batch streams into")
 		appendDlt = flag.Bool("append-delta", false, "also record the -append batch as a delta section on the snapshot file (-load-stats or -save-stats path)")
-		appendEvr = flag.Int("append-every", 0, "re-stream the -append batch before every Nth repeat run (interleaves epoch bumps with queries; exercises plan-cache revalidation)")
+		appendEvr = flag.Int("append-every", 0, "re-stream the -append batch before every Nth repeat run (interleaves epoch bumps with queries; exercises plan-cache promotion and re-planning)")
 		noCache   = flag.Bool("no-plan-cache", false, "disable the query-plan cache: plan every execution cold")
 		shards    = flag.Int("shards", 0, "split the bucket store across N in-process shard workers and run the join distributed (0/1 = local execution)")
 		shardAddr = flag.String("shard-addrs", "", "comma-separated tkij-worker TCP addresses to shard across (overrides -shards)")
@@ -442,8 +444,8 @@ func main() {
 	seq := 0
 	for run := 0; run < *repeat; run++ {
 		// Interleave ingest with the repeated runs: every Nth run first
-		// re-streams the batch, so the cached plan must be revalidated
-		// across the epoch bump rather than served verbatim.
+		// re-streams the batch, so the cached plan must be promoted or
+		// planned again across the epoch bump, never served as a hit.
 		if run > 0 && batch != nil && *appendEvr > 0 && run%*appendEvr == 0 {
 			if _, err := engine.Append(*appendCol, batch.Items); err != nil {
 				fatal(err)

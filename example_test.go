@@ -68,7 +68,7 @@ func ExampleEngine_Execute() {
 // bucket matrix is maintained incrementally and the store publishes a
 // new epoch — no statistics job, no rebuild, and in-flight queries are
 // never stalled. The repeated query shape reuses the cached plan,
-// revalidated across the epoch bump.
+// promoted across the epoch bump.
 func ExampleEngine_Append() {
 	shifts := tkij.NewCollection("shifts", []tkij.Interval{
 		{ID: 1, Start: 0, End: 10}, {ID: 2, Start: 20, End: 30},

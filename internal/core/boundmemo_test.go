@@ -108,13 +108,14 @@ func pinnedGrids(t *testing.T, e *Engine) []stats.Grid {
 }
 
 // An out-of-range append widens a boundary granule, which changes the
-// box — hence the memo key — of every bound over a boundary bucket and of
-// no other. The revalidated plan's memo succeeds the old one, so the next
-// execution re-solves exactly the changed keys and stays exact. Pruning
-// is disabled so that every selected combination is processed on every
-// run, and there is one reducer so that no two race to solve one key:
-// the solve counts are then exact rather than bounds.
-func TestBoundMemoResolvesOnlyChangedBoxes(t *testing.T) {
+// box — hence the memo key — of every bound over a boundary bucket. The
+// plan is then planned again with a memo of its own: the next execution
+// solves every bound its plan reads, including those whose box did not
+// change, and stays exact. Pruning is disabled so that every selected
+// combination is processed on every run, and there is one reducer so
+// that no two race to solve one key: the solve counts are then exact
+// rather than bounds.
+func TestWideningReplansWithFreshMemo(t *testing.T) {
 	cols := synthCols(3, 45, 23)
 	q := query.Qbb(query.Env{Params: scoring.P1})
 	const k = 9
@@ -139,21 +140,22 @@ func TestBoundMemoResolvesOnlyChangedBoxes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !widened.PlanRevalidated {
-		t.Fatalf("post-append execution was a %s, want a revalidation (the memo of a re-plan starts empty)", widened.PlanOutcome())
+	if widened.PlanOutcome() != "miss" {
+		t.Fatalf("post-append execution was a %s, want a miss", widened.PlanOutcome())
 	}
-	changed := 0
-	for key := range edgeBoundInputs(widened, pinnedGrids(t, e)) {
-		if !before[key] {
-			changed++
+	inputs := edgeBoundInputs(widened, pinnedGrids(t, e))
+	kept := 0
+	for key := range inputs {
+		if before[key] {
+			kept++
 		}
 	}
-	if changed == 0 {
-		t.Fatal("the out-of-range append changed no bound input — the test lost its subject")
+	if kept == 0 {
+		t.Fatal("the re-plan reads no bound input of its predecessor — a fresh memo cannot show")
 	}
-	if int(widened.Join.BoundSolves) != changed {
-		t.Fatalf("execution after the widening ran %d bound solves, want exactly the %d inputs whose box changed",
-			widened.Join.BoundSolves, changed)
+	if int(widened.Join.BoundSolves) != len(inputs) {
+		t.Fatalf("execution after the widening ran %d bound solves, want all %d distinct inputs (%d unchanged since the first plan)",
+			widened.Join.BoundSolves, len(inputs), kept)
 	}
 	want, err := baselines.Naive(q, cols, k)
 	if err != nil {

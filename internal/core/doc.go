@@ -33,8 +33,9 @@
 // planning half (TopBuckets + distribution) is a pure function of the
 // query shape, k, the granulation and the matrices epoch, so Execute
 // routes it through an internal plan cache (internal/plancache):
-// repeated query shapes skip both phases on a hit, and epoch bumps from
-// Append revalidate cached plans incrementally instead of discarding
-// them. Report.PlanCacheHit / Report.PlanRevalidated say how a given
+// repeated query shapes skip both phases on a hit, and an epoch bump
+// from Append promotes a cached plan unchanged unless it created a
+// bucket or widened a boundary granule, which plans it again.
+// Report.PlanCacheHit / Report.PlanRevalidated say how a given
 // execution was planned; Options.PlanCache tunes or disables the cache.
 package core

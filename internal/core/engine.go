@@ -42,8 +42,8 @@ type Options struct {
 	// PlanCache tunes the query-plan cache (the zero value enables it
 	// with default bounds; set PlanCache.Disabled to plan every query
 	// cold). Repeated query shapes hit the cache and skip the
-	// TopBuckets + distribution phases entirely; epoch bumps from
-	// Append revalidate cached plans incrementally.
+	// TopBuckets + distribution phases entirely; an epoch bump from
+	// Append promotes a cached plan unless it changed a bucket's shape.
 	PlanCache plancache.Options
 	// Mmap selects the zero-copy restore path in OpenEngine: the
 	// snapshot file is mapped read-only and its sealed buckets are
@@ -475,7 +475,7 @@ func (e *Engine) InvalidateStore() {
 	e.closeClusterLocked()
 	// The rebuild restarts the epoch sequence at 0, and the mutation
 	// that prompted it may have shrunk buckets — both outside the plan
-	// cache's append-only revalidation model, so cached plans must go.
+	// cache's append-only epoch model, so cached plans must go.
 	e.plans.Purge()
 	// Standing subscriptions hold epoch-derived diff bases; the
 	// generation bump (observed through pins) forces them to resync
@@ -489,8 +489,8 @@ func (e *Engine) InvalidateStore() {
 }
 
 // PlanCacheStats returns a snapshot of the engine's plan-cache
-// activity: hits, revalidations, misses, evictions, and the retained
-// solver-work cost.
+// activity: hits, promotions (Revalidations), misses, evictions, and
+// the retained solver-work cost.
 func (e *Engine) PlanCacheStats() plancache.Stats {
 	return e.plans.Stats()
 }

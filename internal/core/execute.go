@@ -176,7 +176,7 @@ type Report struct {
 	Epoch int64
 
 	// Standing reports the execution served a standing subscription (the
-	// initial snapshot at Subscribe, or a revalidation-fallback resync)
+	// initial snapshot at Subscribe, or a resync)
 	// rather than a one-shot caller query. Filled by internal/standing.
 	Standing bool
 
@@ -207,10 +207,9 @@ type Report struct {
 	// was served, and TopBucketsTime is just the cache lookup.
 	PlanCacheHit bool
 	// PlanRevalidated reports that a cached plan from an earlier epoch
-	// was carried forward across Append epoch bumps — promoted verbatim
-	// when no bucket the plan depends on changed shape, or patched by
-	// re-bounding only the affected combinations. TopBucketsTime is the
-	// revalidation cost.
+	// was promoted verbatim across Append epoch bumps that changed no
+	// bucket's shape (a shape change plans again: a miss).
+	// TopBucketsTime is the promotion cost.
 	PlanRevalidated bool
 	// PlanSavedTime is the wall time the original full plan cost when it
 	// was first computed — the planning work a Hit or Revalidated
@@ -223,7 +222,7 @@ type Report struct {
 	PlanWaited bool
 
 	// TopBucketsTime is the wall time of phase 1 (TopBuckets pruning),
-	// or of the plan-cache lookup / revalidation that replaced it.
+	// or of the plan-cache lookup / promotion that replaced it.
 	TopBucketsTime time.Duration
 	// DistributeTime is the wall time of phase 2 (reducer assignment);
 	// zero when a cached assignment was reused.
@@ -319,8 +318,8 @@ func (e *Engine) pinnedInputs(q *query.Query, mapping []int, pin *Pin, k int) ([
 // distribution for (q, mapping, k) at the pin's epoch, through the plan
 // cache. The plan is a pure function of (query shape, k, granulation,
 // matrices epoch) — a repeated shape at an unchanged epoch skips both
-// phases, and an epoch bump revalidates the cached plan incrementally
-// instead of replanning from scratch.
+// phases, and an epoch bump that changed no bucket's shape promotes the
+// cached plan instead of planning again.
 func (e *Engine) plan(ctx context.Context, q *query.Query, mapping []int, vertexMs []*stats.Matrix,
 	pin *Pin, k int) (*plancache.Planned, error) {
 	if err := checkCtx(ctx, "planning"); err != nil {

@@ -94,9 +94,10 @@ func TestPlanCacheIsomorphicShapesShareEntry(t *testing.T) {
 	}
 }
 
-// TestPlanCacheAcrossAppends: epoch bumps revalidate cached plans, and
-// the revalidated plan's answers stay exact against the naive oracle —
-// including out-of-range appends that widen the boundary granules.
+// TestPlanCacheAcrossAppends: an epoch bump promotes a cached plan or
+// plans it again, and either way the answers stay exact against the
+// naive oracle — including out-of-range appends that widen the boundary
+// granules.
 func TestPlanCacheAcrossAppends(t *testing.T) {
 	cols := synthCols(3, 45, 23)
 	q := query.Qbb(query.Env{Params: scoring.P1})
@@ -113,7 +114,7 @@ func TestPlanCacheAcrossAppends(t *testing.T) {
 		// Interior appends into existing territory: pure promotion.
 		{{ID: 9001, Start: 100, End: 140}, {ID: 9002, Start: 900, End: 960}},
 		// Far out of range: clamps into boundary granules, widens the
-		// grid, forces the incremental re-bound (or a full re-plan).
+		// grid, forces a full re-plan.
 		{{ID: 9003, Start: -8000, End: -7000}, {ID: 9004, Start: 9000, End: 9800}},
 	}
 	for bi, batch := range batches {

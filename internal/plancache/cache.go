@@ -20,13 +20,6 @@ import (
 // (or thousands of small ones) before LRU eviction starts.
 const DefaultMaxCost = 16 << 20
 
-// MaxAffected bounds the affected-combination region an epoch bump may
-// be patched over incrementally — by revalidation here, by a standing
-// push in internal/standing; a bigger region means the appends reshaped
-// the combination space enough that a full re-plan is both safer and
-// usually cheaper.
-const MaxAffected = 1 << 16
-
 // Options configures a Cache. The zero value is an enabled cache with
 // the default bounds.
 type Options struct {
@@ -57,9 +50,9 @@ const (
 	Miss Outcome = iota
 	// Hit: the cached plan was served as-is (entry epoch == query epoch).
 	Hit
-	// Revalidated: the entry was carried across one or more epoch bumps —
-	// promoted unchanged when no bucket the plan depends on was touched,
-	// or patched by re-bounding just the affected combinations.
+	// Revalidated: the entry was promoted unchanged across one or more
+	// epoch bumps that changed no bucket's shape (no bucket appeared, no
+	// boundary granule widened). A shape change is planned again, a Miss.
 	Revalidated
 )
 
@@ -107,7 +100,7 @@ type Planned struct {
 	Outcome Outcome
 	// TopBucketsTime and DistributeTime are the wall time this call
 	// actually spent in each planning phase: the full phase cost on a
-	// Miss, the lookup / revalidation cost on a Hit / Revalidated. They
+	// Miss, the lookup / promotion cost on a Hit / Revalidated. They
 	// are disjoint (never double-counted), so a caller timing the whole
 	// Plan call can attribute its window to the two phases exactly.
 	TopBucketsTime time.Duration
@@ -117,19 +110,20 @@ type Planned struct {
 	// planning work this call did not repeat. Zero on a Miss.
 	SavedPlanTime time.Duration
 	// Waited reports that the call found a concurrent miss or
-	// revalidation of its key and epoch in flight and waited for it
+	// promotion of its key and epoch in flight and waited for it
 	// instead of planning again; the wait is inside TopBucketsTime.
 	Waited bool
 }
 
 // Stats is a snapshot of cache activity.
 type Stats struct {
-	Hits          int64
+	Hits int64
+	// Revalidations counts promotions (Outcome Revalidated).
 	Revalidations int64
 	Misses        int64
 	Evictions     int64
 	// Waits counts calls that waited on a concurrent miss or
-	// revalidation of their key and epoch (Planned.Waited).
+	// promotion of their key and epoch (Planned.Waited).
 	Waits   int64
 	Entries int
 	// Cost is the total retained solver-work cost (bounded by
@@ -138,8 +132,8 @@ type Stats struct {
 }
 
 // entry is one cached plan. All fields are immutable after insertion —
-// revalidation replaces the entry rather than mutating it, so readers
-// holding a plan across an epoch bump are unaffected.
+// promotion and re-planning replace the entry rather than mutating it,
+// so readers holding a plan across an epoch bump are unaffected.
 type entry struct {
 	key   string
 	epoch int64
@@ -151,25 +145,25 @@ type entry struct {
 	tb       *topbuckets.Result
 	assign   *distribute.Assignment
 	// bounds is the join's per-edge bound memo for this plan: created
-	// with the plan, carried verbatim by hits and pure promotions,
-	// succeeded (solver.PairMemo.Next) when a revalidation re-selects.
-	// Its keys are the solver's full input, so it needs no translation
-	// between isomorphic labelings and no invalidation; it holds at
-	// most one entry per (edge, selected combination), which cost
-	// charges up front (memoCost), and it is evicted with the entry.
+	// empty with the plan, carried verbatim by hits and promotions, and
+	// dropped with the entry when a shape change plans again. Its keys
+	// are the solver's full input, so it needs no translation between
+	// isomorphic labelings and no invalidation; it holds at most one
+	// entry per (edge, selected combination), which cost charges up
+	// front (memoCost), and it is evicted with the entry.
 	bounds   *solver.PairMemo
 	planTime time.Duration // original full-plan wall time
 	cost     float64
 	// state is the matrix fingerprint the plan was computed against
-	// (EpochState); revalidation diffs it against the current matrices
-	// to find the affected buckets.
+	// (EpochState); promotion diffs it against the current matrices to
+	// tell whether any bucket changed shape since.
 	state *EpochState
 	el    *list.Element
 }
 
 // Cache is a bounded, epoch-aware plan cache. Safe for concurrent use;
 // planning is single-flighted per (canonical key, epoch): one call runs
-// the miss or revalidation, and concurrent calls for that pair wait for
+// the miss or promotion, and concurrent calls for that pair wait for
 // it and then look the key up again.
 type Cache struct {
 	opts Options
@@ -212,7 +206,7 @@ func New(opts Options) *Cache {
 }
 
 // Plan serves a planning request: from the cache when an entry matches
-// Request's canonical key at (or revalidatably below) its epoch,
+// Request's canonical key at (or promotably below) its epoch,
 // otherwise by running TopBuckets + distribution and caching the
 // result. A call that finds the same key and epoch already being
 // planned waits for that flight and then looks the key up again, so an
@@ -248,9 +242,9 @@ func (c *Cache) Plan(req Request) (*Planned, error) {
 		case e != nil && e.epoch > req.Epoch:
 			// The entry outran this query's pinned epoch (an append
 			// landed between pinning and lookup, and a sibling query
-			// already revalidated). Its floor may be certified by
-			// intervals this query cannot see — plan cold and leave the
-			// newer entry alone.
+			// already promoted or re-planned it). Its floor may be
+			// certified by intervals this query cannot see — plan cold
+			// and leave the newer entry alone.
 			c.stats.Misses++
 			c.mu.Unlock()
 			p, _, err := fullPlan(req)
@@ -283,9 +277,9 @@ func (c *Cache) Plan(req Request) (*Planned, error) {
 	}
 }
 
-// lead runs flight f as its leading call: it revalidates e (an entry
-// behind req.Epoch) when there is one, plans in full otherwise or when
-// revalidation declines, caches the result, and then releases the
+// lead runs flight f as its leading call: it promotes e (an entry
+// behind req.Epoch) when the epochs between changed no bucket's shape,
+// plans in full otherwise, caches the result, and then releases the
 // flight's waiters with its error (a waiter released without one looks
 // the key up again, so even a panicking leader strands nobody).
 func (c *Cache) lead(e *entry, req Request, key string, labeling []int, f flight, s *solve) (planned *Planned, err error) {
@@ -300,16 +294,15 @@ func (c *Cache) lead(e *entry, req Request, key string, labeling []int, f flight
 		c.onLead()
 	}
 	if e != nil {
-		// Revalidate outside the lock (the entry is immutable; we only
+		// Promote outside the lock (the entry is immutable; we only
 		// read it).
-		if ne, planned := c.revalidate(e, req, labeling); ne != nil {
+		if ne, planned := promote(e, req, labeling); ne != nil {
 			c.insert(ne, true)
 			return planned, nil
 		}
-		// Revalidation declined (floor no longer certified, affected
-		// region too large, ...) — fall through to a full re-plan,
-		// which replaces the stale entry, and count the call as the
-		// miss it effectively was.
+		// A bucket appeared or a boundary granule widened: the stale
+		// entry's bounds no longer certify its prune. Plan in full —
+		// the new entry replaces it — and count the call as a miss.
 		c.mu.Lock()
 		c.stats.Misses++
 		c.mu.Unlock()
@@ -323,13 +316,50 @@ func (c *Cache) lead(e *entry, req Request, key string, labeling []int, f flight
 	return planned, nil
 }
 
+// promote carries entry e (planned at an earlier epoch) to req.Epoch
+// unchanged, returning the promoted entry and the caller-facing plan —
+// or (nil, nil) when the epochs between changed the shape of some
+// bucket, so e must be planned again.
+//
+// Under the append-only epoch model bucket counts only grow. When no
+// bucket appeared and no boundary granule widened (EpochDiff.AnyShape),
+// every granule box is the one e's bounds were solved over, so every
+// cached LB/UB still bounds its combination's (grown) contents, and
+// grown counts only add results at or above the certified floor: plan,
+// bounds, floor and assignment all carry over verbatim. The entry keeps
+// its own labeling; the caller gets the plan translated into its.
+func promote(e *entry, req Request, reqLabeling []int) (*entry, *Planned) {
+	start := time.Now()
+	// The entry may be expressed in an isomorphic query's labeling;
+	// sigma maps request vertices onto entry vertices (nil = identity).
+	sigma := sigmaFor(e.labeling, reqLabeling)
+	diff, ok := e.state.Diff(req.Matrices, sigma)
+	if !ok || diff.AnyShape() {
+		return nil, nil
+	}
+	ne := &entry{
+		key: e.key, epoch: req.Epoch, labeling: e.labeling,
+		tb: e.tb, assign: e.assign, bounds: e.bounds,
+		planTime: e.planTime, cost: e.cost, state: e.state,
+	}
+	tb, assign := translatePlan(e.tb, e.assign, sigma)
+	return ne, &Planned{
+		TopBuckets:     tb,
+		Assignment:     assign,
+		Bounds:         e.bounds,
+		Outcome:        Revalidated,
+		TopBucketsTime: time.Since(start),
+		SavedPlanTime:  e.planTime,
+	}
+}
+
 // insert stores a fresh entry, replacing any same-key predecessor, and
-// evicts LRU entries past the cost bound. revalidated selects the stats
+// evicts LRU entries past the cost bound. promoted selects the stats
 // counter.
-func (c *Cache) insert(ne *entry, revalidated bool) {
+func (c *Cache) insert(ne *entry, promoted bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if revalidated {
+	if promoted {
 		c.stats.Revalidations++
 	}
 	if old := c.entries[ne.key]; old != nil {
@@ -356,8 +386,7 @@ func (c *Cache) insert(ne *entry, revalidated bool) {
 // Purge drops every entry. The engine calls it when the epoch sequence
 // resets (InvalidateStore rebuilds the store at epoch 0 — entry epochs
 // would otherwise compare against an unrelated sequence) and after
-// destructive updates the append-only revalidation model cannot
-// express.
+// destructive updates the append-only epoch model cannot express.
 func (c *Cache) Purge() {
 	if c == nil {
 		return

@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"tkij/internal/distribute"
@@ -69,9 +70,8 @@ func TestCacheHitAndEpochSeparation(t *testing.T) {
 		t.Fatal("hit reported no saved planning time")
 	}
 
-	// An epoch bump with matrices changes is not a hit: the entry must
-	// be revalidated (appends into existing interior buckets -> pure
-	// promotion).
+	// An epoch bump with matrices changes is not a hit: appends into
+	// existing interior buckets promote the entry.
 	ms2 := []*stats.Matrix{ms[0].Clone(), ms[1]}
 	if err := stats.ApplyUpdate(ms2[0], []interval.Interval{{ID: 900, Start: 50, End: 58}}, nil); err != nil {
 		t.Fatal(err)
@@ -84,11 +84,11 @@ func TestCacheHitAndEpochSeparation(t *testing.T) {
 		t.Fatalf("after epoch bump: outcome %v, want revalidated", p3.Outcome)
 	}
 	if p3.TopBuckets.KthResLB < p1.TopBuckets.KthResLB {
-		t.Fatalf("revalidated floor %g regressed below original %g",
+		t.Fatalf("promoted floor %g regressed below original %g",
 			p3.TopBuckets.KthResLB, p1.TopBuckets.KthResLB)
 	}
 	if p3.Bounds != p1.Bounds {
-		t.Fatal("pure promotion did not carry the plan's bound memo verbatim")
+		t.Fatal("promotion did not carry the plan's bound memo verbatim")
 	}
 
 	// A query still pinned at the old epoch must not be served the
@@ -111,7 +111,7 @@ func TestCacheHitAndEpochSeparation(t *testing.T) {
 	}
 }
 
-func TestRevalidateWidenedBoundary(t *testing.T) {
+func TestWidenedBoundaryReplans(t *testing.T) {
 	q, ms := testData(t)
 	c := New(Options{})
 	p1, err := c.Plan(request(q, ms, 5, 0))
@@ -120,8 +120,8 @@ func TestRevalidateWidenedBoundary(t *testing.T) {
 	}
 
 	// Out-of-range appends clamp into the boundary granules and widen
-	// the grid — revalidation must re-bound the affected region (or
-	// decline to a full re-plan), never serve the stale bounds as a hit.
+	// the grid, so the cached bounds no longer bind: the plan is planned
+	// again, never served as a hit or promoted.
 	ms2 := []*stats.Matrix{ms[0].Clone(), ms[1]}
 	batch := []interval.Interval{{ID: 901, Start: -500, End: -40}, {ID: 902, Start: 600, End: 700}}
 	if err := stats.ApplyUpdate(ms2[0], batch, nil); err != nil {
@@ -131,15 +131,76 @@ func TestRevalidateWidenedBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.Outcome == Hit {
-		t.Fatal("widened boundary served as a plain hit")
+	if p2.Outcome != Miss {
+		t.Fatalf("widened boundary: outcome %v, want miss", p2.Outcome)
 	}
 	if p2.Bounds == nil || p2.Bounds == p1.Bounds {
-		t.Fatal("a re-selected (or re-planned) entry must not keep growing its predecessor's bound memo")
+		t.Fatal("a re-planned entry must not keep its predecessor's bound memo")
 	}
-	if p2.Outcome == Revalidated && p2.TopBuckets.KthResLB < p1.TopBuckets.KthResLB {
-		t.Fatalf("revalidated floor %g below promoted-from floor %g — promotion condition violated",
-			p2.TopBuckets.KthResLB, p1.TopBuckets.KthResLB)
+}
+
+// TestShapeChangeReplansCold: a plan crosses an epoch bump in one of two
+// ways. An append into existing buckets promotes it as-is; an append
+// that widens a boundary granule or creates a bucket plans it again,
+// exactly as a cache that stores nothing would.
+func TestShapeChangeReplansCold(t *testing.T) {
+	q, ms := testData(t)
+	c := New(Options{})
+	first, err := c.Plan(request(q, ms, 5, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// appended returns ms with batch appended to vertex 0's matrix.
+	appended := func(ms []*stats.Matrix, batch ...interval.Interval) []*stats.Matrix {
+		t.Helper()
+		next := []*stats.Matrix{ms[0].Clone(), ms[1]}
+		if err := stats.ApplyUpdate(next[0], batch, nil); err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+
+	interior := appended(ms, interval.Interval{ID: 900, Start: 50, End: 58})
+	p, err := c.Plan(request(q, interior, 5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Outcome != Revalidated {
+		t.Fatalf("interior append: outcome %v, want the plan promoted", p.Outcome)
+	}
+	if p.Bounds != first.Bounds || !reflect.DeepEqual(p.TopBuckets.Selected, first.TopBuckets.Selected) {
+		t.Fatal("a promoted plan must keep its bound memo and its selection")
+	}
+
+	widened := appended(interior, interval.Interval{ID: 901, Start: -500, End: -40})
+	bucket := interval.Interval{ID: 902, Start: 5, End: 100}
+	if widened[0].Count(widened[0].Gran.BucketOf(bucket)) != 0 {
+		t.Fatal("the new-bucket append lands in an existing bucket — the test lost its subject")
+	}
+	for epoch, step := range []struct {
+		name string
+		ms   []*stats.Matrix
+	}{
+		{"boundary widening", widened},
+		{"new bucket", appended(widened, bucket)},
+	} {
+		req := request(q, step.ms, 5, int64(epoch+2))
+		p, err := c.Plan(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Outcome != Miss {
+			t.Fatalf("%s: outcome %v, want miss", step.name, p.Outcome)
+		}
+		cold, err := New(Options{Disabled: true}).Plan(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p.TopBuckets.Selected, cold.TopBuckets.Selected) ||
+			p.TopBuckets.KthResLB != cold.TopBuckets.KthResLB ||
+			!reflect.DeepEqual(p.Assignment, cold.Assignment) {
+			t.Fatalf("%s: the re-plan differs from a cold plan of the same request", step.name)
+		}
 	}
 }
 

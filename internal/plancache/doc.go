@@ -22,24 +22,21 @@
 // key, so plans never alias across different result sizes, grids, or
 // datasets.
 //
-// Epoch invalidation and revalidation. The store's append-only epochs
+// Epoch invalidation and promotion. The store's append-only epochs
 // (internal/store) give invalidation for free: a cached plan is exact
-// while the epoch is unchanged. On an epoch bump the entry is not
-// dropped but revalidated against the current matrices, exploiting
-// that appends only ever grow bucket counts and widen the two boundary
-// granules (stats.Grid):
+// while the epoch is unchanged. On an epoch bump the entry's matrices
+// fingerprint (EpochState) is diffed against the current matrices, and
+// the plan crosses the bump in one of two ways:
 //
-//   - Combinations whose buckets all kept their granule boxes keep
-//     their bounds — a box that did not change bounds the same scores.
-//   - Bounds are recomputed only for combinations touching an
-//     *affected* bucket: one that newly became non-empty, or one lying
-//     in a boundary granule that out-of-range appends widened.
-//   - Selection re-runs over the cached combinations plus the affected
-//     region, and the entry is promoted to the new epoch only if the
-//     new kthResLB still dominates the old one — that inequality is
-//     what keeps every never-enumerated pruned combination certifiably
-//     below the floor. Otherwise (or when the affected region exceeds
-//     MaxAffected) the cache falls back to a full re-plan.
+//   - Promoted as-is, when no bucket changed shape: appends only grew
+//     counts inside existing buckets, so every granule box — hence
+//     every cached bound — is unchanged, and grown counts only add
+//     results at or above the certified floor. The outcome is
+//     Revalidated, and the plan keeps its bound memo.
+//   - Planned again, when a bucket appeared or an out-of-range append
+//     widened a boundary granule (stats.Grid): the outcome is a Miss,
+//     and the fresh entry, with an empty bound memo, replaces the
+//     stale one.
 //
 // Retention is bounded by solver-work cost, not entry count: each
 // entry's cost is the bound-solving work it embodies (pair and tight
@@ -58,7 +55,7 @@
 // nothing, so the next call plans afresh.
 //
 // The cache is safe for concurrent use. Cached plans are immutable:
-// revalidation builds fresh entries, and callers must treat the
-// returned TopBuckets result and Assignment as read-only (the join
-// phase does).
+// promotion and re-planning build fresh entries, and callers must
+// treat the returned TopBuckets result and Assignment as read-only (the
+// join phase does).
 package plancache

@@ -10,10 +10,10 @@ import (
 // endpoint extent) and per-bucket interval counts are what a later
 // epoch is diffed against. Diffing it against the matrices of a later
 // epoch classifies exactly what the intervening appends changed. Plan
-// revalidation (revalidate.go) and the standing layer's incremental
-// re-probe share this one diff; they just consume different predicates
-// of it (ShapeAffected vs Grown). Capture is O(vertices) and copies no
-// counts; a state is immutable and safe to share.
+// promotion and the standing layer's incremental re-probe share this
+// one diff; they just consume different predicates of it (AnyShape vs
+// Grown). Capture is O(vertices) and copies no counts; a state is
+// immutable and safe to share.
 type EpochState struct {
 	matrices []*stats.Matrix
 }
@@ -40,7 +40,7 @@ func (s *EpochState) Diff(matrices []*stats.Matrix, permute []int) (*EpochDiff, 
 	if s == nil || len(matrices) != len(s.matrices) {
 		return nil, false
 	}
-	d := &EpochDiff{matrices: matrices, diffs: make([]vertexDiff, len(matrices))}
+	d := &EpochDiff{old: make([]*stats.Matrix, len(matrices))}
 	for v, m := range matrices {
 		sv := v
 		if permute != nil {
@@ -51,12 +51,7 @@ func (s *EpochState) Diff(matrices []*stats.Matrix, permute []int) (*EpochDiff, 
 		if grid.Gran != oldGrid.Gran {
 			return nil, false
 		}
-		vd := vertexDiff{
-			widenLo: grid.Lo < oldGrid.Lo,
-			widenHi: grid.Hi > oldGrid.Hi,
-			old:     old,
-		}
-		if vd.widenLo || vd.widenHi {
+		if grid.Lo < oldGrid.Lo || grid.Hi > oldGrid.Hi {
 			// An out-of-range append clamped into a boundary bucket:
 			// boundary boxes changed shape and some bucket grew.
 			d.anyShape, d.anyGrowth = true, true
@@ -72,26 +67,20 @@ func (s *EpochState) Diff(matrices []*stats.Matrix, permute []int) (*EpochDiff, 
 				}
 			}
 		}
-		d.diffs[v] = vd
+		d.old[v] = old
 	}
 	return d, true
 }
 
 // EpochDiff is the classified difference between an EpochState and a
-// later epoch's matrices. The matrices it was diffed against must
-// outlive it (it serves its predicates from them).
+// later epoch's matrices.
 type EpochDiff struct {
-	matrices  []*stats.Matrix
-	diffs     []vertexDiff
+	// old holds each current vertex's captured matrix; a bucket absent
+	// at capture counts 0 there, since matrices list only non-empty
+	// buckets.
+	old       []*stats.Matrix
 	anyShape  bool
 	anyGrowth bool
-}
-
-type vertexDiff struct {
-	widenLo, widenHi bool
-	// old is the vertex's captured matrix; a bucket absent at capture
-	// counts 0 there, since matrices list only non-empty buckets.
-	old *stats.Matrix
 }
 
 // AnyShape reports whether any bucket's granule box changed: a bucket
@@ -103,31 +92,11 @@ func (d *EpochDiff) AnyShape() bool { return d.anyShape }
 // epoch transition can contribute any new join result at all.
 func (d *EpochDiff) AnyGrown() bool { return d.anyGrowth }
 
-// ShapeAffected is the plan-revalidation predicate: bucket b of vertex
-// v is new, or lies on a boundary granule whose box widened, so its
-// cached bounds no longer bind. Grown-in-place buckets are deliberately
-// not flagged — their boxes (hence bounds) are unchanged, and grown
-// counts only strengthen a selection certificate.
-func (d *EpochDiff) ShapeAffected(v int, b stats.Bucket) bool {
-	vd := d.diffs[v]
-	if vd.old.Count(b.StartG, b.EndG) == 0 {
-		return true
-	}
-	lastG := d.matrices[v].Gran.G - 1
-	if vd.widenLo && (b.StartG == 0 || b.EndG == 0) {
-		return true
-	}
-	if vd.widenHi && (b.StartG == lastG || b.EndG == lastG) {
-		return true
-	}
-	return false
-}
-
 // Grown is the standing re-probe predicate: bucket b of vertex v holds
 // intervals appended since the state was captured (the bucket is new,
 // or its count grew). Every tuple involving an appended interval lives
 // in a combination with at least one Grown bucket — the completeness
 // argument behind incremental push (see internal/standing).
 func (d *EpochDiff) Grown(v int, b stats.Bucket) bool {
-	return b.Count != d.diffs[v].old.Count(b.StartG, b.EndG)
+	return b.Count != d.old[v].Count(b.StartG, b.EndG)
 }

@@ -33,8 +33,9 @@ const maxCanonVertices = 6
 //     granulation signature (G, Min, Max).
 //
 // The matrices epoch is deliberately *not* part of the key: an epoch
-// bump must find the existing entry so it can be revalidated instead of
-// abandoned. Entries carry their epoch separately (see Cache).
+// bump must find the existing entry so it can be promoted when no
+// bucket changed shape. Entries carry their epoch separately (see
+// Cache).
 //
 // vertexCols[v] is the collection index vertex v reads (the engine's
 // execution mapping); grans[v] is that collection's granulation.

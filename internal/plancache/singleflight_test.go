@@ -16,7 +16,8 @@ import (
 )
 
 // TestPlanSingleFlight: concurrent calls for one key and epoch plan it
-// once — the first plan, and the revalidation after an append — and
+// once — the first plan, the promotion after an interior append, and
+// the re-plan after an append that widens a boundary granule — and
 // every caller, whichever of two isomorphic labelings it uses, gets
 // what a sequential run of the same calls returns. A failing flight
 // hands its error to its waiters and caches nothing.
@@ -36,7 +37,11 @@ func TestPlanSingleFlight(t *testing.T) {
 	if err := stats.ApplyUpdate(grown[0], []interval.Interval{{ID: 900, Start: 50, End: 58}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	first, second := labelings(ms, 0), labelings(grown, 1)
+	widened := []*stats.Matrix{grown[0].Clone(), ms[1]}
+	if err := stats.ApplyUpdate(widened[0], []interval.Interval{{ID: 901, Start: -500, End: -40}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	first, second, third := labelings(ms, 0), labelings(grown, 1), labelings(widened, 2)
 	k0, _ := Canonicalize(first[0].Query, first[0].VertexCols, 5, granulations(first[0].Matrices))
 	k1, _ := Canonicalize(first[1].Query, first[1].VertexCols, 5, granulations(first[1].Matrices))
 	if k0 != k1 {
@@ -46,8 +51,8 @@ func TestPlanSingleFlight(t *testing.T) {
 	// The sequential reference: each labeling planned in turn, in the
 	// order the concurrent run's leader and waiters take.
 	seq := New(Options{})
-	var want [2][2]*Planned
-	for round, reqs := range [][2]Request{first, second} {
+	var want [3][2]*Planned
+	for round, reqs := range [][2]Request{first, second, third} {
 		for l, req := range reqs {
 			p, err := seq.Plan(req)
 			if err != nil {
@@ -131,6 +136,11 @@ func TestPlanSingleFlight(t *testing.T) {
 	check(1, Revalidated, got, errs)
 	if st := c.Stats(); st.Misses != 1 || st.Revalidations != 1 || st.Hits != 2*(callers-1) {
 		t.Fatalf("after the append: stats %+v, want one revalidation and no new miss", st)
+	}
+	got, errs = flightOf(third)
+	check(2, Miss, got, errs)
+	if st := c.Stats(); st.Misses != 2 || st.Revalidations != 1 || st.Hits != 3*(callers-1) || st.Waits != 3*(callers-1) {
+		t.Fatalf("after the widening: stats %+v, want one more miss and %d more hits after waiting", st, callers-1)
 	}
 
 	// A failing leader: its waiters get its error, and the key stays

@@ -58,8 +58,8 @@ type memoBounds struct{ lb, ub float64 }
 func NewPairMemo() *PairMemo { return &PairMemo{cur: new(sync.Map)} }
 
 // Next returns the memo for an owner that moves on to mostly the same
-// buckets (a revalidation that re-selected, a push after a boundary
-// granule widened): it starts empty, so keys the new generation never
+// buckets (a standing push after a boundary granule widened): it
+// starts empty, so keys the new generation never
 // asks for are dropped with m, but still answers from m's own entries,
 // so only keys whose box changed are solved again. Only one generation
 // back is consulted or kept alive.

@@ -241,9 +241,9 @@ func (h openHeap) down(i0, n int) {
 // branch-and-bound work produced it and whether the search converged
 // within Eps or was truncated by the node budget. Bounds are *safe*
 // either way (UB >= max, LB <= min); a non-converged certificate only
-// means they may be looser than Eps. Plan caches use the certificate to
-// account the solver work an entry embodies (its retention cost) and to
-// attribute revalidation work.
+// means they may be looser than Eps. The plan cache uses the
+// certificate to account the solver work an entry embodies (its
+// retention cost).
 type Cert struct {
 	// Nodes is the number of boxes branch-and-bound opened across both
 	// optimizations (maximize + minimize).

@@ -27,8 +27,8 @@ type Delta struct {
 	// Resync marks a full-state delta: TopK replaces the subscriber's
 	// materialized results. Emitted for the initial snapshot, after
 	// slow-subscriber coalescing, after a store rebuild
-	// (InvalidateStore), and when incremental revalidation could not
-	// certify the floor (affected region too large, granulation swap).
+	// (InvalidateStore), and when an incremental push could not be
+	// made (grown region past MaxAffected, granulation swap).
 	Resync bool
 	// TopK is a resync delta's full result list (nil otherwise), sorted
 	// by the pipeline's total order.

@@ -25,7 +25,7 @@
 //     reading the same memo, so it solves no bound again), merge, and
 //     push the membership difference.
 //   - resync — the diff base is void (store rebuild, granulation swap)
-//     or the affected region exceeds plancache.MaxAffected: re-execute
+//     or the grown region exceeds MaxAffected: re-execute
 //     fresh and push the full state.
 //
 // The invariant gating all of it: a consumer materializing deltas

@@ -23,6 +23,12 @@ var ErrClosed = errors.New("standing: manager closed")
 // DefaultBuffer is the default per-subscription delta-queue capacity.
 const DefaultBuffer = 16
 
+// MaxAffected bounds the grown-combination region a push may probe
+// incrementally: a bigger region means the appends reshaped the
+// combination space enough that a resync (one fresh execution) is both
+// simpler and usually cheaper.
+const MaxAffected = 1 << 16
+
 // SubOptions tunes one subscription.
 type SubOptions struct {
 	// Mapping maps query vertices to collection indices (nil =
@@ -239,7 +245,7 @@ func (m *Manager) push(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 	for v, vm := range vms {
 		lists[v] = vm.Buckets()
 	}
-	combos, ok := topbuckets.AffectedCombos(lists, diff.Grown, plancache.MaxAffected)
+	combos, ok := topbuckets.AffectedCombos(lists, diff.Grown, MaxAffected)
 	if !ok {
 		m.resync(s, pin, cycleSpan)
 		return

@@ -159,7 +159,7 @@ func (s *Subscription) commit(epoch, gen int64, state *plancache.EpochState, sna
 
 // commitResync installs the pushed state and replaces everything
 // pending with one resync delta built from it (initial snapshot, store
-// rebuild, revalidation fallback).
+// rebuild, a grown region too large to probe).
 func (s *Subscription) commitResync(epoch, gen int64, state *plancache.EpochState, snapshot []join.Result) {
 	s.mu.Lock()
 	if s.closed {

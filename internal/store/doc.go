@@ -33,9 +33,10 @@
 // The epoch sequence is also the invalidation key of everything
 // derived from the dataset: the engine stamps each query's Report with
 // its pinned epoch, and the plan cache (internal/plancache) keys
-// cached plans by it — valid while the epoch is unchanged, revalidated
-// incrementally across appends, and discarded only when
-// InvalidateStore resets the sequence.
+// cached plans by it — valid while the epoch is unchanged, promoted
+// across appends that change no bucket's shape, planned again across
+// those that do, and all discarded when InvalidateStore resets the
+// sequence.
 //
 // All read paths are safe for concurrent use: epoch views are immutable
 // once published, tree memoization is per-bucket sync.Once-guarded, and

@@ -25,12 +25,10 @@ type Combo struct {
 	NbRes float64
 }
 
-// CompareTuples orders two equal-length bucket tuples by (Col, StartG,
+// compareTuples orders two equal-length bucket tuples by (Col, StartG,
 // EndG) per vertex, first vertex most significant: the deterministic
-// tie-break of the selection order, and the one comparison that tells
-// whether two combinations are the same bucket tuple (0) whatever their
-// counts and bounds.
-func CompareTuples(a, b []stats.Bucket) int {
+// tie-break of the selection order.
+func compareTuples(a, b []stats.Bucket) int {
 	for v := range a {
 		x, y := &a[v], &b[v]
 		switch {
@@ -45,31 +43,17 @@ func CompareTuples(a, b []stats.Bucket) int {
 	return 0
 }
 
-// Touches reports whether any of the combination's buckets satisfies
-// affected(vertex, bucket) — the per-combination touched-bucket test
-// revalidation uses to decide which cached bounds must be recomputed
-// after an epoch bump (buckets that gained intervals, or boundary
-// granules widened by out-of-range appends).
-func (c *Combo) Touches(affected func(v int, b stats.Bucket) bool) bool {
-	for v, b := range c.Buckets {
-		if affected(v, b) {
-			return true
-		}
-	}
-	return false
-}
-
 // AffectedCombos materializes exactly the combinations of the cartesian
 // product of bucketLists that contain at least one affected bucket,
 // each with its NbRes and zero bounds, in deterministic order — the
-// region an epoch bump forces revalidation and standing pushes to look
-// at again. ok is false, and nothing is enumerated, when that region
-// holds more than limit combinations (|Ω| − |Ω restricted to unaffected
-// buckets|, counted without enumerating): the caller then falls back to
-// a full re-plan. The decomposition is by first affected position: for
-// every vertex v it enumerates (unaffected_0 × ... × unaffected_{v-1}) ×
-// affected_v × (full_{v+1} × ... × full_{n-1}), which partitions the
-// affected region with no duplicates.
+// region an epoch bump forces a standing push to look at again. ok is
+// false, and nothing is enumerated, when that region holds more than
+// limit combinations (|Ω| − |Ω restricted to unaffected buckets|,
+// counted without enumerating): the caller then resyncs from scratch.
+// The decomposition is by first affected position: for every vertex v
+// it enumerates (unaffected_0 × ... × unaffected_{v-1}) × affected_v ×
+// (full_{v+1} × ... × full_{n-1}), which partitions the affected region
+// with no duplicates.
 func AffectedCombos(bucketLists [][]stats.Bucket, affected func(v int, b stats.Bucket) bool, limit float64) (combos []Combo, ok bool) {
 	n := len(bucketLists)
 	cleanLists := make([][]stats.Bucket, n)

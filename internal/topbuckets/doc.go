@@ -22,13 +22,13 @@
 // The bounds attached to a Result are a *certificate*, not just a
 // heuristic: every pruned combination has UB <= KthResLB while the
 // selected set carries at least k results with LB >= KthResLB. That is
-// what lets the join phase use KthResLB as a score floor — and what
-// lets the plan cache (internal/plancache) keep a selected set alive
-// across append-only epoch bumps, re-bounding only the combinations an
-// epoch touched: Combo.Touches identifies them, AffectedCombos walks
-// exactly the affected region of Ω, and LooseBounds (memoized pair
-// bounds, see solver.PairMemo) and TightenBounds (the tight solver, in
-// parallel) recompute safe bounds for a patch set.
+// what lets the join phase use KthResLB as a score floor, and the plan
+// cache (internal/plancache) promote a plan unchanged across an
+// append-only epoch bump that moved no granule box. A standing push
+// (internal/standing) looks again only at the combinations an epoch
+// grew: AffectedCombos walks exactly that region of Ω, and LooseBounds
+// (memoized pair bounds, see solver.PairMemo) and TightenBounds (the
+// tight solver, in parallel) bound it.
 //
 // Every pair bound — the loose strategy's dense tables here, the
 // standing layer's LooseBounds, the join's per-edge bounds — is solved

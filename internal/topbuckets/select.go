@@ -168,7 +168,7 @@ func byUB(a, b Combo) int {
 	case a.UB < b.UB:
 		return 1
 	}
-	return CompareTuples(a.Buckets, b.Buckets)
+	return compareTuples(a.Buckets, b.Buckets)
 }
 
 // SelectList runs Top Buckets selection over a materialized combination

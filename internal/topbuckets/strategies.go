@@ -316,7 +316,7 @@ func selectShard(q *query.Query, tables [][]pairBound, lists [][]stats.Bucket, l
 
 // byUBPos orders candidates at row-major positions in Ω as byUB orders
 // their combinations: Matrix.Buckets lists each collection's buckets in
-// tuple order, so row-major positions order tuples as CompareTuples
+// tuple order, so row-major positions order tuples as compareTuples
 // does.
 func byUBPos(a, b candidate) int {
 	switch {
@@ -438,9 +438,9 @@ var tightOptions = solver.Options{MaxNodes: 512, Eps: 1e-3}
 // TightenBounds recomputes tight solver bounds for every combination in
 // place, in parallel, and returns the total branch-and-bound nodes
 // opened (the solver-work certificate of the recomputation). It is the
-// second phase of the two-phase strategy, the whole of brute-force —
-// and the unit of work plan-cache revalidation applies to the
-// combinations an epoch bump touched.
+// second phase of the two-phase strategy, the whole of brute-force, and
+// the refinement a standing push applies to the grown combinations its
+// loose bounds could not prune.
 func TightenBounds(q *query.Query, matrices []*stats.Matrix, combos []Combo, opts Options) int {
 	opts = opts.withDefaults()
 	var wg sync.WaitGroup

@@ -21,7 +21,7 @@ import (
 
 // tupleKey is a test-local map key for a combination's bucket tuple:
 // each vertex's (Col, StartG, EndG) as fixed-width big-endian words, so
-// that byte order is CompareTuples order.
+// that byte order is compareTuples order.
 func tupleKey(c Combo) string {
 	k := make([]byte, 0, 24*len(c.Buckets))
 	for _, b := range c.Buckets {
@@ -488,8 +488,8 @@ func TestEnumerateOrderAndCount(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		a, b := Combo{Buckets: tuple()}, Combo{Buckets: tuple()}
-		if got, want := CompareTuples(a.Buckets, b.Buckets), strings.Compare(tupleKey(a), tupleKey(b)); got != want {
-			t.Fatalf("CompareTuples(%v, %v) = %d, Key order %d", a.Buckets, b.Buckets, got, want)
+		if got, want := compareTuples(a.Buckets, b.Buckets), strings.Compare(tupleKey(a), tupleKey(b)); got != want {
+			t.Fatalf("compareTuples(%v, %v) = %d, Key order %d", a.Buckets, b.Buckets, got, want)
 		}
 	}
 }
