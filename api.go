@@ -24,21 +24,21 @@
 //     for the paper's constraint solver) and combinations that cannot
 //     contribute a top-k result are pruned with a correctness
 //     certificate.
-//  4. Distributed join: DistributeTopBuckets (DTB) assigns combinations
-//     to reducers — spreading high-scoring results to enable early
-//     termination, capping worst-case load, minimizing replication —
-//     then each reducer evaluates the query on its combinations,
-//     reading the resident buckets and their memoized R-trees in place
-//     (no interval moves at query time) while sharing a global top-k
-//     threshold with every other reducer, and one merge produces the
-//     final top-k.
+//  4. Join: one pass over the selected combinations by descending
+//     score upper bound, reading the resident buckets and their
+//     memoized R-trees in place (no interval moves at query time), which
+//     stops once the next combination cannot beat the k-th result. A
+//     sharded engine instead splits the combinations over reducers with
+//     DistributeTopBuckets (DTB) — spreading high-scoring results to
+//     enable early termination, capping worst-case load, minimizing
+//     replication — and scatters them to shard workers that share a
+//     global top-k threshold; one merge produces the final top-k.
 //
-// Stages 3 and 4's planning halves (bound solving, pruning, reducer
-// assignment) are memoized per query shape in an epoch-keyed plan
-// cache: repeated shapes skip them on a hit, and a streaming append
-// promotes a cached plan unchanged unless it created a bucket or widened
-// a boundary granule, which plans it again (see Options.PlanCache and
-// Report.PlanCacheHit).
+// Stage 3 (bound solving and pruning) is memoized per query shape in an
+// epoch-keyed plan cache: repeated shapes skip it on a hit, and a
+// streaming append promotes a cached plan unchanged unless it created a
+// bucket or widened a boundary granule, which plans it again (see
+// Options.PlanCache and Report.PlanCacheHit).
 //
 // Quickstart:
 //
@@ -65,7 +65,6 @@ import (
 
 	"tkij/internal/admission"
 	"tkij/internal/core"
-	"tkij/internal/distribute"
 	"tkij/internal/interval"
 	"tkij/internal/join"
 	"tkij/internal/obs"
@@ -206,7 +205,8 @@ type (
 	// collecting statistics once and reusing them across queries.
 	Engine = core.Engine
 	// Options configures an Engine; the zero value uses the paper's
-	// defaults (g = 40, k = 100, 24 reducers, loose strategy, DTB).
+	// defaults (g = 40, k = 100, loose strategy). A local query joins in
+	// one pass; Reducers shapes only a sharded engine's DTB scatter.
 	Options = core.Options
 	// Report describes one query execution, including per-phase metrics.
 	Report = core.Report
@@ -214,14 +214,11 @@ type (
 	Result = join.Result
 	// Strategy selects the TopBuckets bound-computation strategy.
 	Strategy = topbuckets.Strategy
-	// Distribution selects the workload-assignment algorithm.
-	Distribution = distribute.Algorithm
 	// PlanCacheOptions tunes (or disables) the engine's query-plan
-	// cache: repeated query shapes skip the TopBuckets and distribution
-	// phases on a hit, and a streaming append promotes a cached plan
-	// unchanged unless it changed a bucket's shape. Set it on
-	// Options.PlanCache; the zero value enables the cache with default
-	// bounds.
+	// cache: repeated query shapes skip TopBuckets on a hit, and a
+	// streaming append promotes a cached plan unchanged unless it changed
+	// a bucket's shape. Set it on Options.PlanCache; the zero value
+	// enables the cache with default bounds.
 	PlanCacheOptions = plancache.Options
 	// PlanCacheStats is a snapshot of plan-cache activity
 	// (Engine.PlanCacheStats): hits, promotions (Revalidations),
@@ -234,13 +231,6 @@ const (
 	Loose      = topbuckets.Loose
 	BruteForce = topbuckets.BruteForce
 	TwoPhase   = topbuckets.TwoPhase
-)
-
-// Workload distribution algorithms (§3.4, §4.2.2).
-const (
-	DTB        = distribute.AlgDTB
-	LPT        = distribute.AlgLPT
-	RoundRobin = distribute.AlgRoundRobin
 )
 
 // Serving. A Server is the admission layer over one engine: a bounded

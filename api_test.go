@@ -86,15 +86,9 @@ func TestPublicAPITrafficPipeline(t *testing.T) {
 	}
 }
 
-func TestStrategyAndDistributionConstants(t *testing.T) {
-	if Loose.String() != "loose" || DTB.String() != "DTB" {
-		t.Error("re-exported constants broken")
-	}
-	if TwoPhase.String() != "two-phase" || BruteForce.String() != "brute-force" {
+func TestStrategyConstants(t *testing.T) {
+	if Loose.String() != "loose" || TwoPhase.String() != "two-phase" || BruteForce.String() != "brute-force" {
 		t.Error("strategy constants broken")
-	}
-	if LPT.String() != "LPT" || RoundRobin.String() != "RoundRobin" {
-		t.Error("distribution constants broken")
 	}
 }
 

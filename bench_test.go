@@ -265,8 +265,9 @@ func BenchmarkSolverPairBounds(b *testing.B) {
 }
 
 // BenchmarkPlanMiss measures what a query whose plan is not cached pays
-// before any join work: TopBuckets (loose strategy) and DTB over the
-// selection, at 3 × 15k uniform intervals, g = 20, k = 100, 8 reducers,
+// before any join work — TopBuckets (loose strategy) — and, as "dtb",
+// what a sharded engine's coordinator adds to every query: DTB over the
+// selection at 8 reducers. 3 × 15k uniform intervals, g = 20, k = 100,
 // for each query shape of the cold_plan workload.
 func BenchmarkPlanMiss(b *testing.B) {
 	cols := []*interval.Collection{
@@ -281,13 +282,21 @@ func BenchmarkPlanMiss(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
+		res, err := topbuckets.Run(q, ms, 100, topbuckets.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name+"/topbuckets", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := topbuckets.Run(q, ms, 100, topbuckets.Options{})
-				if err != nil {
+				if _, err := topbuckets.Run(q, ms, 100, topbuckets.Options{}); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+		b.Run(name+"/dtb", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
 				if _, err := distribute.Assign(distribute.AlgDTB, res.Selected, 8); err != nil {
 					b.Fatal(err)
 				}

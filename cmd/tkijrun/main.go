@@ -13,7 +13,7 @@
 //
 //	tkijrun -query Qb,b -params P1 -k 100 -g 40 C1.tsv C2.tsv C3.tsv
 //	tkijrun -query QjB,jB -params P3 -self conns.tsv
-//	tkijrun -query Qo,m -strategy two-phase -dist LPT C1.tsv C2.tsv C3.tsv
+//	tkijrun -query Qo,m -strategy two-phase C1.tsv C2.tsv C3.tsv
 //	tkijrun -query Qb,b -repeat 5 -v C1.tsv C2.tsv C3.tsv   # warm-path timings
 //	tkijrun -query Qb,b -json C1.tsv C2.tsv C3.tsv          # machine-readable report
 //	tkijrun -query Qb,b -save-stats s.tkij C1.tsv C2.tsv C3.tsv  # persist the offline phase
@@ -37,8 +37,8 @@
 // instead of the open).
 //
 // Plan caching: repeated runs of one query shape are served from the
-// engine's plan cache — the TopBuckets solve and the reducer assignment
-// are skipped on a hit, and an epoch bump promotes the cached plan
+// engine's plan cache — the TopBuckets solve is skipped on a hit, and
+// an epoch bump promotes the cached plan
 // unchanged unless it changed a bucket's shape, which plans it again.
 // -append-every N re-streams the -append
 // batch before every Nth repeat run to interleave ingest with queries;
@@ -55,7 +55,8 @@
 //	tkijrun -query Qo,m -concurrency 8 -repeat 3 -json C1.tsv C2.tsv C3.tsv
 //
 // Distributed execution: -shards N splits the bucket store across N
-// shard workers and scatters each query's reducer assignment to them;
+// shard workers, assigns each query's combinations to -reducers
+// reducers with DTB (one per worker by default) and scatters them;
 // the coordinator streams the rising shared floor to every worker so
 // remote reducers early-terminate, then gathers and merges their local
 // top-k lists. Results are byte-identical to -shards 1 (the in-process
@@ -210,9 +211,8 @@ func main() {
 		params    = flag.String("params", "P1", "predicate parameter set: P1 | P2 | P3 | PB")
 		k         = flag.Int("k", 100, "number of results")
 		g         = flag.Int("g", 40, "granules per collection")
-		reducers  = flag.Int("reducers", 24, "reduce tasks")
+		reducers  = flag.Int("reducers", 0, "with -shards/-shard-addrs: reducers each query's DTB assignment scatters (0 = one per shard worker); a local query is one reducer")
 		strategy  = flag.String("strategy", "loose", "TopBuckets strategy: loose | brute-force | two-phase")
-		dist      = flag.String("dist", "DTB", "workload distribution: DTB | LPT | RoundRobin")
 		self      = flag.Bool("self", false, "self-join: map every query vertex to the first collection")
 		repeat    = flag.Int("repeat", 1, "execute the query N times on the warm engine")
 		saveStats = flag.String("save-stats", "", "after the offline phase, persist matrices + bucket store to this snapshot file")
@@ -259,10 +259,6 @@ func main() {
 	if !ok {
 		fatal(fmt.Errorf("unknown strategy %q", *strategy))
 	}
-	alg, ok := map[string]tkij.Distribution{"DTB": tkij.DTB, "LPT": tkij.LPT, "RoundRobin": tkij.RoundRobin}[*dist]
-	if !ok {
-		fatal(fmt.Errorf("unknown distribution %q", *dist))
-	}
 
 	var cols []*tkij.Collection
 	for _, path := range flag.Args() {
@@ -283,7 +279,7 @@ func main() {
 		fatal(err)
 	}
 	opts := tkij.Options{
-		Granules: *g, K: *k, Reducers: *reducers, Strategy: strat, Distribution: alg,
+		Granules: *g, K: *k, Reducers: *reducers, Strategy: strat,
 		PlanCache: tkij.PlanCacheOptions{Disabled: *noCache},
 		Mmap:      *useMmap,
 		Shards:    *shards, ShardNoFloorBroadcast: *noFloorBc,
@@ -457,7 +453,7 @@ func main() {
 				Run:                 seq,
 				Epoch:               report.Epoch,
 				PlanCache:           report.PlanOutcome(),
-				PlanMillis:          millis(report.TopBucketsTime + report.DistributeTime),
+				PlanMillis:          millis(report.TopBucketsTime),
 				PlanSavedMillis:     millis(report.PlanSavedTime),
 				JoinMillis:          millis(report.JoinTime),
 				TotalMillis:         millis(report.Total),
@@ -476,7 +472,7 @@ func main() {
 			})
 			if !*jsonOut && (*repeat > 1 || *conc > 1) {
 				fmt.Printf("run %d: %v (plan %s %v, join %v, batch %d, queue %v, trees built %d, reused %d)\n",
-					seq, report.Total, report.PlanOutcome(), report.TopBucketsTime+report.DistributeTime,
+					seq, report.Total, report.PlanOutcome(), report.TopBucketsTime,
 					report.JoinTime, report.BatchSize, report.QueueWait,
 					report.TreesBuilt, report.TreesReused)
 			}
@@ -514,9 +510,6 @@ func main() {
 		fmt.Printf("  topbuckets: %v  (|Ω|=%.0f, |Ωk,S|=%d, %.1f%% of results pruned, kthResLB=%.3f)\n",
 			report.TopBucketsTime, report.TopBuckets.TotalCombos, len(report.TopBuckets.Selected),
 			report.TopBuckets.PrunedFraction()*100, report.TopBuckets.KthResLB)
-		fmt.Printf("  distribute: %v  (%s, %.0f records replicated, result imbalance %.2f)\n",
-			report.DistributeTime, report.Assignment.Algorithm,
-			report.Assignment.ReplicatedRecords, report.Assignment.ResultImbalance())
 		fmt.Printf("  join:       %v  (%d bucket refs routed, shared floor %.3f, reducer imbalance %.2f)\n",
 			report.JoinTime, report.Join.RoutedBucketEntries, report.Join.SharedFloor, report.Imbalance())
 		fmt.Printf("  store:      %d trees built, %d reused this query\n", report.TreesBuilt, report.TreesReused)
@@ -803,7 +796,7 @@ func checkMetrics(url string) {
 		"tkij_shard_shipped_bytes_total",
 	}
 	labels := []string{
-		`phase="topbuckets"`, `phase="distribute"`, `phase="join"`, `phase="merge"`,
+		`phase="topbuckets"`, `phase="join"`, `phase="merge"`,
 		`outcome="hit"`, `outcome="revalidated"`, `outcome="miss"`,
 		`route="promote"`, `route="push"`, `route="resync"`,
 	}

@@ -21,7 +21,6 @@ func main() {
 	engine, err := tkij.NewEngine([]*tkij.Collection{c1, c2}, tkij.Options{
 		K:        10,
 		Granules: 40,
-		Reducers: 8,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -45,7 +45,7 @@ func main() {
 
 	engine, err := tkij.NewEngine(
 		[]*tkij.Collection{builds, tests, deploys},
-		tkij.Options{K: 10, Granules: 40, Reducers: 8},
+		tkij.Options{K: 10, Granules: 40},
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -33,7 +33,6 @@ func main() {
 	engine, err := tkij.NewEngine([]*tkij.Collection{conns}, tkij.Options{
 		K:        15,
 		Granules: 40,
-		Reducers: 8,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -45,7 +45,6 @@ func main() {
 	engine, err := tkij.NewEngine([]*tkij.Collection{tags}, tkij.Options{
 		K:        10,
 		Granules: 24,
-		Reducers: 6,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -21,8 +21,9 @@ type Options struct {
 	// signal for callers to shed or retry (<= 0 means 256).
 	MaxQueue int
 	// MaxInflight caps the queries executing concurrently (<= 0 means
-	// runtime.GOMAXPROCS(0); every execution already fans out to the
-	// engine's reducers). Each execution pins its own epoch view, so
+	// runtime.GOMAXPROCS(0): a local execution is one serial join pass,
+	// so parallelism comes from running queries side by side). Each
+	// execution pins its own epoch view, so
 	// this is also the bound on live views under continuous ingest.
 	MaxInflight int
 }

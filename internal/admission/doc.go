@@ -5,9 +5,9 @@
 // A Server is a bounded FIFO queue in front of core.Engine.ExecuteMapped:
 //
 //   - At most Options.MaxInflight queries execute at once (by default
-//     runtime.GOMAXPROCS(0): every execution already fans out to the
-//     engine's reducer goroutines). Later Submits wait in arrival order
-//     for a slot.
+//     runtime.GOMAXPROCS(0): a local execution is one serial join pass,
+//     so queries side by side are the engine's parallelism). Later
+//     Submits wait in arrival order for a slot.
 //   - At most Options.MaxQueue Submits wait; one more fails fast with
 //     ErrQueueFull — backpressure instead of unbounded buffering.
 //   - Every Submit carries its own context: cancellation or a deadline

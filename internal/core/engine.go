@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"tkij/internal/distribute"
 	"tkij/internal/interval"
 	"tkij/internal/join"
 	"tkij/internal/mapreduce"
@@ -21,19 +20,21 @@ import (
 )
 
 // Options configures an Engine. The zero value maps to the paper's
-// defaults: g = 40 granules (§4.2.4's sweet spot), k = 100, 24 reducers,
-// the loose TopBuckets strategy, and DTB workload distribution.
+// defaults: g = 40 granules (§4.2.4's sweet spot), k = 100 and the
+// loose TopBuckets strategy. A local query joins the selected
+// combinations in one pass; only a sharded engine splits them over
+// reducers, with DTB.
 type Options struct {
 	// Granules is g, the number of granules per collection.
 	Granules int
 	// K is the number of results to return.
 	K int
-	// Reducers is the number of reduce partitions r.
+	// Reducers is the number of reducers r a sharded engine's DTB
+	// assignment splits each query over (0: one per shard worker). It
+	// shapes only the shard scatter: a local query is one reducer.
 	Reducers int
 	// Strategy selects the TopBuckets bound-computation strategy.
 	Strategy topbuckets.Strategy
-	// Distribution selects the workload-assignment algorithm.
-	Distribution distribute.Algorithm
 	// TopBuckets carries advanced TopBuckets tuning; its Strategy field
 	// is overridden by Strategy above.
 	TopBuckets topbuckets.Options
@@ -41,8 +42,8 @@ type Options struct {
 	Local join.LocalOptions
 	// PlanCache tunes the query-plan cache (the zero value enables it
 	// with default bounds; set PlanCache.Disabled to plan every query
-	// cold). Repeated query shapes hit the cache and skip the
-	// TopBuckets + distribution phases entirely; an epoch bump from
+	// cold). Repeated query shapes hit the cache and skip TopBuckets
+	// entirely; an epoch bump from
 	// Append promotes a cached plan unless it changed a bucket's shape.
 	PlanCache plancache.Options
 	// Mmap selects the zero-copy restore path in OpenEngine: the
@@ -57,9 +58,10 @@ type Options struct {
 	Mmap bool
 	// Shards > 1 runs the join phase across that many shard workers: the
 	// resident bucket partition is split over the workers by the shard
-	// manifest, DTB reducer tasks scatter to the shards over the wire
-	// protocol, and the cross-reducer score floor is broadcast so remote
-	// reducers early-terminate like local ones. 0 or 1 keeps the
+	// manifest, each query's DTB assignment over Reducers reducers
+	// scatters to the shards over the wire protocol, and the
+	// cross-reducer score floor is broadcast so remote reducers
+	// early-terminate like a local pass. 0 or 1 keeps the
 	// single-process local runner. With ShardAddrs empty the workers run
 	// in-process (net.Pipe transport, full wire protocol).
 	Shards int
@@ -84,9 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.K <= 0 {
 		o.K = 100
-	}
-	if o.Reducers <= 0 {
-		o.Reducers = 24
 	}
 	return o
 }

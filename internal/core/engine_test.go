@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tkij/internal/distribute"
 	"tkij/internal/interval"
 	"tkij/internal/join"
 	"tkij/internal/query"
@@ -46,7 +45,9 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := e.Options()
-	if o.Granules != 40 || o.K != 100 || o.Reducers != 24 {
+	// Reducers has no default: it shapes only a sharded engine's
+	// scatter, which runs one reducer per shard worker when it is unset.
+	if o.Granules != 40 || o.K != 100 || o.Reducers != 0 {
 		t.Errorf("defaults = %+v", o)
 	}
 }
@@ -71,8 +72,18 @@ func TestExecuteMatchesExhaustive(t *testing.T) {
 	if !join.ScoreMultisetEqual(report.Results, exact, 1e-9) {
 		t.Fatal("engine top-k != exhaustive")
 	}
-	if report.TopBuckets == nil || report.Assignment == nil || report.Join == nil {
+	if report.TopBuckets == nil || report.Join == nil {
 		t.Fatal("report missing phase details")
+	}
+	// Reducers shapes no local query: it is one reducer, which ran every
+	// selected combination it did not skip, and assigned nothing.
+	if len(report.Join.Locals) != 1 || report.Join.Locals[0].CombosAssigned != len(report.TopBuckets.Selected) {
+		t.Fatalf("a local query ran %d reducers (first assigned %d of %d combinations), want one with all",
+			len(report.Join.Locals), report.Join.Locals[0].CombosAssigned, len(report.TopBuckets.Selected))
+	}
+	if report.DistributeTime != 0 || report.Join.RoutedBucketEntries != 0 {
+		t.Fatalf("a local query reports distribute time %v and %d routed references, want none",
+			report.DistributeTime, report.Join.RoutedBucketEntries)
 	}
 	if report.Total <= 0 {
 		t.Error("Total not recorded")
@@ -147,7 +158,8 @@ func TestStatsReuse(t *testing.T) {
 	}
 }
 
-// All strategy × distribution configurations agree on the answer.
+// All TopBuckets strategies agree on the answer. (Every distribution
+// algorithm's reducers do too: distribute.TestGatherEveryReducer.)
 func TestConfigurationsAgree(t *testing.T) {
 	cols := synthCols(3, 30, 10)
 	env := query.Env{Params: scoring.P2, Avg: 45}
@@ -155,22 +167,20 @@ func TestConfigurationsAgree(t *testing.T) {
 	const k = 8
 	var want []join.Result
 	for _, strat := range []topbuckets.Strategy{topbuckets.Loose, topbuckets.TwoPhase, topbuckets.BruteForce} {
-		for _, alg := range []distribute.Algorithm{distribute.AlgDTB, distribute.AlgLPT, distribute.AlgRoundRobin} {
-			e, err := NewEngine(cols, Options{Granules: 4, K: k, Reducers: 3, Strategy: strat, Distribution: alg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			report, err := e.Execute(context.Background(), q)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", strat, alg, err)
-			}
-			if want == nil {
-				want = report.Results
-				continue
-			}
-			if !join.ScoreMultisetEqual(report.Results, want, 1e-9) {
-				t.Fatalf("%s/%s disagrees with baseline", strat, alg)
-			}
+		e, err := NewEngine(cols, Options{Granules: 4, K: k, Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := e.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		if want == nil {
+			want = report.Results
+			continue
+		}
+		if !join.ScoreMultisetEqual(report.Results, want, 1e-9) {
+			t.Fatalf("%s disagrees with baseline", strat)
 		}
 	}
 }

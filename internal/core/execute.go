@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tkij/internal/distribute"
 	"tkij/internal/join"
 	"tkij/internal/obs"
 	"tkij/internal/plancache"
@@ -134,9 +133,9 @@ func (e *Engine) validateMapping(q *query.Query, mapping []int) error {
 	return nil
 }
 
-// Report describes one query execution end to end. The four phase
-// durations are measured as disjoint sub-windows of Total — each phase
-// is timed around exactly one thing, nothing is counted twice — so
+// Report describes one query execution end to end. The phase durations
+// are measured as disjoint sub-windows of Total — each phase is timed
+// around exactly one thing, nothing is counted twice — so
 // TopBucketsTime + DistributeTime + JoinTime + MergeTime never exceeds
 // Total (the remainder is per-query setup: validation, epoch pinning,
 // report assembly).
@@ -151,11 +150,9 @@ type Report struct {
 	// bounds and the certified kthResLB floor. On a plan-cache hit it is
 	// the shared cached result — treat it as read-only.
 	TopBuckets *topbuckets.Result
-	// Assignment maps Ω_k,S onto reducers. Shared and read-only on a
-	// plan-cache hit, like TopBuckets.
-	Assignment *distribute.Assignment
 	// Join is the join + merge phases' full output (per-reducer local
-	// statistics, routed-reference accounting, the final shared floor).
+	// statistics, a sharded run's routed-reference accounting, the final
+	// score floor).
 	Join *join.Output
 
 	// TreesBuilt and TreesReused attribute bucket-store R-tree activity
@@ -224,8 +221,9 @@ type Report struct {
 	// TopBucketsTime is the wall time of phase 1 (TopBuckets pruning),
 	// or of the plan-cache lookup / promotion that replaced it.
 	TopBucketsTime time.Duration
-	// DistributeTime is the wall time of phase 2 (reducer assignment);
-	// zero when a cached assignment was reused.
+	// DistributeTime is the wall time of phase 2 (reducer assignment):
+	// always zero, as a local query is one reducer and a sharded run's
+	// coordinator assigns inside JoinTime.
 	DistributeTime time.Duration
 	// JoinTime is the wall time of the join phase, measured around
 	// exactly that phase (see join.Output.JoinDuration).
@@ -294,17 +292,18 @@ func (e *Engine) ExecuteMapped(ctx context.Context, q *query.Query, mapping []in
 
 // pinnedInputs assembles, from a pin, the per-vertex planning matrices
 // and the join request every execution on that pin starts from: query,
-// mapping, per-vertex sources and grids, k, and the engine's ablation
-// switches. Callers add the combinations and their assignment.
+// mapping, per-vertex sources and grids, k, the shard scatter's reducer
+// count and the ablation switches. Callers add combos, memo and floor.
 func (e *Engine) pinnedInputs(q *query.Query, mapping []int, pin *Pin, k int) ([]*stats.Matrix, *join.ReduceRequest) {
 	vertexMs := make([]*stats.Matrix, q.NumVertices)
 	req := &join.ReduceRequest{
-		Query:   q,
-		Mapping: mapping,
-		Srcs:    make([]join.Source, q.NumVertices),
-		Grans:   make([]stats.Grid, q.NumVertices),
-		K:       k,
-		Opts:    e.opts.Local,
+		Query:    q,
+		Mapping:  mapping,
+		Srcs:     make([]join.Source, q.NumVertices),
+		Grans:    make([]stats.Grid, q.NumVertices),
+		Reducers: e.opts.Reducers,
+		K:        k,
+		Opts:     e.opts.Local,
 	}
 	for v, ci := range mapping {
 		vertexMs[v] = pin.matrices[ci].WithCol(v)
@@ -314,12 +313,12 @@ func (e *Engine) pinnedInputs(q *query.Query, mapping []int, pin *Pin, k int) ([
 	return vertexMs, req
 }
 
-// plan is the planning half of an execution: TopBuckets + workload
-// distribution for (q, mapping, k) at the pin's epoch, through the plan
-// cache. The plan is a pure function of (query shape, k, granulation,
-// matrices epoch) — a repeated shape at an unchanged epoch skips both
-// phases, and an epoch bump that changed no bucket's shape promotes the
-// cached plan instead of planning again.
+// plan is the planning half of an execution: TopBuckets for (q,
+// mapping, k) at the pin's epoch, through the plan cache. The plan is a
+// pure function of (query shape, k, granulation, matrices epoch) — a
+// repeated shape at an unchanged epoch skips planning, and an epoch
+// bump that changed no bucket's shape promotes the cached plan instead
+// of planning again.
 func (e *Engine) plan(ctx context.Context, q *query.Query, mapping []int, vertexMs []*stats.Matrix,
 	pin *Pin, k int) (*plancache.Planned, error) {
 	if err := checkCtx(ctx, "planning"); err != nil {
@@ -328,14 +327,12 @@ func (e *Engine) plan(ctx context.Context, q *query.Query, mapping []int, vertex
 	tbOpts := e.opts.TopBuckets
 	tbOpts.Strategy = e.opts.Strategy
 	return e.plans.Plan(plancache.Request{
-		Query:        q,
-		Matrices:     vertexMs,
-		VertexCols:   mapping,
-		K:            k,
-		Epoch:        pin.Epoch(),
-		TopBuckets:   tbOpts,
-		Distribution: e.opts.Distribution,
-		Reducers:     e.opts.Reducers,
+		Query:      q,
+		Matrices:   vertexMs,
+		VertexCols: mapping,
+		K:          k,
+		Epoch:      pin.Epoch(),
+		TopBuckets: tbOpts,
 	})
 }
 
@@ -405,7 +402,6 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 			mQueries.Inc()
 			mQuerySeconds.ObserveDuration(report.Total)
 			mPhaseTopBuckets.ObserveDuration(report.TopBucketsTime)
-			mPhaseDistribute.ObserveDuration(report.DistributeTime)
 			mPhaseJoin.ObserveDuration(report.JoinTime)
 			mPhaseMerge.ObserveDuration(report.MergeTime)
 			if span != nil {
@@ -420,7 +416,7 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 	total := time.Now()
 	vertexMs, req := e.pinnedInputs(q, mapping, pin, k)
 
-	// Phases 1+2 (online), through the plan cache, which single-flights
+	// Phase 1 (online), through the plan cache, which single-flights
 	// concurrent plannings of one shape at one epoch.
 	planSpan := span.Child("plan")
 	planned, err := e.plan(ctx, q, mapping, vertexMs, pin, k)
@@ -442,11 +438,11 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 	}
 	tb := planned.TopBuckets
 
-	// Phases 3+4: distributed join and merge over the resident store.
-	// The execution's own cross-reducer floor starts at TopBuckets'
-	// certified kthResLB. The per-edge bound memo comes with the plan,
-	// so only the plan's first execution solves any bound.
-	req.Combos, req.Assign, req.Bounds, req.Shared = tb.Selected, planned.Assignment, planned.Bounds, join.NewSharedFloor(tb.KthResLB)
+	// Join and merge over the resident store: one serial pass over
+	// Ω_k,S, or a shard scatter. The execution's own score floor starts
+	// at TopBuckets' certified kthResLB. The per-edge bound memo comes
+	// with the plan, so only the plan's first execution solves any bound.
+	req.Combos, req.Bounds, req.Shared = tb.Selected, planned.Bounds, join.NewSharedFloor(tb.KthResLB)
 	storeBefore := pin.store.Snapshot()
 	out, err := e.joinMerge(ctx, "join", pin, req)
 	if err != nil {
@@ -458,7 +454,6 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 		Query:           q,
 		Results:         out.Results,
 		TopBuckets:      tb,
-		Assignment:      planned.Assignment,
 		Join:            out,
 		TreesBuilt:      storeAfter.TreesBuilt - storeBefore.TreesBuilt,
 		TreesReused:     storeAfter.TreeHits - storeBefore.TreeHits,
@@ -469,7 +464,6 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 		PlanSavedTime:   planned.SavedPlanTime,
 		PlanWaited:      planned.Waited,
 		TopBucketsTime:  planned.TopBucketsTime,
-		DistributeTime:  planned.DistributeTime,
 		JoinTime:        out.JoinDuration,
 		MergeTime:       out.MergeDuration,
 	}
@@ -493,9 +487,9 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 // score, or 0 to disable seeding. bounds is the caller's pair-bound
 // memo for the join (nil for none): the standing layer passes the one
 // its loose phase just filled, so the probe solves nothing. The probe
-// runs through the pin's runner, so on a sharded engine it scatters to
-// the same shard workers (with the same floor broadcast) a fresh
-// execution would use.
+// runs through the pin's runner: one serial pass on a local engine,
+// and on a sharded engine a scatter to the same shard workers (with
+// the same floor broadcast) a fresh execution would use.
 func (e *Engine) ProbePinned(ctx context.Context, q *query.Query, mapping []int, pin *Pin,
 	combos []topbuckets.Combo, k int, floor float64, bounds *solver.PairMemo) (*join.Output, error) {
 	if k < 1 {
@@ -504,15 +498,8 @@ func (e *Engine) ProbePinned(ctx context.Context, q *query.Query, mapping []int,
 	if err := e.validateMapping(q, mapping); err != nil {
 		return nil, err
 	}
-	if len(combos) == 0 {
-		return &join.Output{Results: []join.Result{}}, nil
-	}
-	assign, err := distribute.Assign(e.opts.Distribution, combos, e.opts.Reducers)
-	if err != nil {
-		return nil, err
-	}
 	_, req := e.pinnedInputs(q, mapping, pin, k)
-	req.Combos, req.Assign, req.Bounds, req.Shared = combos, assign, bounds, join.NewSharedFloor(floor)
+	req.Combos, req.Bounds, req.Shared = combos, bounds, join.NewSharedFloor(floor)
 	out, err := e.joinMerge(ctx, "probe", pin, req)
 	if err != nil {
 		return nil, err

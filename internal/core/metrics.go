@@ -18,8 +18,6 @@ var (
 
 	mPhaseTopBuckets = obs.NewHistogramL("tkij_core_phase_seconds",
 		"Per-phase query latency in seconds.", obs.Labels{"phase": "topbuckets"}, nil)
-	mPhaseDistribute = obs.NewHistogramL("tkij_core_phase_seconds",
-		"Per-phase query latency in seconds.", obs.Labels{"phase": "distribute"}, nil)
 	mPhaseJoin = obs.NewHistogramL("tkij_core_phase_seconds",
 		"Per-phase query latency in seconds.", obs.Labels{"phase": "join"}, nil)
 	mPhaseMerge = obs.NewHistogramL("tkij_core_phase_seconds",

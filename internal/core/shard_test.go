@@ -11,11 +11,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"tkij/internal/distribute"
 	"tkij/internal/interval"
+	"tkij/internal/join"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
 	"tkij/internal/shard"
@@ -166,20 +169,23 @@ func TestShardedEngineTornFrame(t *testing.T) {
 	}
 }
 
-// The paper's cost metrics are runner-independent: routed-reference
-// accounting is derived from the assignment and per-reducer wall time
-// from LocalStats.Duration (which travels on the wire), so a sharded
-// run reports the same routing as a local one, a populated imbalance
-// and critical path (Fig. 8b/10b), and — for a reducer DTB assigned
-// nothing — the same index-only Locals entry.
+// The paper's cost metrics are runner-independent: a cluster's
+// routed-reference accounting and per-reducer Locals equal those of the
+// same DTB assignment run through join.RunTasks in one process, routed
+// references weigh exactly the assignment's replication metric, and
+// per-reducer wall time travels on the wire (LocalStats.Duration), so a
+// sharded run reports a populated imbalance and critical path (Fig.
+// 8b/10b) — and, for a reducer DTB assigned nothing, the index-only
+// Locals entry.
 func TestShardedReportMetrics(t *testing.T) {
 	cols := shardTestCols(25)
 	q := shardTestQuery(cols)
-	var local *Report
-	for _, shards := range []int{0, 2, 3, 5} {
-		// More reducers than TopBuckets selects combinations, so some
-		// reducer is certainly assigned none.
-		e, err := NewEngine(cols, Options{Granules: 5, K: 6, Reducers: 200, Shards: shards})
+	mapping := []int{0, 1, 2}
+	// More reducers than TopBuckets selects combinations, so some
+	// reducer is certainly assigned none.
+	const k, reducers = 6, 200
+	for _, shards := range []int{2, 3, 5} {
+		e, err := NewEngine(cols, Options{Granules: 5, K: k, Reducers: reducers, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,32 +193,41 @@ func TestShardedReportMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shards > 1 && rep.ShardCount != shards {
+		if rep.ShardCount != shards {
 			t.Fatalf("report says %d shards, want %d", rep.ShardCount, shards)
 		}
 		if rep.Imbalance() <= 0 || rep.Join.JoinMetrics.MaxReduceDuration() <= 0 {
 			t.Fatalf("%d shards: imbalance %g, max reduce duration %v; want both > 0",
 				shards, rep.Imbalance(), rep.Join.JoinMetrics.MaxReduceDuration())
 		}
-		if local == nil {
-			local = rep
-			e.Close()
-			continue
+
+		ref, assign := runAssigned(t, e, rep, mapping, k, reducers)
+		if !reflect.DeepEqual(rep.Results, ref.Results) {
+			t.Fatalf("%d shards: results differ from the same assignment run in one process", shards)
 		}
-		if rep.Join.RoutedBucketEntries != local.Join.RoutedBucketEntries ||
-			rep.Join.RoutedIntervalRecords != local.Join.RoutedIntervalRecords {
-			t.Fatalf("%d shards routed %d refs / %g records, local %d / %g", shards,
+		if rep.Join.RoutedBucketEntries != ref.RoutedBucketEntries ||
+			rep.Join.RoutedIntervalRecords != ref.RoutedIntervalRecords ||
+			rep.Join.RoutedIntervalRecords != assign.ReplicatedRecords {
+			t.Fatalf("%d shards routed %d refs / %g records, in-process %d / %g, assignment replicates %g", shards,
 				rep.Join.RoutedBucketEntries, rep.Join.RoutedIntervalRecords,
-				local.Join.RoutedBucketEntries, local.Join.RoutedIntervalRecords)
+				ref.RoutedBucketEntries, ref.RoutedIntervalRecords, assign.ReplicatedRecords)
+		}
+		if len(rep.Join.Locals) != reducers || len(ref.Locals) != reducers {
+			t.Fatalf("%d shards: %d Locals entries (in-process %d) for %d reducers", shards, len(rep.Join.Locals), len(ref.Locals), reducers)
 		}
 		idle := 0
-		for rj, l := range local.Join.Locals {
-			if l.CombosAssigned > 0 {
+		for rj, want := range ref.Locals {
+			got := rep.Join.Locals[rj]
+			if got.BucketRefsRouted != want.BucketRefsRouted || got.RoutedIntervals != want.RoutedIntervals ||
+				got.CombosAssigned != want.CombosAssigned {
+				t.Fatalf("%d shards: reducer %d reports %+v, in-process %+v", shards, rj, got, want)
+			}
+			if want.CombosAssigned > 0 {
 				continue
 			}
 			idle++
-			if got := rep.Join.Locals[rj]; got != l {
-				t.Fatalf("%d shards: idle reducer %d reports %+v, local %+v", shards, rj, got, l)
+			if got != want {
+				t.Fatalf("%d shards: idle reducer %d reports %+v, in-process %+v", shards, rj, got, want)
 			}
 		}
 		if idle == 0 {
@@ -220,6 +235,30 @@ func TestShardedReportMetrics(t *testing.T) {
 		}
 		e.Close()
 	}
+}
+
+// runAssigned joins, in this process on a fresh pin of e, the DTB
+// assignment over the given reducers that a sharded engine's
+// coordinator makes of rep's selection, seeded like the engine seeds
+// its floor. e must be at rep's epoch.
+func runAssigned(t *testing.T, e *Engine, rep *Report, mapping []int, k, reducers int) (*join.Output, *distribute.Assignment) {
+	t.Helper()
+	assign, err := distribute.Assign(distribute.AlgDTB, rep.TopBuckets.Selected, reducers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin, err := e.Pin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pin.Release()
+	_, req := e.pinnedInputs(rep.Query, mapping, pin, k)
+	req.Combos, req.Shared = rep.TopBuckets.Selected, join.NewSharedFloor(rep.TopBuckets.KthResLB)
+	out, err := join.Run(context.Background(), req, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, assign
 }
 
 // The -race exercise: concurrent sharded executions (floor broadcasts

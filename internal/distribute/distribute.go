@@ -2,10 +2,12 @@ package distribute
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"sort"
 
+	"tkij/internal/join"
 	"tkij/internal/stats"
 	"tkij/internal/topbuckets"
 )
@@ -54,6 +56,58 @@ func (a *Assignment) ResultImbalance() float64 {
 		return 0
 	}
 	return max / (sum / float64(n))
+}
+
+// Tasks lists the assignment's reducers that received at least one
+// combination, ascending, as join tasks (each list by descending UB). A
+// reducer with nothing assigned is never run.
+func (a *Assignment) Tasks() []join.ReducerTask {
+	tasks := make([]join.ReducerTask, 0, len(a.ReducerCombos))
+	for rj, idxs := range a.ReducerCombos {
+		if len(idxs) > 0 {
+			tasks = append(tasks, join.ReducerTask{Reducer: rj, Combos: idxs})
+		}
+	}
+	return tasks
+}
+
+// Gather is a runner's accounting of a run of the assignment's Tasks:
+// outs (any order) placed by reducer, an index-only entry for each idle
+// reducer, and each reducer credited one reference per bucket its
+// combinations touch, weighted by the bucket's size in srcs (by vertex).
+func (a *Assignment) Gather(outs []join.ReducerOutput, srcs []join.Source) *join.RunnerOutput {
+	out := &join.RunnerOutput{Reducers: make([]join.ReducerOutput, a.Reducers)}
+	for rj := range out.Reducers {
+		out.Reducers[rj] = join.ReducerOutput{Reducer: rj, Stats: join.LocalStats{Reducer: rj}}
+	}
+	for _, ro := range outs {
+		out.Reducers[ro.Reducer] = ro
+	}
+	weights := make([]int, a.Reducers)
+	for key, reducers := range a.BucketReducers {
+		n := len(join.ItemsOf(srcs[key.Col], key.StartG, key.EndG))
+		for _, rj := range reducers {
+			out.Reducers[rj].Stats.BucketRefsRouted++
+			weights[rj] += n
+		}
+	}
+	for rj, w := range weights {
+		out.Reducers[rj].Stats.RoutedIntervals = float64(w)
+	}
+	return out
+}
+
+// RunReducers makes the assignment a join.Runner that runs its Tasks
+// side by side in this process, each on a goroutine of its own
+// (join.RunTasks): the paper's r reducers as the figure drivers
+// simulate them, and the reference a shard cluster scattering the same
+// assignment must reproduce.
+func (a *Assignment) RunReducers(ctx context.Context, req *join.ReduceRequest) (*join.RunnerOutput, error) {
+	outs, err := join.RunTasks(ctx, req, a.Tasks())
+	if err != nil {
+		return nil, err
+	}
+	return a.Gather(outs, req.Srcs), nil
 }
 
 // assignmentState tracks per-reducer load during construction. Buckets

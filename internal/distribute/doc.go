@@ -16,13 +16,17 @@
 // evaluation: LPT (§4.2.2), the longest-processing-time scheduling
 // heuristic that ignores scores, and a plain round-robin ablation.
 //
-// An Assignment is immutable once returned: the join phase only reads
-// it, and the plan cache (internal/plancache) shares one Assignment
-// across every execution that hits the same cached plan — reusing the
-// assignment is what lets a cache hit skip this phase entirely.
-// Assignments reference combinations by index into the Ω_k,S slice they
-// were built from and buckets by their vertex-scoped BucketKey, so an
-// assignment stays valid as long as that slice's order and bucket
-// identities do (counts may grow under streaming appends; the balance
-// targets were computed from the counts at assignment time).
+// Assignments are made only where reducers are separate: a sharded
+// engine's coordinator (internal/shard) assigns each query's Ω_k,S over
+// its reducers and places them on shard workers (Place), and the figure
+// drivers (internal/experiments) simulate the paper's r reducers in one
+// process. A local query is one reducer and assigns nothing. Tasks are
+// an assignment's join tasks, RunReducers (a join.Runner) runs them side
+// by side in one process, and Gather is a runner's accounting of them:
+// idle reducers' entries and each reducer's routed bucket references.
+//
+// An Assignment is immutable once returned. It references combinations
+// by index into the Ω_k,S slice it was built from and buckets by their
+// vertex-scoped BucketKey, so it stays valid as long as that slice's
+// order and bucket identities do.
 package distribute

@@ -17,12 +17,7 @@ import (
 	"strings"
 	"time"
 
-	"tkij/internal/core"
-	"tkij/internal/distribute"
-	"tkij/internal/interval"
-	"tkij/internal/join"
 	"tkij/internal/query"
-	"tkij/internal/topbuckets"
 )
 
 // Config controls experiment scale and parallelism.
@@ -131,19 +126,6 @@ func ms(d time.Duration) string {
 // f2/f3 render floats.
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
-
-// engineFor builds an engine with the experiment's common settings.
-func engineFor(cols []*interval.Collection, g, k int, strat topbuckets.Strategy,
-	alg distribute.Algorithm, cfg Config, local join.LocalOptions) (*core.Engine, error) {
-	return core.NewEngine(cols, core.Options{
-		Granules:     g,
-		K:            k,
-		Reducers:     cfg.Reducers,
-		Strategy:     strat,
-		Distribution: alg,
-		Local:        local,
-	})
-}
 
 // selfMapping returns [0, 0, ..., 0] for self-join experiments.
 func selfMapping(n int) []int { return make([]int, n) }

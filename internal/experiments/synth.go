@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tkij/internal/baselines"
-	"tkij/internal/core"
 	"tkij/internal/datagen"
 	"tkij/internal/distribute"
 	"tkij/internal/interval"
@@ -133,17 +132,13 @@ func Fig8Workload(ctx context.Context, cfg Config) ([]*Table, error) {
 			var joinTime, maxRed [2]time.Duration
 			var kthMin [2]float64
 			for ai, alg := range []distribute.Algorithm{distribute.AlgLPT, distribute.AlgDTB} {
-				e, err := engineFor(cols, g, k, topbuckets.Loose, alg, cfg, join.LocalOptions{})
+				r, err := execute(ctx, cols, q, nil, setup{g: g, k: k, alg: alg, reducers: cfg.Reducers})
 				if err != nil {
 					return nil, err
 				}
-				report, err := e.Execute(ctx, q)
-				if err != nil {
-					return nil, err
-				}
-				joinTime[ai] = report.JoinTime
-				maxRed[ai] = report.Join.JoinMetrics.MaxReduceDuration()
-				kthMin[ai] = minLocalScore(report.Join.Locals)
+				joinTime[ai] = r.join.JoinDuration
+				maxRed[ai] = r.join.JoinMetrics.MaxReduceDuration()
+				kthMin[ai] = minLocalScore(r.join.Locals)
 			}
 			row := []string{fmt.Sprintf("%d", n), q.Name}
 			ta.Rows = append(ta.Rows, append(append([]string{}, row...), ms(joinTime[0]), ms(joinTime[1])))
@@ -203,15 +198,9 @@ func Fig9Strategies(ctx context.Context, cfg Config) ([]*Table, error) {
 				// brute-force's solver-call count is |Ω| = O(g^2n):
 				// beyond n = 3 it exceeds the combination budget, the
 				// analogue of the paper's >1h entries.
-				e, err := core.NewEngine(cols, core.Options{
-					Granules: g, K: k, Reducers: cfg.Reducers,
-					Strategy: strat, Distribution: distribute.AlgDTB,
-					TopBuckets: topbuckets.Options{MaxCombos: 20000},
+				r, err := execute(ctx, cols, q, nil, setup{
+					g: g, k: k, strategy: strat, maxCombos: 20000, reducers: cfg.Reducers,
 				})
-				if err != nil {
-					return nil, err
-				}
-				report, err := e.Execute(ctx, q)
 				if err != nil {
 					t.Rows = append(t.Rows, []string{star.name, fmt.Sprintf("%d", n), strat.String(),
 						"exceeded", "-", "-", "-", "-"})
@@ -219,8 +208,8 @@ func Fig9Strategies(ctx context.Context, cfg Config) ([]*Table, error) {
 				}
 				t.Rows = append(t.Rows, []string{
 					star.name, fmt.Sprintf("%d", n), strat.String(),
-					ms(report.TopBucketsTime), ms(report.DistributeTime), ms(report.JoinTime), ms(report.MergeTime),
-					fmt.Sprintf("%d", len(report.TopBuckets.Selected)),
+					ms(r.topBucketsTime), ms(r.distributeTime), ms(r.join.JoinDuration), ms(r.join.MergeDuration),
+					fmt.Sprintf("%d", len(r.tb.Selected)),
 				})
 				cfg.logf("  fig9 %s n=%d %s done", star.name, n, strat)
 			}
@@ -252,22 +241,18 @@ func Fig10Granules(ctx context.Context, cfg Config) ([]*Table, error) {
 		rowA := []string{fmt.Sprintf("%d", g)}
 		rowB := []string{fmt.Sprintf("%d", g)}
 		for _, q := range queries {
-			e, err := engineFor(cols, g, k, topbuckets.Loose, distribute.AlgDTB, cfg, join.LocalOptions{})
+			r, err := execute(ctx, cols, q, nil, setup{g: g, k: k, reducers: cfg.Reducers})
 			if err != nil {
 				return nil, err
 			}
-			report, err := e.Execute(ctx, q)
-			if err != nil {
-				return nil, err
-			}
-			rowA = append(rowA, ms(report.Total))
-			rowB = append(rowB, f2(report.Imbalance()))
+			rowA = append(rowA, ms(r.total))
+			rowB = append(rowB, f2(r.join.JoinMetrics.Imbalance()))
 			if q.Name == "Qo,m" {
 				tc.Rows = append(tc.Rows, []string{
 					fmt.Sprintf("%d", g),
-					ms(report.TopBucketsTime), ms(report.DistributeTime),
-					ms(report.JoinTime), ms(report.MergeTime),
-					f2(report.TopBuckets.PrunedFraction() * 100),
+					ms(r.topBucketsTime), ms(r.distributeTime),
+					ms(r.join.JoinDuration), ms(r.join.MergeDuration),
+					f2(r.tb.PrunedFraction() * 100),
 				})
 			}
 		}
@@ -302,72 +287,44 @@ func Fig11Scalability(ctx context.Context, cfg Config) ([]*Table, error) {
 	tc := &Table{ID: "fig11c", Title: "Qs,m scalability (ms): RCCIS-PB vs TKIJ-PB vs TKIJ-P1",
 		Columns: []string{"|Ci|", "RCCIS-PB", "TKIJ-PB", "TKIJ-P1"},
 		Note:    "paper: RCCIS's first phase cheaper here; TKIJ-P1 slower than TKIJ-PB (more positive-score results)"}
+	// Each table: its query, and the baseline it runs under PB.
+	rccis := func(q *query.Query, cols []*interval.Collection) (*baselines.Output, error) {
+		return baselines.RCCIS(q, cols, k, cfg.Reducers, mapreduce.Config{})
+	}
+	series := []struct {
+		t        *Table
+		ctor     func(query.Env) *query.Query
+		baseline func(*query.Query, []*interval.Collection) (*baselines.Output, error)
+	}{
+		{ta, query.Qbb, func(q *query.Query, cols []*interval.Collection) (*baselines.Output, error) {
+			return baselines.AllMatrix(q, cols, k, 4, mapreduce.Config{})
+		}},
+		{tb, query.Qoo, rccis},
+		{tc, query.Qsm, rccis},
+	}
 	for _, base := range []int{4000, 8000, 12000, 16000, 20000} {
 		n := cfg.size(base)
 		cols := []*interval.Collection{
 			datagen.Uniform("C1", n, 61), datagen.Uniform("C2", n, 62), datagen.Uniform("C3", n, 63),
 		}
-		mrCfg := mapreduce.Config{}
-
-		// (a) Qb,b.
-		am, err := baselines.AllMatrix(query.Qbb(query.Env{Params: scoring.PB}), cols, k, 4, mrCfg)
-		if err != nil {
-			return nil, err
+		for _, sr := range series {
+			bl, err := sr.baseline(sr.ctor(query.Env{Params: scoring.PB}), cols)
+			if err != nil {
+				return nil, err
+			}
+			row := []string{fmt.Sprintf("%d", n), ms(bl.Total)}
+			for _, pp := range []scoring.PairParams{scoring.PB, scoring.P1} {
+				r, err := execute(ctx, cols, sr.ctor(query.Env{Params: pp}), nil, setup{g: g, k: k, reducers: cfg.Reducers})
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, ms(r.total))
+			}
+			sr.t.Rows = append(sr.t.Rows, row)
 		}
-		pbT, err := runTKIJ(ctx, cols, query.Qbb(query.Env{Params: scoring.PB}), g, k, cfg)
-		if err != nil {
-			return nil, err
-		}
-		p1T, err := runTKIJ(ctx, cols, query.Qbb(query.Env{Params: scoring.P1}), g, k, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ta.Rows = append(ta.Rows, []string{fmt.Sprintf("%d", n), ms(am.Total), ms(pbT), ms(p1T)})
-
-		// (b) Qo,o.
-		rc, err := baselines.RCCIS(query.Qoo(query.Env{Params: scoring.PB}), cols, k, cfg.Reducers, mrCfg)
-		if err != nil {
-			return nil, err
-		}
-		pbT, err = runTKIJ(ctx, cols, query.Qoo(query.Env{Params: scoring.PB}), g, k, cfg)
-		if err != nil {
-			return nil, err
-		}
-		p1T, err = runTKIJ(ctx, cols, query.Qoo(query.Env{Params: scoring.P1}), g, k, cfg)
-		if err != nil {
-			return nil, err
-		}
-		tb.Rows = append(tb.Rows, []string{fmt.Sprintf("%d", n), ms(rc.Total), ms(pbT), ms(p1T)})
-
-		// (c) Qs,m.
-		rc, err = baselines.RCCIS(query.Qsm(query.Env{Params: scoring.PB}), cols, k, cfg.Reducers, mrCfg)
-		if err != nil {
-			return nil, err
-		}
-		pbT, err = runTKIJ(ctx, cols, query.Qsm(query.Env{Params: scoring.PB}), g, k, cfg)
-		if err != nil {
-			return nil, err
-		}
-		p1T, err = runTKIJ(ctx, cols, query.Qsm(query.Env{Params: scoring.P1}), g, k, cfg)
-		if err != nil {
-			return nil, err
-		}
-		tc.Rows = append(tc.Rows, []string{fmt.Sprintf("%d", n), ms(rc.Total), ms(pbT), ms(p1T)})
 		cfg.logf("  fig11 |Ci|=%d done", n)
 	}
 	return []*Table{ta, tb, tc}, nil
-}
-
-func runTKIJ(ctx context.Context, cols []*interval.Collection, q *query.Query, g, k int, cfg Config) (time.Duration, error) {
-	e, err := engineFor(cols, g, k, topbuckets.Loose, distribute.AlgDTB, cfg, join.LocalOptions{})
-	if err != nil {
-		return 0, err
-	}
-	report, err := e.Execute(ctx, q)
-	if err != nil {
-		return 0, err
-	}
-	return report.Total, nil
 }
 
 // EffectOfKSynthetic reproduces §4.2.6: running time vs k on synthetic
@@ -392,15 +349,11 @@ func EffectOfKSynthetic(ctx context.Context, cfg Config) ([]*Table, error) {
 		k := cfg.k(baseK)
 		row := []string{fmt.Sprintf("%d", k)}
 		for _, q := range queries {
-			e, err := engineFor(cols, g, k, topbuckets.Loose, distribute.AlgDTB, cfg, join.LocalOptions{})
+			r, err := execute(ctx, cols, q, nil, setup{g: g, k: k, reducers: cfg.Reducers})
 			if err != nil {
 				return nil, err
 			}
-			report, err := e.Execute(ctx, q)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, ms(report.Total))
+			row = append(row, ms(r.total))
 		}
 		t.Rows = append(t.Rows, row)
 		cfg.logf("  sec4.2.6 k=%d done", t.Rows[len(t.Rows)-1][0])
@@ -439,22 +392,18 @@ func Ablations(ctx context.Context, cfg Config) ([]*Table, error) {
 	}
 	for _, q := range queries {
 		for _, c := range configs {
-			e, err := engineFor(cols, g, k, topbuckets.Loose, c.alg, cfg, c.local)
-			if err != nil {
-				return nil, err
-			}
-			report, err := e.Execute(ctx, q)
+			r, err := execute(ctx, cols, q, nil, setup{g: g, k: k, alg: c.alg, reducers: cfg.Reducers, local: c.local})
 			if err != nil {
 				return nil, err
 			}
 			var examined int64
 			var skipped int
-			for _, l := range report.Join.Locals {
+			for _, l := range r.join.Locals {
 				examined += l.TuplesExamined
 				skipped += l.CombosSkipped
 			}
 			t.Rows = append(t.Rows, []string{
-				q.Name, c.name, ms(report.JoinTime),
+				q.Name, c.name, ms(r.join.JoinDuration),
 				fmt.Sprintf("%d", examined), fmt.Sprintf("%d", skipped),
 			})
 		}

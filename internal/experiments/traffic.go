@@ -4,13 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"tkij/internal/core"
 	"tkij/internal/datagen"
-	"tkij/internal/distribute"
 	"tkij/internal/interval"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
-	"tkij/internal/topbuckets"
 )
 
 // trafficCollection builds the simulated firewall-connection dataset
@@ -93,21 +90,14 @@ func Fig13TrafficScalability(ctx context.Context, cfg Config) ([]*Table, error) 
 		c := trafficCollection(n, 97)
 		avg := interval.AvgLength(c)
 		for _, q := range trafficQueries(avg) {
-			e, err := core.NewEngine([]*interval.Collection{c}, core.Options{
-				Granules: g, K: k, Reducers: cfg.Reducers,
-				Strategy: topbuckets.Loose, Distribution: distribute.AlgDTB,
-			})
+			r, err := execute(ctx, []*interval.Collection{c}, q, selfMapping(q.NumVertices), setup{g: g, k: k, reducers: cfg.Reducers})
 			if err != nil {
 				return nil, err
 			}
-			report, err := e.ExecuteMapped(ctx, q, selfMapping(q.NumVertices))
-			if err != nil {
-				return nil, err
-			}
-			buckets := len(e.Matrices()[0].Buckets())
+			buckets := len(r.matrices[0].Buckets())
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", n), q.Name, ms(report.Total),
-				fmt.Sprintf("%d", buckets), fmt.Sprintf("%d", len(report.TopBuckets.Selected)),
+				fmt.Sprintf("%d", n), q.Name, ms(r.total),
+				fmt.Sprintf("%d", buckets), fmt.Sprintf("%d", len(r.tb.Selected)),
 			})
 			cfg.logf("  fig13 %s |Ci|=%d done", q.Name, n)
 		}
@@ -135,18 +125,11 @@ func Fig14TrafficEffectOfK(ctx context.Context, cfg Config) ([]*Table, error) {
 		k := cfg.k(baseK)
 		row := []string{fmt.Sprintf("%d", k)}
 		for _, q := range queries {
-			e, err := core.NewEngine([]*interval.Collection{c}, core.Options{
-				Granules: g, K: k, Reducers: cfg.Reducers,
-				Strategy: topbuckets.Loose, Distribution: distribute.AlgDTB,
-			})
+			r, err := execute(ctx, []*interval.Collection{c}, q, selfMapping(q.NumVertices), setup{g: g, k: k, reducers: cfg.Reducers})
 			if err != nil {
 				return nil, err
 			}
-			report, err := e.ExecuteMapped(ctx, q, selfMapping(q.NumVertices))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, ms(report.Total))
+			row = append(row, ms(r.total))
 		}
 		t.Rows = append(t.Rows, row)
 		cfg.logf("  fig14 k=%s done", row[0])

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"tkij/internal/distribute"
 	"tkij/internal/interval"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
@@ -12,11 +11,11 @@ import (
 	"tkij/internal/topbuckets"
 )
 
-// Regression: an assignment routing nothing gives the merge zero
+// Regression: a request with no combinations gives the merge zero
 // inputs; Run must still return a non-nil (empty) result slice — not a
 // nil slice that breaks callers ranging or JSON-encoding the output —
-// and one index-carrying Locals entry per reducer.
-func TestRunEmptyAssignment(t *testing.T) {
+// and the local pass's one Locals entry, which did no work.
+func TestRunNoCombinations(t *testing.T) {
 	q := query.MustNew("empty", 2, []query.Edge{
 		{From: 0, To: 1, Pred: scoring.Meets(scoring.P1)},
 	}, scoring.Avg{})
@@ -24,15 +23,7 @@ func TestRunEmptyAssignment(t *testing.T) {
 		newMapSource(0, map[stats.BucketKey][]interval.Interval{}),
 		newMapSource(1, map[stats.BucketKey][]interval.Interval{}),
 	}
-	grans := make([]stats.Grid, 2)
-	assign := &distribute.Assignment{
-		Algorithm:      "DTB",
-		Reducers:       3,
-		ReducerCombos:  make([][]int, 3),
-		BucketReducers: map[stats.BucketKey][]int{},
-		ReducerResults: make([]float64, 3),
-	}
-	out, err := runJoin(q, srcs, grans, nil, assign, 5, LocalOptions{})
+	out, err := runJoin(q, srcs, make([]stats.Grid, 2), nil, 5, LocalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,16 +31,13 @@ func TestRunEmptyAssignment(t *testing.T) {
 		t.Fatal("Results is nil; want an empty non-nil slice")
 	}
 	if len(out.Results) != 0 {
-		t.Fatalf("got %d results from an empty assignment", len(out.Results))
+		t.Fatalf("got %d results from no combinations", len(out.Results))
 	}
-	for rj, l := range out.Locals {
-		if l != (LocalStats{Reducer: rj}) {
-			t.Fatalf("Locals[%d] = %+v for a reducer that never ran, want only its index", rj, l)
-		}
+	if len(out.Locals) != 1 {
+		t.Fatalf("the local pass reports %d reducers, want 1", len(out.Locals))
 	}
-	if len(out.Locals) != 3 || out.JoinMetrics.MaxReduceDuration() != 0 || out.JoinMetrics.Imbalance() != 0 {
-		t.Fatalf("empty run reports %d reducers, max %v, imbalance %g",
-			len(out.Locals), out.JoinMetrics.MaxReduceDuration(), out.JoinMetrics.Imbalance())
+	if l := out.Locals[0]; l.CombosAssigned != 0 || l.CombosProcessed != 0 || l.TuplesExamined != 0 || l.ResultsReturned != 0 {
+		t.Fatalf("Locals[0] = %+v for a pass over nothing", l)
 	}
 	if out.JoinDuration < 0 || out.MergeDuration < 0 {
 		t.Fatalf("negative phase durations: join %v, merge %v", out.JoinDuration, out.MergeDuration)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"tkij/internal/distribute"
 	"tkij/internal/interval"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
@@ -61,7 +60,7 @@ func TestReversedEdgeDirections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := pipeline(t, q, cols, 5, k, topbuckets.Loose, distribute.AlgDTB, LocalOptions{})
+	out := pipeline(t, q, cols, 5, k, topbuckets.Loose, LocalOptions{})
 	if !ScoreMultisetEqual(out.Results, exact, 1e-9) {
 		t.Fatalf("reversed-edge query inexact: %v vs %v", scoresOf(out.Results), scoresOf(exact))
 	}
@@ -82,7 +81,7 @@ func TestFourWayChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := pipeline(t, q, cols, 4, k, topbuckets.Loose, distribute.AlgDTB, LocalOptions{})
+	out := pipeline(t, q, cols, 4, k, topbuckets.Loose, LocalOptions{})
 	if !ScoreMultisetEqual(out.Results, exact, 1e-9) {
 		t.Fatal("4-way chain inexact")
 	}
@@ -105,13 +104,9 @@ func TestFloorPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := distribute.Assign(distribute.AlgDTB, tb.Selected, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srcs, grans := storeSources(t, cols, ms)
 	out, err := Run(context.Background(), &ReduceRequest{
-		Query: q, Srcs: srcs, Grans: grans, Combos: tb.Selected, Assign: assign, K: k,
+		Query: q, Srcs: srcs, Grans: grans, Combos: tb.Selected, K: k,
 		Shared: NewSharedFloor(kth),
 	}, nil)
 	if err != nil {
@@ -149,7 +144,7 @@ func TestWeightedSumAggregatorExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := pipeline(t, q, cols, 5, k, topbuckets.Loose, distribute.AlgDTB, LocalOptions{})
+	out := pipeline(t, q, cols, 5, k, topbuckets.Loose, LocalOptions{})
 	if !ScoreMultisetEqual(out.Results, exact, 1e-9) {
 		t.Fatal("weighted-sum query inexact")
 	}
@@ -172,7 +167,7 @@ func TestEndToEndFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := pipeline(t, q, cols, g, k, topbuckets.Loose, distribute.AlgDTB, LocalOptions{})
+		out := pipeline(t, q, cols, g, k, topbuckets.Loose, LocalOptions{})
 		if !ScoreMultisetEqual(out.Results, exact, 1e-9) {
 			t.Fatalf("fuzz trial %d (%s, size %d, g %d, k %d) inexact", trial, q.Name, size, g, k)
 		}

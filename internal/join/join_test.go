@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tkij/internal/distribute"
 	"tkij/internal/interval"
 	"tkij/internal/query"
 	"tkij/internal/rtree"
@@ -18,7 +17,7 @@ import (
 
 // mapSource is a test-local Source over an explicit vertex-scoped
 // bucket map, building private R-trees lazily. It is NOT safe for
-// concurrent use: tests hand it to single-reducer assignments only.
+// concurrent use: tests hand it to Run's one-reducer local pass only.
 type mapSource struct {
 	col     int
 	data    map[stats.BucketKey][]interval.Interval
@@ -58,11 +57,11 @@ func (b *mapBucket) Search(box rtree.Rect, fn func(ref int32) bool) {
 	b.tree.Search(box, func(pt rtree.Point) bool { return fn(pt.Ref) })
 }
 
-// runJoin is Run over the local runner with the request spelled out.
+// runJoin is Run's local pass with the request spelled out.
 func runJoin(q *query.Query, srcs []Source, grans []stats.Grid, combos []topbuckets.Combo,
-	assign *distribute.Assignment, k int, opts LocalOptions) (*Output, error) {
+	k int, opts LocalOptions) (*Output, error) {
 	return Run(context.Background(), &ReduceRequest{
-		Query: q, Srcs: srcs, Grans: grans, Combos: combos, Assign: assign, K: k, Opts: opts,
+		Query: q, Srcs: srcs, Grans: grans, Combos: combos, K: k, Opts: opts,
 	}, nil)
 }
 
@@ -172,21 +171,18 @@ func storeSources(t *testing.T, cols []*interval.Collection, ms []*stats.Matrix)
 	return srcs, grans
 }
 
-// pipeline runs the full TKIJ flow for tests.
+// pipeline runs the full TKIJ flow for tests: TopBuckets, then Run's
+// local pass.
 func pipeline(t *testing.T, q *query.Query, cols []*interval.Collection, g, k int,
-	strat topbuckets.Strategy, alg distribute.Algorithm, opts LocalOptions) *Output {
+	strat topbuckets.Strategy, opts LocalOptions) *Output {
 	t.Helper()
 	ms := collect(t, cols, g)
 	tb, err := topbuckets.Run(q, ms, k, topbuckets.Options{Strategy: strat})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := distribute.Assign(alg, tb.Selected, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srcs, grans := storeSources(t, cols, ms)
-	out, err := runJoin(q, srcs, grans, tb.Selected, assign, k, opts)
+	out, err := runJoin(q, srcs, grans, tb.Selected, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +191,7 @@ func pipeline(t *testing.T, q *query.Query, cols []*interval.Collection, g, k in
 
 // The headline correctness claim: TKIJ returns the exact top-k. We
 // check score-multiset equality against exhaustive enumeration across
-// queries, strategies, and distribution algorithms.
+// queries and strategies.
 func TestEndToEndExactness(t *testing.T) {
 	env := query.Env{Params: scoring.P1, Avg: 40}
 	queries := []*query.Query{
@@ -211,12 +207,10 @@ func TestEndToEndExactness(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, strat := range []topbuckets.Strategy{topbuckets.Loose, topbuckets.TwoPhase} {
-				for _, alg := range []distribute.Algorithm{distribute.AlgDTB, distribute.AlgLPT} {
-					out := pipeline(t, q, cols, 5, k, strat, alg, LocalOptions{})
-					if !ScoreMultisetEqual(out.Results, exact, 1e-9) {
-						t.Fatalf("seed %d %s/%s/%s: TKIJ top-%d != exhaustive\n got %v\nwant %v",
-							seed, q.Name, strat, alg, k, scoresOf(out.Results), scoresOf(exact))
-					}
+				out := pipeline(t, q, cols, 5, k, strat, LocalOptions{})
+				if !ScoreMultisetEqual(out.Results, exact, 1e-9) {
+					t.Fatalf("seed %d %s/%s: TKIJ top-%d != exhaustive\n got %v\nwant %v",
+						seed, q.Name, strat, k, scoresOf(out.Results), scoresOf(exact))
 				}
 			}
 		}
@@ -234,7 +228,7 @@ func TestEndToEndCustomPredicates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := pipeline(t, q, cols, 6, k, topbuckets.Loose, distribute.AlgDTB, LocalOptions{})
+		out := pipeline(t, q, cols, 6, k, topbuckets.Loose, LocalOptions{})
 		if !ScoreMultisetEqual(out.Results, exact, 1e-9) {
 			t.Fatalf("%s: TKIJ != exhaustive\n got %v\nwant %v", q.Name, scoresOf(out.Results), scoresOf(exact))
 		}
@@ -252,7 +246,7 @@ func TestEndToEndBooleanParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := pipeline(t, q, cols, 5, k, topbuckets.Loose, distribute.AlgDTB, LocalOptions{})
+	out := pipeline(t, q, cols, 5, k, topbuckets.Loose, LocalOptions{})
 	if len(out.Results) != k {
 		t.Fatalf("returned %d results, want %d", len(out.Results), k)
 	}
@@ -277,7 +271,7 @@ func TestAblationsPreserveExactness(t *testing.T) {
 		{DisablePruning: true},
 		{DisableIndex: true, DisablePruning: true},
 	} {
-		out := pipeline(t, q, cols, 5, k, topbuckets.Loose, distribute.AlgDTB, opts)
+		out := pipeline(t, q, cols, 5, k, topbuckets.Loose, opts)
 		if !ScoreMultisetEqual(out.Results, exact, 1e-9) {
 			t.Fatalf("opts %+v: TKIJ != exhaustive", opts)
 		}
@@ -290,8 +284,8 @@ func TestPruningReducesWork(t *testing.T) {
 	pp := scoring.P1
 	q := query.MustNew("pair", 2, []query.Edge{{From: 0, To: 1, Pred: scoring.Before(pp)}}, scoring.Avg{})
 	const k = 5
-	withP := pipeline(t, q, cols, 6, k, topbuckets.Loose, distribute.AlgDTB, LocalOptions{})
-	withoutP := pipeline(t, q, cols, 6, k, topbuckets.Loose, distribute.AlgDTB, LocalOptions{DisablePruning: true})
+	withP := pipeline(t, q, cols, 6, k, topbuckets.Loose, LocalOptions{})
+	withoutP := pipeline(t, q, cols, 6, k, topbuckets.Loose, LocalOptions{DisablePruning: true})
 	var examinedP, examinedNoP int64
 	for _, l := range withP.Locals {
 		examinedP += l.TuplesExamined
@@ -320,8 +314,8 @@ func TestProbeLadderCutsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withP := pipeline(t, q, cols, 6, k, topbuckets.Loose, distribute.AlgDTB, LocalOptions{})
-	withoutP := pipeline(t, q, cols, 6, k, topbuckets.Loose, distribute.AlgDTB, LocalOptions{DisablePruning: true})
+	withP := pipeline(t, q, cols, 6, k, topbuckets.Loose, LocalOptions{})
+	withoutP := pipeline(t, q, cols, 6, k, topbuckets.Loose, LocalOptions{DisablePruning: true})
 	if !ScoreMultisetEqual(withP.Results, exact, 1e-9) {
 		t.Fatal("pruned run inexact")
 	}
@@ -367,11 +361,7 @@ func TestSingleReducerOverBucketMap(t *testing.T) {
 	}
 	grans := []stats.Grid{ms[0].Grid(), ms[1].Grid()}
 	srcs := []Source{newMapSource(0, data), newMapSource(1, data)}
-	assign, err := distribute.DTB(tb.Selected, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := runJoin(q, srcs, grans, tb.Selected, assign, k, LocalOptions{})
+	out, err := runJoin(q, srcs, grans, tb.Selected, k, LocalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,15 +389,11 @@ func TestRunArgErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, err := distribute.DTB(tb.Selected, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srcs, grans := storeSources(t, cols, ms)
-	if _, err := runJoin(q, srcs[:1], grans[:1], tb.Selected, assign, 5, LocalOptions{}); err == nil {
+	if _, err := runJoin(q, srcs[:1], grans[:1], tb.Selected, 5, LocalOptions{}); err == nil {
 		t.Error("source count mismatch accepted")
 	}
-	if _, err := runJoin(q, srcs, grans, tb.Selected, assign, 0, LocalOptions{}); err == nil {
+	if _, err := runJoin(q, srcs, grans, tb.Selected, 0, LocalOptions{}); err == nil {
 		t.Error("k=0 accepted")
 	}
 }

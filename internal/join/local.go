@@ -108,16 +108,17 @@ type LocalStats struct {
 	// survive encoding/json, which rejects NaN; check ResultsReturned
 	// before reading it.
 	MinScore float64
-	// BucketRefsRouted is the number of bucket references the assignment
-	// routes to this reducer: the distinct buckets its combinations
+	// BucketRefsRouted is the number of bucket references a runner's
+	// split routes to this reducer: the distinct buckets its combinations
 	// touch (intervals stay resident; only references are routed). Filled
-	// by Run, like RoutedIntervals.
+	// by the runner that split the combinations, like RoutedIntervals;
+	// zero for the local pass.
 	BucketRefsRouted int
 	// RoutedIntervals is the resident-interval weight of those
 	// references (Σ|b|) — this reducer's share of the replication cost
 	// DTB minimizes.
 	RoutedIntervals float64
-	// SharedFloorFinal is the cross-reducer threshold when this reducer
+	// SharedFloorFinal is the shared score floor when this reducer
 	// finished (0 when pruning is disabled or no floor was established).
 	SharedFloorFinal float64
 	// BoundSolves counts the per-edge bound solver calls this reducer
@@ -289,7 +290,8 @@ type localJoiner struct {
 	// srcs supplies each query vertex's bucket data (shared,
 	// concurrency-safe on the store-backed path).
 	srcs []Source
-	// shared is the cross-reducer threshold; nil when pruning is
+	// shared is the score floor shared with the request's other
+	// reducers (the local pass's is private); nil when pruning is
 	// disabled.
 	shared *SharedFloor
 	// done is the request context's Done channel, polled every few
@@ -502,8 +504,7 @@ func (lj *localJoiner) pass(idxs []int) {
 		c := lj.combos[ci]
 		if !lj.opts.DisablePruning && c.UB <= lj.pruneThreshold() {
 			// Sorted by descending UB: every remaining combination is
-			// also dominated. This is the early-termination payoff of
-			// DTB handing each reducer high-scoring results first.
+			// also dominated — the paper's early termination.
 			lj.stats.CombosSkipped = len(idxs) - i
 			return
 		}

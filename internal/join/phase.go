@@ -10,13 +10,12 @@ import (
 	"tkij/internal/query"
 )
 
-// Output is the outcome of the distributed join + merge phases.
+// Output is the outcome of the join + merge phases.
 type Output struct {
 	// Results is the final top-k, sorted by descending score. It is
 	// never nil: a run that produces no results (every combination
-	// pruned, or an empty assignment giving the merge zero inputs)
-	// yields an empty slice, so callers can range/encode it without a
-	// nil check.
+	// pruned, or no combination to join) yields an empty slice, so
+	// callers can range/encode it without a nil check.
 	Results []Result
 	// JoinMetrics is the join phase's per-reducer wall time (the paper's
 	// Fig. 8b critical path and Fig. 10b imbalance), built from
@@ -24,17 +23,19 @@ type Output struct {
 	// sharded.
 	JoinMetrics ReduceTimes
 	// Locals reports each reducer's local join statistics, indexed by
-	// reducer. A reducer with no combinations assigned is never run and
+	// reducer: one entry for the local pass, one per reducer of a
+	// runner's split. A reducer the split gave nothing is never run and
 	// carries only its index.
 	Locals []LocalStats
 	// RoutedBucketEntries is the number of (bucket → reducer) references
-	// the assignment routes: Σ over buckets of the number of reducers
+	// a runner's split routes: Σ over buckets of the number of reducers
 	// holding them. Reducers read interval slices and memoized indexes
-	// in place, so references are all that is ever routed.
+	// in place, so references are all that is ever routed. Zero for the
+	// local pass, which splits nothing.
 	RoutedBucketEntries int
 	// RoutedIntervalRecords is the resident-interval weight of those
 	// references, Σ|b| × |reducers(b)| — the replication cost DTB
-	// minimizes (Assignment.ReplicatedRecords).
+	// minimizes (distribute.Assignment.ReplicatedRecords).
 	RoutedIntervalRecords float64
 	// ShippedBuckets and ShippedRecords count bucket payloads a remote
 	// runner shipped to shard workers that did not own them — the
@@ -45,8 +46,8 @@ type Output struct {
 	// FloorFrames counts floor-broadcast frames exchanged with shard
 	// workers for this query (zero for local execution).
 	FloorFrames int64
-	// SharedFloor is the final cross-reducer threshold (0 when pruning
-	// was disabled).
+	// SharedFloor is the final score floor (0 when pruning was
+	// disabled).
 	SharedFloor float64
 	// BoundSolves and BoundReuses sum the reducers' per-edge bound
 	// solver calls and memo answers (LocalStats). An execution of a
@@ -89,29 +90,31 @@ func (rt ReduceTimes) Imbalance() float64 {
 	return float64(rt.MaxReduceDuration()) * float64(len(rt)) / float64(sum)
 }
 
-// Run executes steps (c)-(e) of Figure 5 for one request: every reducer
-// evaluates its share of Ω_k,S against a shared floor, then one merge
-// keeps the global top-k. req.Srcs[i] serves query vertex i's resident
-// bucket data (see Source); req.Grans[i] is the granulation (with
-// observed endpoint extent) vertex i's buckets live under. Raw
-// intervals stay resident in the store — reducers are handed
-// combination indexes and prune against the shared cross-reducer
-// threshold req.Shared, which the caller seeds and may share with
-// executions of identical result-score multisets. Without one Run
-// creates a private floor at 0; under DisablePruning it uses none. The
-// caller's request is not modified.
+// Run executes steps (c)-(e) of Figure 5 for one request: the join
+// evaluates Ω_k,S against a score floor, then one merge keeps the
+// global top-k. req.Srcs[i] serves query vertex i's resident bucket
+// data (see Source); req.Grans[i] is the granulation (with observed
+// endpoint extent) vertex i's buckets live under. Raw intervals stay
+// resident in the store — reducers are handed combination indexes and
+// prune against the floor req.Shared, which the caller seeds and may
+// share with executions of identical result-score multisets. Without
+// one Run creates a private floor at 0; under DisablePruning it uses
+// none. The caller's request is not modified.
 //
-// runner evaluates the reducers: nil selects the in-process local
-// runner, internal/shard's coordinator scatters them to workers.
-// Routed-reference accounting, reducer-index ordering and the merge
-// happen here, identically for every runner.
+// With a nil runner the join is one reducer task over every
+// combination by descending UB, in the calling goroutine: one top-k,
+// which stops when the next combination's UB cannot beat the k-th
+// result. A runner (internal/shard's coordinator) splits the
+// combinations over reducers of its own and accounts for the split;
+// reducer-index ordering and the merge happen here, identically for
+// every runner.
 //
-// req.Srcs implementations must be safe for concurrent use;
-// store.ColView (an epoch-pinned view) is, and is what the engine
-// passes. A raw store.ColStore resolves each bucket at the epoch latest
-// when it is asked, so under concurrent Append the buckets of one
-// combination can come from different epochs — pin a Store.View instead
-// whenever appends may run.
+// req.Srcs implementations must be safe for concurrent use when a
+// runner runs reducers in parallel; store.ColView (an epoch-pinned
+// view) is, and is what the engine passes. A raw store.ColStore
+// resolves each bucket at the epoch latest when it is asked, so under
+// concurrent Append the buckets of one combination can come from
+// different epochs — pin a Store.View instead whenever appends may run.
 //
 // A canceled ctx aborts with an error wrapping ctx.Err(): before the
 // join, mid-combination inside the reducers, or between join and merge.
@@ -119,7 +122,7 @@ func Run(ctx context.Context, req *ReduceRequest, runner Runner) (*Output, error
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("join: canceled before join phase: %w", err)
 	}
-	q, assign := req.Query, req.Assign
+	q := req.Query
 	if len(req.Srcs) != q.NumVertices || len(req.Grans) != q.NumVertices {
 		return nil, fmt.Errorf("join: query %s has %d vertices but %d sources / %d granulations",
 			q.Name, q.NumVertices, len(req.Srcs), len(req.Grans))
@@ -128,10 +131,10 @@ func Run(ctx context.Context, req *ReduceRequest, runner Runner) (*Output, error
 		return nil, fmt.Errorf("join: k must be >= 1, got %d", req.K)
 	}
 
-	// The shared global threshold (§3.4's early-termination payoff):
-	// every reducer both consults and raises it. The caller owns it;
-	// remote runners broadcast its raises to their workers and fold
-	// worker raises back in.
+	// The score floor (§3.4's early-termination payoff): every reducer
+	// both consults and raises it. The caller owns it; remote runners
+	// broadcast its raises to their workers and fold worker raises back
+	// in.
 	r := *req
 	if r.Opts.DisablePruning {
 		r.Shared = nil
@@ -139,11 +142,15 @@ func Run(ctx context.Context, req *ReduceRequest, runner Runner) (*Output, error
 		r.Shared = new(SharedFloor)
 	}
 
-	if runner == nil {
-		runner = localRunner{}
-	}
 	joinStart := time.Now()
-	rout, err := runner.RunReducers(ctx, &r)
+	var rout *RunnerOutput
+	var err error
+	if runner == nil {
+		rout = new(RunnerOutput)
+		rout.Reducers, err = RunTasks(ctx, &r, []ReducerTask{serialTask(r.Combos)})
+	} else {
+		rout, err = runner.RunReducers(ctx, &r)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("join: join phase: %w", err)
 	}
@@ -151,17 +158,15 @@ func Run(ctx context.Context, req *ReduceRequest, runner Runner) (*Output, error
 	// Reducer-index order is established here and nowhere else: runners
 	// return outputs in whatever order they gathered them, and both the
 	// per-reducer statistics and the merge below read them by index.
+	n := len(rout.Reducers)
 	out := &Output{
-		JoinMetrics:    make(ReduceTimes, assign.Reducers),
-		Locals:         make([]LocalStats, assign.Reducers),
+		JoinMetrics:    make(ReduceTimes, n),
+		Locals:         make([]LocalStats, n),
 		ShippedBuckets: rout.ShippedBuckets,
 		ShippedRecords: rout.ShippedRecords,
 		FloorFrames:    rout.FloorFrames,
 	}
-	lists := make([][]Result, assign.Reducers)
-	for rj := range out.Locals {
-		out.Locals[rj].Reducer = rj
-	}
+	lists := make([][]Result, n)
 	for _, ro := range rout.Reducers {
 		out.Locals[ro.Reducer] = ro.Stats
 		out.BoundSolves += ro.Stats.BoundSolves
@@ -169,20 +174,7 @@ func Run(ctx context.Context, req *ReduceRequest, runner Runner) (*Output, error
 		out.JoinMetrics[ro.Reducer] = ro.Stats.Duration
 		lists[ro.Reducer] = ro.Results
 	}
-	// Routed-reference accounting, from the assignment alone: reducer rj
-	// is routed one reference to every bucket its combinations touch,
-	// weighted by the bucket's resident size at the pinned epoch.
-	weights := make([]int, assign.Reducers)
-	for key, reducers := range assign.BucketReducers {
-		n := len(ItemsOf(r.Srcs[key.Col], key.StartG, key.EndG))
-		for _, rj := range reducers {
-			out.Locals[rj].BucketRefsRouted++
-			weights[rj] += n
-		}
-	}
-	for rj := range out.Locals {
-		l := &out.Locals[rj]
-		l.RoutedIntervals = float64(weights[rj])
+	for _, l := range out.Locals {
 		out.RoutedBucketEntries += l.BucketRefsRouted
 		out.RoutedIntervalRecords += l.RoutedIntervals
 	}

@@ -1,11 +1,12 @@
 package join
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
-	"tkij/internal/distribute"
 	"tkij/internal/query"
 	"tkij/internal/solver"
 	"tkij/internal/stats"
@@ -13,15 +14,14 @@ import (
 )
 
 // ReduceRequest is one query's reduce workload: the query, its
-// per-vertex sources and granulation grids, the selected combinations,
-// and the workload assignment mapping them onto reducers. The request
-// is runner-agnostic — the local runner evaluates every reducer
-// in-process; the shard coordinator scatters them to remote workers
-// over the wire.
+// per-vertex sources and granulation grids, and the selected
+// combinations. Run without a runner evaluates them as one reducer in
+// the calling goroutine; a remote runner (internal/shard's coordinator)
+// splits them over reducers of its own and scatters those to workers.
 type ReduceRequest struct {
 	Query *query.Query
 	// Mapping maps query vertices to collections (vertex v reads
-	// collection Mapping[v]); nil means the identity. The local runner
+	// collection Mapping[v]); nil means the identity. The local pass
 	// never consults it — Srcs already embody the mapping — but remote
 	// runners need it to resolve which shard owns a vertex bucket.
 	Mapping []int
@@ -29,17 +29,19 @@ type ReduceRequest struct {
 	Srcs []Source
 	// Grans is vertex v's granulation + observed endpoint extent.
 	Grans []stats.Grid
-	// Combos is Ω_k,S; Assign.ReducerCombos indexes into it.
+	// Combos is Ω_k,S; ReducerTask.Combos indexes into it.
 	Combos []topbuckets.Combo
-	Assign *distribute.Assignment
-	K      int
-	Opts   LocalOptions
-	// Shared is the query's cross-reducer score floor, owned by the
-	// caller and seeded with a certified lower bound on the k-th result
-	// score (TopBuckets' kthResLB); nil lets Run create a private one at
-	// 0, and Run drops it under DisablePruning. Every reducer — local or
-	// remote — consults and raises it (remote runners mirror it over
-	// their floor-broadcast channel).
+	// Reducers is how many reducers a remote runner splits Combos over
+	// (0: the runner's default). The local pass ignores it.
+	Reducers int
+	K        int
+	Opts     LocalOptions
+	// Shared is the query's score floor, owned by the caller and seeded
+	// with a certified lower bound on the k-th result score (TopBuckets'
+	// kthResLB); nil lets Run create a private one at 0, and Run drops it
+	// under DisablePruning. Every reducer — local or remote — consults
+	// and raises it (remote runners mirror it over their floor-broadcast
+	// channel).
 	Shared *SharedFloor
 	// Bounds memoizes the per-edge combination bounds. The engine passes
 	// the cached plan's memo (a standing probe its subscription's), so a
@@ -57,19 +59,6 @@ type ReducerTask struct {
 	Combos  []int
 }
 
-// Tasks lists the assignment's reducers that received at least one
-// combination, ascending. A reducer with nothing assigned is never run
-// by any runner; its Output.Locals entry carries only its index.
-func (req *ReduceRequest) Tasks() []ReducerTask {
-	tasks := make([]ReducerTask, 0, len(req.Assign.ReducerCombos))
-	for rj, idxs := range req.Assign.ReducerCombos {
-		if len(idxs) > 0 {
-			tasks = append(tasks, ReducerTask{Reducer: rj, Combos: idxs})
-		}
-	}
-	return tasks
-}
-
 // ReducerOutput is one reducer's complete output.
 type ReducerOutput struct {
 	Reducer int
@@ -77,42 +66,26 @@ type ReducerOutput struct {
 	Stats   LocalStats
 }
 
-// RunnerOutput is a Runner's gathered result: every executed reducer's
-// output (in any order — Run places them by reducer index) plus
-// runner-specific accounting.
+// RunnerOutput is a Runner's gathered result: one output for each
+// reducer 0..n-1 of its split (in any order — Run places them by
+// reducer index), with the bucket references the split routed to it in
+// its LocalStats, plus the runner's wire accounting.
 type RunnerOutput struct {
 	Reducers []ReducerOutput
-	// ShippedBuckets / ShippedRecords count bucket payloads a remote
-	// runner had to ship to workers that did not own them (zero for the
-	// local runner, where every bucket is resident).
+	// ShippedBuckets, ShippedRecords and FloorFrames are a remote
+	// runner's wire accounting (Output has their meaning).
 	ShippedBuckets int
 	ShippedRecords float64
-	// FloorFrames counts floor-broadcast frames exchanged with workers
-	// for this query (zero for the local runner, whose reducers share
-	// the floor through memory).
-	FloorFrames int64
+	FloorFrames    int64
 }
 
-// Runner executes a query's reduce workload. The local implementation
-// runs every reducer in-process; internal/shard's coordinator scatters
-// reducers to shard workers, which run them through the same RunTasks.
-// Run's accounting and merge are runner-independent, so any Runner that
-// returns each reducer's exact local top-k yields byte-identical final
-// results.
+// Runner executes a query's reduce workload on reducers of its own
+// split: internal/shard's coordinator scatters them to shard workers,
+// which run them through RunTasks. Run's merge is runner-independent,
+// so any Runner that returns each reducer's exact local top-k yields
+// the exact global top-k.
 type Runner interface {
 	RunReducers(ctx context.Context, req *ReduceRequest) (*RunnerOutput, error)
-}
-
-// localRunner is the default Runner: every task of the assignment on
-// this process.
-type localRunner struct{}
-
-func (localRunner) RunReducers(ctx context.Context, req *ReduceRequest) (*RunnerOutput, error) {
-	outs, err := RunTasks(ctx, req, req.Tasks())
-	if err != nil {
-		return nil, err
-	}
-	return &RunnerOutput{Reducers: outs}, nil
 }
 
 // DescendingUB reports whether idxs lists combinations (indexes into
@@ -127,20 +100,34 @@ func DescendingUB(combos []topbuckets.Combo, idxs []int) bool {
 	return true
 }
 
+// serialTask is the local pass's one task: every combination by
+// descending UB (Ω_k,S arrives so; other lists are sorted stably).
+func serialTask(combos []topbuckets.Combo) ReducerTask {
+	idxs := make([]int, len(combos))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	if !DescendingUB(combos, idxs) {
+		slices.SortStableFunc(idxs, func(a, b int) int { return cmp.Compare(combos[b].UB, combos[a].UB) })
+	}
+	return ReducerTask{Combos: idxs}
+}
+
 // RunTasks is the reducer executor — the one place a local joiner is
 // built and a reducer's combination list is run, shared by the local
-// runner and the shard worker. Each task gets its own goroutine and
-// evaluates its combinations against req.Srcs in place (task.Combos
-// index req.Combos; nothing is copied per reducer), consulting and
-// raising req.Shared throughout. Outputs are returned in task order.
+// pass and the shard worker. A lone task runs in the calling goroutine;
+// several run on a goroutine each. Every task evaluates its
+// combinations against req.Srcs in place (task.Combos index req.Combos;
+// nothing is copied per reducer), consulting and raising req.Shared
+// throughout. Outputs are returned in task order.
 //
-// req must carry Query, Srcs, Grans, Combos, K, Opts and Shared; Assign
-// and Mapping are not consulted. The caller vouches for the inputs: a
-// valid query, K >= 1, one source per vertex, task indexes within
-// req.Combos (Run and the wire decoder check these). Each task's list
-// must be in descending-UB order, as distribute.Assign leaves it: a
-// reducer stops at the first combination its threshold dominates, which
-// is only sound on a sorted list, so an unsorted one is an error.
+// req must carry Query, Srcs, Grans, Combos, K, Opts and Shared;
+// Mapping and Reducers are not consulted. The caller vouches for the
+// inputs: a valid query, K >= 1, one source per vertex, task indexes
+// within req.Combos (Run and the wire decoder check these). Each task's
+// list must be in descending-UB order: a reducer stops at the first
+// combination its threshold dominates, which is only sound on a sorted
+// list, so an unsorted one is an error.
 //
 // A cancelable ctx is polled mid-combination: once it is done every
 // reducer abandons its remaining work and RunTasks returns ctx.Err()
@@ -158,18 +145,26 @@ func RunTasks(ctx context.Context, req *ReduceRequest, tasks []ReducerTask) ([]R
 	}
 	plan := newPlan(req.Query)
 	outs := make([]ReducerOutput, len(tasks))
-	var wg sync.WaitGroup
-	for i, t := range tasks {
-		wg.Add(1)
-		go func(i int, t ReducerTask) {
-			defer wg.Done()
-			lj := newLocalJoiner(ctx.Done(), plan, req)
-			results := lj.run(t.Combos)
-			lj.stats.Reducer = t.Reducer
-			outs[i] = ReducerOutput{Reducer: t.Reducer, Results: results, Stats: lj.stats}
-		}(i, t)
+	run := func(i int) {
+		t := tasks[i]
+		lj := newLocalJoiner(ctx.Done(), plan, req)
+		results := lj.run(t.Combos)
+		lj.stats.Reducer = t.Reducer
+		outs[i] = ReducerOutput{Reducer: t.Reducer, Results: results, Stats: lj.stats}
 	}
-	wg.Wait()
+	if len(tasks) == 1 {
+		run(0)
+	} else {
+		var wg sync.WaitGroup
+		for i := range tasks {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(i)
+			}()
+		}
+		wg.Wait()
+	}
 	// A reducer only stops early because ctx is done, so checking ctx
 	// once here rejects every truncated output.
 	if err := ctx.Err(); err != nil {

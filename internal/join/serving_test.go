@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"tkij/internal/distribute"
 	"tkij/internal/interval"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
@@ -161,49 +160,6 @@ func TestSharedFloorWatch(t *testing.T) {
 	}
 }
 
-// The routed-reference accounting must agree with the assignment: one
-// reference per (bucket, reducer) pair, weighted to DTB's replication
-// metric, and split per reducer consistently.
-func TestRoutedReferenceAccounting(t *testing.T) {
-	cols := synthCols(3, 60, 41)
-	ms := collect(t, cols, 5)
-	env := query.Env{Params: scoring.P1}
-	q := query.Qom(env)
-	const k = 10
-	tb, err := topbuckets.Run(q, ms, k, topbuckets.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign, err := distribute.DTB(tb.Selected, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcs, grans := storeSources(t, cols, ms)
-	out, err := runJoin(q, srcs, grans, tb.Selected, assign, k, LocalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perReducer := 0
-	for _, l := range out.Locals {
-		perReducer += l.BucketRefsRouted
-	}
-	if out.RoutedBucketEntries != perReducer {
-		t.Fatalf("RoutedBucketEntries %d != Σ Locals.BucketRefsRouted %d", out.RoutedBucketEntries, perReducer)
-	}
-	wantEntries := 0
-	for _, rs := range assign.BucketReducers {
-		wantEntries += len(rs)
-	}
-	if out.RoutedBucketEntries != wantEntries {
-		t.Fatalf("RoutedBucketEntries = %d, want %d (Σ|reducers(b)|)", out.RoutedBucketEntries, wantEntries)
-	}
-	// DTB's replication metric is preserved under the reference shuffle.
-	if math.Abs(out.RoutedIntervalRecords-assign.ReplicatedRecords) > 1e-9 {
-		t.Fatalf("RoutedIntervalRecords = %g, assignment ReplicatedRecords = %g",
-			out.RoutedIntervalRecords, assign.ReplicatedRecords)
-	}
-}
-
 // The shared cross-reducer threshold must end at a sound value: at
 // least the seeded floor, at most the global k-th score (it is a max of
 // per-reducer k-th-score lower bounds).
@@ -217,7 +173,7 @@ func TestSharedThresholdSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 	kth := exact[len(exact)-1].Score
-	out := pipeline(t, q, cols, 5, k, topbuckets.Loose, distribute.AlgDTB, LocalOptions{})
+	out := pipeline(t, q, cols, 5, k, topbuckets.Loose, LocalOptions{})
 	if !ScoreMultisetEqual(out.Results, exact, 1e-9) {
 		t.Fatal("shared-threshold run inexact")
 	}
@@ -230,7 +186,7 @@ func TestSharedThresholdSoundness(t *testing.T) {
 		}
 	}
 	// Pruning disabled → no shared floor is established.
-	off := pipeline(t, q, cols, 5, k, topbuckets.Loose, distribute.AlgDTB, LocalOptions{DisablePruning: true})
+	off := pipeline(t, q, cols, 5, k, topbuckets.Loose, LocalOptions{DisablePruning: true})
 	if off.SharedFloor != 0 {
 		t.Fatalf("pruning-disabled run published shared floor %g", off.SharedFloor)
 	}
@@ -245,11 +201,7 @@ func TestLocalStatsJSONSafe(t *testing.T) {
 	empty := map[stats.BucketKey][]interval.Interval{}
 	srcs := []Source{newMapSource(0, empty), newMapSource(1, empty)}
 	combos := []topbuckets.Combo{{Buckets: []stats.Bucket{{Col: 0}, {Col: 1}}, UB: 1}}
-	assign, err := distribute.DTB(combos, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := runJoin(q, srcs, make([]stats.Grid, 2), combos, assign, 3, LocalOptions{})
+	out, err := runJoin(q, srcs, make([]stats.Grid, 2), combos, 3, LocalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,10 +257,6 @@ func TestRungYieldsToSharedFloor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assign, err := distribute.DTB(tb.Selected, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		run := func(floor *SharedFloor, raise bool) LocalStats {
 			srcs, grans := storeSources(t, cols, ms)
 			if raise {
@@ -318,7 +266,7 @@ func TestRungYieldsToSharedFloor(t *testing.T) {
 				}
 			}
 			out, err := Run(context.Background(), &ReduceRequest{
-				Query: q, Srcs: srcs, Grans: grans, Combos: tb.Selected, Assign: assign, K: k, Shared: floor,
+				Query: q, Srcs: srcs, Grans: grans, Combos: tb.Selected, K: k, Shared: floor,
 			}, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -7,24 +7,26 @@ import (
 	"sync/atomic"
 )
 
-// SharedFloor is the cross-reducer score threshold of the serving
-// pipeline: a monotonically increasing max over every reducer's current
-// k-th local score, seeded from TopBuckets' certified kthResLB.
+// SharedFloor is the score threshold of one execution: a monotonically
+// increasing max over every reducer's current k-th local score, seeded
+// from TopBuckets' certified kthResLB.
 //
 // Soundness: if any reducer holds k results scoring at least t, the
 // global k-th result also scores at least t, so every reducer may
-// discard candidates scoring strictly below t. DTB deliberately spreads
-// high-scoring combinations across reducers (§3.4) precisely so that
-// each one fills its local top-k early; publishing those thresholds
-// turns that design into actual cross-reducer early termination instead
-// of r private prune floors.
+// discard candidates scoring strictly below t. The local pass is one
+// reducer and the floor is just its seed holder. Where reducers are
+// separate — shard workers, the figure drivers' simulated r reducers —
+// DTB spreads high-scoring combinations across them (§3.4) so that each
+// fills its local top-k early, and publishing those thresholds turns
+// that design into cross-reducer early termination instead of r
+// private prune floors.
 //
 // A floor is a value its caller owns and hands to the join as
-// ReduceRequest.Shared: the engine makes one per execution, the
-// admission layer one per plan-key group of a batch, a shard worker one
-// per scattered query. Several executions may share one floor only when
-// their result-score multisets are identical (one plan key on one pin),
-// which is what makes one execution's certified bound sound for all.
+// ReduceRequest.Shared: the engine makes one per execution, a shard
+// worker one per scattered query. Several executions may share one
+// floor only when their result-score multisets are identical (one plan
+// key on one pin), which is what makes one execution's certified bound
+// sound for all.
 //
 // The zero value is a floor of 0 (prune nothing); all methods are safe
 // for concurrent use.

@@ -1,12 +1,14 @@
-// Package join implements TKIJ's distributed join phase (§3.4, steps
-// (c)-(e) of Figure 5): each reducer evaluates the full RTJ query on its
-// share of Ω_k,S against the dataset-resident buckets — combinations
-// visited in descending score-upper-bound order, candidate intervals
-// fetched through per-bucket R-trees with score-threshold boxes,
-// partial tuples pruned against the current k-th score and a floor
-// shared by all reducers — and one merge keeps the global top-k. Run is
-// the entry point; RunTasks is the one reducer executor, shared by the
-// in-process runner and internal/shard's workers.
+// Package join implements TKIJ's join phase (§3.4, steps (c)-(e) of
+// Figure 5): a reducer evaluates the full RTJ query on its share of
+// Ω_k,S against the dataset-resident buckets — combinations visited in
+// descending score-upper-bound order, candidate intervals fetched
+// through per-bucket R-trees with score-threshold boxes, partial tuples
+// pruned against the current k-th score and a score floor — and one
+// merge keeps the global top-k. Run is the entry point: a local query
+// is one reducer over all of Ω_k,S in the calling goroutine, and a
+// Runner (internal/shard's coordinator) splits Ω_k,S over remote
+// reducers. RunTasks is the one reducer executor, shared by the local
+// pass and internal/shard's workers.
 package join
 
 import (

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"tkij/internal/distribute"
 	"tkij/internal/query"
 	"tkij/internal/solver"
 	"tkij/internal/stats"
@@ -79,32 +78,24 @@ type Request struct {
 	VertexCols []int
 	K          int
 	Epoch      int64
-
-	TopBuckets   topbuckets.Options
-	Distribution distribute.Algorithm
-	Reducers     int
+	TopBuckets topbuckets.Options
 }
 
-// Planned is the outcome of Cache.Plan: a TopBuckets result and reducer
-// assignment ready for the join phase. Both must be treated as
-// read-only — on a Hit they are shared with every other query of the
-// same shape.
+// Planned is the outcome of Cache.Plan: a TopBuckets result ready for
+// the join phase. It must be treated as read-only — on a Hit it is
+// shared with every other query of the same shape.
 type Planned struct {
 	TopBuckets *topbuckets.Result
-	Assignment *distribute.Assignment
 	// Bounds is the plan's per-edge bound memo for the join
 	// (join.ReduceRequest.Bounds). It lives with the cache entry, so
 	// every execution of the plan after the first finds its bounds
 	// solved; an uncached plan gets an empty one.
 	Bounds  *solver.PairMemo
 	Outcome Outcome
-	// TopBucketsTime and DistributeTime are the wall time this call
-	// actually spent in each planning phase: the full phase cost on a
-	// Miss, the lookup / promotion cost on a Hit / Revalidated. They
-	// are disjoint (never double-counted), so a caller timing the whole
-	// Plan call can attribute its window to the two phases exactly.
+	// TopBucketsTime is the wall time this call actually spent
+	// planning: the full TopBuckets cost on a Miss, the lookup /
+	// promotion cost on a Hit / Revalidated.
 	TopBucketsTime time.Duration
-	DistributeTime time.Duration
 	// SavedPlanTime is, on a Hit or Revalidated outcome, the wall time
 	// the original full plan cost when it was first computed — the
 	// planning work this call did not repeat. Zero on a Miss.
@@ -143,7 +134,6 @@ type entry struct {
 	// translatePlan).
 	labeling []int
 	tb       *topbuckets.Result
-	assign   *distribute.Assignment
 	// bounds is the join's per-edge bound memo for this plan: created
 	// empty with the plan, carried verbatim by hits and promotions, and
 	// dropped with the entry when a shape change plans again. Its keys
@@ -207,11 +197,11 @@ func New(opts Options) *Cache {
 
 // Plan serves a planning request: from the cache when an entry matches
 // Request's canonical key at (or promotably below) its epoch,
-// otherwise by running TopBuckets + distribution and caching the
-// result. A call that finds the same key and epoch already being
-// planned waits for that flight and then looks the key up again, so an
-// isomorphic labeling still gets the plan translated into its own; the
-// flight's error, if any, is returned to it instead.
+// otherwise by running TopBuckets and caching the result. A call that
+// finds the same key and epoch already being planned waits for that
+// flight and then looks the key up again, so an isomorphic labeling
+// still gets the plan translated into its own; the flight's error, if
+// any, is returned to it instead.
 func (c *Cache) Plan(req Request) (*Planned, error) {
 	if c == nil || c.opts.Disabled {
 		p, _, err := fullPlan(req)
@@ -229,10 +219,8 @@ func (c *Cache) Plan(req Request) (*Planned, error) {
 			c.lru.MoveToFront(e.el)
 			c.stats.Hits++
 			c.mu.Unlock()
-			tb, assign := translatePlan(e.tb, e.assign, sigmaFor(e.labeling, labeling))
 			return &Planned{
-				TopBuckets:     tb,
-				Assignment:     assign,
+				TopBuckets:     translatePlan(e.tb, sigmaFor(e.labeling, labeling)),
 				Bounds:         e.bounds,
 				Outcome:        Hit,
 				TopBucketsTime: time.Since(lookupStart),
@@ -326,7 +314,7 @@ func (c *Cache) lead(e *entry, req Request, key string, labeling []int, f flight
 // every granule box is the one e's bounds were solved over, so every
 // cached LB/UB still bounds its combination's (grown) contents, and
 // grown counts only add results at or above the certified floor: plan,
-// bounds, floor and assignment all carry over verbatim. The entry keeps
+// bounds and floor all carry over verbatim. The entry keeps
 // its own labeling; the caller gets the plan translated into its.
 func promote(e *entry, req Request, reqLabeling []int) (*entry, *Planned) {
 	start := time.Now()
@@ -339,13 +327,11 @@ func promote(e *entry, req Request, reqLabeling []int) (*entry, *Planned) {
 	}
 	ne := &entry{
 		key: e.key, epoch: req.Epoch, labeling: e.labeling,
-		tb: e.tb, assign: e.assign, bounds: e.bounds,
+		tb: e.tb, bounds: e.bounds,
 		planTime: e.planTime, cost: e.cost, state: e.state,
 	}
-	tb, assign := translatePlan(e.tb, e.assign, sigma)
 	return ne, &Planned{
-		TopBuckets:     tb,
-		Assignment:     assign,
+		TopBuckets:     translatePlan(e.tb, sigma),
 		Bounds:         e.bounds,
 		Outcome:        Revalidated,
 		TopBucketsTime: time.Since(start),
@@ -411,8 +397,8 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// fullPlan runs the two planning phases cold and packages both the
-// caller-facing result and a cache entry (epoch, fingerprints, cost).
+// fullPlan runs TopBuckets cold and packages both the caller-facing
+// result and a cache entry (epoch, fingerprints, cost).
 func fullPlan(req Request) (*Planned, *entry, error) {
 	tbStart := time.Now()
 	tb, err := topbuckets.Run(req.Query, req.Matrices, req.K, req.TopBuckets)
@@ -420,29 +406,20 @@ func fullPlan(req Request) (*Planned, *entry, error) {
 		return nil, nil, err
 	}
 	tbTime := time.Since(tbStart)
-	dStart := time.Now()
-	assign, err := distribute.Assign(req.Distribution, tb.Selected, req.Reducers)
-	if err != nil {
-		return nil, nil, err
-	}
-	dTime := time.Since(dStart)
 
 	e := &entry{
 		epoch:    req.Epoch,
 		tb:       tb,
-		assign:   assign,
 		bounds:   solver.NewPairMemo(),
-		planTime: tbTime + dTime,
+		planTime: tbTime,
 		cost:     planCost(tb) + memoCost(req.Query, tb),
 		state:    CaptureEpochState(req.Matrices),
 	}
 	return &Planned{
 		TopBuckets:     tb,
-		Assignment:     assign,
 		Bounds:         e.bounds,
 		Outcome:        Miss,
 		TopBucketsTime: tbTime,
-		DistributeTime: dTime,
 	}, e, nil
 }
 

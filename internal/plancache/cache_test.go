@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"tkij/internal/distribute"
 	"tkij/internal/interval"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
@@ -38,7 +37,6 @@ func request(q *query.Query, ms []*stats.Matrix, k int, epoch int64) Request {
 	}
 	return Request{
 		Query: q, Matrices: ms, VertexCols: cols, K: k, Epoch: epoch,
-		Distribution: distribute.AlgDTB, Reducers: 4,
 	}
 }
 
@@ -60,7 +58,7 @@ func TestCacheHitAndEpochSeparation(t *testing.T) {
 	if p2.Outcome != Hit {
 		t.Fatalf("repeat at same epoch: outcome %v, want hit", p2.Outcome)
 	}
-	if p2.TopBuckets != p1.TopBuckets || p2.Assignment != p1.Assignment {
+	if p2.TopBuckets != p1.TopBuckets {
 		t.Fatal("hit did not reuse the cached plan")
 	}
 	if p1.Bounds == nil || p2.Bounds != p1.Bounds {
@@ -197,8 +195,7 @@ func TestShapeChangeReplansCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(p.TopBuckets.Selected, cold.TopBuckets.Selected) ||
-			p.TopBuckets.KthResLB != cold.TopBuckets.KthResLB ||
-			!reflect.DeepEqual(p.Assignment, cold.Assignment) {
+			p.TopBuckets.KthResLB != cold.TopBuckets.KthResLB {
 			t.Fatalf("%s: the re-plan differs from a cold plan of the same request", step.name)
 		}
 	}

@@ -2,17 +2,19 @@
 // query shapes.
 //
 // In the paper's pipeline (Figure 5), everything that runs at query
-// time before the join — solving per-combination score bounds, pruning
-// the combination space to the Top Buckets set Ω_k,S (Algorithm 1/2),
-// and assigning the survivors to reducers (DistributeTopBuckets,
-// Algorithms 3/4) — is a pure function of the query *shape* (graph
+// time before the join — solving per-combination score bounds and
+// pruning the combination space to the Top Buckets set Ω_k,S
+// (Algorithm 1/2) — is a pure function of the query *shape* (graph
 // structure and predicates), k, the granulation, and the bucket
 // matrices. It never reads the stored intervals themselves. Serving
 // workloads repeat shapes constantly (the same dashboard query, the
 // same alert rule), so the cache keys a finished plan — Ω_k,S with its
 // bound certificates (LB/UB per combination, the certified kthResLB
-// floor) plus the reducer assignment — by a canonical plan key and the
-// matrices epoch, and Execute reuses it for the cost of a map lookup.
+// floor) plus the join's pair-bound memo — by a canonical plan key and
+// the matrices epoch, and Execute reuses it for the cost of a map
+// lookup. A local query joins Ω_k,S in one pass, so a plan holds no
+// reducer assignment; a sharded engine's coordinator assigns per query
+// (internal/shard).
 //
 // Canonical key. Key normalizes the query shape up to node relabeling
 // and edge reordering: two queries that differ only by a vertex
@@ -56,6 +58,6 @@
 //
 // The cache is safe for concurrent use. Cached plans are immutable:
 // promotion and re-planning build fresh entries, and callers must
-// treat the returned TopBuckets result and Assignment as read-only (the
-// join phase does).
+// treat the returned TopBuckets result as read-only (the join phase
+// does).
 package plancache

@@ -21,8 +21,7 @@ const maxCanonVertices = 6
 
 // Key returns the canonical plan key of a query execution: a string
 // identifying the planning problem — and nothing else. Two executions
-// share a key iff TopBuckets and the distribution would do isomorphic
-// work for them at the same matrices epoch:
+// share a key iff TopBuckets would do isomorphic work for them at the same matrices epoch:
 //
 //   - the query shapes are isomorphic: some vertex relabeling maps one
 //     query's edges (with their scored predicates, directions, and —
@@ -48,8 +47,8 @@ func Key(q *query.Query, vertexCols []int, k int, grans []stats.Granulation) str
 // labeling[v] is the canonical label of query vertex v under the
 // permutation that realized the key. Two isomorphic executions with
 // labelings p and p' correspond vertex-wise through p'^-1∘p — the
-// cache uses that to translate a cached plan (whose bucket tuples and
-// assignment keys are vertex-indexed) into the requesting query's
+// cache uses that to translate a cached plan (whose bucket tuples are
+// vertex-indexed) into the requesting query's
 // labeling before serving it.
 func Canonicalize(q *query.Query, vertexCols []int, k int, grans []stats.Granulation) (string, []int) {
 	n := q.NumVertices

@@ -8,11 +8,11 @@ import (
 	"testing"
 	"time"
 
-	"tkij/internal/distribute"
 	"tkij/internal/interval"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
 	"tkij/internal/stats"
+	"tkij/internal/topbuckets"
 )
 
 // TestPlanSingleFlight: concurrent calls for one key and epoch plan it
@@ -114,8 +114,7 @@ func TestPlanSingleFlight(t *testing.T) {
 			}
 			w := want[round][i%2]
 			if !reflect.DeepEqual(p.TopBuckets.Selected, w.TopBuckets.Selected) ||
-				p.TopBuckets.KthResLB != w.TopBuckets.KthResLB ||
-				!reflect.DeepEqual(p.Assignment, w.Assignment) {
+				p.TopBuckets.KthResLB != w.TopBuckets.KthResLB {
 				t.Fatalf("round %d call %d (labeling %d): plan differs from the sequential one", round, i, i%2)
 			}
 			if i == 0 && (p.Outcome != outcome || p.Waited) {
@@ -144,11 +143,11 @@ func TestPlanSingleFlight(t *testing.T) {
 	}
 
 	// A failing leader: its waiters get its error, and the key stays
-	// unplanned for the next call. The distribution algorithm is not
-	// part of the key, so an unknown one fails the same key.
+	// unplanned for the next call. The TopBuckets strategy is not part
+	// of the key, so an unknown one fails the same key.
 	fresh := labelings(ms, 0)
 	for l := range fresh {
-		fresh[l].Distribution = distribute.Algorithm(99)
+		fresh[l].TopBuckets.Strategy = topbuckets.Strategy(99)
 	}
 	c = New(Options{})
 	c.onLead = hold

@@ -1,7 +1,6 @@
 package plancache
 
 import (
-	"tkij/internal/distribute"
 	"tkij/internal/stats"
 	"tkij/internal/topbuckets"
 )
@@ -36,21 +35,15 @@ func sigmaFor(entryLabeling, reqLabeling []int) []int {
 
 // translatePlan re-expresses a cached plan in the requesting query's
 // vertex labeling: combination bucket tuples are permuted by sigma
-// (with each bucket's vertex-scoped Col rewritten) and the assignment's
-// bucket→reducer keys follow. Everything vertex-independent — bounds,
-// counts, the kthResLB floor, combination→reducer indexes — carries
+// (with each bucket's vertex-scoped Col rewritten). Everything
+// vertex-independent — bounds, counts, the kthResLB floor — carries
 // over untouched, because the key guarantees the two queries agree on
 // predicates, collections and granulations along sigma. A nil sigma
-// returns the inputs unchanged (shared, still read-only).
-func translatePlan(tb *topbuckets.Result, assign *distribute.Assignment, sigma []int) (*topbuckets.Result, *distribute.Assignment) {
+// returns the input unchanged (shared, still read-only).
+func translatePlan(tb *topbuckets.Result, sigma []int) *topbuckets.Result {
 	if sigma == nil {
-		return tb, assign
+		return tb
 	}
-	sigmaInv := make([]int, len(sigma)) // entry vertex -> request vertex
-	for v, u := range sigma {
-		sigmaInv[u] = v
-	}
-
 	ntb := *tb
 	ntb.Selected = make([]topbuckets.Combo, len(tb.Selected))
 	for i, cb := range tb.Selected {
@@ -63,12 +56,5 @@ func translatePlan(tb *topbuckets.Result, assign *distribute.Assignment, sigma [
 		cb.Buckets = nb
 		ntb.Selected[i] = cb
 	}
-
-	na := *assign
-	na.BucketReducers = make(map[stats.BucketKey][]int, len(assign.BucketReducers))
-	for key, rs := range assign.BucketReducers {
-		key.Col = sigmaInv[key.Col]
-		na.BucketReducers[key] = rs
-	}
-	return &ntb, &na
+	return &ntb
 }

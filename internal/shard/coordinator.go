@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -209,6 +210,7 @@ type pendingQuery struct {
 	peers []peerFloor
 
 	mu          sync.Mutex
+	tasks       [][]join.ReducerTask // scattered to each worker
 	scattered   []bool
 	frames      []*ResultFrame
 	got         int
@@ -256,6 +258,10 @@ func (c *Cluster) onResult(idx int, f *ResultFrame) {
 	}
 	if pq.frames[idx] != nil {
 		pq.failLocked(fmt.Errorf("%w: worker %d delivered query %d twice", ErrProtocol, idx, pq.id))
+		return
+	}
+	if !slices.EqualFunc(f.Reducers, pq.tasks[idx], func(o join.ReducerOutput, t join.ReducerTask) bool { return o.Reducer == t.Reducer }) {
+		pq.failLocked(fmt.Errorf("%w: worker %d answered query %d for other reducers than it was sent", ErrProtocol, idx, pq.id))
 		return
 	}
 	pq.frames[idx] = f
@@ -386,13 +392,25 @@ func (c *Cluster) Append(col int, ivs []interval.Interval) error {
 	return nil
 }
 
-// RunReducers implements join.Runner: place reducers on shards, ship
-// foreign buckets, scatter, stream floors both ways, gather. Routed
-// accounting, reducer ordering and the merge stay with the caller
-// (join.Run), so results are byte-identical to local execution.
+// RunReducers implements join.Runner: split req.Combos over
+// req.Reducers reducers with DTB (§3.4; one per worker when unset),
+// place them on shards, ship foreign buckets, scatter, stream floors
+// both ways, gather. The results are those of the same assignment's
+// tasks run through join.RunTasks in one process.
 func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*join.RunnerOutput, error) {
 	if !c.loaded {
 		return nil, fmt.Errorf("shard: query before LoadStore")
+	}
+	if len(req.Combos) == 0 {
+		return &join.RunnerOutput{}, nil
+	}
+	reducers := req.Reducers
+	if reducers <= 0 {
+		reducers = len(c.links)
+	}
+	assign, err := distribute.Assign(distribute.AlgDTB, req.Combos, reducers)
+	if err != nil {
+		return nil, err
 	}
 
 	// Vertex→collection mapping, identity when the request has none.
@@ -416,10 +434,9 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 		}
 		return len(join.ItemsOf(src, k.StartG, k.EndG))
 	}
-	pl := distribute.Place(req.Assign, len(c.links), mapping, c.manifest.Owner, size)
-	// The same task list the local runner executes, split by placement.
+	pl := distribute.Place(assign, len(c.links), mapping, c.manifest.Owner, size)
 	shardTasks := make([][]join.ReducerTask, len(c.links))
-	for _, t := range req.Tasks() {
+	for _, t := range assign.Tasks() {
 		s := pl.ReducerShard[t.Reducer]
 		shardTasks[s] = append(shardTasks[s], t)
 	}
@@ -428,7 +445,7 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 	epoch := c.replicaEpoch.Load()
 	master := req.Shared
 	pq := &pendingQuery{
-		id: id, epoch: epoch, master: master,
+		id: id, epoch: epoch, master: master, tasks: shardTasks,
 		scattered: make([]bool, len(c.links)),
 		peers:     make([]peerFloor, len(c.links)),
 		frames:    make([]*ResultFrame, len(c.links)),
@@ -506,7 +523,7 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 		<-pq.done
 	}
 	pq.mu.Lock()
-	err := pq.err
+	err = pq.err
 	frames := pq.frames
 	floorFrames := pq.floorFrames
 	pq.mu.Unlock()
@@ -522,11 +539,7 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 	shippedBuckets := countShipped(pl.Shipped)
 	mShippedBuckets.Add(int64(shippedBuckets))
 	mShippedRecords.Add(int64(pl.ShippedRecords))
-	out := &join.RunnerOutput{
-		ShippedBuckets: shippedBuckets,
-		ShippedRecords: pl.ShippedRecords,
-		FloorFrames:    floorFrames,
-	}
+	var reducerOuts []join.ReducerOutput
 	for _, f := range frames {
 		if master != nil {
 			for _, ro := range f.Reducers {
@@ -536,8 +549,12 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 				master.Raise(ro.Stats.SharedFloorFinal)
 			}
 		}
-		out.Reducers = append(out.Reducers, f.Reducers...)
+		reducerOuts = append(reducerOuts, f.Reducers...)
 	}
+	out := assign.Gather(reducerOuts, req.Srcs)
+	out.ShippedBuckets = shippedBuckets
+	out.ShippedRecords = pl.ShippedRecords
+	out.FloorFrames = floorFrames
 	return out, nil
 }
 

@@ -54,15 +54,17 @@ func collect(t *testing.T, cols []*interval.Collection, g int) []*stats.Matrix {
 }
 
 // pipelineEnv is everything up to the join phase: the store, per-vertex
-// sources/grids, selected combinations and the DTB assignment.
+// sources/grids, selected combinations, and the DTB assignment over
+// reducers that a cluster makes of them.
 type pipelineEnv struct {
-	q      *query.Query
-	st     *store.Store
-	srcs   []join.Source
-	grans  []stats.Grid
-	combos []topbuckets.Combo
-	assign *distribute.Assignment
-	k      int
+	q        *query.Query
+	st       *store.Store
+	srcs     []join.Source
+	grans    []stats.Grid
+	combos   []topbuckets.Combo
+	reducers int
+	assign   *distribute.Assignment
+	k        int
 }
 
 func buildPipeline(t *testing.T, q *query.Query, cols []*interval.Collection, g, k, reducers int) *pipelineEnv {
@@ -87,7 +89,7 @@ func buildPipeline(t *testing.T, q *query.Query, cols []*interval.Collection, g,
 		grans[v] = ms[v].Grid()
 	}
 	return &pipelineEnv{q: q, st: st, srcs: srcs, grans: grans,
-		combos: tb.Selected, assign: assign, k: k}
+		combos: tb.Selected, reducers: reducers, assign: assign, k: k}
 }
 
 func (env *pipelineEnv) run(t *testing.T, runner join.Runner, opts join.LocalOptions) *join.Output {
@@ -109,7 +111,7 @@ func (env *pipelineEnv) request(opts join.LocalOptions) *join.ReduceRequest {
 	}
 	return &join.ReduceRequest{
 		Query: env.q, Srcs: env.srcs, Grans: env.grans, Combos: env.combos,
-		Assign: env.assign, K: env.k, Opts: opts, Shared: shared,
+		Reducers: env.reducers, K: env.k, Opts: opts, Shared: shared,
 	}
 }
 
@@ -133,15 +135,15 @@ func assertNoLiveViews(t *testing.T, workers []*Worker) {
 }
 
 // Distributed execution over N real (in-process, full wire protocol)
-// workers must return results identical to the local runner — same
-// scores, same tuples, same order — for every shard count, with and
-// without floor broadcast.
+// workers must return results identical to the same DTB assignment run
+// in one process — same scores, same tuples, same order — for every
+// shard count, with and without floor broadcast.
 func TestClusterEquivalence(t *testing.T) {
 	q := testQuery()
 	for seed := int64(1); seed <= 2; seed++ {
 		cols := synthCols(3, 120, seed)
 		env := buildPipeline(t, q, cols, 6, 10, 4)
-		local := env.run(t, nil, join.LocalOptions{})
+		local := env.run(t, env.assign, join.LocalOptions{})
 		for _, n := range []int{1, 2, 3, 5} {
 			for _, noFloor := range []bool{false, true} {
 				c, workers, err := InProcess(n, ClusterOptions{NoFloorBroadcast: noFloor})
@@ -205,7 +207,7 @@ func TestClusterAppendLockstep(t *testing.T) {
 		// Re-plan against the grown dataset (fresh matrices → fresh
 		// combos/assignment), reusing the same resident store.
 		grown := buildPipelineFromStore(t, q, cols, env.st, 6, 8, 4)
-		local := grown.run(t, nil, join.LocalOptions{})
+		local := grown.run(t, grown.assign, join.LocalOptions{})
 		remote := grown.run(t, c, join.LocalOptions{})
 		if !reflect.DeepEqual(remote.Results, local.Results) {
 			t.Fatalf("round %d: remote results differ from local", round)
@@ -241,7 +243,7 @@ func buildPipelineFromStore(t *testing.T, q *query.Query, cols []*interval.Colle
 		grans[v] = ms[v].Grid()
 	}
 	return &pipelineEnv{q: q, st: st, srcs: srcs, grans: grans,
-		combos: tb.Selected, assign: assign, k: k}
+		combos: tb.Selected, reducers: reducers, assign: assign, k: k}
 }
 
 // The full protocol over real TCP loopback: Dial against listener-backed
@@ -250,7 +252,7 @@ func TestClusterTCP(t *testing.T) {
 	q := testQuery()
 	cols := synthCols(3, 80, 5)
 	env := buildPipeline(t, q, cols, 5, 6, 4)
-	local := env.run(t, nil, join.LocalOptions{})
+	local := env.run(t, env.assign, join.LocalOptions{})
 
 	const n = 2
 	addrs := make([]string, n)
@@ -375,6 +377,29 @@ func TestFaultTornFrame(t *testing.T) {
 			_, _ = fw.w.Write(hdr)
 			fw.mu.Unlock()
 			return false // close mid-frame
+		}
+		return true
+	})
+	defer c.Close()
+	if err := c.LoadStore(env.st); err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.RunReducers(context.Background(), env.request(join.LocalOptions{}))
+	if out != nil || !errors.Is(err, ErrProtocol) {
+		t.Fatalf("RunReducers = (%v, %v), want (nil, ErrProtocol)", out, err)
+	}
+	assertNoLiveViews(t, []*Worker{w})
+}
+
+// A worker answering for a reducer it was not sent — here an index far
+// past the assignment — is a protocol violation that fails the query,
+// not an index the coordinator trusts.
+func TestFaultForeignReducer(t *testing.T) {
+	env := buildPipeline(t, testQuery(), synthCols(3, 80, 11), 5, 6, 4)
+	c, w := faultCluster(t, ClusterOptions{}, func(f Frame, fw *frameWriter) bool {
+		if qf, isQuery := f.(*QueryFrame); isQuery {
+			_ = fw.send(&ResultFrame{QueryID: qf.QueryID, Epoch: qf.Epoch,
+				Reducers: []join.ReducerOutput{{Reducer: 1 << 20}}})
 		}
 		return true
 	})

@@ -3,10 +3,12 @@ package standing
 // Regression for the join.Runner seam: a standing subscription on a
 // sharded engine re-probes through shard.Cluster — DTB tasks scatter to
 // worker replicas over the wire protocol, with or without floor
-// broadcast — and must emit byte-identical deltas to the same
-// subscription served by the local in-process runner over the same
-// appends. Any divergence means ProbePinned's combination list or floor
-// seeding behaves differently through the cluster seam.
+// broadcast. Every cluster at one reducer count runs the same
+// assignment, so all of them must emit byte-identical deltas over the
+// same appends, and materialize the scores the same subscription on a
+// local engine (one serial pass, which may pick other tuples among
+// ties) does. Any divergence means ProbePinned's combination list or
+// floor seeding behaves differently through the cluster seam.
 
 import (
 	"context"
@@ -18,6 +20,7 @@ import (
 
 	"tkij/internal/core"
 	"tkij/internal/interval"
+	"tkij/internal/join"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
 )
@@ -87,15 +90,19 @@ func TestStandingShardedDeltasMatchLocal(t *testing.T) {
 	}
 	compare := func(stage string) {
 		t.Helper()
-		ref := legs[0]
-		for _, l := range legs[1:] {
+		local, ref := legs[0], legs[1]
+		if !join.ScoreMultisetEqual(ref.tk.Results, local.tk.Results, 1e-9) {
+			t.Fatalf("%s: %s materialized top-%d scores diverge from local\n got: %v\nwant: %v",
+				stage, ref.label, k, ref.tk.Results, local.tk.Results)
+		}
+		for _, l := range legs[2:] {
 			if !reflect.DeepEqual(l.tk.Results, ref.tk.Results) {
-				t.Fatalf("%s: %s materialized top-%d diverges from local\n got: %v\nwant: %v",
-					stage, l.label, k, l.tk.Results, ref.tk.Results)
+				t.Fatalf("%s: %s materialized top-%d diverges from %s\n got: %v\nwant: %v",
+					stage, l.label, k, ref.label, l.tk.Results, ref.tk.Results)
 			}
 			if !reflect.DeepEqual(l.deltas, ref.deltas) {
-				t.Fatalf("%s: %s delta stream diverges from local\n got: %v\nwant: %v",
-					stage, l.label, l.deltas, ref.deltas)
+				t.Fatalf("%s: %s delta stream diverges from %s\n got: %v\nwant: %v",
+					stage, l.label, ref.label, l.deltas, ref.deltas)
 			}
 		}
 	}
