@@ -73,7 +73,6 @@ import (
 	"tkij/internal/scoring"
 	"tkij/internal/snapshot"
 	"tkij/internal/standing"
-	"tkij/internal/topbuckets"
 )
 
 // Data model.
@@ -205,15 +204,14 @@ type (
 	// collecting statistics once and reusing them across queries.
 	Engine = core.Engine
 	// Options configures an Engine; the zero value uses the paper's
-	// defaults (g = 40, k = 100, loose strategy). A local query joins in
-	// one pass; Reducers shapes only a sharded engine's DTB scatter.
+	// defaults (g = 40, k = 100). Every query is planned with the loose
+	// bounds as a lazy plan, and a local query joins it in one pass;
+	// Reducers shapes only a sharded engine's DTB scatter.
 	Options = core.Options
 	// Report describes one query execution, including per-phase metrics.
 	Report = core.Report
 	// Result is one scored answer tuple.
 	Result = join.Result
-	// Strategy selects the TopBuckets bound-computation strategy.
-	Strategy = topbuckets.Strategy
 	// PlanCacheOptions tunes (or disables) the engine's query-plan
 	// cache: repeated query shapes skip TopBuckets on a hit, and a
 	// streaming append promotes a cached plan unchanged unless it changed
@@ -222,15 +220,8 @@ type (
 	PlanCacheOptions = plancache.Options
 	// PlanCacheStats is a snapshot of plan-cache activity
 	// (Engine.PlanCacheStats): hits, promotions (Revalidations),
-	// misses, evictions, and the retained solver-work cost.
+	// misses, evictions, and the retained cost.
 	PlanCacheStats = plancache.Stats
-)
-
-// TopBuckets strategies (§3.3).
-const (
-	Loose      = topbuckets.Loose
-	BruteForce = topbuckets.BruteForce
-	TwoPhase   = topbuckets.TwoPhase
 )
 
 // Serving. A Server is the admission layer over one engine: a bounded

@@ -86,12 +86,6 @@ func TestPublicAPITrafficPipeline(t *testing.T) {
 	}
 }
 
-func TestStrategyConstants(t *testing.T) {
-	if Loose.String() != "loose" || TwoPhase.String() != "two-phase" || BruteForce.String() != "brute-force" {
-		t.Error("strategy constants broken")
-	}
-}
-
 // The public serving surface: a Server admits concurrent Submits and
 // returns reports identical to direct execution.
 func TestPublicAPIServer(t *testing.T) {

@@ -265,8 +265,11 @@ func BenchmarkSolverPairBounds(b *testing.B) {
 }
 
 // BenchmarkPlanMiss measures what a query whose plan is not cached pays
-// before any join work — TopBuckets (loose strategy) — and, as "dtb",
-// what a sharded engine's coordinator adds to every query: DTB over the
+// before any join work: as "plan", a Plan built and its first
+// combination read — all a local query reads at the score ceiling; as
+// "topbuckets", the full drain of Ω_k,S (TopBuckets' loose strategy),
+// which a sharded engine's coordinator and the figure drivers pay; and,
+// as "dtb", what the coordinator adds to every query: DTB over the
 // selection at 8 reducers. 3 × 15k uniform intervals, g = 20, k = 100,
 // for each query shape of the cold_plan workload.
 func BenchmarkPlanMiss(b *testing.B) {
@@ -286,6 +289,18 @@ func BenchmarkPlanMiss(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(name+"/plan", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := topbuckets.NewPlan(q, ms, 100)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, ok := p.At(0); !ok {
+					b.Fatal("empty plan")
+				}
+			}
+		})
 		b.Run(name+"/topbuckets", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

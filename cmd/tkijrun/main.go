@@ -13,7 +13,6 @@
 //
 //	tkijrun -query Qb,b -params P1 -k 100 -g 40 C1.tsv C2.tsv C3.tsv
 //	tkijrun -query QjB,jB -params P3 -self conns.tsv
-//	tkijrun -query Qo,m -strategy two-phase C1.tsv C2.tsv C3.tsv
 //	tkijrun -query Qb,b -repeat 5 -v C1.tsv C2.tsv C3.tsv   # warm-path timings
 //	tkijrun -query Qb,b -json C1.tsv C2.tsv C3.tsv          # machine-readable report
 //	tkijrun -query Qb,b -save-stats s.tkij C1.tsv C2.tsv C3.tsv  # persist the offline phase
@@ -212,7 +211,6 @@ func main() {
 		k         = flag.Int("k", 100, "number of results")
 		g         = flag.Int("g", 40, "granules per collection")
 		reducers  = flag.Int("reducers", 0, "with -shards/-shard-addrs: reducers each query's DTB assignment scatters (0 = one per shard worker); a local query is one reducer")
-		strategy  = flag.String("strategy", "loose", "TopBuckets strategy: loose | brute-force | two-phase")
 		self      = flag.Bool("self", false, "self-join: map every query vertex to the first collection")
 		repeat    = flag.Int("repeat", 1, "execute the query N times on the warm engine")
 		saveStats = flag.String("save-stats", "", "after the offline phase, persist matrices + bucket store to this snapshot file")
@@ -255,10 +253,6 @@ func main() {
 	if !ok {
 		fatal(fmt.Errorf("unknown parameter set %q", *params))
 	}
-	strat, ok := map[string]tkij.Strategy{"loose": tkij.Loose, "brute-force": tkij.BruteForce, "two-phase": tkij.TwoPhase}[*strategy]
-	if !ok {
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
-	}
 
 	var cols []*tkij.Collection
 	for _, path := range flag.Args() {
@@ -279,7 +273,7 @@ func main() {
 		fatal(err)
 	}
 	opts := tkij.Options{
-		Granules: *g, K: *k, Reducers: *reducers, Strategy: strat,
+		Granules: *g, K: *k, Reducers: *reducers,
 		PlanCache: tkij.PlanCacheOptions{Disabled: *noCache},
 		Mmap:      *useMmap,
 		Shards:    *shards, ShardNoFloorBroadcast: *noFloorBc,
@@ -507,9 +501,12 @@ func main() {
 	fmt.Printf("query %s: %d results in %v (dataset prep %v, resident store reused across queries)\n",
 		q.Name, len(report.Results), report.Total, engine.StatsDuration)
 	if *verbose {
-		fmt.Printf("  topbuckets: %v  (|Ω|=%.0f, |Ωk,S|=%d, %.1f%% of results pruned, kthResLB=%.3f)\n",
-			report.TopBucketsTime, report.TopBuckets.TotalCombos, len(report.TopBuckets.Selected),
-			report.TopBuckets.PrunedFraction()*100, report.TopBuckets.KthResLB)
+		read := 0
+		for _, l := range report.Join.Locals {
+			read += l.CombosAssigned
+		}
+		fmt.Printf("  topbuckets: %v  (|Ω|=%.0f, %d combinations read, kthResLB=%.3f)\n",
+			report.TopBucketsTime, report.TopBuckets.TotalCombos, read, report.TopBuckets.KthResLB)
 		fmt.Printf("  join:       %v  (%d bucket refs routed, shared floor %.3f, reducer imbalance %.2f)\n",
 			report.JoinTime, report.Join.RoutedBucketEntries, report.Join.SharedFloor, report.Imbalance())
 		fmt.Printf("  store:      %d trees built, %d reused this query\n", report.TreesBuilt, report.TreesReused)

@@ -41,9 +41,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("top-%d of %.0f candidate pairs in %v (%.2f%% pruned before the join)\n",
+	fmt.Printf("top-%d of %.0f candidate pairs in %v (the join read %d of %.0f bucket combinations)\n",
 		len(report.Results), report.TopBuckets.TotalResults, report.Total,
-		report.TopBuckets.PrunedFraction()*100)
+		report.Join.Locals[0].CombosAssigned, report.TopBuckets.TotalCombos)
 	for i, r := range report.Results {
 		x, y := r.Tuple[0], r.Tuple[1]
 		fmt.Printf("#%2d score %.3f  x=[%d,%d] ends -> y=[%d,%d] starts (gap %+d)\n",

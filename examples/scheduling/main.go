@@ -56,8 +56,8 @@ func main() {
 	}
 
 	fmt.Printf("tightest build/test/deploy pipelines (query %s, %v):\n", q.Name, report.Total)
-	fmt.Printf("pruned %.2f%% of %.0f candidate triples before the join\n\n",
-		report.TopBuckets.PrunedFraction()*100, report.TopBuckets.TotalResults)
+	fmt.Printf("read %d of %.0f bucket combinations (%.0f candidate triples) in the join\n\n",
+		report.Join.Locals[0].CombosAssigned, report.TopBuckets.TotalCombos, report.TopBuckets.TotalResults)
 	for i, r := range report.Results {
 		b, t, d := r.Tuple[0], r.Tuple[1], r.Tuple[2]
 		fmt.Printf("#%2d score %.3f  build[%d,%d] test[%d,%d] deploy[%d,%d]\n",

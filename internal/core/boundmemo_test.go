@@ -75,11 +75,11 @@ type boundInput struct {
 }
 
 // edgeBoundInputs is the set of distinct solver inputs the join needs for
-// the selected combinations of a report, under the given per-collection
+// every selected combination of a report (the plan drained), under the given per-collection
 // grids (vertex v reads collection v in these tests).
 func edgeBoundInputs(r *Report, grids []stats.Grid) map[boundInput]bool {
 	keys := make(map[boundInput]bool)
-	for _, cb := range r.TopBuckets.Selected {
+	for _, cb := range r.TopBuckets.Drain() {
 		for _, e := range r.Query.Edges {
 			fb, tb := cb.Buckets[e.From], cb.Buckets[e.To]
 			k := boundInput{sig: e.Pred.Signature()}
@@ -184,17 +184,18 @@ func TestWarmExecuteAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	mapping := []int{0, 1, 2}
-	var selected int
+	var rep *Report
 	run := func() {
 		r, err := e.ExecuteMapped(context.Background(), q, mapping)
 		if err != nil {
 			t.Fatal(err)
 		}
-		selected = len(r.TopBuckets.Selected)
+		rep = r
 	}
 	run() // plan miss, bound solves, index builds
 	run() // remaining lazily built indexes
 	allocs := testing.AllocsPerRun(10, run)
+	selected := len(rep.TopBuckets.Drain())
 	if selected < 200 {
 		t.Fatalf("only %d combinations selected — too few for a per-combination allocation to show", selected)
 	}
@@ -206,9 +207,10 @@ func TestWarmExecuteAllocBudget(t *testing.T) {
 }
 
 // The plan-miss twin of TestWarmExecuteAllocBudget: with the plan cache
-// off every execution runs TopBuckets and DTB again, and still allocates
-// O(|Ω_k,S|) objects, not O(|Ω|) — enumeration, selection and the bound
-// solver's branch-and-bound allocate nothing per combination or node.
+// off every execution builds its plan again, and still allocates
+// O(|Ω_k,S|) objects, not O(|Ω|) — the walk, the selection and the
+// bound solver's branch-and-bound allocate nothing per combination or
+// node.
 func TestPlanMissAllocBudget(t *testing.T) {
 	cols := synthCols(3, 1500, 41)
 	q := query.Qom(query.Env{Params: scoring.P1})
@@ -233,8 +235,8 @@ func TestPlanMissAllocBudget(t *testing.T) {
 		t.Fatalf("|Ω| = %g — too few combinations for a per-combination allocation to show", omega)
 	}
 	if allocs >= omega/4 {
-		t.Fatalf("a plan-miss execution allocates %.0f objects over |Ω| = %g (%d selected), want < |Ω|/4",
-			allocs, omega, len(r.TopBuckets.Selected))
+		t.Fatalf("a plan-miss execution allocates %.0f objects over |Ω| = %g (%d combinations read), want < |Ω|/4",
+			allocs, omega, r.TopBuckets.Len())
 	}
-	t.Logf("plan-miss ExecuteMapped: %.0f allocations, |Ω| = %g, %d selected", allocs, omega, len(r.TopBuckets.Selected))
+	t.Logf("plan-miss ExecuteMapped: %.0f allocations, |Ω| = %g, %d combinations read", allocs, omega, r.TopBuckets.Len())
 }

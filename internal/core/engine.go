@@ -16,14 +16,14 @@ import (
 	"tkij/internal/snapshot"
 	"tkij/internal/stats"
 	"tkij/internal/store"
-	"tkij/internal/topbuckets"
 )
 
 // Options configures an Engine. The zero value maps to the paper's
-// defaults: g = 40 granules (§4.2.4's sweet spot), k = 100 and the
-// loose TopBuckets strategy. A local query joins the selected
-// combinations in one pass; only a sharded engine splits them over
-// reducers, with DTB.
+// defaults: g = 40 granules (§4.2.4's sweet spot) and k = 100. Every
+// query is planned with the loose TopBuckets bounds the paper settles on
+// (§4.2.3), as a lazy topbuckets.Plan: a local query joins it in one
+// pass and builds only the combinations it reads; only a sharded engine
+// drains it and splits it over reducers, with DTB.
 type Options struct {
 	// Granules is g, the number of granules per collection.
 	Granules int
@@ -33,11 +33,6 @@ type Options struct {
 	// assignment splits each query over (0: one per shard worker). It
 	// shapes only the shard scatter: a local query is one reducer.
 	Reducers int
-	// Strategy selects the TopBuckets bound-computation strategy.
-	Strategy topbuckets.Strategy
-	// TopBuckets carries advanced TopBuckets tuning; its Strategy field
-	// is overridden by Strategy above.
-	TopBuckets topbuckets.Options
 	// Local carries the per-reducer join ablation switches.
 	Local join.LocalOptions
 	// PlanCache tunes the query-plan cache (the zero value enables it

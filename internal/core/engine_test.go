@@ -7,9 +7,9 @@ import (
 
 	"tkij/internal/interval"
 	"tkij/internal/join"
+	"tkij/internal/plancache"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
-	"tkij/internal/topbuckets"
 )
 
 func synthCols(n, perCol int, seed int64) []*interval.Collection {
@@ -75,11 +75,12 @@ func TestExecuteMatchesExhaustive(t *testing.T) {
 	if report.TopBuckets == nil || report.Join == nil {
 		t.Fatal("report missing phase details")
 	}
-	// Reducers shapes no local query: it is one reducer, which ran every
-	// selected combination it did not skip, and assigned nothing.
-	if len(report.Join.Locals) != 1 || report.Join.Locals[0].CombosAssigned != len(report.TopBuckets.Selected) {
-		t.Fatalf("a local query ran %d reducers (first assigned %d of %d combinations), want one with all",
-			len(report.Join.Locals), report.Join.Locals[0].CombosAssigned, len(report.TopBuckets.Selected))
+	// Reducers shapes no local query: it is one reducer, which read
+	// exactly the combinations its cold plan built, and assigned nothing.
+	if len(report.Join.Locals) != 1 || report.Join.Locals[0].CombosAssigned != report.TopBuckets.Len() ||
+		report.TopBuckets.Len() > len(report.TopBuckets.Drain()) {
+		t.Fatalf("a local query ran %d reducers (first read %d of %d combinations built), want one that read what was built",
+			len(report.Join.Locals), report.Join.Locals[0].CombosAssigned, report.TopBuckets.Len())
 	}
 	if report.DistributeTime != 0 || report.Join.RoutedBucketEntries != 0 {
 		t.Fatalf("a local query reports distribute time %v and %d routed references, want none",
@@ -158,29 +159,40 @@ func TestStatsReuse(t *testing.T) {
 	}
 }
 
-// All TopBuckets strategies agree on the answer. (Every distribution
-// algorithm's reducers do too: distribute.TestGatherEveryReducer.)
+// Every engine configuration agrees on the answer: the plan cache on or
+// off, one reducer or eight, local or over two shard workers. (The
+// TopBuckets strategies agree too: join.TestStrategiesAgree; and every
+// distribution algorithm's reducers: distribute.TestGatherEveryReducer.)
 func TestConfigurationsAgree(t *testing.T) {
 	cols := synthCols(3, 30, 10)
 	env := query.Env{Params: scoring.P2, Avg: 45}
 	q := query.Qss(env)
 	const k = 8
-	var want []join.Result
-	for _, strat := range []topbuckets.Strategy{topbuckets.Loose, topbuckets.TwoPhase, topbuckets.BruteForce} {
-		e, err := NewEngine(cols, Options{Granules: 4, K: k, Strategy: strat})
+	want, err := join.Exhaustive(q, cols, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"no plan cache", Options{PlanCache: plancache.Options{Disabled: true}}},
+		{"eight reducers", Options{Reducers: 8}},
+		{"two shards", Options{Shards: 2}},
+	} {
+		c.opts.Granules, c.opts.K = 4, k
+		e, err := NewEngine(cols, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		report, err := e.Execute(context.Background(), q)
+		e.Close()
 		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		if want == nil {
-			want = report.Results
-			continue
+			t.Fatalf("%s: %v", c.name, err)
 		}
 		if !join.ScoreMultisetEqual(report.Results, want, 1e-9) {
-			t.Fatalf("%s disagrees with baseline", strat)
+			t.Fatalf("%s disagrees with the exhaustive answer", c.name)
 		}
 	}
 }

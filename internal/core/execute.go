@@ -146,10 +146,12 @@ type Report struct {
 	// (an execution with no results yields an empty slice).
 	Results []join.Result
 
-	// TopBuckets is the pruning phase's outcome: Ω_k,S with its score
-	// bounds and the certified kthResLB floor. On a plan-cache hit it is
-	// the shared cached result — treat it as read-only.
-	TopBuckets *topbuckets.Result
+	// TopBuckets is the pruning phase's outcome: the plan of Ω_k,S, with
+	// the certified kthResLB floor. Its combinations are built as they
+	// are read: the local join read Join.Locals[0].CombosAssigned of them
+	// (Plan.Drain builds the rest). On a plan-cache hit it is the shared
+	// cached plan.
+	TopBuckets *topbuckets.Plan
 	// Join is the join + merge phases' full output (per-reducer local
 	// statistics, a sharded run's routed-reference accounting, the final
 	// score floor).
@@ -324,15 +326,12 @@ func (e *Engine) plan(ctx context.Context, q *query.Query, mapping []int, vertex
 	if err := checkCtx(ctx, "planning"); err != nil {
 		return nil, err
 	}
-	tbOpts := e.opts.TopBuckets
-	tbOpts.Strategy = e.opts.Strategy
 	return e.plans.Plan(plancache.Request{
 		Query:      q,
 		Matrices:   vertexMs,
 		VertexCols: mapping,
 		K:          k,
 		Epoch:      pin.Epoch(),
-		TopBuckets: tbOpts,
 	})
 }
 
@@ -346,10 +345,14 @@ func (e *Engine) joinMerge(ctx context.Context, phase string, pin *Pin, req *joi
 		return nil, err
 	}
 	span := obs.SpanFrom(ctx).Child(phase)
-	if span != nil {
-		span.SetInt("combos", int64(len(req.Combos)))
-	}
 	out, err := join.Run(obs.WithSpan(ctx, span), req, pin.runner)
+	if span != nil && out != nil {
+		read := 0
+		for _, l := range out.Locals {
+			read += l.CombosAssigned
+		}
+		span.SetInt("combos", int64(read))
+	}
 	span.Finish()
 	if err != nil {
 		// Translate only genuine cancellation aborts; a real join
@@ -436,13 +439,14 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 		planSpan.SetStr("outcome", planned.Outcome.String())
 		planSpan.Finish()
 	}
-	tb := planned.TopBuckets
+	tb := planned.Plan
 
-	// Join and merge over the resident store: one serial pass over
-	// Ω_k,S, or a shard scatter. The execution's own score floor starts
-	// at TopBuckets' certified kthResLB. The per-edge bound memo comes
-	// with the plan, so only the plan's first execution solves any bound.
-	req.Combos, req.Bounds, req.Shared = tb.Selected, planned.Bounds, join.NewSharedFloor(tb.KthResLB)
+	// Join and merge over the resident store: one serial pass reading
+	// the plan, or a shard scatter of its drain. The execution's own
+	// score floor starts at TopBuckets' certified kthResLB. The per-edge
+	// bound memo comes with the plan, so only the plan's first execution
+	// solves any bound.
+	req.Plan, req.Bounds, req.Shared = tb, planned.Bounds, join.NewSharedFloor(tb.KthResLB)
 	storeBefore := pin.store.Snapshot()
 	out, err := e.joinMerge(ctx, "join", pin, req)
 	if err != nil {
@@ -484,7 +488,9 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 // selection. combos must carry sound LB/UB bounds over the pin's
 // matrices (topbuckets.TightenBounds); floor seeds the cross-reducer
 // score threshold — pass a certified lower bound on the k-th result
-// score, or 0 to disable seeding. bounds is the caller's pair-bound
+// score, or 0 to disable seeding. The list is read by descending UB
+// (topbuckets.Listed: a stably sorted copy when it is not already in
+// that order). bounds is the caller's pair-bound
 // memo for the join (nil for none): the standing layer passes the one
 // its loose phase just filled, so the probe solves nothing. The probe
 // runs through the pin's runner: one serial pass on a local engine,
@@ -499,7 +505,7 @@ func (e *Engine) ProbePinned(ctx context.Context, q *query.Query, mapping []int,
 		return nil, err
 	}
 	_, req := e.pinnedInputs(q, mapping, pin, k)
-	req.Combos, req.Bounds, req.Shared = combos, bounds, join.NewSharedFloor(floor)
+	req.Plan, req.Bounds, req.Shared = topbuckets.Listed(combos), bounds, join.NewSharedFloor(floor)
 	out, err := e.joinMerge(ctx, "probe", pin, req)
 	if err != nil {
 		return nil, err

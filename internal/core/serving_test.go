@@ -125,7 +125,7 @@ func TestExecuteEmptySelectionPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The plan's combinations joined under a floor no score can reach.
-	out, err := e.ProbePinned(context.Background(), q, mapping, pin, full.TopBuckets.Selected, 5, 1.1, nil)
+	out, err := e.ProbePinned(context.Background(), q, mapping, pin, full.TopBuckets.Drain(), 5, 1.1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

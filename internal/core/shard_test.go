@@ -243,7 +243,7 @@ func TestShardedReportMetrics(t *testing.T) {
 // its floor. e must be at rep's epoch.
 func runAssigned(t *testing.T, e *Engine, rep *Report, mapping []int, k, reducers int) (*join.Output, *distribute.Assignment) {
 	t.Helper()
-	assign, err := distribute.Assign(distribute.AlgDTB, rep.TopBuckets.Selected, reducers)
+	assign, err := distribute.Assign(distribute.AlgDTB, rep.TopBuckets.Drain(), reducers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func runAssigned(t *testing.T, e *Engine, rep *Report, mapping []int, k, reducer
 	}
 	defer pin.Release()
 	_, req := e.pinnedInputs(rep.Query, mapping, pin, k)
-	req.Combos, req.Shared = rep.TopBuckets.Selected, join.NewSharedFloor(rep.TopBuckets.KthResLB)
+	req.Plan, req.Shared = rep.TopBuckets, join.NewSharedFloor(rep.TopBuckets.KthResLB)
 	out, err := join.Run(context.Background(), req, assign)
 	if err != nil {
 		t.Fatal(err)

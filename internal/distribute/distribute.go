@@ -99,11 +99,12 @@ func (a *Assignment) Gather(outs []join.ReducerOutput, srcs []join.Source) *join
 
 // RunReducers makes the assignment a join.Runner that runs its Tasks
 // side by side in this process, each on a goroutine of its own
-// (join.RunTasks): the paper's r reducers as the figure drivers
+// (join.RunTasks over the drained req.Plan, the list the assignment
+// split): the paper's r reducers as the figure drivers
 // simulate them, and the reference a shard cluster scattering the same
 // assignment must reproduce.
 func (a *Assignment) RunReducers(ctx context.Context, req *join.ReduceRequest) (*join.RunnerOutput, error) {
-	outs, err := join.RunTasks(ctx, req, a.Tasks())
+	outs, err := join.RunTasks(ctx, req, req.Plan.Drain(), a.Tasks())
 	if err != nil {
 		return nil, err
 	}

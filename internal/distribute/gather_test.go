@@ -67,7 +67,7 @@ func newJoinFixture(t *testing.T, q *query.Query, perCol, g, k int, seed int64) 
 func (f *joinFixture) run(t *testing.T, a *Assignment) *join.Output {
 	t.Helper()
 	out, err := join.Run(context.Background(), &join.ReduceRequest{
-		Query: f.q, Srcs: f.srcs, Grans: f.grans, Combos: f.combos, K: f.k,
+		Query: f.q, Srcs: f.srcs, Grans: f.grans, Plan: topbuckets.Listed(f.combos), K: f.k,
 	}, a)
 	if err != nil {
 		t.Fatal(err)

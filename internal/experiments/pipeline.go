@@ -75,7 +75,7 @@ func execute(ctx context.Context, cols []*interval.Collection, q *query.Query, m
 		return nil, err
 	}
 	r.distributeTime = time.Since(start) - r.topBucketsTime
-	req.Combos, req.Shared = r.tb.Selected, join.NewSharedFloor(r.tb.KthResLB)
+	req.Plan, req.Shared = topbuckets.Listed(r.tb.Selected), join.NewSharedFloor(r.tb.KthResLB)
 	if r.join, err = join.Run(ctx, req, assign); err != nil {
 		return nil, err
 	}

@@ -62,13 +62,12 @@ func TestRunTasksRejectsUnsortedTask(t *testing.T) {
 			newMapSource(0, map[stats.BucketKey][]interval.Interval{}),
 			newMapSource(1, map[stats.BucketKey][]interval.Interval{}),
 		},
-		Combos: combos,
-		K:      1,
+		K: 1,
 	}
-	if _, err := RunTasks(context.Background(), req, []ReducerTask{{Reducer: 0, Combos: []int{0, 1}}}); err == nil {
+	if _, err := RunTasks(context.Background(), req, combos, []ReducerTask{{Reducer: 0, Combos: []int{0, 1}}}); err == nil {
 		t.Fatal("RunTasks ran a task whose combinations are in ascending-UB order")
 	}
-	if _, err := RunTasks(context.Background(), req, []ReducerTask{{Reducer: 0, Combos: []int{1, 0}}}); err != nil {
+	if _, err := RunTasks(context.Background(), req, combos, []ReducerTask{{Reducer: 0, Combos: []int{1, 0}}}); err != nil {
 		t.Fatalf("RunTasks refused a descending-UB task: %v", err)
 	}
 }

@@ -106,7 +106,7 @@ func TestFloorPropagation(t *testing.T) {
 	}
 	srcs, grans := storeSources(t, cols, ms)
 	out, err := Run(context.Background(), &ReduceRequest{
-		Query: q, Srcs: srcs, Grans: grans, Combos: tb.Selected, K: k,
+		Query: q, Srcs: srcs, Grans: grans, Plan: topbuckets.Listed(tb.Selected), K: k,
 		Shared: NewSharedFloor(kth),
 	}, nil)
 	if err != nil {

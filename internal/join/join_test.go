@@ -57,11 +57,18 @@ func (b *mapBucket) Search(box rtree.Rect, fn func(ref int32) bool) {
 	b.tree.Search(box, func(pt rtree.Point) bool { return fn(pt.Ref) })
 }
 
-// runJoin is Run's local pass with the request spelled out.
+// runJoin is Run's local pass over a fixed list with the request spelled
+// out.
 func runJoin(q *query.Query, srcs []Source, grans []stats.Grid, combos []topbuckets.Combo,
 	k int, opts LocalOptions) (*Output, error) {
+	return runPlanned(q, srcs, grans, topbuckets.Listed(combos), k, opts)
+}
+
+// runPlanned is Run's local pass over a plan.
+func runPlanned(q *query.Query, srcs []Source, grans []stats.Grid, p *topbuckets.Plan,
+	k int, opts LocalOptions) (*Output, error) {
 	return Run(context.Background(), &ReduceRequest{
-		Query: q, Srcs: srcs, Grans: grans, Combos: combos, K: k, Opts: opts,
+		Query: q, Srcs: srcs, Grans: grans, Plan: p, K: k, Opts: opts, Shared: NewSharedFloor(p.KthResLB),
 	}, nil)
 }
 
@@ -172,21 +179,49 @@ func storeSources(t *testing.T, cols []*interval.Collection, ms []*stats.Matrix)
 }
 
 // pipeline runs the full TKIJ flow for tests: TopBuckets, then Run's
-// local pass.
+// local pass — over a lazy plan as the engine runs it for the loose
+// strategy, over the selected list for the others.
 func pipeline(t *testing.T, q *query.Query, cols []*interval.Collection, g, k int,
 	strat topbuckets.Strategy, opts LocalOptions) *Output {
 	t.Helper()
 	ms := collect(t, cols, g)
-	tb, err := topbuckets.Run(q, ms, k, topbuckets.Options{Strategy: strat})
-	if err != nil {
-		t.Fatal(err)
+	var p *topbuckets.Plan
+	if strat == topbuckets.Loose {
+		var err error
+		if p, err = topbuckets.NewPlan(q, ms, k); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		tb, err := topbuckets.Run(q, ms, k, topbuckets.Options{Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p = topbuckets.Listed(tb.Selected)
 	}
 	srcs, grans := storeSources(t, cols, ms)
-	out, err := runJoin(q, srcs, grans, tb.Selected, k, opts)
+	out, err := runPlanned(q, srcs, grans, p, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// All three TopBuckets strategies agree on the answer, and with the
+// exhaustive one: the lazy plan of the loose strategy, and the
+// two-phase and brute-force selections run as fixed lists.
+func TestStrategiesAgree(t *testing.T) {
+	cols := synthCols(3, 30, 10)
+	q := query.Qss(query.Env{Params: scoring.P2, Avg: 45})
+	const k = 8
+	want, err := Exhaustive(q, cols, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strat := range []topbuckets.Strategy{topbuckets.Loose, topbuckets.TwoPhase, topbuckets.BruteForce} {
+		if out := pipeline(t, q, cols, 4, k, strat, LocalOptions{}); !ScoreMultisetEqual(out.Results, want, 1e-9) {
+			t.Fatalf("%s: %v, the exhaustive answer %v", strat, scoresOf(out.Results), scoresOf(want))
+		}
+	}
 }
 
 // The headline correctness claim: TKIJ returns the exact top-k. We
@@ -373,8 +408,10 @@ func TestSingleReducerOverBucketMap(t *testing.T) {
 		t.Fatalf("single reducer != exhaustive: %v vs %v", scoresOf(out.Results), scoresOf(exact))
 	}
 	st := out.Locals[0]
-	if st.CombosAssigned != len(tb.Selected) {
-		t.Errorf("CombosAssigned = %d, want %d", st.CombosAssigned, len(tb.Selected))
+	// The pass reads the list until a UB cannot beat its k-th result.
+	if st.CombosAssigned > len(tb.Selected) || st.CombosAssigned < st.CombosProcessed+st.CombosSkipped || st.CombosProcessed == 0 {
+		t.Errorf("read %d of %d combinations, processed %d and skipped %d",
+			st.CombosAssigned, len(tb.Selected), st.CombosProcessed, st.CombosSkipped)
 	}
 	if math.IsNaN(st.MinScore) {
 		t.Error("MinScore not recorded")

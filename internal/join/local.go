@@ -84,7 +84,14 @@ var probeLadder = []float64{0.95, 0.75, 0.5, 0.25}
 
 // LocalStats describes one reducer's local join work.
 type LocalStats struct {
-	Reducer         int
+	Reducer int
+	// CombosAssigned is the length of a split reducer's list, and for
+	// the local pass the combinations it read from the plan — a
+	// combination no pass reads is never built. CombosProcessed counts
+	// those the answering pass joined, and CombosSkipped those it was
+	// handed but did not join because their UB could not beat its
+	// threshold: the rest of a split reducer's list, and at most the one
+	// combination that ended a pass over a plan.
 	CombosAssigned  int
 	CombosProcessed int
 	CombosSkipped   int
@@ -284,8 +291,10 @@ type localJoiner struct {
 	plan *plan
 	k    int
 	opts LocalOptions
-	// combos is the request's Ω_k,S, read in place; a reducer's
-	// combination list indexes into it.
+	// stream is the plan the local pass reads (nil for a split
+	// request's reducer); combos is the split request's combination
+	// list, read in place, which a reducer's list indexes into.
+	stream *topbuckets.Plan
 	combos []topbuckets.Combo
 	// srcs supplies each query vertex's bucket data (shared,
 	// concurrency-safe on the store-backed path).
@@ -392,7 +401,6 @@ func newLocalJoiner(done <-chan struct{}, p *plan, req *ReduceRequest) *localJoi
 		plan:     p,
 		k:        req.K,
 		opts:     req.Opts,
-		combos:   req.Combos,
 		srcs:     req.Srcs,
 		grans:    req.Grans,
 		shared:   req.Shared,
@@ -456,14 +464,24 @@ func (lj *localJoiner) prepareCombo(combo topbuckets.Combo) {
 	}
 }
 
-// run processes the reducer's combinations — idxs index lj.combos, by
-// descending score upper bound (§3.4; RunTasks checked the order) — and
-// returns the local top-k. Unless pruning is disabled, the probe ladder's
-// rungs come first (see probeLadder); a rung the shared floor already
-// covers is not run.
+// output runs the reducer — its task list idxs, or the plan when it
+// reads one — and packages its results and statistics.
+func (lj *localJoiner) output(reducer int, idxs []int) ReducerOutput {
+	results := lj.run(idxs)
+	lj.stats.Reducer = reducer
+	return ReducerOutput{Reducer: reducer, Results: results, Stats: lj.stats}
+}
+
+// run processes the reducer's combinations by descending score upper
+// bound (§3.4) — the plan's, or idxs indexing lj.combos (RunTasks
+// checked their order) — and returns the local top-k. Unless pruning is
+// disabled, the probe ladder's rungs come first (see probeLadder); a
+// rung the shared floor already covers is not run.
 func (lj *localJoiner) run(idxs []int) []Result {
 	start := time.Now()
-	lj.stats.CombosAssigned = len(idxs)
+	if lj.stream == nil {
+		lj.stats.CombosAssigned = len(idxs)
+	}
 	if !lj.opts.DisablePruning {
 		for _, v := range probeLadder {
 			if v <= lj.sharedFloor() || lj.canceled {
@@ -494,18 +512,37 @@ func (lj *localJoiner) run(idxs []int) []Result {
 }
 
 // pass runs the reducer's combinations once at the current floor,
-// collecting into lj.topk.
+// collecting into lj.topk. Reading a plan, it asks for the next
+// combination only while the plan's bound on the rest clears the
+// threshold, so a combination the pass would skip is never built.
 func (lj *localJoiner) pass(idxs []int) {
 	lj.stats.CombosProcessed, lj.stats.CombosSkipped = 0, 0
-	for i, ci := range idxs {
-		if lj.canceled {
-			return
+	pruning := !lj.opts.DisablePruning
+	for i := 0; !lj.canceled; i++ {
+		var c topbuckets.Combo
+		if lj.stream == nil {
+			if i == len(idxs) {
+				return
+			}
+			c = lj.combos[idxs[i]]
+		} else {
+			if pruning && lj.stream.Bound(i) <= lj.pruneThreshold() {
+				return
+			}
+			var ok bool
+			if c, ok = lj.stream.At(i); !ok {
+				return
+			}
+			lj.stats.CombosAssigned = max(lj.stats.CombosAssigned, i+1)
 		}
-		c := lj.combos[ci]
-		if !lj.opts.DisablePruning && c.UB <= lj.pruneThreshold() {
-			// Sorted by descending UB: every remaining combination is
-			// also dominated — the paper's early termination.
-			lj.stats.CombosSkipped = len(idxs) - i
+		if pruning && c.UB <= lj.pruneThreshold() {
+			// By descending UB: every remaining combination is also
+			// dominated — the paper's early termination.
+			if lj.stream == nil {
+				lj.stats.CombosSkipped = len(idxs) - i
+			} else {
+				lj.stats.CombosSkipped = 1
+			}
 			return
 		}
 		lj.stats.CombosProcessed++

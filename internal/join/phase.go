@@ -8,6 +8,7 @@ import (
 
 	"tkij/internal/interval"
 	"tkij/internal/query"
+	"tkij/internal/topbuckets"
 )
 
 // Output is the outcome of the join + merge phases.
@@ -101,11 +102,12 @@ func (rt ReduceTimes) Imbalance() float64 {
 // one Run creates a private floor at 0; under DisablePruning it uses
 // none. The caller's request is not modified.
 //
-// With a nil runner the join is one reducer task over every
-// combination by descending UB, in the calling goroutine: one top-k,
-// which stops when the next combination's UB cannot beat the k-th
-// result. A runner (internal/shard's coordinator) splits the
-// combinations over reducers of its own and accounts for the split;
+// With a nil runner the join is one reducer reading req.Plan by
+// descending UB, in the calling goroutine: one top-k, which stops when
+// the plan's bound on the combinations it has not read cannot beat the
+// k-th result, so they are never built. A runner (internal/shard's
+// coordinator) drains the plan, splits it over reducers of its own and
+// accounts for the split;
 // reducer-index ordering and the merge happen here, identically for
 // every runner.
 //
@@ -136,6 +138,9 @@ func Run(ctx context.Context, req *ReduceRequest, runner Runner) (*Output, error
 	// broadcast its raises to their workers and fold worker raises back
 	// in.
 	r := *req
+	if r.Plan == nil {
+		r.Plan = topbuckets.Listed(nil)
+	}
 	if r.Opts.DisablePruning {
 		r.Shared = nil
 	} else if r.Shared == nil {
@@ -147,7 +152,7 @@ func Run(ctx context.Context, req *ReduceRequest, runner Runner) (*Output, error
 	var err error
 	if runner == nil {
 		rout = new(RunnerOutput)
-		rout.Reducers, err = RunTasks(ctx, &r, []ReducerTask{serialTask(r.Combos)})
+		rout.Reducers, err = runPlan(ctx, &r)
 	} else {
 		rout, err = runner.RunReducers(ctx, &r)
 	}

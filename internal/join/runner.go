@@ -1,10 +1,8 @@
 package join
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"tkij/internal/query"
@@ -14,10 +12,11 @@ import (
 )
 
 // ReduceRequest is one query's reduce workload: the query, its
-// per-vertex sources and granulation grids, and the selected
-// combinations. Run without a runner evaluates them as one reducer in
-// the calling goroutine; a remote runner (internal/shard's coordinator)
-// splits them over reducers of its own and scatters those to workers.
+// per-vertex sources and granulation grids, and the plan of the
+// selected combinations. Run without a runner reads the plan as one
+// reducer in the calling goroutine, building only the combinations it
+// reads; a remote runner (internal/shard's coordinator) drains it,
+// splits it over reducers of its own and scatters those to workers.
 type ReduceRequest struct {
 	Query *query.Query
 	// Mapping maps query vertices to collections (vertex v reads
@@ -29,9 +28,10 @@ type ReduceRequest struct {
 	Srcs []Source
 	// Grans is vertex v's granulation + observed endpoint extent.
 	Grans []stats.Grid
-	// Combos is Ω_k,S; ReducerTask.Combos indexes into it.
-	Combos []topbuckets.Combo
-	// Reducers is how many reducers a remote runner splits Combos over
+	// Plan is Ω_k,S by descending UB (topbuckets.Listed wraps a fixed
+	// list).
+	Plan *topbuckets.Plan
+	// Reducers is how many reducers a remote runner splits the plan over
 	// (0: the runner's default). The local pass ignores it.
 	Reducers int
 	K        int
@@ -51,9 +51,9 @@ type ReduceRequest struct {
 	Bounds *solver.PairMemo
 }
 
-// ReducerTask is one reducer's share of a request: the reducer index
-// and the indexes (into ReduceRequest.Combos) of the combinations
-// assigned to it, by descending UB (see DescendingUB).
+// ReducerTask is one reducer's share of a split request: the reducer
+// index and the indexes (into the combination list RunTasks is given) of
+// the combinations assigned to it, by descending UB (see DescendingUB).
 type ReducerTask struct {
 	Reducer int
 	Combos  []int
@@ -100,57 +100,38 @@ func DescendingUB(combos []topbuckets.Combo, idxs []int) bool {
 	return true
 }
 
-// serialTask is the local pass's one task: every combination by
-// descending UB (Ω_k,S arrives so; other lists are sorted stably).
-func serialTask(combos []topbuckets.Combo) ReducerTask {
-	idxs := make([]int, len(combos))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	if !DescendingUB(combos, idxs) {
-		slices.SortStableFunc(idxs, func(a, b int) int { return cmp.Compare(combos[b].UB, combos[a].UB) })
-	}
-	return ReducerTask{Combos: idxs}
-}
-
-// RunTasks is the reducer executor — the one place a local joiner is
-// built and a reducer's combination list is run, shared by the local
-// pass and the shard worker. A lone task runs in the calling goroutine;
-// several run on a goroutine each. Every task evaluates its
-// combinations against req.Srcs in place (task.Combos index req.Combos;
-// nothing is copied per reducer), consulting and raising req.Shared
-// throughout. Outputs are returned in task order.
+// RunTasks is the executor of a split request's reducers, run by the
+// shard worker and by an in-process distribute.Assignment: task.Combos
+// index combos (nothing is copied per reducer). A lone task runs in the calling goroutine; several run on a
+// goroutine each. Every task evaluates its combinations against
+// req.Srcs, consulting and raising req.Shared throughout. Outputs are
+// returned in task order.
 //
-// req must carry Query, Srcs, Grans, Combos, K, Opts and Shared;
-// Mapping and Reducers are not consulted. The caller vouches for the
-// inputs: a valid query, K >= 1, one source per vertex, task indexes
-// within req.Combos (Run and the wire decoder check these). Each task's
-// list must be in descending-UB order: a reducer stops at the first
-// combination its threshold dominates, which is only sound on a sorted
-// list, so an unsorted one is an error.
+// req must carry Query, Srcs, Grans, K, Opts and Shared; Plan, Mapping
+// and Reducers are not consulted. The caller vouches for the inputs: a
+// valid query, K >= 1, one source per vertex, task indexes within combos
+// (the wire decoder checks these). Each task's list must be in
+// descending-UB order: a reducer stops at the first combination its
+// threshold dominates, which is only sound on a sorted list, so an
+// unsorted one is an error.
 //
 // A cancelable ctx is polled mid-combination: once it is done every
 // reducer abandons its remaining work and RunTasks returns ctx.Err()
 // instead of truncated outputs.
-func RunTasks(ctx context.Context, req *ReduceRequest, tasks []ReducerTask) ([]ReducerOutput, error) {
+func RunTasks(ctx context.Context, req *ReduceRequest, combos []topbuckets.Combo, tasks []ReducerTask) ([]ReducerOutput, error) {
 	for _, t := range tasks {
-		if !DescendingUB(req.Combos, t.Combos) {
+		if !DescendingUB(combos, t.Combos) {
 			return nil, fmt.Errorf("join: reducer %d's combinations are not in descending-UB order", t.Reducer)
 		}
 	}
-	if req.Bounds == nil {
-		r := *req
-		r.Bounds = solver.NewPairMemo()
-		req = &r
-	}
+	req = withBounds(req)
 	plan := newPlan(req.Query)
 	outs := make([]ReducerOutput, len(tasks))
 	run := func(i int) {
 		t := tasks[i]
 		lj := newLocalJoiner(ctx.Done(), plan, req)
-		results := lj.run(t.Combos)
-		lj.stats.Reducer = t.Reducer
-		outs[i] = ReducerOutput{Reducer: t.Reducer, Results: results, Stats: lj.stats}
+		lj.combos = combos
+		outs[i] = lj.output(t.Reducer, t.Combos)
 	}
 	if len(tasks) == 1 {
 		run(0)
@@ -171,4 +152,28 @@ func RunTasks(ctx context.Context, req *ReduceRequest, tasks []ReducerTask) ([]R
 		return nil, err
 	}
 	return outs, nil
+}
+
+// runPlan is the local pass: one reducer reading req.Plan in the calling
+// goroutine, which builds no combination the pass does not read.
+func runPlan(ctx context.Context, req *ReduceRequest) ([]ReducerOutput, error) {
+	req = withBounds(req)
+	lj := newLocalJoiner(ctx.Done(), newPlan(req.Query), req)
+	lj.stream = req.Plan
+	out := lj.output(0, nil)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return []ReducerOutput{out}, nil
+}
+
+// withBounds returns req with a pair-bound memo: its own, or a fresh one
+// on a copy.
+func withBounds(req *ReduceRequest) *ReduceRequest {
+	if req.Bounds != nil {
+		return req
+	}
+	r := *req
+	r.Bounds = solver.NewPairMemo()
+	return &r
 }

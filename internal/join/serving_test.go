@@ -266,7 +266,7 @@ func TestRungYieldsToSharedFloor(t *testing.T) {
 				}
 			}
 			out, err := Run(context.Background(), &ReduceRequest{
-				Query: q, Srcs: srcs, Grans: grans, Combos: tb.Selected, K: k, Shared: floor,
+				Query: q, Srcs: srcs, Grans: grans, Plan: topbuckets.Listed(tb.Selected), K: k, Shared: floor,
 			}, nil)
 			if err != nil {
 				t.Fatal(err)

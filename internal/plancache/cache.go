@@ -12,11 +12,11 @@ import (
 	"tkij/internal/topbuckets"
 )
 
-// DefaultMaxCost is the default retention bound: the total solver-work
-// cost (pair + tight solver calls across all entries) the cache may
-// hold. At the paper's g = 40 one loose two-edge plan costs ~1.3M pair
-// calls, so the default retains a healthy handful of heavyweight plans
-// (or thousands of small ones) before LRU eviction starts.
+// DefaultMaxCost is the default retention bound: the total cost (pair
+// table cells plus built combinations, see planCost) the cache may
+// hold. At the paper's g = 40 one two-edge plan holds ~1.3M pair cells,
+// so the default retains a healthy handful of heavyweight plans (or
+// thousands of small ones) before LRU eviction starts.
 const DefaultMaxCost = 16 << 20
 
 // Options configures a Cache. The zero value is an enabled cache with
@@ -26,7 +26,7 @@ type Options struct {
 	// plan and stores nothing. The pipeline behaves exactly as if the
 	// cache did not exist (the equivalence baseline).
 	Disabled bool
-	// MaxCost bounds the total solver-work cost of retained entries
+	// MaxCost bounds the total cost of retained entries
 	// (<= 0 means DefaultMaxCost). Eviction is LRU; the most recently
 	// inserted entry is never evicted, so a single plan larger than
 	// MaxCost still caches (alone).
@@ -78,14 +78,14 @@ type Request struct {
 	VertexCols []int
 	K          int
 	Epoch      int64
-	TopBuckets topbuckets.Options
 }
 
-// Planned is the outcome of Cache.Plan: a TopBuckets result ready for
-// the join phase. It must be treated as read-only — on a Hit it is
-// shared with every other query of the same shape.
+// Planned is the outcome of Cache.Plan: a plan ready for the join
+// phase. On a Hit it is shared with every other query of the same shape
+// and labeling: reading it builds combinations every later reader finds
+// built.
 type Planned struct {
-	TopBuckets *topbuckets.Result
+	Plan *topbuckets.Plan
 	// Bounds is the plan's per-edge bound memo for the join
 	// (join.ReduceRequest.Bounds). It lives with the cache entry, so
 	// every execution of the plan after the first finds its bounds
@@ -93,8 +93,8 @@ type Planned struct {
 	Bounds  *solver.PairMemo
 	Outcome Outcome
 	// TopBucketsTime is the wall time this call actually spent
-	// planning: the full TopBuckets cost on a Miss, the lookup /
-	// promotion cost on a Hit / Revalidated.
+	// planning: building the plan on a Miss, the lookup / promotion cost
+	// on a Hit / Revalidated.
 	TopBucketsTime time.Duration
 	// SavedPlanTime is, on a Hit or Revalidated outcome, the wall time
 	// the original full plan cost when it was first computed — the
@@ -117,14 +117,15 @@ type Stats struct {
 	// promotion of their key and epoch (Planned.Waited).
 	Waits   int64
 	Entries int
-	// Cost is the total retained solver-work cost (bounded by
-	// Options.MaxCost).
+	// Cost is the total retained cost (bounded by Options.MaxCost).
 	Cost float64
 }
 
-// entry is one cached plan. All fields are immutable after insertion —
-// promotion and re-planning replace the entry rather than mutating it,
-// so readers holding a plan across an epoch bump are unaffected.
+// entry is one cached plan. Its fields are immutable after insertion
+// but cost, which the cache recharges under its lock as the plan's
+// built prefix grows — promotion and re-planning replace the entry
+// rather than mutating it, so readers holding a plan across an epoch
+// bump are unaffected.
 type entry struct {
 	key   string
 	epoch int64
@@ -133,14 +134,15 @@ type entry struct {
 	// the plan translated through the composed permutation (see
 	// translatePlan).
 	labeling []int
-	tb       *topbuckets.Result
+	plan     *topbuckets.Plan
+	edges    int
 	// bounds is the join's per-edge bound memo for this plan: created
 	// empty with the plan, carried verbatim by hits and promotions, and
 	// dropped with the entry when a shape change plans again. Its keys
 	// are the solver's full input, so it needs no translation between
 	// isomorphic labelings and no invalidation; it holds at most one
-	// entry per (edge, selected combination), which cost charges up
-	// front (memoCost), and it is evicted with the entry.
+	// entry per (edge, built combination), which cost charges (planCost),
+	// and it is evicted with the entry.
 	bounds   *solver.PairMemo
 	planTime time.Duration // original full-plan wall time
 	cost     float64
@@ -166,9 +168,10 @@ type Cache struct {
 	stats   Stats
 
 	// onLead, when set, runs in the leading call of every flight after
-	// the flight is registered and before it plans (a test seam for
-	// holding a flight open while others join it).
-	onLead func()
+	// the flight is registered and before it plans; an error it returns
+	// fails the flight (a test seam for holding a flight open while
+	// others join it, and for a failing leader).
+	onLead func() error
 }
 
 // flight names one single-flighted planning: a canonical key at an
@@ -197,7 +200,7 @@ func New(opts Options) *Cache {
 
 // Plan serves a planning request: from the cache when an entry matches
 // Request's canonical key at (or promotably below) its epoch,
-// otherwise by running TopBuckets and caching the result. A call that
+// otherwise by building a topbuckets.Plan and caching it. A call that
 // finds the same key and epoch already being planned waits for that
 // flight and then looks the key up again, so an isomorphic labeling
 // still gets the plan translated into its own; the flight's error, if
@@ -218,9 +221,10 @@ func (c *Cache) Plan(req Request) (*Planned, error) {
 		case e != nil && e.epoch == req.Epoch:
 			c.lru.MoveToFront(e.el)
 			c.stats.Hits++
+			c.charge(e)
 			c.mu.Unlock()
 			return &Planned{
-				TopBuckets:     translatePlan(e.tb, sigmaFor(e.labeling, labeling)),
+				Plan:           e.plan.Relabel(sigmaFor(e.labeling, labeling)),
 				Bounds:         e.bounds,
 				Outcome:        Hit,
 				TopBucketsTime: time.Since(lookupStart),
@@ -279,7 +283,9 @@ func (c *Cache) lead(e *entry, req Request, key string, labeling []int, f flight
 		close(s.done)
 	}()
 	if c.onLead != nil {
-		c.onLead()
+		if err := c.onLead(); err != nil {
+			return nil, err
+		}
 	}
 	if e != nil {
 		// Promote outside the lock (the entry is immutable; we only
@@ -327,11 +333,11 @@ func promote(e *entry, req Request, reqLabeling []int) (*entry, *Planned) {
 	}
 	ne := &entry{
 		key: e.key, epoch: req.Epoch, labeling: e.labeling,
-		tb: e.tb, bounds: e.bounds,
-		planTime: e.planTime, cost: e.cost, state: e.state,
+		plan: e.plan, edges: e.edges, bounds: e.bounds,
+		planTime: e.planTime, state: e.state,
 	}
 	return ne, &Planned{
-		TopBuckets:     translatePlan(e.tb, sigma),
+		Plan:           e.plan.Relabel(sigma),
 		Bounds:         e.bounds,
 		Outcome:        Revalidated,
 		TopBucketsTime: time.Since(start),
@@ -359,7 +365,16 @@ func (c *Cache) insert(ne *entry, promoted bool) {
 	}
 	ne.el = c.lru.PushFront(ne)
 	c.entries[ne.key] = ne
-	c.cost += ne.cost
+	c.charge(ne)
+}
+
+// charge brings e's cost up to date with its plan's built prefix and
+// evicts least-recently-used entries past the cost bound; e, the most
+// recently used, is never evicted. c.mu must be held.
+func (c *Cache) charge(e *entry) {
+	cost := planCost(e.plan, e.edges)
+	c.cost += cost - e.cost
+	e.cost = cost
 	for c.cost > c.opts.MaxCost && c.lru.Len() > 1 {
 		victim := c.lru.Back().Value.(*entry)
 		c.lru.Remove(victim.el)
@@ -397,47 +412,36 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// fullPlan runs TopBuckets cold and packages both the caller-facing
-// result and a cache entry (epoch, fingerprints, cost).
+// fullPlan builds a plan cold and packages both the caller-facing
+// result and a cache entry (epoch, fingerprints). The entry's cost is
+// charged when it is inserted.
 func fullPlan(req Request) (*Planned, *entry, error) {
-	tbStart := time.Now()
-	tb, err := topbuckets.Run(req.Query, req.Matrices, req.K, req.TopBuckets)
+	p, err := topbuckets.NewPlan(req.Query, req.Matrices, req.K)
 	if err != nil {
 		return nil, nil, err
 	}
-	tbTime := time.Since(tbStart)
-
 	e := &entry{
 		epoch:    req.Epoch,
-		tb:       tb,
+		plan:     p,
+		edges:    len(req.Query.Edges),
 		bounds:   solver.NewPairMemo(),
-		planTime: tbTime,
-		cost:     planCost(tb) + memoCost(req.Query, tb),
+		planTime: p.Built,
 		state:    CaptureEpochState(req.Matrices),
 	}
 	return &Planned{
-		TopBuckets:     tb,
+		Plan:           p,
 		Bounds:         e.bounds,
 		Outcome:        Miss,
-		TopBucketsTime: tbTime,
+		TopBucketsTime: p.Built,
 	}, e, nil
 }
 
-// planCost is the solver-work cost of a plan — the retention currency
-// of the cache. Selected combinations are counted too so even a plan
-// whose bounds were all table lookups has nonzero weight.
-func planCost(tb *topbuckets.Result) float64 {
-	cost := float64(tb.PairSolverCalls+tb.TightSolverCalls) + float64(len(tb.Selected))
-	if cost < 1 {
-		cost = 1
-	}
-	return cost
-}
-
-// memoCost is the size bound of a plan's bound memo in the same
-// currency: one retained solve per (edge, selected combination).
-func memoCost(q *query.Query, tb *topbuckets.Result) float64 {
-	return float64(len(q.Edges) * len(tb.Selected))
+// planCost is the retention currency of the cache: a plan's pair table
+// cells, plus for each combination built so far the combination and the
+// one bound per edge the join memoizes for it (its memo's size bound).
+// Even a plan with nothing built yet has nonzero weight.
+func planCost(p *topbuckets.Plan, edges int) float64 {
+	return max(1, float64(p.Cells+(1+edges)*p.Len()))
 }
 
 // granulations projects the per-vertex granulation signatures.

@@ -58,7 +58,7 @@ func TestCacheHitAndEpochSeparation(t *testing.T) {
 	if p2.Outcome != Hit {
 		t.Fatalf("repeat at same epoch: outcome %v, want hit", p2.Outcome)
 	}
-	if p2.TopBuckets != p1.TopBuckets {
+	if p2.Plan != p1.Plan {
 		t.Fatal("hit did not reuse the cached plan")
 	}
 	if p1.Bounds == nil || p2.Bounds != p1.Bounds {
@@ -81,9 +81,9 @@ func TestCacheHitAndEpochSeparation(t *testing.T) {
 	if p3.Outcome != Revalidated {
 		t.Fatalf("after epoch bump: outcome %v, want revalidated", p3.Outcome)
 	}
-	if p3.TopBuckets.KthResLB < p1.TopBuckets.KthResLB {
+	if p3.Plan.KthResLB < p1.Plan.KthResLB {
 		t.Fatalf("promoted floor %g regressed below original %g",
-			p3.TopBuckets.KthResLB, p1.TopBuckets.KthResLB)
+			p3.Plan.KthResLB, p1.Plan.KthResLB)
 	}
 	if p3.Bounds != p1.Bounds {
 		t.Fatal("promotion did not carry the plan's bound memo verbatim")
@@ -166,7 +166,7 @@ func TestShapeChangeReplansCold(t *testing.T) {
 	if p.Outcome != Revalidated {
 		t.Fatalf("interior append: outcome %v, want the plan promoted", p.Outcome)
 	}
-	if p.Bounds != first.Bounds || !reflect.DeepEqual(p.TopBuckets.Selected, first.TopBuckets.Selected) {
+	if p.Bounds != first.Bounds || !reflect.DeepEqual(p.Plan.Drain(), first.Plan.Drain()) {
 		t.Fatal("a promoted plan must keep its bound memo and its selection")
 	}
 
@@ -194,8 +194,8 @@ func TestShapeChangeReplansCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(p.TopBuckets.Selected, cold.TopBuckets.Selected) ||
-			p.TopBuckets.KthResLB != cold.TopBuckets.KthResLB {
+		if !reflect.DeepEqual(p.Plan.Drain(), cold.Plan.Drain()) ||
+			p.Plan.KthResLB != cold.Plan.KthResLB {
 			t.Fatalf("%s: the re-plan differs from a cold plan of the same request", step.name)
 		}
 	}

@@ -8,13 +8,15 @@
 // structure and predicates), k, the granulation, and the bucket
 // matrices. It never reads the stored intervals themselves. Serving
 // workloads repeat shapes constantly (the same dashboard query, the
-// same alert rule), so the cache keys a finished plan — Ω_k,S with its
-// bound certificates (LB/UB per combination, the certified kthResLB
-// floor) plus the join's pair-bound memo — by a canonical plan key and
-// the matrices epoch, and Execute reuses it for the cost of a map
-// lookup. A local query joins Ω_k,S in one pass, so a plan holds no
-// reducer assignment; a sharded engine's coordinator assigns per query
-// (internal/shard).
+// same alert rule), so the cache keys a plan — a topbuckets.Plan, Ω_k,S
+// as a lazy stream with its bound certificates (LB/UB per combination,
+// the certified kthResLB floor), plus the join's pair-bound memo — by a
+// canonical plan key and the matrices epoch, and Execute reuses it for
+// the cost of a map lookup. An entry's plan keeps the combinations any
+// query has read, so a hit reads them without building anything. A
+// local query joins the plan in one pass, so a plan holds no reducer
+// assignment; a sharded engine's coordinator drains and assigns it per
+// query (internal/shard).
 //
 // Canonical key. Key normalizes the query shape up to node relabeling
 // and edge reordering: two queries that differ only by a vertex
@@ -40,24 +42,25 @@
 //     and the fresh entry, with an empty bound memo, replaces the
 //     stale one.
 //
-// Retention is bounded by solver-work cost, not entry count: each
-// entry's cost is the bound-solving work it embodies (pair and tight
-// solver calls), and least-recently-used entries are evicted once the
-// total exceeds Options.MaxCost — so one giant brute-force plan
-// cannot silently pin hundreds of megabytes while a thousand trivial
-// plans thrash.
+// Retention is bounded by cost, not entry count: an entry's cost is
+// its plan's pair-table cells plus, for every combination its readers
+// have built so far, the combination and the per-edge bounds the join
+// memoizes for it. A plan's built prefix grows as queries read further
+// into it, so the cache recharges an entry on every hit, and
+// least-recently-used entries are evicted once the total exceeds
+// Options.MaxCost — so one giant plan cannot silently pin hundreds of
+// megabytes while a thousand trivial plans thrash.
 //
 // Single flight. One call plans a given (canonical key, epoch) at a
 // time: concurrent callers that miss or find the entry behind their
 // epoch wait for that call, then look the key up again and read its
 // result as a hit — translated, like any hit, into their own labeling.
-// N concurrent first queries of one shape pay for one TopBuckets solve,
+// N concurrent first queries of one shape pay for one plan,
 // whether they come through a server, direct Execute calls or standing
 // resyncs. A failed planning hands its error to its waiters and caches
 // nothing, so the next call plans afresh.
 //
-// The cache is safe for concurrent use. Cached plans are immutable:
-// promotion and re-planning build fresh entries, and callers must
-// treat the returned TopBuckets result as read-only (the join phase
-// does).
+// The cache is safe for concurrent use. A cached plan only grows: its
+// readers build its combinations in one order, shared with every later
+// reader, and promotion and re-planning build fresh entries.
 package plancache

@@ -12,7 +12,6 @@ import (
 	"tkij/internal/query"
 	"tkij/internal/scoring"
 	"tkij/internal/stats"
-	"tkij/internal/topbuckets"
 )
 
 // TestPlanSingleFlight: concurrent calls for one key and epoch plan it
@@ -67,7 +66,7 @@ func TestPlanSingleFlight(t *testing.T) {
 	c := New(Options{})
 	var waiters int64
 	entered := make(chan struct{}, 1)
-	hold := func() {
+	hold := func() error {
 		select {
 		case entered <- struct{}{}:
 		default:
@@ -76,10 +75,11 @@ func TestPlanSingleFlight(t *testing.T) {
 		for c.Stats().Waits < waiters {
 			if time.Now().After(deadline) {
 				t.Error("callers never joined the flight")
-				return
+				return nil
 			}
 			runtime.Gosched()
 		}
+		return nil
 	}
 	c.onLead = hold
 	// flightOf runs 16 concurrent calls of reqs' two labelings, the first
@@ -113,8 +113,8 @@ func TestPlanSingleFlight(t *testing.T) {
 				t.Fatalf("round %d call %d: %v", round, i, errs[i])
 			}
 			w := want[round][i%2]
-			if !reflect.DeepEqual(p.TopBuckets.Selected, w.TopBuckets.Selected) ||
-				p.TopBuckets.KthResLB != w.TopBuckets.KthResLB {
+			if !reflect.DeepEqual(p.Plan.Drain(), w.Plan.Drain()) ||
+				p.Plan.KthResLB != w.Plan.KthResLB {
 				t.Fatalf("round %d call %d (labeling %d): plan differs from the sequential one", round, i, i%2)
 			}
 			if i == 0 && (p.Outcome != outcome || p.Waited) {
@@ -143,19 +143,19 @@ func TestPlanSingleFlight(t *testing.T) {
 	}
 
 	// A failing leader: its waiters get its error, and the key stays
-	// unplanned for the next call. The TopBuckets strategy is not part
-	// of the key, so an unknown one fails the same key.
+	// unplanned for the next call.
 	fresh := labelings(ms, 0)
-	for l := range fresh {
-		fresh[l].TopBuckets.Strategy = topbuckets.Strategy(99)
-	}
+	errLeader := errors.New("the leader failed")
 	c = New(Options{})
-	c.onLead = hold
+	c.onLead = func() error {
+		hold()
+		return errLeader
+	}
 	waiters = 0
 	_, errs = flightOf(fresh)
 	for i, err := range errs {
-		if err == nil || !errors.Is(err, errs[0]) {
-			t.Fatalf("call %d of a failing flight returned %v, want the leader's error %v", i, err, errs[0])
+		if !errors.Is(err, errLeader) {
+			t.Fatalf("call %d of a failing flight returned %v, want the leader's error %v", i, err, errLeader)
 		}
 	}
 	c.onLead = nil

@@ -1,10 +1,5 @@
 package plancache
 
-import (
-	"tkij/internal/stats"
-	"tkij/internal/topbuckets"
-)
-
 // sigmaFor composes two canonical labelings into the vertex
 // correspondence between an entry's query and a requesting query with
 // the same key: sigma[v] is the entry vertex playing the role of
@@ -31,30 +26,4 @@ func sigmaFor(entryLabeling, reqLabeling []int) []int {
 		return nil
 	}
 	return sigma
-}
-
-// translatePlan re-expresses a cached plan in the requesting query's
-// vertex labeling: combination bucket tuples are permuted by sigma
-// (with each bucket's vertex-scoped Col rewritten). Everything
-// vertex-independent — bounds, counts, the kthResLB floor — carries
-// over untouched, because the key guarantees the two queries agree on
-// predicates, collections and granulations along sigma. A nil sigma
-// returns the input unchanged (shared, still read-only).
-func translatePlan(tb *topbuckets.Result, sigma []int) *topbuckets.Result {
-	if sigma == nil {
-		return tb
-	}
-	ntb := *tb
-	ntb.Selected = make([]topbuckets.Combo, len(tb.Selected))
-	for i, cb := range tb.Selected {
-		nb := make([]stats.Bucket, len(cb.Buckets))
-		for v := range nb {
-			b := cb.Buckets[sigma[v]]
-			b.Col = v
-			nb[v] = b
-		}
-		cb.Buckets = nb
-		ntb.Selected[i] = cb
-	}
-	return &ntb
 }

@@ -392,7 +392,7 @@ func (c *Cluster) Append(col int, ivs []interval.Interval) error {
 	return nil
 }
 
-// RunReducers implements join.Runner: split req.Combos over
+// RunReducers implements join.Runner: drain req.Plan and split it over
 // req.Reducers reducers with DTB (§3.4; one per worker when unset),
 // place them on shards, ship foreign buckets, scatter, stream floors
 // both ways, gather. The results are those of the same assignment's
@@ -401,14 +401,15 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 	if !c.loaded {
 		return nil, fmt.Errorf("shard: query before LoadStore")
 	}
-	if len(req.Combos) == 0 {
+	combos := req.Plan.Drain()
+	if len(combos) == 0 {
 		return &join.RunnerOutput{}, nil
 	}
 	reducers := req.Reducers
 	if reducers <= 0 {
 		reducers = len(c.links)
 	}
-	assign, err := distribute.Assign(distribute.AlgDTB, req.Combos, reducers)
+	assign, err := distribute.Assign(distribute.AlgDTB, combos, reducers)
 	if err != nil {
 		return nil, err
 	}
@@ -492,7 +493,7 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 			Query:          req.Query,
 			Mapping:        mapping,
 			Grids:          req.Grans,
-			Combos:         req.Combos,
+			Combos:         combos,
 			Tasks:          shardTasks[i],
 			Shipped:        shipBuckets(pl.Shipped[i], colSrc),
 		}

@@ -110,7 +110,7 @@ func (env *pipelineEnv) request(opts join.LocalOptions) *join.ReduceRequest {
 		shared = new(join.SharedFloor)
 	}
 	return &join.ReduceRequest{
-		Query: env.q, Srcs: env.srcs, Grans: env.grans, Combos: env.combos,
+		Query: env.q, Srcs: env.srcs, Grans: env.grans, Plan: topbuckets.Listed(env.combos),
 		Reducers: env.reducers, K: env.k, Opts: opts, Shared: shared,
 	}
 }

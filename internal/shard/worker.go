@@ -351,17 +351,16 @@ func runTasks(ctx context.Context, f *QueryFrame, wq *workerQuery, view *store.V
 	}
 
 	return join.RunTasks(ctx, &join.ReduceRequest{
-		Query:  q,
-		Srcs:   srcs,
-		Grans:  f.Grids,
-		Combos: f.Combos,
-		K:      f.K,
+		Query: q,
+		Srcs:  srcs,
+		Grans: f.Grids,
+		K:     f.K,
 		Opts: join.LocalOptions{
 			DisableIndex:   f.DisableIndex,
 			DisablePruning: f.DisablePruning,
 		},
 		Shared: wq.floor,
-	}, f.Tasks)
+	}, f.Combos, f.Tasks)
 }
 
 // shippedBucket is one foreign bucket's payload with a lazily memoized

@@ -45,8 +45,10 @@ func scoreAt(pred *scoring.Predicate, v [4]float64) float64 {
 	return s
 }
 
-// checkPairBounds asserts the two properties of PairBounds over one box
-// pair: it equals the two-sided search bit for bit, and it brackets the
+// checkPairBounds asserts the three properties of PairBounds over one
+// box pair: it equals the two-sided search bit for bit, its UB never
+// exceeds the root enclosure's hi (the lazy plan's best-first walk
+// orders combinations by that hi before it solves them), and it brackets the
 // score at every corner and at the midpoint of the box. The bracket
 // allows 1e-9, as the package's other bracket tests do: an enclosure
 // adds a difference's constant first and a score adds it last, so the
@@ -57,6 +59,9 @@ func checkPairBounds(t *testing.T, pred *scoring.Predicate, x, y VertexBox) {
 	wlb, wub := searchedPairBounds(pred, x, y)
 	if math.Float64bits(lb) != math.Float64bits(wlb) || math.Float64bits(ub) != math.Float64bits(wub) {
 		t.Fatalf("%s x=%+v y=%+v: PairBounds [%v,%v], the two-sided search [%v,%v]", pred.Name, x, y, lb, ub, wlb, wub)
+	}
+	if _, hi, _ := PairEnclosure(pred, x, y); ub > hi {
+		t.Fatalf("%s x=%+v y=%+v: UB %v above the root enclosure's hi %v", pred.Name, x, y, ub, hi)
 	}
 	lo4, hi4 := edgeBounds(x, y)
 	check := func(v [4]float64) {

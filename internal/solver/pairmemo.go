@@ -22,6 +22,17 @@ func PairBounds(pred *scoring.Predicate, x, y VertexBox) (lb, ub float64) {
 	return PredicateBounds(pred, x, y, pairOptions)
 }
 
+// PairEnclosure is the enclosure of pred over the root (x, y) box, the
+// first step of PairBounds and all of it where exact: lo is PairBounds'
+// LB bit for bit, and hi is its UB when exact (pred is separable) and an
+// upper bound on that UB otherwise — a search only ever lowers the
+// root's bound (FuzzPairBounds). It costs one pass over pred's terms.
+func PairEnclosure(pred *scoring.Predicate, x, y VertexBox) (lo, hi float64, exact bool) {
+	lo4, hi4 := edgeBounds(x, y)
+	lo, hi = predicateEnclosure(pred, lo4, hi4)
+	return lo, hi, separable(pred)
+}
+
 // PairMemo memoizes PairBounds. The key is the solver's complete input
 // — the predicate's scoring signature and the two vertex boxes — so
 // equal keys imply equal bounds whoever asks: one memo is sound across

@@ -278,7 +278,7 @@ func (m *Manager) push(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 	}
 	kept := loose
 	if floor >= 0 && len(loose) > 0 {
-		topbuckets.TightenBounds(s.q, vms, loose, m.e.Options().TopBuckets)
+		topbuckets.TightenBounds(s.q, vms, loose, topbuckets.Options{})
 		kept = loose[:0]
 		for _, cb := range loose {
 			if cb.UB >= floor {

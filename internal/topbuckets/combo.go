@@ -92,7 +92,7 @@ func AffectedCombos(bucketLists [][]stats.Bucket, affected func(v int, b stats.B
 		if empty {
 			continue
 		}
-		enumerate(sub, 0, len(sub[0]), func(_ []int, buckets []stats.Bucket) {
+		enumerate(sub, func(buckets []stats.Bucket) {
 			combos = append(combos, Combo{Buckets: append([]stats.Bucket(nil), buckets...), NbRes: nbRes(buckets)})
 		})
 	}
@@ -122,45 +122,30 @@ func boxesFor(matrices []*stats.Matrix, buckets []stats.Bucket, dst []solver.Ver
 }
 
 // enumerate walks the combination space Ω — the cartesian product of
-// each collection's non-empty buckets, the first collection restricted
-// to positions [lo, hi) (one TopBuckets shard) — in deterministic
-// row-major order, invoking fn for each combination with its odometer
-// positions (pos[i] indexes bucketLists[i]) and its bucket tuple. Both
-// slices are reused across calls; fn must copy what it retains.
-func enumerate(bucketLists [][]stats.Bucket, lo, hi int, fn func(pos []int, buckets []stats.Bucket)) {
+// each collection's non-empty buckets — in deterministic row-major
+// order, invoking fn with each combination's bucket tuple. The slice is
+// reused across calls; fn must copy what it retains.
+func enumerate(bucketLists [][]stats.Bucket, fn func(buckets []stats.Bucket)) {
 	n := len(bucketLists)
 	idx := make([]int, n)
-	idx[0] = lo
 	cur := make([]stats.Bucket, n)
 	for {
 		for i := 0; i < n; i++ {
 			cur[i] = bucketLists[i][idx[i]]
 		}
-		fn(idx, cur)
+		fn(cur)
 		// Odometer increment, last position fastest.
 		i := n - 1
-		for ; i > 0; i-- {
+		for ; i >= 0; i-- {
 			idx[i]++
 			if idx[i] < len(bucketLists[i]) {
 				break
 			}
 			idx[i] = 0
 		}
-		if i == 0 {
-			if idx[0]++; idx[0] >= hi {
-				return
-			}
+		if i < 0 {
+			return
 		}
-	}
-}
-
-// tupleAt writes into dst the bucket tuple at row-major position pos of
-// the cartesian product of bucketLists — enumerate's order.
-func tupleAt(bucketLists [][]stats.Bucket, pos int, dst []stats.Bucket) {
-	for v := len(bucketLists) - 1; v >= 0; v-- {
-		n := len(bucketLists[v])
-		dst[v] = bucketLists[v][pos%n]
-		pos /= n
 	}
 }
 

@@ -30,9 +30,9 @@ const planPinFile = "testdata/plans-v1.txt"
 
 // Every plan the pin covers: each shape at three ρ variants, the three
 // TopBuckets strategies (brute force at a small g), each distributed by
-// DTB, LPT and RoundRobin. Workers is fixed because the shard split of
-// the loose enumeration decides ties between equal bounds.
-func planPinLines(t *testing.T) []string {
+// DTB, LPT and RoundRobin, with TopBuckets and the tight bounds run at
+// the given number of workers.
+func planPinLines(t *testing.T, workers int) []string {
 	t.Helper()
 	cols := make([]*interval.Collection, 3)
 	for i := range cols {
@@ -52,7 +52,7 @@ func planPinLines(t *testing.T) []string {
 		g int
 	}{{topbuckets.Loose, 8}, {topbuckets.TwoPhase, 8}, {topbuckets.BruteForce, 4}}
 	algs := []distribute.Algorithm{distribute.AlgDTB, distribute.AlgLPT, distribute.AlgRoundRobin}
-	opts := topbuckets.Options{Workers: 4}
+	opts := topbuckets.Options{Workers: workers}
 
 	var lines []string
 	for _, shape := range []string{"Qo,o", "Qo,m", "Qs,f,m", "QjB,jB"} {
@@ -160,9 +160,19 @@ func planDigest(res *topbuckets.Result, tight []topbuckets.Combo, nodes int, a *
 }
 
 // The plan-miss path is bit-identical to the code that wrote the pin:
-// same bounds, same selection in the same order, same assignment.
+// same bounds, same selection in the same order, same assignment — and
+// at 1, 2, 4 and 8 workers alike (-short checks 1 worker only).
 func TestPlanPin(t *testing.T) {
-	got := strings.Join(planPinLines(t), "\n") + "\n"
+	got := strings.Join(planPinLines(t, 1), "\n") + "\n"
+	workers := []int{2, 4, 8}
+	if testing.Short() {
+		workers = nil
+	}
+	for _, w := range workers {
+		if at := strings.Join(planPinLines(t, w), "\n") + "\n"; at != got {
+			t.Fatalf("the plans at %d workers differ from those at 1 worker", w)
+		}
+	}
 	want, err := os.ReadFile(planPinFile)
 	if err == nil && bytes.Equal(want, []byte(got)) {
 		return

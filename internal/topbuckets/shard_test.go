@@ -1,6 +1,7 @@
 package topbuckets
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -9,10 +10,10 @@ import (
 	"tkij/internal/scoring"
 )
 
-// The sharded loose enumeration (parallel over B_1 groups, as in the
-// paper's distributed TopBuckets) must produce a selection with the same
-// guarantees regardless of worker count: the kthResLB threshold must
-// match, and the result sets must cover each other's certificates.
+// A plan does not depend on how many workers a run may use: at 1, 2, 5
+// and 16 workers every strategy selects the same combinations with the
+// same bounds in the same order, at the same kthResLB, after the same
+// solver work.
 func TestShardedLooseConsistentAcrossWorkers(t *testing.T) {
 	cols := synthCollections(3, 80, 19)
 	ms := matricesFor(t, cols, 6)
@@ -20,39 +21,24 @@ func TestShardedLooseConsistentAcrossWorkers(t *testing.T) {
 	q := query.Qom(env)
 	const k = 20
 
-	var baseline *Result
-	for _, workers := range []int{1, 2, 5, 16} {
-		res, err := Run(q, ms, k, Options{Strategy: Loose, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if baseline == nil {
-			baseline = res
-			continue
-		}
-		if res.KthResLB != baseline.KthResLB {
-			t.Fatalf("workers=%d: kthResLB %g != %g", workers, res.KthResLB, baseline.KthResLB)
-		}
-		// Selections may differ in tie handling but must agree on size
-		// within the UB==threshold tie class and on total guarantees.
-		if res.SelectedResults < float64(k) && baseline.SelectedResults >= float64(k) {
-			t.Fatalf("workers=%d: selection lost the k-result guarantee", workers)
-		}
-		// Every combination with UB above the threshold must be present
-		// in both.
-		want := make(map[string]bool)
-		for _, c := range baseline.Selected {
-			if c.UB > baseline.KthResLB {
-				want[tupleKey(c)] = true
+	for _, st := range []Strategy{Loose, TwoPhase, BruteForce} {
+		var baseline *Result
+		for _, workers := range []int{1, 2, 5, 16} {
+			res, err := Run(q, ms, k, Options{Strategy: st, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", st, workers, err)
 			}
-		}
-		got := make(map[string]bool)
-		for _, c := range res.Selected {
-			got[tupleKey(c)] = true
-		}
-		for key := range want {
-			if !got[key] {
-				t.Fatalf("workers=%d: above-threshold combination missing", workers)
+			if baseline == nil {
+				baseline = res
+				continue
+			}
+			what := fmt.Sprintf("%s workers=%d", st, workers)
+			sameSelection(t, what, res.Selected, baseline.Selected)
+			if res.KthResLB != baseline.KthResLB || res.PairSolverCalls != baseline.PairSolverCalls ||
+				res.TightSolverCalls != baseline.TightSolverCalls {
+				t.Fatalf("%s: kthResLB %g, solver calls %d/%d; at 1 worker %g, %d/%d", what,
+					res.KthResLB, res.PairSolverCalls, res.TightSolverCalls,
+					baseline.KthResLB, baseline.PairSolverCalls, baseline.TightSolverCalls)
 			}
 		}
 	}

@@ -128,63 +128,72 @@ func TestSelectListFewerThanKResults(t *testing.T) {
 	}
 }
 
-// twoPassSelect is the two-pass selection the one-pass selector
-// replaces: the cover over every combination first, then every
-// combination whose UB clears the final threshold, de-duplicated by key.
-func twoPassSelect(k int, all []Combo) []Combo {
-	cover := lbCover{k: float64(k)}
-	for i, c := range all {
-		cover.add(candidate{pos: i, lb: c.LB, ub: c.UB, nbRes: c.NbRes})
+// evictingSelect is the selection as Algorithm 1's cover states it,
+// offered one combination at a time in the given order: the cover keeps
+// every combination offered and evicts its lowest LB — among equal LBs
+// the smallest bucket tuple — while the rest still covers k results.
+// kthResLB is the cover's least LB, and Ω_k,S the cover plus every
+// combination whose UB clears kthResLB.
+func evictingSelect(k int, offered []Combo) ([]Combo, float64) {
+	var cover []Combo
+	total := 0.0
+	last := func() int { // the cover's lowest LB, smallest tuple among ties
+		j := 0
+		for i, c := range cover {
+			if c.LB < cover[j].LB || (c.LB == cover[j].LB && compareTuples(c.Buckets, cover[j].Buckets) < 0) {
+				j = i
+			}
+		}
+		return j
 	}
-	t := cover.threshold()
+	for _, c := range offered {
+		cover = append(cover, c)
+		total += c.NbRes
+		for len(cover) > 1 {
+			j := last()
+			if total-cover[j].NbRes < float64(k) {
+				break
+			}
+			total -= cover[j].NbRes
+			cover = append(cover[:j], cover[j+1:]...)
+		}
+	}
+	t := cover[last()].LB
+	inCover := make(map[string]bool)
+	for _, c := range cover {
+		inCover[tupleKey(c)] = true
+	}
 	var out []Combo
-	seen := make(map[string]bool)
-	for _, it := range cover.items {
-		out = append(out, all[it.pos])
-		seen[tupleKey(all[it.pos])] = true
-	}
-	for _, c := range all {
-		if c.UB > t && !seen[tupleKey(c)] {
+	for _, c := range offered {
+		if c.UB > t || inCover[tupleKey(c)] {
 			out = append(out, c)
-			seen[tupleKey(c)] = true
 		}
 	}
 	slices.SortFunc(out, byUB)
-	return out
+	return out, t
 }
 
-func sameSelection(t *testing.T, what string, got, want []Combo) {
+func sameSelection(t testing.TB, what string, got, want []Combo) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: selected %d, want %d", what, len(got), len(want))
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		if tupleKey(g) != tupleKey(w) || g.LB != w.LB || g.UB != w.UB || g.NbRes != w.NbRes {
+		if tupleKey(g) != tupleKey(w) || math.Float64bits(g.LB) != math.Float64bits(w.LB) ||
+			math.Float64bits(g.UB) != math.Float64bits(w.UB) || g.NbRes != w.NbRes {
 			t.Fatalf("%s: selection mismatch at %d: %+v, want %+v", what, i, g, w)
 		}
 	}
 }
 
-// combosAt materializes candidates at row-major positions of Ω, tuples
-// through tupleAt.
-func combosAt(lists [][]stats.Bucket, cs []candidate) []Combo {
-	out := make([]Combo, len(cs))
-	for i, c := range cs {
-		bs := make([]stats.Bucket, len(lists))
-		tupleAt(lists, c.pos, bs)
-		out[i] = Combo{Buckets: bs, LB: c.lb, UB: c.ub, NbRes: c.nbRes}
-	}
-	return out
-}
-
-// The one-pass selector keeps exactly what the two-pass selection picks,
-// in the same order — also under coarse scores that force ties — and a
-// loose-enumeration shard, whose picks are positions in Ω, selects what
-// SelectList selects over the materialized enumeration.
-func TestStreamSelectorMatchesSelectList(t *testing.T) {
+// SelectWithThreshold selects what the evicting cover selects, in the
+// same order and at the same threshold, whatever order the combinations
+// are offered in — also under coarse scores that tie LBs across many
+// combinations, where the tuple decides which of them the cover keeps.
+func TestSelectListMatchesEvictingCover(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 100; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		k := 1 + rng.Intn(40)
 		n := 1 + rng.Intn(80)
 		all := make([]Combo, n)
@@ -193,87 +202,14 @@ func TestStreamSelectorMatchesSelectList(t *testing.T) {
 			lb := ub * float64(rng.Intn(11)) / 10
 			all[i] = mkCombo(lb, ub, float64(1+rng.Intn(20)), i)
 		}
-		sameSelection(t, "list", SelectList(k, all), twoPassSelect(k, all))
-	}
-
-	cols := synthCollections(3, 80, 29)
-	ms := matricesFor(t, cols, 5)
-	q := query.Qom(query.Env{Params: scoring.P1})
-	lists, err := validateInputs(q, ms, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, _ := computePairBounds(q, ms, lists, Options{Workers: 2})
-	lbs, ubs := make([]float64, len(q.Edges)), make([]float64, len(q.Edges))
-	for _, k := range []int{1, 10, 1000} {
-		for _, span := range [][2]int{{0, len(lists[0])}, {1, 3}} {
-			var all []Combo
-			enumerate(lists, span[0], span[1], func(pos []int, bs []stats.Bucket) {
-				lb, ub := looseBounds(q, tables, lists, pos, lbs, ubs)
-				all = append(all, Combo{Buckets: append([]stats.Bucket(nil), bs...), LB: lb, UB: ub, NbRes: nbRes(bs)})
-			})
-			got := combosAt(lists, selectShard(q, tables, lists, span[0], span[1], k))
-			sameSelection(t, fmt.Sprintf("shard %v, k=%d", span, k), got, twoPassSelect(k, all))
-		}
-	}
-}
-
-// runLoose's final selection merges the shards' sorted picks instead of
-// sorting their union: over 1-4 shards whose runs tie at UB 1.0 across
-// shard boundaries, selectUnion picks what SelectWithThreshold picks over
-// the materialized union offered in the same order, with the same
-// threshold, in the same order — and the merge of runs alone is
-// slices.SortFunc(…, byUB) of the same picks.
-func TestSelectUnionMergesShardRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 300; trial++ {
-		// Bucket lists in tuple order, as Matrix.Buckets lists them.
-		lists := make([][]stats.Bucket, 2+rng.Intn(2))
-		for v := range lists {
-			g := 2 + rng.Intn(4)
-			for s := 0; s < g; s++ {
-				for e := s; e < g; e++ {
-					lists[v] = append(lists[v], stats.Bucket{Col: v, StartG: s, EndG: e, Count: 1 + rng.Intn(5)})
-				}
-			}
-		}
-		inner := 1
-		for _, l := range lists[1:] {
-			inner *= len(l)
-		}
-		shards := min(1+rng.Intn(4), len(lists[0]))
-		size := (len(lists[0]) + shards - 1) / shards
-		var runs [][]candidate
-		var union []Combo
-		for lo := 0; lo < len(lists[0]); lo += size {
-			hi := min(lo+size, len(lists[0]))
-			var run []candidate
-			for pos := lo * inner; pos < hi*inner; pos++ {
-				if rng.Intn(3) == 0 {
-					continue
-				}
-				ub := 1.0 // most candidates tie at 1.0, in every shard
-				if rng.Intn(3) == 0 {
-					ub = float64(rng.Intn(10)) / 10
-				}
-				lb := ub * float64(rng.Intn(11)) / 10
-				run = append(run, candidate{pos: pos, lb: lb, ub: ub, nbRes: float64(1 + rng.Intn(20))})
-			}
-			slices.SortFunc(run, byUBPos)
-			runs = append(runs, run)
-			union = append(union, combosAt(lists, run)...)
-		}
-		k := 1 + rng.Intn(60)
-		got, gotT := selectUnion(lists, runs, k)
-		want, wantT := SelectWithThreshold(k, union)
-		what := fmt.Sprintf("trial %d: %d shards, k=%d", trial, len(runs), k)
+		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+		got, gotT := SelectWithThreshold(k, all)
+		want, wantT := evictingSelect(k, all)
+		what := fmt.Sprintf("trial %d, k=%d", trial, k)
 		sameSelection(t, what, got, want)
 		if gotT != wantT {
 			t.Fatalf("%s: kthResLB %g, want %g", what, gotT, wantT)
 		}
-		sorted := slices.Clone(union)
-		slices.SortFunc(sorted, byUB)
-		sameSelection(t, what+", all picks", combosAt(lists, mergeRuns(runs)), sorted)
 	}
 }
 
@@ -440,15 +376,7 @@ func TestEnumerateOrderAndCount(t *testing.T) {
 		{{Col: 1, StartG: 0}, {Col: 1, StartG: 1}, {Col: 1, StartG: 2}},
 	}
 	var seen [][2]int
-	at := make([]stats.Bucket, 2)
-	enumerate(lists, 0, len(lists[0]), func(pos []int, bs []stats.Bucket) {
-		if lists[0][pos[0]] != bs[0] || lists[1][pos[1]] != bs[1] {
-			t.Fatalf("positions %v do not index the bucket tuple %v", pos, bs)
-		}
-		// tupleAt inverts the row-major order.
-		if tupleAt(lists, len(seen), at); !reflect.DeepEqual(at, bs) {
-			t.Fatalf("tupleAt(%d) = %v, enumerated %v", len(seen), at, bs)
-		}
+	enumerate(lists, func(bs []stats.Bucket) {
 		seen = append(seen, [2]int{bs[0].StartG, bs[1].StartG})
 	})
 	if len(seen) != 6 {
@@ -462,15 +390,6 @@ func TestEnumerateOrderAndCount(t *testing.T) {
 	}
 	if got := comboCount(lists); got != 6 {
 		t.Errorf("comboCount = %g", got)
-	}
-
-	// A shard's range restricts the first list only.
-	var shard [][2]int
-	enumerate(lists, 1, 2, func(pos []int, bs []stats.Bucket) {
-		shard = append(shard, [2]int{pos[0], pos[1]})
-	})
-	if !reflect.DeepEqual(shard, [][2]int{{1, 0}, {1, 1}, {1, 2}}) {
-		t.Fatalf("shard [1,2) enumerated positions %v", shard)
 	}
 
 	// The selection tie-break compares bucket tuples numerically: the
@@ -494,9 +413,9 @@ func TestEnumerateOrderAndCount(t *testing.T) {
 	}
 }
 
-// A loose run's allocations are O(|Ω_k,S|), not O(|Ω|): the enumeration
-// bounds, offers and drops combinations without allocating, and the
-// pair-bound solves reuse their search scratch.
+// A loose run's allocations are O(|Ω_k,S|), not O(|Ω|): the walk
+// queues, bounds and drops bucket tuples without allocating per tuple,
+// and the pair-bound solves reuse their search scratch.
 func TestLooseRunAllocBudget(t *testing.T) {
 	cols := synthCollections(3, 3000, 41)
 	ms := matricesFor(t, cols, 20)
@@ -520,7 +439,7 @@ func TestLooseRunAllocBudget(t *testing.T) {
 
 // Tight bounds do not depend on how combinations are split across
 // workers — each worker's solves use scratch no other goroutine touches —
-// and pair tables built from concurrent callers agree bit for bit.
+// and plans walked or read from concurrent callers agree bit for bit.
 func TestSolverScratchConcurrent(t *testing.T) {
 	cols := synthCollections(3, 200, 43)
 	ms := matricesFor(t, cols, 5)
@@ -530,7 +449,7 @@ func TestSolverScratchConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var all []Combo
-	enumerate(lists, 0, len(lists[0]), func(_ []int, bs []stats.Bucket) {
+	enumerate(lists, func(bs []stats.Bucket) {
 		all = append(all, Combo{Buckets: append([]stats.Bucket(nil), bs...), NbRes: nbRes(bs)})
 	})
 	one := append([]Combo(nil), all...)
@@ -546,15 +465,44 @@ func TestSolverScratchConcurrent(t *testing.T) {
 		}
 	}
 
-	want, _ := computePairBounds(q, ms, lists, Options{Workers: 1})
+	// Plans walked by concurrent goroutines, and one plan read by
+	// concurrent readers, agree with a plan drained alone.
+	want, err := Run(q, ms, 10, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := NewPlan(q, ms, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			got, _ := computePairBounds(q, ms, lists, Options{Workers: 2})
-			if !reflect.DeepEqual(got, want) {
-				t.Error("pair tables from concurrent callers differ from the sequential tables")
+			got, err := Run(q, ms, 10, Options{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got.Selected, want.Selected) {
+				t.Error("a plan walked beside others differs from the sequential one")
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				c, ok := shared.At(i)
+				if !ok {
+					if i != len(want.Selected) {
+						t.Errorf("a shared plan ended after %d combinations, want %d", i, len(want.Selected))
+					}
+					return
+				}
+				if !reflect.DeepEqual(c, want.Selected[i]) {
+					t.Errorf("combination %d read from a shared plan differs", i)
+					return
+				}
 			}
 		}()
 	}
