@@ -262,12 +262,11 @@ func NewServer(engine *Engine, opts ServerOptions) *Server {
 // subscription: the query executes once at the current epoch and the
 // returned Subscription's Deltas channel carries that initial snapshot
 // (a resync delta) followed by one incremental delta per ingest push —
-// membership changes computed by re-probing only the bucket
-// combinations each append affected, never by re-executing the full
-// query unless the grown region is too large to probe. A consumer
-// folding the deltas through SubscriptionTopK.Apply materializes, after
-// every delta, exactly the result list a fresh Execute at that epoch
-// returns.
+// the membership change between the pushed top-k and one execution at
+// the new epoch, through the plan cache (an epoch that grew nothing the
+// query reads is promoted without one). A consumer folding the deltas
+// through SubscriptionTopK.Apply materializes, after every delta, byte
+// for byte the result list a fresh Execute at that epoch returns.
 type (
 	// Subscription is one registered standing query; receive on
 	// Deltas, stop with Close, inspect the terminal cause with Err.
@@ -285,7 +284,8 @@ type (
 	// or reordered input.
 	SubscriptionTopK = standing.TopK
 	// StandingStats counts the standing layer's work: pushes,
-	// promotions, resyncs, probed/pruned combinations, dropped deltas.
+	// promotions, resyncs, the combinations the pushes read, dropped
+	// deltas.
 	StandingStats = standing.Stats
 )
 

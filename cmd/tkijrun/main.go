@@ -193,15 +193,15 @@ type jsonPush struct {
 // jsonStanding summarizes a -subscribe session: per-append pushes plus
 // the standing layer's work counters.
 type jsonStanding struct {
-	Chunks         int        `json:"chunks"`
-	Pushes         int64      `json:"pushes"`
-	Promotions     int64      `json:"promotions"`
-	Resyncs        int64      `json:"resyncs"`
-	AffectedCombos int64      `json:"affected_combos"`
-	ProbedCombos   int64      `json:"probed_combos"`
-	PrunedCombos   int64      `json:"pruned_combos"`
-	DroppedDeltas  int64      `json:"dropped_deltas"`
-	Appends        []jsonPush `json:"appends"`
+	Chunks     int   `json:"chunks"`
+	Pushes     int64 `json:"pushes"`
+	Promotions int64 `json:"promotions"`
+	Resyncs    int64 `json:"resyncs"`
+	// ProbedCombos sums the combinations the pushes' executions read
+	// from their plans.
+	ProbedCombos  int64      `json:"probed_combos"`
+	DroppedDeltas int64      `json:"dropped_deltas"`
+	Appends       []jsonPush `json:"appends"`
 }
 
 func main() {
@@ -590,7 +590,7 @@ func runSubscribe(engine *tkij.Engine, server *tkij.Server, q *tkij.Query, mappi
 	// fresh execute at the subscribe epoch.
 	drain(engine.Epoch())
 	initRep, _ := fresh()
-	if err := verifyPush(q, tk.Results, initRep.Results); err != nil {
+	if err := verifyPush(tk.Results, initRep.Results); err != nil {
 		fatal(fmt.Errorf("initial snapshot diverges from fresh execute: %v", err))
 	}
 
@@ -605,7 +605,7 @@ func runSubscribe(engine *tkij.Engine, server *tkij.Server, q *tkij.Query, mappi
 		appended += len(chunk)
 		deltas, resyncs, entered, left := drain(epoch)
 		rep, freshTime := fresh()
-		if err := verifyPush(q, tk.Results, rep.Results); err != nil {
+		if err := verifyPush(tk.Results, rep.Results); err != nil {
 			fatal(fmt.Errorf("append %d (epoch %d): pushed state diverges from fresh execute: %v", c, epoch, err))
 		}
 		push := jsonPush{
@@ -622,7 +622,7 @@ func runSubscribe(engine *tkij.Engine, server *tkij.Server, q *tkij.Query, mappi
 
 	stats := server.StandingStats()
 	st.Pushes, st.Promotions, st.Resyncs = stats.Pushes, stats.Promotions, stats.Resyncs
-	st.AffectedCombos, st.ProbedCombos, st.PrunedCombos = stats.AffectedCombos, stats.ProbedCombos, stats.PrunedCombos
+	st.ProbedCombos = stats.ProbedCombos
 	st.DroppedDeltas = stats.DroppedDeltas
 	jr.Standing = &st
 	jr.Appended = appended
@@ -648,11 +648,10 @@ func runSubscribe(engine *tkij.Engine, server *tkij.Server, q *tkij.Query, mappi
 		return
 	}
 
-	fmt.Printf("standing query %s: %d appends verified push-equals-fresh-execute (%d incremental pushes, %d promotions, %d resyncs)\n",
+	fmt.Printf("standing query %s: %d appends verified push-equals-fresh-execute (%d pushes, %d promotions, %d resyncs)\n",
 		q.Name, chunks, stats.Pushes, stats.Promotions, stats.Resyncs)
 	if cfg.verbose {
-		fmt.Printf("  combos:  %d affected, %d probed, %d pruned below the floor\n",
-			stats.AffectedCombos, stats.ProbedCombos, stats.PrunedCombos)
+		fmt.Printf("  combos:  %d read by the pushes' executions\n", stats.ProbedCombos)
 		fmt.Printf("  deltas:  %d dropped to slow-subscriber coalescing\n", stats.DroppedDeltas)
 	}
 	for i, r := range tk.Results {
@@ -665,34 +664,15 @@ func runSubscribe(engine *tkij.Engine, server *tkij.Server, q *tkij.Query, mappi
 
 // verifyPush checks the standing-equivalence contract between the
 // subscriber-materialized list and a fresh execute at the same epoch:
-// identical lengths, identical score sequences, byte-identical
-// membership strictly above the k-th score, and any at-floor member the
-// push kept must genuinely carry its claimed score.
-func verifyPush(q *tkij.Query, got, want []tkij.Result) error {
-	const eps = 1e-9
+// equal ranked lists, the same score and tuple IDs at every rank.
+func verifyPush(got, want []tkij.Result) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("pushed %d results, fresh execute has %d", len(got), len(want))
 	}
-	if len(got) == 0 {
-		return nil
-	}
-	floor := want[len(want)-1].Score
 	for i := range got {
-		if diff := got[i].Score - want[i].Score; diff > eps || diff < -eps {
-			return fmt.Errorf("rank %d: pushed score %.9f, fresh execute %.9f", i+1, got[i].Score, want[i].Score)
-		}
-		if sameTuple(got[i], want[i]) {
-			continue
-		}
-		// Membership may legitimately differ only among results tied at
-		// the k-th score (tie selection is plan-state-dependent); the
-		// pushed tuple must still really score what it claims.
-		if got[i].Score > floor+eps {
-			return fmt.Errorf("rank %d above the floor diverges: pushed %v, fresh execute %v", i+1, got[i].Tuple, want[i].Tuple)
-		}
-		if diff := q.Score(got[i].Tuple) - got[i].Score; diff > eps || diff < -eps {
-			return fmt.Errorf("rank %d: pushed at-floor tuple %v rescores to %.9f, claimed %.9f",
-				i+1, got[i].Tuple, q.Score(got[i].Tuple), got[i].Score)
+		if got[i].Score != want[i].Score || !sameTuple(got[i], want[i]) {
+			return fmt.Errorf("rank %d: pushed %v (score %.9f), fresh execute %v (score %.9f)",
+				i+1, got[i].Tuple, got[i].Score, want[i].Tuple, want[i].Score)
 		}
 	}
 	return nil

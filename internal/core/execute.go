@@ -12,7 +12,6 @@ import (
 	"tkij/internal/plancache"
 	"tkij/internal/query"
 	"tkij/internal/shard"
-	"tkij/internal/solver"
 	"tkij/internal/stats"
 	"tkij/internal/store"
 	"tkij/internal/topbuckets"
@@ -175,7 +174,7 @@ type Report struct {
 	Epoch int64
 
 	// Standing reports the execution served a standing subscription (the
-	// initial snapshot at Subscribe, or a resync)
+	// initial snapshot at Subscribe, or a push cycle's execution)
 	// rather than a one-shot caller query. Filled by internal/standing.
 	Standing bool
 
@@ -335,16 +334,15 @@ func (e *Engine) plan(ctx context.Context, q *query.Query, mapping []int, vertex
 	})
 }
 
-// joinMerge is the execution half, shared by full executions and
-// standing probes: it runs join + merge through the pin's runner under a
-// span named phase, and translates a cancellation abort. The span rides
-// the context into the runner, so a shard cluster hangs its
-// scatter/gather children under it.
-func (e *Engine) joinMerge(ctx context.Context, phase string, pin *Pin, req *join.ReduceRequest) (*join.Output, error) {
-	if err := checkCtx(ctx, phase); err != nil {
+// joinMerge is the execution half: it runs join + merge through the
+// pin's runner under a "join" span, and translates a cancellation
+// abort. The span rides the context into the runner, so a shard cluster
+// hangs its scatter/gather children under it.
+func (e *Engine) joinMerge(ctx context.Context, pin *Pin, req *join.ReduceRequest) (*join.Output, error) {
+	if err := checkCtx(ctx, "join"); err != nil {
 		return nil, err
 	}
-	span := obs.SpanFrom(ctx).Child(phase)
+	span := obs.SpanFrom(ctx).Child("join")
 	out, err := join.Run(obs.WithSpan(ctx, span), req, pin.runner)
 	if span != nil && out != nil {
 		read := 0
@@ -352,13 +350,14 @@ func (e *Engine) joinMerge(ctx context.Context, phase string, pin *Pin, req *joi
 			read += l.CombosAssigned
 		}
 		span.SetInt("combos", int64(read))
+		span.SetInt("bound_solves", out.BoundSolves)
 	}
 	span.Finish()
 	if err != nil {
 		// Translate only genuine cancellation aborts; a real join
 		// failure that merely races a deadline must surface as itself.
 		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-			return nil, fmt.Errorf("core: %w during %s: %w", ErrCanceled, phase, cerr)
+			return nil, fmt.Errorf("core: %w during join: %w", ErrCanceled, cerr)
 		}
 		return nil, err
 	}
@@ -448,7 +447,7 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 	// solves any bound.
 	req.Plan, req.Bounds, req.Shared = tb, planned.Bounds, join.NewSharedFloor(tb.KthResLB)
 	storeBefore := pin.store.Snapshot()
-	out, err := e.joinMerge(ctx, "join", pin, req)
+	out, err := e.joinMerge(ctx, pin, req)
 	if err != nil {
 		return nil, err
 	}
@@ -479,37 +478,4 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 	}
 	report.Total = time.Since(total)
 	return report, nil
-}
-
-// ProbePinned runs the join + merge phases over an explicit combination
-// list at a pre-pinned epoch, bypassing the planning phases entirely:
-// the standing layer re-probes exactly the bucket combinations an epoch
-// bump affected, instead of re-planning and re-joining the full
-// selection. combos must carry sound LB/UB bounds over the pin's
-// matrices (topbuckets.TightenBounds); floor seeds the cross-reducer
-// score threshold — pass a certified lower bound on the k-th result
-// score, or 0 to disable seeding. The list is read by descending UB
-// (topbuckets.Listed: a stably sorted copy when it is not already in
-// that order). bounds is the caller's pair-bound
-// memo for the join (nil for none): the standing layer passes the one
-// its loose phase just filled, so the probe solves nothing. The probe
-// runs through the pin's runner: one serial pass on a local engine,
-// and on a sharded engine a scatter to the same shard workers (with
-// the same floor broadcast) a fresh execution would use.
-func (e *Engine) ProbePinned(ctx context.Context, q *query.Query, mapping []int, pin *Pin,
-	combos []topbuckets.Combo, k int, floor float64, bounds *solver.PairMemo) (*join.Output, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
-	}
-	if err := e.validateMapping(q, mapping); err != nil {
-		return nil, err
-	}
-	_, req := e.pinnedInputs(q, mapping, pin, k)
-	req.Plan, req.Bounds, req.Shared = topbuckets.Listed(combos), bounds, join.NewSharedFloor(floor)
-	out, err := e.joinMerge(ctx, "probe", pin, req)
-	if err != nil {
-		return nil, err
-	}
-	mProbes.Inc()
-	return out, nil
 }

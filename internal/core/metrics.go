@@ -13,8 +13,6 @@ var (
 		"Query executions that returned an error (including cancellation).")
 	mQuerySeconds = obs.NewHistogram("tkij_core_query_seconds",
 		"End-to-end query execution latency in seconds.", nil)
-	mProbes = obs.NewCounter("tkij_core_probes_total",
-		"Standing-layer incremental probes (ProbePinned).")
 
 	mPhaseTopBuckets = obs.NewHistogramL("tkij_core_phase_seconds",
 		"Per-phase query latency in seconds.", obs.Labels{"phase": "topbuckets"}, nil)

@@ -104,44 +104,6 @@ func TestConcurrentExecute(t *testing.T) {
 	}
 }
 
-// Regression: when every combination is pruned (a floor above any
-// achievable score — the same shape as an empty selection/assignment),
-// an execution must return an empty non-nil result slice with merge
-// metrics populated, not a nil slice.
-func TestExecuteEmptySelectionPath(t *testing.T) {
-	cols := synthCols(3, 60, 31)
-	e, err := NewEngine(cols, Options{Granules: 5, K: 5, Reducers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pin, err := e.Pin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pin.Release()
-	q, mapping := query.Qom(query.Env{Params: scoring.P1}), []int{0, 1, 2}
-	full, err := e.ExecutePinned(context.Background(), q, mapping, pin, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The plan's combinations joined under a floor no score can reach.
-	out, err := e.ProbePinned(context.Background(), q, mapping, pin, full.TopBuckets.Drain(), 5, 1.1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Results == nil {
-		t.Fatal("Results is nil on the empty path; want an empty non-nil slice")
-	}
-	if len(out.Results) != 0 {
-		t.Fatalf("floor 1.1 returned %d results", len(out.Results))
-	}
-	for _, l := range out.Locals {
-		if l.CombosProcessed != 0 {
-			t.Fatalf("reducer %d processed %d combos under an unreachable floor", l.Reducer, l.CombosProcessed)
-		}
-	}
-}
-
 // Regression: phase durations are measured independently inside
 // join.Run; none may come out negative (JoinTime used to be an outer
 // window minus the merge job's internal Total, which under scheduler

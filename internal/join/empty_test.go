@@ -44,6 +44,41 @@ func TestRunNoCombinations(t *testing.T) {
 	}
 }
 
+// Regression: when no score can reach the floor (Shared above 1, the
+// shape of an empty selection), the pass must process no combination of
+// a real plan and still return an empty, non-nil result slice.
+func TestRunUnreachableFloor(t *testing.T) {
+	cols := synthCols(3, 60, 31)
+	ms := collect(t, cols, 5)
+	q := query.Qom(query.Env{Params: scoring.P1})
+	tb, err := topbuckets.Run(q, ms, 5, topbuckets.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Selected) == 0 {
+		t.Fatal("the plan selected no combination: the test lost its subject")
+	}
+	srcs, grans := storeSources(t, cols, ms)
+	out, err := Run(context.Background(), &ReduceRequest{
+		Query: q, Srcs: srcs, Grans: grans, Plan: topbuckets.Listed(tb.Selected), K: 5,
+		Shared: NewSharedFloor(1.1),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Results == nil {
+		t.Fatal("Results is nil under an unreachable floor; want an empty non-nil slice")
+	}
+	if len(out.Results) != 0 {
+		t.Fatalf("floor 1.1 returned %d results", len(out.Results))
+	}
+	for _, l := range out.Locals {
+		if l.CombosProcessed != 0 {
+			t.Fatalf("reducer %d processed %d combinations under an unreachable floor", l.Reducer, l.CombosProcessed)
+		}
+	}
+}
+
 // A reducer stops at the first combination its threshold dominates, so
 // a task listing combinations out of descending-UB order could skip live
 // ones: RunTasks refuses it instead of re-sorting or running it.

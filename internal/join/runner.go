@@ -44,10 +44,9 @@ type ReduceRequest struct {
 	// channel).
 	Shared *SharedFloor
 	// Bounds memoizes the per-edge combination bounds. The engine passes
-	// the cached plan's memo (a standing probe its subscription's), so a
-	// warm plan solves none; nil gets a memo of the request's own from
-	// RunTasks. It does not travel to shard workers, which therefore
-	// memoize per request.
+	// the cached plan's memo, so a warm plan solves none; nil gets a
+	// memo of the request's own from RunTasks. It does not travel to
+	// shard workers, which therefore memoize per request.
 	Bounds *solver.PairMemo
 }
 

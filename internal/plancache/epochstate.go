@@ -9,11 +9,10 @@ import (
 // per-vertex matrices themselves, whose granulation grids (with observed
 // endpoint extent) and per-bucket interval counts are what a later
 // epoch is diffed against. Diffing it against the matrices of a later
-// epoch classifies exactly what the intervening appends changed. Plan
-// promotion and the standing layer's incremental re-probe share this
-// one diff; they just consume different predicates of it (AnyShape vs
-// Grown). Capture is O(vertices) and copies no counts; a state is
-// immutable and safe to share.
+// epoch classifies what the intervening appends changed: plan promotion
+// asks whether any bucket changed shape (AnyShape), a standing push
+// whether any grew (AnyGrown). Capture is O(vertices) and copies no
+// counts; a state is immutable and safe to share.
 type EpochState struct {
 	matrices []*stats.Matrix
 }
@@ -40,7 +39,7 @@ func (s *EpochState) Diff(matrices []*stats.Matrix, permute []int) (*EpochDiff, 
 	if s == nil || len(matrices) != len(s.matrices) {
 		return nil, false
 	}
-	d := &EpochDiff{old: make([]*stats.Matrix, len(matrices))}
+	d := new(EpochDiff)
 	for v, m := range matrices {
 		sv := v
 		if permute != nil {
@@ -58,7 +57,7 @@ func (s *EpochState) Diff(matrices []*stats.Matrix, permute []int) (*EpochDiff, 
 		} else {
 			for _, b := range m.Buckets() {
 				c := old.Count(b.StartG, b.EndG)
-				if c == 0 {
+				if c == 0 { // absent at capture: a new bucket
 					d.anyShape, d.anyGrowth = true, true
 					break
 				}
@@ -67,7 +66,6 @@ func (s *EpochState) Diff(matrices []*stats.Matrix, permute []int) (*EpochDiff, 
 				}
 			}
 		}
-		d.old[v] = old
 	}
 	return d, true
 }
@@ -75,10 +73,6 @@ func (s *EpochState) Diff(matrices []*stats.Matrix, permute []int) (*EpochDiff, 
 // EpochDiff is the classified difference between an EpochState and a
 // later epoch's matrices.
 type EpochDiff struct {
-	// old holds each current vertex's captured matrix; a bucket absent
-	// at capture counts 0 there, since matrices list only non-empty
-	// buckets.
-	old       []*stats.Matrix
 	anyShape  bool
 	anyGrowth bool
 }
@@ -91,12 +85,3 @@ func (d *EpochDiff) AnyShape() bool { return d.anyShape }
 // AnyGrown reports whether any bucket's contents grew — whether the
 // epoch transition can contribute any new join result at all.
 func (d *EpochDiff) AnyGrown() bool { return d.anyGrowth }
-
-// Grown is the standing re-probe predicate: bucket b of vertex v holds
-// intervals appended since the state was captured (the bucket is new,
-// or its count grew). Every tuple involving an appended interval lives
-// in a combination with at least one Grown bucket — the completeness
-// argument behind incremental push (see internal/standing).
-func (d *EpochDiff) Grown(v int, b stats.Bucket) bool {
-	return b.Count != d.old[v].Count(b.StartG, b.EndG)
-}

@@ -42,15 +42,11 @@ func PairEnclosure(pred *scoring.Predicate, x, y VertexBox) (lo, hi float64, exa
 // different key.
 //
 // A memo lives with whatever reads the same bucket pairs repeatedly: a
-// cached plan (every execution after the first finds its bounds
-// solved), a standing subscription (a push re-solves only pairs whose
-// box changed, and its probe nothing at all), or a single join request.
-// Safe for concurrent use; a hit does no shared write.
+// cached plan (every execution after the first finds its bounds solved,
+// a standing push's included), or a single join request. Safe for
+// concurrent use; a hit does no shared write.
 type PairMemo struct {
-	cur *sync.Map // memoKey -> memoBounds
-	// prev is the map of the memo this one succeeded (see Next);
-	// read-only here, nil for a first generation.
-	prev *sync.Map
+	m sync.Map // memoKey -> memoBounds
 }
 
 // memoKey holds the boxes as IEEE-754 bit patterns (from-box, then
@@ -66,17 +62,7 @@ type memoKey struct {
 type memoBounds struct{ lb, ub float64 }
 
 // NewPairMemo returns an empty memo.
-func NewPairMemo() *PairMemo { return &PairMemo{cur: new(sync.Map)} }
-
-// Next returns the memo for an owner that moves on to mostly the same
-// buckets (a standing push after a boundary granule widened): it
-// starts empty, so keys the new generation never
-// asks for are dropped with m, but still answers from m's own entries,
-// so only keys whose box changed are solved again. Only one generation
-// back is consulted or kept alive.
-func (m *PairMemo) Next() *PairMemo {
-	return &PairMemo{cur: new(sync.Map), prev: m.cur}
-}
+func NewPairMemo() *PairMemo { return new(PairMemo) }
 
 // Bounds returns PairBounds(pred, x, y); sig must be pred.Signature()
 // (callers hold it per edge, so a lookup builds no string). solved
@@ -88,26 +74,18 @@ func (m *PairMemo) Bounds(pred *scoring.Predicate, sig string, x, y VertexBox) (
 		math.Float64bits(x.StartLo), math.Float64bits(x.StartHi), math.Float64bits(x.EndLo), math.Float64bits(x.EndHi),
 		math.Float64bits(y.StartLo), math.Float64bits(y.StartHi), math.Float64bits(y.EndLo), math.Float64bits(y.EndHi),
 	}}
-	if v, ok := m.cur.Load(k); ok {
+	if v, ok := m.m.Load(k); ok {
 		b := v.(memoBounds)
 		return b.lb, b.ub, false
 	}
-	if m.prev != nil {
-		if v, ok := m.prev.Load(k); ok {
-			m.cur.Store(k, v)
-			b := v.(memoBounds)
-			return b.lb, b.ub, false
-		}
-	}
 	lb, ub = PairBounds(pred, x, y)
-	m.cur.Store(k, memoBounds{lb, ub})
+	m.m.Store(k, memoBounds{lb, ub})
 	return lb, ub, true
 }
 
-// Len counts the entries of the current generation (the previous one,
-// kept alive only to answer from, is not counted).
+// Len counts the memo's entries.
 func (m *PairMemo) Len() int {
 	n := 0
-	m.cur.Range(func(_, _ any) bool { n++; return true })
+	m.m.Range(func(_, _ any) bool { n++; return true })
 	return n
 }

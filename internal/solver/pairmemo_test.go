@@ -59,41 +59,6 @@ func TestPairMemoKeyIsTheSolverInput(t *testing.T) {
 	}
 }
 
-// Next answers from exactly one generation back and keeps only what the
-// new generation asks for.
-func TestPairMemoNextKeepsOneGenerationBack(t *testing.T) {
-	cases := memoCases(rand.New(rand.NewSource(6)), 12)
-	gen0 := NewPairMemo()
-	for _, c := range cases {
-		c.ask(gen0)
-	}
-	gen1 := gen0.Next()
-	if gen1.Len() != 0 {
-		t.Fatalf("a fresh generation starts with %d entries, want 0", gen1.Len())
-	}
-	for _, c := range cases[:4] {
-		if _, _, solved := c.ask(gen1); solved {
-			t.Fatal("generation 1 re-solved a key generation 0 holds")
-		}
-	}
-	if _, _, solved := cases[0].ask(gen1); solved {
-		t.Fatal("a key carried into generation 1 was solved on its second request")
-	}
-	if gen1.Len() != 4 {
-		t.Fatalf("generation 1 holds %d entries after asking for 4 keys, want 4", gen1.Len())
-	}
-	gen2 := gen1.Next()
-	if _, _, solved := cases[1].ask(gen2); solved {
-		t.Fatal("generation 2 re-solved a key generation 1 carried")
-	}
-	if _, _, solved := cases[8].ask(gen2); !solved {
-		t.Fatal("generation 2 answered a key only generation 0 held: more than one generation is kept alive")
-	}
-	if gen0.Len() != len(cases) {
-		t.Fatalf("succession changed generation 0: %d entries, want %d", gen0.Len(), len(cases))
-	}
-}
-
 // Sixteen goroutines ask one memo for overlapping keys (run under -race):
 // every answer is the solver's, whoever stored it.
 func TestPairMemoConcurrentOverlappingKeys(t *testing.T) {
@@ -103,7 +68,7 @@ func TestPairMemoConcurrentOverlappingKeys(t *testing.T) {
 	for i, c := range cases {
 		want[i].lb, want[i].ub = PairBounds(c.pred, c.x, c.y)
 	}
-	m := NewPairMemo().Next() // exercise the carry-over path's store too
+	m := NewPairMemo()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -126,15 +91,12 @@ func TestPairMemoConcurrentOverlappingKeys(t *testing.T) {
 	}
 }
 
-// Every pair the memo returns — solved, stored, or carried over a
-// generation — brackets the scores sampled from its boxes.
+// Every pair the memo returns — solved or stored — brackets the scores
+// sampled from its boxes.
 func TestPairMemoBoundsBracketSamples(t *testing.T) {
 	cases := memoCases(rand.New(rand.NewSource(8)), 18)
 	m := NewPairMemo()
-	for pass := 0; pass < 3; pass++ {
-		if pass == 2 {
-			m = m.Next()
-		}
+	for pass := 0; pass < 2; pass++ {
 		for _, c := range cases {
 			lb, ub, _ := c.ask(m)
 			sawLo, sawHi := gridScoreRange(c.pred, c.x, c.y, 8)

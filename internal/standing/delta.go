@@ -11,9 +11,8 @@ import (
 // Delta is one push to a subscription: the membership change carrying
 // the subscriber's materialized top-k from one epoch to the next. A
 // subscriber that starts from an empty TopK materializer and applies
-// every delta in sequence holds, after each apply, exactly the result
-// list a fresh Execute at that epoch would return — the
-// push-equals-fresh-execute invariant the equivalence harness enforces.
+// every delta in sequence holds, after each apply, the result list a
+// fresh ExecutePinned at that epoch returns, byte for byte.
 type Delta struct {
 	// Epoch is the store epoch this delta carries the subscription to.
 	// One delta may span several append epochs when they landed between
@@ -27,8 +26,7 @@ type Delta struct {
 	// Resync marks a full-state delta: TopK replaces the subscriber's
 	// materialized results. Emitted for the initial snapshot, after
 	// slow-subscriber coalescing, after a store rebuild
-	// (InvalidateStore), and when an incremental push could not be
-	// made (grown region past MaxAffected, granulation swap).
+	// (InvalidateStore) and after a granulation swap.
 	Resync bool
 	// TopK is a resync delta's full result list (nil otherwise), sorted
 	// by the pipeline's total order.
@@ -41,8 +39,7 @@ type Delta struct {
 	Entered []join.Result
 	Left    []join.Result
 	// Floor is the k-th result score after applying this delta (-1
-	// while fewer than k results exist) — the exact score floor the
-	// next epoch's re-probe prunes against.
+	// while fewer than k results exist).
 	Floor float64
 }
 
@@ -205,28 +202,4 @@ func diffResults(old, fresh []join.Result) (entered, left []join.Result) {
 		}
 	}
 	return entered, left
-}
-
-// mergeTopK merges the previous snapshot with the probe's results into
-// the fresh top-k. In the append-only model the fresh top-k is a subset
-// of snapshot ∪ probe: existing scores never change, so an old tuple in
-// the fresh top-k was already in the old top-k, and a new tuple
-// contains an appended interval, lives in an affected combination, and
-// beat fewer than k tuples globally — hence fewer than k inside the
-// probe, which returns it. The probe may re-emit old snapshot members
-// living in affected combinations; dedup by tuple identity before the
-// bounded merge.
-func mergeTopK(k int, snapshot, probed []join.Result) []join.Result {
-	tk := join.NewTopK(k)
-	seen := make(map[string]bool, len(snapshot))
-	for _, r := range snapshot {
-		tk.Add(r)
-		seen[idKey(r)] = true
-	}
-	for _, r := range probed {
-		if !seen[idKey(r)] {
-			tk.Add(r)
-		}
-	}
-	return tk.Results()
 }

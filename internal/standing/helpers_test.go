@@ -84,7 +84,8 @@ func freshResults(t *testing.T, e *core.Engine, q *query.Query, mapping []int, k
 }
 
 // requireSameResults fails unless got and want are byte-identical
-// result lists (same tuples, same order, same scores).
+// result lists (same tuples, same order, same scores): a pushed top-k
+// is one fresh execution's, so it equals another at the same epoch.
 func requireSameResults(t *testing.T, label string, got, want []join.Result) {
 	t.Helper()
 	if len(got) == 0 && len(want) == 0 {
@@ -92,41 +93,6 @@ func requireSameResults(t *testing.T, label string, got, want []join.Result) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: materialized top-k diverges from fresh execute\n got: %v\nwant: %v", label, got, want)
-	}
-}
-
-// requireEquivalent fails unless got and want are the same top-k up to
-// ties at the k-th score: identical lengths and score multisets,
-// byte-identical strictly above the floor, and every differing at-floor
-// member genuinely scoring the floor under q. This is the strongest
-// membership claim the pipeline makes across different plan states —
-// even two fresh executes (cold plan vs revalidated plan) can return
-// different-but-equally-valid members tied exactly at the k-th score,
-// because floor-tied tuples in pruned combinations (UB == floor) are
-// free to be either side of the cut.
-func requireEquivalent(t *testing.T, label string, q *query.Query, got, want []join.Result) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d results, fresh execute has %d", label, len(got), len(want))
-	}
-	if !join.ScoreMultisetEqual(got, want, 1e-9) {
-		t.Fatalf("%s: score multiset diverges from fresh execute\n got: %v\nwant: %v", label, got, want)
-	}
-	if len(want) == 0 {
-		return
-	}
-	floor := want[len(want)-1].Score
-	for i := range got {
-		if reflect.DeepEqual(got[i], want[i]) {
-			continue
-		}
-		if got[i].Score > floor+1e-9 || want[i].Score > floor+1e-9 {
-			t.Fatalf("%s: result %d differs above the floor %v\n got: %v\nwant: %v",
-				label, i, floor, got[i], want[i])
-		}
-		if s := q.Score(got[i].Tuple); s-got[i].Score > 1e-9 || got[i].Score-s > 1e-9 {
-			t.Fatalf("%s: at-floor member %v claims score %v, rescores to %v", label, got[i].Tuple, got[i].Score, s)
-		}
 	}
 }
 

@@ -13,12 +13,8 @@ var (
 		"Push-cycle routing decisions per subscription.", obs.Labels{"route": "push"})
 	mRouteResync = obs.NewCounterL("tkij_standing_routing_total",
 		"Push-cycle routing decisions per subscription.", obs.Labels{"route": "resync"})
-	mAffectedCombos = obs.NewCounter("tkij_standing_affected_combos_total",
-		"Grown bucket combinations enumerated by incremental pushes.")
 	mProbedCombos = obs.NewCounter("tkij_standing_probed_combos_total",
-		"Combinations actually probed after two-phase floor pruning.")
-	mPrunedCombos = obs.NewCounter("tkij_standing_pruned_combos_total",
-		"Combinations pruned against the certified floor.")
+		"Combinations the pushes' executions read from their plans.")
 	mDroppedDeltas = obs.NewCounter("tkij_standing_dropped_deltas_total",
 		"Incremental deltas coalesced away by the slow-subscriber policy.")
 )

@@ -1,14 +1,14 @@
 package standing
 
 // Regression for the join.Runner seam: a standing subscription on a
-// sharded engine re-probes through shard.Cluster — DTB tasks scatter to
+// sharded engine pushes through shard.Cluster — DTB tasks scatter to
 // worker replicas over the wire protocol, with or without floor
-// broadcast. Every cluster at one reducer count runs the same
-// assignment, so all of them must emit byte-identical deltas over the
-// same appends, and materialize the scores the same subscription on a
-// local engine (one serial pass, which may pick other tuples among
-// ties) does. Any divergence means ProbePinned's combination list or
-// floor seeding behaves differently through the cluster seam.
+// broadcast. Every leg's materialized top-k equals a fresh execute on
+// its own engine byte for byte. Every cluster at one reducer count runs
+// the same assignment, so all of them must emit byte-identical deltas
+// over the same appends, and materialize the scores the same
+// subscription on a local engine (one serial pass, which may pick other
+// tuples among ties) does.
 
 import (
 	"context"
@@ -90,6 +90,10 @@ func TestStandingShardedDeltasMatchLocal(t *testing.T) {
 	}
 	compare := func(stage string) {
 		t.Helper()
+		for _, l := range legs {
+			want, _ := freshResults(t, l.e, q, identity(3), k)
+			requireSameResults(t, fmt.Sprintf("%s: %s", stage, l.label), l.tk.Results, want)
+		}
 		local, ref := legs[0], legs[1]
 		if !join.ScoreMultisetEqual(ref.tk.Results, local.tk.Results, 1e-9) {
 			t.Fatalf("%s: %s materialized top-%d scores diverge from local\n got: %v\nwant: %v",
@@ -131,11 +135,11 @@ func TestStandingShardedDeltasMatchLocal(t *testing.T) {
 		compare(fmt.Sprintf("append=%d", a))
 	}
 
-	// The sharded legs must actually have probed incrementally — a
-	// silent fall-back to resync would vacuously pass the comparison.
+	// Every leg must actually have pushed — a silent fall-back to
+	// resync would vacuously pass the comparison.
 	for _, l := range legs {
 		if st := l.m.Stats(); st.Pushes == 0 {
-			t.Fatalf("%s: no incremental pushes recorded: %+v", l.label, st)
+			t.Fatalf("%s: no pushes recorded: %+v", l.label, st)
 		}
 	}
 }

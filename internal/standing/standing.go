@@ -12,9 +12,7 @@ import (
 	"tkij/internal/obs"
 	"tkij/internal/plancache"
 	"tkij/internal/query"
-	"tkij/internal/solver"
 	"tkij/internal/stats"
-	"tkij/internal/topbuckets"
 )
 
 // ErrClosed is returned by Subscribe after the manager shut down.
@@ -22,12 +20,6 @@ var ErrClosed = errors.New("standing: manager closed")
 
 // DefaultBuffer is the default per-subscription delta-queue capacity.
 const DefaultBuffer = 16
-
-// MaxAffected bounds the grown-combination region a push may probe
-// incrementally: a bigger region means the appends reshaped the
-// combination space enough that a resync (one fresh execution) is both
-// simpler and usually cheaper.
-const MaxAffected = 1 << 16
 
 // SubOptions tunes one subscription.
 type SubOptions struct {
@@ -53,23 +45,13 @@ type Stats struct {
 	Cycles int64
 	// Pushes counts incremental delta pushes; Promotions the cycles
 	// where a subscription's epoch advanced with provably unchanged
-	// results; Resyncs the full re-executions.
+	// results; Resyncs the full-state re-bases.
 	Pushes     int64
 	Promotions int64
 	Resyncs    int64
-	// AffectedCombos sums the grown-combination counts incremental
-	// pushes enumerated; ProbedCombos the combinations actually probed
-	// after floor pruning; PrunedCombos the difference. The standing
-	// claim — push work scales with the affected region, not the
-	// dataset — is read off these.
-	AffectedCombos int64
-	ProbedCombos   int64
-	PrunedCombos   int64
-	// ProbeBoundSolves sums the pair bounds the probes' joins had to
-	// solve themselves. On an unsharded engine it stays 0: a probe reads
-	// the memo its push's loose phase just filled (shard workers memoize
-	// per request, so a sharded probe's reducers solve their own).
-	ProbeBoundSolves int64
+	// ProbedCombos sums the combinations the pushes' executions read
+	// from their plans (CombosAssigned over the join's reducers).
+	ProbedCombos int64
 	// DroppedDeltas counts incremental deltas coalesced away by the
 	// slow-subscriber policy (each followed by a resync).
 	DroppedDeltas int64
@@ -78,9 +60,8 @@ type Stats struct {
 // Manager serves standing queries over one engine: it registers
 // subscriptions, listens for the engine's ingest notifications and, per
 // published epoch, pins once and carries every subscription forward —
-// incrementally (probing only the grown bucket combinations against the
-// subscription's certified floor) when it can, by full re-execute when
-// it cannot. Safe for concurrent use.
+// by promotion when nothing it reads grew, otherwise by one execution at
+// the pin diffed against the pushed top-k. Safe for concurrent use.
 type Manager struct {
 	e *core.Engine
 
@@ -190,7 +171,11 @@ func (m *Manager) cycle() {
 }
 
 // push carries one subscription from its current pushed state to the
-// pin's epoch: promote (nothing grown), incremental probe, or resync.
+// pin's epoch by one of three routes: promote (nothing the subscription
+// reads grew: an empty delta), resync (the diff base is void: the full
+// state) or push (one execution at the pin, committed as its membership
+// difference from the pushed top-k). Push and resync share that
+// execution; they differ only in the delta they commit.
 func (m *Manager) push(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 	if s.ctx.Err() != nil {
 		return
@@ -214,148 +199,68 @@ func (m *Manager) push(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 		vms[v] = pin.Matrices()[ci].WithCol(v)
 	}
 
-	if gen != gen0 || epoch < epoch0 {
-		// Store rebuilt (InvalidateStore) or the epoch sequence
-		// restarted: the diff base is void.
-		m.resync(s, pin, cycleSpan)
-		return
-	}
-	diff, ok := state.Diff(vms, nil)
-	if !ok {
-		m.resync(s, pin, cycleSpan) // granulation swap: not an append-only step
-		return
-	}
-	if !diff.AnyGrown() {
-		// Nothing this subscription reads changed: promote the pushed
-		// state to the new epoch with an empty incremental delta.
-		s.commit(epoch, gen, state, snapshot, Delta{
-			Epoch: epoch,
-			Floor: floorOf(snapshot, s.k),
-		})
-		m.count(func(st *Stats) { st.Promotions++ })
-		mRoutePromote.Inc()
-		if ps := cycleSpan.Child("promote"); ps != nil {
-			ps.SetInt("epoch", epoch)
-			ps.Finish()
-		}
-		return
-	}
-
-	lists := make([][]stats.Bucket, len(vms))
-	for v, vm := range vms {
-		lists[v] = vm.Buckets()
-	}
-	combos, ok := topbuckets.AffectedCombos(lists, diff.Grown, MaxAffected)
-	if !ok {
-		m.resync(s, pin, cycleSpan)
-		return
-	}
-	// Prune grown combinations that provably cannot reach the pushed
-	// top-k, in two phases mirroring the two-phase TopBuckets strategy.
-	// Phase one bounds every affected combination with memoized loose
-	// pair bounds: the memo is keyed by granule boxes, so only pairs
-	// touching a shape-changed bucket are re-solved and in-range appends
-	// re-bound by pure lookup (a shape change starts the memo's next
-	// generation, which lets go of the boxes nothing asks for any more).
-	// Phase two refines the loose survivors with the tight solver — on
-	// tie-heavy data loose bounds saturate and prune nothing, and the
-	// tight prune is what keeps the probe proportional to the truly
-	// contending region. Both prunes are against the floor, the exact
-	// k-th snapshot score — sound because the local join discards
-	// candidates only strictly below the effective floor, so an entrant
-	// tying the floor (winning on the ID tie-break) still surfaces. Keep
-	// UB == floor for the same reason.
-	floor := floorOf(snapshot, s.k)
-	if diff.AnyShape() {
-		s.memo = s.memo.Next()
-	}
-	topbuckets.LooseBounds(s.q, s.memo, vms, combos)
-	loose := combos[:0]
-	for _, cb := range combos {
-		if floor < 0 || cb.UB >= floor {
-			loose = append(loose, cb)
-		}
-	}
-	kept := loose
-	if floor >= 0 && len(loose) > 0 {
-		topbuckets.TightenBounds(s.q, vms, loose, topbuckets.Options{})
-		kept = loose[:0]
-		for _, cb := range loose {
-			if cb.UB >= floor {
-				kept = append(kept, cb)
+	// A store rebuild (InvalidateStore), a restarted epoch sequence or a
+	// granulation swap voids the diff base.
+	resync := gen != gen0 || epoch < epoch0
+	if !resync {
+		diff, ok := state.Diff(vms, nil)
+		resync = !ok
+		if ok && !diff.AnyGrown() {
+			// Nothing this subscription reads changed: promote the
+			// pushed state to the new epoch with an empty delta.
+			s.commit(epoch, gen, state, snapshot, Delta{
+				Epoch: epoch,
+				Floor: floorOf(snapshot, s.k),
+			})
+			m.count(func(st *Stats) { st.Promotions++ })
+			mRoutePromote.Inc()
+			if ps := cycleSpan.Child("promote"); ps != nil {
+				ps.SetInt("epoch", epoch)
+				ps.Finish()
 			}
-		}
-	}
-	m.count(func(st *Stats) {
-		st.Pushes++
-		st.AffectedCombos += int64(len(combos))
-		st.ProbedCombos += int64(len(kept))
-		st.PrunedCombos += int64(len(combos) - len(kept))
-	})
-	mRoutePush.Inc()
-	mAffectedCombos.Add(int64(len(combos)))
-	mProbedCombos.Add(int64(len(kept)))
-	mPrunedCombos.Add(int64(len(combos) - len(kept)))
-	pushSpan := cycleSpan.Child("push")
-	if pushSpan != nil {
-		pushSpan.SetInt("affected", int64(len(combos)))
-		pushSpan.SetInt("probed", int64(len(kept)))
-		defer pushSpan.Finish()
-	}
-
-	fresh := snapshot
-	if len(kept) > 0 {
-		probeFloor := floor
-		if probeFloor < 0 {
-			probeFloor = 0
-		}
-		// The probe's join reads the subscription's memo: every pair
-		// bound it needs was solved by the loose phase above.
-		out, err := m.e.ProbePinned(obs.WithSpan(s.ctx, pushSpan), s.q, s.mapping, pin, kept, s.k, probeFloor, s.memo)
-		if err != nil {
-			if s.ctx.Err() != nil {
-				return // the forwarder terminates it with the ctx cause
-			}
-			s.terminate(fmt.Errorf("standing: probe: %w", err))
 			return
 		}
-		m.count(func(st *Stats) { st.ProbeBoundSolves += out.BoundSolves })
-		fresh = mergeTopK(s.k, snapshot, out.Results)
 	}
-	entered, left := diffResults(snapshot, fresh)
-	s.commit(epoch, gen, plancache.CaptureEpochState(vms), fresh, Delta{
-		Epoch:   epoch,
-		Entered: entered,
-		Left:    left,
-		Floor:   floorOf(fresh, s.k),
-	})
-}
 
-// resync re-executes the subscription's query fresh at the pin's epoch
-// and replaces its pushed state wholesale.
-func (m *Manager) resync(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
-	// The transition was outside the append-only model (or past the
-	// incremental bound): start over with an empty memo rather than keep
-	// the boxes of a granulation that may be gone.
-	s.memo = solver.NewPairMemo()
-	mRouteResync.Inc()
-	rsSpan := cycleSpan.Child("resync")
-	rep, err := m.e.ExecutePinned(obs.WithSpan(s.ctx, rsSpan), s.q, s.mapping, pin, s.k)
-	rsSpan.Finish()
+	route := "push"
+	if resync {
+		route = "resync"
+	}
+	span := cycleSpan.Child(route)
+	rep, err := m.e.ExecutePinned(obs.WithSpan(s.ctx, span), s.q, s.mapping, pin, s.k)
+	span.Finish()
 	if err != nil {
 		if s.ctx.Err() != nil {
-			return
+			return // the forwarder terminates it with the ctx cause
 		}
-		s.terminate(fmt.Errorf("standing: resync execute: %w", err))
+		s.terminate(fmt.Errorf("standing: %s execute: %w", route, err))
 		return
 	}
 	rep.Standing = true
-	vms := make([]*stats.Matrix, s.q.NumVertices)
-	for v, ci := range s.mapping {
-		vms[v] = pin.Matrices()[ci].WithCol(v)
+	state = plancache.CaptureEpochState(vms)
+	if resync {
+		s.commitResync(epoch, gen, state, rep.Results)
+		m.count(func(st *Stats) { st.Resyncs++ })
+		mRouteResync.Inc()
+		return
 	}
-	s.commitResync(pin.Epoch(), pin.Generation(), plancache.CaptureEpochState(vms), rep.Results)
-	m.count(func(st *Stats) { st.Resyncs++ })
+	var read int64
+	for _, l := range rep.Join.Locals {
+		read += int64(l.CombosAssigned)
+	}
+	entered, left := diffResults(snapshot, rep.Results)
+	s.commit(epoch, gen, state, rep.Results, Delta{
+		Epoch:   epoch,
+		Entered: entered,
+		Left:    left,
+		Floor:   floorOf(rep.Results, s.k),
+	})
+	m.count(func(st *Stats) {
+		st.Pushes++
+		st.ProbedCombos += read
+	})
+	mRoutePush.Inc()
+	mProbedCombos.Add(read)
 }
 
 // Subscribe registers a standing query: it executes (q, k) once at the
@@ -411,7 +316,7 @@ func (m *Manager) Subscribe(ctx context.Context, q *query.Query, k int, opts Sub
 	}
 
 	// The subscription runs on a derived context so terminate can cancel
-	// work in flight on its behalf (a resync execute or probe outlives
+	// work in flight on its behalf (a push's execution outlives
 	// every consumer otherwise).
 	sctx, scancel := context.WithCancel(ctx)
 	s := &Subscription{
@@ -423,7 +328,6 @@ func (m *Manager) Subscribe(ctx context.Context, q *query.Query, k int, opts Sub
 		buffer:   buffer,
 		ctx:      sctx,
 		cancel:   scancel,
-		memo:     solver.NewPairMemo(),
 		snapshot: rep.Results,
 		epoch:    pin.Epoch(),
 		gen:      pin.Generation(),

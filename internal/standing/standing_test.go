@@ -1,16 +1,18 @@
 package standing
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
-	"tkij/internal/baselines"
 	"tkij/internal/core"
 	"tkij/internal/interval"
-	"tkij/internal/join"
+	"tkij/internal/obs"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
 )
@@ -61,7 +63,7 @@ func TestSubscribeInitialSnapshot(t *testing.T) {
 }
 
 // TestIncrementalPush: appends drive incremental deltas whose
-// materialization tracks a fresh execute exactly, epoch by epoch.
+// materialization equals a fresh execute byte for byte, epoch by epoch.
 func TestIncrementalPush(t *testing.T) {
 	e := newTestEngine(t, testCols(3, 300, 12), core.Options{Granules: 6, K: 10, Reducers: 3})
 	m := NewManager(e)
@@ -89,7 +91,7 @@ func TestIncrementalPush(t *testing.T) {
 		if fe != epoch {
 			t.Fatalf("fresh execute pinned epoch %d, appended %d", fe, epoch)
 		}
-		requireEquivalent(t, "after append", q, tk.Results, want)
+		requireSameResults(t, "after append", tk.Results, want)
 	}
 	st := m.Stats()
 	if st.Pushes+st.Promotions == 0 {
@@ -232,7 +234,7 @@ func TestSlowSubscriber(t *testing.T) {
 	tk := NewTopK(8)
 	waitEpoch(t, sub, tk, last)
 	want, _ := freshResults(t, e, q, identity(3), 8)
-	requireEquivalent(t, "after lag", q, tk.Results, want)
+	requireSameResults(t, "after lag", tk.Results, want)
 }
 
 // TestSubscriptionLifecycle: ctx cancellation and Close both end the
@@ -301,83 +303,129 @@ func TestManagerCloseClosesChannels(t *testing.T) {
 	}
 }
 
-// TestPushProbeSolvesNoBounds: a subscription owns one pair-bound memo,
-// its push cycles' loose phase fills it and the probe's join reads it —
-// so a probe solves no bound of its own, across in-range appends (pure
-// lookups) and boundary-widening ones (a new memo generation) alike,
-// while the pushed top-k stays the exhaustive one and the memo never
-// keeps a box the granulation has moved on from.
-func TestPushProbeSolvesNoBounds(t *testing.T) {
+// pushTrace is what a trace records of one push: its execution's
+// plan-cache outcome and its join's bound solves.
+type pushTrace struct {
+	outcome     string
+	boundSolves int64
+}
+
+// pushTraces reads every push out of tr's push-cycle trees, in order.
+func pushTraces(t *testing.T, tr *obs.Tracer) []pushTrace {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var pushes []pushTrace
+	inCycle, inPush := false, false
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var row struct {
+			Name  string         `json:"name"`
+			Depth int            `json:"depth"`
+			Attrs map[string]any `json:"attrs"`
+		}
+		if err := dec.Decode(&row); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case row.Depth == 0:
+			inCycle, inPush = row.Name == "push-cycle", false
+		case row.Depth == 1:
+			if inPush = inCycle && row.Name == "push"; inPush {
+				pushes = append(pushes, pushTrace{})
+			}
+		case !inPush:
+		case row.Depth == 3 && row.Name == "plan":
+			pushes[len(pushes)-1].outcome, _ = row.Attrs["outcome"].(string)
+		case row.Depth == 3 && row.Name == "join":
+			n, _ := row.Attrs["bound_solves"].(float64)
+			pushes[len(pushes)-1].boundSolves = int64(n)
+		}
+	}
+	return pushes
+}
+
+// TestPushRidesPlanCache: a push is one execution through the plan
+// cache. After an append that moved no bucket's box it promotes the
+// cached plan (Revalidations +1) and solves no pair bound — the plan's
+// memo holds every bound its pass reads; after an append that widens a
+// boundary granule it plans again (a Miss). Either way the pushed top-k
+// is the fresh execute's.
+func TestPushRidesPlanCache(t *testing.T) {
 	const k = 8
 	cols := testCols(3, 70, 15)
-	e := newTestEngine(t, cols, core.Options{Granules: 6, K: k, Reducers: 3})
+	tr := obs.NewTracer()
+	e := newTestEngine(t, cols, core.Options{Granules: 6, K: k, Reducers: 3, Tracer: tr})
 	m := NewManager(e)
 	defer m.Close()
 	q := query.Qom(query.Env{Params: scoring.P1})
 
-	sub, err := m.Subscribe(context.Background(), q, k, SubOptions{})
+	sub, err := m.Subscribe(context.Background(), q, k, SubOptions{Buffer: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
+	tk := NewTopK(k)
+	waitEpoch(t, sub, tk, 0)
 
 	rng := rand.New(rand.NewSource(9))
 	var counter int64
-	before := m.Stats()
+	before, planBefore := m.Stats(), e.PlanCacheStats()
 	for i := 0; i < 20; i++ {
 		col := i % 3
 		batch := randBatch(rng, col, 4, &counter)
-		for j := range batch { // in range: within the original extent
-			batch[j].Start %= 2900
-			batch[j].End = batch[j].Start + 1 + batch[j].End%90
+		for j := range batch { // interior: the box of an interval already there
+			iv := cols[col].Items[rng.Intn(70)]
+			batch[j].Start, batch[j].End = iv.Start, iv.End
 		}
 		widens := i%4 == 3
 		if widens { // every fourth append pushes the last granule's upper edge out
 			batch[0].End = 4000 + int64(i)*300
 		}
-		if _, err := e.Append(col, batch); err != nil {
+		epoch, err := e.Append(col, batch)
+		if err != nil {
 			t.Fatal(err)
 		}
 		m.Quiesce()
 
-		st := m.Stats()
+		st, plans := m.Stats(), e.PlanCacheStats()
 		if st.Pushes != before.Pushes+1 || st.Resyncs != 0 {
-			t.Fatalf("append %d: %d pushes, %d resyncs since the last one — want exactly one incremental push",
+			t.Fatalf("append %d: %d pushes, %d resyncs since the last one — want exactly one push",
 				i, st.Pushes-before.Pushes, st.Resyncs)
 		}
-		if st.ProbeBoundSolves != 0 {
-			t.Fatalf("append %d (widening=%t): the probe's join solved %d pair bounds its push's loose phase should have left in the memo",
-				i, widens, st.ProbeBoundSolves)
+		pushes := pushTraces(t, tr)
+		if len(pushes) != i+1 {
+			t.Fatalf("append %d: the trace holds %d pushes, want %d", i, len(pushes), i+1)
 		}
-		before = st
+		got := pushes[i]
+		revalidated, missed := plans.Revalidations-planBefore.Revalidations, plans.Misses-planBefore.Misses
+		if widens {
+			if got.outcome != "miss" || missed != 1 || revalidated != 0 {
+				t.Fatalf("append %d widens a boundary granule: the push's plan was %q (%d misses, %d promotions), want one miss",
+					i, got.outcome, missed, revalidated)
+			}
+			if got.boundSolves == 0 { // a new plan comes with an empty memo
+				t.Fatalf("append %d: the push's execution over a new plan solved no pair bound", i)
+			}
+		} else {
+			if got.outcome != "revalidated" || revalidated != 1 || missed != 0 {
+				t.Fatalf("append %d moves no box: the push's plan was %q (%d promotions, %d misses), want one promotion",
+					i, got.outcome, revalidated, missed)
+			}
+			if got.boundSolves != 0 {
+				t.Fatalf("append %d: the push's execution over a promoted plan solved %d pair bounds, want 0", i, got.boundSolves)
+			}
+		}
+		before, planBefore = st, plans
 
-		got, _ := sub.Snapshot()
-		want, err := baselines.Naive(q, cols, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !join.ScoreMultisetEqual(got, want, 1e-9) {
-			t.Fatalf("append %d: pushed top-%d diverges from the exhaustive oracle\n got: %v\nwant: %v", i, k, got, want)
-		}
+		waitEpoch(t, sub, tk, epoch)
+		want, _ := freshResults(t, e, q, identity(3), k)
+		requireSameResults(t, fmt.Sprintf("append %d", i), tk.Results, want)
+		planBefore = e.PlanCacheStats() // the fresh execute above is a hit
 	}
 	if before.ProbedCombos == 0 {
-		t.Fatal("no push probed any combination — the test lost its subject")
-	}
-
-	// A shape change starts the memo's next generation, so everything it
-	// holds was asked for over the current boxes: at most one entry per
-	// edge and pair of live buckets, however many widenings went by (the
-	// bound per-bucket invalidation used to give).
-	pin, err := e.Pin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pin.Release()
-	livePairs := 0
-	for _, edge := range q.Edges {
-		livePairs += len(pin.Matrices()[edge.From].Buckets()) * len(pin.Matrices()[edge.To].Buckets())
-	}
-	if got := sub.memo.Len(); got == 0 || got > livePairs {
-		t.Fatalf("subscription memo holds %d entries over %d live bucket pairs", got, livePairs)
+		t.Fatal("no push read any combination — the test lost its subject")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"tkij/internal/join"
 	"tkij/internal/plancache"
 	"tkij/internal/query"
-	"tkij/internal/solver"
 )
 
 // Subscription is one registered standing query: a canonical plan key,
@@ -38,17 +37,11 @@ type Subscription struct {
 	//tkij:ignore ctxflow -- the subscription context IS the registration's lifetime; it is stored once at Subscribe and only ever consulted/threaded by the goroutines serving that registration
 	ctx context.Context
 	// cancel cancels ctx (a Subscribe-derived child of the caller's
-	// context); terminate fires it so that executes and probes in flight
+	// context); terminate fires it so that executions in flight
 	// on this subscription's behalf — which can dwarf the teardown path
 	// on large stores — abandon their work instead of running to
 	// completion for a consumer that is gone.
 	cancel context.CancelFunc
-	// memo holds the pair bounds of the push cycles' loose phase and of
-	// the probes' joins; it is keyed by granule boxes, so in-range
-	// appends find every bound solved. The field is accessed only by the
-	// manager's dispatcher goroutine (creation in Subscribe
-	// happens-before via subscription registration).
-	memo *solver.PairMemo
 
 	mu       sync.Mutex
 	snapshot []join.Result
@@ -159,7 +152,7 @@ func (s *Subscription) commit(epoch, gen int64, state *plancache.EpochState, sna
 
 // commitResync installs the pushed state and replaces everything
 // pending with one resync delta built from it (initial snapshot, store
-// rebuild, a grown region too large to probe).
+// rebuild, granulation swap).
 func (s *Subscription) commitResync(epoch, gen int64, state *plancache.EpochState, snapshot []join.Result) {
 	s.mu.Lock()
 	if s.closed {

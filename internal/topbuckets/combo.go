@@ -43,62 +43,6 @@ func compareTuples(a, b []stats.Bucket) int {
 	return 0
 }
 
-// AffectedCombos materializes exactly the combinations of the cartesian
-// product of bucketLists that contain at least one affected bucket,
-// each with its NbRes and zero bounds, in deterministic order — the
-// region an epoch bump forces a standing push to look at again. ok is
-// false, and nothing is enumerated, when that region holds more than
-// limit combinations (|Ω| − |Ω restricted to unaffected buckets|,
-// counted without enumerating): the caller then resyncs from scratch.
-// The decomposition is by first affected position: for every vertex v
-// it enumerates (unaffected_0 × ... × unaffected_{v-1}) × affected_v ×
-// (full_{v+1} × ... × full_{n-1}), which partitions the affected region
-// with no duplicates.
-func AffectedCombos(bucketLists [][]stats.Bucket, affected func(v int, b stats.Bucket) bool, limit float64) (combos []Combo, ok bool) {
-	n := len(bucketLists)
-	cleanLists := make([][]stats.Bucket, n)
-	dirtyLists := make([][]stats.Bucket, n)
-	total, clean := 1.0, 1.0
-	for v, list := range bucketLists {
-		for _, b := range list {
-			if affected(v, b) {
-				dirtyLists[v] = append(dirtyLists[v], b)
-			} else {
-				cleanLists[v] = append(cleanLists[v], b)
-			}
-		}
-		total *= float64(len(list))
-		clean *= float64(len(cleanLists[v]))
-	}
-	if total-clean > limit {
-		return nil, false
-	}
-	for v := 0; v < n; v++ {
-		sub := make([][]stats.Bucket, n)
-		empty := false
-		for w := 0; w < n; w++ {
-			switch {
-			case w < v:
-				sub[w] = cleanLists[w]
-			case w == v:
-				sub[w] = dirtyLists[w]
-			default:
-				sub[w] = bucketLists[w]
-			}
-			if len(sub[w]) == 0 {
-				empty = true
-			}
-		}
-		if empty {
-			continue
-		}
-		enumerate(sub, func(buckets []stats.Bucket) {
-			combos = append(combos, Combo{Buckets: append([]stats.Bucket(nil), buckets...), NbRes: nbRes(buckets)})
-		})
-	}
-	return combos, true
-}
-
 // BoxOf is the solver's endpoint domain of bucket b under grid g: the
 // start variable ranges over the bucket's start granule and the end
 // variable over its end granule (constraints (1)(2) of the Bounds

@@ -30,15 +30,13 @@
 // selected set carries at least k results with LB >= KthResLB. That is
 // what lets the join phase use KthResLB as a score floor, and the plan
 // cache (internal/plancache) promote a plan unchanged across an
-// append-only epoch bump that moved no granule box. A standing push
-// (internal/standing) looks again only at the combinations an epoch
-// grew: AffectedCombos walks exactly that region of Ω, and LooseBounds
-// (memoized pair bounds, see solver.PairMemo) and TightenBounds (the
-// tight solver, in parallel) bound it.
+// append-only epoch bump that moved no granule box — which is also how a
+// standing push (internal/standing), one execution per epoch, reuses
+// its plan.
 //
-// Every pair bound — a plan's dense tables here, the standing layer's
-// LooseBounds, the join's per-edge bounds — is solver.PairBounds over
-// boxes derived by BoxOf (a plan takes the enclosure's part of it,
-// solver.PairEnclosure, where that is exact), so the three agree to the
-// bit.
+// Every pair bound — a plan's dense tables here, LooseBounds (the
+// reference a plan is tested against), the join's per-edge bounds — is
+// solver.PairBounds over boxes derived by BoxOf (a plan takes the
+// enclosure's part of it, solver.PairEnclosure, where that is exact), so
+// the three agree to the bit.
 package topbuckets

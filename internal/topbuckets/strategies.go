@@ -132,9 +132,9 @@ func Run(q *query.Query, matrices []*stats.Matrix, k int, opts Options) (*Result
 // LooseBounds sets LB and UB of every combination in place to its loose
 // bounds over the current matrices, reading the per-edge pair bounds
 // through memo: only pairs memo has not seen at their current boxes are
-// solved. It is the plan's bounding for callers that bound a few
-// combinations across many epochs (the standing layer's affected
-// region) rather than walk all of Ω once.
+// solved. No planning path calls it: it is the reference a Plan is
+// checked against (TestPlanEqualsListSelection, FuzzTopBuckets), all of
+// Ω bounded combination by combination and selected as a list.
 func LooseBounds(q *query.Query, memo *solver.PairMemo, matrices []*stats.Matrix, combos []Combo) {
 	sigs := make([]string, len(q.Edges))
 	for ei, e := range q.Edges {
@@ -237,9 +237,7 @@ var tightOptions = solver.Options{MaxNodes: 512, Eps: 1e-3}
 // TightenBounds recomputes tight solver bounds for every combination in
 // place, in parallel, and returns the total branch-and-bound nodes
 // opened (the solver-work certificate of the recomputation). It is the
-// second phase of the two-phase strategy, the whole of brute-force, and
-// the refinement a standing push applies to the grown combinations its
-// loose bounds could not prune.
+// second phase of the two-phase strategy and the whole of brute-force.
 func TightenBounds(q *query.Query, matrices []*stats.Matrix, combos []Combo, opts Options) int {
 	opts = opts.withDefaults()
 	var wg sync.WaitGroup
