@@ -280,12 +280,12 @@ type (
 	SubscribeOptions = standing.SubOptions
 	// SubscriptionTopK materializes a subscription's result list
 	// client-side by applying deltas in order; it validates each delta
-	// against the subscription contract and fails loudly on malformed
-	// or reordered input.
+	// against the subscription contract and fails loudly on malformed,
+	// reordered or epoch-rewinding input.
 	SubscriptionTopK = standing.TopK
 	// StandingStats counts the standing layer's work: pushes,
-	// promotions, resyncs, the combinations the pushes read, dropped
-	// deltas.
+	// promotions, the combinations the pushes read, dropped deltas
+	// (Resyncs is always 0).
 	StandingStats = standing.Stats
 )
 

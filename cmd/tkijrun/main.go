@@ -196,7 +196,6 @@ type jsonStanding struct {
 	Chunks     int   `json:"chunks"`
 	Pushes     int64 `json:"pushes"`
 	Promotions int64 `json:"promotions"`
-	Resyncs    int64 `json:"resyncs"`
 	// ProbedCombos sums the combinations the pushes' executions read
 	// from their plans.
 	ProbedCombos  int64      `json:"probed_combos"`
@@ -621,7 +620,7 @@ func runSubscribe(engine *tkij.Engine, server *tkij.Server, q *tkij.Query, mappi
 	}
 
 	stats := server.StandingStats()
-	st.Pushes, st.Promotions, st.Resyncs = stats.Pushes, stats.Promotions, stats.Resyncs
+	st.Pushes, st.Promotions = stats.Pushes, stats.Promotions
 	st.ProbedCombos = stats.ProbedCombos
 	st.DroppedDeltas = stats.DroppedDeltas
 	jr.Standing = &st
@@ -648,8 +647,8 @@ func runSubscribe(engine *tkij.Engine, server *tkij.Server, q *tkij.Query, mappi
 		return
 	}
 
-	fmt.Printf("standing query %s: %d appends verified push-equals-fresh-execute (%d pushes, %d promotions, %d resyncs)\n",
-		q.Name, chunks, stats.Pushes, stats.Promotions, stats.Resyncs)
+	fmt.Printf("standing query %s: %d appends verified push-equals-fresh-execute (%d pushes, %d promotions)\n",
+		q.Name, chunks, stats.Pushes, stats.Promotions)
 	if cfg.verbose {
 		fmt.Printf("  combos:  %d read by the pushes' executions\n", stats.ProbedCombos)
 		fmt.Printf("  deltas:  %d dropped to slow-subscriber coalescing\n", stats.DroppedDeltas)
@@ -775,7 +774,7 @@ func checkMetrics(url string) {
 	labels := []string{
 		`phase="topbuckets"`, `phase="join"`, `phase="merge"`,
 		`outcome="hit"`, `outcome="revalidated"`, `outcome="miss"`,
-		`route="promote"`, `route="push"`, `route="resync"`,
+		`route="promote"`, `route="push"`,
 	}
 	var missing []string
 	for _, fam := range families {

@@ -119,30 +119,24 @@ type Engine struct {
 	// pinned query might still scatter against the old epoch.
 	shardGate sync.RWMutex
 
-	// gen counts store generations: 0 for the initial build, +1 per
-	// InvalidateStore. The epoch sequence restarts at 0 inside each
-	// generation, so consumers holding epoch-derived state across
-	// rebuilds (standing subscriptions) compare generations to detect
-	// that their diff base is void. Guarded by mu.
-	gen int64
 	// ingestHook, when set, is invoked after Append publishes a new
-	// store epoch and after InvalidateStore discards the partition —
-	// outside the engine lock, so the hook may pin and execute. It must
-	// return quickly and never block (the standing manager's hook is a
-	// non-blocking channel nudge); Append latency includes it.
+	// store epoch, outside the engine lock, so the hook may pin and
+	// execute. It must return quickly and never block (the standing
+	// manager's hook is a non-blocking channel nudge); Append latency
+	// includes it.
 	ingestHook func()
 
 	// StatsMetrics describes the statistics-collection job after
 	// PrepareStats (or the first Execute) has run. Like StatsDuration
 	// and StoreBuildDuration, read it only after PrepareStats returns.
 	// An engine restored from a snapshot (OpenEngine) never runs the
-	// statistics job, so StatsMetrics stays nil until something forces a
-	// re-collection.
+	// statistics job, so its StatsMetrics stays nil. Each engine runs
+	// the job at most once; Append maintains the counts after that.
 	StatsMetrics *mapreduce.Metrics
 	// StatsDuration is the offline pre-processing wall time: statistics
-	// job + bucket-store build, accumulated across store rebuilds
-	// (InvalidateStore). For a restored engine it is the snapshot
-	// restore time — the cost that replaced the offline phase.
+	// job + bucket-store build, paid once per engine. For a restored
+	// engine it is the snapshot restore time — the cost that replaced
+	// the offline phase.
 	StatsDuration time.Duration
 	// StoreBuildDuration is the share of StatsDuration spent
 	// partitioning intervals into the resident bucket store (zero for a
@@ -287,7 +281,8 @@ func (e *Engine) SaveSnapshot(path string) error {
 // (OpenEngine with Options.Mmap). The mapping is actually unmapped
 // only once in-flight pinned views release too. Heap-built and
 // heap-restored engines have nothing to release; Close is a no-op for
-// them, and idempotent everywhere. Executing queries after Close is a
+// them, and idempotent everywhere. Pins taken before Close stay valid
+// until released; pinning or executing anew after Close is a
 // programming error on a mapped engine (the store's bucket memory may
 // be gone).
 func (e *Engine) Close() {
@@ -322,10 +317,6 @@ func (e *Engine) Options() Options { return e.opts }
 // Collections returns the engine's collections.
 func (e *Engine) Collections() []*interval.Collection { return e.cols }
 
-// AvgLength returns the average interval length over all collections —
-// the avg parameter of the justBefore and shiftMeets predicates.
-func (e *Engine) AvgLength() float64 { return interval.AvgLength(e.cols...) }
-
 // PrepareStats runs the offline, query-independent phase: the
 // statistics-collection job (§3.2) plus the bucket-store build that
 // makes every interval dataset-resident. It is idempotent and
@@ -342,7 +333,8 @@ func (e *Engine) prepareLocked() error {
 		if e.mapped != nil {
 			// A zero-copy restore defers the O(dataset) content checks to
 			// a background verifier; once it finds damage, every admission
-			// from then on refuses rather than serving corrupt buckets.
+			// for the engine's lifetime refuses rather than serving
+			// corrupt buckets.
 			if err := e.mapped.Err(); err != nil {
 				return fmt.Errorf("core: mapped snapshot failed verification: %w", err)
 			}
@@ -350,26 +342,18 @@ func (e *Engine) prepareLocked() error {
 		return e.startClusterLocked()
 	}
 	start := time.Now()
-	if e.matrices == nil {
-		ms, metrics, err := stats.Collect(e.cols, e.opts.Granules, mapreduce.Config{Reducers: len(e.cols)})
-		if err != nil {
-			return err
-		}
-		e.matrices = ms
-		e.StatsMetrics = metrics
-	}
-	// The matrices may outlive the store: InvalidateStore (after a
-	// stats.ApplyUpdate) clears only the partition, so the rebuild here
-	// reuses the incrementally maintained matrices instead of re-running
-	// the statistics job.
-	buildStart := time.Now()
-	st, err := store.Build(e.cols, e.matrices)
+	ms, metrics, err := stats.Collect(e.cols, e.opts.Granules, mapreduce.Config{Reducers: len(e.cols)})
 	if err != nil {
 		return err
 	}
-	e.store = st
-	e.StoreBuildDuration += time.Since(buildStart)
-	e.StatsDuration += time.Since(start)
+	buildStart := time.Now()
+	st, err := store.Build(e.cols, ms)
+	if err != nil {
+		return err
+	}
+	e.matrices, e.store, e.StatsMetrics = ms, st, metrics
+	e.StoreBuildDuration = time.Since(buildStart)
+	e.StatsDuration = time.Since(start)
 	return e.startClusterLocked()
 }
 
@@ -377,9 +361,9 @@ func (e *Engine) prepareLocked() error {
 // options ask for distributed execution: in-process workers by default,
 // TCP workers when ShardAddrs names them, replica-loaded from the
 // store's current epoch. Callers hold e.mu. A cluster that faulted
-// (worker lost, protocol violation) stays poisoned — every execution
-// fails fast with the original cause — until InvalidateStore tears it
-// down and the next preparation builds a fresh one.
+// (worker lost, protocol violation) stays poisoned for the engine's
+// lifetime: every execution fails fast with the original cause.
+// Recovery is a new engine (for example an OpenEngine restore).
 func (e *Engine) startClusterLocked() error {
 	if e.cluster != nil || (e.opts.Shards <= 1 && len(e.opts.ShardAddrs) == 0) {
 		return nil
@@ -418,14 +402,6 @@ func (e *Engine) closeClusterLocked() {
 	e.cluster, e.shardWorkers = nil, nil
 }
 
-// Sharded reports whether the engine currently runs joins across a
-// shard cluster.
-func (e *Engine) Sharded() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cluster != nil
-}
-
 // ShardWorkers exposes the in-process shard workers for test
 // introspection (replica epochs, pin accounting); nil before the
 // cluster starts or when the cluster is TCP-backed.
@@ -433,53 +409,6 @@ func (e *Engine) ShardWorkers() []*shard.Worker {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.shardWorkers
-}
-
-// InvalidateStore discards the resident bucket partition (and its
-// memoized R-trees) so the next Execute or PrepareStats rebuilds it
-// from the engine's collections and current matrices. It is the
-// full-rebuild escape hatch for mutations the epoch-delta append path
-// cannot express — use Append for insertions; use ApplyUpdate +
-// InvalidateStore after deletions or in-place edits, where the resident
-// buckets still hold the removed intervals and only a rebuild can drop
-// them. The matrices themselves are kept: the rebuild runs zero
-// statistics-job work. The rebuild also resets the ingest epoch
-// coherently: the fresh store seals everything as epoch 0, so a
-// subsequent Append starts the delta layer from scratch and
-// Report.Epoch restarts from zero.
-//
-// Do not call it concurrently with in-flight Execute calls on data that
-// changed underneath them: quiesce queries, apply the update, then
-// invalidate. (Append needs no such quiescing — in-flight queries keep
-// their pinned epoch.)
-func (e *Engine) InvalidateStore() {
-	e.mu.Lock()
-	if e.store != nil {
-		// A zero-copy store holds a reference on its snapshot mapping;
-		// dropping the store must drop that too or the rebuild leaks the
-		// mapping for the process lifetime. (Pinned in-flight views keep
-		// their own references, so this never unmaps under a probe.)
-		e.store.Close()
-	}
-	e.store = nil
-	e.mapped = nil
-	// A shard cluster replicates the partition being discarded (and may
-	// be poisoned by a worker fault); drop it with the store so the next
-	// preparation loads fresh replicas from the rebuilt partition.
-	e.closeClusterLocked()
-	// The rebuild restarts the epoch sequence at 0, and the mutation
-	// that prompted it may have shrunk buckets — both outside the plan
-	// cache's append-only epoch model, so cached plans must go.
-	e.plans.Purge()
-	// Standing subscriptions hold epoch-derived diff bases; the
-	// generation bump (observed through pins) forces them to resync
-	// instead of diffing across unrelated epoch sequences.
-	e.gen++
-	hook := e.ingestHook
-	e.mu.Unlock()
-	if hook != nil {
-		hook()
-	}
 }
 
 // PlanCacheStats returns a snapshot of the engine's plan-cache
@@ -520,7 +449,9 @@ func (e *Engine) StoreStats() store.Stats {
 // Health reports whether the engine can currently admit queries: nil
 // when healthy, otherwise the condition poisoning admission — a mapped
 // snapshot whose background verification found damage, or a faulted
-// shard cluster. obs.Serve's /healthz endpoint surfaces it.
+// shard cluster. Either refusal lasts for the engine's lifetime; the
+// remedy is a new engine (for example an OpenEngine restore from a
+// sound snapshot). obs.Serve's /healthz endpoint surfaces it.
 func (e *Engine) Health() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -535,16 +466,6 @@ func (e *Engine) Health() error {
 		}
 	}
 	return nil
-}
-
-// Matrices exposes the collected bucket matrices (after PrepareStats).
-// Callers that mutate a matrix in place (stats.ApplyUpdate) must call
-// InvalidateStore afterwards, or the engine keeps serving the bucket
-// partition built from the pre-update counts.
-func (e *Engine) Matrices() []*stats.Matrix {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.matrices
 }
 
 // Store exposes the dataset-resident bucket store (after PrepareStats).

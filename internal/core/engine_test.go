@@ -10,6 +10,7 @@ import (
 	"tkij/internal/plancache"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
+	"tkij/internal/stats"
 )
 
 func synthCols(n, perCol int, seed int64) []*interval.Collection {
@@ -134,6 +135,18 @@ func TestExecuteMappedErrors(t *testing.T) {
 	}
 }
 
+// pinnedMatrices returns the bucket matrices at e's current epoch
+// (read-only), preparing e first if needed.
+func pinnedMatrices(t *testing.T, e *Engine) []*stats.Matrix {
+	t.Helper()
+	pin, err := e.Pin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pin.Release()
+	return pin.Matrices()
+}
+
 // Stats are collected once and reused across queries.
 func TestStatsReuse(t *testing.T) {
 	cols := synthCols(3, 30, 6)
@@ -144,7 +157,7 @@ func TestStatsReuse(t *testing.T) {
 	if err := e.PrepareStats(); err != nil {
 		t.Fatal(err)
 	}
-	first := e.Matrices()
+	first := pinnedMatrices(t, e)
 	env := query.Env{Params: scoring.P1}
 	if _, err := e.Execute(context.Background(), query.Qbb(env)); err != nil {
 		t.Fatal(err)
@@ -153,7 +166,7 @@ func TestStatsReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range first {
-		if e.Matrices()[i] != first[i] {
+		if pinnedMatrices(t, e)[i] != first[i] {
 			t.Fatal("matrices recomputed between queries")
 		}
 	}

@@ -50,7 +50,6 @@ type Pin struct {
 	// Release.
 	runner   join.Runner
 	gated    bool
-	gen      int64
 	released atomic.Bool
 }
 
@@ -64,7 +63,7 @@ func (e *Engine) Pin() (*Pin, error) {
 	if err := e.prepareLocked(); err != nil {
 		return nil, err
 	}
-	p := &Pin{e: e, matrices: e.matrices, store: e.store, gen: e.gen}
+	p := &Pin{e: e, matrices: e.matrices, store: e.store}
 	if e.cluster != nil {
 		e.shardGate.RLock()
 		p.runner = e.cluster
@@ -77,11 +76,6 @@ func (e *Engine) Pin() (*Pin, error) {
 
 // Epoch returns the store epoch the pin captured.
 func (p *Pin) Epoch() int64 { return p.view.Epoch() }
-
-// Generation returns the store generation the pin captured (see
-// Engine.StoreGeneration); the pin's epoch is meaningful only within
-// it.
-func (p *Pin) Generation() int64 { return p.gen }
 
 // Matrices returns the collection-indexed bucket matrices captured at
 // pin time. They are shared with every execution on this pin — treat
@@ -172,11 +166,6 @@ type Report struct {
 	// exactly the append batches with epoch <= Epoch were visible, no
 	// matter how many landed while the query ran.
 	Epoch int64
-
-	// Standing reports the execution served a standing subscription (the
-	// initial snapshot at Subscribe, or a push cycle's execution)
-	// rather than a one-shot caller query. Filled by internal/standing.
-	Standing bool
 
 	// BatchSize is 1 when the execution was admitted through a server
 	// (admission.Server.Submit) and 0 for a direct Execute; the server
@@ -384,7 +373,7 @@ func (e *Engine) ExecutePinned(ctx context.Context, q *query.Query, mapping []in
 func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin *Pin, k int) (report *Report, err error) {
 
 	// Span selection: a caller whose context carries a span (a standing
-	// resync, a traced caller) gets the execution nested there; a plain
+	// push, a traced caller) gets the execution nested there; a plain
 	// call roots a fresh query span on the engine tracer. Both are nil
 	// (free) when no tracer is attached.
 	span := obs.SpanFrom(ctx)

@@ -10,30 +10,21 @@ import (
 )
 
 // SetIngestHook registers fn to be called after every successful Append
-// that publishes a new store epoch, and after every InvalidateStore —
-// in both cases outside the engine lock, so fn may pin and execute. fn
-// must return quickly and never block; it is a change notification, not
-// a callback to do work in (the standing manager's hook nudges its
-// dispatcher and returns). One hook is supported; nil clears it.
+// that publishes a new store epoch, outside the engine lock, so fn may
+// pin and execute. fn must return quickly and never block; it is a
+// change notification, not a callback to do work in (the standing
+// manager's hook nudges its dispatcher and returns). One hook is
+// supported; nil clears it.
 func (e *Engine) SetIngestHook(fn func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.ingestHook = fn
 }
 
-// StoreGeneration returns the store-generation counter: 0 for the
-// initial build, +1 per InvalidateStore. Epochs are comparable only
-// within one generation.
-func (e *Engine) StoreGeneration() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.gen
-}
-
 // Append routes a batch of new intervals for collection col through the
 // streaming-ingest path and returns the store epoch at which the batch
 // became visible: the collection grows, the collection's bucket matrix
-// is maintained incrementally (stats.ApplyUpdate semantics — endpoints
+// is maintained incrementally (stats.ApplyUpdate — endpoints
 // outside the original granulation clamp to the boundary granules, the
 // granulation itself is kept fixed), and the bucket store publishes a
 // new epoch whose untouched buckets keep their memoized R-trees. No
@@ -99,7 +90,7 @@ func (e *Engine) appendLocked(col int, ivs []interval.Interval) (int64, func(), 
 		// slice and must keep reading the pre-append counts their pinned
 		// store epoch corresponds to.
 		m := e.matrices[col].Clone()
-		if err := stats.ApplyUpdate(m, ivs, nil); err != nil {
+		if err := stats.ApplyUpdate(m, ivs); err != nil {
 			return 0, nil, err
 		}
 		ms := slices.Clone(e.matrices)
@@ -130,15 +121,15 @@ func (e *Engine) appendLocked(col int, ivs []interval.Interval) (int64, func(), 
 	if err := e.cluster.Append(col, ivs); err != nil {
 		// The replicas are now behind the coordinator; the cluster has
 		// poisoned itself, so distributed executions fail fast rather
-		// than serve a stale epoch. InvalidateStore recovers.
+		// than serve a stale epoch, for the engine's lifetime (Health
+		// reports it; recovery is a new engine).
 		return 0, nil, fmt.Errorf("core: shard replicas lost append epoch %d: %w", epoch, err)
 	}
 	return epoch, e.ingestHook, nil
 }
 
 // Epoch returns the store's current ingest epoch: 0 until the first
-// Append after preparation (or after an InvalidateStore rebuild), +1
-// per applied batch.
+// Append after preparation, +1 per applied batch. It never goes back.
 func (e *Engine) Epoch() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -10,7 +10,6 @@ import (
 	"tkij/internal/join"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
-	"tkij/internal/stats"
 )
 
 // appendedIDBase marks streamed intervals in the race test: an ID of
@@ -125,75 +124,6 @@ func TestAppendExecuteRace(t *testing.T) {
 	}
 }
 
-// TestInvalidateStoreResetsEpoch pins the InvalidateStore/epoch-delta
-// relationship: Append is the insertion fast path; deletions go through
-// ApplyUpdate + InvalidateStore, the full-rebuild escape hatch, which
-// must reset the epoch counter coherently — the rebuilt store starts a
-// fresh epoch sequence at 0 and serves the post-deletion data exactly.
-func TestInvalidateStoreResetsEpoch(t *testing.T) {
-	cols := synthCols(3, 30, 47)
-	const k = 8
-	e, err := NewEngine(cols, Options{Granules: 5, K: k, Reducers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := query.Qom(query.Env{Params: scoring.P1})
-	if _, err := e.Execute(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	metricsBefore := e.StatsMetrics
-
-	// Streamed insertions advance the epoch.
-	batch := []interval.Interval{{ID: 700001, Start: 500, End: 600}, {ID: 700002, Start: 520, End: 640}}
-	epoch, err := e.Append(0, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != 1 || e.Epoch() != 1 {
-		t.Fatalf("epoch after append = %d (engine %d), want 1", epoch, e.Epoch())
-	}
-	r, err := e.Execute(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Epoch != 1 {
-		t.Fatalf("query pinned epoch %d, want 1", r.Epoch)
-	}
-
-	// A deletion cannot ride the delta layer: mutate the collection,
-	// maintain the matrix, and rebuild through the escape hatch.
-	deleted := cols[1].Items[3]
-	cols[1].Items = append(cols[1].Items[:3:3], cols[1].Items[4:]...)
-	if err := stats.ApplyUpdate(e.Matrices()[1], nil, []interval.Interval{deleted}); err != nil {
-		t.Fatal(err)
-	}
-	e.InvalidateStore()
-	if e.Epoch() != 0 {
-		t.Fatalf("epoch after InvalidateStore = %d, want 0 (no store)", e.Epoch())
-	}
-	r, err = e.Execute(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Epoch != 0 {
-		t.Fatalf("rebuilt store serves epoch %d, want a fresh sequence from 0", r.Epoch)
-	}
-	exact, err := join.Exhaustive(q, cols, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !join.ScoreMultisetEqual(r.Results, exact, 1e-9) {
-		t.Fatal("post-rebuild results diverged from exhaustive enumeration")
-	}
-	if e.StatsMetrics != metricsBefore {
-		t.Fatal("rebuild re-ran the statistics job; matrices are maintained incrementally")
-	}
-	// The delta layer restarts cleanly on the rebuilt store.
-	if epoch, err = e.Append(0, []interval.Interval{{ID: 700003, Start: 550, End: 620}}); err != nil || epoch != 1 {
-		t.Fatalf("append after rebuild: epoch %d, err %v; want 1, nil", epoch, err)
-	}
-}
-
 // TestAppendDoesNotRebuildUnaffectedTrees is the acceptance check
 // behind BenchmarkAppendThenQuery: an append may grow tree-build
 // counters only for buckets whose contents changed (sealed rebuilds
@@ -221,7 +151,7 @@ func TestAppendDoesNotRebuildUnaffectedTrees(t *testing.T) {
 		{ID: 800003, Start: 1200, End: 1290},
 	}
 	touched := map[[2]int]bool{}
-	gran := e.Matrices()[1].Gran
+	gran := pinnedMatrices(t, e)[1].Gran
 	for _, iv := range batch {
 		l, lp := gran.BucketOf(iv)
 		touched[[2]int{l, lp}] = true
@@ -252,8 +182,7 @@ func TestAppendDoesNotRebuildUnaffectedTrees(t *testing.T) {
 	}
 	// The seed-independent invariant: once the post-append query has run,
 	// re-running it builds nothing — every tree the query needs survived
-	// the append or was memoized on the previous run. (The old
-	// InvalidateStore-on-append path rebuilt every bucket here.)
+	// the append or was memoized on the previous run.
 	again, err := e.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)

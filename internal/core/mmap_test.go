@@ -347,11 +347,12 @@ func TestOpenEngineMmapVerifyFailureGates(t *testing.T) {
 	}
 }
 
-// Refcounted unmap under fire: queries execute on a mapped engine while
-// InvalidateStore drops the store (and with it the mapping reference)
-// mid-flight. Pinned views must keep the mapping alive until their
-// queries finish, rebuilt stores must serve the same answers, and the
-// race detector must stay quiet. Exercised under -race in CI.
+// Refcounted unmap under live pins: a mapped engine is closed while
+// four pinned views are still open, and each pin then executes from
+// its own goroutine. The pins' references must keep the mapping alive
+// until they release, so every answer equals the built engine's, rank
+// by rank, and the race detector stays quiet. Exercised under -race in
+// CI.
 func TestMmapUnmapRace(t *testing.T) {
 	cols := synthCols(3, 120, 59)
 	opts := Options{Granules: 6, K: 10, Reducers: 4}
@@ -369,59 +370,52 @@ func TestMmapUnmapRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := exampleQueries(cols)
-	want, err := built.Execute(context.Background(), queries[0])
-	if err != nil {
-		t.Fatal(err)
+	if !mm.Mapped() {
+		t.Fatal("mapped restore does not report Mapped()")
 	}
+	queries := exampleQueries(cols)
 
 	const workers = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				got, err := mm.Execute(context.Background(), queries[(w+i)%len(queries)])
-				if err != nil {
-					errs <- err
-					return
-				}
-				if (w+i)%len(queries) == 0 && !join.ScoreMultisetEqual(got.Results, want.Results, 1e-9) {
-					errs <- context.DeadlineExceeded // sentinel; message below
-					return
-				}
-			}
-		}(w)
-	}
-	// Invalidate while queries are in flight: the mapped store is closed
-	// under live pinned views, then lazily rebuilt on the heap from the
-	// engine's collections. The dataset itself never changes, so every
-	// execution remains valid regardless of which store it admitted on.
-	for i := 0; i < 3; i++ {
-		time.Sleep(2 * time.Millisecond)
-		mm.InvalidateStore()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err == context.DeadlineExceeded {
-			t.Fatal("a query diverged from the built engine during invalidation")
+	pins := make([]*Pin, workers)
+	for w := range pins {
+		if pins[w], err = mm.Pin(); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("query failed during invalidation: %v", err)
-	}
-	if mm.Mapped() {
-		t.Fatal("engine still reports Mapped() after InvalidateStore dropped the mapping")
-	}
-	// Post-race sanity: the rebuilt heap store answers correctly.
-	got, err := mm.Execute(context.Background(), queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !join.ScoreMultisetEqual(got.Results, want.Results, 1e-9) {
-		t.Fatal("rebuilt store diverged from the built engine")
 	}
 	mm.Close()
 	mm.Close() // idempotent
+
+	results := make([]*Report, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range pins {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			q := queries[w%len(queries)]
+			mapping := make([]int, q.NumVertices)
+			for v := range mapping {
+				mapping[v] = v
+			}
+			results[w], errs[w] = mm.ExecutePinned(context.Background(), q, mapping, pins[w], opts.K)
+		}(w)
+	}
+	wg.Wait()
+	for w, pin := range pins {
+		if errs[w] != nil {
+			t.Fatalf("pin %d: execution after Close failed: %v", w, errs[w])
+		}
+		want, err := built.Execute(context.Background(), queries[w%len(queries)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(results[w].Results, want.Results) {
+			t.Fatalf("pin %d: answer after Close diverged from the built engine\ngot:  %v\nwant: %v",
+				w, results[w].Results, want.Results)
+		}
+		pin.Release()
+	}
+	if vs := mm.StoreViewStats(); vs.Live != 0 {
+		t.Fatalf("%d live views after every pin released", vs.Live)
+	}
 }

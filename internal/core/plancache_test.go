@@ -229,31 +229,3 @@ func TestReportPhaseTimingsSumWithinTotal(t *testing.T) {
 	}
 	checkReport("revalidated", reval)
 }
-
-// TestInvalidateStorePurgesPlanCache: the epoch sequence reset must not
-// leave plans keyed against the dead sequence.
-func TestInvalidateStorePurgesPlanCache(t *testing.T) {
-	cols := synthCols(3, 30, 26)
-	q := query.Qbb(query.Env{Params: scoring.P1})
-	e, err := NewEngine(cols, Options{Granules: 5, K: 6, Reducers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Execute(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.PlanCacheStats(); st.Entries != 1 {
-		t.Fatalf("expected 1 cached plan, have %+v", st)
-	}
-	e.InvalidateStore()
-	if st := e.PlanCacheStats(); st.Entries != 0 {
-		t.Fatalf("InvalidateStore left cached plans: %+v", st)
-	}
-	report, err := e.Execute(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.PlanCacheHit || report.PlanRevalidated {
-		t.Fatal("post-invalidate execution served a purged plan")
-	}
-}

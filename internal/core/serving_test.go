@@ -5,11 +5,9 @@ import (
 	"sync"
 	"testing"
 
-	"tkij/internal/interval"
 	"tkij/internal/join"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
-	"tkij/internal/stats"
 )
 
 // Warm-engine regression: the second execution of a query must reuse
@@ -127,72 +125,6 @@ func TestPhaseDurationsNonNegative(t *testing.T) {
 		if report.JoinTime+report.MergeTime > report.Total {
 			t.Fatalf("join %v + merge %v exceed total %v", report.JoinTime, report.MergeTime, report.Total)
 		}
-	}
-}
-
-// Regression: stats.ApplyUpdate mutates a matrix the resident store was
-// built from; without invalidation a prepared engine keeps serving the
-// pre-update buckets. After InvalidateStore the next query must see the
-// updated data — and must get there without re-running the statistics
-// job.
-func TestInvalidateStoreServesFreshData(t *testing.T) {
-	cols := synthCols(3, 25, 19)
-	const k = 8
-	e, err := NewEngine(cols, Options{Granules: 5, K: k, Reducers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := query.Qss(query.Env{Params: scoring.P1})
-	before, err := e.Execute(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metricsBefore := e.StatsMetrics
-
-	// Insert a perfect s-starts chain — shared start, ends spaced a full
-	// greater-ramp apart, well inside the granulation span so the fixed
-	// granulation stays a valid partition — into each collection, then
-	// maintain the matrices. Random sparse data almost never scores 1.0
-	// on Qs,s (it needs near-equal starts twice), so this provably
-	// changes the top-k.
-	inserts := [][]interval.Interval{
-		{{ID: 900001, Start: 1000, End: 1010}},
-		{{ID: 900002, Start: 1000, End: 1020}},
-		{{ID: 900003, Start: 1000, End: 1030}},
-	}
-	for i, ins := range inserts {
-		cols[i].Items = append(cols[i].Items, ins...)
-		if err := stats.ApplyUpdate(e.Matrices()[i], ins, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	oracle, err := join.Exhaustive(q, cols, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if join.ScoreMultisetEqual(oracle, before.Results, 1e-9) {
-		t.Fatal("test setup broken: the inserted chain did not change the top-k")
-	}
-
-	// Without invalidation the engine still serves the stale partition.
-	stale, err := e.Execute(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !join.ScoreMultisetEqual(stale.Results, before.Results, 1e-9) {
-		t.Fatal("pre-invalidation query did not serve the (stale) resident store")
-	}
-
-	e.InvalidateStore()
-	fresh, err := e.Execute(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !join.ScoreMultisetEqual(fresh.Results, oracle, 1e-9) {
-		t.Fatal("post-InvalidateStore query does not see the inserted data")
-	}
-	if e.StatsMetrics != metricsBefore {
-		t.Fatal("store rebuild re-ran the statistics job; matrices are maintained incrementally")
 	}
 }
 

@@ -80,7 +80,7 @@ func scriptedWorker(t *testing.T, handle func(shard.Frame, net.Conn) error) stri
 // A worker that dies on the scatter frame: the execution fails with the
 // distinct worker-lost error, no partial results leak out, the
 // coordinator's pinned view is released, and the cluster stays poisoned
-// (fail-fast) until InvalidateStore rebuilds it.
+// (fail-fast, reported by Health) for the engine's lifetime.
 func TestShardedEngineWorkerCrash(t *testing.T) {
 	addr := scriptedWorker(t, func(f shard.Frame, conn net.Conn) error {
 		if _, isQuery := f.(*shard.QueryFrame); isQuery {
@@ -100,22 +100,17 @@ func TestShardedEngineWorkerCrash(t *testing.T) {
 	if report != nil || !errors.Is(err, shard.ErrWorkerLost) {
 		t.Fatalf("Execute = (%v, %v), want (nil, ErrWorkerLost)", report, err)
 	}
-	if vs := e.Store().ViewStats(); vs.Live != 0 {
-		t.Fatalf("%d live views after failed execution", vs.Live)
+	// Poisoned: every later execution fails fast with the original cause.
+	for i := 0; i < 3; i++ {
+		if _, err := e.Execute(context.Background(), q); !errors.Is(err, shard.ErrWorkerLost) {
+			t.Fatalf("execution %d on the poisoned cluster returned %v, want ErrWorkerLost", i, err)
+		}
 	}
-	// Poisoned: the next execution fails fast with the original cause.
-	if _, err := e.Execute(context.Background(), q); !errors.Is(err, shard.ErrWorkerLost) {
-		t.Fatalf("poisoned cluster returned %v, want ErrWorkerLost", err)
+	if err := e.Health(); !errors.Is(err, shard.ErrWorkerLost) {
+		t.Fatalf("Health() = %v, want it to wrap ErrWorkerLost", err)
 	}
-	// InvalidateStore tears the cluster down; the next preparation dials
-	// a fresh one (the scripted worker crashes it again, but through a
-	// brand-new connection — proving the rebuild happened).
-	e.InvalidateStore()
-	if _, err := e.Execute(context.Background(), q); !errors.Is(err, shard.ErrWorkerLost) {
-		t.Fatalf("rebuilt cluster returned %v, want ErrWorkerLost", err)
-	}
-	if vs := e.Store().ViewStats(); vs.Live != 0 {
-		t.Fatalf("%d live views after rebuild round", vs.Live)
+	if vs := e.StoreViewStats(); vs.Live != 0 {
+		t.Fatalf("%d live views after failed executions", vs.Live)
 	}
 }
 

@@ -327,8 +327,7 @@ func promote(e *entry, req Request, reqLabeling []int) (*entry, *Planned) {
 	// The entry may be expressed in an isomorphic query's labeling;
 	// sigma maps request vertices onto entry vertices (nil = identity).
 	sigma := sigmaFor(e.labeling, reqLabeling)
-	diff, ok := e.state.Diff(req.Matrices, sigma)
-	if !ok || diff.AnyShape() {
+	if e.state.Diff(req.Matrices, sigma).AnyShape() {
 		return nil, nil
 	}
 	ne := &entry{
@@ -382,21 +381,6 @@ func (c *Cache) charge(e *entry) {
 		c.cost -= victim.cost
 		c.stats.Evictions++
 	}
-}
-
-// Purge drops every entry. The engine calls it when the epoch sequence
-// resets (InvalidateStore rebuilds the store at epoch 0 — entry epochs
-// would otherwise compare against an unrelated sequence) and after
-// destructive updates the append-only epoch model cannot express.
-func (c *Cache) Purge() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*entry)
-	c.lru.Init()
-	c.cost = 0
 }
 
 // Stats returns a snapshot of cache activity.

@@ -71,7 +71,7 @@ func TestCacheHitAndEpochSeparation(t *testing.T) {
 	// An epoch bump with matrices changes is not a hit: appends into
 	// existing interior buckets promote the entry.
 	ms2 := []*stats.Matrix{ms[0].Clone(), ms[1]}
-	if err := stats.ApplyUpdate(ms2[0], []interval.Interval{{ID: 900, Start: 50, End: 58}}, nil); err != nil {
+	if err := stats.ApplyUpdate(ms2[0], []interval.Interval{{ID: 900, Start: 50, End: 58}}); err != nil {
 		t.Fatal(err)
 	}
 	p3, err := c.Plan(request(q, ms2, 5, 1))
@@ -122,7 +122,7 @@ func TestWidenedBoundaryReplans(t *testing.T) {
 	// again, never served as a hit or promoted.
 	ms2 := []*stats.Matrix{ms[0].Clone(), ms[1]}
 	batch := []interval.Interval{{ID: 901, Start: -500, End: -40}, {ID: 902, Start: 600, End: 700}}
-	if err := stats.ApplyUpdate(ms2[0], batch, nil); err != nil {
+	if err := stats.ApplyUpdate(ms2[0], batch); err != nil {
 		t.Fatal(err)
 	}
 	p2, err := c.Plan(request(q, ms2, 5, 1))
@@ -152,7 +152,7 @@ func TestShapeChangeReplansCold(t *testing.T) {
 	appended := func(ms []*stats.Matrix, batch ...interval.Interval) []*stats.Matrix {
 		t.Helper()
 		next := []*stats.Matrix{ms[0].Clone(), ms[1]}
-		if err := stats.ApplyUpdate(next[0], batch, nil); err != nil {
+		if err := stats.ApplyUpdate(next[0], batch); err != nil {
 			t.Fatal(err)
 		}
 		return next
@@ -258,25 +258,6 @@ func TestEvictionRespectsCostBound(t *testing.T) {
 	}
 	if p.Outcome != Miss {
 		t.Fatalf("least recently used entry survived past the cost bound (outcome %v)", p.Outcome)
-	}
-}
-
-func TestPurge(t *testing.T) {
-	q, ms := testData(t)
-	c := New(Options{})
-	if _, err := c.Plan(request(q, ms, 5, 0)); err != nil {
-		t.Fatal(err)
-	}
-	c.Purge()
-	if st := c.Stats(); st.Entries != 0 || st.Cost != 0 {
-		t.Fatalf("purge left %+v", st)
-	}
-	p, err := c.Plan(request(q, ms, 5, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Outcome != Miss {
-		t.Fatalf("post-purge plan: outcome %v, want miss", p.Outcome)
 	}
 }
 

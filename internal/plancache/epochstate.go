@@ -19,27 +19,22 @@ type EpochState struct {
 
 // CaptureEpochState fingerprints the per-vertex matrices by holding on
 // to them. Contract: matrices handed to Plan or CaptureEpochState are
-// never mutated afterwards. The engine honours it by copy-on-write —
-// Append clones a collection's matrix before folding the batch in — and
-// a caller that mutates a matrix in place (stats.ApplyUpdate) must call
-// Engine.InvalidateStore, which purges every plan and forces every
-// standing subscription to resync, so a stale capture is never diffed.
+// never mutated afterwards. The engine honours it by copy-on-write:
+// Append, the only way an engine's data changes, clones a collection's
+// matrix before folding the batch in.
 func CaptureEpochState(matrices []*stats.Matrix) *EpochState {
 	return &EpochState{matrices: append([]*stats.Matrix(nil), matrices...)}
 }
 
 // Diff classifies the transition from the captured state to the current
-// matrices under the append-only epoch model. permute maps current
+// matrices, a later epoch of the same engine. permute maps current
 // vertex v onto the captured state's vertex (nil = identity) — the plan
 // cache passes the isomorphism between an entry's labeling and the
-// request's. ok is false when the transition is outside the append-only
-// model (vertex-count mismatch, granulation swap): nothing can be
-// diffed and the caller must re-plan or resync from scratch.
-func (s *EpochState) Diff(matrices []*stats.Matrix, permute []int) (*EpochDiff, bool) {
-	if s == nil || len(matrices) != len(s.matrices) {
-		return nil, false
-	}
-	d := new(EpochDiff)
+// request's. An engine's epochs only grow counts and its granulation
+// never changes, and the plan key (or the subscription) fixes the
+// vertex count, so every transition is diffable.
+func (s *EpochState) Diff(matrices []*stats.Matrix, permute []int) EpochDiff {
+	var d EpochDiff
 	for v, m := range matrices {
 		sv := v
 		if permute != nil {
@@ -47,9 +42,6 @@ func (s *EpochState) Diff(matrices []*stats.Matrix, permute []int) (*EpochDiff, 
 		}
 		old := s.matrices[sv]
 		grid, oldGrid := m.Grid(), old.Grid()
-		if grid.Gran != oldGrid.Gran {
-			return nil, false
-		}
 		if grid.Lo < oldGrid.Lo || grid.Hi > oldGrid.Hi {
 			// An out-of-range append clamped into a boundary bucket:
 			// boundary boxes changed shape and some bucket grew.
@@ -67,7 +59,7 @@ func (s *EpochState) Diff(matrices []*stats.Matrix, permute []int) (*EpochDiff, 
 			}
 		}
 	}
-	return d, true
+	return d
 }
 
 // EpochDiff is the classified difference between an EpochState and a
@@ -80,8 +72,8 @@ type EpochDiff struct {
 // AnyShape reports whether any bucket's granule box changed: a bucket
 // appeared, or a boundary granule widened. Only then can cached score
 // bounds be stale; grown-in-place counts never move a box.
-func (d *EpochDiff) AnyShape() bool { return d.anyShape }
+func (d EpochDiff) AnyShape() bool { return d.anyShape }
 
 // AnyGrown reports whether any bucket's contents grew — whether the
 // epoch transition can contribute any new join result at all.
-func (d *EpochDiff) AnyGrown() bool { return d.anyGrowth }
+func (d EpochDiff) AnyGrown() bool { return d.anyGrowth }

@@ -33,11 +33,11 @@ func TestPlanSingleFlight(t *testing.T) {
 		return [2]Request{request(q, ms, 5, epoch), swapped}
 	}
 	grown := []*stats.Matrix{ms[0].Clone(), ms[1]}
-	if err := stats.ApplyUpdate(grown[0], []interval.Interval{{ID: 900, Start: 50, End: 58}}, nil); err != nil {
+	if err := stats.ApplyUpdate(grown[0], []interval.Interval{{ID: 900, Start: 50, End: 58}}); err != nil {
 		t.Fatal(err)
 	}
 	widened := []*stats.Matrix{grown[0].Clone(), ms[1]}
-	if err := stats.ApplyUpdate(widened[0], []interval.Interval{{ID: 901, Start: -500, End: -40}}, nil); err != nil {
+	if err := stats.ApplyUpdate(widened[0], []interval.Interval{{ID: 901, Start: -500, End: -40}}); err != nil {
 		t.Fatal(err)
 	}
 	first, second, third := labelings(ms, 0), labelings(grown, 1), labelings(widened, 2)

@@ -132,7 +132,8 @@ func (c *Cluster) health() error {
 // Health reports the cluster's poisoned state: nil while healthy, the
 // first fault (worker lost, protocol violation, lost append) once the
 // cluster has failed. A poisoned cluster fails every execution fast
-// until the engine rebuilds it (InvalidateStore).
+// for the rest of its life; the engine that owns it reports the fault
+// (core.Engine.Health) and never replaces it.
 func (c *Cluster) Health() error { return c.health() }
 
 func (l *link) send(f Frame) error { return l.sendSeq(f, nil) }

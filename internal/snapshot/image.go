@@ -293,10 +293,11 @@ func directoryShape(cols []store.MappedCol) shape {
 // partition p: aligned collections, identical granulations, per-bucket
 // counts matching the resident items, and no resident item the matrices
 // do not count. It gates both ends of the codec — Encode, so a save
-// from a stale store (e.g. stats.ApplyUpdate without
-// core.Engine.InvalidateStore) fails fast instead of writing a file
-// only restore can reject; Parse, so a damaged file never yields a
-// partial store; and Replay, on the merged state.
+// from a store that disagrees with its matrices (e.g. a matrix grown by
+// stats.ApplyUpdate while the store was not appended to) fails fast
+// instead of writing a file only restore can reject; Parse, so a
+// damaged file never yields a partial store; and Replay, on the merged
+// state.
 func checkCoherence(p shape, matrices []*stats.Matrix) error {
 	if p.cols != len(matrices) {
 		return fmt.Errorf("snapshot: %d matrices for %d store collections", len(matrices), p.cols)

@@ -104,12 +104,13 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
-// A store gone stale against its matrices (stats.ApplyUpdate without
-// rebuilding the partition) must be refused at save time — not
-// persisted into a file only restore can reject.
+// A store that disagrees with its matrices (a matrix grown by
+// stats.ApplyUpdate while the store was not appended to) must be
+// refused at save time — not persisted into a file only restore can
+// reject.
 func TestEncodeRefusesStaleStore(t *testing.T) {
 	st, ms, _ := offlinePhase(t, 2, 150, 5, 3)
-	if err := stats.ApplyUpdate(ms[0], []interval.Interval{{ID: 999, Start: 100, End: 200}}, nil); err != nil {
+	if err := stats.ApplyUpdate(ms[0], []interval.Interval{{ID: 999, Start: 100, End: 200}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Encode(st, ms); err == nil {

@@ -24,9 +24,8 @@ type Delta struct {
 	// state wholesale, absorbing deltas coalesced away before it).
 	Seq uint64
 	// Resync marks a full-state delta: TopK replaces the subscriber's
-	// materialized results. Emitted for the initial snapshot, after
-	// slow-subscriber coalescing, after a store rebuild
-	// (InvalidateStore) and after a granulation swap.
+	// materialized results. Emitted for the initial snapshot and after
+	// slow-subscriber coalescing.
 	Resync bool
 	// TopK is a resync delta's full result list (nil otherwise), sorted
 	// by the pipeline's total order.
@@ -70,12 +69,13 @@ func NewTopK(k int) *TopK { return &TopK{K: k} }
 // on any violation: a malformed, reordered or replayed delta must fail
 // loudly rather than silently diverge from the server's state.
 func (t *TopK) Apply(d Delta) error {
+	if d.Epoch < t.Epoch {
+		return fmt.Errorf("standing: delta seq %d rewinds epoch %d to %d", d.Seq, t.Epoch, d.Epoch)
+	}
 	if d.Resync {
 		if d.Seq <= t.Seq {
 			return fmt.Errorf("standing: resync delta seq %d does not advance seq %d", d.Seq, t.Seq)
 		}
-		// A resync may rewind the epoch: InvalidateStore restarts the
-		// epoch sequence, and the resync is what re-bases the consumer.
 		if err := checkSorted(d.TopK); err != nil {
 			return fmt.Errorf("standing: resync delta seq %d: %w", d.Seq, err)
 		}
@@ -92,9 +92,6 @@ func (t *TopK) Apply(d Delta) error {
 
 	if d.Seq != t.Seq+1 {
 		return fmt.Errorf("standing: delta seq %d applied at seq %d (dropped or reordered)", d.Seq, t.Seq)
-	}
-	if d.Epoch < t.Epoch {
-		return fmt.Errorf("standing: delta seq %d rewinds epoch %d to %d", d.Seq, t.Epoch, d.Epoch)
 	}
 	if d.TopK != nil {
 		return fmt.Errorf("standing: incremental delta seq %d carries a resync result list", d.Seq)
@@ -134,8 +131,7 @@ func (t *TopK) Apply(d Delta) error {
 		return fmt.Errorf("standing: delta seq %d grows the top-k to %d for k=%d", d.Seq, len(next), t.K)
 	}
 	if len(next) < len(t.Results) {
-		// Appends only add results; within one store generation the
-		// top-k never shrinks (shrinks arrive as resyncs).
+		// Appends only add results, so the top-k never shrinks.
 		return fmt.Errorf("standing: delta seq %d shrinks the top-k from %d to %d", d.Seq, len(t.Results), len(next))
 	}
 	if got := floorOf(next, t.K); got != d.Floor {

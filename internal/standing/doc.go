@@ -6,7 +6,7 @@
 //
 // Each push cycle pins the engine once, diffs every subscription's
 // bucket-count fingerprint (plancache.EpochState) against the pinned
-// matrices and takes one of three routes:
+// matrices and takes one of two routes:
 //
 //   - promote — nothing grew in the subscription's matrices: the
 //     snapshot carries over verbatim, the delta just advances Epoch.
@@ -15,8 +15,10 @@
 //     bucket's box promotes the cached plan and its bound memo, so the
 //     execution plans and solves nothing), committed as the membership
 //     difference between the pushed top-k and the fresh one.
-//   - resync — the diff base is void (store rebuild, epoch rewind,
-//     granulation swap): the same execution, pushed as the full state.
+//
+// An engine's data changes only through Append and its epoch never goes
+// back, so a subscription's diff base is never void: the only resync
+// deltas are the initial snapshot and slow-subscriber coalescing.
 //
 // The invariant: a consumer materializing deltas through TopK.Apply
 // holds, after every delta, byte for byte the result list a fresh

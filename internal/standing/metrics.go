@@ -11,8 +11,6 @@ var (
 		"Push-cycle routing decisions per subscription.", obs.Labels{"route": "promote"})
 	mRoutePush = obs.NewCounterL("tkij_standing_routing_total",
 		"Push-cycle routing decisions per subscription.", obs.Labels{"route": "push"})
-	mRouteResync = obs.NewCounterL("tkij_standing_routing_total",
-		"Push-cycle routing decisions per subscription.", obs.Labels{"route": "resync"})
 	mProbedCombos = obs.NewCounter("tkij_standing_probed_combos_total",
 		"Combinations the pushes' executions read from their plans.")
 	mDroppedDeltas = obs.NewCounter("tkij_standing_dropped_deltas_total",

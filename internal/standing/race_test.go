@@ -1,8 +1,7 @@
 package standing
 
 // Interleaving tests, run under -race in CI: concurrent Subscribe,
-// Append, unsubscribe (ctx cancel and Close), InvalidateStore and
-// manager Close. The contracts under fire: consumers never observe a
+// Append, unsubscribe (ctx cancel and Close) and manager Close. The contracts under fire: consumers never observe a
 // partial or malformed delta (TopK.Apply validates every one), a
 // canceled or never-draining subscriber neither blocks Append nor
 // poisons other subscriptions, and teardown releases every pinned
@@ -56,20 +55,6 @@ func TestStandingConcurrentChurn(t *testing.T) {
 				return
 			}
 			appends.Add(1)
-		}
-	}()
-
-	// Invalidator: periodic store rebuilds racing the push cycles.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(50 * time.Millisecond):
-				e.InvalidateStore()
-			}
 		}
 	}()
 
@@ -151,14 +136,10 @@ func TestStandingConcurrentChurn(t *testing.T) {
 	wg.Wait()
 	m.Close()
 
-	// Every pin and view released: the live-view count of the current
-	// store must be exactly zero once the manager is down. (The store
-	// is nil when the run ended on an InvalidateStore — nothing can be
-	// pinned then either.)
-	if st := e.Store(); st != nil {
-		if vs := st.ViewStats(); vs.Live != 0 {
-			t.Fatalf("%d live store views after Close", vs.Live)
-		}
+	// Every pin and view released: the live-view count must be exactly
+	// zero once the manager is down.
+	if vs := e.StoreViewStats(); vs.Live != 0 {
+		t.Fatalf("%d live store views after Close", vs.Live)
 	}
 }
 

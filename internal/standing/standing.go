@@ -45,7 +45,10 @@ type Stats struct {
 	Cycles int64
 	// Pushes counts incremental delta pushes; Promotions the cycles
 	// where a subscription's epoch advanced with provably unchanged
-	// results; Resyncs the full-state re-bases.
+	// results. Resyncs is always 0: an engine's epochs only grow, so a
+	// push cycle never re-bases a subscription (the initial snapshot
+	// and slow-subscriber coalescing queue resync deltas without a
+	// cycle; DroppedDeltas counts the latter).
 	Pushes     int64
 	Promotions int64
 	Resyncs    int64
@@ -171,11 +174,9 @@ func (m *Manager) cycle() {
 }
 
 // push carries one subscription from its current pushed state to the
-// pin's epoch by one of three routes: promote (nothing the subscription
-// reads grew: an empty delta), resync (the diff base is void: the full
-// state) or push (one execution at the pin, committed as its membership
-// difference from the pushed top-k). Push and resync share that
-// execution; they differ only in the delta they commit.
+// pin's epoch by one of two routes: promote (nothing the subscription
+// reads grew: an empty delta) or push (one execution at the pin,
+// committed as its membership difference from the pushed top-k).
 func (m *Manager) push(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 	if s.ctx.Err() != nil {
 		return
@@ -186,11 +187,11 @@ func (m *Manager) push(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 		return
 	}
 	snapshot := s.snapshot
-	epoch0, gen0, state := s.epoch, s.gen, s.state
+	epoch0, state := s.epoch, s.state
 	s.mu.Unlock()
 
-	epoch, gen := pin.Epoch(), pin.Generation()
-	if epoch == epoch0 && gen == gen0 {
+	epoch := pin.Epoch()
+	if epoch == epoch0 {
 		return // already there (a burst served by an earlier cycle)
 	}
 
@@ -198,50 +199,30 @@ func (m *Manager) push(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 	for v, ci := range s.mapping {
 		vms[v] = pin.Matrices()[ci].WithCol(v)
 	}
-
-	// A store rebuild (InvalidateStore), a restarted epoch sequence or a
-	// granulation swap voids the diff base.
-	resync := gen != gen0 || epoch < epoch0
-	if !resync {
-		diff, ok := state.Diff(vms, nil)
-		resync = !ok
-		if ok && !diff.AnyGrown() {
-			// Nothing this subscription reads changed: promote the
-			// pushed state to the new epoch with an empty delta.
-			s.commit(epoch, gen, state, snapshot, Delta{
-				Epoch: epoch,
-				Floor: floorOf(snapshot, s.k),
-			})
-			m.count(func(st *Stats) { st.Promotions++ })
-			mRoutePromote.Inc()
-			if ps := cycleSpan.Child("promote"); ps != nil {
-				ps.SetInt("epoch", epoch)
-				ps.Finish()
-			}
-			return
+	if !state.Diff(vms, nil).AnyGrown() {
+		// Nothing this subscription reads changed: promote the pushed
+		// state to the new epoch with an empty delta.
+		s.commit(epoch, state, snapshot, Delta{
+			Epoch: epoch,
+			Floor: floorOf(snapshot, s.k),
+		})
+		m.count(func(st *Stats) { st.Promotions++ })
+		mRoutePromote.Inc()
+		if ps := cycleSpan.Child("promote"); ps != nil {
+			ps.SetInt("epoch", epoch)
+			ps.Finish()
 		}
+		return
 	}
 
-	route := "push"
-	if resync {
-		route = "resync"
-	}
-	span := cycleSpan.Child(route)
+	span := cycleSpan.Child("push")
 	rep, err := m.e.ExecutePinned(obs.WithSpan(s.ctx, span), s.q, s.mapping, pin, s.k)
 	span.Finish()
 	if err != nil {
 		if s.ctx.Err() != nil {
 			return // the forwarder terminates it with the ctx cause
 		}
-		s.terminate(fmt.Errorf("standing: %s execute: %w", route, err))
-		return
-	}
-	rep.Standing = true
-	state = plancache.CaptureEpochState(vms)
-	if resync {
-		s.commitResync(epoch, gen, state, rep.Results)
-		m.count(func(st *Stats) { st.Resyncs++ })
-		mRouteResync.Inc()
+		s.terminate(fmt.Errorf("standing: push execute: %w", err))
 		return
 	}
 	var read int64
@@ -249,7 +230,7 @@ func (m *Manager) push(s *Subscription, pin *core.Pin, cycleSpan *obs.Span) {
 		read += int64(l.CombosAssigned)
 	}
 	entered, left := diffResults(snapshot, rep.Results)
-	s.commit(epoch, gen, state, rep.Results, Delta{
+	s.commit(epoch, plancache.CaptureEpochState(vms), rep.Results, Delta{
 		Epoch:   epoch,
 		Entered: entered,
 		Left:    left,
@@ -309,7 +290,6 @@ func (m *Manager) Subscribe(ctx context.Context, q *query.Query, k int, opts Sub
 	if err != nil {
 		return nil, fmt.Errorf("standing: subscribe: %w", err)
 	}
-	rep.Standing = true
 	vms := make([]*stats.Matrix, q.NumVertices)
 	for v, ci := range mapping {
 		vms[v] = pin.Matrices()[ci].WithCol(v)
@@ -330,12 +310,16 @@ func (m *Manager) Subscribe(ctx context.Context, q *query.Query, k int, opts Sub
 		cancel:   scancel,
 		snapshot: rep.Results,
 		epoch:    pin.Epoch(),
-		gen:      pin.Generation(),
 		state:    plancache.CaptureEpochState(vms),
 		ch:       make(chan Delta, 1),
 		notify:   make(chan struct{}, 1),
 		done:     make(chan struct{}),
+		seq:      1,
 	}
+	// The channel's first delta is the initial snapshot, a resync. It is
+	// queued before the registration below makes s visible to push
+	// cycles, so every push delta follows it.
+	s.queue = []Delta{s.resyncDeltaLocked()}
 
 	m.mu.Lock()
 	if m.closed {
@@ -351,10 +335,8 @@ func (m *Manager) Subscribe(ctx context.Context, q *query.Query, k int, opts Sub
 	m.mu.Unlock()
 
 	go s.forward()
-	// Queue the initial snapshot as the channel's first (resync) delta,
-	// then self-kick: any epoch published between our pin and the
+	// Self-kick: any epoch published between our pin and the
 	// registration above is caught by the next cycle.
-	s.commitResync(s.epoch, s.gen, s.state, s.snapshot)
 	m.wake()
 	return s, nil
 }
@@ -397,14 +379,14 @@ func (m *Manager) Stats() Stats {
 }
 
 // Quiesce blocks until every live subscription's pushed state has
-// reached the engine's current epoch and generation (subscriptions
-// terminating while it waits stop counting). It does not wait for
-// consumers to drain their delta channels — only for the server-side
-// push. Primarily for tests and benchmarks that interleave appends with
-// assertions on pushed state.
+// reached the engine's current epoch (subscriptions terminating while
+// it waits stop counting). It does not wait for consumers to drain
+// their delta channels — only for the server-side push. Primarily for
+// tests and benchmarks that interleave appends with assertions on
+// pushed state.
 func (m *Manager) Quiesce() {
 	for {
-		epoch, gen := m.e.Epoch(), m.e.StoreGeneration()
+		epoch := m.e.Epoch()
 		m.mu.Lock()
 		if m.closed {
 			m.mu.Unlock()
@@ -413,9 +395,7 @@ func (m *Manager) Quiesce() {
 		behind := false
 		for _, s := range m.subs {
 			s.mu.Lock()
-			if s.epoch != epoch || s.gen != gen {
-				behind = true
-			}
+			behind = s.epoch != epoch
 			s.mu.Unlock()
 			if behind {
 				break
@@ -425,7 +405,7 @@ func (m *Manager) Quiesce() {
 			m.mu.Unlock()
 			// Re-check against the engine: an append may have landed
 			// while we held m.mu.
-			if e2, g2 := m.e.Epoch(), m.e.StoreGeneration(); e2 == epoch && g2 == gen {
+			if m.e.Epoch() == epoch {
 				return
 			}
 			continue

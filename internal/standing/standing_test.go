@@ -7,11 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
-	"time"
 
 	"tkij/internal/core"
 	"tkij/internal/interval"
+	"tkij/internal/join"
 	"tkij/internal/obs"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
@@ -149,57 +150,29 @@ func scoresOf(tk *TopK) []float64 {
 	return out
 }
 
-// TestInvalidateStoreResync: a store rebuild voids the diff base; the
-// subscription re-bases through a resync (possibly rewinding the
-// epoch) and keeps tracking fresh executes.
-func TestInvalidateStoreResync(t *testing.T) {
-	e := newTestEngine(t, testCols(3, 250, 14), core.Options{Granules: 6, K: 8, Reducers: 3})
-	m := NewManager(e)
-	defer m.Close()
-	q := query.Qbb(query.Env{Params: scoring.P1})
-
-	sub, err := m.Subscribe(context.Background(), q, 8, SubOptions{})
-	if err != nil {
+// TestApplyRefusesEpochRewind: an engine's epoch never goes back, so a
+// delta that rewinds the materialized epoch is malformed — a resync
+// included — and leaves the state unchanged.
+func TestApplyRefusesEpochRewind(t *testing.T) {
+	r := join.Result{Tuple: []interval.Interval{{ID: 1, Start: 0, End: 5}}, Score: 0.5}
+	tk := NewTopK(2)
+	if err := tk.Apply(Delta{Epoch: 3, Seq: 1, Resync: true, TopK: []join.Result{r}, Floor: -1}); err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Close()
-	tk := NewTopK(8)
-	waitEpoch(t, sub, tk, 0)
-
-	rng := rand.New(rand.NewSource(9))
-	var counter int64
-	epoch, err := e.Append(0, randBatch(rng, 0, 6, &counter))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitEpoch(t, sub, tk, epoch)
-
-	e.InvalidateStore() // epoch sequence restarts at 0
-	m.Quiesce()
-	// The pushed state must land back on the rebuilt store's epoch; the
-	// consumer sees it as a resync.
-	want, fe := freshResults(t, e, q, identity(3), 8)
-	sawResync := false
-	deadline := time.After(30 * time.Second)
-	for tk.Epoch != fe || !sawResync {
-		select {
-		case d, ok := <-sub.Deltas():
-			if !ok {
-				t.Fatalf("channel closed: %v", sub.Err())
-			}
-			if d.Resync {
-				sawResync = true
-			}
-			if err := tk.Apply(d); err != nil {
-				t.Fatal(err)
-			}
-		case <-deadline:
-			t.Fatalf("no resync after InvalidateStore (epoch %d, want %d)", tk.Epoch, fe)
+	for _, d := range []Delta{
+		{Epoch: 2, Seq: 2, Resync: true, TopK: []join.Result{r}, Floor: -1},
+		{Epoch: 2, Seq: 2, Floor: -1},
+	} {
+		if err := tk.Apply(d); err == nil || !strings.Contains(err.Error(), "rewinds epoch") {
+			t.Fatalf("Apply(resync=%v, epoch 2) after epoch 3 = %v, want a rewind refusal", d.Resync, err)
+		}
+		if tk.Epoch != 3 || tk.Seq != 1 || len(tk.Results) != 1 {
+			t.Fatalf("refused delta changed the state: epoch %d seq %d, %d results", tk.Epoch, tk.Seq, len(tk.Results))
 		}
 	}
-	requireSameResults(t, "after rebuild", tk.Results, want)
-	if st := m.Stats(); st.Resyncs == 0 {
-		t.Fatalf("rebuild did not resync: %+v", st)
+	// A resync at the current epoch (slow-subscriber coalescing) applies.
+	if err := tk.Apply(Delta{Epoch: 3, Seq: 2, Resync: true, Floor: -1}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -235,6 +208,9 @@ func TestSlowSubscriber(t *testing.T) {
 	waitEpoch(t, sub, tk, last)
 	want, _ := freshResults(t, e, q, identity(3), 8)
 	requireSameResults(t, "after lag", tk.Results, want)
+	if st := m.Stats(); st.DroppedDeltas == 0 || st.Resyncs != 0 {
+		t.Fatalf("lag must coalesce deltas without a push-cycle resync: %+v", st)
+	}
 }
 
 // TestSubscriptionLifecycle: ctx cancellation and Close both end the

@@ -11,10 +11,10 @@ import (
 )
 
 // Subscription is one registered standing query: a canonical plan key,
-// a pinned diff base (epoch, store generation, bucket-matrix
-// fingerprint) and the current pushed top-k snapshot. The manager
-// advances it on every ingest notification; the consumer receives the
-// resulting Deltas on the channel returned by Deltas.
+// a pinned diff base (epoch, bucket-matrix fingerprint) and the current
+// pushed top-k snapshot. The manager advances it on every ingest
+// notification; the consumer receives the resulting Deltas on the
+// channel returned by Deltas.
 //
 // Lifecycle: the subscription ends when its context is canceled, when
 // Close is called, or when the manager shuts down or hits an execution
@@ -46,7 +46,6 @@ type Subscription struct {
 	mu       sync.Mutex
 	snapshot []join.Result
 	epoch    int64
-	gen      int64
 	state    *plancache.EpochState
 	seq      uint64
 	queue    []Delta
@@ -119,20 +118,20 @@ func (s *Subscription) terminate(err error) {
 	s.m.remove(s.id, err)
 }
 
-// commit atomically installs the pushed state for a new (epoch, gen)
-// and queues the incremental delta that carries consumers there, under
+// commit atomically installs the pushed state for a new epoch and
+// queues the incremental delta that carries consumers there, under
 // the slow-subscriber policy: when the consumer is not draining fast
 // enough, everything pending coalesces into a single resync built from
 // the freshly installed snapshot — the manager (and Append behind it)
 // never blocks on a subscriber.
-func (s *Subscription) commit(epoch, gen int64, state *plancache.EpochState, snapshot []join.Result, d Delta) {
+func (s *Subscription) commit(epoch int64, state *plancache.EpochState, snapshot []join.Result, d Delta) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
 	s.snapshot = snapshot
-	s.epoch, s.gen, s.state = epoch, gen, state
+	s.epoch, s.state = epoch, state
 	s.seq++
 	var dropped int64
 	if s.lagged || len(s.queue) >= s.buffer {
@@ -146,25 +145,6 @@ func (s *Subscription) commit(epoch, gen int64, state *plancache.EpochState, sna
 	s.mu.Unlock()
 	// Outside s.mu: countDropped takes the manager lock, and the
 	// manager's Quiesce holds it while reading s.mu (lock order m -> s).
-	s.m.countDropped(dropped)
-	s.wakeForwarder()
-}
-
-// commitResync installs the pushed state and replaces everything
-// pending with one resync delta built from it (initial snapshot, store
-// rebuild, granulation swap).
-func (s *Subscription) commitResync(epoch, gen int64, state *plancache.EpochState, snapshot []join.Result) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.snapshot = snapshot
-	s.epoch, s.gen, s.state = epoch, gen, state
-	s.seq++
-	dropped := droppedIn(s.queue)
-	s.queue = append(s.queue[:0], s.resyncDeltaLocked())
-	s.mu.Unlock()
 	s.m.countDropped(dropped)
 	s.wakeForwarder()
 }

@@ -94,30 +94,20 @@ func Collect(cols []*interval.Collection, g int, cfg mapreduce.Config) ([]*Matri
 	return matrices, metrics, nil
 }
 
-// ApplyUpdate folds inserted and deleted intervals into an existing
-// matrix, the paper's incremental-maintenance path. The granulation is
-// kept fixed; out-of-range endpoints clamp to the boundary granules.
+// ApplyUpdate folds inserted intervals into an existing matrix, the
+// paper's incremental-maintenance path (§3.2). The granulation is kept
+// fixed; out-of-range endpoints clamp to the boundary granules.
 //
-// Contract: ApplyUpdate mutates m in place and only maintains the
-// counts — anything built *from* the matrix beforehand still reflects
-// the pre-update data. In particular, an engine's dataset-resident
-// bucket store partitions a point-in-time copy of the collections, so
-// after updating the collections and calling ApplyUpdate the caller
-// must invalidate the derived store (core.Engine.InvalidateStore) or
-// prepared engines silently keep serving stale buckets. Do not call it
-// while queries over the same matrix are in flight.
-func ApplyUpdate(m *Matrix, inserted, deleted []interval.Interval) error {
+// ApplyUpdate mutates m in place. The engine's append path (the only
+// way an engine's data changes) clones a collection's matrix first, so
+// queries and plans that captured the pre-append matrix keep reading an
+// immutable one; counts only grow.
+func ApplyUpdate(m *Matrix, inserted []interval.Interval) error {
 	for _, iv := range inserted {
 		if !iv.Valid() {
 			return fmt.Errorf("stats: invalid inserted interval %v", iv)
 		}
 		m.Add(iv)
-	}
-	for _, iv := range deleted {
-		if !iv.Valid() {
-			return fmt.Errorf("stats: invalid deleted interval %v", iv)
-		}
-		m.Remove(iv)
 	}
 	return m.Validate()
 }

@@ -46,8 +46,7 @@ type Matrix struct {
 	// out-of-range endpoints into the boundary granules, and every
 	// bound computed from granule boxes must widen those granules to
 	// the data actually in them (Grid) to stay sound. The extent only
-	// ever widens — after deletions a too-wide extent merely loosens
-	// boundary bounds, never breaks them.
+	// ever widens.
 	extLo, extHi interval.Timestamp
 }
 
@@ -92,15 +91,6 @@ func (m *Matrix) Widen(lo, hi interval.Timestamp) {
 	if hi > m.extHi {
 		m.extHi = hi
 	}
-}
-
-// Remove un-records one interval (dataset deletions, §3.2 "we can easily
-// handle updates"). Removing an interval that was never added corrupts
-// the counts; Validate detects the resulting negatives.
-func (m *Matrix) Remove(iv interval.Interval) {
-	l, lp := m.Gran.BucketOf(iv)
-	m.Counts[l][lp]--
-	m.total--
 }
 
 // Merge adds other's counts into m. The granulations must match.

@@ -35,8 +35,8 @@
 // its pinned epoch, and the plan cache (internal/plancache) keys
 // cached plans by it — valid while the epoch is unchanged, promoted
 // across appends that change no bucket's shape, planned again across
-// those that do, and all discarded when InvalidateStore resets the
-// sequence.
+// those that do. A store's epoch only grows: Append is the only way
+// its data changes.
 //
 // All read paths are safe for concurrent use: epoch views are immutable
 // once published, tree memoization is per-bucket sync.Once-guarded, and
