@@ -120,8 +120,6 @@ func (s *Server) Submit(ctx context.Context, q *query.Query, mapping []int) (*co
 			s.stats.PlanLeaders++
 			mPlanLeaders.Inc()
 		}
-		s.stats.BoundSolves += rep.Join.BoundSolves
-		s.stats.BoundReuses += rep.Join.BoundReuses
 	}
 	s.mu.Unlock()
 	mCompleted.Inc()

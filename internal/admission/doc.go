@@ -21,9 +21,9 @@
 // The work concurrent queries share needs no batching here. Planning is
 // single-flighted inside the plan cache (internal/plancache): N
 // concurrent first queries of one shape at one epoch pay for one
-// TopBuckets solve, and the other N-1 read its result; the per-edge
-// bound memo lives with the cached plan (solver.PairMemo). Each
-// execution owns its score floor (join.SharedFloor).
+// TopBuckets solve, and the other N-1 read its result, per-edge bounds
+// included (topbuckets.Combo.EdgeUB). Each execution owns its score
+// floor (join.SharedFloor).
 //
 // A Submit executes exactly what Engine.ExecuteMapped executes, so its
 // answer is the sequential one at its pinned epoch. The equivalence

@@ -2,7 +2,7 @@ package admission
 
 // Server-equivalence harness: concurrent Submits must be
 // result-identical to sequential Execute. What concurrent executions
-// share — the single-flighted plan and its bound memo — is a pure
+// share — the single-flighted plan and its bounds — is a pure
 // function of its key, so the top-k score multiset must come out
 // byte-identical (exact float equality, no epsilon):
 //

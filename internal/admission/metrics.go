@@ -35,9 +35,4 @@ type Stats struct {
 	// (core.Report.PlanWaited).
 	PlanLeaders   int64
 	PlanFollowers int64
-	// BoundSolves / BoundReuses sum, over every execution, the per-edge
-	// bound solver calls the reducers ran and the ones the plan's memo
-	// answered (join.Output.BoundSolves / BoundReuses).
-	BoundSolves int64
-	BoundReuses int64
 }

@@ -2,21 +2,50 @@ package core
 
 import (
 	"context"
+	"math"
+	"reflect"
 	"testing"
 
-	"tkij/internal/baselines"
 	"tkij/internal/interval"
 	"tkij/internal/join"
 	"tkij/internal/plancache"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
+	"tkij/internal/solver"
 	"tkij/internal/stats"
+	"tkij/internal/topbuckets"
 )
 
-// The per-edge bound memo lives with the cached plan: the first
-// execution of a shape solves its bounds, every later one at an
-// unchanged epoch — the same query or an isomorphic relabeling of it —
-// solves none.
+// checkEdgeUB asserts that every combination the report's pass read
+// carries, for every query edge, the UB of solver.PairBounds over the
+// edge's two bucket boxes at grids (vertex v reads collection
+// mapping[v]), bit for bit: the one pair bound the plan solved is the
+// one the join bounds the edge by.
+func checkEdgeUB(t *testing.T, what string, r *Report, mapping []int, grids []stats.Grid) {
+	t.Helper()
+	read := r.Join.Locals[0].CombosAssigned
+	if read == 0 {
+		t.Fatalf("%s: the pass read no combination", what)
+	}
+	for i := 0; i < read; i++ {
+		c, _ := r.TopBuckets.At(i)
+		if len(c.EdgeUB) != len(r.Query.Edges) {
+			t.Fatalf("%s: combination %d carries %d edge UBs for %d edges", what, i, len(c.EdgeUB), len(r.Query.Edges))
+		}
+		for ei, e := range r.Query.Edges {
+			_, want := solver.PairBounds(e.Pred,
+				topbuckets.BoxOf(grids[mapping[e.From]], c.Buckets[e.From]),
+				topbuckets.BoxOf(grids[mapping[e.To]], c.Buckets[e.To]))
+			if math.Float64bits(c.EdgeUB[ei]) != math.Float64bits(want) {
+				t.Fatalf("%s: combination %d, edge %d: edge UB %v, PairBounds %v", what, i, ei, c.EdgeUB[ei], want)
+			}
+		}
+	}
+}
+
+// Every pair bound the join reads lives with the plan: on the cold pass,
+// on a warm hit, and on a hit by an isomorphic relabeling of the shape,
+// each combination read carries the pair UBs of its own edges.
 func TestBoundMemoLivesWithThePlan(t *testing.T) {
 	cols := synthCols(3, 60, 31)
 	q := query.Qom(query.Env{Params: scoring.P1})
@@ -24,13 +53,12 @@ func TestBoundMemoLivesWithThePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	grids := pinnedGrids(t, e)
 	cold, err := e.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Join.BoundSolves == 0 {
-		t.Fatal("first execution of a shape solved no edge bounds")
-	}
+	checkEdgeUB(t, "cold", cold, []int{0, 1, 2}, grids)
 	warm, err := e.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -38,14 +66,11 @@ func TestBoundMemoLivesWithThePlan(t *testing.T) {
 	if !warm.PlanCacheHit {
 		t.Fatal("second execution was not a plan-cache hit")
 	}
-	if warm.Join.BoundSolves != 0 || warm.Join.BoundReuses == 0 {
-		t.Fatalf("second execution on an unchanged epoch ran %d bound solves (%d reuses), want 0 solves",
-			warm.Join.BoundSolves, warm.Join.BoundReuses)
-	}
+	checkEdgeUB(t, "warm", warm, []int{0, 1, 2}, grids)
 
 	// The same chain with its vertices labeled back to front (and the
-	// mapping permuted along): keys are the solver's full input, so the
-	// memo serves it untranslated.
+	// mapping permuted along): the hit reads the plan translated into
+	// this labeling.
 	rev, err := query.New("Qo,m-reversed", 3, []query.Edge{
 		{From: 2, To: 1, Pred: q.Edges[0].Pred},
 		{From: 1, To: 0, Pred: q.Edges[1].Pred},
@@ -60,37 +85,10 @@ func TestBoundMemoLivesWithThePlan(t *testing.T) {
 	if !iso.PlanCacheHit {
 		t.Fatal("relabeled shape missed the plan cache")
 	}
-	if iso.Join.BoundSolves != 0 {
-		t.Fatalf("isomorphic relabeling of a cached shape ran %d bound solves, want 0", iso.Join.BoundSolves)
-	}
+	checkEdgeUB(t, "relabeled", iso, []int{2, 1, 0}, grids)
 	if !join.ScoreMultisetEqual(iso.Results, cold.Results, 1e-9) {
 		t.Fatal("relabeled shape returned a different top-k score multiset")
 	}
-}
-
-// boundInput is one per-edge bound's complete solver input.
-type boundInput struct {
-	sig string
-	box [8]float64
-}
-
-// edgeBoundInputs is the set of distinct solver inputs the join needs for
-// every selected combination of a report (the plan drained), under the given per-collection
-// grids (vertex v reads collection v in these tests).
-func edgeBoundInputs(r *Report, grids []stats.Grid) map[boundInput]bool {
-	keys := make(map[boundInput]bool)
-	for _, cb := range r.TopBuckets.Drain() {
-		for _, e := range r.Query.Edges {
-			fb, tb := cb.Buckets[e.From], cb.Buckets[e.To]
-			k := boundInput{sig: e.Pred.Signature()}
-			k.box[0], k.box[1] = grids[e.From].Bounds(fb.StartG)
-			k.box[2], k.box[3] = grids[e.From].Bounds(fb.EndG)
-			k.box[4], k.box[5] = grids[e.To].Bounds(tb.StartG)
-			k.box[6], k.box[7] = grids[e.To].Bounds(tb.EndG)
-			keys[k] = true
-		}
-	}
-	return keys
 }
 
 func pinnedGrids(t *testing.T, e *Engine) []stats.Grid {
@@ -108,34 +106,31 @@ func pinnedGrids(t *testing.T, e *Engine) []stats.Grid {
 }
 
 // An out-of-range append widens a boundary granule, which changes the
-// box — hence the memo key — of every bound over a boundary bucket. The
-// plan is then planned again with a memo of its own: the next execution
-// solves every bound its plan reads, including those whose box did not
-// change, and stays exact. Pruning is disabled so that every selected
-// combination is processed on every run, and there is one reducer so
-// that no two race to solve one key: the solve counts are then exact
-// rather than bounds.
+// box of every bucket in it. The plan is then planned again, and its
+// edge UBs are those of the widened boxes: the execution after the
+// widening reads at least one combination whose box moved, carries
+// PairBounds over the new boxes on every combination it reads, and
+// answers as an engine without a plan cache does.
 func TestWideningReplansWithFreshMemo(t *testing.T) {
-	cols := synthCols(3, 45, 23)
-	q := query.Qbb(query.Env{Params: scoring.P1})
+	q := query.Qom(query.Env{Params: scoring.P1})
 	const k = 9
-	e, err := NewEngine(cols, Options{Granules: 6, K: k, Reducers: 1,
-		Local: join.LocalOptions{DisablePruning: true}})
+	widen := []interval.Interval{{ID: 9003, Start: -8000, End: -7000}}
+	e, err := NewEngine(synthCols(3, 45, 23), Options{Granules: 6, K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mapping := []int{0, 1, 2}
+	before := pinnedGrids(t, e)
 	first, err := e.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := edgeBoundInputs(first, pinnedGrids(t, e))
-	if int(first.Join.BoundSolves) != len(before) {
-		t.Fatalf("first execution solved %d bounds over %d distinct inputs", first.Join.BoundSolves, len(before))
-	}
+	checkEdgeUB(t, "first", first, mapping, before)
 
-	if _, err := e.Append(0, []interval.Interval{{ID: 9003, Start: -8000, End: -7000}}); err != nil {
+	if _, err := e.Append(0, widen); err != nil {
 		t.Fatal(err)
 	}
+	after := pinnedGrids(t, e)
 	widened, err := e.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -143,34 +138,40 @@ func TestWideningReplansWithFreshMemo(t *testing.T) {
 	if widened.PlanOutcome() != "miss" {
 		t.Fatalf("post-append execution was a %s, want a miss", widened.PlanOutcome())
 	}
-	inputs := edgeBoundInputs(widened, pinnedGrids(t, e))
-	kept := 0
-	for key := range inputs {
-		if before[key] {
-			kept++
+	checkEdgeUB(t, "widened", widened, mapping, after)
+	moved := false
+	for i := 0; i < widened.Join.Locals[0].CombosAssigned; i++ {
+		c, _ := widened.TopBuckets.At(i)
+		for v, b := range c.Buckets {
+			moved = moved || topbuckets.BoxOf(before[v], b) != topbuckets.BoxOf(after[v], b)
 		}
 	}
-	if kept == 0 {
-		t.Fatal("the re-plan reads no bound input of its predecessor — a fresh memo cannot show")
+	if !moved {
+		t.Fatal("the re-plan reads no combination whose box the widening moved — the test lost its subject")
 	}
-	if int(widened.Join.BoundSolves) != len(inputs) {
-		t.Fatalf("execution after the widening ran %d bound solves, want all %d distinct inputs (%d unchanged since the first plan)",
-			widened.Join.BoundSolves, len(inputs), kept)
-	}
-	want, err := baselines.Naive(q, cols, k)
+
+	uncached, err := NewEngine(synthCols(3, 45, 23), Options{Granules: 6, K: k, PlanCache: plancache.Options{Disabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !join.ScoreMultisetEqual(widened.Results, want, 1e-9) {
-		t.Fatal("execution after the widening diverged from the exhaustive oracle")
+	if _, err := uncached.Append(0, widen); err != nil {
+		t.Fatal(err)
+	}
+	want, err := uncached.Execute(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(widened.Results, want.Results) {
+		t.Fatal("execution after the widening diverged from an engine without a plan cache")
 	}
 	again, err := e.Execute(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !again.PlanCacheHit || again.Join.BoundSolves != 0 {
-		t.Fatalf("third execution: hit=%t, %d bound solves; want a hit with none", again.PlanCacheHit, again.Join.BoundSolves)
+	if !again.PlanCacheHit {
+		t.Fatalf("third execution was a %s, want a hit", again.PlanOutcome())
 	}
+	checkEdgeUB(t, "hit after the widening", again, mapping, after)
 }
 
 // ROADMAP's allocation gate for the warm path: a plan-cache hit of Qo,m
@@ -192,7 +193,7 @@ func TestWarmExecuteAllocBudget(t *testing.T) {
 		}
 		rep = r
 	}
-	run() // plan miss, bound solves, index builds
+	run() // plan miss, index builds
 	run() // remaining lazily built indexes
 	allocs := testing.AllocsPerRun(10, run)
 	selected := len(rep.TopBuckets.Drain())

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tkij/internal/interval"
-	"tkij/internal/join"
 	"tkij/internal/mapreduce"
 	"tkij/internal/mmapstore"
 	"tkij/internal/obs"
@@ -33,8 +32,6 @@ type Options struct {
 	// assignment splits each query over (0: one per shard worker). It
 	// shapes only the shard scatter: a local query is one reducer.
 	Reducers int
-	// Local carries the per-reducer join ablation switches.
-	Local join.LocalOptions
 	// PlanCache tunes the query-plan cache (the zero value enables it
 	// with default bounds; set PlanCache.Disabled to plan every query
 	// cold). Repeated query shapes hit the cache and skip TopBuckets

@@ -282,8 +282,8 @@ func (e *Engine) ExecuteMapped(ctx context.Context, q *query.Query, mapping []in
 
 // pinnedInputs assembles, from a pin, the per-vertex planning matrices
 // and the join request every execution on that pin starts from: query,
-// mapping, per-vertex sources and grids, k, the shard scatter's reducer
-// count and the ablation switches. Callers add combos, memo and floor.
+// mapping, per-vertex sources and grids, k and the shard scatter's
+// reducer count. Callers add the plan and the floor.
 func (e *Engine) pinnedInputs(q *query.Query, mapping []int, pin *Pin, k int) ([]*stats.Matrix, *join.ReduceRequest) {
 	vertexMs := make([]*stats.Matrix, q.NumVertices)
 	req := &join.ReduceRequest{
@@ -293,7 +293,6 @@ func (e *Engine) pinnedInputs(q *query.Query, mapping []int, pin *Pin, k int) ([
 		Grans:    make([]stats.Grid, q.NumVertices),
 		Reducers: e.opts.Reducers,
 		K:        k,
-		Opts:     e.opts.Local,
 	}
 	for v, ci := range mapping {
 		vertexMs[v] = pin.matrices[ci].WithCol(v)
@@ -339,7 +338,6 @@ func (e *Engine) joinMerge(ctx context.Context, pin *Pin, req *join.ReduceReques
 			read += l.CombosAssigned
 		}
 		span.SetInt("combos", int64(read))
-		span.SetInt("bound_solves", out.BoundSolves)
 	}
 	span.Finish()
 	if err != nil {
@@ -431,10 +429,10 @@ func (e *Engine) execute(ctx context.Context, q *query.Query, mapping []int, pin
 
 	// Join and merge over the resident store: one serial pass reading
 	// the plan, or a shard scatter of its drain. The execution's own
-	// score floor starts at TopBuckets' certified kthResLB. The per-edge
-	// bound memo comes with the plan, so only the plan's first execution
-	// solves any bound.
-	req.Plan, req.Bounds, req.Shared = tb, planned.Bounds, join.NewSharedFloor(tb.KthResLB)
+	// score floor starts at TopBuckets' certified kthResLB. Every
+	// combination carries its per-edge UBs from the plan, so the join
+	// solves no bound.
+	req.Plan, req.Shared = tb, join.NewSharedFloor(tb.KthResLB)
 	storeBefore := pin.store.Snapshot()
 	out, err := e.joinMerge(ctx, pin, req)
 	if err != nil {

@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"tkij/internal/baselines"
+	"tkij/internal/datagen"
 	"tkij/internal/interval"
 	"tkij/internal/join"
 	"tkij/internal/plancache"
@@ -53,8 +57,8 @@ func TestPlanCacheHitSkipsPlanning(t *testing.T) {
 }
 
 // TestPlanCacheIsomorphicShapesShareEntry: a query with relabeled
-// vertices and reordered edges (and the execution mapping permuted
-// along) hits the entry planned for the original.
+// vertices (and the execution mapping permuted along) hits the entry
+// planned for the original. Reordered edges are TestEdgeOrderSharesPlan's.
 func TestPlanCacheIsomorphicShapesShareEntry(t *testing.T) {
 	cols := synthCols(2, 40, 22)
 	q1, err := query.New("orig", 2, []query.Edge{
@@ -88,6 +92,68 @@ func TestPlanCacheIsomorphicShapesShareEntry(t *testing.T) {
 	}
 	if !join.ScoreMultisetEqual(r1.Results, r2.Results, 1e-9) {
 		t.Fatal("isomorphic shapes returned different top-k score multisets")
+	}
+}
+
+// TestEdgeOrderSharesPlan: a query that lists its edges in another order
+// shares the plan key of the original although every vertex keeps its
+// label, so the hit must map the plan's edge UBs across the two edge
+// orders as it maps bucket tuples across vertex labelings. Pruning reads
+// the edge UBs and the answer does not show a wrong mapping, so the hit
+// must do exactly the work of a fresh engine's cold execution of the
+// reordered query: the same ranked answer, tuples examined and partials
+// pruned. Qs,f,m's three edges differ in predicate and end, under P1
+// (k-th score at the ceiling) and under P2 (below it).
+func TestEdgeOrderSharesPlan(t *testing.T) {
+	cols := make([]*interval.Collection, 3)
+	for i := range cols {
+		cols[i] = datagen.Uniform(fmt.Sprintf("C%d", i+1), 3000, 4*7919+int64(i))
+	}
+	opts := Options{Granules: 20, K: 100}
+	for _, ps := range []struct {
+		name   string
+		params scoring.PairParams
+	}{{"P1", scoring.P1}, {"P2", scoring.P2}} {
+		q := query.Qsfm(query.Env{Params: ps.params})
+		reversed := slices.Clone(q.Edges)
+		slices.Reverse(reversed)
+		rq, err := query.New(q.Name+"-reversed", q.NumVertices, reversed, q.Agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(cols, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if _, err := e.Execute(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+		hit, err := e.Execute(context.Background(), rq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.PlanCacheHit {
+			t.Fatalf("%s: the reversed edge list missed the plan cache (%s)", ps.name, hit.PlanOutcome())
+		}
+		fresh, err := NewEngine(cols, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fresh.Close()
+		want, err := fresh.Execute(context.Background(), rq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(hit.Results, want.Results) {
+			t.Fatalf("%s: the hit's answer differs from a fresh engine's", ps.name)
+		}
+		got, cold := hit.Join.Locals[0], want.Join.Locals[0]
+		if got.TuplesExamined != cold.TuplesExamined || got.PartialsPruned != cold.PartialsPruned {
+			t.Fatalf("%s: the hit examined %d tuples and pruned %d partials, a fresh engine %d and %d",
+				ps.name, got.TuplesExamined, got.PartialsPruned, cold.TuplesExamined, cold.PartialsPruned)
+		}
+		t.Logf("%s: %d tuples, %d partials pruned", ps.name, got.TuplesExamined, got.PartialsPruned)
 	}
 }
 

@@ -81,15 +81,16 @@ func TestRunUnreachableFloor(t *testing.T) {
 
 // A reducer stops at the first combination its threshold dominates, so
 // a task listing combinations out of descending-UB order could skip live
-// ones: RunTasks refuses it instead of re-sorting or running it.
+// ones: RunTasks refuses it instead of re-sorting or running it, and
+// likewise a combination missing its edge UBs.
 func TestRunTasksRejectsUnsortedTask(t *testing.T) {
 	q := query.MustNew("unsorted", 2, []query.Edge{
 		{From: 0, To: 1, Pred: scoring.Meets(scoring.P1)},
 	}, scoring.Avg{})
 	bucket := func(col int) stats.Bucket { return stats.Bucket{Col: col, Count: 1} }
 	combos := []topbuckets.Combo{
-		{Buckets: []stats.Bucket{bucket(0), bucket(1)}, UB: 0.2, NbRes: 1},
-		{Buckets: []stats.Bucket{bucket(0), bucket(1)}, UB: 0.9, NbRes: 1},
+		{Buckets: []stats.Bucket{bucket(0), bucket(1)}, UB: 0.2, NbRes: 1, EdgeUB: []float64{0.2}},
+		{Buckets: []stats.Bucket{bucket(0), bucket(1)}, UB: 0.9, NbRes: 1, EdgeUB: []float64{0.9}},
 	}
 	req := &ReduceRequest{
 		Query: q,
@@ -104,5 +105,11 @@ func TestRunTasksRejectsUnsortedTask(t *testing.T) {
 	}
 	if _, err := RunTasks(context.Background(), req, combos, []ReducerTask{{Reducer: 0, Combos: []int{1, 0}}}); err != nil {
 		t.Fatalf("RunTasks refused a descending-UB task: %v", err)
+	}
+	// A reducer indexes its combination's edge UBs by query edge, so a
+	// combination without them is refused up front too.
+	combos[0].EdgeUB = nil
+	if _, err := RunTasks(context.Background(), req, combos, []ReducerTask{{Reducer: 0, Combos: []int{1, 0}}}); err == nil {
+		t.Fatal("RunTasks ran a combination that carries no edge UBs")
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"tkij/internal/query"
 	"tkij/internal/rtree"
 	"tkij/internal/scoring"
-	"tkij/internal/solver"
-	"tkij/internal/stats"
 	"tkij/internal/topbuckets"
 )
 
@@ -128,9 +126,9 @@ type LocalStats struct {
 	// SharedFloorFinal is the shared score floor when this reducer
 	// finished (0 when pruning is disabled or no floor was established).
 	SharedFloorFinal float64
-	// BoundSolves counts the per-edge bound solver calls this reducer
-	// ran; BoundReuses those the request's memo answered instead (see
-	// solver.PairMemo). A warm plan reports BoundSolves == 0.
+	// BoundSolves and BoundReuses are always 0: a reducer reads its
+	// combinations' edge UBs and solves none. They keep their slots in
+	// the shard wire's result frame until its next format change.
 	BoundSolves int64
 	BoundReuses int64
 	Duration    time.Duration
@@ -155,9 +153,6 @@ type plan struct {
 	// avgAgg is set when the aggregator is the normalized sum, enabling
 	// threshold inversion for index boxes.
 	avgAgg bool
-	// edgeSigs are the per-edge predicate scoring signatures; they key
-	// the bound memo.
-	edgeSigs []string
 	// boxes[pos] is the compiled probe-box derivation of the primary edge
 	// at pos (see candidateBox); unused at position 0.
 	boxes []boxLevel
@@ -278,10 +273,6 @@ func newPlan(q *query.Query) *plan {
 		reBound[v] = true
 	}
 	_, p.avgAgg = p.q.Agg.(scoring.Avg)
-	p.edgeSigs = make([]string, len(q.Edges))
-	for i, e := range q.Edges {
-		p.edgeSigs[i] = e.Pred.Signature()
-	}
 	p.compileBoxes()
 	return p
 }
@@ -325,20 +316,12 @@ type localJoiner struct {
 	// (truncated) output.
 	canceled bool
 
-	// grans maps each query vertex to its collection's granulation plus
-	// observed endpoint extent, used to derive per-edge score upper
-	// bounds within the current combination (extent-widened boundary
-	// granules keep the bounds sound for clamped appends).
-	grans []stats.Grid
 	// edgeUB[ei] bounds edge ei's score for tuples drawn from the
-	// combination being processed — far tighter than the generic 1.0 for
-	// star queries whose edges mostly cannot score at all in a given
-	// combination.
+	// combination being processed (its EdgeUB, read in place) — far
+	// tighter than the generic 1.0 for star queries whose edges mostly
+	// cannot score at all in a given combination.
 	edgeUB []float64
 
-	// bounds memoizes the per-edge bound solves behind edgeUB (never
-	// nil: RunTasks supplies one when the request carries none).
-	bounds *solver.PairMemo
 	// buckets[v] and items[v] are vertex v's bucket of the combination
 	// being processed, resolved once by prepareCombo so that recurse —
 	// which runs per partial tuple — does no lookup. buckets[v] is nil
@@ -402,23 +385,17 @@ func newLocalJoiner(done <-chan struct{}, p *plan, req *ReduceRequest) *localJoi
 		k:        req.K,
 		opts:     req.Opts,
 		srcs:     req.Srcs,
-		grans:    req.Grans,
 		shared:   req.Shared,
-		bounds:   req.Bounds,
 		done:     done,
 		topk:     NewTopK(req.K),
 		tuple:    make([]interval.Interval, p.q.NumVertices),
 		partials: make([]float64, len(p.q.Edges)),
 		scratch:  make([]float64, len(p.q.Edges)),
-		edgeUB:   make([]float64, len(p.q.Edges)),
 		buckets:  make([]Bucket, p.q.NumVertices),
 		items:    make([][]interval.Interval, p.q.NumVertices),
 	}
 	for i := range lj.partials {
 		lj.partials[i] = -1
-	}
-	for i := range lj.edgeUB {
-		lj.edgeUB[i] = 1
 	}
 	lj.levels = make([]probeLevel, p.q.NumVertices)
 	for pos := range lj.levels {
@@ -434,12 +411,8 @@ func newLocalJoiner(done <-chan struct{}, p *plan, req *ReduceRequest) *localJoi
 }
 
 // prepareCombo makes combo the combination being processed: it resolves
-// each vertex's bucket handle, and refreshes the per-edge upper bounds —
-// the analytic bound of each edge's predicate over the combination's
-// bucket boxes. Without granulations (grans == nil) the bounds stay at
-// the trivial 1.0. Each bound is a pure function of the predicate and
-// the two boxes, so it is solved once per memo (see solver.PairMemo), not
-// once per query, reducer or ladder rung.
+// each vertex's bucket handle and takes the combination's per-edge upper
+// bounds, which its plan solved once over the buckets' boxes.
 func (lj *localJoiner) prepareCombo(combo topbuckets.Combo) {
 	for v, b := range combo.Buckets {
 		h := lj.srcs[v].Bucket(b.StartG, b.EndG)
@@ -448,20 +421,7 @@ func (lj *localJoiner) prepareCombo(combo topbuckets.Combo) {
 			lj.items[v] = h.Items()
 		}
 	}
-	if lj.grans == nil {
-		return
-	}
-	for ei, e := range lj.plan.q.Edges {
-		_, ub, solved := lj.bounds.Bounds(e.Pred, lj.plan.edgeSigs[ei],
-			topbuckets.BoxOf(lj.grans[e.From], combo.Buckets[e.From]),
-			topbuckets.BoxOf(lj.grans[e.To], combo.Buckets[e.To]))
-		lj.edgeUB[ei] = ub
-		if solved {
-			lj.stats.BoundSolves++
-		} else {
-			lj.stats.BoundReuses++
-		}
-	}
+	lj.edgeUB = combo.EdgeUB
 }
 
 // output runs the reducer — its task list idxs, or the plan when it

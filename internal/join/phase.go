@@ -50,11 +50,6 @@ type Output struct {
 	// SharedFloor is the final score floor (0 when pruning was
 	// disabled).
 	SharedFloor float64
-	// BoundSolves and BoundReuses sum the reducers' per-edge bound
-	// solver calls and memo answers (LocalStats). An execution of a
-	// cached plan after its first reports BoundSolves == 0.
-	BoundSolves int64
-	BoundReuses int64
 	// JoinDuration and MergeDuration are the wall times of the two
 	// phases, each measured around exactly its own work, so their sum
 	// never exceeds an enclosing window.
@@ -174,8 +169,6 @@ func Run(ctx context.Context, req *ReduceRequest, runner Runner) (*Output, error
 	lists := make([][]Result, n)
 	for _, ro := range rout.Reducers {
 		out.Locals[ro.Reducer] = ro.Stats
-		out.BoundSolves += ro.Stats.BoundSolves
-		out.BoundReuses += ro.Stats.BoundReuses
 		out.JoinMetrics[ro.Reducer] = ro.Stats.Duration
 		lists[ro.Reducer] = ro.Results
 	}

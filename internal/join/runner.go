@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"tkij/internal/query"
-	"tkij/internal/solver"
 	"tkij/internal/stats"
 	"tkij/internal/topbuckets"
 )
@@ -26,7 +25,10 @@ type ReduceRequest struct {
 	Mapping []int
 	// Srcs serves vertex v's bucket data, pinned at the query's epoch.
 	Srcs []Source
-	// Grans is vertex v's granulation + observed endpoint extent.
+	// Grans is vertex v's granulation + observed endpoint extent. Like
+	// Mapping, only remote runners read it: their workers bound the
+	// combinations they are shipped over these grids, while the local
+	// pass reads each combination's edge UBs as its plan built them.
 	Grans []stats.Grid
 	// Plan is Ω_k,S by descending UB (topbuckets.Listed wraps a fixed
 	// list).
@@ -43,11 +45,6 @@ type ReduceRequest struct {
 	// and raises it (remote runners mirror it over their floor-broadcast
 	// channel).
 	Shared *SharedFloor
-	// Bounds memoizes the per-edge combination bounds. The engine passes
-	// the cached plan's memo, so a warm plan solves none; nil gets a
-	// memo of the request's own from RunTasks. It does not travel to
-	// shard workers, which therefore memoize per request.
-	Bounds *solver.PairMemo
 }
 
 // ReducerTask is one reducer's share of a split request: the reducer
@@ -106,13 +103,15 @@ func DescendingUB(combos []topbuckets.Combo, idxs []int) bool {
 // req.Srcs, consulting and raising req.Shared throughout. Outputs are
 // returned in task order.
 //
-// req must carry Query, Srcs, Grans, K, Opts and Shared; Plan, Mapping
+// req must carry Query, Srcs, K, Opts and Shared; Plan, Mapping, Grans
 // and Reducers are not consulted. The caller vouches for the inputs: a
 // valid query, K >= 1, one source per vertex, task indexes within combos
 // (the wire decoder checks these). Each task's list must be in
 // descending-UB order: a reducer stops at the first combination its
 // threshold dominates, which is only sound on a sorted list, so an
-// unsorted one is an error.
+// unsorted one is an error. So is a task combination without one edge
+// UB per query edge (see topbuckets.FillEdgeUB), which a reducer would
+// index out of range on its own goroutine.
 //
 // A cancelable ctx is polled mid-combination: once it is done every
 // reducer abandons its remaining work and RunTasks returns ctx.Err()
@@ -122,8 +121,12 @@ func RunTasks(ctx context.Context, req *ReduceRequest, combos []topbuckets.Combo
 		if !DescendingUB(combos, t.Combos) {
 			return nil, fmt.Errorf("join: reducer %d's combinations are not in descending-UB order", t.Reducer)
 		}
+		for _, ci := range t.Combos {
+			if n := len(combos[ci].EdgeUB); n != len(req.Query.Edges) {
+				return nil, fmt.Errorf("join: combination %d carries %d edge UBs, query %s has %d edges", ci, n, req.Query.Name, len(req.Query.Edges))
+			}
+		}
 	}
-	req = withBounds(req)
 	plan := newPlan(req.Query)
 	outs := make([]ReducerOutput, len(tasks))
 	run := func(i int) {
@@ -156,7 +159,6 @@ func RunTasks(ctx context.Context, req *ReduceRequest, combos []topbuckets.Combo
 // runPlan is the local pass: one reducer reading req.Plan in the calling
 // goroutine, which builds no combination the pass does not read.
 func runPlan(ctx context.Context, req *ReduceRequest) ([]ReducerOutput, error) {
-	req = withBounds(req)
 	lj := newLocalJoiner(ctx.Done(), newPlan(req.Query), req)
 	lj.stream = req.Plan
 	out := lj.output(0, nil)
@@ -164,15 +166,4 @@ func runPlan(ctx context.Context, req *ReduceRequest) ([]ReducerOutput, error) {
 		return nil, err
 	}
 	return []ReducerOutput{out}, nil
-}
-
-// withBounds returns req with a pair-bound memo: its own, or a fresh one
-// on a copy.
-func withBounds(req *ReduceRequest) *ReduceRequest {
-	if req.Bounds != nil {
-		return req
-	}
-	r := *req
-	r.Bounds = solver.NewPairMemo()
-	return &r
 }

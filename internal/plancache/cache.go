@@ -7,14 +7,13 @@ import (
 	"time"
 
 	"tkij/internal/query"
-	"tkij/internal/solver"
 	"tkij/internal/stats"
 	"tkij/internal/topbuckets"
 )
 
 // DefaultMaxCost is the default retention bound: the total cost (pair
-// table cells plus built combinations, see planCost) the cache may
-// hold. At the paper's g = 40 one two-edge plan holds ~1.3M pair cells,
+// table cells plus built combinations with their edge UBs, see
+// planCost) the cache may hold. At the paper's g = 40 one two-edge plan holds ~1.3M pair cells,
 // so the default retains a healthy handful of heavyweight plans (or
 // thousands of small ones) before LRU eviction starts.
 const DefaultMaxCost = 16 << 20
@@ -85,12 +84,7 @@ type Request struct {
 // and labeling: reading it builds combinations every later reader finds
 // built.
 type Planned struct {
-	Plan *topbuckets.Plan
-	// Bounds is the plan's per-edge bound memo for the join
-	// (join.ReduceRequest.Bounds). It lives with the cache entry, so
-	// every execution of the plan after the first finds its bounds
-	// solved; an uncached plan gets an empty one.
-	Bounds  *solver.PairMemo
+	Plan    *topbuckets.Plan
 	Outcome Outcome
 	// TopBucketsTime is the wall time this call actually spent
 	// planning: building the plan on a Miss, the lookup / promotion cost
@@ -129,23 +123,15 @@ type Stats struct {
 type entry struct {
 	key   string
 	epoch int64
-	// labeling is the canonical labeling of the query the plan is
-	// expressed in; an isomorphic query with a different labeling gets
-	// the plan translated through the composed permutation (see
-	// translatePlan).
-	labeling []int
-	plan     *topbuckets.Plan
-	edges    int
-	// bounds is the join's per-edge bound memo for this plan: created
-	// empty with the plan, carried verbatim by hits and promotions, and
-	// dropped with the entry when a shape change plans again. Its keys
-	// are the solver's full input, so it needs no translation between
-	// isomorphic labelings and no invalidation; it holds at most one
-	// entry per (edge, built combination), which cost charges (planCost),
-	// and it is evicted with the entry.
-	bounds   *solver.PairMemo
-	planTime time.Duration // original full-plan wall time
-	cost     float64
+	// labeling and edgeLabeling are the canonical labelings of the
+	// query the plan is expressed in (Canonicalize); an isomorphic query
+	// with different ones gets the plan's bucket tuples and edge UBs
+	// translated through the composed permutations (see sigmaFor).
+	labeling, edgeLabeling []int
+	plan                   *topbuckets.Plan
+	edges                  int
+	planTime               time.Duration // original full-plan wall time
+	cost                   float64
 	// state is the matrix fingerprint the plan was computed against
 	// (EpochState); promotion diffs it against the current matrices to
 	// tell whether any bucket changed shape since.
@@ -211,7 +197,7 @@ func (c *Cache) Plan(req Request) (*Planned, error) {
 		return p, err
 	}
 	lookupStart := time.Now()
-	key, labeling := Canonicalize(req.Query, req.VertexCols, req.K, granulations(req.Matrices))
+	key, labeling, edgeLabeling := Canonicalize(req.Query, req.VertexCols, req.K, granulations(req.Matrices))
 	f := flight{key, req.Epoch}
 	waited := false
 	for {
@@ -224,8 +210,7 @@ func (c *Cache) Plan(req Request) (*Planned, error) {
 			c.charge(e)
 			c.mu.Unlock()
 			return &Planned{
-				Plan:           e.plan.Relabel(sigmaFor(e.labeling, labeling)),
-				Bounds:         e.bounds,
+				Plan:           e.plan.Relabel(sigmaFor(e.labeling, labeling), sigmaFor(e.edgeLabeling, edgeLabeling)),
 				Outcome:        Hit,
 				TopBucketsTime: time.Since(lookupStart),
 				SavedPlanTime:  e.planTime,
@@ -261,7 +246,7 @@ func (c *Cache) Plan(req Request) (*Planned, error) {
 			c.stats.Misses++
 		}
 		c.mu.Unlock()
-		p, err := c.lead(e, req, key, labeling, f, s)
+		p, err := c.lead(e, req, key, labeling, edgeLabeling, f, s)
 		if p != nil {
 			p.Waited = waited
 		}
@@ -274,7 +259,7 @@ func (c *Cache) Plan(req Request) (*Planned, error) {
 // plans in full otherwise, caches the result, and then releases the
 // flight's waiters with its error (a waiter released without one looks
 // the key up again, so even a panicking leader strands nobody).
-func (c *Cache) lead(e *entry, req Request, key string, labeling []int, f flight, s *solve) (planned *Planned, err error) {
+func (c *Cache) lead(e *entry, req Request, key string, labeling, edgeLabeling []int, f flight, s *solve) (planned *Planned, err error) {
 	defer func() {
 		c.mu.Lock()
 		delete(c.flights, f)
@@ -290,7 +275,7 @@ func (c *Cache) lead(e *entry, req Request, key string, labeling []int, f flight
 	if e != nil {
 		// Promote outside the lock (the entry is immutable; we only
 		// read it).
-		if ne, planned := promote(e, req, labeling); ne != nil {
+		if ne, planned := promote(e, req, labeling, edgeLabeling); ne != nil {
 			c.insert(ne, true)
 			return planned, nil
 		}
@@ -305,7 +290,7 @@ func (c *Cache) lead(e *entry, req Request, key string, labeling []int, f flight
 	if err != nil {
 		return nil, err
 	}
-	ne.key, ne.labeling = key, labeling
+	ne.key, ne.labeling, ne.edgeLabeling = key, labeling, edgeLabeling
 	c.insert(ne, false)
 	return planned, nil
 }
@@ -318,11 +303,11 @@ func (c *Cache) lead(e *entry, req Request, key string, labeling []int, f flight
 // Under the append-only epoch model bucket counts only grow. When no
 // bucket appeared and no boundary granule widened (EpochDiff.AnyShape),
 // every granule box is the one e's bounds were solved over, so every
-// cached LB/UB still bounds its combination's (grown) contents, and
-// grown counts only add results at or above the certified floor: plan,
-// bounds and floor all carry over verbatim. The entry keeps
-// its own labeling; the caller gets the plan translated into its.
-func promote(e *entry, req Request, reqLabeling []int) (*entry, *Planned) {
+// cached LB/UB and edge UB still bounds its combination's (grown)
+// contents, and grown counts only add results at or above the certified
+// floor: plan, bounds and floor all carry over verbatim. The entry keeps
+// its own labelings; the caller gets the plan translated into its.
+func promote(e *entry, req Request, reqLabeling, reqEdgeLabeling []int) (*entry, *Planned) {
 	start := time.Now()
 	// The entry may be expressed in an isomorphic query's labeling;
 	// sigma maps request vertices onto entry vertices (nil = identity).
@@ -331,13 +316,11 @@ func promote(e *entry, req Request, reqLabeling []int) (*entry, *Planned) {
 		return nil, nil
 	}
 	ne := &entry{
-		key: e.key, epoch: req.Epoch, labeling: e.labeling,
-		plan: e.plan, edges: e.edges, bounds: e.bounds,
-		planTime: e.planTime, state: e.state,
+		key: e.key, epoch: req.Epoch, labeling: e.labeling, edgeLabeling: e.edgeLabeling,
+		plan: e.plan, edges: e.edges, planTime: e.planTime, state: e.state,
 	}
 	return ne, &Planned{
-		Plan:           e.plan.Relabel(sigma),
-		Bounds:         e.bounds,
+		Plan:           e.plan.Relabel(sigma, sigmaFor(e.edgeLabeling, reqEdgeLabeling)),
 		Outcome:        Revalidated,
 		TopBucketsTime: time.Since(start),
 		SavedPlanTime:  e.planTime,
@@ -408,22 +391,20 @@ func fullPlan(req Request) (*Planned, *entry, error) {
 		epoch:    req.Epoch,
 		plan:     p,
 		edges:    len(req.Query.Edges),
-		bounds:   solver.NewPairMemo(),
 		planTime: p.Built,
 		state:    CaptureEpochState(req.Matrices),
 	}
 	return &Planned{
 		Plan:           p,
-		Bounds:         e.bounds,
 		Outcome:        Miss,
 		TopBucketsTime: p.Built,
 	}, e, nil
 }
 
 // planCost is the retention currency of the cache: a plan's pair table
-// cells, plus for each combination built so far the combination and the
-// one bound per edge the join memoizes for it (its memo's size bound).
-// Even a plan with nothing built yet has nonzero weight.
+// cells, plus for each combination built so far the combination and its
+// one UB per edge. Even a plan with nothing built yet has nonzero
+// weight.
 func planCost(p *topbuckets.Plan, edges int) float64 {
 	return max(1, float64(p.Cells+(1+edges)*p.Len()))
 }

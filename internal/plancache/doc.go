@@ -9,9 +9,9 @@
 // matrices. It never reads the stored intervals themselves. Serving
 // workloads repeat shapes constantly (the same dashboard query, the
 // same alert rule), so the cache keys a plan — a topbuckets.Plan, Ω_k,S
-// as a lazy stream with its bound certificates (LB/UB per combination,
-// the certified kthResLB floor), plus the join's pair-bound memo — by a
-// canonical plan key and the matrices epoch, and Execute reuses it for
+// as a lazy stream with its bound certificates (LB/UB and the per-edge
+// UBs the join prunes with per combination, the certified kthResLB
+// floor) — by a canonical plan key and the matrices epoch, and Execute reuses it for
 // the cost of a map lookup. An entry's plan keeps the combinations any
 // query has read, so a hit reads them without building anything. A
 // local query joins the plan in one pass, so a plan holds no reducer
@@ -21,7 +21,13 @@
 // Canonical key. Key normalizes the query shape up to node relabeling
 // and edge reordering: two queries that differ only by a vertex
 // permutation (with the collection mapping permuted along) and the
-// order edges are listed in produce the same key. k, the granulation
+// order edges are listed in produce the same key. A hit is served in
+// the requesting query's own labeling: bucket tuples are permuted by
+// the vertex correspondence and edge UBs by the edge correspondence,
+// each edge ranked by (canonical From, canonical To, signature) — the
+// order of the key's edge section. Listing order alone makes the edge
+// correspondence differ from the identity, even where the vertex one is
+// the identity. k, the granulation
 // signature, and the per-vertex collection identities are part of the
 // key, so plans never alias across different result sizes, grids, or
 // datasets.
@@ -36,16 +42,15 @@
 //     counts inside existing buckets, so every granule box — hence
 //     every cached bound — is unchanged, and grown counts only add
 //     results at or above the certified floor. The outcome is
-//     Revalidated, and the plan keeps its bound memo.
+//     Revalidated, and the plan keeps every bound it holds.
 //   - Planned again, when a bucket appeared or an out-of-range append
 //     widened a boundary granule (stats.Grid): the outcome is a Miss,
-//     and the fresh entry, with an empty bound memo, replaces the
+//     and the fresh entry, bounded over the widened boxes, replaces the
 //     stale one.
 //
 // Retention is bounded by cost, not entry count: an entry's cost is
 // its plan's pair-table cells plus, for every combination its readers
-// have built so far, the combination and the per-edge bounds the join
-// memoizes for it. A plan's built prefix grows as queries read further
+// have built so far, the combination and its per-edge UBs. A plan's built prefix grows as queries read further
 // into it, so the cache recharges an entry on every hit, and
 // least-recently-used entries are evicted once the total exceeds
 // Options.MaxCost — so one giant plan cannot silently pin hundreds of

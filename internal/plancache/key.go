@@ -1,7 +1,9 @@
 package plancache
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,18 +41,21 @@ const maxCanonVertices = 6
 // vertexCols[v] is the collection index vertex v reads (the engine's
 // execution mapping); grans[v] is that collection's granulation.
 func Key(q *query.Query, vertexCols []int, k int, grans []stats.Granulation) string {
-	key, _ := Canonicalize(q, vertexCols, k, grans)
+	key, _, _ := Canonicalize(q, vertexCols, k, grans)
 	return key
 }
 
-// Canonicalize is Key additionally returning the canonical labeling:
+// Canonicalize is Key additionally returning the canonical labelings:
 // labeling[v] is the canonical label of query vertex v under the
-// permutation that realized the key. Two isomorphic executions with
-// labelings p and p' correspond vertex-wise through p'^-1∘p — the
-// cache uses that to translate a cached plan (whose bucket tuples are
-// vertex-indexed) into the requesting query's
-// labeling before serving it.
-func Canonicalize(q *query.Query, vertexCols []int, k int, grans []stats.Granulation) (string, []int) {
+// permutation that realized the key, and edgeLabeling[i] the rank of
+// edge i in the key's edge section under that permutation. Two
+// isomorphic executions with labelings p and p' correspond vertex-wise
+// through p'^-1∘p, and edge-wise likewise — the cache uses that to
+// translate a cached plan (whose bucket tuples are vertex-indexed and
+// whose edge UBs are edge-indexed) into the requesting query's labeling
+// before serving it. Two executions whose vertices correspond
+// identically may still list their edges in different orders.
+func Canonicalize(q *query.Query, vertexCols []int, k int, grans []stats.Granulation) (key string, labeling, edgeLabeling []int) {
 	n := q.NumVertices
 	// Per-edge signatures are permutation-independent; precompute once.
 	edgeSigs := make([]string, len(q.Edges))
@@ -88,16 +93,36 @@ func Canonicalize(q *query.Query, vertexCols []int, k int, grans []stats.Granula
 	}
 	best := render(identity)
 	bestPi := append([]int(nil), identity...)
-	if n > maxCanonVertices {
-		return best, bestPi
+	if n <= maxCanonVertices {
+		permute(identity, func(pi []int) {
+			if s := render(pi); s < best {
+				best = s
+				copy(bestPi, pi)
+			}
+		})
 	}
-	permute(identity, func(pi []int) {
-		if s := render(pi); s < best {
-			best = s
-			copy(bestPi, pi)
-		}
+	return best, bestPi, edgeRanks(q, bestPi, edgeSigs)
+}
+
+// edgeRanks returns each edge's rank among q's edges sorted by
+// (pi[From], pi[To], signature): the order of the key's edge section,
+// up to ties. Edges that tie are equal edges, so either rank maps one
+// query's edges soundly onto another's.
+func edgeRanks(q *query.Query, pi []int, sigs []string) []int {
+	m := len(q.Edges)
+	buf := make([]int, 2*m)
+	order, ranks := buf[:m], buf[m:]
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		ea, eb := q.Edges[a], q.Edges[b]
+		return cmp.Or(cmp.Compare(pi[ea.From], pi[eb.From]), cmp.Compare(pi[ea.To], pi[eb.To]), strings.Compare(sigs[a], sigs[b]))
 	})
-	return best, bestPi
+	for r, i := range order {
+		ranks[i] = r
+	}
+	return ranks
 }
 
 // edgeWeights returns the per-edge weights when the aggregator is

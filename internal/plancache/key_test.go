@@ -1,6 +1,7 @@
 package plancache
 
 import (
+	"slices"
 	"testing"
 
 	"tkij/internal/query"
@@ -65,6 +66,15 @@ func TestKeyEdgeReordering(t *testing.T) {
 	q2 := mustQuery(t, "b", 3, []query.Edge{e12, e01}, scoring.Avg{})
 	if Key(q1, cols, 5, grans) != Key(q2, cols, 5, grans) {
 		t.Fatal("edge listing order changed the key")
+	}
+	// The vertices correspond identically; the edges do not.
+	_, v1, e1 := Canonicalize(q1, cols, 5, grans)
+	_, v2, e2 := Canonicalize(q2, cols, 5, grans)
+	if s := sigmaFor(v1, v2); s != nil {
+		t.Fatalf("vertex correspondence %v between two listings of one query, want the identity", s)
+	}
+	if s := sigmaFor(e1, e2); !slices.Equal(s, []int{1, 0}) {
+		t.Fatalf("edge correspondence %v between the two listings, want [1 0]", s)
 	}
 
 	q3 := mustQuery(t, "c", 3, []query.Edge{

@@ -41,8 +41,8 @@ func TestPlanSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	first, second, third := labelings(ms, 0), labelings(grown, 1), labelings(widened, 2)
-	k0, _ := Canonicalize(first[0].Query, first[0].VertexCols, 5, granulations(first[0].Matrices))
-	k1, _ := Canonicalize(first[1].Query, first[1].VertexCols, 5, granulations(first[1].Matrices))
+	k0, _, _ := Canonicalize(first[0].Query, first[0].VertexCols, 5, granulations(first[0].Matrices))
+	k1, _, _ := Canonicalize(first[1].Query, first[1].VertexCols, 5, granulations(first[1].Matrices))
 	if k0 != k1 {
 		t.Fatal("the two labelings do not share a plan key")
 	}

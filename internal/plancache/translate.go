@@ -1,13 +1,16 @@
 package plancache
 
-// sigmaFor composes two canonical labelings into the vertex
-// correspondence between an entry's query and a requesting query with
-// the same key: sigma[v] is the entry vertex playing the role of
-// request vertex v (both map to the same canonical label). Returns nil
-// for the identity correspondence — the common case of re-executing the
-// very same query object, which must stay allocation-free.
+import "slices"
+
+// sigmaFor composes two canonical labelings — of vertices or of edges —
+// into the correspondence between an entry's query and a requesting
+// query with the same key: sigma[v] is the entry vertex (edge) playing
+// the role of request vertex (edge) v (both map to the same canonical
+// label). Returns nil for the identity correspondence — the common case
+// of re-executing the very same query object, which must stay
+// allocation-free.
 func sigmaFor(entryLabeling, reqLabeling []int) []int {
-	if len(entryLabeling) != len(reqLabeling) {
+	if len(entryLabeling) != len(reqLabeling) || slices.Equal(entryLabeling, reqLabeling) {
 		return nil
 	}
 	inv := make([]int, len(entryLabeling)) // canonical label -> entry vertex

@@ -10,10 +10,9 @@ import (
 // (λ, ρ) tolerances. Two predicates with equal signatures score every
 // interval pair identically, regardless of the Name they were built
 // under. It is the sharing identity used by the plan cache's
-// query-shape canonicalization and by the admission layer's
-// batch-scoped bound memo: any value derived from (predicate, interval
-// boxes) alone may be reused across queries whose predicates share a
-// signature.
+// query-shape canonicalization: any value derived from (predicate,
+// interval boxes) alone may be reused across queries whose predicates
+// share a signature.
 func (p *Predicate) Signature() string {
 	var b strings.Builder
 	for ti, t := range p.Terms {

@@ -12,6 +12,7 @@ import (
 	"tkij/internal/join"
 	"tkij/internal/rtree"
 	"tkij/internal/store"
+	"tkij/internal/topbuckets"
 )
 
 // Worker is one shard: a replica store holding its owned slice of the
@@ -350,10 +351,12 @@ func runTasks(ctx context.Context, f *QueryFrame, wq *workerQuery, view *store.V
 		}
 	}
 
+	// The frame carries no edge UBs: bound the decoded combinations,
+	// which are this query's own, over the frame's grids.
+	topbuckets.FillEdgeUB(q, f.Grids, f.Combos)
 	return join.RunTasks(ctx, &join.ReduceRequest{
 		Query: q,
 		Srcs:  srcs,
-		Grans: f.Grids,
 		K:     f.K,
 		Opts: join.LocalOptions{
 			DisableIndex:   f.DisableIndex,

@@ -431,3 +431,29 @@ func maxf(a, b float64) float64 {
 	}
 	return b
 }
+
+// pairOptions is the one solver setting every pair bound is solved at.
+// Pair bounds only drive pruning decisions, so 1e-3 accuracy is ample,
+// and 512 nodes keeps branch-and-bound off the flat plateaus of
+// equals-based predicates.
+var pairOptions = Options{MaxNodes: 512, Eps: 1e-3}
+
+// PairBounds is PredicateBounds at the pair-solver setting: the bounds
+// of one edge's predicate over the boxes of two buckets (§3.3, lines 1-3
+// of Algorithm 2). Every pair bound in the engine — a plan's tables and
+// the lists no plan bounded (topbuckets.FillEdgeUB) — is solved through
+// it.
+func PairBounds(pred *scoring.Predicate, x, y VertexBox) (lb, ub float64) {
+	return PredicateBounds(pred, x, y, pairOptions)
+}
+
+// PairEnclosure is the enclosure of pred over the root (x, y) box, the
+// first step of PairBounds and all of it where exact: lo is PairBounds'
+// LB bit for bit, and hi is its UB when exact (pred is separable) and an
+// upper bound on that UB otherwise — a search only ever lowers the
+// root's bound (FuzzPairBounds). It costs one pass over pred's terms.
+func PairEnclosure(pred *scoring.Predicate, x, y VertexBox) (lo, hi float64, exact bool) {
+	lo4, hi4 := edgeBounds(x, y)
+	lo, hi = predicateEnclosure(pred, lo4, hi4)
+	return lo, hi, separable(pred)
+}

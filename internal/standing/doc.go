@@ -12,7 +12,7 @@
 //     snapshot carries over verbatim, the delta just advances Epoch.
 //   - push — something grew: one core.Engine.ExecutePinned at the
 //     cycle's pin, through the plan cache (an append that moved no
-//     bucket's box promotes the cached plan and its bound memo, so the
+//     bucket's box promotes the cached plan with its bounds, so the
 //     execution plans and solves nothing), committed as the membership
 //     difference between the pushed top-k and the fresh one.
 //

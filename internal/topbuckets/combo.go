@@ -23,6 +23,11 @@ type Combo struct {
 	// int64 for large n (the paper reports >1e13 results per combination
 	// at §4.2.6 scale).
 	NbRes float64
+	// EdgeUB has one bound per query edge, in the query's edge order: the
+	// UB of solver.PairBounds over the BoxOf boxes of the edge's two
+	// buckets (§3.3, lines 1-3 of Algorithm 2). UB aggregates it, and the
+	// join bounds every edge a partial tuple leaves unbound by it.
+	EdgeUB []float64
 }
 
 // compareTuples orders two equal-length bucket tuples by (Col, StartG,
@@ -47,9 +52,8 @@ func compareTuples(a, b []stats.Bucket) int {
 // start variable ranges over the bucket's start granule and the end
 // variable over its end granule (constraints (1)(2) of the Bounds
 // Problem in §3.3), boundary granules widened to the observed endpoint
-// extent so the box contains clamped appends. Every bound computation —
-// here and in the join — derives its boxes through it, which is what
-// makes their solver.PairMemo keys agree.
+// extent so the box contains clamped appends. Every pair bound is
+// solved over boxes derived through it.
 func BoxOf(g stats.Grid, b stats.Bucket) solver.VertexBox {
 	var box solver.VertexBox
 	box.StartLo, box.StartHi = g.Bounds(b.StartG)
@@ -63,6 +67,51 @@ func boxesFor(matrices []*stats.Matrix, buckets []stats.Bucket, dst []solver.Ver
 		dst = append(dst, BoxOf(matrices[i].Grid(), b))
 	}
 	return dst
+}
+
+// FillEdgeUB sets EdgeUB of every combination to its pair UBs over the
+// per-vertex grids, solving each distinct (edge, bucket pair) once. It
+// serves the combination lists no plan bounded: brute force and a shard
+// worker's decoded query frame.
+func FillEdgeUB(q *query.Query, grids []stats.Grid, combos []Combo) {
+	edgeBounds(q, grids, combos)
+}
+
+// edgeBounds is FillEdgeUB also returning the pair LBs: edge ei of
+// combination i at lbs[i*|E|+ei].
+func edgeBounds(q *query.Query, grids []stats.Grid, combos []Combo) (lbs []float64) {
+	type pair struct {
+		edge     int
+		from, to [2]int
+	}
+	solved := make(map[pair][2]float64)
+	n := len(q.Edges)
+	lbs = make([]float64, len(combos)*n)
+	ubs := make([]float64, len(combos)*n)
+	for i := range combos {
+		bs := combos[i].Buckets
+		for ei, e := range q.Edges {
+			x, y := bs[e.From], bs[e.To]
+			k := pair{ei, [2]int{x.StartG, x.EndG}, [2]int{y.StartG, y.EndG}}
+			b, ok := solved[k]
+			if !ok {
+				b[0], b[1] = solver.PairBounds(e.Pred, BoxOf(grids[e.From], x), BoxOf(grids[e.To], y))
+				solved[k] = b
+			}
+			lbs[i*n+ei], ubs[i*n+ei] = b[0], b[1]
+		}
+		combos[i].EdgeUB = ubs[i*n : (i+1)*n : (i+1)*n]
+	}
+	return lbs
+}
+
+// gridsOf returns each matrix's grid.
+func gridsOf(matrices []*stats.Matrix) []stats.Grid {
+	grids := make([]stats.Grid, len(matrices))
+	for i, m := range matrices {
+		grids[i] = m.Grid()
+	}
+	return grids
 }
 
 // enumerate walks the combination space Ω — the cartesian product of

@@ -35,8 +35,9 @@ import (
 //     come H's members at UB = kthResLB, in the same order.
 //
 // Every combination carries the LB/UB bits the pair tables of Algorithm
-// 2 give it, so the stream drained equals SelectWithThreshold over Ω
-// bounded by LooseBounds, in order.
+// 2 give it, and its per-edge UBs read from their exact cells, so the
+// stream drained equals SelectWithThreshold over Ω bounded by
+// LooseBounds, in order.
 //
 // Safe for concurrent use: the materialized prefix is read without a
 // lock or an allocation, and extending it takes the plan's mutex.
@@ -120,8 +121,8 @@ func NewPlan(q *query.Query, matrices []*stats.Matrix, k int) (*Plan, error) {
 
 // Listed returns the plan that reads combos in descending-UB order:
 // combos itself when it already is in that order, else a stably sorted
-// copy. Its combinations are all materialized; KthResLB and the totals
-// are zero.
+// copy. Its combinations are all materialized, and the join reads their
+// EdgeUB as it reads a walked plan's; KthResLB and the totals are zero.
 func Listed(combos []Combo) *Plan {
 	if !slices.IsSortedFunc(combos, byDescendingUB) {
 		combos = slices.Clone(combos)
@@ -134,15 +135,17 @@ func Listed(combos []Combo) *Plan {
 
 func byDescendingUB(a, b Combo) int { return cmp.Compare(b.UB, a.UB) }
 
-// Relabel returns p read in another vertex labeling: combination i of
-// the result is combination i of p with its bucket tuple permuted by
-// sigma (vertex v takes p's vertex sigma[v], its Col rewritten to v).
-// Bounds, counts and kthResLB carry over. A nil sigma returns p.
-func (p *Plan) Relabel(sigma []int) *Plan {
-	if sigma == nil {
+// Relabel returns p read in another labeling of its query: combination
+// i of the result is combination i of p with its bucket tuple permuted
+// by sigma (vertex v takes p's vertex sigma[v], its Col rewritten to v)
+// and its edge UBs by esigma (edge e takes p's edge esigma[e]). Bounds,
+// counts and kthResLB carry over. A nil permutation is the identity, and
+// with both nil Relabel returns p.
+func (p *Plan) Relabel(sigma, esigma []int) *Plan {
+	if sigma == nil && esigma == nil {
 		return p
 	}
-	r := &relabel{base: p, sigma: sigma}
+	r := &relabel{base: p, sigma: sigma, esigma: esigma}
 	np := &Plan{KthResLB: p.KthResLB, TotalCombos: p.TotalCombos, TotalResults: p.TotalResults,
 		Cells: p.Cells, Built: p.Built, src: r}
 	np.read.Store(&prefix{bound: r.bound()})
@@ -238,12 +241,13 @@ func (p *Plan) extend(n int) *prefix {
 	return nr
 }
 
-// relabel is a plan read through a vertex permutation.
+// relabel is a plan read through a vertex and an edge permutation.
 type relabel struct {
-	base  *Plan
-	sigma []int
-	i     int
-	slab  []stats.Bucket
+	base          *Plan
+	sigma, esigma []int
+	i             int
+	slab          []stats.Bucket
+	ubSlab        []float64
 }
 
 func (r *relabel) next() (Combo, bool) {
@@ -252,25 +256,35 @@ func (r *relabel) next() (Combo, bool) {
 		return Combo{}, false
 	}
 	r.i++
-	var bs []stats.Bucket
-	bs, r.slab = carve(r.slab, len(c.Buckets))
-	for v := range bs {
-		b := c.Buckets[r.sigma[v]]
-		b.Col = v
-		bs[v] = b
+	if r.sigma != nil {
+		var bs []stats.Bucket
+		bs, r.slab = carve(r.slab, len(c.Buckets))
+		for v := range bs {
+			b := c.Buckets[r.sigma[v]]
+			b.Col = v
+			bs[v] = b
+		}
+		c.Buckets = bs
 	}
-	c.Buckets = bs
+	if r.esigma != nil {
+		var ubs []float64
+		ubs, r.ubSlab = carve(r.ubSlab, len(c.EdgeUB))
+		for e := range ubs {
+			ubs[e] = c.EdgeUB[r.esigma[e]]
+		}
+		c.EdgeUB = ubs
+	}
 	return c, true
 }
 
 func (r *relabel) bound() float64 { return r.base.Bound(r.i) }
 
-// carve cuts an n-bucket tuple off the front of slab, refilling it with
+// carve cuts an n-element tuple off the front of slab, refilling it with
 // room for a run of tuples when it runs out, so that building a prefix
 // allocates per run rather than per combination.
-func carve(slab []stats.Bucket, n int) (tuple, rest []stats.Bucket) {
+func carve[T any](slab []T, n int) (tuple, rest []T) {
 	if len(slab) < n {
-		slab = make([]stats.Bucket, 64*n)
+		slab = make([]T, 64*n)
 	}
 	return slab[:n:n], slab[n:]
 }
@@ -352,6 +366,7 @@ type walk struct {
 
 	searches int
 	slab     []stats.Bucket
+	ubSlab   []float64
 }
 
 // newWalk builds the pair tables: one enclosure per bucket pair per
@@ -640,13 +655,21 @@ func (w *walk) nbRes(pos []int32) float64 {
 }
 
 // combo builds the combination at full-tuple positions pos with UB ub.
+// Every cell of the tuple holds its UB: the walk solved it before the
+// tuple reached the top of the queue or joined H's tail.
 func (w *walk) combo(pos []int32, ub float64) Combo {
 	var bs []stats.Bucket
 	bs, w.slab = carve(w.slab, len(pos))
 	for v, p := range pos {
 		bs[v] = w.lists[v][p]
 	}
-	return Combo{Buckets: bs, LB: w.key(pos, lo), UB: ub, NbRes: w.nbRes(pos)}
+	var ubs []float64
+	ubs, w.ubSlab = carve(w.ubSlab, len(w.tables))
+	for ei := range w.tables {
+		t := &w.tables[ei]
+		ubs[ei] = t.cells[hi][t.cell(pos)]
+	}
+	return Combo{Buckets: bs, LB: w.key(pos, lo), UB: ub, NbRes: w.nbRes(pos), EdgeUB: ubs}
 }
 
 // next returns the next combination of the UB walk: the queue's first

@@ -10,7 +10,6 @@ import (
 	"tkij/internal/interval"
 	"tkij/internal/query"
 	"tkij/internal/scoring"
-	"tkij/internal/solver"
 	"tkij/internal/stats"
 )
 
@@ -26,7 +25,7 @@ func boundedOmega(t testing.TB, q *query.Query, ms []*stats.Matrix) []Combo {
 	enumerate(lists, func(bs []stats.Bucket) {
 		all = append(all, Combo{Buckets: append([]stats.Bucket(nil), bs...), NbRes: nbRes(bs)})
 	})
-	LooseBounds(q, solver.NewPairMemo(), ms, all)
+	LooseBounds(q, ms, all)
 	return all
 }
 
@@ -110,8 +109,9 @@ func TestPlanEqualsListSelection(t *testing.T) {
 	}
 }
 
-// A plan read in another vertex labeling is the plan's combinations with
-// their tuples permuted, in the same order.
+// A plan read in another labeling is the plan's combinations with their
+// tuples permuted by the vertex permutation and their edge UBs by the
+// edge permutation, in the same order.
 func TestPlanRelabel(t *testing.T) {
 	cols := synthCollections(2, 60, 5)
 	ms := matricesFor(t, cols, 5)
@@ -120,8 +120,8 @@ func TestPlanRelabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := p.Relabel([]int{1, 0})
-	if p.Relabel(nil) != p {
+	r := p.Relabel([]int{1, 0}, nil)
+	if p.Relabel(nil, nil) != p {
 		t.Fatal("the identity relabeling is not the plan itself")
 	}
 	for i := 0; ; i++ {
@@ -133,7 +133,7 @@ func TestPlanRelabel(t *testing.T) {
 		if !ok {
 			break
 		}
-		if c.LB != w.LB || c.UB != w.UB || c.NbRes != w.NbRes ||
+		if c.LB != w.LB || c.UB != w.UB || c.NbRes != w.NbRes || c.EdgeUB[0] != w.EdgeUB[0] ||
 			c.Buckets[0].StartG != w.Buckets[1].StartG || c.Buckets[0].EndG != w.Buckets[1].EndG ||
 			c.Buckets[1].StartG != w.Buckets[0].StartG || c.Buckets[0].Col != 0 || c.Buckets[1].Col != 1 {
 			t.Fatalf("combination %d: relabeled %+v of %+v", i, c, w)
@@ -141,6 +141,26 @@ func TestPlanRelabel(t *testing.T) {
 	}
 	if r.KthResLB != p.KthResLB {
 		t.Fatalf("relabeled kthResLB %v, plan %v", r.KthResLB, p.KthResLB)
+	}
+
+	// The same edges listed the other way round: the vertices keep their
+	// labels and only the edge UBs swap.
+	cols = synthCollections(3, 60, 6)
+	ms = matricesFor(t, cols, 5)
+	q = query.Qom(query.Env{Params: scoring.P1})
+	if p, err = NewPlan(q, ms, 30); err != nil {
+		t.Fatal(err)
+	}
+	r = p.Relabel(nil, []int{1, 0})
+	for i := 0; i < 20; i++ {
+		c, ok := r.At(i)
+		w, _ := p.At(i)
+		if !ok {
+			break
+		}
+		if c.UB != w.UB || c.EdgeUB[0] != w.EdgeUB[1] || c.EdgeUB[1] != w.EdgeUB[0] || tupleKey(c) != tupleKey(w) {
+			t.Fatalf("combination %d: edge-relabeled %+v of %+v", i, c, w)
+		}
 	}
 }
 

@@ -129,32 +129,17 @@ func Run(q *query.Query, matrices []*stats.Matrix, k int, opts Options) (*Result
 	return res, nil
 }
 
-// LooseBounds sets LB and UB of every combination in place to its loose
-// bounds over the current matrices, reading the per-edge pair bounds
-// through memo: only pairs memo has not seen at their current boxes are
-// solved. No planning path calls it: it is the reference a Plan is
-// checked against (TestPlanEqualsListSelection, FuzzTopBuckets), all of
-// Ω bounded combination by combination and selected as a list.
-func LooseBounds(q *query.Query, memo *solver.PairMemo, matrices []*stats.Matrix, combos []Combo) {
-	sigs := make([]string, len(q.Edges))
-	for ei, e := range q.Edges {
-		sigs[ei] = e.Pred.Signature()
-	}
-	lbs := make([]float64, len(q.Edges))
-	ubs := make([]float64, len(q.Edges))
+// LooseBounds sets LB, UB and EdgeUB of every combination in place to
+// its loose bounds over the current matrices, solving each distinct
+// (edge, bucket pair) once. No planning path calls it: it is the
+// reference a Plan is checked against (TestPlanEqualsListSelection,
+// FuzzTopBuckets), all of Ω bounded combination by combination and
+// selected as a list.
+func LooseBounds(q *query.Query, matrices []*stats.Matrix, combos []Combo) {
+	lbs := edgeBounds(q, gridsOf(matrices), combos)
+	n := len(q.Edges)
 	for i := range combos {
-		bs := combos[i].Buckets
-		for ei, e := range q.Edges {
-			// Enumeration order varies the last vertices fastest, so an
-			// edge over earlier ones keeps its bucket pair — and the
-			// bounds already in lbs/ubs — for runs of combinations.
-			if i > 0 && bs[e.From] == combos[i-1].Buckets[e.From] && bs[e.To] == combos[i-1].Buckets[e.To] {
-				continue
-			}
-			lbs[ei], ubs[ei], _ = memo.Bounds(e.Pred, sigs[ei],
-				BoxOf(matrices[e.From].Grid(), bs[e.From]), BoxOf(matrices[e.To].Grid(), bs[e.To]))
-		}
-		combos[i].LB, combos[i].UB = q.Agg.Aggregate(lbs), q.Agg.Aggregate(ubs)
+		combos[i].LB, combos[i].UB = q.Agg.Aggregate(lbs[i*n:(i+1)*n]), q.Agg.Aggregate(combos[i].EdgeUB)
 	}
 }
 
@@ -197,7 +182,7 @@ func runLoose(q *query.Query, matrices []*stats.Matrix, k int, opts Options) (*R
 }
 
 // runBruteForce materializes Ω with tight solver bounds for every
-// combination, then selects.
+// combination (and its pair UBs for the join), then selects.
 func runBruteForce(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Bucket, k int, opts Options) (*Result, error) {
 	res := &Result{TotalCombos: comboCount(lists)}
 	if res.TotalCombos > opts.MaxCombos {
@@ -213,6 +198,7 @@ func runBruteForce(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Buc
 	for _, c := range combos {
 		res.TotalResults += c.NbRes
 	}
+	FillEdgeUB(q, gridsOf(matrices), combos)
 	refineStart := time.Now()
 	TightenBounds(q, matrices, combos, opts)
 	res.TightSolverCalls = len(combos)
@@ -238,6 +224,8 @@ var tightOptions = solver.Options{MaxNodes: 512, Eps: 1e-3}
 // place, in parallel, and returns the total branch-and-bound nodes
 // opened (the solver-work certificate of the recomputation). It is the
 // second phase of the two-phase strategy and the whole of brute-force.
+// EdgeUB is left as it is: a pair UB bounds its edge whatever bounds the
+// combination.
 func TightenBounds(q *query.Query, matrices []*stats.Matrix, combos []Combo, opts Options) int {
 	opts = opts.withDefaults()
 	var wg sync.WaitGroup

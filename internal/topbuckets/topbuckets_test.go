@@ -173,6 +173,18 @@ func evictingSelect(k int, offered []Combo) ([]Combo, float64) {
 	return out, t
 }
 
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func sameSelection(t testing.TB, what string, got, want []Combo) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -183,6 +195,11 @@ func sameSelection(t testing.TB, what string, got, want []Combo) {
 		if tupleKey(g) != tupleKey(w) || math.Float64bits(g.LB) != math.Float64bits(w.LB) ||
 			math.Float64bits(g.UB) != math.Float64bits(w.UB) || g.NbRes != w.NbRes {
 			t.Fatalf("%s: selection mismatch at %d: %+v, want %+v", what, i, g, w)
+		}
+		// A list bounded by LooseBounds carries the pair UBs the join
+		// reads: a plan's must be the same bits.
+		if w.EdgeUB != nil && !sameBits(g.EdgeUB, w.EdgeUB) {
+			t.Fatalf("%s: edge UBs at %d: %v, want %v", what, i, g.EdgeUB, w.EdgeUB)
 		}
 	}
 }
