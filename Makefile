@@ -47,7 +47,7 @@ knobs:
 # knobs-check fails when `make knobs` exceeds KNOBS_BUDGET, so an option
 # can only come back through an edit of this line. Lower the budget with
 # every change that removes options.
-KNOBS_BUDGET = 26
+KNOBS_BUDGET = 21
 knobs-check:
 	@n=$$($(MAKE) -s --no-print-directory knobs); \
 	if [ "$$n" -gt $(KNOBS_BUDGET) ]; then \

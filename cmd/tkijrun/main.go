@@ -65,7 +65,6 @@
 //	tkijrun -query Qo,m -shards 3 -json C1.tsv C2.tsv C3.tsv
 //	tkij-worker -listen :7071 &  tkij-worker -listen :7072 &
 //	tkijrun -query Qo,m -shard-addrs localhost:7071,localhost:7072 C1.tsv C2.tsv C3.tsv
-//	tkijrun -query Qo,m -shards 2 -no-floor-broadcast C1.tsv C2.tsv C3.tsv  # ablation
 //
 // Standing queries: -subscribe registers the query as a continuous
 // top-k subscription, splits the -append batch into -subscribe-chunks
@@ -222,7 +221,6 @@ func main() {
 		noCache   = flag.Bool("no-plan-cache", false, "disable the query-plan cache: plan every execution cold")
 		shards    = flag.Int("shards", 0, "split the bucket store across N in-process shard workers and run the join distributed (0/1 = local execution)")
 		shardAddr = flag.String("shard-addrs", "", "comma-separated tkij-worker TCP addresses to shard across (overrides -shards)")
-		noFloorBc = flag.Bool("no-floor-broadcast", false, "with -shards: do not stream the rising score floor to workers (ablation; results are unchanged, remote pruning is lost)")
 		conc      = flag.Int("concurrency", 1, "submit N copies of the query concurrently per repeat round through the admission layer (1 = direct execution)")
 		subscribe = flag.Bool("subscribe", false, "standing-query mode: subscribe to the query, stream the -append batch chunk by chunk, and verify the pushed top-k against a fresh re-execute after every append")
 		subChunks = flag.Int("subscribe-chunks", 8, "with -subscribe: number of ingest batches the -append file is split into")
@@ -275,7 +273,7 @@ func main() {
 		Granules: *g, K: *k, Reducers: *reducers,
 		PlanCache: tkij.PlanCacheOptions{Disabled: *noCache},
 		Mmap:      *useMmap,
-		Shards:    *shards, ShardNoFloorBroadcast: *noFloorBc,
+		Shards:    *shards,
 	}
 	var tracer *tkij.Tracer
 	if *traceOut != "" {

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"testing"
 
-	"tkij/internal/baselines"
 	"tkij/internal/core"
 	"tkij/internal/interval"
 	"tkij/internal/join"
@@ -223,7 +222,7 @@ func TestBatchedMatchesSequentialRandomized(t *testing.T) {
 				for c := range prefix {
 					prefix[c] = &interval.Collection{Name: cols[c].Name, Items: cols[c].Items[:lens[c]]}
 				}
-				want, err := baselines.Naive(r.Query, prefix, k)
+				want, err := join.Exhaustive(r.Query, prefix, k)
 				if err != nil {
 					t.Fatal(err)
 				}

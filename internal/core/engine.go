@@ -60,11 +60,6 @@ type Options struct {
 	// ShardAddrs connects to external tkij-worker processes over TCP
 	// instead of in-process workers; its length overrides Shards.
 	ShardAddrs []string
-	// ShardNoFloorBroadcast keeps each worker's score floor local — the
-	// floor-broadcast ablation. Results are identical (the floor is a
-	// certified lower bound either way); remote reducers just prune
-	// less.
-	ShardNoFloorBroadcast bool
 	// Tracer, when set, collects a span tree per query/append/push cycle
 	// for JSONL or Chrome trace-event export (tkijrun -trace-out). Nil
 	// keeps tracing fully detached: span calls collapse to nil-receiver
@@ -365,18 +360,17 @@ func (e *Engine) startClusterLocked() error {
 	if e.cluster != nil || (e.opts.Shards <= 1 && len(e.opts.ShardAddrs) == 0) {
 		return nil
 	}
-	copts := shard.ClusterOptions{NoFloorBroadcast: e.opts.ShardNoFloorBroadcast}
 	if len(e.opts.ShardAddrs) > 0 {
 		//tkij:ignore ctxflow -- the cluster is engine-scoped, not request-scoped: dialing happens inside ctx-less preparation (Pin) and the connections outlive whichever query triggered them, so no caller context exists to derive from
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		c, err := shard.Dial(ctx, e.opts.ShardAddrs, copts)
+		c, err := shard.Dial(ctx, e.opts.ShardAddrs)
 		if err != nil {
 			return err
 		}
 		e.cluster = c
 	} else {
-		c, workers, err := shard.InProcess(e.opts.Shards, copts)
+		c, workers, err := shard.InProcess(e.opts.Shards)
 		if err != nil {
 			return err
 		}

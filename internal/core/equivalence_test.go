@@ -3,7 +3,7 @@ package core
 // Randomized equivalence harness: the engine's full serving path —
 // statistics, TopBuckets pruning, DTB distribution, the epoch-pinned
 // store views, R-tree probe boxes, shared-floor pruning, merge — is
-// checked against the naive nested-loop oracle in internal/baselines
+// checked against the nested-loop oracle join.Exhaustive
 // over randomized datasets and query shapes, including after streaming
 // appends. Any unsound bound or stale epoch view diverges from the
 // oracle here before it can hide behind a hand-picked query.
@@ -16,7 +16,6 @@ import (
 	"slices"
 	"testing"
 
-	"tkij/internal/baselines"
 	"tkij/internal/interval"
 	"tkij/internal/join"
 	"tkij/internal/plancache"
@@ -158,7 +157,7 @@ func TestEngineMatchesNaiveRandomized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: engine: %v", stage, err)
 				}
-				want, err := baselines.Naive(q, vertexCols, k)
+				want, err := join.Exhaustive(q, vertexCols, k)
 				if err != nil {
 					t.Fatalf("%s: naive: %v", stage, err)
 				}

@@ -186,7 +186,7 @@ type Report struct {
 	ShardShippedBuckets int
 	ShardShippedRecords float64
 	// ShardFloorFrames counts floor-broadcast frames exchanged with the
-	// workers in both directions (0 under ShardNoFloorBroadcast).
+	// workers in both directions.
 	ShardFloorFrames int64
 
 	// PlanCacheHit reports that the planning phases were skipped

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"tkij/internal/baselines"
 	"tkij/internal/datagen"
 	"tkij/internal/interval"
 	"tkij/internal/join"
@@ -191,7 +190,7 @@ func TestPlanCacheAcrossAppends(t *testing.T) {
 		if report.PlanCacheHit {
 			t.Fatalf("batch %d: post-append execution reported a plain hit", bi)
 		}
-		want, err := baselines.Naive(q, cols, k)
+		want, err := join.Exhaustive(q, cols, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,8 @@ package join
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"testing"
 
 	"tkij/internal/interval"
@@ -111,5 +113,32 @@ func TestRunTasksRejectsUnsortedTask(t *testing.T) {
 	combos[0].EdgeUB = nil
 	if _, err := RunTasks(context.Background(), req, combos, []ReducerTask{{Reducer: 0, Combos: []int{1, 0}}}); err == nil {
 		t.Fatal("RunTasks ran a combination that carries no edge UBs")
+	}
+}
+
+// Run reads each combination's edge UBs by query edge, so a plan
+// combination without them is an error, not an index panic, as in
+// RunTasks.
+func TestRunRejectsMissingEdgeUB(t *testing.T) {
+	cols := synthCols(3, 60, 31)
+	ms := collect(t, cols, 5)
+	q := query.Qom(query.Env{Params: scoring.P1})
+	tb, err := topbuckets.Run(q, ms, 5, topbuckets.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Selected) == 0 {
+		t.Fatal("the plan selected no combination: the test lost its subject")
+	}
+	stripped := slices.Clone(tb.Selected)
+	for i := range stripped {
+		stripped[i].EdgeUB = nil
+	}
+	srcs, grans := storeSources(t, cols, ms)
+	_, err = Run(context.Background(), &ReduceRequest{
+		Query: q, Srcs: srcs, Grans: grans, Plan: topbuckets.Listed(stripped), K: 5,
+	}, nil)
+	if err == nil || !strings.Contains(err.Error(), "edge UBs") {
+		t.Fatalf("Run over combinations without edge UBs returned %v, want an edge-UB error", err)
 	}
 }

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -311,10 +312,13 @@ type localJoiner struct {
 	// probe-ladder rung, 0 after the ladder. The effective floor is the
 	// higher of it and the shared floor, read live.
 	floor float64
-	// canceled latches once done is closed: every recursion level, rung
-	// and combination loop unwinds, and the caller must discard the
-	// (truncated) output.
+	// canceled latches once done is closed, or once err is set: every
+	// recursion level, rung and combination loop unwinds, and the caller
+	// must discard the (truncated) output.
 	canceled bool
+	// err is set when the plan yields a combination without one edge UB
+	// per query edge, which recurse would index out of range.
+	err error
 
 	// edgeUB[ei] bounds edge ei's score for tuples drawn from the
 	// combination being processed (its EdgeUB, read in place) — far
@@ -494,6 +498,11 @@ func (lj *localJoiner) pass(idxs []int) {
 				return
 			}
 			lj.stats.CombosAssigned = max(lj.stats.CombosAssigned, i+1)
+			if len(c.EdgeUB) != len(lj.plan.q.Edges) {
+				lj.err = fmt.Errorf("combination %d carries %d edge UBs, query %s has %d edges", i, len(c.EdgeUB), lj.plan.q.Name, len(lj.plan.q.Edges))
+				lj.canceled = true
+				return
+			}
 		}
 		if pruning && c.UB <= lj.pruneThreshold() {
 			// By descending UB: every remaining combination is also

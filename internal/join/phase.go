@@ -115,6 +115,8 @@ func (rt ReduceTimes) Imbalance() float64 {
 //
 // A canceled ctx aborts with an error wrapping ctx.Err(): before the
 // join, mid-combination inside the reducers, or between join and merge.
+// So does a combination read from the plan without one edge UB per query
+// edge (see topbuckets.FillEdgeUB), as RunTasks refuses one.
 func Run(ctx context.Context, req *ReduceRequest, runner Runner) (*Output, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("join: canceled before join phase: %w", err)
@@ -221,10 +223,18 @@ func Exhaustive(q *query.Query, cols []*interval.Collection, k int) ([]Result, e
 	}
 	topk := NewTopK(k)
 	tuple := make([]interval.Interval, q.NumVertices)
+	partials := make([]float64, len(q.Edges))
 	var rec func(v int)
 	rec = func(v int) {
 		if v == q.NumVertices {
-			topk.Add(Result{Tuple: append([]interval.Interval(nil), tuple...), Score: q.Score(tuple)})
+			// q.Score, without its allocation; a tuple scoring below a
+			// full collector's threshold is not copied.
+			for i, e := range q.Edges {
+				partials[i] = e.Pred.Score(tuple[e.From], tuple[e.To])
+			}
+			if score := q.Agg.Aggregate(partials); score >= topk.Threshold() {
+				topk.Add(Result{Tuple: append([]interval.Interval(nil), tuple...), Score: score})
+			}
 			return
 		}
 		for _, iv := range cols[v].Items {

@@ -162,6 +162,9 @@ func runPlan(ctx context.Context, req *ReduceRequest) ([]ReducerOutput, error) {
 	lj := newLocalJoiner(ctx.Done(), newPlan(req.Query), req)
 	lj.stream = req.Plan
 	out := lj.output(0, nil)
+	if lj.err != nil {
+		return nil, lj.err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

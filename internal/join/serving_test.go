@@ -200,7 +200,7 @@ func TestLocalStatsJSONSafe(t *testing.T) {
 	// runs and returns zero results.
 	empty := map[stats.BucketKey][]interval.Interval{}
 	srcs := []Source{newMapSource(0, empty), newMapSource(1, empty)}
-	combos := []topbuckets.Combo{{Buckets: []stats.Bucket{{Col: 0}, {Col: 1}}, UB: 1}}
+	combos := []topbuckets.Combo{{Buckets: []stats.Bucket{{Col: 0}, {Col: 1}}, UB: 1, EdgeUB: []float64{1}}}
 	out, err := runJoin(q, srcs, make([]stats.Grid, 2), combos, 3, LocalOptions{})
 	if err != nil {
 		t.Fatal(err)

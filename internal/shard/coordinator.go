@@ -21,16 +21,6 @@ import (
 // ErrClusterClosed marks operations on a deliberately closed cluster.
 var ErrClusterClosed = errors.New("shard: cluster closed")
 
-// ClusterOptions configures a coordinator.
-type ClusterOptions struct {
-	// NoFloorBroadcast turns off the shared-floor stream in both
-	// directions: workers keep their floors local and the coordinator
-	// never rebroadcasts. Results are identical (the floor only prunes
-	// work certified unable to reach the top-k); remote reducers just
-	// prune less. This is the shard ablation knob.
-	NoFloorBroadcast bool
-}
-
 // Cluster is the coordinator side of distributed execution: it owns one
 // link per shard worker, the bucket→shard manifest, and the epoch
 // lockstep, and implements join.Runner by scattering reducer tasks and
@@ -47,8 +37,14 @@ type ClusterOptions struct {
 // scatter gate does this), which is what keeps every worker's pin epoch
 // equal to the coordinator's replica epoch.
 type Cluster struct {
-	opts  ClusterOptions
 	links []*link
+	// noFloor turns off the shared-floor stream in both directions:
+	// workers keep their floors local and the coordinator never
+	// rebroadcasts. Results are identical (the floor only prunes work
+	// certified unable to reach the top-k); remote reducers just prune
+	// less. Only this package's tests set it, as the floor-broadcast
+	// ablation.
+	noFloor bool
 
 	// Immutable after LoadStore.
 	loaded   bool
@@ -76,8 +72,8 @@ type link struct {
 
 // NewCluster wraps established worker connections. It starts each
 // link's read loop immediately.
-func NewCluster(conns []io.ReadWriteCloser, opts ClusterOptions) *Cluster {
-	c := &Cluster{opts: opts, pending: make(map[uint64]*pendingQuery)}
+func NewCluster(conns []io.ReadWriteCloser) *Cluster {
+	c := &Cluster{pending: make(map[uint64]*pendingQuery)}
 	for i, conn := range conns {
 		l := &link{c: c, idx: i, conn: conn}
 		c.links = append(c.links, l)
@@ -468,7 +464,7 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 
 	// Rebroadcaster: watching before the scatter so no raise — even one
 	// landing mid-scatter — is lost.
-	if master != nil && !c.opts.NoFloorBroadcast {
+	if master != nil && !c.noFloor {
 		defer master.Watch(func(v float64) { c.rebroadcast(pq, v) })()
 	}
 
@@ -490,7 +486,7 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 			K:              req.K,
 			DisableIndex:   req.Opts.DisableIndex,
 			DisablePruning: req.Opts.DisablePruning,
-			NoFloorUplink:  c.opts.NoFloorBroadcast,
+			NoFloorUplink:  c.noFloor,
 			Query:          req.Query,
 			Mapping:        mapping,
 			Grids:          req.Grans,

@@ -146,10 +146,11 @@ func TestClusterEquivalence(t *testing.T) {
 		local := env.run(t, env.assign, join.LocalOptions{})
 		for _, n := range []int{1, 2, 3, 5} {
 			for _, noFloor := range []bool{false, true} {
-				c, workers, err := InProcess(n, ClusterOptions{NoFloorBroadcast: noFloor})
+				c, workers, err := InProcess(n)
 				if err != nil {
 					t.Fatal(err)
 				}
+				c.noFloor = noFloor
 				if err := c.LoadStore(env.st); err != nil {
 					t.Fatal(err)
 				}
@@ -177,7 +178,7 @@ func TestClusterAppendLockstep(t *testing.T) {
 	q := testQuery()
 	cols := synthCols(3, 100, 3)
 	env := buildPipeline(t, q, cols, 6, 8, 4)
-	c, workers, err := InProcess(3, ClusterOptions{})
+	c, workers, err := InProcess(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestClusterTCP(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	c, err := Dial(ctx, addrs, ClusterOptions{})
+	c, err := Dial(ctx, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,14 +314,14 @@ func fakeWorker(conn io.ReadWriteCloser, handle func(Frame, *frameWriter) bool) 
 
 // faultCluster builds a 2-link cluster: link 0 is a healthy real
 // worker, link 1 is script-driven by the test.
-func faultCluster(t *testing.T, opts ClusterOptions, handle func(Frame, *frameWriter) bool) (*Cluster, *Worker) {
+func faultCluster(t *testing.T, handle func(Frame, *frameWriter) bool) (*Cluster, *Worker) {
 	t.Helper()
 	realEnd, coordEnd0 := net.Pipe()
 	w := NewWorker()
 	go func() { _ = w.Serve(realEnd) }()
 	fakeEnd, coordEnd1 := net.Pipe()
 	go fakeWorker(fakeEnd, handle)
-	return NewCluster([]io.ReadWriteCloser{coordEnd0, coordEnd1}, opts), w
+	return NewCluster([]io.ReadWriteCloser{coordEnd0, coordEnd1}), w
 }
 
 // A worker crashing mid-scatter (link closes after it receives the
@@ -328,7 +329,7 @@ func faultCluster(t *testing.T, opts ClusterOptions, handle func(Frame, *frameWr
 // the surviving worker's pins are all released.
 func TestFaultWorkerCrash(t *testing.T) {
 	env := buildPipeline(t, testQuery(), synthCols(3, 80, 7), 5, 6, 4)
-	c, w := faultCluster(t, ClusterOptions{}, func(f Frame, fw *frameWriter) bool {
+	c, w := faultCluster(t, func(f Frame, fw *frameWriter) bool {
 		_, isQuery := f.(*QueryFrame)
 		return !isQuery // die on the scatter frame
 	})
@@ -348,7 +349,7 @@ func TestFaultWorkerCrash(t *testing.T) {
 // translates it to ErrCanceled.
 func TestFaultWorkerHang(t *testing.T) {
 	env := buildPipeline(t, testQuery(), synthCols(3, 80, 8), 5, 6, 4)
-	c, w := faultCluster(t, ClusterOptions{}, func(Frame, *frameWriter) bool {
+	c, w := faultCluster(t, func(Frame, *frameWriter) bool {
 		return true // swallow everything, answer nothing
 	})
 	defer c.Close()
@@ -368,7 +369,7 @@ func TestFaultWorkerHang(t *testing.T) {
 // violation, not a lost worker.
 func TestFaultTornFrame(t *testing.T) {
 	env := buildPipeline(t, testQuery(), synthCols(3, 80, 9), 5, 6, 4)
-	c, w := faultCluster(t, ClusterOptions{}, func(f Frame, fw *frameWriter) bool {
+	c, w := faultCluster(t, func(f Frame, fw *frameWriter) bool {
 		if _, isQuery := f.(*QueryFrame); isQuery {
 			// A plausible length prefix followed by a truncated payload.
 			hdr := interval.AppendU64(nil, 64)
@@ -396,7 +397,7 @@ func TestFaultTornFrame(t *testing.T) {
 // not an index the coordinator trusts.
 func TestFaultForeignReducer(t *testing.T) {
 	env := buildPipeline(t, testQuery(), synthCols(3, 80, 11), 5, 6, 4)
-	c, w := faultCluster(t, ClusterOptions{}, func(f Frame, fw *frameWriter) bool {
+	c, w := faultCluster(t, func(f Frame, fw *frameWriter) bool {
 		if qf, isQuery := f.(*QueryFrame); isQuery {
 			_ = fw.send(&ResultFrame{QueryID: qf.QueryID, Epoch: qf.Epoch,
 				Reducers: []join.ReducerOutput{{Reducer: 1 << 20}}})
@@ -419,7 +420,7 @@ func TestFaultForeignReducer(t *testing.T) {
 // fails with ErrFloorReplay.
 func TestFaultFloorReplay(t *testing.T) {
 	env := buildPipeline(t, testQuery(), synthCols(3, 80, 10), 5, 6, 4)
-	c, w := faultCluster(t, ClusterOptions{}, func(f Frame, fw *frameWriter) bool {
+	c, w := faultCluster(t, func(f Frame, fw *frameWriter) bool {
 		if _, isQuery := f.(*QueryFrame); isQuery {
 			// Claim a floor for a query id that was never scattered.
 			_ = fw.send(&ErrorFrame{QueryID: 1 << 40, Code: CodeFloorReplay,

@@ -13,7 +13,7 @@ import (
 // epochs). Every frame still crosses the full wire codec, so the
 // in-process cluster exercises exactly the protocol a TCP cluster does,
 // just without sockets.
-func InProcess(n int, opts ClusterOptions) (*Cluster, []*Worker, error) {
+func InProcess(n int) (*Cluster, []*Worker, error) {
 	if n < 1 {
 		return nil, nil, fmt.Errorf("shard: need at least 1 worker, got %d", n)
 	}
@@ -26,14 +26,14 @@ func InProcess(n int, opts ClusterOptions) (*Cluster, []*Worker, error) {
 		conns[i] = coordEnd
 		go func() { _ = w.Serve(workerEnd) }()
 	}
-	return NewCluster(conns, opts), workers, nil
+	return NewCluster(conns), workers, nil
 }
 
 // Dial connects to shard workers (cmd/tkij-worker processes) at addrs
 // over TCP and returns the coordinator. The context bounds connection
 // establishment only; per-query deadlines come from the query's own
 // context.
-func Dial(ctx context.Context, addrs []string, opts ClusterOptions) (*Cluster, error) {
+func Dial(ctx context.Context, addrs []string) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("shard: need at least one worker address")
 	}
@@ -49,5 +49,5 @@ func Dial(ctx context.Context, addrs []string, opts ClusterOptions) (*Cluster, e
 		}
 		conns = append(conns, conn)
 	}
-	return NewCluster(conns, opts), nil
+	return NewCluster(conns), nil
 }

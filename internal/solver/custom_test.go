@@ -21,7 +21,7 @@ func TestCustomPredicateBoundsBracket(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		p := preds[trial%len(preds)]
 		x, y := randBox(rng), randBox(rng)
-		lb, ub := PredicateBounds(p, x, y, Options{MaxNodes: 8192})
+		lb, ub := predicateBounds(p, x, y, setting{maxNodes: 8192})
 		for s := 0; s < 4000; s++ {
 			px, py := samplePoint(rng, x), samplePoint(rng, y)
 			v := [4]float64{px[0], px[1], py[0], py[1]}
@@ -46,11 +46,11 @@ func TestBoundsMonotoneUnderBoxShrink(t *testing.T) {
 	p := scoring.Starts(scoring.P1)
 	for trial := 0; trial < 30; trial++ {
 		x, y := randBox(rng), randBox(rng)
-		lb, ub := PredicateBounds(p, x, y, Options{MaxNodes: 8192})
+		lb, ub := predicateBounds(p, x, y, setting{maxNodes: 8192})
 		// Halve x's start range.
 		shrunk := x
 		shrunk.StartHi = (x.StartLo + x.StartHi) / 2
-		slb, sub := PredicateBounds(p, shrunk, y, Options{MaxNodes: 8192})
+		slb, sub := predicateBounds(p, shrunk, y, setting{maxNodes: 8192})
 		if sub > ub+1e-6 {
 			t.Fatalf("shrunk UB %g exceeds parent UB %g", sub, ub)
 		}
@@ -67,11 +67,11 @@ func TestSingleTermFastPathAgreesWithBnB(t *testing.T) {
 	single := scoring.Meets(scoring.P1) // one equals term
 	for trial := 0; trial < 50; trial++ {
 		x, y := randBox(rng), randBox(rng)
-		flb, fub := PredicateBounds(single, x, y, Options{})
+		flb, fub := predicateBounds(single, x, y, setting{})
 		// Force the search by duplicating the term — min(t, t) == t, and
 		// two terms sharing endpoints are not separable.
 		dup := &scoring.Predicate{Name: "dup", Terms: []scoring.Term{single.Terms[0], single.Terms[0]}}
-		glb, gub := PredicateBounds(dup, x, y, Options{MaxNodes: 20000})
+		glb, gub := predicateBounds(dup, x, y, setting{maxNodes: 20000})
 		if diff := fub - gub; diff > 1e-3 || diff < -1e-3 {
 			t.Fatalf("fast-path UB %g vs B&B UB %g", fub, gub)
 		}

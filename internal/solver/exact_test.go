@@ -31,7 +31,7 @@ func searchedPairBounds(pred *scoring.Predicate, x, y VertexBox) (lb, ub float64
 		Edges:       []query.Edge{{From: 0, To: 1, Pred: pred}},
 		Agg:         scoring.Avg{},
 	}
-	lb, ub, _ = QueryBoundsCert(q, []VertexBox{x, y}, pairOptions)
+	lb, ub, _ = queryBoundsCert(q, []VertexBox{x, y}, engineSetting)
 	return lb, ub
 }
 

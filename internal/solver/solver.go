@@ -9,12 +9,12 @@
 //
 // Interval extensions of the comparator curves give valid enclosures of
 // the objective over any endpoint box; best-first branch-and-bound
-// shrinks the enclosure until the bound gap falls below Eps. The
+// shrinks the enclosure until the bound gap falls below eps. The
 // returned bounds are always *safe*: UB >= true maximum and LB <= true
 // minimum, so pruning decisions based on them never sacrifice
 // correctness, only (marginally) efficiency when the node budget is hit.
 //
-// Over one bucket pair (PredicateBounds) the enclosure of the whole box
+// Over one bucket pair (PairBounds) the enclosure of the whole box
 // is already exact on the minimum of every predicate and on the maximum
 // of every separable one, so the search runs only for the maximum of
 // s-overlaps, s-sparks and s-justBefore. Over a combination
@@ -66,23 +66,31 @@ func (b VertexBox) split(v int) (lo, hi VertexBox) {
 	return lo, hi
 }
 
-// Options tunes the branch-and-bound search.
-type Options struct {
-	// Eps is the accepted gap between the returned bound and the true
+// setting tunes the branch-and-bound search. The engine solves every
+// bound at one setting, engineSetting; only this package's tests vary it.
+type setting struct {
+	// eps is the accepted gap between the returned bound and the true
 	// optimum. Defaults to 1e-6.
-	Eps float64
-	// MaxNodes caps the number of explored boxes per optimization;
+	eps float64
+	// maxNodes caps the number of explored boxes per optimization;
 	// exceeding it returns the current (still safe, possibly loose)
 	// bound. Defaults to 4096.
-	MaxNodes int
+	maxNodes int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Eps <= 0 {
-		o.Eps = 1e-6
+// engineSetting is the one setting every bound the engine solves uses,
+// pair and combination alike. Bounds only drive pruning decisions, so
+// 1e-3 accuracy is ample, and 512 nodes keeps branch-and-bound off the
+// flat plateaus of equals-based predicates, where 1e-6 convergence costs
+// milliseconds per call.
+var engineSetting = setting{eps: 1e-3, maxNodes: 512}
+
+func (o setting) withDefaults() setting {
+	if o.eps <= 0 {
+		o.eps = 1e-6
 	}
-	if o.MaxNodes <= 0 {
-		o.MaxNodes = 4096
+	if o.maxNodes <= 0 {
+		o.maxNodes = 4096
 	}
 	return o
 }
@@ -257,7 +265,11 @@ type Cert struct {
 // bound of the query's aggregate score when each vertex's endpoints range
 // over its bucket box, and the work certificate of the two
 // optimizations. Safe even when the node budget truncates the search.
-func QueryBoundsCert(q *query.Query, boxes []VertexBox, opts Options) (lb, ub float64, cert Cert) {
+func QueryBoundsCert(q *query.Query, boxes []VertexBox) (lb, ub float64, cert Cert) {
+	return queryBoundsCert(q, boxes, engineSetting)
+}
+
+func queryBoundsCert(q *query.Query, boxes []VertexBox, opts setting) (lb, ub float64, cert Cert) {
 	opts = opts.withDefaults()
 	s := searchPool.Get().(*search)
 	s.fit(len(boxes), len(q.Edges))
@@ -267,7 +279,7 @@ func QueryBoundsCert(q *query.Query, boxes []VertexBox, opts Options) (lb, ub fl
 	return lb, ub, Cert{Nodes: upNodes + loNodes, Converged: upConv && loConv}
 }
 
-// PredicateBounds returns bounds for a single scored predicate over an
+// predicateBounds returns bounds for a single scored predicate over an
 // (x, y) bucket pair — the unit of work of the loose strategy, where the
 // solver assigns only 4 variables (§3.3).
 //
@@ -286,7 +298,7 @@ func QueryBoundsCert(q *query.Query, boxes []VertexBox, opts Options) (lb, ub fl
 // Both shortcuts equal what the two-sided search of QueryBoundsCert
 // returns over the one-edge query, bit for bit
 // (TestPairBoundsEnclosureExact).
-func PredicateBounds(pred *scoring.Predicate, x, y VertexBox, opts Options) (lb, ub float64) {
+func predicateBounds(pred *scoring.Predicate, x, y VertexBox, opts setting) (lb, ub float64) {
 	lo4, hi4 := edgeBounds(x, y)
 	lb, ub = predicateEnclosure(pred, lo4, hi4)
 	if separable(pred) {
@@ -328,7 +340,7 @@ func separable(pred *scoring.Predicate) bool {
 // returns a value <= the true minimum. It also reports the number of
 // nodes opened and whether the search converged within Eps (false only
 // when the node budget cut it short).
-func (s *search) optimize(q *query.Query, boxes []VertexBox, opts Options, maximize bool) (float64, int, bool) {
+func (s *search) optimize(q *query.Query, boxes []VertexBox, opts setting, maximize bool) (float64, int, bool) {
 	sign := 1.0
 	if !maximize {
 		sign = -1
@@ -347,10 +359,10 @@ func (s *search) optimize(q *query.Query, boxes []VertexBox, opts Options, maxim
 	nodes := 0
 	for len(s.open) > 0 {
 		top := s.open.pop()
-		if top.bound <= incumbent+opts.Eps || nodes >= opts.MaxNodes {
+		if top.bound <= incumbent+opts.eps || nodes >= opts.maxNodes {
 			// top.bound dominates every open node (max-heap) and pruned
 			// children are tracked separately: this is a safe outer bound.
-			return sign * maxf(top.bound, pruned), nodes, nodes < opts.MaxNodes
+			return sign * maxf(top.bound, pruned), nodes, nodes < opts.maxNodes
 		}
 		nodes++
 		// Branch on the widest variable.
@@ -382,7 +394,7 @@ func (s *search) optimize(q *query.Query, boxes []VertexBox, opts Options, maxim
 			if sm := s.sample(q, s.child, sign); sm > incumbent {
 				incumbent = sm
 			}
-			if b > incumbent+opts.Eps {
+			if b > incumbent+opts.eps {
 				off := s.alloc(n)
 				copy(s.arena[off:off+n], s.child)
 				s.open.push(openNode{off: off, bound: b})
@@ -432,19 +444,13 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// pairOptions is the one solver setting every pair bound is solved at.
-// Pair bounds only drive pruning decisions, so 1e-3 accuracy is ample,
-// and 512 nodes keeps branch-and-bound off the flat plateaus of
-// equals-based predicates.
-var pairOptions = Options{MaxNodes: 512, Eps: 1e-3}
-
-// PairBounds is PredicateBounds at the pair-solver setting: the bounds
+// PairBounds is predicateBounds at the engine's setting: the bounds
 // of one edge's predicate over the boxes of two buckets (§3.3, lines 1-3
 // of Algorithm 2). Every pair bound in the engine — a plan's tables and
 // the lists no plan bounded (topbuckets.FillEdgeUB) — is solved through
 // it.
 func PairBounds(pred *scoring.Predicate, x, y VertexBox) (lb, ub float64) {
-	return PredicateBounds(pred, x, y, pairOptions)
+	return predicateBounds(pred, x, y, engineSetting)
 }
 
 // PairEnclosure is the enclosure of pred over the root (x, y) box, the

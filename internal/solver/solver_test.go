@@ -17,7 +17,7 @@ func TestPaperMeetsExample(t *testing.T) {
 	pred := scoring.Meets(scoring.PairParams{Equals: scoring.Params{Lambda: 4, Rho: 8}})
 	x := VertexBox{StartLo: 10, StartHi: 20, EndLo: 20, EndHi: 30}
 	y := VertexBox{StartLo: 20, StartHi: 30, EndLo: 30, EndHi: 40}
-	lb, ub := PredicateBounds(pred, x, y, Options{})
+	lb, ub := predicateBounds(pred, x, y, setting{})
 	if math.Abs(ub-1) > 1e-6 {
 		t.Errorf("UB = %g, want 1", ub)
 	}
@@ -42,7 +42,7 @@ func TestPaperFigure6TightBounds(t *testing.T) {
 		{StartLo: 20, StartHi: 30, EndLo: 30, EndHi: 40},
 		{StartLo: 30, StartHi: 40, EndLo: 30, EndHi: 40},
 	}
-	lb, ub, _ := QueryBoundsCert(q, boxes, Options{MaxNodes: 20000})
+	lb, ub, _ := queryBoundsCert(q, boxes, setting{maxNodes: 20000})
 	if math.Abs(ub-0.5) > 1e-3 {
 		t.Errorf("tight UB = %g, want 0.5", ub)
 	}
@@ -51,8 +51,8 @@ func TestPaperFigure6TightBounds(t *testing.T) {
 	}
 	// The per-edge (loose) aggregation would give UB = 1: each pair in
 	// isolation can reach a perfect starts score.
-	lb1, ub1 := PredicateBounds(scoring.Starts(pp), boxes[0], boxes[1], Options{})
-	lb2, ub2 := PredicateBounds(scoring.Starts(pp), boxes[1], boxes[2], Options{})
+	lb1, ub1 := predicateBounds(scoring.Starts(pp), boxes[0], boxes[1], setting{})
+	lb2, ub2 := predicateBounds(scoring.Starts(pp), boxes[1], boxes[2], setting{})
 	if ub1 != 1 || ub2 != 1 {
 		t.Errorf("pair UBs = %g, %g, want 1, 1 (the loose overestimate)", ub1, ub2)
 	}
@@ -92,7 +92,7 @@ func TestQueryBoundsBracketSamples(t *testing.T) {
 		for i := range boxes {
 			boxes[i] = randBox(rng)
 		}
-		lb, ub, _ := QueryBoundsCert(q, boxes, Options{})
+		lb, ub, _ := queryBoundsCert(q, boxes, setting{})
 		if lb > ub+1e-9 {
 			t.Fatalf("%s: lb %g > ub %g", q.Name, lb, ub)
 		}
@@ -169,7 +169,7 @@ func TestPredicateBoundsTightness(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		p := preds[trial%len(preds)]
 		x, y := smallBox(rng), smallBox(rng)
-		lb, ub := PredicateBounds(p, x, y, Options{MaxNodes: 20000})
+		lb, ub := predicateBounds(p, x, y, setting{maxNodes: 20000})
 		sawLo, sawHi := gridScoreRange(p, x, y, gridN)
 		if sawHi > ub+1e-9 || sawLo < lb-1e-9 {
 			t.Fatalf("%s: samples [%g,%g] escape bounds [%g,%g]", p.Name, sawLo, sawHi, lb, ub)
@@ -194,14 +194,14 @@ func TestQueryBoundsBooleanParams(t *testing.T) {
 		{StartLo: 30, StartHi: 40, EndLo: 40, EndHi: 50},
 		{StartLo: 60, StartHi: 70, EndLo: 70, EndHi: 80},
 	}
-	lb, ub, _ := QueryBoundsCert(q, boxes, Options{})
+	lb, ub, _ := queryBoundsCert(q, boxes, setting{})
 	if lb != 1 || ub != 1 {
 		t.Errorf("certain before: bounds [%g,%g], want [1,1]", lb, ub)
 	}
 	// Clearly violated: y entirely before x.
 	boxes[1], boxes[0] = boxes[0], boxes[1]
 	boxes[2] = VertexBox{StartLo: 0, StartHi: 5, EndLo: 5, EndHi: 9}
-	lb, ub, _ = QueryBoundsCert(q, boxes, Options{})
+	lb, ub, _ = queryBoundsCert(q, boxes, setting{})
 	if lb != 0 || ub != 0 {
 		t.Errorf("impossible before: bounds [%g,%g], want [0,0]", lb, ub)
 	}
@@ -214,8 +214,8 @@ func TestQueryBoundsTruncatedSearchStillSafe(t *testing.T) {
 	q := query.Qsfm(env)
 	for trial := 0; trial < 20; trial++ {
 		boxes := []VertexBox{randBox(rng), randBox(rng), randBox(rng)}
-		lbT, ubT, _ := QueryBoundsCert(q, boxes, Options{MaxNodes: 3}) // truncated
-		lbF, ubF, _ := QueryBoundsCert(q, boxes, Options{MaxNodes: 50000})
+		lbT, ubT, _ := queryBoundsCert(q, boxes, setting{maxNodes: 3}) // truncated
+		lbF, ubF, _ := queryBoundsCert(q, boxes, setting{maxNodes: 50000})
 		if ubT < ubF-1e-9 {
 			t.Fatalf("truncated UB %g below converged UB %g", ubT, ubF)
 		}
@@ -230,7 +230,7 @@ func TestPointBoxExact(t *testing.T) {
 	pred := scoring.Meets(scoring.PairParams{Equals: scoring.Params{Lambda: 4, Rho: 8}})
 	x := VertexBox{StartLo: 10, StartHi: 10, EndLo: 20, EndHi: 20}
 	y := VertexBox{StartLo: 26, StartHi: 26, EndLo: 40, EndHi: 40}
-	lb, ub := PredicateBounds(pred, x, y, Options{})
+	lb, ub := predicateBounds(pred, x, y, setting{})
 	want := scoring.EqualsScore(20-26, scoring.Params{Lambda: 4, Rho: 8}) // 0.75
 	if math.Abs(lb-want) > 1e-9 || math.Abs(ub-want) > 1e-9 {
 		t.Errorf("point bounds [%g,%g], want both %g", lb, ub, want)
@@ -238,8 +238,8 @@ func TestPointBoxExact(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Eps <= 0 || o.MaxNodes <= 0 {
+	o := setting{}.withDefaults()
+	if o.eps <= 0 || o.maxNodes <= 0 {
 		t.Errorf("defaults = %+v", o)
 	}
 }
@@ -268,13 +268,13 @@ func TestBoundSolveAllocBudget(t *testing.T) {
 	pred := scoring.Starts(scoring.P1) // two terms: the generic path
 	x := VertexBox{StartLo: 0, StartHi: 2500, EndLo: 0, EndHi: 2600}
 	y := VertexBox{StartLo: 2500, StartHi: 5000, EndLo: 2500, EndHi: 5100}
-	if allocs := testing.AllocsPerRun(50, func() { PredicateBounds(pred, x, y, pairOptions) }); allocs > 8 {
-		t.Errorf("PredicateBounds of a two-term predicate allocates %.1f objects, want <= 8", allocs)
+	if allocs := testing.AllocsPerRun(50, func() { predicateBounds(pred, x, y, engineSetting) }); allocs > 8 {
+		t.Errorf("predicateBounds of a two-term predicate allocates %.1f objects, want <= 8", allocs)
 	}
 	q := query.Qsfm(query.Env{Params: scoring.P1})
 	boxes := []VertexBox{x, y, {StartLo: 4000, StartHi: 6500, EndLo: 4000, EndHi: 6600}}
 	var cert Cert
-	allocs := testing.AllocsPerRun(50, func() { _, _, cert = QueryBoundsCert(q, boxes, Options{MaxNodes: 512, Eps: 1e-3}) })
+	allocs := testing.AllocsPerRun(50, func() { _, _, cert = QueryBoundsCert(q, boxes) })
 	if cert.Nodes < 100 {
 		t.Fatalf("the 3-vertex solve opened %d nodes — too few for per-node allocation to show", cert.Nodes)
 	}

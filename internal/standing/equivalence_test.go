@@ -16,7 +16,6 @@ import (
 	"reflect"
 	"testing"
 
-	"tkij/internal/baselines"
 	"tkij/internal/core"
 	"tkij/internal/interval"
 	"tkij/internal/join"
@@ -165,7 +164,7 @@ func TestStandingEquivalenceRandomized(t *testing.T) {
 					for v, ci := range s.map_ {
 						vertexCols[v] = cols[ci]
 					}
-					naive, err := baselines.Naive(s.q, vertexCols, s.k)
+					naive, err := join.Exhaustive(s.q, vertexCols, s.k)
 					if err != nil {
 						t.Fatalf("%s: naive: %v", label, err)
 					}

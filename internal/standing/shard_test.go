@@ -36,21 +36,16 @@ func cloneCols(cols []*interval.Collection) []*interval.Collection {
 func TestStandingShardedDeltasMatchLocal(t *testing.T) {
 	base := testCols(3, 250, 51)
 	const k = 8
-	mkOpts := func(shards int, noFloor bool) core.Options {
-		return core.Options{
-			Granules: 6, K: k, Reducers: 3,
-			Shards:                shards,
-			ShardNoFloorBroadcast: noFloor,
-		}
+	mkOpts := func(shards int) core.Options {
+		return core.Options{Granules: 6, K: k, Reducers: 3, Shards: shards}
 	}
 	variants := []struct {
 		label string
 		opts  core.Options
 	}{
-		{"local", mkOpts(0, false)},
-		{"shards=2", mkOpts(2, false)},
-		{"shards=3", mkOpts(3, false)},
-		{"shards=2/no-floor-broadcast", mkOpts(2, true)},
+		{"local", mkOpts(0)},
+		{"shards=2", mkOpts(2)},
+		{"shards=3", mkOpts(3)},
 	}
 	q := query.Qbb(query.Env{Params: scoring.P1})
 

@@ -52,7 +52,7 @@ func planPinLines(t *testing.T, workers int) []string {
 		g int
 	}{{topbuckets.Loose, 8}, {topbuckets.TwoPhase, 8}, {topbuckets.BruteForce, 4}}
 	algs := []distribute.Algorithm{distribute.AlgDTB, distribute.AlgLPT, distribute.AlgRoundRobin}
-	opts := topbuckets.Options{Workers: workers}
+	opts := topbuckets.WithWorkers(topbuckets.Options{}, workers)
 
 	var lines []string
 	for _, shape := range []string{"Qo,o", "Qo,m", "Qs,f,m", "QjB,jB"} {

@@ -24,7 +24,7 @@ func TestShardedLooseConsistentAcrossWorkers(t *testing.T) {
 	for _, st := range []Strategy{Loose, TwoPhase, BruteForce} {
 		var baseline *Result
 		for _, workers := range []int{1, 2, 5, 16} {
-			res, err := Run(q, ms, k, Options{Strategy: st, Workers: workers})
+			res, err := Run(q, ms, k, Options{Strategy: st, workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", st, workers, err)
 			}

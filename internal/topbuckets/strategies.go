@@ -46,19 +46,20 @@ func (s Strategy) String() string {
 // Options configures a TopBuckets run.
 type Options struct {
 	Strategy Strategy
-	// Workers is the number of parallel tight-bound workers
-	// (TightenBounds: brute force, two-phase refinement). A plan's
-	// selection does not depend on it. Defaults to GOMAXPROCS.
-	Workers int
 	// MaxCombos guards materializing paths (brute-force, two-phase
 	// survivor refinement) against combinatorial explosion. Defaults to
 	// 2e6.
 	MaxCombos float64
+	// workers is the number of parallel tight-bound workers
+	// (TightenBounds: brute force, two-phase refinement): GOMAXPROCS.
+	// Nothing a run returns depends on it; only this package's
+	// worker-invariance tests set it.
+	workers int
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
+	if o.workers <= 0 {
+		o.workers = runtime.GOMAXPROCS(0)
 	}
 	if o.MaxCombos <= 0 {
 		o.MaxCombos = 2e6
@@ -213,13 +214,6 @@ func runBruteForce(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Buc
 	return res, nil
 }
 
-// tightOptions is the solver setting of the 2n-variable combination
-// optimizations. Tight bounds only drive pruning decisions; 1e-3
-// accuracy is ample and keeps branch-and-bound off the flat plateaus of
-// equals-based predicates, where 1e-6 convergence costs milliseconds
-// per call.
-var tightOptions = solver.Options{MaxNodes: 512, Eps: 1e-3}
-
 // TightenBounds recomputes tight solver bounds for every combination in
 // place, in parallel, and returns the total branch-and-bound nodes
 // opened (the solver-work certificate of the recomputation). It is the
@@ -230,8 +224,8 @@ func TightenBounds(q *query.Query, matrices []*stats.Matrix, combos []Combo, opt
 	opts = opts.withDefaults()
 	var wg sync.WaitGroup
 	var nodes atomic.Int64
-	chunk := (len(combos) + opts.Workers - 1) / opts.Workers
-	for w := 0; w < opts.Workers; w++ {
+	chunk := (len(combos) + opts.workers - 1) / opts.workers
+	for w := 0; w < opts.workers; w++ {
 		lo := w * chunk
 		if lo >= len(combos) {
 			break
@@ -248,7 +242,7 @@ func TightenBounds(q *query.Query, matrices []*stats.Matrix, combos []Combo, opt
 			for i := lo; i < hi; i++ {
 				boxes = boxesFor(matrices, combos[i].Buckets, boxes[:0])
 				var cert solver.Cert
-				combos[i].LB, combos[i].UB, cert = solver.QueryBoundsCert(q, boxes, tightOptions)
+				combos[i].LB, combos[i].UB, cert = solver.QueryBoundsCert(q, boxes)
 				local += cert.Nodes
 			}
 			nodes.Add(int64(local))

@@ -440,7 +440,7 @@ func TestLooseRunAllocBudget(t *testing.T) {
 	var res *Result
 	allocs := testing.AllocsPerRun(3, func() {
 		var err error
-		if res, err = Run(q, ms, 100, Options{Workers: 2}); err != nil {
+		if res, err = Run(q, ms, 100, Options{workers: 2}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -471,8 +471,8 @@ func TestSolverScratchConcurrent(t *testing.T) {
 	})
 	one := append([]Combo(nil), all...)
 	eight := append([]Combo(nil), all...)
-	nodes1 := TightenBounds(q, ms, one, Options{Workers: 1})
-	nodes8 := TightenBounds(q, ms, eight, Options{Workers: 8})
+	nodes1 := TightenBounds(q, ms, one, Options{workers: 1})
+	nodes8 := TightenBounds(q, ms, eight, Options{workers: 8})
 	if nodes1 != nodes8 {
 		t.Fatalf("8 workers opened %d nodes, 1 worker %d", nodes8, nodes1)
 	}
