@@ -282,7 +282,7 @@ func (e *Engine) ExecuteMapped(ctx context.Context, q *query.Query, mapping []in
 
 // pinnedInputs assembles, from a pin, the per-vertex planning matrices
 // and the join request every execution on that pin starts from: query,
-// mapping, per-vertex sources and grids, k and the shard scatter's
+// mapping, per-vertex sources, k and the shard scatter's
 // reducer count. Callers add the plan and the floor.
 func (e *Engine) pinnedInputs(q *query.Query, mapping []int, pin *Pin, k int) ([]*stats.Matrix, *join.ReduceRequest) {
 	vertexMs := make([]*stats.Matrix, q.NumVertices)
@@ -290,14 +290,12 @@ func (e *Engine) pinnedInputs(q *query.Query, mapping []int, pin *Pin, k int) ([
 		Query:    q,
 		Mapping:  mapping,
 		Srcs:     make([]join.Source, q.NumVertices),
-		Grans:    make([]stats.Grid, q.NumVertices),
 		Reducers: e.opts.Reducers,
 		K:        k,
 	}
 	for v, ci := range mapping {
 		vertexMs[v] = pin.matrices[ci].WithCol(v)
 		req.Srcs[v] = pin.view.Col(ci)
-		req.Grans[v] = pin.matrices[ci].Grid()
 	}
 	return vertexMs, req
 }

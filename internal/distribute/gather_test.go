@@ -16,12 +16,11 @@ import (
 )
 
 // joinFixture is a query's inputs up to the join: n collections, their
-// store sources and grids, and the selected combinations.
+// store sources, and the selected combinations.
 type joinFixture struct {
 	q      *query.Query
 	cols   []*interval.Collection
 	srcs   []join.Source
-	grans  []stats.Grid
 	combos []topbuckets.Combo
 	k      int
 }
@@ -58,7 +57,6 @@ func newJoinFixture(t *testing.T, q *query.Query, perCol, g, k int, seed int64) 
 	}
 	for v := range f.cols {
 		f.srcs = append(f.srcs, st.Col(v))
-		f.grans = append(f.grans, ms[v].Grid())
 	}
 	f.combos = tb.Selected
 	return f
@@ -67,7 +65,7 @@ func newJoinFixture(t *testing.T, q *query.Query, perCol, g, k int, seed int64) 
 func (f *joinFixture) run(t *testing.T, a *Assignment) *join.Output {
 	t.Helper()
 	out, err := join.Run(context.Background(), &join.ReduceRequest{
-		Query: f.q, Srcs: f.srcs, Grans: f.grans, Plan: topbuckets.Listed(f.combos), K: f.k,
+		Query: f.q, Srcs: f.srcs, Plan: topbuckets.Listed(f.combos), K: f.k,
 	}, a)
 	if err != nil {
 		t.Fatal(err)

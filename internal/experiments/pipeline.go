@@ -58,10 +58,9 @@ func execute(ctx context.Context, cols []*interval.Collection, q *query.Query, m
 		}
 	}
 	vertexMs := make([]*stats.Matrix, q.NumVertices)
-	req := &join.ReduceRequest{Query: q, Mapping: mapping, Srcs: make([]join.Source, q.NumVertices),
-		Grans: make([]stats.Grid, q.NumVertices), K: s.k, Opts: s.local}
+	req := &join.ReduceRequest{Query: q, Mapping: mapping, Srcs: make([]join.Source, q.NumVertices), K: s.k, Opts: s.local}
 	for v, ci := range mapping {
-		vertexMs[v], req.Srcs[v], req.Grans[v] = ms[ci].WithCol(v), view.Col(ci), ms[ci].Grid()
+		vertexMs[v], req.Srcs[v] = ms[ci].WithCol(v), view.Col(ci)
 	}
 
 	r := &run{matrices: ms}

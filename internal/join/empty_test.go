@@ -25,7 +25,7 @@ func TestRunNoCombinations(t *testing.T) {
 		newMapSource(0, map[stats.BucketKey][]interval.Interval{}),
 		newMapSource(1, map[stats.BucketKey][]interval.Interval{}),
 	}
-	out, err := runJoin(q, srcs, make([]stats.Grid, 2), nil, 5, LocalOptions{})
+	out, err := runJoin(q, srcs, nil, 5, LocalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +60,9 @@ func TestRunUnreachableFloor(t *testing.T) {
 	if len(tb.Selected) == 0 {
 		t.Fatal("the plan selected no combination: the test lost its subject")
 	}
-	srcs, grans := storeSources(t, cols, ms)
+	srcs := storeSources(t, cols, ms)
 	out, err := Run(context.Background(), &ReduceRequest{
-		Query: q, Srcs: srcs, Grans: grans, Plan: topbuckets.Listed(tb.Selected), K: 5,
+		Query: q, Srcs: srcs, Plan: topbuckets.Listed(tb.Selected), K: 5,
 		Shared: NewSharedFloor(1.1),
 	}, nil)
 	if err != nil {
@@ -134,9 +134,9 @@ func TestRunRejectsMissingEdgeUB(t *testing.T) {
 	for i := range stripped {
 		stripped[i].EdgeUB = nil
 	}
-	srcs, grans := storeSources(t, cols, ms)
+	srcs := storeSources(t, cols, ms)
 	_, err = Run(context.Background(), &ReduceRequest{
-		Query: q, Srcs: srcs, Grans: grans, Plan: topbuckets.Listed(stripped), K: 5,
+		Query: q, Srcs: srcs, Plan: topbuckets.Listed(stripped), K: 5,
 	}, nil)
 	if err == nil || !strings.Contains(err.Error(), "edge UBs") {
 		t.Fatalf("Run over combinations without edge UBs returned %v, want an edge-UB error", err)

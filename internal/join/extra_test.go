@@ -104,9 +104,9 @@ func TestFloorPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs, grans := storeSources(t, cols, ms)
+	srcs := storeSources(t, cols, ms)
 	out, err := Run(context.Background(), &ReduceRequest{
-		Query: q, Srcs: srcs, Grans: grans, Plan: topbuckets.Listed(tb.Selected), K: k,
+		Query: q, Srcs: srcs, Plan: topbuckets.Listed(tb.Selected), K: k,
 		Shared: NewSharedFloor(kth),
 	}, nil)
 	if err != nil {

@@ -59,16 +59,14 @@ func (b *mapBucket) Search(box rtree.Rect, fn func(ref int32) bool) {
 
 // runJoin is Run's local pass over a fixed list with the request spelled
 // out.
-func runJoin(q *query.Query, srcs []Source, grans []stats.Grid, combos []topbuckets.Combo,
-	k int, opts LocalOptions) (*Output, error) {
-	return runPlanned(q, srcs, grans, topbuckets.Listed(combos), k, opts)
+func runJoin(q *query.Query, srcs []Source, combos []topbuckets.Combo, k int, opts LocalOptions) (*Output, error) {
+	return runPlanned(q, srcs, topbuckets.Listed(combos), k, opts)
 }
 
 // runPlanned is Run's local pass over a plan.
-func runPlanned(q *query.Query, srcs []Source, grans []stats.Grid, p *topbuckets.Plan,
-	k int, opts LocalOptions) (*Output, error) {
+func runPlanned(q *query.Query, srcs []Source, p *topbuckets.Plan, k int, opts LocalOptions) (*Output, error) {
 	return Run(context.Background(), &ReduceRequest{
-		Query: q, Srcs: srcs, Grans: grans, Plan: p, K: k, Opts: opts, Shared: NewSharedFloor(p.KthResLB),
+		Query: q, Srcs: srcs, Plan: p, K: k, Opts: opts, Shared: NewSharedFloor(p.KthResLB),
 	}, nil)
 }
 
@@ -162,20 +160,18 @@ func collect(t *testing.T, cols []*interval.Collection, g int) []*stats.Matrix {
 }
 
 // storeSources builds the dataset-resident store and the per-vertex
-// sources/granulations vertex i reading collection i.
-func storeSources(t *testing.T, cols []*interval.Collection, ms []*stats.Matrix) ([]Source, []stats.Grid) {
+// sources, vertex i reading collection i.
+func storeSources(t *testing.T, cols []*interval.Collection, ms []*stats.Matrix) []Source {
 	t.Helper()
 	st, err := store.Build(cols, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srcs := make([]Source, len(cols))
-	grans := make([]stats.Grid, len(cols))
 	for v := range cols {
 		srcs[v] = st.Col(v)
-		grans[v] = ms[v].Grid()
 	}
-	return srcs, grans
+	return srcs
 }
 
 // pipeline runs the full TKIJ flow for tests: TopBuckets, then Run's
@@ -198,8 +194,7 @@ func pipeline(t *testing.T, q *query.Query, cols []*interval.Collection, g, k in
 		}
 		p = topbuckets.Listed(tb.Selected)
 	}
-	srcs, grans := storeSources(t, cols, ms)
-	out, err := runPlanned(q, srcs, grans, p, k, opts)
+	out, err := runPlanned(q, storeSources(t, cols, ms), p, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,9 +389,8 @@ func TestSingleReducerOverBucketMap(t *testing.T) {
 			data[key] = append(data[key], iv)
 		}
 	}
-	grans := []stats.Grid{ms[0].Grid(), ms[1].Grid()}
 	srcs := []Source{newMapSource(0, data), newMapSource(1, data)}
-	out, err := runJoin(q, srcs, grans, tb.Selected, k, LocalOptions{})
+	out, err := runJoin(q, srcs, tb.Selected, k, LocalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,11 +420,11 @@ func TestRunArgErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs, grans := storeSources(t, cols, ms)
-	if _, err := runJoin(q, srcs[:1], grans[:1], tb.Selected, 5, LocalOptions{}); err == nil {
+	srcs := storeSources(t, cols, ms)
+	if _, err := runJoin(q, srcs[:1], tb.Selected, 5, LocalOptions{}); err == nil {
 		t.Error("source count mismatch accepted")
 	}
-	if _, err := runJoin(q, srcs, grans, tb.Selected, 0, LocalOptions{}); err == nil {
+	if _, err := runJoin(q, srcs, tb.Selected, 0, LocalOptions{}); err == nil {
 		t.Error("k=0 accepted")
 	}
 }

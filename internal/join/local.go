@@ -127,12 +127,7 @@ type LocalStats struct {
 	// SharedFloorFinal is the shared score floor when this reducer
 	// finished (0 when pruning is disabled or no floor was established).
 	SharedFloorFinal float64
-	// BoundSolves and BoundReuses are always 0: a reducer reads its
-	// combinations' edge UBs and solves none. They keep their slots in
-	// the shard wire's result frame until its next format change.
-	BoundSolves int64
-	BoundReuses int64
-	Duration    time.Duration
+	Duration         time.Duration
 }
 
 // plan precomputes the vertex binding order and per-level edge sets for

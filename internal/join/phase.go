@@ -89,10 +89,9 @@ func (rt ReduceTimes) Imbalance() float64 {
 // Run executes steps (c)-(e) of Figure 5 for one request: the join
 // evaluates Ω_k,S against a score floor, then one merge keeps the
 // global top-k. req.Srcs[i] serves query vertex i's resident bucket
-// data (see Source); req.Grans[i] is the granulation (with observed
-// endpoint extent) vertex i's buckets live under. Raw intervals stay
-// resident in the store — reducers are handed combination indexes and
-// prune against the floor req.Shared, which the caller seeds and may
+// data (see Source). Raw intervals stay resident in the store —
+// reducers are handed combination indexes and prune against the floor
+// req.Shared, which the caller seeds and may
 // share with executions of identical result-score multisets. Without
 // one Run creates a private floor at 0; under DisablePruning it uses
 // none. The caller's request is not modified.
@@ -116,15 +115,15 @@ func (rt ReduceTimes) Imbalance() float64 {
 // A canceled ctx aborts with an error wrapping ctx.Err(): before the
 // join, mid-combination inside the reducers, or between join and merge.
 // So does a combination read from the plan without one edge UB per query
-// edge (see topbuckets.FillEdgeUB), as RunTasks refuses one.
+// edge, as RunTasks refuses one.
 func Run(ctx context.Context, req *ReduceRequest, runner Runner) (*Output, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("join: canceled before join phase: %w", err)
 	}
 	q := req.Query
-	if len(req.Srcs) != q.NumVertices || len(req.Grans) != q.NumVertices {
-		return nil, fmt.Errorf("join: query %s has %d vertices but %d sources / %d granulations",
-			q.Name, q.NumVertices, len(req.Srcs), len(req.Grans))
+	if len(req.Srcs) != q.NumVertices {
+		return nil, fmt.Errorf("join: query %s has %d vertices but %d sources",
+			q.Name, q.NumVertices, len(req.Srcs))
 	}
 	if req.K < 1 {
 		return nil, fmt.Errorf("join: k must be >= 1, got %d", req.K)

@@ -6,13 +6,12 @@ import (
 	"sync"
 
 	"tkij/internal/query"
-	"tkij/internal/stats"
 	"tkij/internal/topbuckets"
 )
 
 // ReduceRequest is one query's reduce workload: the query, its
-// per-vertex sources and granulation grids, and the plan of the
-// selected combinations. Run without a runner reads the plan as one
+// per-vertex sources, and the plan of the selected combinations, each
+// carrying the edge UBs its plan solved. Run without a runner reads the plan as one
 // reducer in the calling goroutine, building only the combinations it
 // reads; a remote runner (internal/shard's coordinator) drains it,
 // splits it over reducers of its own and scatters those to workers.
@@ -25,11 +24,6 @@ type ReduceRequest struct {
 	Mapping []int
 	// Srcs serves vertex v's bucket data, pinned at the query's epoch.
 	Srcs []Source
-	// Grans is vertex v's granulation + observed endpoint extent. Like
-	// Mapping, only remote runners read it: their workers bound the
-	// combinations they are shipped over these grids, while the local
-	// pass reads each combination's edge UBs as its plan built them.
-	Grans []stats.Grid
 	// Plan is Ω_k,S by descending UB (topbuckets.Listed wraps a fixed
 	// list).
 	Plan *topbuckets.Plan
@@ -103,15 +97,15 @@ func DescendingUB(combos []topbuckets.Combo, idxs []int) bool {
 // req.Srcs, consulting and raising req.Shared throughout. Outputs are
 // returned in task order.
 //
-// req must carry Query, Srcs, K, Opts and Shared; Plan, Mapping, Grans
-// and Reducers are not consulted. The caller vouches for the inputs: a
+// req must carry Query, Srcs, K, Opts and Shared; Plan, Mapping and
+// Reducers are not consulted. The caller vouches for the inputs: a
 // valid query, K >= 1, one source per vertex, task indexes within combos
 // (the wire decoder checks these). Each task's list must be in
 // descending-UB order: a reducer stops at the first combination its
 // threshold dominates, which is only sound on a sorted list, so an
 // unsorted one is an error. So is a task combination without one edge
-// UB per query edge (see topbuckets.FillEdgeUB), which a reducer would
-// index out of range on its own goroutine.
+// UB per query edge (its plan's, which the shard wire carries), which a
+// reducer would index out of range on its own goroutine.
 //
 // A cancelable ctx is polled mid-combination: once it is done every
 // reducer abandons its remaining work and RunTasks returns ctx.Err()

@@ -201,7 +201,7 @@ func TestLocalStatsJSONSafe(t *testing.T) {
 	empty := map[stats.BucketKey][]interval.Interval{}
 	srcs := []Source{newMapSource(0, empty), newMapSource(1, empty)}
 	combos := []topbuckets.Combo{{Buckets: []stats.Bucket{{Col: 0}, {Col: 1}}, UB: 1, EdgeUB: []float64{1}}}
-	out, err := runJoin(q, srcs, make([]stats.Grid, 2), combos, 3, LocalOptions{})
+	out, err := runJoin(q, srcs, combos, 3, LocalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestRungYieldsToSharedFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func(floor *SharedFloor, raise bool) LocalStats {
-			srcs, grans := storeSources(t, cols, ms)
+			srcs := storeSources(t, cols, ms)
 			if raise {
 				once := new(sync.Once)
 				for v := range srcs {
@@ -266,7 +266,7 @@ func TestRungYieldsToSharedFloor(t *testing.T) {
 				}
 			}
 			out, err := Run(context.Background(), &ReduceRequest{
-				Query: q, Srcs: srcs, Grans: grans, Plan: topbuckets.Listed(tb.Selected), K: k, Shared: floor,
+				Query: q, Srcs: srcs, Plan: topbuckets.Listed(tb.Selected), K: k, Shared: floor,
 			}, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -38,13 +38,6 @@ var ErrClusterClosed = errors.New("shard: cluster closed")
 // equal to the coordinator's replica epoch.
 type Cluster struct {
 	links []*link
-	// noFloor turns off the shared-floor stream in both directions:
-	// workers keep their floors local and the coordinator never
-	// rebroadcasts. Results are identical (the floor only prunes work
-	// certified unable to reach the top-k); remote reducers just prune
-	// less. Only this package's tests set it, as the floor-broadcast
-	// ablation.
-	noFloor bool
 
 	// Immutable after LoadStore.
 	loaded   bool
@@ -199,7 +192,7 @@ func (l *link) loop() {
 type pendingQuery struct {
 	id     uint64
 	epoch  int64
-	master *join.SharedFloor // nil when pruning is disabled
+	master *join.SharedFloor
 
 	// peers[i] is the highest floor worker i is known to hold — seeded
 	// at scatter, advanced by rebroadcasts, and by uplinks from that
@@ -271,7 +264,7 @@ func (c *Cluster) onResult(idx int, f *ResultFrame) {
 
 func (c *Cluster) onFloor(idx int, f *FloorFrame) {
 	pq := c.lookup(f.QueryID)
-	if pq == nil || pq.master == nil {
+	if pq == nil {
 		return // late floor for a completed query — expected, and a no-op
 	}
 	pq.peers[idx].advance(f.Floor)
@@ -393,10 +386,16 @@ func (c *Cluster) Append(col int, ivs []interval.Interval) error {
 // req.Reducers reducers with DTB (§3.4; one per worker when unset),
 // place them on shards, ship foreign buckets, scatter, stream floors
 // both ways, gather. The results are those of the same assignment's
-// tasks run through join.RunTasks in one process.
+// tasks run through join.RunTasks in one process. req.Shared is the
+// execution's floor, which join.Run always passes here. The join's
+// ablations (join.LocalOptions) run in process only: a request setting
+// one is refused before anything is sent.
 func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*join.RunnerOutput, error) {
 	if !c.loaded {
 		return nil, fmt.Errorf("shard: query before LoadStore")
+	}
+	if req.Opts != (join.LocalOptions{}) {
+		return nil, fmt.Errorf("shard: join options %+v run in process only", req.Opts)
 	}
 	combos := req.Plan.Drain()
 	if len(combos) == 0 {
@@ -464,9 +463,7 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 
 	// Rebroadcaster: watching before the scatter so no raise — even one
 	// landing mid-scatter — is lost.
-	if master != nil && !c.noFloor {
-		defer master.Watch(func(v float64) { c.rebroadcast(pq, v) })()
-	}
+	defer master.Watch(func(v float64) { c.rebroadcast(pq, v) })()
 
 	// Scatter. The per-link floor seed snapshots the master at encode
 	// time; anything raised after that reaches the worker through the
@@ -481,21 +478,15 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 	for i, l := range c.links {
 		i := i
 		qf := &QueryFrame{
-			QueryID:        id,
-			Epoch:          epoch,
-			K:              req.K,
-			DisableIndex:   req.Opts.DisableIndex,
-			DisablePruning: req.Opts.DisablePruning,
-			NoFloorUplink:  c.noFloor,
-			Query:          req.Query,
-			Mapping:        mapping,
-			Grids:          req.Grans,
-			Combos:         combos,
-			Tasks:          shardTasks[i],
-			Shipped:        shipBuckets(pl.Shipped[i], colSrc),
-		}
-		if master != nil {
-			qf.Floor = master.Load()
+			QueryID: id,
+			Epoch:   epoch,
+			K:       req.K,
+			Floor:   master.Load(),
+			Query:   req.Query,
+			Mapping: mapping,
+			Combos:  combos,
+			Tasks:   shardTasks[i],
+			Shipped: shipBuckets(pl.Shipped[i], colSrc),
 		}
 		err := l.sendSeq(qf, func() {
 			pq.mu.Lock()
@@ -539,13 +530,11 @@ func (c *Cluster) RunReducers(ctx context.Context, req *join.ReduceRequest) (*jo
 	mShippedRecords.Add(int64(pl.ShippedRecords))
 	var reducerOuts []join.ReducerOutput
 	for _, f := range frames {
-		if master != nil {
-			for _, ro := range f.Reducers {
-				// Fold each worker's final floor into the master so
-				// Output.SharedFloor reports the true cluster-wide
-				// threshold even if the last uplink raced completion.
-				master.Raise(ro.Stats.SharedFloorFinal)
-			}
+		for _, ro := range f.Reducers {
+			// Fold each worker's final floor into the master so
+			// Output.SharedFloor reports the true cluster-wide
+			// threshold even if the last uplink raced completion.
+			master.Raise(ro.Stats.SharedFloorFinal)
 		}
 		reducerOuts = append(reducerOuts, f.Reducers...)
 	}

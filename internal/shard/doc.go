@@ -4,9 +4,11 @@
 // the snapshot section layout as the shard manifest, DTB reducers are
 // placed round-robin on the workers, and each query is scattered over a
 // length-prefixed binary wire protocol and gathered back into the
-// ordinary merge phase. A worker runs its reducer tasks through
-// join.RunTasks — the same executor the in-process runner uses — under
-// a per-link context, so a dropped link stops its reducers.
+// ordinary merge phase. The query frame carries every combination's
+// edge UBs as its plan solved them, so a worker bounds nothing: it runs
+// its reducer tasks through join.RunTasks — the same executor the
+// in-process runner uses — under a per-link context, so a dropped link
+// stops its reducers.
 //
 // The pruning story survives the network: the coordinator owns the
 // query's cross-reducer score floor (join.SharedFloor) and streams its

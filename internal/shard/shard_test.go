@@ -54,13 +54,12 @@ func collect(t *testing.T, cols []*interval.Collection, g int) []*stats.Matrix {
 }
 
 // pipelineEnv is everything up to the join phase: the store, per-vertex
-// sources/grids, selected combinations, and the DTB assignment over
-// reducers that a cluster makes of them.
+// sources, selected combinations, and the DTB assignment over reducers
+// that a cluster makes of them.
 type pipelineEnv struct {
 	q        *query.Query
 	st       *store.Store
 	srcs     []join.Source
-	grans    []stats.Grid
 	combos   []topbuckets.Combo
 	reducers int
 	assign   *distribute.Assignment
@@ -83,18 +82,16 @@ func buildPipeline(t *testing.T, q *query.Query, cols []*interval.Collection, g,
 		t.Fatal(err)
 	}
 	srcs := make([]join.Source, len(cols))
-	grans := make([]stats.Grid, len(cols))
 	for v := range cols {
 		srcs[v] = st.Col(v)
-		grans[v] = ms[v].Grid()
 	}
-	return &pipelineEnv{q: q, st: st, srcs: srcs, grans: grans,
+	return &pipelineEnv{q: q, st: st, srcs: srcs,
 		combos: tb.Selected, reducers: reducers, assign: assign, k: k}
 }
 
-func (env *pipelineEnv) run(t *testing.T, runner join.Runner, opts join.LocalOptions) *join.Output {
+func (env *pipelineEnv) run(t *testing.T, runner join.Runner) *join.Output {
 	t.Helper()
-	out, err := join.Run(context.Background(), env.request(opts), runner)
+	out, err := join.Run(context.Background(), env.request(), runner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +101,10 @@ func (env *pipelineEnv) run(t *testing.T, runner join.Runner, opts join.LocalOpt
 // request builds the ReduceRequest for join.Run — or, with the shared
 // floor Run would install, for fault tests that call
 // Cluster.RunReducers directly.
-func (env *pipelineEnv) request(opts join.LocalOptions) *join.ReduceRequest {
-	var shared *join.SharedFloor
-	if !opts.DisablePruning {
-		shared = new(join.SharedFloor)
-	}
+func (env *pipelineEnv) request() *join.ReduceRequest {
 	return &join.ReduceRequest{
-		Query: env.q, Srcs: env.srcs, Grans: env.grans, Plan: topbuckets.Listed(env.combos),
-		Reducers: env.reducers, K: env.k, Opts: opts, Shared: shared,
+		Query: env.q, Srcs: env.srcs, Plan: topbuckets.Listed(env.combos),
+		Reducers: env.reducers, K: env.k, Shared: new(join.SharedFloor),
 	}
 }
 
@@ -137,37 +130,72 @@ func assertNoLiveViews(t *testing.T, workers []*Worker) {
 // Distributed execution over N real (in-process, full wire protocol)
 // workers must return results identical to the same DTB assignment run
 // in one process — same scores, same tuples, same order — for every
-// shard count, with and without floor broadcast.
+// shard count.
 func TestClusterEquivalence(t *testing.T) {
 	q := testQuery()
 	for seed := int64(1); seed <= 2; seed++ {
 		cols := synthCols(3, 120, seed)
 		env := buildPipeline(t, q, cols, 6, 10, 4)
-		local := env.run(t, env.assign, join.LocalOptions{})
+		local := env.run(t, env.assign)
 		for _, n := range []int{1, 2, 3, 5} {
-			for _, noFloor := range []bool{false, true} {
-				c, workers, err := InProcess(n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c.noFloor = noFloor
-				if err := c.LoadStore(env.st); err != nil {
-					t.Fatal(err)
-				}
-				remote := env.run(t, c, join.LocalOptions{})
-				if !reflect.DeepEqual(remote.Results, local.Results) {
-					t.Fatalf("seed %d, %d shards (noFloor=%v): remote results differ from local\nremote: %v\nlocal:  %v",
-						seed, n, noFloor, remote.Results, local.Results)
-				}
-				if n > 1 && remote.ShippedBuckets == 0 && len(env.assign.BucketReducers) > 1 {
-					// With round-robin reducers over a partitioned store,
-					// some bucket is essentially always foreign.
-					t.Logf("seed %d, %d shards: nothing shipped (unusual but not wrong)", seed, n)
-				}
-				assertNoLiveViews(t, workers)
-				c.Close()
+			c, workers, err := InProcess(n)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if err := c.LoadStore(env.st); err != nil {
+				t.Fatal(err)
+			}
+			remote := env.run(t, c)
+			if !reflect.DeepEqual(remote.Results, local.Results) {
+				t.Fatalf("seed %d, %d shards: remote results differ from local\nremote: %v\nlocal:  %v",
+					seed, n, remote.Results, local.Results)
+			}
+			if n > 1 && remote.ShippedBuckets == 0 && len(env.assign.BucketReducers) > 1 {
+				// With round-robin reducers over a partitioned store,
+				// some bucket is essentially always foreign.
+				t.Logf("seed %d, %d shards: nothing shipped (unusual but not wrong)", seed, n)
+			}
+			assertNoLiveViews(t, workers)
+			c.Close()
 		}
+	}
+}
+
+// The join's ablations run in process only: a cluster asked for one
+// returns an error and scatters nothing.
+func TestRunReducersRefusesLocalOptions(t *testing.T) {
+	env := buildPipeline(t, testQuery(), synthCols(3, 80, 12), 5, 6, 4)
+	fakeEnd, coordEnd := net.Pipe()
+	var queries int
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		fakeWorker(fakeEnd, func(f Frame, fw *frameWriter) bool {
+			if qf, isQuery := f.(*QueryFrame); isQuery {
+				// Answered, so a cluster that scatters anyway fails this
+				// test instead of hanging it.
+				queries++
+				_ = fw.send(&ErrorFrame{QueryID: qf.QueryID, Code: CodeExec, Msg: "scattered"})
+			}
+			return true
+		})
+	}()
+	c := NewCluster([]io.ReadWriteCloser{coordEnd})
+	if err := c.LoadStore(env.st); err != nil {
+		t.Fatal(err)
+	}
+	req := env.request()
+	req.Opts.DisableIndex = true
+	out, err := c.RunReducers(context.Background(), req)
+	// A net.Pipe write returns once the fake worker has read it, so after
+	// Close ends its loop every frame the cluster sent has been counted.
+	c.Close()
+	<-served
+	if out != nil || err == nil {
+		t.Fatalf("RunReducers = (%v, %v), want an error", out, err)
+	}
+	if queries != 0 {
+		t.Fatalf("a refused request scattered %d query frames", queries)
 	}
 }
 
@@ -208,8 +236,8 @@ func TestClusterAppendLockstep(t *testing.T) {
 		// Re-plan against the grown dataset (fresh matrices → fresh
 		// combos/assignment), reusing the same resident store.
 		grown := buildPipelineFromStore(t, q, cols, env.st, 6, 8, 4)
-		local := grown.run(t, grown.assign, join.LocalOptions{})
-		remote := grown.run(t, c, join.LocalOptions{})
+		local := grown.run(t, grown.assign)
+		remote := grown.run(t, c)
 		if !reflect.DeepEqual(remote.Results, local.Results) {
 			t.Fatalf("round %d: remote results differ from local", round)
 		}
@@ -238,12 +266,10 @@ func buildPipelineFromStore(t *testing.T, q *query.Query, cols []*interval.Colle
 		t.Fatal(err)
 	}
 	srcs := make([]join.Source, len(cols))
-	grans := make([]stats.Grid, len(cols))
 	for v := range cols {
 		srcs[v] = st.Col(v)
-		grans[v] = ms[v].Grid()
 	}
-	return &pipelineEnv{q: q, st: st, srcs: srcs, grans: grans,
+	return &pipelineEnv{q: q, st: st, srcs: srcs,
 		combos: tb.Selected, reducers: reducers, assign: assign, k: k}
 }
 
@@ -253,7 +279,7 @@ func TestClusterTCP(t *testing.T) {
 	q := testQuery()
 	cols := synthCols(3, 80, 5)
 	env := buildPipeline(t, q, cols, 5, 6, 4)
-	local := env.run(t, env.assign, join.LocalOptions{})
+	local := env.run(t, env.assign)
 
 	const n = 2
 	addrs := make([]string, n)
@@ -285,7 +311,7 @@ func TestClusterTCP(t *testing.T) {
 	if err := c.LoadStore(env.st); err != nil {
 		t.Fatal(err)
 	}
-	remote := env.run(t, c, join.LocalOptions{})
+	remote := env.run(t, c)
 	if !reflect.DeepEqual(remote.Results, local.Results) {
 		t.Fatalf("TCP results differ from local")
 	}
@@ -337,7 +363,7 @@ func TestFaultWorkerCrash(t *testing.T) {
 	if err := c.LoadStore(env.st); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.RunReducers(context.Background(), env.request(join.LocalOptions{}))
+	out, err := c.RunReducers(context.Background(), env.request())
 	if out != nil || !errors.Is(err, ErrWorkerLost) {
 		t.Fatalf("RunReducers = (%v, %v), want (nil, ErrWorkerLost)", out, err)
 	}
@@ -358,7 +384,7 @@ func TestFaultWorkerHang(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
-	out, err := c.RunReducers(ctx, env.request(join.LocalOptions{}))
+	out, err := c.RunReducers(ctx, env.request())
 	if out != nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RunReducers = (%v, %v), want deadline exceeded", out, err)
 	}
@@ -385,7 +411,7 @@ func TestFaultTornFrame(t *testing.T) {
 	if err := c.LoadStore(env.st); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.RunReducers(context.Background(), env.request(join.LocalOptions{}))
+	out, err := c.RunReducers(context.Background(), env.request())
 	if out != nil || !errors.Is(err, ErrProtocol) {
 		t.Fatalf("RunReducers = (%v, %v), want (nil, ErrProtocol)", out, err)
 	}
@@ -408,7 +434,7 @@ func TestFaultForeignReducer(t *testing.T) {
 	if err := c.LoadStore(env.st); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.RunReducers(context.Background(), env.request(join.LocalOptions{}))
+	out, err := c.RunReducers(context.Background(), env.request())
 	if out != nil || !errors.Is(err, ErrProtocol) {
 		t.Fatalf("RunReducers = (%v, %v), want (nil, ErrProtocol)", out, err)
 	}
@@ -432,7 +458,7 @@ func TestFaultFloorReplay(t *testing.T) {
 	if err := c.LoadStore(env.st); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.RunReducers(context.Background(), env.request(join.LocalOptions{}))
+	out, err := c.RunReducers(context.Background(), env.request())
 	if out != nil || !errors.Is(err, ErrFloorReplay) {
 		t.Fatalf("RunReducers = (%v, %v), want (nil, ErrFloorReplay)", out, err)
 	}
@@ -477,21 +503,24 @@ func TestWorkerRejectsFloorReplay(t *testing.T) {
 // A dropped link must stop the worker's in-flight reducers
 // mid-combination: Serve cancels its per-link context on return, so the
 // executors unwind, release the pinned view and Quiesce returns —
-// without finishing a reducer list that (pruning and index off, a 6-way
-// star over one 150-interval bucket, ~10^13 candidate visits) would
-// otherwise burn a core for hours holding the view.
+// without finishing a reducer list that would otherwise burn a core for
+// hours holding the view. The list is a 6-way s-before star over one
+// bucket of 150 identical intervals: every tuple scores 0, a tie no
+// floor cuts, and the combination's edge UBs of 1 leave every partial
+// tuple worth extending, so the pass visits ~10^13 candidates.
 func TestWorkerAbandonsReducersWhenLinkDrops(t *testing.T) {
 	const n, vertices = 150, 6
 	items := make([]interval.Interval, n)
 	for i := range items {
-		items[i] = interval.Interval{ID: int64(i), Start: int64(i), End: int64(i) + 10}
+		items[i] = interval.Interval{ID: int64(i), Start: 20, End: 30}
 	}
 	gran, _ := stats.NewGranulation(0, 200, 1)
 	q := query.QbStar(query.Env{Params: scoring.P1}, vertices)
-	combo := topbuckets.Combo{UB: 1}
-	grids := make([]stats.Grid, vertices)
-	for v := range grids {
-		grids[v] = stats.Grid{Gran: gran, Lo: 0, Hi: 200}
+	combo := topbuckets.Combo{UB: 1, EdgeUB: make([]float64, len(q.Edges))}
+	for ei := range combo.EdgeUB {
+		combo.EdgeUB[ei] = 1
+	}
+	for v := 0; v < vertices; v++ {
 		combo.Buckets = append(combo.Buckets, stats.Bucket{Col: v, Count: n})
 	}
 
@@ -512,16 +541,17 @@ func TestWorkerAbandonsReducersWhenLinkDrops(t *testing.T) {
 		{Col: 0, Gran: gran, Buckets: []store.MappedBucket{{Items: items}}},
 	}})
 	send(&QueryFrame{
-		QueryID: 1, K: 5, DisableIndex: true, DisablePruning: true,
-		Query: q, Mapping: make([]int, vertices), Grids: grids,
+		QueryID: 1, K: 5,
+		Query: q, Mapping: make([]int, vertices),
 		Combos: []topbuckets.Combo{combo},
 		Tasks:  []join.ReducerTask{{Reducer: 0, Combos: []int{0}}},
 	})
 	// Barrier: a net.Pipe write returns once the reader consumed it, and
 	// the worker reads the next frame only after handling the previous
 	// one — so once this frame is accepted the query has been admitted,
-	// its view pinned and its executor started.
-	send(&FloorFrame{QueryID: 1, Floor: 0.5})
+	// its view pinned and its executor started. A floor of 0 raises
+	// nothing, so the pass stays as long as it is.
+	send(&FloorFrame{QueryID: 1, Floor: 0})
 	if live := w.Store().ViewStats().Live; live != 1 {
 		t.Fatalf("worker holds %d live views mid-query, want 1", live)
 	}
@@ -557,21 +587,19 @@ func TestWorkerSurvivesShortComboFrame(t *testing.T) {
 		items[i] = interval.Interval{ID: int64(i), Start: int64(10 * i), End: int64(10*i) + 5}
 	}
 	gran, _ := stats.NewGranulation(0, 200, 1)
-	combo := topbuckets.Combo{UB: 1}
-	grids := make([]stats.Grid, vertices)
-	for v := range grids {
-		grids[v] = stats.Grid{Gran: gran, Lo: 0, Hi: 200}
+	combo := topbuckets.Combo{UB: 1, EdgeUB: []float64{1, 1}}
+	for v := 0; v < vertices; v++ {
 		combo.Buckets = append(combo.Buckets, stats.Bucket{Col: v, Count: n})
 	}
 	good := &QueryFrame{
-		QueryID: 1, K: 5, NoFloorUplink: true, // the only frame back is the result
+		QueryID: 1, K: 5,
 		Query:   query.Qbb(query.Env{Params: scoring.P1}),
-		Mapping: make([]int, vertices), Grids: grids,
-		Combos: []topbuckets.Combo{combo},
-		Tasks:  []join.ReducerTask{{Reducer: 0, Combos: []int{0}}},
+		Mapping: make([]int, vertices),
+		Combos:  []topbuckets.Combo{combo},
+		Tasks:   []join.ReducerTask{{Reducer: 0, Combos: []int{0}}},
 	}
 	hostile := *good
-	hostile.Combos = []topbuckets.Combo{{Buckets: combo.Buckets[:vertices-1], UB: 1}}
+	hostile.Combos = []topbuckets.Combo{{Buckets: combo.Buckets[:vertices-1], UB: 1, EdgeUB: combo.EdgeUB}}
 
 	type link struct {
 		conn   net.Conn
@@ -606,9 +634,16 @@ func TestWorkerSurvivesShortComboFrame(t *testing.T) {
 	}
 
 	send(sibling, good)
-	f, err := ReadFrame(sibling.conn)
-	if err != nil {
-		t.Fatal(err)
+	// The answer is the result frame; floor uplinks may precede it.
+	var f Frame
+	for {
+		var err error
+		if f, err = ReadFrame(sibling.conn); err != nil {
+			t.Fatal(err)
+		}
+		if _, isFloor := f.(*FloorFrame); !isFloor {
+			break
+		}
 	}
 	rf, ok := f.(*ResultFrame)
 	if !ok || rf.QueryID != good.QueryID || len(rf.Reducers) != 1 || len(rf.Reducers[0].Results) != good.K {

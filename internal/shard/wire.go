@@ -25,7 +25,8 @@ import (
 // be known, and a payload must be consumed exactly — so a successful
 // decode re-encodes byte-identically (the FuzzShardWire contract) and a
 // torn or tampered frame fails loudly instead of executing a half-read
-// query.
+// query. A format change takes new kind numbers for the frames it
+// changes, so a peer on the old format is refused at the kind word.
 
 // Sentinel errors — the coordinator's fault taxonomy. Every failed
 // scatter-gather wraps exactly one of these (plus context.Canceled /
@@ -54,14 +55,15 @@ var (
 // allocation.
 const MaxFrameSize = 1 << 30
 
-// Frame kinds.
+// Frame kinds. A kind number is never reused: 3 and 5 are the first
+// format's query and result frames, refused as unknown.
 const (
-	kindLoad uint64 = iota + 1
-	kindAppend
-	kindQuery
-	kindFloor
-	kindResult
-	kindError
+	kindLoad   uint64 = 1
+	kindAppend uint64 = 2
+	kindFloor  uint64 = 4
+	kindError  uint64 = 6
+	kindQuery  uint64 = 7
+	kindResult uint64 = 8
 )
 
 // Worker error-frame codes.
@@ -266,22 +268,6 @@ func (w *wire) f64(v *float64) {
 	}
 }
 
-// flag walks a boolean as a 0/1 word; any other word is refused.
-func (w *wire) flag(v *bool, what string) {
-	var u uint64
-	if *v {
-		u = 1
-	}
-	w.u64(&u)
-	if w.decoding() {
-		if u > 1 {
-			w.fail("%s flag is %d, want 0 or 1", what, u)
-			return
-		}
-		*v = u == 1
-	}
-}
-
 // count walks a length prefix. Decoding, it is the one rule that bounds a
 // declared length: n entries of at least minEntryBytes each must fit in
 // the bytes left, so a hostile prefix cannot demand memory the frame did
@@ -343,12 +329,6 @@ func (w *wire) gran(g *stats.Granulation) {
 		}
 		*g = v
 	}
-}
-
-func (w *wire) grid(g *stats.Grid) {
-	w.gran(&g.Gran)
-	w.i64(&g.Lo)
-	w.i64(&g.Hi)
 }
 
 // list walks a length-prefixed slice: its count (each entry takes at
@@ -569,25 +549,20 @@ type ShippedBucket struct {
 
 // QueryFrame scatters one query to one shard: the query itself, the
 // pinned epoch the worker must serve it at, the vertex→collection
-// mapping and per-vertex grids, the selected combinations, this shard's
+// mapping, the selected combinations — each its buckets, UB and the
+// edge UBs its plan solved, so the worker bounds nothing — this shard's
 // reducer tasks, and the foreign buckets shipped for them. Floor seeds
-// the worker's score floor; DisablePruning turns the floor machinery
-// off entirely and NoFloorUplink keeps the floor local to the worker
-// (the broadcast ablation).
+// the worker's score floor.
 type QueryFrame struct {
-	QueryID        uint64
-	Epoch          int64
-	K              int
-	Floor          float64
-	DisableIndex   bool
-	DisablePruning bool
-	NoFloorUplink  bool
-	Query          *query.Query
-	Mapping        []int
-	Grids          []stats.Grid
-	Combos         []topbuckets.Combo
-	Tasks          []join.ReducerTask // Combos index QueryFrame.Combos
-	Shipped        []ShippedBucket
+	QueryID uint64
+	Epoch   int64
+	K       int
+	Floor   float64
+	Query   *query.Query
+	Mapping []int
+	Combos  []topbuckets.Combo
+	Tasks   []join.ReducerTask // Combos index QueryFrame.Combos
+	Shipped []ShippedBucket
 }
 
 func (*QueryFrame) kind() uint64 { return kindQuery }
@@ -600,9 +575,6 @@ func (f *QueryFrame) walk(w *wire) {
 	if w.decoding() && f.K < 1 {
 		w.fail("query k = %d, want >= 1", f.K)
 	}
-	w.flag(&f.DisableIndex, "disable-index")
-	w.flag(&f.DisablePruning, "disable-pruning")
-	w.flag(&f.NoFloorUplink, "no-floor-uplink")
 	w.query(&f.Query)
 	list(w, &f.Mapping, 8, "vertex mapping", func(v int, col *int) {
 		w.int(col)
@@ -610,8 +582,16 @@ func (f *QueryFrame) walk(w *wire) {
 			w.fail("vertex %d maps to collection %d", v, *col)
 		}
 	})
-	list(w, &f.Grids, 40, "grid list", func(_ int, g *stats.Grid) { w.grid(g) })
-	list(w, &f.Combos, 32, "combo list", func(i int, c *topbuckets.Combo) {
+	if w.err != nil {
+		return
+	}
+	// The decoded query fixes every combination's size: a bucket count
+	// word and NumVertices buckets of four words, UB, one edge UB per
+	// edge.
+	q := f.Query
+	n := len(q.Edges)
+	var edgeUBs []float64 // decoding: every combination's edge UBs, one backing array
+	list(w, &f.Combos, 8*(2+4*q.NumVertices+n), "combo list", func(i int, c *topbuckets.Combo) {
 		list(w, &c.Buckets, 32, "combo bucket list", func(_ int, b *stats.Bucket) {
 			w.int(&b.Col)
 			w.int(&b.StartG)
@@ -619,12 +599,23 @@ func (f *QueryFrame) walk(w *wire) {
 			w.int(&b.Count)
 		})
 		// Past here the joiner indexes Buckets by vertex.
-		if w.decoding() && len(c.Buckets) != f.Query.NumVertices {
-			w.fail("combo %d has %d buckets, query %s has %d vertices", i, len(c.Buckets), f.Query.Name, f.Query.NumVertices)
+		if w.decoding() && len(c.Buckets) != q.NumVertices {
+			w.fail("combo %d has %d buckets, query %s has %d vertices", i, len(c.Buckets), q.Name, q.NumVertices)
 		}
-		w.f64(&c.LB)
 		w.f64(&c.UB)
-		w.f64(&c.NbRes)
+		// No count word: the query's edge count is the length.
+		switch {
+		case w.decoding():
+			if edgeUBs == nil {
+				edgeUBs = make([]float64, len(f.Combos)*n)
+			}
+			c.EdgeUB = edgeUBs[i*n : (i+1)*n : (i+1)*n]
+		case w.r == nil && len(c.EdgeUB) != n:
+			w.fail("combo %d carries %d edge UBs, query %s has %d edges", i, len(c.EdgeUB), q.Name, n)
+		}
+		for ei := range c.EdgeUB {
+			w.f64(&c.EdgeUB[ei])
+		}
 	})
 	list(w, &f.Tasks, 16, "task list", func(i int, t *join.ReducerTask) {
 		w.int(&t.Reducer)
@@ -689,7 +680,7 @@ func (*ResultFrame) kind() uint64 { return kindResult }
 func (f *ResultFrame) walk(w *wire) {
 	w.u64(&f.QueryID)
 	w.i64(&f.Epoch)
-	list(w, &f.Reducers, 144, "reducer list", func(i int, rr *join.ReducerOutput) {
+	list(w, &f.Reducers, 128, "reducer list", func(i int, rr *join.ReducerOutput) {
 		w.int(&rr.Reducer)
 		if w.decoding() && rr.Reducer < 0 {
 			w.fail("reducer result %d names reducer %d", i, rr.Reducer)
@@ -708,8 +699,6 @@ func (f *ResultFrame) walk(w *wire) {
 		w.int(&s.BucketRefsRouted)
 		w.f64(&s.RoutedIntervals)
 		w.f64(&s.SharedFloorFinal)
-		w.i64(&s.BoundSolves)
-		w.i64(&s.BoundReuses)
 		w.i64((*int64)(&s.Duration))
 		list(w, &rr.Results, 32, "result list", func(_ int, res *join.Result) {
 			w.intervals(&res.Tuple, "result tuple")

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -45,21 +46,15 @@ func sampleFrames(t testing.TB) []Frame {
 		&AppendFrame{Epoch: 4, Col: 1, Items: ivs},
 		&QueryFrame{
 			QueryID: 9, Epoch: 4, K: 5, Floor: 0.25,
-			DisableIndex: true, NoFloorUplink: true,
 			Query:   q,
 			Mapping: []int{0, 1, 0},
-			Grids: []stats.Grid{
-				{Gran: gran, Lo: 0, Hi: 5},
-				{Gran: gran, Lo: 1, Hi: 4},
-				{Gran: gran, Lo: 0, Hi: 5},
-			},
 			Combos: []topbuckets.Combo{{
 				Buckets: []stats.Bucket{
 					{Col: 0, StartG: 0, EndG: 0, Count: 1},
 					{Col: 1, StartG: 0, EndG: 1, Count: 2},
 					{Col: 0, StartG: 0, EndG: 0, Count: 1},
 				},
-				LB: 0.25, UB: 0.75, NbRes: 2,
+				UB: 0.75, EdgeUB: []float64{1, 0.5},
 			}},
 			Tasks:   []join.ReducerTask{{Reducer: 2, Combos: []int{0}}},
 			Shipped: []ShippedBucket{{Col: 1, StartG: 0, EndG: 1, Items: ivs}},
@@ -72,8 +67,7 @@ func sampleFrames(t testing.TB) []Frame {
 				TuplesExamined: 12, PartialsPruned: 3, ResultsReturned: 1,
 				ProbeRounds: 1, FloorUsed: 0.25, MinScore: 0.5,
 				BucketRefsRouted: 2, RoutedIntervals: 3,
-				SharedFloorFinal: 0.625, BoundSolves: 4, BoundReuses: 7,
-				Duration: 42 * time.Microsecond,
+				SharedFloorFinal: 0.625, Duration: 42 * time.Microsecond,
 			},
 			Results: []join.Result{{
 				Tuple: []interval.Interval{{ID: 1, Start: 3, End: 17}, {ID: 2, Start: 14, End: 30}, {ID: 1, Start: 3, End: 17}},
@@ -146,12 +140,11 @@ func mismatchedWeightsFrame(t testing.TB) []byte {
 	return mustEncode(t, qf)
 }
 
-// Byte offsets of two words in an encoded QueryFrame: the length prefix,
-// kind, QueryID, Epoch, K and Floor words precede the DisableIndex flag;
-// the three flags and the query name (length word, then its bytes)
-// precede the vertex count.
-func disableIndexAt(*QueryFrame) int   { return 6 * 8 }
-func vertexCountAt(qf *QueryFrame) int { return 10*8 + len(qf.Query.Name) }
+// vertexCountAt is the byte offset of the query's vertex count in an
+// encoded QueryFrame: the length prefix, kind, QueryID, Epoch, K and
+// Floor words and the query name (length word, then its bytes) precede
+// it.
+func vertexCountAt(qf *QueryFrame) int { return 7*8 + len(qf.Query.Name) }
 
 // patchedQueryFrame encodes the sample query frame with the word at(qf)
 // — which must hold was — overwritten by v.
@@ -257,7 +250,6 @@ func TestDecodeRejects(t *testing.T) {
 			interval.PutU64(b, uint64(len(b)))
 			return b
 		}(),
-		"non-binary bool":                 patchedQueryFrame(t, disableIndexAt, 1, 2),
 		"bad error code":                  mustEncode(t, &ErrorFrame{QueryID: 1, Code: 7, Msg: "x"}),
 		"combo narrower than its query":   shortComboFrame(t),
 		"task not in descending-UB order": unsortedTaskFrame(t),
@@ -282,10 +274,10 @@ func TestDecodeRejects(t *testing.T) {
 }
 
 // The byte format is pinned: sampleFrames encode to exactly the frames
-// in testdata/frames-v1.bin, and every pinned frame decodes and
+// in testdata/frames-v2.bin, and every pinned frame decodes and
 // re-encodes to its own bytes.
 func TestFrameFormatPin(t *testing.T) {
-	pin, err := os.ReadFile("testdata/frames-v1.bin")
+	pin, err := os.ReadFile("testdata/frames-v2.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,6 +302,85 @@ func TestFrameFormatPin(t *testing.T) {
 	}
 	if n != len(frames) {
 		t.Fatalf("pin holds %d frames, want %d", n, len(frames))
+	}
+}
+
+// A peer on the first wire format is refused where the format changed
+// and understood where it did not: testdata/frames-v1-refused.bin holds
+// that format's sample frames. Its load, append, floor and error frames
+// decode and re-encode byte-identically; its query and result frames
+// (kinds 3 and 5) fail as unknown kinds, at the cost of the bytes sent.
+func TestFramesV1Refused(t *testing.T) {
+	old, err := os.ReadFile("testdata/frames-v1-refused.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded, refused int
+	for rest := old; len(rest) > 0; {
+		if len(rest) < 16 {
+			t.Fatalf("fixture ends in a %d-byte fragment", len(rest))
+		}
+		n := 8 + int(interval.NewBinaryReader(rest).U64())
+		kind := interval.NewBinaryReader(rest[8:]).U64()
+		frame := rest[:n]
+		rest = rest[n:]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, used, err := DecodeFrame(frame)
+		runtime.ReadMemStats(&after)
+		if kind == 3 || kind == 5 {
+			if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "unknown frame kind") {
+				t.Fatalf("v1 frame kind %d: decode returned %v, want ErrProtocol for an unknown kind", kind, err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Fatalf("v1 frame kind %d: refusing %d bytes allocated %d", kind, n, alloc)
+			}
+			refused++
+			continue
+		}
+		if err != nil || used != n {
+			t.Fatalf("v1 frame kind %d: decode = (%d bytes, %v), want all %d", kind, used, err, n)
+		}
+		if !bytes.Equal(mustEncode(t, f), frame) {
+			t.Fatalf("v1 frame kind %d (%T) does not re-encode to its bytes", kind, f)
+		}
+		decoded++
+	}
+	if decoded != 4 || refused != 2 {
+		t.Fatalf("fixture held %d decodable and %d refused frames, want 4 and 2", decoded, refused)
+	}
+}
+
+// boundFrames are valid frames made only of a list's smallest entries
+// and nothing after them: a result frame of 16 reducers without
+// results, and a query frame of 64 combinations without tasks or
+// shipped buckets. A list's per-entry byte bound above its smallest
+// valid entry refuses them.
+func boundFrames(t testing.TB) []Frame {
+	t.Helper()
+	res := &ResultFrame{QueryID: 3, Epoch: 1, Reducers: make([]join.ReducerOutput, 16)}
+	for i := range res.Reducers {
+		res.Reducers[i].Reducer = i
+	}
+	qf := sampleQuery(t)
+	qf.Tasks, qf.Shipped = nil, nil
+	for len(qf.Combos) < 64 {
+		qf.Combos = append(qf.Combos, qf.Combos[0])
+	}
+	return []Frame{res, qf}
+}
+
+// Every list's entry bound admits its smallest valid entry.
+func TestFrameBoundsAdmitSmallestEntries(t *testing.T) {
+	for _, f := range boundFrames(t) {
+		b := mustEncode(t, f)
+		g, n, err := DecodeFrame(b)
+		if err != nil || n != len(b) {
+			t.Fatalf("%T: decode = (%d of %d bytes, %v)", f, n, len(b), err)
+		}
+		if !bytes.Equal(mustEncode(t, g), b) {
+			t.Fatalf("%T: re-encode is not byte-identical", f)
+		}
 	}
 }
 
@@ -362,6 +433,9 @@ func FuzzShardWire(f *testing.F) {
 	f.Add(unsortedTaskFrame(f))
 	f.Add(hugeVertexFrame(f))
 	f.Add(mismatchedWeightsFrame(f))
+	for _, fr := range boundFrames(f) {
+		f.Add(mustEncode(f, fr))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := DecodeFrame(data)
 		if err != nil {

@@ -12,7 +12,6 @@ import (
 	"tkij/internal/join"
 	"tkij/internal/rtree"
 	"tkij/internal/store"
-	"tkij/internal/topbuckets"
 )
 
 // Worker is one shard: a replica store holding its owned slice of the
@@ -48,7 +47,7 @@ type Worker struct {
 type workerQuery struct {
 	// floor is the query's worker-local shared floor, seeded from the
 	// scatter frame and raised by local reducers and coordinator
-	// rebroadcasts; nil when pruning is disabled.
+	// rebroadcasts.
 	floor *join.SharedFloor
 	// coordinator is the highest floor the coordinator is known to hold
 	// (it sent it, or the uplink did) — the guard that keeps a
@@ -194,9 +193,9 @@ func (w *Worker) handleQuery(ctx context.Context, f *QueryFrame, fw *frameWriter
 		return err
 	}
 	q := f.Query
-	if len(f.Mapping) != q.NumVertices || len(f.Grids) != q.NumVertices {
-		err := fmt.Errorf("%w: query %s has %d vertices but %d mappings / %d grids",
-			ErrRemote, q.Name, q.NumVertices, len(f.Mapping), len(f.Grids))
+	if len(f.Mapping) != q.NumVertices {
+		err := fmt.Errorf("%w: query %s has %d vertices but %d mappings",
+			ErrRemote, q.Name, q.NumVertices, len(f.Mapping))
 		_ = fw.send(&ErrorFrame{QueryID: f.QueryID, Code: CodeExec, Msg: err.Error()})
 		return err
 	}
@@ -221,11 +220,8 @@ func (w *Worker) handleQuery(ctx context.Context, f *QueryFrame, fw *frameWriter
 		})
 	}
 
-	wq := &workerQuery{}
-	if !f.DisablePruning {
-		wq.floor = join.NewSharedFloor(f.Floor)
-		wq.coordinator.advance(f.Floor)
-	}
+	wq := &workerQuery{floor: join.NewSharedFloor(f.Floor)}
+	wq.coordinator.advance(f.Floor)
 	w.mu.Lock()
 	if w.active[f.QueryID] != nil {
 		w.mu.Unlock()
@@ -251,12 +247,10 @@ func (w *Worker) handleFloor(f *FloorFrame, fw *frameWriter) error {
 	maxSeen := w.maxSeen
 	w.mu.Unlock()
 	if wq != nil {
-		if wq.floor != nil {
-			// Record the coordinator's knowledge before raising, so the
-			// uplink never echoes this exact value back.
-			wq.coordinator.advance(f.Floor)
-			wq.floor.Raise(f.Floor)
-		}
+		// Record the coordinator's knowledge before raising, so the
+		// uplink never echoes this exact value back.
+		wq.coordinator.advance(f.Floor)
+		wq.floor.Raise(f.Floor)
 		return nil
 	}
 	if f.QueryID <= maxSeen {
@@ -291,13 +285,11 @@ func (w *Worker) execute(ctx context.Context, f *QueryFrame, wq *workerQuery, vi
 
 	// Floor uplink: mirror local raises to the coordinator, once each.
 	// Send failures are left to the read loop, which sees the link die.
-	if wq.floor != nil && !f.NoFloorUplink {
-		defer wq.floor.Watch(func(v float64) {
-			if wq.coordinator.advance(v) {
-				_ = fw.send(&FloorFrame{QueryID: f.QueryID, Floor: v})
-			}
-		})()
-	}
+	defer wq.floor.Watch(func(v float64) {
+		if wq.coordinator.advance(v) {
+			_ = fw.send(&FloorFrame{QueryID: f.QueryID, Floor: v})
+		}
+	})()
 
 	reducers, err := runTasks(ctx, f, wq, view)
 	if err != nil {
@@ -351,19 +343,7 @@ func runTasks(ctx context.Context, f *QueryFrame, wq *workerQuery, view *store.V
 		}
 	}
 
-	// The frame carries no edge UBs: bound the decoded combinations,
-	// which are this query's own, over the frame's grids.
-	topbuckets.FillEdgeUB(q, f.Grids, f.Combos)
-	return join.RunTasks(ctx, &join.ReduceRequest{
-		Query: q,
-		Srcs:  srcs,
-		K:     f.K,
-		Opts: join.LocalOptions{
-			DisableIndex:   f.DisableIndex,
-			DisablePruning: f.DisablePruning,
-		},
-		Shared: wq.floor,
-	}, f.Combos, f.Tasks)
+	return join.RunTasks(ctx, &join.ReduceRequest{Query: q, Srcs: srcs, K: f.K, Shared: wq.floor}, f.Combos, f.Tasks)
 }
 
 // shippedBucket is one foreign bucket's payload with a lazily memoized

@@ -447,8 +447,7 @@ func maxf(a, b float64) float64 {
 // PairBounds is predicateBounds at the engine's setting: the bounds
 // of one edge's predicate over the boxes of two buckets (§3.3, lines 1-3
 // of Algorithm 2). Every pair bound in the engine — a plan's tables and
-// the lists no plan bounded (topbuckets.FillEdgeUB) — is solved through
-// it.
+// brute force's list, which no plan bounded — is solved through it.
 func PairBounds(pred *scoring.Predicate, x, y VertexBox) (lb, ub float64) {
 	return predicateBounds(pred, x, y, engineSetting)
 }

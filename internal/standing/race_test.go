@@ -151,12 +151,20 @@ func TestStandingCloseRaces(t *testing.T) {
 	m := NewManager(e)
 	q := query.Qbb(query.Env{Params: scoring.P1})
 
+	// handed closes once a subscription has been handed out, appended
+	// once an Append has returned (or once their goroutines quit early,
+	// so a failure cannot hang the test).
+	handed, appended := make(chan struct{}), make(chan struct{})
+	var handOnce, appendOnce sync.Once
+	signal := func(once *sync.Once, ch chan struct{}) { once.Do(func() { close(ch) }) }
+
 	var wg sync.WaitGroup
 	subs := make(chan *Subscription, 64)
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer signal(&handOnce, handed)
 			for i := 0; i < 16; i++ {
 				sub, err := m.Subscribe(context.Background(), q, 5, SubOptions{})
 				if err != nil {
@@ -167,12 +175,14 @@ func TestStandingCloseRaces(t *testing.T) {
 					return
 				}
 				subs <- sub
+				signal(&handOnce, handed)
 			}
 		}()
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer signal(&appendOnce, appended)
 		rng := rand.New(rand.NewSource(42))
 		var counter int64
 		for i := 0; i < 10; i++ {
@@ -180,9 +190,12 @@ func TestStandingCloseRaces(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			signal(&appendOnce, appended)
 		}
 	}()
-	time.Sleep(20 * time.Millisecond)
+	// Close once the work is live, not after a guessed delay.
+	<-handed
+	<-appended
 	m.Close()
 	wg.Wait()
 	close(subs)

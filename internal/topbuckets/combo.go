@@ -69,16 +69,11 @@ func boxesFor(matrices []*stats.Matrix, buckets []stats.Bucket, dst []solver.Ver
 	return dst
 }
 
-// FillEdgeUB sets EdgeUB of every combination to its pair UBs over the
-// per-vertex grids, solving each distinct (edge, bucket pair) once. It
-// serves the combination lists no plan bounded: brute force and a shard
-// worker's decoded query frame.
-func FillEdgeUB(q *query.Query, grids []stats.Grid, combos []Combo) {
-	edgeBounds(q, grids, combos)
-}
-
-// edgeBounds is FillEdgeUB also returning the pair LBs: edge ei of
-// combination i at lbs[i*|E|+ei].
+// edgeBounds sets EdgeUB of every combination to its pair UBs over the
+// per-vertex grids, solving each distinct (edge, bucket pair) once, and
+// returns the pair LBs: edge ei of combination i at lbs[i*|E|+ei]. It
+// bounds the combination lists no plan bounded: brute force's and
+// LooseBounds' reference list.
 func edgeBounds(q *query.Query, grids []stats.Grid, combos []Combo) (lbs []float64) {
 	type pair struct {
 		edge     int

@@ -199,7 +199,7 @@ func runBruteForce(q *query.Query, matrices []*stats.Matrix, lists [][]stats.Buc
 	for _, c := range combos {
 		res.TotalResults += c.NbRes
 	}
-	FillEdgeUB(q, gridsOf(matrices), combos)
+	edgeBounds(q, gridsOf(matrices), combos)
 	refineStart := time.Now()
 	TightenBounds(q, matrices, combos, opts)
 	res.TightSolverCalls = len(combos)
